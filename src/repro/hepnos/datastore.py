@@ -691,8 +691,27 @@ class DataStore:
             tname = product_type_name(
                 type_name if type_name is not None else obj
             )
-            key = keys.product_key(container_key, label, tname)
-            value = dumps(obj)
+            return self._store_value(sp, container_key, label, tname,
+                                     dumps(obj), batch)
+
+    def store_encoded_product(self, container_key: bytes, type_name,
+                              value: bytes, label: str = "",
+                              batch=None) -> bytes:
+        """Store a product whose archive bytes the caller already holds.
+
+        ``value`` must be what ``dumps`` yields for the product (the
+        loader's table encoder produces it without the objects);
+        everything else is :meth:`store_product`.
+        """
+        with _tracing.span("hepnos.store_product", label=label) as sp:
+            return self._store_value(sp, container_key, label,
+                                     product_type_name(type_name), value,
+                                     batch)
+
+    def _store_value(self, sp, container_key: bytes, label: str, tname: str,
+                     value: bytes, batch) -> bytes:
+        key = keys.product_key(container_key, label, tname)
+        if _tracing.enabled:
             smap = self.placement
             sp.set_tag("type", tname)
             sp.set_tag("bytes", len(value))
@@ -700,19 +719,19 @@ class DataStore:
             sp.set_tag("epoch", smap.epoch)
             sp.set_tag("shard", smap.shard_id(
                 "products", smap.product_database_for(container_key)))
-            if batch is not None:
-                batch.append_placed("products", container_key, key, value)
-                if self._product_cache is not None:
-                    self._product_cache.invalidate(key)
-            else:
-                self._put_forwarded("products", container_key, key, value)
-                # Write-through: the bytes in hand are exactly what a
-                # later load would fetch (products are immutable).  An
-                # overwrite must also drop any projected columns.
-                if self._product_cache is not None:
-                    self._product_cache.invalidate(key)
-                    self._product_cache.put(key, value)
-            return key
+        if batch is not None:
+            batch.append_placed("products", container_key, key, value)
+            if self._product_cache is not None:
+                self._product_cache.invalidate(key)
+        else:
+            self._put_forwarded("products", container_key, key, value)
+            # Write-through: the bytes in hand are exactly what a
+            # later load would fetch (products are immutable).  An
+            # overwrite must also drop any projected columns.
+            if self._product_cache is not None:
+                self._product_cache.invalidate(key)
+                self._product_cache.put(key, value)
+        return key
 
     def load_product(self, container_key: bytes, product_type, label: str = ""):
         """Load one product; raises :class:`ProductNotFound` if absent."""
@@ -727,10 +746,11 @@ class DataStore:
                     sp.set_tag("cache", "hit")
                     return loads(cached)
                 sp.set_tag("cache", "miss")
-            smap0 = self.placement
-            sp.set_tag("epoch", smap0.epoch)
-            sp.set_tag("shard", smap0.shard_id(
-                "products", smap0.product_database_for(container_key)))
+            if _tracing.enabled:
+                smap0 = self.placement
+                sp.set_tag("epoch", smap0.epoch)
+                sp.set_tag("shard", smap0.shard_id(
+                    "products", smap0.product_database_for(container_key)))
 
             def attempt():
                 smap = self.placement

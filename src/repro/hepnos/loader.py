@@ -19,6 +19,12 @@ Here:
   using write batches; with a communicator it splits the file list
   across ranks -- the only HEPnOS workflow step whose parallelism is
   bounded by the number of files.
+
+Ingest stays columnar until the last copy: a class table is encoded to
+archive bytes in row chunks by :func:`repro.serial.compiled.plan_table`
+and each event's product value is a slice of that buffer, byte-identical
+to serializing the event's row objects.  Row objects are only built for
+classes the table plan declines.
 """
 
 from __future__ import annotations
@@ -30,11 +36,20 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.errors import HEPnOSError
+from repro.errors import HEPnOSError, SerializationError
 from repro.hdf5lite import H5LiteFile
+from repro.hepnos import keys as hkeys
 from repro.hepnos.product import vector_of
 from repro.hepnos.write_batch import WriteBatch
-from repro.serial import register_type
+from repro.serial import dumps, register_type, registered_type
+from repro.serial.compiled import plan_table
+
+#: Rows the table encoder takes at a time (whole events, so a larger
+#: event is a chunk of its own).  Bounds its working memory -- under
+#: 1 KB a row for the 16-column NOvA slice table -- and is where the
+#: per-row cost bottoms out: below it numpy's per-call overhead shows,
+#: above it the byte matrix falls out of cache.
+_ENCODE_CHUNK_ROWS = 1024
 
 #: Recognized spellings of the identifier columns.
 _ID_COLUMNS = {
@@ -201,10 +216,9 @@ class DataLoader:
     def _class_for(self, schema: TableSchema) -> type:
         cls = self._classes.get(schema.class_name)
         if cls is None:
-            from repro.serial.archive import _BY_NAME
-
-            cls = _BY_NAME.get(schema.class_name)
-            if cls is None:
+            try:
+                cls = registered_type(schema.class_name)
+            except SerializationError:
                 cls = build_product_class(schema)
             self._classes[schema.class_name] = cls
         return cls
@@ -221,7 +235,7 @@ class DataLoader:
             schemas = discover_schema(h5)
             if not schemas:
                 raise HEPnOSError(f"{path}: no class tables found")
-            created: set[tuple] = set()
+            created: set[bytes] = set()
             for schema in schemas:
                 stats.tables += 1
                 self._ingest_table(h5, schema, batch, created, stats)
@@ -236,12 +250,10 @@ class DataLoader:
         subruns = group.read(schema.id_columns["subrun"]).astype(np.int64)
         events = group.read(schema.id_columns["event"]).astype(np.int64)
         columns = {
-            name: group.read(name) for name, _ in schema.value_columns
+            _python_field_name(name): group.read(name)
+            for name, _ in schema.value_columns
         }
         cls = self._class_for(schema)
-        field_names = [
-            _python_field_name(name) for name, _ in schema.value_columns
-        ]
         n = len(runs)
         stats.rows += n
         if n == 0:
@@ -249,43 +261,73 @@ class DataLoader:
         # Group rows by (run, subrun, event) with one argsort.
         order = np.lexsort((events, subruns, runs))
         sorted_ids = np.stack([runs[order], subruns[order], events[order]])
-        boundaries = np.nonzero(np.any(np.diff(sorted_ids, axis=1) != 0, axis=0))[0] + 1
-        groups = np.split(order, boundaries)
-        for rows in groups:
-            r = int(runs[rows[0]])
-            s = int(subruns[rows[0]])
-            e = int(events[rows[0]])
-            event = self._ensure_event(r, s, e, batch, created, stats)
-            products = [
-                cls(**{
-                    fname: columns[cname][idx].item()
-                    for fname, (cname, _) in zip(field_names, schema.value_columns)
-                })
-                for idx in rows
-            ]
-            event.store(products, label=self.label,
-                        type_name=vector_of(cls), batch=batch)
+        starts = np.concatenate((
+            [0],
+            np.nonzero(np.any(np.diff(sorted_ids, axis=1) != 0, axis=0))[0] + 1,
+            [n],
+        ))
+        event_ids = sorted_ids[:, starts[:-1]].tolist()
+        values = self._event_values(cls, columns, order, starts)
+        datastore, dataset_uuid = self.datastore, self.dataset.uuid
+        label, tname = self.label, vector_of(cls).name
+        # Events arrive sorted, so container keys are derived once per
+        # subrun rather than per event.
+        run = subrun = rkey = skey = None
+        for r, s, e, value in zip(*event_ids, values):
+            if r != run or s != subrun:
+                run, subrun = r, s
+                rkey = hkeys.run_key(dataset_uuid, r)
+                if rkey not in created:
+                    datastore.create_container("runs", dataset_uuid, rkey,
+                                               batch=batch)
+                    created.add(rkey)
+                skey = hkeys.subrun_key(rkey, s)
+                if skey not in created:
+                    datastore.create_container("subruns", rkey, skey,
+                                               batch=batch)
+                    created.add(skey)
+            ekey = hkeys.event_key(skey, e)
+            if ekey not in created:
+                datastore.create_container("events", skey, ekey, batch=batch)
+                created.add(ekey)
+                stats.events_created += 1
+            datastore.store_encoded_product(ekey, tname, value, label=label,
+                                            batch=batch)
             stats.products_stored += 1
 
-    def _ensure_event(self, r: int, s: int, e: int, batch: WriteBatch,
-                      created: set, stats: IngestStats):
-        from repro.hepnos.containers import Event, Run, SubRun
-        from repro.hepnos import keys as hkeys
+    def _event_values(self, cls: type, columns: dict, order: np.ndarray,
+                      starts: np.ndarray):
+        """Each event's serialized ``vector<cls>``, in sorted event order.
 
-        if ("r", r) not in created:
-            self.dataset.create_run(r, batch=batch)
-            created.add(("r", r))
-        run = Run(self.datastore, self.dataset, r,
-                  hkeys.run_key(self.dataset.uuid, r))
-        if ("s", r, s) not in created:
-            run.create_subrun(s, batch=batch)
-            created.add(("s", r, s))
-        subrun = SubRun(self.datastore, run, s, hkeys.subrun_key(run.key, s))
-        if ("e", r, s, e) not in created:
-            subrun.create_event(e, batch=batch)
-            created.add(("e", r, s, e))
-            stats.events_created += 1
-        return Event(self.datastore, subrun, e, hkeys.event_key(subrun.key, e))
+        ``starts`` are the events' first positions in ``order`` (plus
+        the end).  The values equal ``dumps`` of the events' row
+        objects; those are only built when the table plan declines the
+        class.
+        """
+        plan = plan_table(
+            cls, {name: column.dtype for name, column in columns.items()})
+        if plan is None:
+            for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
+                yield dumps([
+                    cls(**{name: column[idx].item()
+                           for name, column in columns.items()})
+                    for idx in order[lo:hi]
+                ])
+            return
+        first = 0
+        last = len(starts) - 1
+        while first < last:
+            # Whole events up to the chunk size; at least one.
+            stop = max(first + 1, int(np.searchsorted(
+                starts, starts[first] + _ENCODE_CHUNK_ROWS, side="right")) - 1)
+            lo = int(starts[first])
+            rows = order[lo:int(starts[stop])]
+            encoded = plan.encode(
+                [columns[name][rows] for name in plan.fields])
+            bounds = (starts[first:stop + 1] - lo).tolist()
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                yield encoded.list_value(a, b)
+            first = stop
 
     # -- parallel ingest ---------------------------------------------------------
 

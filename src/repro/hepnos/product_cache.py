@@ -253,6 +253,8 @@ class ProductCache:
         a re-store of the same key must not leave a stale projection.
         """
         with self._lock:
+            if pkey not in self._entries and pkey not in self._col_fields:
+                return
             old = self._entries.pop(pkey, None)
             if old is not None:
                 self._bytes -= _value_size(old)

@@ -20,10 +20,10 @@ from repro.argobots import Eventual
 from repro.errors import HEPnOSError, NetworkFailure, ReproError
 from repro.faults.retry import RETRYABLE_ERRORS
 from repro.hepnos.connection import DbTarget
-from repro.mercury import Bulk
 from repro.monitor import tracing as _tracing
 from repro.serial import dumps
 from repro.yokan import wire
+from repro.yokan.client import frame_put_multi
 
 
 class WriteBatch:
@@ -240,22 +240,18 @@ class AsynchronousWriteBatch(WriteBatch):
                 # Issue the batched put without waiting (cf.
                 # DatabaseHandle.put_multi, which would block on the
                 # response).
-                pairs = [(bytes(k), bytes(v)) for k, v in pairs]
-                packed = bytearray(dumps(pairs))
-                bulk = self.datastore.engine.expose(packed, Bulk.READ_ONLY)
+                request = frame_put_multi(self.datastore.engine,
+                                          target.name, pairs)
                 rpc = self.datastore.engine.create_handle(
                     target.address, "yokan.put_multi"
                 )
                 try:
                     eventual = rpc.iforward(
-                        wire.seal(dumps((target.name, bulk, len(packed),
-                                         wire.checksum(packed)))),
-                        target.provider_id,
-                    )
+                        wire.seal(dumps(request)), target.provider_id)
                     # Keep the bulk registration (weakly held by the
                     # fabric) and its buffer alive until the transfer
                     # completes.
-                    eventual._batch_bulk = bulk  # type: ignore[attr-defined]
+                    eventual._batch_bulk = request  # type: ignore[attr-defined]
                 except RETRYABLE_ERRORS as exc:
                     # The fault model rejected the send itself.  Record
                     # the flush as already-failed so wait() re-issues it

@@ -69,6 +69,21 @@ class _Retry:
         self.needed = needed
 
 
+def frame_put_multi(engine: Engine, name: str,
+                    pairs: Sequence[Tuple[bytes, bytes]]) -> tuple:
+    """The ``yokan.put_multi`` request storing ``pairs`` in ``name``.
+
+    The pairs travel as one :mod:`repro.yokan.packed` group in a bulk
+    buffer the provider pulls; the request ``(name, bulk, nbytes, crc)``
+    carries the buffer's descriptor, size and CRC.  The sender must keep
+    the request alive until the response arrives: the fabric tracks the
+    bulk registration (which owns the buffer) only weakly.
+    """
+    buffer = bytearray(packed.pack_groups((pairs,)))
+    bulk = engine.expose(buffer, Bulk.READ_ONLY)
+    return name, bulk, len(buffer), wire.checksum(buffer)
+
+
 class DatabaseHandle:
     """A client handle to one named database at one provider."""
 
@@ -218,16 +233,12 @@ class DatabaseHandle:
         verifies it after the pull, so a corrupted bulk transfer fails
         the call (retryably) instead of storing damaged values.
         """
-        pairs = [(bytes(k), bytes(v)) for k, v in pairs]
+        pairs = list(pairs)
         if not pairs:
             return 0
-        packed = bytearray(dumps(pairs))
-        bulk = self._engine.expose(packed, Bulk.READ_ONLY)
-        return self._call(
-            "yokan.put_multi",
-            (self.name, bulk, len(packed), wire.checksum(packed)),
-            keys=len(pairs), bytes=len(packed),
-        )
+        request = frame_put_multi(self._engine, self.name, pairs)
+        return self._call("yokan.put_multi", request,
+                          keys=len(pairs), bytes=request[2])
 
     def get_multi(self, keys: Sequence[bytes],
                   size_hint: int = 0) -> list[Optional[bytes]]:
@@ -571,16 +582,14 @@ class DatabaseHandle:
         the future's closure until retirement, so the provider's RDMA
         pull always finds them -- including on policy-driven re-issues.
         """
-        pairs = [(bytes(k), bytes(v)) for k, v in pairs]
+        pairs = list(pairs)
         if not pairs:
             return OperationFuture.completed(0, f"put_multi[0]@{self.name}")
         handle = self._engine.create_handle(self.target, "yokan.put_multi")
-        packed = bytearray(dumps(pairs))
-        bulk = self._engine.expose(packed, Bulk.READ_ONLY)
-        payload = self._seal(dumps((self.name, bulk, len(packed),
-                                    wire.checksum(packed))))
+        request = frame_put_multi(self._engine, self.name, pairs)
+        payload = self._seal(dumps(request))
 
-        def issue(_pinned=(packed, bulk)):
+        def issue(_pinned=request):
             # Default arg pins the packed buffer and its (weakly
             # tracked) bulk region for the life of the future.
             return handle.iforward(payload, self.provider_id)

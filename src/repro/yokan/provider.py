@@ -352,20 +352,16 @@ class YokanProvider:
 
     def _rpc_put_multi(self, req: RPCRequest) -> bytes:
         try:
-            decoded = loads(req.payload)
-            # Newer clients append the CRC of the packed buffer so a
-            # corrupted bulk pull is rejected before anything is stored.
-            if len(decoded) == 4:
-                name, bulk, nbytes, crc = decoded
-            else:
-                name, bulk, nbytes = decoded
-                crc = None
+            name, bulk, nbytes, crc = loads(req.payload)
             buffer = bytearray(nbytes)
             local = self.engine.expose(buffer, Bulk.READ_WRITE)
             req.bulk_transfer(BulkOp.PULL, bulk, local, size=nbytes)
-            if crc is not None:
-                wire.verify_bulk(buffer, crc, "put_multi bulk buffer")
-            pairs = loads(bytes(buffer))
+            # The CRC rejects a corrupted bulk pull before anything is
+            # stored; the pairs (one packed group, see the client's
+            # frame_put_multi) decode in place, values as views of the
+            # pulled buffer that the backend copies.
+            wire.verify_bulk(buffer, crc, "put_multi bulk buffer")
+            (pairs,) = packed.unpack_groups(buffer, 1)
             if req.trace_span is not None:
                 req.trace_span.set_tag("db", name)
                 req.trace_span.set_tag("keys", len(pairs))

@@ -5,6 +5,7 @@ import pytest
 from repro.bedrock import BedrockServer, default_hepnos_config
 from repro.hepnos import DataStore
 from repro.mercury import Fabric
+from repro.nova import BEAM, NovaGenerator, write_nova_file
 
 
 def deploy(fabric, num_nodes=2, backend="map", storage_root=None,
@@ -45,3 +46,13 @@ def service(fabric):
 @pytest.fixture()
 def datastore(fabric, service):
     return DataStore.connect(fabric, service)
+
+
+@pytest.fixture()
+def nova_file(tmp_path):
+    """A two-subrun CAF-like file and the (run, subrun, event)s in it."""
+    generator = NovaGenerator(BEAM)
+    path = str(tmp_path / "nova.h5l")
+    triples = [(1000, 0, e) for e in range(8)] + [(1000, 1, e) for e in range(8)]
+    write_nova_file(path, generator, triples)
+    return path, triples

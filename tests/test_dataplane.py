@@ -145,6 +145,26 @@ class TestProductCache:
         assert get("evictions") == 1
         assert metrics.gauge("hepnos.product_cache.entries").value == 2
 
+    def test_invalidate_of_an_uncached_key_touches_nothing(self):
+        from repro.monitor.metrics import MetricRegistry
+
+        metrics = MetricRegistry("test")
+        cache = ProductCache(max_bytes=1 << 20, max_entries=8, metrics=metrics)
+        cache.put(b"a", b"12345")
+        cache.put_columns(b"b", {"x": [1, 2]})
+        writes = []
+        for name in ("product_cache.bytes", "product_cache.entries",
+                     "column_cache.bytes", "column_cache.entries"):
+            gauge = metrics.gauge(f"hepnos.{name}")
+            gauge.set = lambda value, _name=name: writes.append(_name)
+        cache.invalidate(b"never-cached")
+        assert writes == []
+        assert cache.get(b"a") == b"12345"
+        cache.invalidate(b"a")      # a whole-product entry
+        cache.invalidate(b"b")      # a key with only projected columns
+        assert len(writes) == 8
+        assert len(cache) == 0 and cache.cached_bytes == 0
+
     def test_bounds_validated(self):
         from repro.errors import HEPnOSError
 

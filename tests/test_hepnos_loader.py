@@ -13,17 +13,8 @@ from repro.hepnos import (
     vector_of,
 )
 from repro.minimpi import mpirun
-from repro.nova import BEAM, NovaGenerator, write_nova_file
+from repro.nova import BEAM, NovaGenerator
 from repro.serial import registered_type
-
-
-@pytest.fixture()
-def nova_file(tmp_path):
-    generator = NovaGenerator(BEAM)
-    path = str(tmp_path / "nova.h5l")
-    triples = [(1000, 0, e) for e in range(8)] + [(1000, 1, e) for e in range(8)]
-    write_nova_file(path, generator, triples)
-    return path, triples
 
 
 class TestSchemaDiscovery:

@@ -212,6 +212,37 @@ def test_batched_write_trace_covers_flush_and_server(datastore):
     assert flush.tags["items"] >= 8
 
 
+def test_product_spans_tag_shard_and_epoch_only_when_traced(datastore,
+                                                            monkeypatch):
+    event = (datastore.create_dataset("tracing/point")
+             .create_run(1).create_subrun(0).create_event(0))
+    lookups = []
+    smap = datastore.placement
+    monkeypatch.setattr(
+        type(smap), "shard_id",
+        lambda self, kind, target, _real=type(smap).shard_id:
+            lookups.append(kind) or _real(self, kind, target))
+    event.store(3.5, label="untraced")
+    assert event.load(float, label="untraced") == 3.5
+    with WriteBatch(datastore) as batch:    # batched: not written through
+        event.store(4.5, label="batched", batch=batch)
+    assert lookups == []       # no ring lookup + hash on the untraced path
+    with trace_session() as tracer:
+        event.store(5.5, label="traced")
+        datastore.store_encoded_product(event.key, "float", b"\x04" + bytes(8),
+                                        label="encoded")
+        assert event.load(float, label="batched") == 4.5
+    stores = tracer.collector.find("hepnos.store_product")
+    (load,) = tracer.collector.find("hepnos.load_product")
+    assert len(stores) == 2 and len(lookups) == 3
+    for span in stores + [load]:
+        assert span.tags["epoch"] == smap.epoch
+        assert span.tags["shard"] == smap.shard_id(
+            "products", smap.product_database_for(event.key))
+    assert [s.tags["type"] for s in stores] == ["float", "float"]
+    assert event.load(float, label="encoded") == 0.0
+
+
 @serializable("tracing.TestSlice")
 class TracedSlice:
     def __init__(self, sid=0):
