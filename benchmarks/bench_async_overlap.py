@@ -7,9 +7,9 @@ exists for -- a fabric with response latency (server -> client messages
 sleep, as a congested NIC would) and a PEP whose handler does real
 per-event work -- and measures one full pass three ways:
 
-1. blocking loads (no AsyncEngine): every ``get_multi`` stalls the
+1. blocking loads (no AsyncEngine): every page's load plan stalls the
    reader for the injected latency;
-2. pipelined loads (AsyncEngine): page N+1's ``get_multi_nb`` is in
+2. pipelined loads (AsyncEngine): page N+1's per-shard requests are in
    flight while page N's events are processed, so latency hides behind
    compute (``PEPStatistics.overlap_seconds`` records how much);
 3. blocking loads on a clean fabric with and without the async layer

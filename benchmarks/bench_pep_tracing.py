@@ -82,8 +82,8 @@ def test_traced_pep_pass_collects_cross_layer_spans(benchmark, datastore,
     assert per_event == N_EVENTS
     # The full cross-layer chain is present.
     for name in ("pep.process_batch", "pep.materialize",
-                 "hepnos.load_products_bulk", "yokan.client.get_multi",
-                 "mercury.forward", "yokan.provider.get_multi"):
+                 "hepnos.load_products", "yokan.client.list_keys",
+                 "mercury.forward", "yokan.provider.load_prefix_packed"):
         assert collector.find(name), f"missing {name} spans"
 
 

@@ -95,16 +95,15 @@ def bench_wire_seal_unseal() -> dict:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Run the bench suite and emit the BENCH_PR10.json "
-                    "perf baseline.")
+        description="Run the bench suite and emit the "
+                    f"{os.path.basename(DEFAULT_OUTPUT)} perf baseline.")
     parser.add_argument("--full", action="store_true",
                         help="full corpus and the 2x acceptance gates "
                              "(default: quick)")
     parser.add_argument("--seed", type=int, default=7,
                         help="chaos seed for the identity check")
     parser.add_argument("-o", "--output", default=DEFAULT_OUTPUT,
-                        help="output path (default: repo-root "
-                             "BENCH_PR9.json)")
+                        help="output path (default: %(default)s)")
     args = parser.parse_args(argv)
 
     results = bench_dataplane.run_benches(quick=not args.full,

@@ -39,7 +39,8 @@ semantics, retired under the client retry policy).
 This module is the complete public client surface: handle types
 (:class:`DataStore`, :class:`DataSet`, :class:`Run`, :class:`SubRun`,
 :class:`Event`, :class:`ProductID`), the async layer
-(:class:`AsyncEngine`, :class:`OperationFuture`, :class:`FutureGroup`),
+(:class:`AsyncEngine`, :class:`OperationFuture`), the load plan
+(:class:`LoadPlan`, :class:`PendingLoad`),
 the performance objects, and their configuration dataclasses
 (:class:`PEPOptions`, :class:`PrefetchOptions`,
 :class:`ProductCacheOptions`, :class:`QuotaOptions` -- all living in
@@ -57,6 +58,7 @@ from repro.hepnos.connection import (
     connection_from_servers,
 )
 from repro.hepnos.datastore import DataStore
+from repro.hepnos.load_plan import LoadPlan, PendingLoad
 from repro.hepnos.placement import (
     FullKeyPlacement,
     ParentHashPlacement,
@@ -64,7 +66,7 @@ from repro.hepnos.placement import (
 )
 from repro.hepnos.containers import DataSet, Run, SubRun, Event
 from repro.hepnos.product import ProductID, product_type_name, vector_of
-from repro.hepnos.async_engine import AsyncEngine, AsyncEngineStats, FutureGroup
+from repro.hepnos.async_engine import AsyncEngine, AsyncEngineStats
 from repro.hepnos import options
 from repro.hepnos.options import (
     PEPOptions,
@@ -97,6 +99,8 @@ __all__ = [
     "DbTarget",
     "connection_from_servers",
     "DataStore",
+    "LoadPlan",
+    "PendingLoad",
     "ColumnBlock",
     "EventBatch",
     "ParentHashPlacement",
@@ -111,7 +115,6 @@ __all__ = [
     "vector_of",
     "AsyncEngine",
     "AsyncEngineStats",
-    "FutureGroup",
     "OperationFuture",
     "PEPOptions",
     "PrefetchOptions",

@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional
+from typing import List, Optional
 
 from repro.errors import OperationCancelled, ReproError
 from repro.monitor import tracing as _tracing
@@ -45,58 +45,6 @@ class AsyncEngineStats:
     #: operations that had to queue behind a full window
     deferred: int = 0
     peak_inflight: int = 0
-
-
-class FutureGroup:
-    """A set of operation futures retired together.
-
-    ``wait`` retires every member (each under the client retry policy)
-    and returns the list of results in member order -- or, when the
-    group was built with an ``assemble`` callable, whatever that
-    callable makes of the result list (the datastore uses this to
-    reassemble per-database scatter/gather loads into one aligned
-    product list).
-    """
-
-    __slots__ = ("futures", "_assemble")
-
-    def __init__(self, futures: Iterable[OperationFuture] = (),
-                 assemble: Optional[Callable[[list], object]] = None):
-        self.futures: List[OperationFuture] = list(futures)
-        self._assemble = assemble
-
-    def add(self, future: OperationFuture) -> OperationFuture:
-        self.futures.append(future)
-        return future
-
-    def __len__(self) -> int:
-        return len(self.futures)
-
-    @property
-    def done(self) -> bool:
-        return all(f.done for f in self.futures)
-
-    def test(self) -> bool:
-        """Non-blocking: advance members; True when all have settled."""
-        settled = True
-        for future in self.futures:
-            if not future.test():
-                settled = False
-        return settled
-
-    def cancel(self) -> int:
-        """Cancel every still-pending member; returns how many took."""
-        return sum(1 for f in self.futures if f.cancel())
-
-    def wait(self, timeout: Optional[float] = None):
-        results = [f.wait(timeout=timeout) for f in self.futures]
-        if self._assemble is not None:
-            return self._assemble(results)
-        return results
-
-    def overlap_seconds(self, until: float) -> float:
-        """Total in-flight-before-``until`` time across members."""
-        return sum(f.overlap_seconds(until) for f in self.futures)
 
 
 class AsyncEngine:
@@ -160,14 +108,6 @@ class AsyncEngine:
         future.dispatch()
         self.pump()
         return future
-
-    def submit_all(self, futures: Iterable[OperationFuture],
-                   assemble: Optional[Callable[[list], object]] = None
-                   ) -> FutureGroup:
-        group = FutureGroup(assemble=assemble)
-        for future in futures:
-            group.add(self.submit(future))
-        return group
 
     # -- progress ----------------------------------------------------------
 

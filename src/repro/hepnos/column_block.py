@@ -71,36 +71,6 @@ class ColumnBlock:
         self.raw = raw
 
     @classmethod
-    def from_results(cls, fields: Sequence[str],
-                     results: Sequence[object]) -> "ColumnBlock":
-        """Assemble from per-event answers.
-
-        ``results[i]`` is ``None`` (absent), ``("raw", objects)``, or
-        ``("cols", rowcount, {field: piece})``.
-        """
-        fields = list(fields)
-        offsets = np.zeros(len(results) + 1, dtype=np.int64)
-        present: List[object] = []
-        raw: Dict[int, list] = {}
-        pieces: Dict[str, List[object]] = {f: [] for f in fields}
-        rows = 0
-        for i, result in enumerate(results):
-            if result is None:
-                present.append(ABSENT)
-            elif result[0] == "raw":
-                present.append(RAW)
-                raw[i] = result[1]
-            else:
-                _, count, cols = result
-                present.append(PRESENT)
-                rows += count
-                for f in fields:
-                    pieces[f].append(cols[f])
-            offsets[i + 1] = rows
-        arrays = {f: _concat_column(pieces[f]) for f in fields}
-        return cls(fields, arrays, offsets, present, raw)
-
-    @classmethod
     def from_groups(cls, fields: Sequence[str], n_events: int,
                     groups: Sequence[tuple], raw: Dict[int, list]
                     ) -> "ColumnBlock":
@@ -109,9 +79,9 @@ class ColumnBlock:
         Each group is ``(event_indices, counts, {field: rows})`` -- the
         projected slots of one scan answer (or one cache hit) kept as
         whole arrays, rows ordered to match ``event_indices`` repeated
-        by ``counts``.  Building from groups avoids the per-event
-        slicing of :meth:`from_results`: columns concatenate once per
-        group and a single stable permutation restores event order.
+        by ``counts``.  Nothing is sliced per event: columns
+        concatenate once per group and a single stable permutation
+        restores event order.
         """
         fields = list(fields)
         present: List[object] = [ABSENT] * n_events
@@ -180,6 +150,11 @@ class ColumnBlock:
 
     def event_rows(self, index: int) -> Tuple[int, int]:
         return int(self.offsets[index]), int(self.offsets[index + 1])
+
+    def event_columns(self, index: int) -> Dict[str, np.ndarray]:
+        """Event ``index``'s rows of every field (zero-copy slices)."""
+        lo, hi = self.event_rows(index)
+        return {f: self.arrays[f][lo:hi] for f in self.fields}
 
     # -- slicing -----------------------------------------------------------
 

@@ -18,10 +18,9 @@ from repro.errors import (
 )
 from repro.faults.retry import RETRYABLE_ERRORS, RetryPolicy, default_client_policy
 from repro.hepnos import keys
-import numpy as np
-
-from repro.hepnos.column_block import PRESENT, ColumnBlock
+from repro.hepnos.column_block import ColumnBlock
 from repro.hepnos.connection import ConnectionInfo, DbTarget, connection_from_servers
+from repro.hepnos.load_plan import LoadPlan, PendingLoad
 from repro.hepnos.options import ProductCacheOptions, QuotaOptions
 from repro.hepnos.placement import ParentHashPlacement, ShardMap
 from repro.hepnos.product import product_type_name
@@ -29,15 +28,10 @@ from repro.hepnos.product_cache import ProductCache
 from repro.mercury import Engine, Fabric
 from repro.monitor import tracing as _tracing
 from repro.monitor.metrics import MetricRegistry
-from repro.serial import columnar as _columnar  # noqa: F401  (registers ColumnarBatch)
 from repro.serial import dumps, loads
 from repro.yokan import DatabaseHandle, YokanClient
 
 _client_counter = itertools.count()
-
-#: marks a columnar slot as answered (its rows live in a group, or in
-#: the raw dict) so dual-read partners know not to answer it again
-_ANSWERED = object()
 
 
 class _FailoverRetry(HEPnOSError):
@@ -129,10 +123,8 @@ class DataStore:
                 self.product_cache_options.max_entries,
                 metrics=self.metrics,
             )
-        #: EMA of packed bytes per container, to presize landing buffers.
-        self._packed_bytes_ema = 0.0
-        #: EMA of projected column bytes per container (columnar loads).
-        self._columnar_bytes_ema = 0.0
+        #: per load lane: EMA of wire bytes per container (size hints).
+        self._load_bytes_ema: dict[str, float] = {}
         #: optional AsyncEngine pipelining this client's I/O; the
         #: Prefetcher, the PEP, and WriteBatch pick it up automatically.
         self.async_engine = None
@@ -396,30 +388,46 @@ class DataStore:
                     raise
         return acked
 
-    def _previous_get(self, kind: str, parent_key: bytes,
-                      key: bytes) -> Optional[bytes]:
-        """Dual-read fallback: the pre-migration shard, then the
-        current one *again*.
+    def _dual_handles(self, smap: ShardMap, kind: str,
+                      parent_key: bytes) -> Iterator[DatabaseHandle]:
+        """The databases a dual-read consults, in order: the current
+        shard, then -- only while migrating -- the pre-migration shard
+        and the current one *again*.
 
-        The caller already missed the current shard once, but a
-        concurrent migration step may have copied the key to the
-        current shard and erased it from the old one between the two
-        reads.  Copy-before-erase guarantees that at every instant at
-        least one of the two locations holds the key, so after an
-        old-shard miss a final re-read of the current shard closes the
-        window: ``None`` here really means absent.
+        A concurrent migration step may copy a key to the current shard
+        and erase it from the old one between the first two reads.
+        Copy-before-erase guarantees that at every instant at least one
+        of the two locations holds the key, so a final re-read of the
+        current shard closes the window: a key none of the three reads
+        found really is absent (under ``smap``; callers re-check that
+        the map did not advance meanwhile).
         """
-        prev = self.placement.previous_database_for(kind, parent_key)
-        if prev is None:
+        yield self._db(kind, parent_key)
+        prev = smap.previous_database_for(kind, parent_key)
+        if prev is not None:
+            yield self._handle(prev)
+            yield self._db(kind, parent_key)
+
+    def _get(self, kind: str, parent_key: bytes,
+             key: bytes) -> Optional[bytes]:
+        """Single dual-read ``get`` under the shard retry (``None`` =
+        absent)."""
+
+        def attempt():
+            smap = self.placement
+            for handle in self._dual_handles(smap, kind, parent_key):
+                try:
+                    return handle.get(key)
+                except KeyNotFound:
+                    pass
+            if self.placement is not smap:
+                raise ShardMapStale(
+                    f"shard map advanced to epoch {self.placement.epoch} "
+                    f"during a {kind} read"
+                )
             return None
-        try:
-            return self._handle(prev).get(key)
-        except KeyNotFound:
-            pass
-        try:
-            return self._db(kind, parent_key).get(key)
-        except KeyNotFound:
-            return None
+
+        return self._with_shard_retry(attempt)
 
     def _put_forwarded(self, kind: str, parent_key: bytes, key: bytes,
                        value: bytes) -> None:
@@ -508,15 +516,12 @@ class DataStore:
             return cached
         parent_key = parent.encode("utf-8")
         key = keys.dataset_key(path)
-        try:
-            uuid = self._db("datasets", parent_key).get(key)
-        except KeyNotFound:
-            uuid = self._previous_get("datasets", parent_key, key)
-            if uuid is None:
-                # Deterministic identity: concurrent creators of the
-                # same path write the same value, so no atomicity needed.
-                uuid = keys.new_dataset_uuid(path)
-                self._put_forwarded("datasets", parent_key, key, uuid)
+        uuid = self._get("datasets", parent_key, key)
+        if uuid is None:
+            # Deterministic identity: concurrent creators of the same
+            # path write the same value, so no atomicity needed.
+            uuid = keys.new_dataset_uuid(path)
+            self._put_forwarded("datasets", parent_key, key, uuid)
         self._uuid_cache[path] = uuid
         return uuid
 
@@ -526,25 +531,10 @@ class DataStore:
         cached = self._uuid_cache.get(path)
         if cached is not None:
             return cached
-        parent_key = keys.parent_path(path).encode("utf-8")
-        key = keys.dataset_key(path)
-
-        def attempt():
-            smap = self.placement
-            try:
-                return self._db("datasets", parent_key).get(key)
-            except KeyNotFound:
-                uuid = self._previous_get("datasets", parent_key, key)
-                if uuid is not None:
-                    return uuid
-                if self.placement is not smap:
-                    raise ShardMapStale(
-                        f"shard map advanced to epoch "
-                        f"{self.placement.epoch} resolving {path!r}"
-                    ) from None
-                raise ContainerNotFound(f"no dataset {path!r}") from None
-
-        uuid = self._with_shard_retry(attempt)
+        uuid = self._get("datasets", keys.parent_path(path).encode("utf-8"),
+                         keys.dataset_key(path))
+        if uuid is None:
+            raise ContainerNotFound(f"no dataset {path!r}")
         self._uuid_cache[path] = uuid
         return uuid
 
@@ -575,22 +565,16 @@ class DataStore:
         if parent:
             parent = keys.normalize_path(parent)
         parent_key = parent.encode("utf-8")
-        smap = self.placement
-        db = self._db("datasets", parent_key)
         prefix = (parent + "/").encode("utf-8") if parent else b""
-        entries = db.iter_keys(prefix=prefix)
-        prev = smap.previous_database_for("datasets", parent_key)
-        if prev is not None:
+        handles = list(self._dual_handles(self.placement, "datasets",
+                                          parent_key))
+        if len(handles) == 1:
+            entries = handles[0].iter_keys(prefix=prefix)
+        else:
             # Dual-read: merge the pre-migration shard's entries
             # (dataset directories are small, no paging needed).
-            seen = set(db.list_keys(prefix=prefix))
-            seen |= set(self._handle(prev).list_keys(prefix=prefix))
-            # A key mid-move can be absent from both lists above
-            # (copied after the first, erased before the second);
-            # copy-before-erase means a final re-read of the current
-            # shard closes that window.
-            seen |= set(db.list_keys(prefix=prefix))
-            entries = iter(sorted(seen))
+            entries = sorted(set().union(
+                *(handle.list_keys(prefix=prefix) for handle in handles)))
         for key in entries:
             path = key.decode("utf-8")
             tail = path[len(parent) + 1 :] if parent else path
@@ -610,19 +594,18 @@ class DataStore:
             self._put_forwarded(kind, parent_key, key, b"")
 
     def container_exists(self, kind: str, parent_key: bytes, key: bytes) -> bool:
+        return self._exists(kind, parent_key, key)
+
+    def _exists(self, kind: str, parent_key: bytes, key: bytes) -> bool:
+        """Dual-read existence check of ``key`` among ``parent_key``'s
+        children (``kind`` names the placement: a container kind, or
+        ``"products"`` with the container key as parent)."""
+
         def attempt():
             smap = self.placement
-            if self._db(kind, parent_key).exists(key):
+            if any(handle.exists(key) for handle in
+                   self._dual_handles(smap, kind, parent_key)):
                 return True
-            prev = smap.previous_database_for(kind, parent_key)
-            if prev is not None:
-                if self._handle(prev).exists(key):
-                    return True
-                # A migration step may have moved the key between the
-                # two checks (copy-before-erase): re-check the current
-                # shard before concluding absence.
-                if self._db(kind, parent_key).exists(key):
-                    return True
             if self.placement is not smap:
                 raise ShardMapStale(
                     f"shard map advanced to epoch {self.placement.epoch} "
@@ -660,21 +643,12 @@ class DataStore:
                    want: int) -> list[bytes]:
         """One dual-read listing page, checked against epoch swaps."""
         smap = self.placement
-        merged = self._db(kind, parent_key).list_keys(
-            prefix=parent_key, start_after=cursor, limit=want)
-        prev = smap.previous_database_for(kind, parent_key)
-        if prev is not None:
-            older = self._handle(prev).list_keys(
-                prefix=parent_key, start_after=cursor, limit=want)
-            # A migration step may have moved keys between the two
-            # pages (copy-before-erase): such a key is absent from the
-            # first current-shard page and already erased from the old
-            # one.  Re-running the current-shard page last closes the
-            # window -- any key moved mid-listing is on the current
-            # shard by now.
-            newer = self._db(kind, parent_key).list_keys(
-                prefix=parent_key, start_after=cursor, limit=want)
-            merged = sorted(set(merged) | set(older) | set(newer))[:want]
+        pages = [handle.list_keys(prefix=parent_key, start_after=cursor,
+                                  limit=want)
+                 for handle in self._dual_handles(smap, kind, parent_key)]
+        merged = pages[0]
+        if len(pages) > 1:
+            merged = sorted(set().union(*pages))[:want]
         if self.placement is not smap:
             raise ShardMapStale(
                 f"shard map advanced to epoch {self.placement.epoch} "
@@ -752,554 +726,56 @@ class DataStore:
                 sp.set_tag("shard", smap0.shard_id(
                     "products", smap0.product_database_for(container_key)))
 
-            def attempt():
-                smap = self.placement
-                try:
-                    return self._product_db(container_key).get(key)
-                except KeyNotFound:
-                    value = self._previous_get("products", container_key, key)
-                    if value is not None:
-                        return value
-                    if self.placement is not smap:
-                        raise ShardMapStale(
-                            f"shard map advanced to epoch "
-                            f"{self.placement.epoch} during a product load"
-                        ) from None
-                    raise ProductNotFound(
-                        f"no product label={label!r} type={tname!r} "
-                        f"in container"
-                    ) from None
-
-            value = self._with_shard_retry(attempt)
+            value = self._get("products", container_key, key)
+            if value is None:
+                raise ProductNotFound(
+                    f"no product label={label!r} type={tname!r} "
+                    f"in container"
+                )
             if cache is not None:
                 cache.put(key, value)
         return loads(value)
 
-    def load_products_bulk(self, container_keys, product_type, label: str = ""):
-        """Batched product load for many containers (one RPC per database).
+    def issue_load(self, plan: LoadPlan) -> PendingLoad:
+        """Issue ``plan`` without blocking; retire it with ``.wait()``.
 
-        Returns a list aligned with ``container_keys``; missing products
-        are ``None``.  This is the fast path the ParallelEventProcessor
-        readers use for prefetching.
+        One request per involved database goes out at once -- through
+        the attached :class:`AsyncEngine`'s bounded window when there
+        is one -- so the caller can overlap the load with its own work.
         """
-        container_keys = list(container_keys)
-        tname = product_type_name(product_type)
-        cache = self._product_cache
-        with _tracing.span("hepnos.load_products_bulk", type=tname,
-                           label=label, containers=len(container_keys)) as sp:
-            return self._with_shard_retry(
-                lambda: self._load_products_bulk_once(
-                    container_keys, tname, label, cache, sp))
+        return PendingLoad(self, plan)
 
-    def _load_products_bulk_once(self, container_keys, tname, label,
-                                 cache, sp):
-        smap = self.placement
-        out = [None] * len(container_keys)
-        by_target: dict[DbTarget, list[tuple[int, bytes]]] = {}
-        fetched: list[tuple[int, bytes]] = []
-        hits = 0
-        for i, ckey in enumerate(container_keys):
-            pkey = keys.product_key(ckey, label, tname)
-            if cache is not None:
-                cached = cache.get(pkey)
-                if cached is not None:
-                    out[i] = loads(cached)
-                    hits += 1
-                    continue
-            target = smap.product_database_for(ckey)
-            by_target.setdefault(target, []).append((i, pkey))
-            fetched.append((i, pkey))
-        sp.set_tag("databases", len(by_target))
-        sp.set_tag("epoch", smap.epoch)
-        if cache is not None:
-            sp.set_tag("cache_hits", hits)
-        for target, entries in by_target.items():
-            handle = self._handle(target)
-            values = handle.get_multi([pkey for _, pkey in entries])
-            for (i, pkey), value in zip(entries, values):
-                # Scan resistance: batch loads stream each event once,
-                # so inserting here would evict genuinely hot products.
-                # Batch paths read the cache but never populate it.
-                out[i] = loads(value) if value is not None else None
-        if smap.migrating:
-            # Dual-read: refetch the misses from the pre-migration
-            # shards (the migrator copies before it erases, so one of
-            # the two locations always has every stored product).
-            by_prev: dict[DbTarget, list[tuple[int, bytes]]] = {}
-            for i, pkey in fetched:
-                if out[i] is None:
-                    prev = smap.previous_product_database_for(
-                        container_keys[i])
-                    if prev is not None:
-                        by_prev.setdefault(prev, []).append((i, pkey))
-            for target, entries in by_prev.items():
-                values = self._handle(target).get_multi(
-                    [pkey for _, pkey in entries])
-                for (i, pkey), value in zip(entries, values):
-                    if value is not None:
-                        out[i] = loads(value)
-            sp.set_tag("fallback_databases", len(by_prev))
-            # A migration step may have moved a key between the first
-            # read and the fallback (copy-before-erase): re-fetch the
-            # remaining misses from the current shards before treating
-            # them as genuinely absent.
-            by_cur: dict[DbTarget, list[tuple[int, bytes]]] = {}
-            for i, pkey in fetched:
-                if out[i] is None:
-                    target = smap.product_database_for(container_keys[i])
-                    by_cur.setdefault(target, []).append((i, pkey))
-            for target, entries in by_cur.items():
-                values = self._handle(target).get_multi(
-                    [pkey for _, pkey in entries])
-                for (i, pkey), value in zip(entries, values):
-                    if value is not None:
-                        out[i] = loads(value)
-        if self.placement is not smap and any(
-                out[i] is None for i, _ in fetched):
-            raise ShardMapStale(
-                f"shard map advanced to epoch {self.placement.epoch} "
-                f"during a bulk product load"
-            )
-        return out
+    def load_products(self, plan: LoadPlan):
+        """Run ``plan`` to completion (issue + wait) and return its
+        answer: ``{(type_name, label): [obj or None, ...]}`` aligned
+        with the plan's container keys, or a :class:`ColumnBlock` for a
+        column projection."""
+        return PendingLoad(self, plan, blocking=True).lane.result
 
     def load_products_packed(self, container_keys, specs):
-        """Load several product specs for many containers at once.
+        """Load several ``(product_type, label)`` specs of many *event*
+        containers: one ``load_prefix_packed`` scan per database.
 
-        ``specs`` is a list of ``(product_type, label)`` pairs.  Instead
-        of one ``get_multi`` per spec, each involved database serves a
-        single ``load_prefix_packed`` RPC: an ordered server-side scan
-        per container key returning *every* product of the event in one
-        packed bulk transfer.  Returns ``{(type_name, label): [obj or
-        None, ...]}``, each list aligned with ``container_keys``.
-
-        Intended for *event* containers: event keys are fixed-width
-        (:data:`~repro.hepnos.keys.EVENT_KEY_LEN`), so a prefix scan on
-        one cannot leak a sibling's products.  Pairs outside the
-        requested specs are ignored (the scan may surface products of
-        labels/types the caller did not ask for).
-
-        A container whose specs are *all* cache hits is skipped
-        entirely; one miss refetches the whole event (the packed scan
-        has per-event granularity).
+        Returns ``{(type_name, label): [obj or None, ...]}``, each list
+        aligned with ``container_keys``.
         """
-        container_keys = list(container_keys)
-        resolved = [(product_type_name(pt), label) for pt, label in specs]
-        cache = self._product_cache
-        out = {spec: [None] * len(container_keys) for spec in resolved}
-        with _tracing.span("hepnos.load_products_packed",
-                           containers=len(container_keys),
-                           specs=len(resolved)) as sp:
-            # pkey -> list of (spec index, container index) slots to fill
-            want: dict[bytes, list[tuple[int, int]]] = {}
-            fetch: list[int] = []
-            hits = 0
-            for i, ckey in enumerate(container_keys):
-                misses = 0
-                for si, (tname, label) in enumerate(resolved):
-                    pkey = keys.product_key(ckey, label, tname)
-                    want.setdefault(pkey, []).append((si, i))
-                    if cache is not None:
-                        cached = cache.get(pkey)
-                        if cached is not None:
-                            out[resolved[si]][i] = loads(cached)
-                            hits += 1
-                            continue
-                    misses += 1
-                if misses:
-                    fetch.append(i)
-            if cache is not None:
-                sp.set_tag("cache_hits", hits)
-            total_bytes = self._with_shard_retry(
-                lambda: self._load_packed_once(
-                    container_keys, resolved, fetch, want, out, sp))
-            if fetch:
-                per_container = total_bytes / len(fetch)
-                if self._packed_bytes_ema:
-                    self._packed_bytes_ema = (
-                        0.7 * self._packed_bytes_ema + 0.3 * per_container
-                    )
-                else:
-                    self._packed_bytes_ema = per_container
-                sp.set_tag("bytes", total_bytes)
-            return out
-
-    def _load_packed_once(self, container_keys, resolved, fetch, want,
-                          out, sp) -> int:
-        """One packed fan-out round: concurrent per-shard scans, merged.
-
-        Each involved database gets its own ``load_prefix_packed`` RPC,
-        issued non-blocking so the shards serve them *concurrently* --
-        this is where multi-provider read scaling comes from.  During a
-        migration the pre-migration shards are scanned too (dual-read);
-        duplicate pairs are harmless because products are immutable.
-        """
-        smap = self.placement
-        by_target: dict[DbTarget, list[int]] = {}
-        migrating = smap.migrating
-        locate = smap.strategy.product_database_for
-        for i in fetch:
-            target = locate(container_keys[i])
-            by_target.setdefault(target, []).append(i)
-            if migrating:
-                prev = smap.previous_product_database_for(container_keys[i])
-                if prev is not None:
-                    by_target.setdefault(prev, []).append(i)
-        sp.set_tag("databases", len(by_target))
-        sp.set_tag("epoch", smap.epoch)
-        total_bytes = self._packed_scan_round(by_target, container_keys,
-                                              want, resolved, out)
-        if smap.migrating:
-            # The per-shard scans run concurrently, so a migration step
-            # can move an event's products after the current shard was
-            # scanned but before the old shard was (copy-before-erase
-            # leaves them visible to neither scan).  Re-scan the current
-            # shards for containers still missing a requested product.
-            retry = [i for i in fetch
-                     if any(out[spec][i] is None for spec in resolved)]
-            if retry:
-                by_cur: dict[DbTarget, list[int]] = {}
-                for i in retry:
-                    target = smap.product_database_for(container_keys[i])
-                    by_cur.setdefault(target, []).append(i)
-                total_bytes += self._packed_scan_round(
-                    by_cur, container_keys, want, resolved, out)
-        if self.placement is not smap and any(
-                out[spec][i] is None for spec in resolved for i in fetch):
-            raise ShardMapStale(
-                f"shard map advanced to epoch {self.placement.epoch} "
-                f"during a packed product load"
-            )
-        return total_bytes
-
-    def _packed_scan_round(self, by_target, container_keys, want, resolved,
-                           out) -> int:
-        """One concurrent fan-out of ``load_prefix_packed`` scans."""
-        futures = []
-        for target, indices in by_target.items():
-            hint = 0
-            if self._packed_bytes_ema:
-                hint = int(self._packed_bytes_ema * len(indices) * 1.5
-                           ) + 1024
-            futures.append(self._handle(target).load_prefix_packed_nb(
-                [container_keys[i] for i in indices], size_hint=hint))
-        total_bytes = 0
-        for future in futures:
-            for pairs in future.wait():
-                for pkey, view in pairs:
-                    # Wire footprint of the pair, not just the value:
-                    # the EMA presizes whole landing buffers.
-                    total_bytes += len(pkey) + len(view) + 10
-                    slots = want.get(pkey)
-                    if slots is None:
-                        continue
-                    # Scan resistance: like load_products_bulk, batch
-                    # loads read the cache but never populate it.
-                    obj = loads(view)
-                    for si, i in slots:
-                        out[resolved[si]][i] = obj
-        return total_bytes
+        return self.load_products(
+            LoadPlan(container_keys, specs, whole_events=True))
 
     def load_products_columnar(self, container_keys, product_type, fields,
                                label: str = "") -> ColumnBlock:
-        """Project ``fields`` of one product spec across many containers.
-
-        Instead of shipping whole serialized products, each involved
-        database serves one ``scan_columns`` RPC that materializes only
-        the requested columns server-side; the per-shard pages merge
-        into a single :class:`~repro.hepnos.column_block.ColumnBlock`
-        aligned with ``container_keys``.  Events whose product could
-        not be projected (stored row-wise, or a field degraded) come
-        back raw and surface through the block's per-event fallback;
-        absent products occupy zero rows.
-
-        Shard-aware exactly like :meth:`load_products_packed`: during a
-        live migration the pre-migration shards are scanned too
-        (dual-read), missing answers re-scan the current shards, and an
-        epoch swap mid-flight retries under the new map.
-        """
-        container_keys = list(container_keys)
-        fields = [str(f) for f in fields]
-        if not fields:
-            raise HEPnOSError("columnar load needs at least one field")
-        tname = product_type_name(product_type)
-        suffix = label.encode("utf-8") + b"#" + tname.encode("utf-8")
-        cache = self._product_cache
-        results: list = [None] * len(container_keys)
-        groups: list = []
-        raw_objs: dict[int, list] = {}
-        with _tracing.span("hepnos.load_products_columnar", type=tname,
-                           label=label, containers=len(container_keys),
-                           fields=len(fields)) as sp:
-            fetch: list[int] = []
-            hits = 0
-            for i, ckey in enumerate(container_keys):
-                if cache is not None:
-                    pkey = ckey + suffix
-                    cols = cache.get_columns(pkey, fields)
-                    if cols is not None:
-                        count = len(cols[fields[0]])
-                        groups.append(([i], [count], cols))
-                        hits += 1
-                        continue
-                fetch.append(i)
-            if cache is not None:
-                sp.set_tag("cache_hits", hits)
-            n_hit_groups = len(groups)
-            if fetch:
-                def attempt():
-                    # A stale-map retry rebuilds every fetched answer:
-                    # drop this round's groups, keep the cache hits.
-                    del groups[n_hit_groups:]
-                    raw_objs.clear()
-                    return self._columnar_once(
-                        container_keys, suffix, fields, fetch, results,
-                        groups, raw_objs, sp)
-                total_bytes = self._with_shard_retry(attempt)
-                per_container = total_bytes / len(fetch)
-                if self._columnar_bytes_ema:
-                    self._columnar_bytes_ema = (
-                        0.7 * self._columnar_bytes_ema + 0.3 * per_container
-                    )
-                else:
-                    self._columnar_bytes_ema = per_container
-                sp.set_tag("bytes", total_bytes)
-            block = ColumnBlock.from_groups(
-                fields, len(container_keys), groups, raw_objs)
-            if cache is not None and fetch:
-                # Columns are small (that is the point of projection),
-                # so unlike the packed path they are worth caching:
-                # repeated analysis passes skip the wire entirely.
-                for i in fetch:
-                    if block.present[i] is PRESENT:
-                        lo, hi = block.event_rows(i)
-                        cache.put_columns(
-                            container_keys[i] + suffix,
-                            {f: block.arrays[f][lo:hi] for f in fields})
-            return block
-
-    def _columnar_once(self, container_keys, suffix, fields, fetch,
-                       results, groups, raw_objs, sp) -> int:
-        """One columnar fan-out round: concurrent per-shard projections."""
-        smap = self.placement
-        for i in fetch:
-            # Reset answers from a stale round so dual-read merging
-            # ("first non-absent wins") starts clean under the new map.
-            results[i] = None
-        by_target: dict[DbTarget, list[int]] = {}
-        migrating = smap.migrating
-        locate = smap.strategy.product_database_for
-        for i in fetch:
-            target = locate(container_keys[i])
-            by_target.setdefault(target, []).append(i)
-            if migrating:
-                prev = smap.previous_product_database_for(container_keys[i])
-                if prev is not None:
-                    by_target.setdefault(prev, []).append(i)
-        sp.set_tag("databases", len(by_target))
-        sp.set_tag("epoch", smap.epoch)
-        total_bytes = self._columnar_scan_round(
-            by_target, container_keys, suffix, fields, results,
-            groups, raw_objs)
-        if smap.migrating:
-            # Same window as the packed path: a migration step can move
-            # an event's product between the two concurrent scans
-            # (copy-before-erase leaves it visible to neither).  Re-scan
-            # the current shards for containers still unanswered.
-            retry = [i for i in fetch if results[i] is None]
-            if retry:
-                by_cur: dict[DbTarget, list[int]] = {}
-                for i in retry:
-                    target = smap.product_database_for(container_keys[i])
-                    by_cur.setdefault(target, []).append(i)
-                total_bytes += self._columnar_scan_round(
-                    by_cur, container_keys, suffix, fields, results,
-                    groups, raw_objs)
-        if self.placement is not smap and any(
-                results[i] is None for i in fetch):
-            raise ShardMapStale(
-                f"shard map advanced to epoch {self.placement.epoch} "
-                f"during a columnar product load"
-            )
-        return total_bytes
-
-    def _columnar_scan_round(self, by_target, container_keys, suffix,
-                             fields, results, groups, raw_objs) -> int:
-        """One concurrent fan-out of ``scan_columns`` projections.
-
-        Projected answers are kept whole: per scan, the unanswered
-        slots become one group ``(event_indices, counts, columns)``
-        appended to ``groups`` -- sliced out with a single fancy index
-        per field only when a dual-read partner already answered some
-        slot.  ``results`` tracks which slots are answered so the
-        "first non-absent wins" merge still holds under migration.
-        """
-        futures = []
-        for target, indices in by_target.items():
-            hint = 0
-            if self._columnar_bytes_ema:
-                hint = int(self._columnar_bytes_ema * len(indices) * 1.5
-                           ) + 1024
-            futures.append((indices, self._handle(target).scan_columns_nb(
-                [container_keys[i] for i in indices], suffix, fields,
-                size_hint=hint)))
-        total_bytes = 0
-        for indices, future in futures:
-            statuses, blocks = future.wait()
-            total_rows = sum(s for s in statuses if isinstance(s, int))
-            total_bytes += sum(len(payload) for _, payload in blocks)
-            taken_i: list[int] = []
-            taken_counts: list[int] = []
-            spans: list[tuple[int, int]] = []
-            pos = 0
-            for j, status in enumerate(statuses):
-                if status is None:
-                    # Absent from this shard; a dual-read partner may
-                    # still answer, so leave the slot undecided.
-                    continue
-                i = indices[j]
-                if isinstance(status, int):
-                    if results[i] is None:
-                        results[i] = _ANSWERED
-                        taken_i.append(i)
-                        taken_counts.append(status)
-                        spans.append((pos, pos + status))
-                    pos += status
-                else:
-                    total_bytes += len(status)
-                    if results[i] is None:
-                        results[i] = _ANSWERED
-                        raw_objs[i] = loads(status)
-            if not taken_i:
-                continue
-            cols = [_columnar.column_from_block(dtype, payload, total_rows)
-                    for dtype, payload in blocks]
-            if sum(taken_counts) == total_rows:
-                taken = dict(zip(fields, cols))
-            else:
-                sel = np.concatenate(
-                    [np.arange(lo, hi) for lo, hi in spans])
-                taken = {f: col[sel] for f, col in zip(fields, cols)}
-            groups.append((taken_i, taken_counts, taken))
-        return total_bytes
-
-    def load_products_bulk_nb(self, container_keys, product_type,
-                              label: str = ""):
-        """Non-blocking :meth:`load_products_bulk`.
-
-        Issues one ``get_multi_nb`` per involved database and returns a
-        :class:`~repro.hepnos.FutureGroup` whose ``wait()`` yields the
-        same aligned list the blocking call would -- missing products
-        ``None``, values deserialized.  When an :class:`AsyncEngine` is
-        attached the per-database futures go through its bounded
-        in-flight window; otherwise they dispatch immediately.
-        """
-        from repro.hepnos.async_engine import FutureGroup
-
-        container_keys = list(container_keys)
-        tname = product_type_name(product_type)
-        engine = self.async_engine
-        with _tracing.span("hepnos.load_products_bulk_nb", type=tname,
-                           label=label, containers=len(container_keys)) as sp:
-            smap = self.placement
-            by_target: dict[DbTarget, list[tuple[int, bytes]]] = {}
-            for i, ckey in enumerate(container_keys):
-                target = smap.product_database_for(ckey)
-                pkey = keys.product_key(ckey, label, tname)
-                by_target.setdefault(target, []).append((i, pkey))
-            sp.set_tag("databases", len(by_target))
-            sp.set_tag("epoch", smap.epoch)
-            slots = [entries for entries in by_target.values()]
-
-            def assemble(per_db_values: list) -> list:
-                out = [None] * len(container_keys)
-                missing: list[tuple[int, bytes]] = []
-                for entries, values in zip(slots, per_db_values):
-                    for (i, pkey), value in zip(entries, values):
-                        out[i] = loads(value) if value is not None else None
-                        if value is None:
-                            missing.append((i, pkey))
-                if missing and smap.migrating:
-                    # Dual-read at retirement: blocking refetch of the
-                    # misses from the pre-migration shards.
-                    by_prev: dict[DbTarget, list[tuple[int, bytes]]] = {}
-                    for i, pkey in missing:
-                        prev = smap.previous_product_database_for(
-                            container_keys[i])
-                        if prev is not None:
-                            by_prev.setdefault(prev, []).append((i, pkey))
-                    for prev, entries in by_prev.items():
-                        values = self._handle(prev).get_multi(
-                            [pkey for _, pkey in entries])
-                        for (i, _), value in zip(entries, values):
-                            if value is not None:
-                                out[i] = loads(value)
-                    # Copy-before-erase: a key moved between the first
-                    # read and the fallback is on the current shard by
-                    # now -- re-fetch remaining misses from there.
-                    by_cur: dict[DbTarget, list[tuple[int, bytes]]] = {}
-                    for i, pkey in missing:
-                        if out[i] is None:
-                            target = smap.product_database_for(
-                                container_keys[i])
-                            by_cur.setdefault(target, []).append((i, pkey))
-                    for target, entries in by_cur.items():
-                        values = self._handle(target).get_multi(
-                            [pkey for _, pkey in entries])
-                        for (i, _), value in zip(entries, values):
-                            if value is not None:
-                                out[i] = loads(value)
-                if self.placement is not smap and any(
-                        out[i] is None for i, _ in missing):
-                    # Surfaces from wait() as a retryable error; callers
-                    # (PEP readers, prefetcher) re-issue under the new map.
-                    raise ShardMapStale(
-                        f"shard map advanced to epoch "
-                        f"{self.placement.epoch} during a non-blocking "
-                        f"bulk product load"
-                    )
-                return out
-
-            group = FutureGroup(assemble=assemble)
-            for target, entries in by_target.items():
-                handle = self._handle(target)
-                future = handle.get_multi_nb(
-                    [pkey for _, pkey in entries],
-                    dispatch=engine is None,
-                )
-                if engine is not None:
-                    engine.submit(future)
-                group.add(future)
-            return group
+        """Project ``fields`` of one product spec across many containers
+        (one ``scan_columns`` per database) into a single
+        :class:`~repro.hepnos.column_block.ColumnBlock` aligned with
+        ``container_keys``."""
+        return self.load_products(
+            LoadPlan(container_keys, [(product_type, label)], columns=fields))
 
     def product_exists(self, container_key: bytes, product_type,
                        label: str = "") -> bool:
-        tname = product_type_name(product_type)
-        key = keys.product_key(container_key, label, tname)
-
-        def attempt():
-            smap = self.placement
-            if self._product_db(container_key).exists(key):
-                return True
-            prev = smap.previous_product_database_for(container_key)
-            if prev is not None:
-                if self._handle(prev).exists(key):
-                    return True
-                # Copy-before-erase: a product moved between the two
-                # checks is on the current shard by now -- re-check it
-                # before concluding absence.
-                if self._product_db(container_key).exists(key):
-                    return True
-            if self.placement is not smap:
-                raise ShardMapStale(
-                    f"shard map advanced to epoch {self.placement.epoch} "
-                    f"during a product existence check"
-                )
-            return False
-
-        return self._with_shard_retry(attempt)
-
-    def _product_db(self, container_key: bytes) -> DatabaseHandle:
-        return self._handle(self.placement.product_database_for(container_key))
+        key = keys.product_key(container_key, label,
+                               product_type_name(product_type))
+        return self._exists("products", container_key, key)
 
     # -- misc ---------------------------------------------------------------
 
@@ -1312,29 +788,10 @@ class DataStore:
         probes immediately.
         """
         self._handles.clear()
-        endpoints = sorted({
-            (t.address, t.provider_id)
-            for targets in self.connection.targets.values()
-            for t in targets
-        })
-        probe = RetryPolicy.none()
-        deadline = time.monotonic() + timeout
-        with _tracing.span("hepnos.reconnect", endpoints=len(endpoints)):
-            for address, provider_id in endpoints:
-                while True:
-                    try:
-                        probe_client = YokanClient(self.engine,
-                                                   retry_policy=probe)
-                        probe_client.list_databases(address, provider_id)
-                        break
-                    except RETRYABLE_ERRORS:
-                        if time.monotonic() >= deadline:
-                            raise HEPnOSError(
-                                f"service at {address} (provider "
-                                f"{provider_id}) did not come back within "
-                                f"{timeout:.1f}s"
-                            ) from None
-                        time.sleep(poll)
+        addresses = {t.address for targets in self.connection.targets.values()
+                     for t in targets}
+        with _tracing.span("hepnos.reconnect", addresses=len(addresses)):
+            self._await_addresses(addresses, timeout, poll)
 
     def adopt(self, connection: ConnectionInfo) -> None:
         """Switch to a new service layout (after an offline rescale).

@@ -24,18 +24,14 @@ one documented place::
 ``products`` and ``comm`` are not configuration -- they describe *what*
 to process, not *how* -- and remain first-class parameters.
 
-The legacy tuning keyword arguments deprecated in PR 3 are no longer
-accepted: :func:`resolve_options` raises ``TypeError`` naming the
-replacement spelling.
-
 Validation lives here (``__post_init__``) so a bad value fails at
-construction whichever spelling the caller used, with the same
-exception types the processors historically raised.
+construction, with the same exception types the processors
+historically raised.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import HEPnOSError
@@ -65,8 +61,7 @@ class PEPOptions:
     #: ``"raise"`` fails the run; ``"skip"`` abandons the subrun
     on_load_failure: str = "raise"
     #: load whole events with one packed prefix-scan RPC per database
-    #: instead of one ``get_multi`` per product spec (blocking path only;
-    #: the pipelined non-blocking path keeps per-spec ``get_multi_nb``)
+    #: instead of one ``get_multi`` of the exact product keys
     packed_loads: bool = True
     #: fetch only the columns a vectorized ``process_batches`` handler
     #: declared, via the server-side ``scan_columns`` projection, and
@@ -95,7 +90,7 @@ class PrefetchOptions:
     #: (only effective with an AsyncEngine; 0 disables lookahead)
     lookahead: int = 1
     #: load whole events with one packed prefix-scan RPC per database
-    #: instead of one ``get_multi`` per product spec (blocking path only)
+    #: instead of one ``get_multi`` of the exact product keys
     packed_loads: bool = True
     #: project declared columns server-side (``scan_columns``) instead of
     #: shipping whole products; events still load lazily per product
@@ -163,34 +158,18 @@ class QuotaOptions:
                                    self.token)
 
 
-def resolve_options(options, legacy: dict, options_type, owner: str):
-    """Reject the pre-PR3 tuning kwargs with a migration message.
-
-    ``legacy`` maps field names to caller-supplied values; unknown names
-    raise ``TypeError`` like any bad keyword argument would.  Known
-    names raise ``TypeError`` too: they were deprecated in PR 3 and the
-    grace release has passed -- the message names the exact
-    ``options=...`` spelling to migrate to.
-    """
-    known = {f.name for f in fields(options_type)}
-    unknown = set(legacy) - known
-    if unknown:
-        raise TypeError(
-            f"{owner} got unexpected keyword arguments: {sorted(unknown)}"
-        )
-    if not legacy:
-        return options if options is not None else options_type()
-    if options is not None:
+def check_columnar(options, products, columns) -> None:
+    """Reject ``columnar_loads`` without exactly one product spec and
+    the columns to project (shared by the PEP and the Prefetcher)."""
+    if not options.columnar_loads:
+        return
+    if len(products) != 1:
         raise HEPnOSError(
-            f"pass either options= or the legacy keyword arguments "
-            f"{sorted(legacy)}, not both"
-        )
-    raise TypeError(
-        f"the {sorted(legacy)} keyword arguments of {owner} were removed "
-        f"(deprecated since PR 3); pass "
-        f"options={options_type.__name__}({', '.join(sorted(legacy))}=...) "
-        f"instead"
-    )
+            f"columnar_loads projects one product spec; got {len(products)}")
+    if not columns:
+        raise HEPnOSError(
+            "columnar_loads needs the columns to project "
+            "(pass columns=[...])")
 
 
 __all__ = [
@@ -198,5 +177,4 @@ __all__ = [
     "PrefetchOptions",
     "ProductCacheOptions",
     "QuotaOptions",
-    "resolve_options",
 ]

@@ -7,7 +7,7 @@ events of a dataset cooperatively:
   event databases).  Each reader owns a disjoint set of event databases
   and streams their events in *input batches* (default 16384 events --
   few RPCs, large transfers), prefetching requested products with
-  batched ``get_multi`` calls;
+  one load plan per batch (one request per product database);
 - readers chop input batches into *dispatch batches* (default 64
   events -- fine-grained load balancing) and serve them to worker ranks
   on demand through a pull protocol;
@@ -31,7 +31,8 @@ from repro.faults.retry import RETRYABLE_ERRORS
 from repro.hepnos import keys as hkeys
 from repro.hepnos.column_block import EventBatch
 from repro.hepnos.connection import DbTarget
-from repro.hepnos.options import PEPOptions, resolve_options
+from repro.hepnos.load_plan import LoadPlan
+from repro.hepnos.options import PEPOptions, check_columnar
 from repro.hepnos.product import product_type_name
 from repro.monitor import tracing as _tracing
 
@@ -157,9 +158,8 @@ class ParallelEventProcessor:
                  options: Optional[PEPOptions] = None,
                  products: Sequence[Tuple[object, str]] = (),
                  columns: Optional[Sequence[str]] = None,
-                 async_engine=None, **legacy):
-        options = resolve_options(options, legacy, PEPOptions,
-                                  "ParallelEventProcessor")
+                 async_engine=None):
+        options = options if options is not None else PEPOptions()
         self.options = options
         self.datastore = datastore
         self.comm = comm
@@ -186,17 +186,7 @@ class ParallelEventProcessor:
         #: fields to project in columnar mode (``process_batches`` with
         #: ``options.columnar_loads``); ``None`` otherwise
         self.columns = list(columns) if columns is not None else None
-        if options.columnar_loads:
-            if len(self.products) != 1:
-                raise HEPnOSError(
-                    "columnar_loads projects one product spec; got "
-                    f"{len(self.products)}"
-                )
-            if not self.columns:
-                raise HEPnOSError(
-                    "columnar_loads needs the columns to project "
-                    "(pass columns=[...])"
-                )
+        check_columnar(options, self.products, self.columns)
         self._batch_mode = False
         self._async_engine = async_engine
 
@@ -301,245 +291,134 @@ class ParallelEventProcessor:
         return groups
 
     def _load_batches(self, subruns, stats: Optional[PEPStatistics] = None):
-        """Yield lists of :class:`_EventStub` of up to input_batch_size.
+        """Yield batches of :class:`_EventStub` of up to input_batch_size.
 
-        One ``list_keys`` page + one ``get_multi`` per product spec per
-        batch: the few-RPCs/large-payload pattern from the paper.
+        One loop for every lane and mode: list a key page (cheap,
+        synchronous), issue its load plan -- one request per product
+        database, the few-RPCs/large-payload pattern from the paper --
+        and retire the oldest page once the look-ahead window is full.
+        The window is 0 pages without an :class:`~repro.hepnos.AsyncEngine`
+        (issue, then wait) and 1 with one: batch N+1's products are on
+        the wire while batch N's stubs are being processed.
 
-        Each batch load gets a bounded retry budget on top of the
-        client's own retry policy; exhausting it either fails the run
-        or (``on_load_failure="skip"``) abandons the remainder of the
-        subrun and moves on, with the skip recorded in ``stats``.
-
-        With an :class:`~repro.hepnos.AsyncEngine` available (and
-        products to prefetch), loading pipelines instead: batch N+1's
-        product loads are in flight while batch N is consumed.
+        Listing and loading each get a bounded retry budget on top of
+        the client's own retry policy (stale shard maps and dead
+        primaries never reach it: the load executor re-issues those
+        itself).  Exhausting it either fails the run or
+        (``on_load_failure="skip"``) abandons the remainder of the
+        subrun -- in-flight pages of it are discarded -- and moves on,
+        with the skip recorded in ``stats``.
         """
-        if (self.async_engine is not None and self.products
-                and not self._columnar):
-            # Columnar loads already fan out non-blocking inside one
-            # load_products_columnar call; the per-spec get_multi_nb
-            # pipeline would refetch whole objects, defeating projection.
-            yield from self._load_batches_pipelined(subruns, stats)
-            return
+        lookahead = 1 if self.async_engine is not None and self.products else 0
+        window: deque = deque()
+        skipped: set[int] = set()
+        for subrun, page in self._key_pages(subruns, stats, skipped):
+            window.append((subrun, page,
+                           self.datastore.issue_load(self._plan(page))))
+            if len(window) > lookahead:
+                yield from self._retire(*window.popleft(), stats, skipped)
+        while window:
+            yield from self._retire(*window.popleft(), stats, skipped)
+
+    def _retrying(self, fn: Callable, stats: Optional[PEPStatistics]):
+        """Run idempotent ``fn`` under the ``load_retries`` budget."""
+        attempts = 0
+        while True:
+            try:
+                return fn()
+            except RETRYABLE_ERRORS:
+                attempts += 1
+                if stats is not None:
+                    stats.load_retries += 1
+                if attempts > self.load_retries:
+                    if stats is not None:
+                        stats.load_failures += 1
+                    raise
+
+    def _abandon(self, subrun, stats: Optional[PEPStatistics],
+                 skipped: set) -> bool:
+        """A load of ``subrun`` gave up: under ``on_load_failure="skip"``
+        mark the subrun abandoned, otherwise tell the caller to raise."""
+        if self.on_load_failure != "skip":
+            return False
+        if stats is not None:
+            stats.subruns_skipped += 1
+        skipped.add(id(subrun))
+        return True
+
+    def _key_pages(self, subruns, stats: Optional[PEPStatistics],
+                   skipped: set):
+        """``(subrun, event key page)`` pairs, in order."""
+
+        def list_page():
+            with _tracing.span("pep.list_events",
+                               limit=self.input_batch_size) as sp:
+                page = list(self.datastore.list_child_keys(
+                    "events", subrun.key, start_after=cursor,
+                    limit=self.input_batch_size,
+                ))
+                sp.set_tag("events", len(page))
+            return page
+
         for subrun in subruns:
             cursor = b""
-            while True:
+            while id(subrun) not in skipped:
                 try:
-                    page, batch = self._load_one_batch(subrun, cursor, stats)
+                    page = self._retrying(list_page, stats)
                 except RETRYABLE_ERRORS:
-                    if self.on_load_failure != "skip":
+                    if not self._abandon(subrun, stats, skipped):
                         raise
-                    if stats is not None:
-                        stats.subruns_skipped += 1
-                    break  # abandon the remainder of this subrun
+                    break
                 if not page:
                     break
                 cursor = page[-1]
-                yield batch
+                yield subrun, page
                 if len(page) < self.input_batch_size:
                     break
 
-    def _load_one_batch(self, subrun, cursor: bytes,
-                        stats: Optional[PEPStatistics]):
-        """Load one (page, stubs) pair, retrying transient failures.
+    def _plan(self, event_keys: list[bytes]) -> LoadPlan:
+        """The one place a lane is chosen.  Per-event ``process()``
+        always reads whole objects, whatever ``columnar_loads`` says."""
+        columnar = self._batch_mode and self.options.columnar_loads
+        return LoadPlan(event_keys, self.products,
+                        columns=self.columns if columnar else None,
+                        whole_events=self.options.packed_loads)
 
-        Listing a page and prefetching its products are both idempotent,
-        so re-running the whole load after a partial failure is safe.
-        """
-        attempts = 0
-        while True:
-            try:
-                with _tracing.span("pep.list_events",
-                                   limit=self.input_batch_size) as sp:
-                    page = list(self.datastore.list_child_keys(
-                        "events", subrun.key, start_after=cursor,
-                        limit=self.input_batch_size,
-                    ))
-                    sp.set_tag("events", len(page))
-                if not page:
-                    return page, []
-                return page, self._materialize(subrun, page)
-            except RETRYABLE_ERRORS:
-                attempts += 1
-                if stats is not None:
-                    stats.load_retries += 1
-                if attempts > self.load_retries:
-                    if stats is not None:
-                        stats.load_failures += 1
-                    raise
-
-    @property
-    def _columnar(self) -> bool:
-        return self._batch_mode and self.options.columnar_loads
-
-    def _materialize(self, subrun, event_keys: list[bytes]):
-        prefetched: dict[tuple[str, str], list] = {}
-        with _tracing.span("pep.materialize", events=len(event_keys),
-                           products=len(self.products)):
-            if self._columnar:
-                tname, label = self.products[0]
-                block = self.datastore.load_products_columnar(
-                    event_keys, tname, self.columns, label=label)
-                # Stubs carry no prefetched objects: a columnar batch's
-                # consumers read the arrays; anything else (raw
-                # fallback aside) loads per event on demand.
-                stubs = self._stubs_from(subrun, event_keys, {})
-                return EventBatch(stubs, block)
-            if self.products and self.options.packed_loads:
-                # One packed prefix-scan RPC per database covers every
-                # event and every product spec at once.
-                prefetched = self.datastore.load_products_packed(
-                    event_keys, self.products
-                )
-            else:
-                for tname, label in self.products:
-                    prefetched[(tname, label)] = (
-                        self.datastore.load_products_bulk(
-                            event_keys, tname, label=label
-                        )
-                    )
-        return self._stubs_from(subrun, event_keys, prefetched)
-
-    def _stubs_from(self, subrun, event_keys: list[bytes],
-                    prefetched: dict) -> list[_EventStub]:
-        run_number = subrun.run.number
-        subrun_number = subrun.number
-        stubs = []
-        for i, key in enumerate(event_keys):
-            products = {spec: prefetched[spec][i] for spec in prefetched}
-            stubs.append(_EventStub(
-                self.datastore, key,
-                (run_number, subrun_number, hkeys.child_number(key)),
-                products,
-            ))
-        return stubs
-
-    # -- pipelined loading (AsyncEngine) -----------------------------------
-
-    def _list_page(self, subrun, cursor: bytes,
-                   stats: Optional[PEPStatistics]) -> list[bytes]:
-        """One key-page listing under the batch retry budget."""
-        attempts = 0
-        while True:
-            try:
-                with _tracing.span("pep.list_events",
-                                   limit=self.input_batch_size) as sp:
-                    page = list(self.datastore.list_child_keys(
-                        "events", subrun.key, start_after=cursor,
-                        limit=self.input_batch_size,
-                    ))
-                    sp.set_tag("events", len(page))
-                return page
-            except RETRYABLE_ERRORS:
-                attempts += 1
-                if stats is not None:
-                    stats.load_retries += 1
-                if attempts > self.load_retries:
-                    if stats is not None:
-                        stats.load_failures += 1
-                    raise
-
-    def _load_batches_pipelined(self, subruns,
-                                stats: Optional[PEPStatistics] = None):
-        """Double-buffered batch loading over the AsyncEngine.
-
-        Key pages list synchronously (cheap), but each page's product
-        loads are issued as ``get_multi_nb`` futures the moment the
-        page is known -- so while batch N's stubs are being processed,
-        batch N+1's products are already on the wire.  Failure
-        semantics match the synchronous path: a page whose async
-        retirement exhausts the client policy re-runs through the
-        blocking loader under the remaining ``load_retries`` budget,
-        and ``on_load_failure="skip"`` abandons the rest of the subrun
-        (in-flight pages of a poisoned subrun are discarded).
-        """
-        window: deque = deque()
-        poisoned: set[int] = set()
-
-        def pages():
-            for subrun in subruns:
-                cursor = b""
-                while True:
-                    if id(subrun) in poisoned:
-                        break
-                    try:
-                        page = self._list_page(subrun, cursor, stats)
-                    except RETRYABLE_ERRORS:
-                        if self.on_load_failure != "skip":
-                            raise
-                        if stats is not None:
-                            stats.subruns_skipped += 1
-                        break
-                    if not page:
-                        break
-                    cursor = page[-1]
-                    yield subrun, page
-                    if len(page) < self.input_batch_size:
-                        break
-
-        for subrun, page in pages():
-            groups = {
-                spec: self.datastore.load_products_bulk_nb(
-                    page, spec[0], label=spec[1]
-                )
-                for spec in self.products
-            }
-            window.append((subrun, page, groups))
-            if len(window) > 1:
-                batch = self._finish_pipelined(*window.popleft(),
-                                               stats, poisoned)
-                if batch is not None:
-                    yield batch
-        while window:
-            batch = self._finish_pipelined(*window.popleft(), stats, poisoned)
-            if batch is not None:
-                yield batch
-
-    def _finish_pipelined(self, subrun, page, groups,
-                          stats: Optional[PEPStatistics],
-                          poisoned: set) -> Optional[list]:
-        if id(subrun) in poisoned:
-            return None
+    def _retire(self, subrun, page, pending,
+                stats: Optional[PEPStatistics], skipped: set):
+        """Wait for one issued page; yields its batch (or nothing when
+        its subrun was abandoned)."""
+        if id(subrun) in skipped:
+            return
         wait_start = time.monotonic()
-        overlap = sum(g.overlap_seconds(wait_start) for g in groups.values())
-        try:
-            with _tracing.span("pep.pipeline.finish", events=len(page)) as sp:
-                prefetched = {spec: groups[spec].wait() for spec in groups}
-                sp.set_tag("overlap_seconds", round(overlap, 6))
-        except RETRYABLE_ERRORS:
-            # Async retirement gave up; re-run this page through the
-            # synchronous retrying loader before declaring failure.
+        overlap = pending.overlap_seconds(wait_start)
+        with _tracing.span("pep.materialize", events=len(page),
+                           products=len(self.products),
+                           overlap_seconds=round(overlap, 6)):
+            try:
+                # A wait() that gave up re-issues what is still
+                # unanswered when called again.
+                loaded = self._retrying(pending.wait, stats)
+            except RETRYABLE_ERRORS:
+                if not self._abandon(subrun, stats, skipped):
+                    raise
+                return
             if stats is not None:
-                stats.load_retries += 1
-            try:
-                return self._materialize_retrying(subrun, page, stats)
-            except RETRYABLE_ERRORS:
-                if self.on_load_failure != "skip":
-                    raise
-                if stats is not None:
-                    stats.subruns_skipped += 1
-                poisoned.add(id(subrun))
-                return None
-        if stats is not None:
-            stats.overlap_seconds += overlap
-            stats.prefetch_wait_seconds += time.monotonic() - wait_start
-        return self._stubs_from(subrun, page, prefetched)
-
-    def _materialize_retrying(self, subrun, page,
-                              stats: Optional[PEPStatistics]) -> list:
-        attempts = 0
-        while True:
-            try:
-                return self._materialize(subrun, page)
-            except RETRYABLE_ERRORS:
-                attempts += 1
-                if stats is not None:
-                    stats.load_retries += 1
-                if attempts > self.load_retries:
-                    if stats is not None:
-                        stats.load_failures += 1
-                    raise
+                stats.overlap_seconds += overlap
+                stats.prefetch_wait_seconds += time.monotonic() - wait_start
+            run_number = subrun.run.number
+            subrun_number = subrun.number
+            stubs = [
+                _EventStub(self.datastore, key,
+                           (run_number, subrun_number,
+                            hkeys.child_number(key)),
+                           loaded.event_products(i))
+                for i, key in enumerate(page)
+            ]
+        # A columnar batch's consumers read the block's arrays; stubs
+        # only carry what could not be projected.
+        yield stubs if loaded.block is None else EventBatch(stubs,
+                                                            loaded.block)
 
     # -- parallel mode ---------------------------------------------------------
 

@@ -2,17 +2,16 @@
 
 Plain container iteration issues one ``list_keys`` page at a time and
 one ``get`` per product.  The Prefetcher fetches key pages ahead of
-consumption and gang-loads requested products with batched ``get_multi``
-RPCs, the access pattern the ParallelEventProcessor's readers rely on
-(paper section II-D).
+consumption and gang-loads requested products with one load plan per
+page -- one request per product database -- the access pattern the
+ParallelEventProcessor's readers rely on (paper section II-D).
 
 With an :class:`~repro.hepnos.AsyncEngine` attached to the datastore
 (or passed explicitly) the Prefetcher double-buffers: page N+1's
-product loads are issued with ``get_multi_nb`` while page N's events
-are being consumed, so the store's latency hides behind the analysis
-compute.  The realized overlap is accumulated in
-:attr:`Prefetcher.overlap_seconds` and traced as
-``hepnos.prefetch.overlap`` spans.
+loads are issued while page N's events are being consumed, so the
+store's latency hides behind the analysis compute.  The realized
+overlap is accumulated in :attr:`Prefetcher.overlap_seconds` and traced
+as ``hepnos.prefetch.page`` spans.
 """
 
 from __future__ import annotations
@@ -21,9 +20,11 @@ import time
 from collections import deque
 from typing import Iterator, Optional, Sequence, Tuple
 
+from repro.errors import ProductNotFound
 from repro.hepnos import keys as hkeys
 from repro.hepnos.containers import Event, SubRun
-from repro.hepnos.options import PrefetchOptions, resolve_options
+from repro.hepnos.load_plan import LoadPlan
+from repro.hepnos.options import PrefetchOptions, check_columnar
 from repro.hepnos.product import product_type_name
 from repro.monitor import tracing as _tracing
 
@@ -33,17 +34,15 @@ class Prefetcher:
 
     ``products`` lists (type, label) pairs to prefetch for every event;
     access them through the yielded :class:`PrefetchedEvent`.  Tuning
-    lives in ``options`` (:class:`~repro.hepnos.PrefetchOptions`); the
-    legacy ``batch_size`` keyword still works but warns.
+    lives in ``options`` (:class:`~repro.hepnos.PrefetchOptions`).
     """
 
     def __init__(self, datastore, *,
                  options: Optional[PrefetchOptions] = None,
                  products: Sequence[Tuple[object, str]] = (),
                  columns: Optional[Sequence[str]] = None,
-                 async_engine=None, **legacy):
-        self.options = resolve_options(options, legacy, PrefetchOptions,
-                                       "Prefetcher")
+                 async_engine=None):
+        self.options = options if options is not None else PrefetchOptions()
         self.datastore = datastore
         self.batch_size = self.options.batch_size
         self.products = [
@@ -51,19 +50,7 @@ class Prefetcher:
         ]
         #: fields to project server-side with ``options.columnar_loads``
         self.columns = list(columns) if columns is not None else None
-        if self.options.columnar_loads:
-            from repro.errors import HEPnOSError
-
-            if len(self.products) != 1:
-                raise HEPnOSError(
-                    "columnar_loads projects one product spec; got "
-                    f"{len(self.products)}"
-                )
-            if not self.columns:
-                raise HEPnOSError(
-                    "columnar_loads needs the columns to project "
-                    "(pass columns=[...])"
-                )
+        check_columnar(self.options, self.products, self.columns)
         self._async_engine = async_engine
         #: seconds of product-load latency hidden behind consumption
         #: (double-buffered mode only)
@@ -81,20 +68,29 @@ class Prefetcher:
         return getattr(self.datastore, "async_engine", None)
 
     def events(self, subrun: SubRun) -> Iterator["PrefetchedEvent"]:
-        """Events of ``subrun`` in order, with products pre-loaded."""
-        if self.options.columnar_loads:
-            # Columnar pages fan out non-blocking inside the datastore
-            # already; the get_multi pipeline would refetch whole
-            # objects, defeating the projection.
-            for page in self._key_pages(subrun):
-                yield from self._materialize_columnar(subrun, page)
-            return
-        engine = self.async_engine
-        if engine is None or not self.products or self.options.lookahead == 0:
-            for page in self._key_pages(subrun):
-                yield from self._materialize(subrun, page)
-            return
-        yield from self._events_pipelined(subrun)
+        """Events of ``subrun`` in order, with products pre-loaded.
+
+        The in-flight window holds ``options.lookahead`` pages of issued
+        loads when an AsyncEngine is available (each bounded further by
+        the engine's own in-flight cap) and none otherwise: issue, then
+        wait.
+        """
+        lookahead = (self.options.lookahead
+                     if self.async_engine is not None and self.products
+                     else 0)
+        window: deque = deque()
+        for page in self._key_pages(subrun):
+            plan = LoadPlan(
+                page, self.products,
+                columns=self.columns if self.options.columnar_loads else None,
+                whole_events=self.options.packed_loads)
+            window.append((page, self.datastore.issue_load(plan)))
+            if lookahead:
+                self.pages_prefetched += 1
+            if len(window) > lookahead:
+                yield from self._retire(subrun, *window.popleft())
+        while window:
+            yield from self._retire(subrun, *window.popleft())
 
     def _key_pages(self, subrun: SubRun) -> Iterator[list]:
         cursor = b""
@@ -110,101 +106,29 @@ class Prefetcher:
             if len(page) < self.batch_size:
                 return
 
-    # -- synchronous path --------------------------------------------------
-
-    def _materialize(self, subrun: SubRun,
-                     event_keys: list[bytes]) -> Iterator["PrefetchedEvent"]:
-        products: dict[tuple[str, str], list] = {}
-        with _tracing.span("hepnos.prefetch.page", events=len(event_keys),
-                           products=len(self.products)):
-            if self.products and self.options.packed_loads:
-                # One packed prefix-scan RPC per database covers every
-                # event and every product spec at once.
-                products = self.datastore.load_products_packed(
-                    event_keys, self.products
-                )
-            else:
-                for tname, label in self.products:
-                    products[(tname, label)] = (
-                        self.datastore.load_products_bulk(
-                            event_keys, tname, label=label
-                        )
-                    )
-        yield from self._emit(subrun, event_keys, products)
-
-    def _materialize_columnar(self, subrun: SubRun, event_keys: list[bytes]
-                              ) -> Iterator["PrefetchedEvent"]:
-        """One ``scan_columns`` projection per page.
+    def _retire(self, subrun: SubRun, event_keys: list[bytes],
+                pending) -> Iterator["PrefetchedEvent"]:
+        """Wait for one issued page and emit its events.
 
         Projected events expose their columns through
         :meth:`PrefetchedEvent.columns`; events the server could not
         project carry the row-wise objects instead, and ``load`` of
-        anything unprojected falls back to a per-event RPC.
+        anything not prefetched falls back to a per-event RPC.
         """
-        tname, label = self.products[0]
-        spec = (tname, label)
-        with _tracing.span("hepnos.prefetch.columnar_page",
-                           events=len(event_keys),
-                           fields=len(self.columns)):
-            block = self.datastore.load_products_columnar(
-                event_keys, tname, self.columns, label=label)
-        for i, key in enumerate(event_keys):
-            event = Event(self.datastore, subrun, hkeys.child_number(key), key)
-            status = block.present[i]
-            if status is True:
-                lo, hi = block.event_rows(i)
-                cols = {f: block.arrays[f][lo:hi] for f in block.fields}
-                yield PrefetchedEvent(event, {}, cols)
-            elif status == "raw":
-                yield PrefetchedEvent(event, {spec: block.raw[i]}, None)
-            else:
-                yield PrefetchedEvent(event, {spec: None}, None)
-
-    # -- double-buffered path ----------------------------------------------
-
-    def _events_pipelined(self, subrun: SubRun
-                          ) -> Iterator["PrefetchedEvent"]:
-        """Issue page N+1's loads while page N is consumed.
-
-        The in-flight window holds up to ``options.lookahead`` pages of
-        non-blocking product loads (each bounded further by the
-        AsyncEngine's own in-flight cap).
-        """
-        window: deque = deque()
-        for page in self._key_pages(subrun):
-            groups = {
-                (tname, label): self.datastore.load_products_bulk_nb(
-                    page, tname, label=label
-                )
-                for tname, label in self.products
-            }
-            window.append((page, groups))
-            if len(window) > self.options.lookahead:
-                yield from self._finish_page(subrun, *window.popleft())
-            self.pages_prefetched += 1
-        while window:
-            yield from self._finish_page(subrun, *window.popleft())
-
-    def _finish_page(self, subrun: SubRun, event_keys: list[bytes],
-                     groups: dict) -> Iterator["PrefetchedEvent"]:
         wait_start = time.monotonic()
-        overlap = sum(g.overlap_seconds(wait_start) for g in groups.values())
-        with _tracing.span("hepnos.prefetch.overlap",
-                           events=len(event_keys)) as sp:
-            products = {spec: group.wait() for spec, group in groups.items()}
+        overlap = pending.overlap_seconds(wait_start)
+        with _tracing.span("hepnos.prefetch.page", events=len(event_keys),
+                           products=len(self.products)) as sp:
+            loaded = pending.wait()
             waited = time.monotonic() - wait_start
             sp.set_tag("overlap_seconds", round(overlap, 6))
             sp.set_tag("wait_seconds", round(waited, 6))
         self.overlap_seconds += overlap
         self.wait_seconds += waited
-        yield from self._emit(subrun, event_keys, products)
-
-    def _emit(self, subrun: SubRun, event_keys: list[bytes],
-              products: dict) -> Iterator["PrefetchedEvent"]:
         for i, key in enumerate(event_keys):
             event = Event(self.datastore, subrun, hkeys.child_number(key), key)
-            loaded = {spec: products[spec][i] for spec in products}
-            yield PrefetchedEvent(event, loaded)
+            yield PrefetchedEvent(event, loaded.event_products(i),
+                                  loaded.event_columns(i))
 
 
 class PrefetchedEvent:
@@ -234,8 +158,6 @@ class PrefetchedEvent:
         if spec in self._products:
             value = self._products[spec]
             if value is None:
-                from repro.errors import ProductNotFound
-
                 raise ProductNotFound(
                     f"no product label={label!r} type={spec[0]!r} "
                     f"in event {self.event.triple()}"

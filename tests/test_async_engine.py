@@ -14,9 +14,11 @@ from repro.faults import FaultModel, FaultSchedule, RetryPolicy
 from repro.hepnos import (
     AsyncEngine,
     DataStore,
+    LoadPlan,
     ParallelEventProcessor,
     PEPOptions,
     Prefetcher,
+    ProductCacheOptions,
     vector_of,
 )
 from repro.mercury import Engine, Fabric
@@ -228,18 +230,21 @@ class TestDataStoreIntegration:
     def test_shutdown_drains_outstanding(self):
         fabric, servers = _hepnos_world()
         engine = AsyncEngine(max_inflight=4)
-        datastore = DataStore.connect(fabric, servers, async_engine=engine)
+        # No product cache: the write-through entries would answer the
+        # whole page and nothing would be left in flight to drain.
+        datastore = DataStore.connect(
+            fabric, servers, async_engine=engine,
+            product_cache=ProductCacheOptions(enabled=False))
         _populate(datastore, "nb/drain", subruns=1, events=16)
         subrun = datastore["nb/drain"][1][0]
         keys = [ev.key for ev in subrun]
-        group = datastore.load_products_bulk_nb(
-            keys, vector_of(Hit), label="hits"
-        )
-        assert len(group) >= 1
+        pending = datastore.issue_load(
+            LoadPlan(keys, [(vector_of(Hit), "hits")]))
+        assert len(pending.futures) >= 1
         datastore.shutdown()  # drains instead of abandoning the window
         assert engine.outstanding == 0
         assert engine.stats.completed == engine.stats.submitted
-        assert group.done
+        assert all(future.done for future in pending.futures)
 
     def test_prefetcher_double_buffering_matches_sync(self):
         fabric, servers = _hepnos_world()

@@ -7,6 +7,7 @@ from conftest import deploy
 from repro.errors import CorruptionError, ProductNotFound
 from repro.hepnos import (
     DataStore,
+    LoadPlan,
     ParallelEventProcessor,
     PEPOptions,
     Prefetcher,
@@ -213,8 +214,9 @@ class TestDataStoreCache:
                 event = subrun.create_event(i, batch=batch)
                 event.store(Hit(float(i)), label="h", batch=batch)
         keys = [ev.key for ev in subrun]
-        out = datastore.load_products_bulk(keys, Hit, label="h")
-        assert [h.adc for h in out] == [float(i) for i in range(8)]
+        out = datastore.load_products(LoadPlan(keys, [(Hit, "h")]))
+        assert [h.adc for h in out["dp.Hit", "h"]] == [
+            float(i) for i in range(8)]
         # Scan resistance: the streaming load inserted nothing.
         assert len(datastore._product_cache) == 0
 
@@ -233,12 +235,10 @@ class TestLoadProductsPacked:
         keys = [ev.key for ev in subrun]
         specs = [(vector_of(Hit), "hits"), (Hit, "flag")]
         out = datastore.load_products_packed(keys, specs)
-        for spec in specs:
-            from repro.hepnos import product_type_name
-
-            resolved = (product_type_name(spec[0]), spec[1])
-            bulk = datastore.load_products_bulk(keys, spec[0], label=spec[1])
-            assert out[resolved] == bulk
+        # The exact-key lane is the reference: one plan, every spec.
+        assert out == datastore.load_products(LoadPlan(keys, specs))
+        assert [h.adc for h in out["dp.Hit", "flag"] if h is not None] == [
+            99.0] * 10
 
     def test_pep_packed_and_unpacked_agree(self, datastore):
         ds = datastore.create_dataset("pk2")

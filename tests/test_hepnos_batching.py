@@ -194,7 +194,7 @@ class TestPrefetcher:
     def test_batch_size_validation(self, datastore):
         with pytest.raises(ValueError):
             Prefetcher(datastore, options=PrefetchOptions(batch_size=0))
-        with pytest.raises(TypeError, match="PrefetchOptions"):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
             Prefetcher(datastore, batch_size=16)
 
     def test_empty_subrun(self, datastore):

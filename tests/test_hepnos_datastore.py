@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ContainerNotFound, HEPnOSError, ProductNotFound
-from repro.hepnos import DataStore, vector_of
+from repro.hepnos import DataStore, LoadPlan, vector_of
 from repro.serial import serializable
 
 
@@ -190,9 +190,9 @@ class TestProducts:
         for i, event in enumerate(events):
             if i % 2 == 0:
                 event.store(Particle(float(i), 0, 0), label="p")
-        values = datastore.load_products_bulk(
-            [e.key for e in events], Particle, label="p"
-        )
+        values = datastore.load_products(
+            LoadPlan([e.key for e in events], [(Particle, "p")])
+        )["nova.TestParticle", "p"]
         for i, value in enumerate(values):
             if i % 2 == 0:
                 assert value == Particle(float(i), 0, 0)

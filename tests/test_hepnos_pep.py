@@ -104,8 +104,8 @@ class TestSequential:
         with pytest.raises(HEPnOSError):
             ParallelEventProcessor(
                 datastore, options=PEPOptions(dispatch_batch_size=-1))
-        # The removed legacy spelling fails loudly with the migration.
-        with pytest.raises(TypeError, match="PEPOptions"):
+        # Tuning lives in options=; anything else is a plain bad keyword.
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
             ParallelEventProcessor(datastore, input_batch_size=8)
         # Dispatch batches are clamped to the input batch size.
         pep = ParallelEventProcessor(

@@ -1,0 +1,431 @@
+"""The product read path: every lane x mode x shard-map state against
+a plain dict model, plus the ways the lanes compose with an AsyncEngine.
+
+``LoadPlan`` -> ``PendingLoad`` is the only multi-container read path,
+so one differential covers what used to be per-lane tests: absent
+products, a container key listed twice, dual-read during a migration,
+an epoch swap between issue and wait, a product moved between the two
+scans of a dual-read, and failover to a backup.
+"""
+
+import time
+
+import pytest
+
+from conftest import deploy
+from repro.bedrock import BedrockServer, default_hepnos_config
+from repro.faults.chaos import failover_client_policy
+from repro.hepnos import (
+    AsyncEngine,
+    DataStore,
+    LoadPlan,
+    ParallelEventProcessor,
+    PendingLoad,
+    PEPOptions,
+    Prefetcher,
+    PrefetchOptions,
+    WriteBatch,
+    vector_of,
+)
+from repro.hepnos.column_block import ABSENT, PRESENT
+from repro.hepnos.connection import DbTarget
+from repro.hepnos.failover import enable_replication
+from repro.hepnos.load_plan import _LANES
+from repro.mercury import Fabric
+from repro.rescale import LiveRescaler, add_server, migrate_live
+from repro.serial import serializable
+
+N_EVENTS = 24
+LANES = ("exact", "packed", "columns")
+MODES = ("blocking", "engine")
+STATES = ("settled", "split", "epoch_swap", "moved_between_scans",
+          "dead_primary")
+
+
+@serializable("lp.Hit")
+class Hit:
+    def __init__(self, adc=0.0, n=0):
+        self.adc = adc
+        self.n = n
+
+    def serialize(self, ar):
+        self.adc = ar.io(self.adc)
+        self.n = ar.io(self.n)
+
+    def __eq__(self, other):
+        return (self.adc, self.n) == (other.adc, other.n)
+
+
+HITS = (vector_of(Hit).name, "hits")
+FLAG = ("lp.Hit", "flag")
+
+
+def populate(datastore, path="lp"):
+    """Events 0..N-1 of one subrun.  ``hits`` is missing from every
+    fifth event, ``flag`` exists on even ones; written through a batch
+    so the product cache stays empty.  Returns (subrun, keys, model)."""
+    ds = datastore.create_dataset(path)
+    model = {}
+    with WriteBatch(datastore) as batch:
+        subrun = ds.create_run(1, batch=batch).create_subrun(1, batch=batch)
+        for e in range(N_EVENTS):
+            event = subrun.create_event(e, batch=batch)
+            if e % 5:
+                hits = [Hit(float(e) + 0.25 * j, e) for j in range(1 + e % 3)]
+                event.store(hits, label="hits", batch=batch)
+                model[event.key, HITS] = hits
+            if e % 2 == 0:
+                event.store(Hit(-1.0, e), label="flag", batch=batch)
+                model[event.key, FLAG] = Hit(-1.0, e)
+    keys = [event.key for event in subrun]
+    assert len(datastore._product_cache) == 0
+    return subrun, keys, model
+
+
+def plan_for(lane, keys):
+    if lane == "columns":
+        return LoadPlan(keys, [(vector_of(Hit), "hits")], columns=["adc", "n"])
+    return LoadPlan(keys, [(vector_of(Hit), "hits"), (Hit, "flag")],
+                    whole_events=lane == "packed")
+
+
+def check(lane, keys, model, result):
+    """``result`` is exactly what the dict model says it should be."""
+    if lane != "columns":
+        assert result == {spec: [model.get((k, spec)) for k in keys]
+                          for spec in (HITS, FLAG)}
+        return
+    assert not result.raw
+    for i, key in enumerate(keys):
+        rows = model.get((key, HITS), [])
+        lo, hi = result.event_rows(i)
+        assert result.present[i] is (PRESENT if rows else ABSENT)
+        assert result.column("adc")[lo:hi].tolist() == [h.adc for h in rows]
+        assert result.column("n")[lo:hi].tolist() == [h.n for h in rows]
+    assert result.rows == sum(len(model.get((k, HITS), [])) for k in keys)
+
+
+def run_plan(datastore, mode, plan):
+    if mode == "blocking":
+        return datastore.load_products(plan)
+    return datastore.issue_load(plan).wait().result
+
+
+def before_first_wait(monkeypatch, hook):
+    """Run ``hook`` once, between a load's issue and its wait."""
+    real, fired = PendingLoad.wait, []
+
+    def wait(self, *args, **kwargs):
+        if not fired:
+            fired.append(True)
+            hook()
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(PendingLoad, "wait", wait)
+    return fired
+
+
+def joining_server(fabric):
+    return BedrockServer(fabric, default_hepnos_config(
+        "sm://joiner/hepnos", num_providers=4, event_databases=4,
+        product_databases=4, run_databases=2, subrun_databases=2,
+        dataset_databases=1))
+
+
+def moving(datastore, keys):
+    """Keys whose products change shard under the migrating map."""
+    smap = datastore.placement
+    return [k for k in keys
+            if smap.previous_product_database_for(k) is not None]
+
+
+@pytest.fixture()
+def world():
+    """``build(replicated)`` -> (fabric, servers, datastore); torn down."""
+    fabrics = []
+
+    def build(replicated=False):
+        fabric = Fabric(threaded=True)
+        fabrics.append(fabric)
+        if not replicated:
+            servers = deploy(fabric)
+            fabric.runtime.start()
+            return fabric, servers, DataStore.connect(fabric, servers)
+        servers = [
+            BedrockServer(fabric, default_hepnos_config(
+                f"sm://node{i}/hepnos", num_providers=2, event_databases=2,
+                product_databases=2, run_databases=1, subrun_databases=1,
+                replication=2))
+            for i in range(2)
+        ]
+        fabric.runtime.start()
+        datastore = DataStore.connect(
+            fabric, enable_replication(servers, replication=2),
+            retry_policy=failover_client_policy())
+        return fabric, servers, datastore
+
+    yield build
+    for fabric in fabrics:
+        fabric.runtime.shutdown()
+
+
+@pytest.mark.parametrize("state", STATES)
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("lane", LANES)
+def test_plan_matches_model(world, monkeypatch, lane, mode, state):
+    fabric, servers, datastore = world(replicated=state == "dead_primary")
+    _, keys, model = populate(datastore)
+    # A key listed twice, and the tail in reverse: alignment is by
+    # position in container_keys, not by key order.
+    keys = keys[:6] + [keys[3]] + keys[:5:-1]
+    engine = AsyncEngine(datastore, max_inflight=2) if mode == "engine" else None
+    counter = datastore.metrics.counter
+    fired = [True]
+
+    if state == "split":
+        rescaler = LiveRescaler(
+            datastore, add_server(datastore.connection,
+                                  joining_server(fabric)), batch_size=4)
+        rescaler.begin()
+        movers = moving(datastore, keys)
+        assert len(movers) >= 2
+        while rescaler.stats.moves_by_kind.get("products", 0) < len(movers) // 2:
+            assert rescaler.step()
+        assert datastore.placement.migrating
+    elif state == "epoch_swap":
+        joined = add_server(datastore.connection, joining_server(fabric))
+        fired = before_first_wait(
+            monkeypatch, lambda: migrate_live(datastore, joined, batch_size=8))
+    elif state == "moved_between_scans":
+        rescaler = LiveRescaler(
+            datastore, add_server(datastore.connection,
+                                  joining_server(fabric)), batch_size=8)
+        rescaler.begin()
+        assert moving(datastore, keys)
+        smap = datastore.placement
+        current = {smap.product_database_for(k) for k in keys}
+        lane_cls, issued, fired = _LANES[lane], [], []
+        real_request = lane_cls.request
+
+        def racing_request(self, handle, indices, size_hint, dispatch):
+            target = DbTarget(str(handle.target), handle.provider_id,
+                              handle.name)
+            if target not in current and not fired:
+                # The current shards have answered (nothing there yet);
+                # now everything moves, and only then is the old shard
+                # asked -- it has already erased its copies.
+                fired.append(True)
+                for future in issued:
+                    future.dispatch()
+                    while not future.test():
+                        time.sleep(0.001)
+                while rescaler.step():
+                    pass
+            token, future = real_request(self, handle, indices, size_hint,
+                                         dispatch)
+            issued.append(future)
+            return token, future
+
+        monkeypatch.setattr(lane_cls, "request", racing_request)
+    elif state == "dead_primary":
+        datastore.sync_service()
+        servers[1].crash(lose_state=True)
+
+    result = run_plan(datastore, mode, plan_for(lane, keys))
+    check(lane, keys, model, result)
+    assert fired
+    if engine is not None:
+        assert engine.stats.submitted > 0
+    if state == "epoch_swap":
+        assert not datastore.placement.migrating
+        assert counter("hepnos.shard.stale_retries").value >= 1
+    if state == "dead_primary":
+        assert counter("hepnos.failover.activated").value >= 1
+        assert datastore.failed_over
+    # Scan resistance: batch loads read the product cache but never
+    # populate it; projected columns are small and do get cached.
+    assert len(datastore._product_cache) == (
+        datastore._product_cache.cached_column_entries)
+    assert (datastore._product_cache.cached_column_entries > 0) == (
+        lane == "columns")
+
+
+@pytest.mark.parametrize("lane", LANES)
+def test_empty_key_list(fabric, datastore, lane):
+    fabric.stats.reset()
+    result = datastore.load_products(plan_for(lane, []))
+    if lane == "columns":
+        assert len(result) == 0 and result.rows == 0
+    else:
+        assert result == {HITS: [], FLAG: []}
+    assert fabric.stats.rpc_count == 0
+
+
+@pytest.mark.parametrize("lane", LANES)
+def test_all_cache_hit_page_sends_nothing(fabric, datastore, lane):
+    subrun, keys, model = populate(datastore)
+    present = [k for k in keys if (k, HITS) in model and (k, FLAG) in model]
+    if lane == "columns":
+        datastore.load_products(plan_for(lane, present))
+    else:
+        for event in subrun:  # per-event loads do populate the cache
+            if event.key in present:
+                event.load(vector_of(Hit), label="hits")
+                event.load(Hit, label="flag")
+    fabric.stats.reset()
+    check(lane, present, model,
+          datastore.load_products(plan_for(lane, present)))
+    assert fabric.stats.rpc_count == 0
+
+
+def test_columns_plan_needs_fields_and_one_spec(datastore):
+    from repro.errors import HEPnOSError
+
+    with pytest.raises(HEPnOSError, match="at least one field"):
+        datastore.load_products(LoadPlan([], [(Hit, "flag")], columns=[]))
+    with pytest.raises(ValueError):
+        datastore.load_products(
+            LoadPlan([], [(Hit, "flag"), (Hit, "x")], columns=["adc"]))
+
+
+# -- the lanes compose with an AsyncEngine ------------------------------------
+
+
+SPECS = [(vector_of(Hit), "hits"), (Hit, "flag")]
+
+
+def pep_pass(datastore, dataset, **options):
+    seen = []
+
+    def handle(event):
+        from repro.errors import ProductNotFound
+
+        row = [event.triple()]
+        for ptype, label in SPECS:
+            try:
+                row.append(event.load(ptype, label=label))
+            except ProductNotFound:
+                row.append(None)
+        seen.append(row)
+
+    pep = ParallelEventProcessor(
+        datastore, options=PEPOptions(input_batch_size=8, **options),
+        products=SPECS)
+    stats = pep.process(dataset, handle)
+    return seen, stats
+
+
+def prefetch_pass(datastore, subrun):
+    prefetcher = Prefetcher(datastore, options=PrefetchOptions(batch_size=8),
+                            products=SPECS)
+    events = [(ev.number, ev.prefetched(*SPECS[0]), ev.prefetched(*SPECS[1]))
+              for ev in prefetcher.events(subrun)]
+    return events, prefetcher
+
+
+def test_engine_passes_equal_blocking_and_stay_packed(fabric, datastore):
+    subrun, keys, _ = populate(datastore)
+    dataset = datastore["lp"]
+    smap = datastore.placement
+    pages = [keys[i:i + 8] for i in range(0, len(keys), 8)]
+    # One load_prefix_packed per shard per page -- not one get_multi
+    # per spec per shard per page, which is what attaching an engine
+    # used to downgrade both readers to.
+    load_rpcs = sum(len({smap.product_database_for(k) for k in page})
+                    for page in pages)
+
+    def counted(fn):
+        fabric.stats.reset()
+        out = fn()
+        return out, fabric.stats.rpc_count
+
+    _, pep_listing = counted(
+        lambda: ParallelEventProcessor(
+            datastore, options=PEPOptions(input_batch_size=8)
+        ).process(dataset, lambda ev: None))
+    _, pf_listing = counted(lambda: list(Prefetcher(
+        datastore, options=PrefetchOptions(batch_size=8)).events(subrun)))
+    (blocking_pep, _), pep_rpcs = counted(lambda: pep_pass(datastore, dataset))
+    (blocking_pf, _), pf_rpcs = counted(
+        lambda: prefetch_pass(datastore, subrun))
+    assert pep_rpcs - pep_listing == pf_rpcs - pf_listing == load_rpcs
+
+    engine = AsyncEngine(datastore, max_inflight=4)
+    (piped_pep, stats), piped_pep_rpcs = counted(
+        lambda: pep_pass(datastore, dataset))
+    (piped_pf, prefetcher), piped_pf_rpcs = counted(
+        lambda: prefetch_pass(datastore, subrun))
+    assert piped_pep == blocking_pep and piped_pf == blocking_pf
+    assert (piped_pep_rpcs, piped_pf_rpcs) == (pep_rpcs, pf_rpcs)
+    assert engine.stats.submitted == 2 * load_rpcs
+    assert prefetcher.pages_prefetched > 0
+    assert stats.load_retries == 0
+
+
+def test_columnar_batches_pipeline_through_the_engine(datastore):
+    populate(datastore)
+    dataset = datastore["lp"]
+
+    def batches():
+        out = []
+        pep = ParallelEventProcessor(
+            datastore,
+            options=PEPOptions(input_batch_size=8, dispatch_batch_size=8,
+                               columnar_loads=True),
+            products=[(vector_of(Hit), "hits")], columns=["adc", "n"])
+        pep.process_batches(dataset, lambda batch: out.append((
+            [stub.triple() for stub in batch.items],
+            batch.block.offsets.tolist(), list(batch.block.present),
+            {f: batch.table[f].tolist() for f in batch.block.fields})))
+        return out
+
+    blocking = batches()
+    # A fresh column cache, or the second pass would never hit the wire.
+    datastore._product_cache.clear()
+    engine = AsyncEngine(datastore, max_inflight=4)
+    assert batches() == blocking
+    assert engine.stats.submitted > 0
+    assert sum(len(present) for _, _, present, _ in blocking) == N_EVENTS
+
+
+def test_pipelined_page_survives_dead_primary_without_pep_retries(world):
+    _, servers, datastore = world(replicated=True)
+    populate(datastore)
+    dataset = datastore["lp"]
+    expected, _ = pep_pass(datastore, dataset)
+    datastore.sync_service()
+    AsyncEngine(datastore, max_inflight=4)
+    servers[1].crash(lose_state=True)
+    # load_retries=0: any retryable error reaching the PEP fails the run.
+    got, stats = pep_pass(datastore, dataset, load_retries=0)
+    assert got == expected
+    assert stats.load_retries == 0 and stats.load_failures == 0
+    assert datastore.metrics.counter("hepnos.failover.activated").value >= 1
+
+
+def test_pipelined_page_survives_epoch_swap_without_pep_retries(world):
+    fabric, _, datastore = world()
+    populate(datastore)
+    dataset = datastore["lp"]
+    expected, _ = pep_pass(datastore, dataset)
+    AsyncEngine(datastore, max_inflight=4)
+    joined = add_server(datastore.connection, joining_server(fabric))
+    seen = []
+
+    def handle(event):
+        if not seen:
+            # Page 2 is in flight under the old map right now.
+            migrate_live(datastore, joined, batch_size=8)
+        seen.append(event.triple())
+
+    pep = ParallelEventProcessor(
+        datastore, options=PEPOptions(input_batch_size=8, load_retries=0),
+        products=SPECS)
+    stats = pep.process(dataset, handle)
+    assert seen == [row[0] for row in expected]
+    assert stats.load_retries == 0
+    # Every page misses some product, so the swap is noticed and the
+    # executor re-asks under the new map.
+    assert datastore.metrics.counter("hepnos.shard.stale_retries").value >= 1
+    got, _ = pep_pass(datastore, dataset)
+    assert got == expected

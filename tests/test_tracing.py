@@ -276,12 +276,15 @@ def test_pep_emits_batch_and_event_spans(datastore):
                            for e in events)
     materialize = collector.find("pep.materialize")
     assert materialize
-    # The prefetch load spans hang off pep.materialize's trace (the
+    # One load span per page, issued before the page materializes (the
     # default PEP configuration prefetches with packed prefix loads).
-    bulk_loads = collector.find("hepnos.load_products_packed")
-    assert bulk_loads
-    assert {s.trace_id for s in bulk_loads} <= {m.trace_id
-                                                for m in materialize}
+    loads = collector.find("hepnos.load_products")
+    assert len(loads) == len(materialize) == 2
+    for span in loads:
+        assert span.tags["lane"] == "packed"
+        assert {"containers", "specs", "databases", "epoch",
+                "cache_hits"} <= set(span.tags)
+    assert sum(s.tags["containers"] for s in loads) == 12
 
 
 # -- exporters ---------------------------------------------------------------
