@@ -146,7 +146,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "quick": not args.full,
         "speedup_gate": results["speedup_gate"],
         "cache_overhead_gate": results["cache_overhead_gate"],
-        "columnar_speedup_gate": columnar["speedup_gate"],
         "columnar_bytes_gate": columnar["bytes_gate"],
         "fault_overhead_gate": fault["fault_overhead_gate"],
         "wal_overhead_gate": recovery["wal_overhead_gate"],

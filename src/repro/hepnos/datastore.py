@@ -673,9 +673,9 @@ class DataStore:
                               batch=None) -> bytes:
         """Store a product whose archive bytes the caller already holds.
 
-        ``value`` must be what ``dumps`` yields for the product (the
-        loader's table encoder produces it without the objects);
-        everything else is :meth:`store_product`.
+        ``value`` must be an archive value ``loads`` turns into the
+        product (the loader's typed tables, written without building
+        the objects); everything else is :meth:`store_product`.
         """
         with _tracing.span("hepnos.store_product", label=label) as sp:
             return self._store_value(sp, container_key, label,

@@ -38,7 +38,7 @@ from repro.hepnos import keys as hkeys
 from repro.hepnos.column_block import PRESENT, RAW, ColumnBlock
 from repro.hepnos.product import product_type_name
 from repro.monitor import tracing as _tracing
-from repro.serial import columnar as _columnar  # also registers ColumnarBatch
+from repro.serial import columnar as _columnar
 from repro.serial import loads
 
 
@@ -190,8 +190,8 @@ class _ColumnsLane:
         self.answered = [False] * len(self.keys)
         self.groups: list = []
         self.raw: dict[int, list] = {}
-        #: slots projected off the wire (not the cache) by this load
-        self.fresh: list[int] = []
+        #: the groups projected off the wire (not the cache) by this load
+        self.fresh: list = []
         self.result = self.block = None
 
     def probe(self, cache) -> int:
@@ -242,21 +242,22 @@ class _ColumnsLane:
             if sum(taken_counts) != total_rows:
                 sel = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
                 cols = [col[sel] for col in cols]
-            self.groups.append((taken_i, taken_counts,
-                                dict(zip(self.fields, cols))))
-            self.fresh += taken_i
+            group = (taken_i, taken_counts, dict(zip(self.fields, cols)))
+            self.groups.append(group)
+            self.fresh.append(group)
         return nbytes
 
     def finish(self, cache) -> None:
-        block = self.result = self.block = ColumnBlock.from_groups(
+        self.result = self.block = ColumnBlock.from_groups(
             self.fields, len(self.keys), self.groups, self.raw)
-        if cache is not None:
+        if cache is not None and self.fresh:
             # Columns are small (that is the point of projection), so
             # unlike whole objects they are worth caching: repeated
             # analysis passes skip the wire entirely.
-            for i in self.fresh:
-                cache.put_columns(self.keys[i] + self.suffix,
-                                  block.event_columns(i))
+            keys, suffix = self.keys, self.suffix
+            cache.put_columns([([keys[i] + suffix for i in indices], counts,
+                                columns)
+                               for indices, counts, columns in self.fresh])
 
     def event_products(self, i: int) -> dict:
         status = self.block.present[i]

@@ -20,11 +20,12 @@ Here:
   across ranks -- the only HEPnOS workflow step whose parallelism is
   bounded by the number of files.
 
-Ingest stays columnar until the last copy: a class table is encoded to
-archive bytes in row chunks by :func:`repro.serial.compiled.plan_table`
-and each event's product value is a slice of that buffer, byte-identical
-to serializing the event's row objects.  Row objects are only built for
-classes the table plan declines.
+Ingest never leaves the file's representation: a class table is laid
+out as packed records in its columns' own dtypes
+(:func:`repro.serial.compiled.plan_table`) and each event's product is a
+*typed table value* over its slice of them, which decodes to the event's
+row objects and projects to columns without decoding at all.  Row
+objects are only built, and row-encoded, for classes the plan declines.
 """
 
 from __future__ import annotations
@@ -43,13 +44,6 @@ from repro.hepnos.product import vector_of
 from repro.hepnos.write_batch import WriteBatch
 from repro.serial import dumps, register_type, registered_type
 from repro.serial.compiled import plan_table
-
-#: Rows the table encoder takes at a time (whole events, so a larger
-#: event is a chunk of its own).  Bounds its working memory -- under
-#: 1 KB a row for the 16-column NOvA slice table -- and is where the
-#: per-row cost bottoms out: below it numpy's per-call overhead shows,
-#: above it the byte matrix falls out of cache.
-_ENCODE_CHUNK_ROWS = 1024
 
 #: Recognized spellings of the identifier columns.
 _ID_COLUMNS = {
@@ -300,34 +294,23 @@ class DataLoader:
         """Each event's serialized ``vector<cls>``, in sorted event order.
 
         ``starts`` are the events' first positions in ``order`` (plus
-        the end).  The values equal ``dumps`` of the events' row
-        objects; those are only built when the table plan declines the
-        class.
+        the end).  Every value decodes to the event's row objects; those
+        are only built when the table plan declines the class.
         """
-        plan = plan_table(
+        bounds = starts.tolist()
+        layout = plan_table(
             cls, {name: column.dtype for name, column in columns.items()})
-        if plan is None:
-            for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        if layout is None:
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
                 yield dumps([
                     cls(**{name: column[idx].item()
                            for name, column in columns.items()})
                     for idx in order[lo:hi]
                 ])
             return
-        first = 0
-        last = len(starts) - 1
-        while first < last:
-            # Whole events up to the chunk size; at least one.
-            stop = max(first + 1, int(np.searchsorted(
-                starts, starts[first] + _ENCODE_CHUNK_ROWS, side="right")) - 1)
-            lo = int(starts[first])
-            rows = order[lo:int(starts[stop])]
-            encoded = plan.encode(
-                [columns[name][rows] for name in plan.fields])
-            bounds = (starts[first:stop + 1] - lo).tolist()
-            for a, b in zip(bounds[:-1], bounds[1:]):
-                yield encoded.list_value(a, b)
-            first = stop
+        records = layout.records(columns, order)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            yield layout.value(records, lo, hi)
 
     # -- parallel ingest ---------------------------------------------------------
 

@@ -15,11 +15,11 @@ are mutable (callers could corrupt a shared cached instance), and bytes
 make the memory bound honest.
 
 Columnar loads share the same LRU and the same byte budget through
-``get_columns``/``put_columns``: each entry is one ``(product key,
-field)`` column -- a read-only numpy array copy (never a view pinning a
-landing buffer) -- so repeated projections of hot events skip the wire
-entirely.  A columns lookup is all-or-nothing across the requested
-fields.
+``get_columns``/``put_columns``: each entry holds the projected fields
+of one product key as read-only numpy arrays -- slices of one private
+copy per scan answer, never views pinning a landing buffer -- so
+repeated projections of hot events skip the wire entirely.  A columns
+lookup is all-or-nothing across the requested fields.
 
 Metrics (when a registry is attached):
 
@@ -27,37 +27,37 @@ Metrics (when a registry is attached):
 - ``hepnos.product_cache.hit_bytes`` -- bytes served from cache
 - ``hepnos.product_cache.insertions`` / ``.evictions`` -- churn
 - ``hepnos.product_cache.bytes`` / ``.entries`` -- current size gauges
-- ``hepnos.column_cache.*`` -- the same six, for column entries
+- ``hepnos.column_cache.*`` -- the same six for projected columns:
+  lookups count products, insertions and evictions count columns
+  (fields), ``entries`` counts products holding any
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 
-def _value_size(value) -> int:
-    """Resident size charged against the byte budget."""
-    if isinstance(value, np.ndarray):
-        return value.nbytes
-    if isinstance(value, (list, tuple)):
-        return 64 * len(value) + 64
-    return len(value)
+def _value_size(column) -> int:
+    """Resident size of a cached column charged against the byte budget."""
+    if isinstance(column, np.ndarray):
+        return column.nbytes
+    return 64 * len(column) + 64
 
 
 class ProductCache:
-    """Bounded LRU over product bytes and per-(key, field) columns."""
+    """Bounded LRU over product bytes and per-product projected columns."""
 
     def __init__(self, max_bytes: int, max_entries: int, metrics=None):
         if max_bytes <= 0 or max_entries <= 0:
             raise ValueError("cache bounds must be positive")
         self.max_bytes = max_bytes
         self.max_entries = max_entries
-        #: bytes keys are whole-product entries; (bytes, str) tuples are
-        #: per-(product key, field) column entries.
+        #: a bytes key holds the product's serialized value; the 1-tuple
+        #: ``(product key,)`` holds ``(size, {field: column})``.
         self._entries: OrderedDict = OrderedDict()
         self._bytes = 0
         self._lock = threading.Lock()
@@ -91,9 +91,6 @@ class ProductCache:
             self._col_bytes_gauge = self._col_entries_gauge = None
         self._col_bytes = 0
         self._col_entries = 0
-        #: pkey -> cached field names, so an overwrite can drop exactly
-        #: that product's column entries without scanning the LRU.
-        self._col_fields: Dict[bytes, set] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -116,20 +113,18 @@ class ProductCache:
         while (len(self._entries) > self.max_entries
                or self._bytes > self.max_bytes):
             key, dropped = self._entries.popitem(last=False)
-            size = _value_size(dropped)
-            self._bytes -= size
             if isinstance(key, tuple):
-                self._col_bytes -= size
-                self._col_entries -= 1
-                col_evicted += 1
-                fields = self._col_fields.get(key[0])
-                if fields is not None:
-                    fields.discard(key[1])
-                    if not fields:
-                        del self._col_fields[key[0]]
+                self._drop_columns_locked(dropped)
+                col_evicted += len(dropped[1])
             else:
+                self._bytes -= len(dropped)
                 evicted += 1
         return evicted, col_evicted
+
+    def _drop_columns_locked(self, entry: tuple) -> None:
+        self._bytes -= entry[0]
+        self._col_bytes -= entry[0]
+        self._col_entries -= 1
 
     def _update_gauges_locked(self) -> None:
         if self._bytes_gauge is not None:
@@ -173,7 +168,7 @@ class ProductCache:
             if col_evicted:
                 self._col_evictions.inc(col_evicted)
 
-    # -- per-(product key, field) columns ----------------------------------
+    # -- per-product projected columns -------------------------------------
 
     def get_columns(self, pkey: bytes,
                     fields: Sequence[str]) -> Optional[Dict[str, object]]:
@@ -183,88 +178,103 @@ class ProductCache:
         would go to the wire for the remaining fields anyway, and one
         ``scan_columns`` round trip serves them all).
         """
-        out: Dict[str, object] = {}
-        hit_bytes = 0
+        key = (pkey,)
         with self._lock:
-            for field in fields:
-                value = self._entries.get((pkey, field))
-                if value is None:
-                    if self._col_misses is not None:
-                        self._col_misses.inc()
-                    return None
-                out[field] = value
-                hit_bytes += _value_size(value)
-            for field in fields:
-                self._entries.move_to_end((pkey, field))
+            entry = self._entries.get(key)
+            cached = entry[1] if entry is not None else {}
+            try:
+                out = {field: cached[field] for field in fields}
+            except KeyError:
+                if self._col_misses is not None:
+                    self._col_misses.inc()
+                return None
+            self._entries.move_to_end(key)
         if self._col_hits is not None:
             self._col_hits.inc()
-            self._col_hit_bytes.inc(hit_bytes)
+            self._col_hit_bytes.inc(
+                entry[0] if len(out) == len(cached)
+                else sum(_value_size(col) for col in out.values()))
         return out
 
-    def put_columns(self, pkey: bytes, columns: Dict[str, object]) -> None:
-        """Insert one product's columns under ``(pkey, field)`` entries.
+    def put_columns(self, answers: Sequence[Tuple[Sequence[bytes],
+                                                  Sequence[int],
+                                                  Dict[str, object]]]) -> None:
+        """Insert the projected columns of whole scan answers at once.
 
-        Numpy columns are copied (never cached as views over a landing
-        buffer) and marked read-only so concurrent readers cannot
-        corrupt a shared entry; columns whose combined size exceeds the
-        byte bound are skipped.
+        Each answer is ``(product keys, row counts, {field: column})``:
+        the column holds the keys' rows back to back.  Every numpy
+        column is copied once and marked read-only (never cached as a
+        view over a landing buffer; concurrent readers cannot corrupt a
+        shared entry) and each product's entry holds its slices of the
+        copies.  A product whose columns alone exceed the byte bound is
+        skipped; fields already cached for a key are kept beside the
+        new ones.
         """
-        prepared = {}
-        total = 0
-        for field, col in columns.items():
-            if isinstance(col, np.ndarray):
-                col = np.array(col, copy=True)
-                col.setflags(write=False)
-            else:
-                col = list(col)
-            prepared[field] = col
-            total += _value_size(col)
-        if not prepared or total > self.max_bytes:
+        prepared = []
+        for pkeys, counts, columns in answers:
+            own = {}
+            row_bytes = fixed = 0
+            for field, col in columns.items():
+                if isinstance(col, np.ndarray):
+                    col = np.array(col, copy=True)
+                    col.setflags(write=False)
+                    row_bytes += col.itemsize
+                else:
+                    row_bytes += 64
+                    fixed += 64
+                own[field] = col
+            if not own:
+                continue
+            lo = 0
+            for pkey, count in zip(pkeys, counts):
+                hi = lo + count
+                size = count * row_bytes + fixed
+                if size <= self.max_bytes:
+                    prepared.append(((pkey,), size, {
+                        field: col[lo:hi] for field, col in own.items()}))
+                lo = hi
+        if not prepared:
             return
+        inserted = 0
         with self._lock:
-            fields = self._col_fields.setdefault(pkey, set())
-            for field, col in prepared.items():
-                cache_key = (pkey, field)
-                old = self._entries.pop(cache_key, None)
+            entries = self._entries
+            for key, size, cols in prepared:
+                inserted += len(cols)
+                old = entries.pop(key, None)
                 if old is not None:
-                    size = _value_size(old)
-                    self._bytes -= size
-                    self._col_bytes -= size
-                    self._col_entries -= 1
-                size = _value_size(col)
-                self._entries[cache_key] = col
+                    self._drop_columns_locked(old)
+                    for field, col in old[1].items():
+                        if field not in cols:
+                            cols[field] = col
+                            size += _value_size(col)
+                entries[key] = (size, cols)
                 self._bytes += size
                 self._col_bytes += size
-                self._col_entries += 1
-                fields.add(field)
+            self._col_entries += len(prepared)
             evicted, col_evicted = self._evict_locked()
             self._update_gauges_locked()
         if self._col_insertions is not None:
-            self._col_insertions.inc(len(prepared))
+            self._col_insertions.inc(inserted)
             if evicted:
                 self._evictions.inc(evicted)
             if col_evicted:
                 self._col_evictions.inc(col_evicted)
 
     def invalidate(self, pkey: bytes) -> None:
-        """Drop ``pkey``'s whole-product entry and all its columns.
+        """Drop ``pkey``'s whole-product entry and its columns.
 
         Called on overwrite/erase: products are normally immutable, but
         a re-store of the same key must not leave a stale projection.
         """
         with self._lock:
-            if pkey not in self._entries and pkey not in self._col_fields:
-                return
             old = self._entries.pop(pkey, None)
+            columns = self._entries.pop((pkey,), None)
+            if old is None and columns is None:
+                return
             if old is not None:
-                self._bytes -= _value_size(old)
-            for field in self._col_fields.pop(pkey, ()):
-                col = self._entries.pop((pkey, field), None)
-                if col is not None:
-                    size = _value_size(col)
-                    self._bytes -= size
-                    self._col_bytes -= size
-                    self._col_entries -= 1
+                self._bytes -= len(old)
+            if columns is not None:
+                self._drop_columns_locked(columns)
             self._update_gauges_locked()
 
     def clear(self) -> None:
@@ -273,7 +283,6 @@ class ProductCache:
             self._bytes = 0
             self._col_bytes = 0
             self._col_entries = 0
-            self._col_fields.clear()
             self._update_gauges_locked()
 
 

@@ -29,7 +29,6 @@ from repro.serial.archive import (
     set_fast_path,
 )
 from repro.serial.columnar import (
-    ColumnarBatch,
     column_fields,
     column_plan,
     to_columns,
@@ -49,7 +48,6 @@ __all__ = [
     "fast_path",
     "fast_path_enabled",
     "set_fast_path",
-    "ColumnarBatch",
     "column_fields",
     "column_plan",
     "to_columns",

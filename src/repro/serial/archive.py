@@ -5,7 +5,11 @@ tag-dependent payload.  Integers use zigzag varints (arbitrary
 precision), floats are IEEE-754 doubles, strings are UTF-8 with a
 varint length, NumPy arrays carry their dtype string and shape, and
 registered objects carry their registered type name followed by the
-fields their ``serialize`` method visits.
+fields their ``serialize`` method visits.  A *typed table* holds the
+rows of one registered class as fixed-width records (see
+:func:`_read_table`); it decodes to the same ``list`` of objects the
+row encoding gives, and only :func:`repro.serial.compiled.plan_table`
+writes it -- ``dumps`` of a list is always the row encoding.
 
 The same ``serialize`` method drives both directions.  ``ar.io(value)``
 *returns* the value: on output it writes ``value`` and echoes it back;
@@ -50,6 +54,7 @@ import dataclasses
 import inspect
 import io
 import struct
+from itertools import starmap
 from typing import Any, Callable, Optional, Union
 
 import numpy as np
@@ -73,6 +78,7 @@ _T_NDARRAY = 11
 _T_OBJECT = 12
 _T_COMPLEX = 13
 _T_FROZENSET = 14
+_T_TABLE = 15
 
 _TAG_NONE = bytes((_T_NONE,))
 _TAG_FALSE = bytes((_T_FALSE,))
@@ -89,6 +95,7 @@ _TAG_NDARRAY = bytes((_T_NDARRAY,))
 _TAG_OBJECT = bytes((_T_OBJECT,))
 _TAG_COMPLEX = bytes((_T_COMPLEX,))
 _TAG_FROZENSET = bytes((_T_FROZENSET,))
+_TAG_TABLE = bytes((_T_TABLE,))
 
 _FLOAT_STRUCT = struct.Struct("<d")
 _COMPLEX_STRUCT = struct.Struct("<dd")
@@ -599,6 +606,52 @@ def _read_object(ar: InputArchive) -> Any:
     return obj
 
 
+#: (type name, dtype codes) of a table header -> its ``TableLayout``,
+#: filled on first sight by :func:`repro.serial.compiled.table_layout`.
+_TABLE_LAYOUTS: dict = {}
+
+
+def _read_table_records(ar: InputArchive) -> tuple:
+    """``(layout, record bytes)`` of the typed table at ``ar``'s position.
+
+    After the tag a table is::
+
+        uvarint + utf-8   registered type name
+        uvarint           class version
+        uvarint + bytes   one dtype code per field, in class field order
+        uvarint           row count
+        rows x width      packed little-endian records
+
+    The header must describe the class as registered *now*: another
+    version, field count or an unknown code is an error, never a guess.
+    """
+    try:
+        name = str(ar._read_exact(ar._read_uvarint()), "utf-8")
+    except UnicodeDecodeError as exc:
+        raise SerializationError(f"table type name: {exc}") from None
+    version = ar._read_uvarint()
+    codes = bytes(ar._read_exact(ar._read_uvarint()))
+    rows = ar._read_uvarint()
+    layout = _TABLE_LAYOUTS.get((name, codes))
+    if layout is None:
+        from repro.serial.compiled import table_layout
+
+        layout = _TABLE_LAYOUTS[name, codes] = table_layout(name, codes)
+    if _VERSIONS.get(layout.cls) != version:
+        raise SerializationError(
+            f"table of {name!r} was written at class version {version}, "
+            f"registered is {_VERSIONS.get(layout.cls)}")
+    return layout, ar._read_exact(rows * layout.dtype.itemsize)
+
+
+def _read_table(ar: InputArchive) -> list:
+    layout, records = _read_table_records(ar)
+    if not len(records):
+        return []
+    return list(starmap(layout.cls,
+                        np.frombuffer(records, layout.dtype).tolist()))
+
+
 #: tag-indexed dispatch table (index == tag value).
 _READERS = (
     _read_none,       # _T_NONE
@@ -616,6 +669,7 @@ _READERS = (
     _read_object,     # _T_OBJECT
     _read_complex,    # _T_COMPLEX
     _read_frozenset,  # _T_FROZENSET
+    _read_table,      # _T_TABLE
 )
 
 

@@ -13,9 +13,9 @@ objects.  This module provides the transposed view:
   (everything else), with the same strict ``type(v) is`` guards the
   compiled encoders use -- a value that fails its guard degrades that
   column to an archive-encoded list, never to a lossy cast;
-- :class:`ColumnarBatch` is a registered product wrapping one such
-  table, round-trippable byte-for-byte against the row-wise archive
-  (``dumps(batch.to_objects()) == dumps(original_list)``);
+- :func:`table_records` / :func:`project_records` give the same
+  columns for a stored *typed table value* (what ingest writes) straight
+  from its record bytes, without building a row;
 - the ``*_block`` helpers translate tables to and from the wire blocks
   of the ``yokan.scan_columns`` projection RPC.
 
@@ -41,6 +41,8 @@ _I64_MAX = (1 << 63) - 1
 
 #: numpy dtype per specialized column kind (little-endian on the wire).
 COLUMN_DTYPES = {float: "<f8", int: "<i8", bool: "|b1"}
+#: stored dtype kinds whose ``.item()`` is exactly that column kind.
+_DTYPE_KINDS = {float: "f", int: "iu", bool: "b"}
 #: dtype marker for a column shipped as an archive-encoded value list.
 OBJECT_DTYPE = "O"
 
@@ -158,6 +160,45 @@ def value_to_table(value) -> Optional[Tuple[str, int, Dict[str, Any]]]:
     return _A._BY_TYPE[type(objs[0])], count, columns
 
 
+def table_records(value) -> Optional[tuple]:
+    """``(layout, record bytes)`` of a stored typed table value.
+
+    ``None`` for anything else -- a row-encoded value, an empty table,
+    or a table that is damaged in any way (the bytes then travel
+    unchanged like any other unprojectable value, and the client's
+    ``loads`` raises the error).
+    """
+    if not len(value) or value[0] != _A._T_TABLE:
+        return None
+    ar = _A.InputArchive(value)
+    ar._pos = 1
+    try:
+        layout, records = _A._read_table_records(ar)
+    except SerializationError:
+        return None
+    if ar._pos != ar._len or not len(records):
+        return None
+    return layout, records
+
+
+def project_records(layout, records, fields: Sequence[str]) -> Dict[str, Any]:
+    """``fields`` of packed table records as :func:`to_columns` gives
+    them for the decoded rows: widened to the class plan's column dtype
+    where every value passes that kind's guard, else the value list."""
+    table = np.frombuffer(records, dtype=layout.dtype)
+    kinds = dict(column_plan(layout.cls)[0])
+    columns = {}
+    for name in fields:
+        col = table[name]
+        kind = kinds[name]
+        if (col.dtype.kind in _DTYPE_KINDS.get(kind, "")
+                and not (col.dtype == np.uint64 and col.max() > _I64_MAX)):
+            columns[name] = col.astype(COLUMN_DTYPES[kind])
+        else:
+            columns[name] = col.tolist()
+    return columns
+
+
 def table_nbytes(columns: Dict[str, Any]) -> int:
     """Approximate resident size of a column table (for LRU accounting)."""
     total = 0
@@ -221,94 +262,16 @@ def column_from_block(dtype_str: str, payload, total_rows: int):
     return arr
 
 
-# -- the registered SoA product ----------------------------------------------
-
-
-class ColumnarBatch:
-    """A homogeneous product list stored struct-of-arrays.
-
-    ``columns`` maps every field of the element class to either a numpy
-    array or a value list; ``to_objects`` reconstructs the exact
-    row-wise list (``dumps`` of the result is byte-identical to
-    ``dumps`` of the list the batch was built from).
-    """
-
-    def __init__(self, tname: str = "", count: int = 0,
-                 columns: Optional[Dict[str, Any]] = None):
-        self.tname = tname
-        self.count = count
-        self.columns = {} if columns is None else columns
-
-    def serialize(self, ar) -> None:
-        self.tname = ar.io(self.tname)
-        self.count = ar.io(self.count)
-        self.columns = ar.io(self.columns)
-
-    @classmethod
-    def from_objects(cls, objs: Sequence[Any]) -> "ColumnarBatch":
-        """Transpose ``objs``; raises for lists no plan can represent."""
-        table = to_columns(objs)
-        if table is None:
-            raise SerializationError(
-                "ColumnarBatch.from_objects needs a non-empty homogeneous "
-                "list of registered products with a column plan")
-        count, columns = table
-        return cls(_A._BY_TYPE[type(objs[0])], count, columns)
-
-    def to_objects(self) -> List[Any]:
-        """Reconstruct the row-wise product list, byte-exactly."""
-        cls = _A.registered_type(self.tname)
-        planned = column_plan(cls)
-        if planned is None:
-            raise SerializationError(
-                f"type {self.tname!r} has no column plan")
-        plan, maker = planned
-        lists = []
-        for name, _kind in plan:
-            try:
-                col = self.columns[name]
-            except KeyError:
-                raise SerializationError(
-                    f"ColumnarBatch for {self.tname!r} is missing "
-                    f"column {name!r}")
-            vals = col.tolist() if isinstance(col, np.ndarray) else col
-            if len(vals) != self.count:
-                raise SerializationError(
-                    f"column {name!r} has {len(vals)} rows, "
-                    f"expected {self.count}")
-            lists.append((name, vals))
-        out = []
-        for i in range(self.count):
-            obj = maker()
-            for name, vals in lists:
-                setattr(obj, name, vals[i])
-            out.append(obj)
-        return out
-
-    def project(self, fields: Sequence[str]) -> Dict[str, Any]:
-        """The requested columns only (KeyError for unknown fields)."""
-        return {name: self.columns[name] for name in fields}
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __repr__(self) -> str:
-        return (f"ColumnarBatch({self.tname!r}, count={self.count}, "
-                f"fields={list(self.columns)})")
-
-
-_A.register_type(ColumnarBatch, "serial.ColumnarBatch")
-
-
 __all__ = [
     "COLUMN_DTYPES",
     "OBJECT_DTYPE",
-    "ColumnarBatch",
     "column_fields",
     "column_plan",
     "column_from_block",
     "pack_field_column",
+    "project_records",
     "table_nbytes",
+    "table_records",
     "to_columns",
     "value_to_table",
 ]

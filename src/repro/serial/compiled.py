@@ -37,22 +37,24 @@ compiled decoder only serves payloads whose stored version matches the
 registered version it was built against; older payloads decode through
 the interpreted path, preserving schema evolution.
 
-The same dataclass field plan also drives :func:`plan_table`, the
-*table encoder*: a whole class table held as numpy columns is encoded
-in one vectorised pass into the bytes ``dumps`` would produce for the
-row objects, without creating them (the ingest path of
-:mod:`repro.hepnos.loader`).
+A class table held as numpy columns skips all of this: for plain
+dataclasses :func:`plan_table` gives the :class:`TableLayout` that
+writes its rows as a *typed table value* -- packed records in the
+columns' own dtypes -- which decodes to the same objects as the row
+encoding (the ingest path of :mod:`repro.hepnos.loader`).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import keyword
 import struct
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.errors import SerializationError
 from repro.serial import archive as _A
 
 #: field kinds with specialized codegen; anything else is "generic".
@@ -524,154 +526,100 @@ def compile_class(cls: type, name: str, version: int) -> Optional[tuple]:
     return encoder, decoder
 
 
-# -- table encoder ------------------------------------------------------------
+# -- typed table values ---------------------------------------------------------
 
-_LIST1 = tuple(bytes((_A._T_LIST, n)) for n in range(128))
-
-
-def _init_assigns_fields(cls: type) -> bool:
-    """Whether ``cls(**values)`` does nothing but assign every field."""
-    return (_is_generated_init(cls)
-            and not hasattr(cls, "__post_init__")
-            and all(f.init for f in dataclasses.fields(cls)))
+#: dtypes a table record field may have; a header names one by its index.
+TABLE_DTYPES = tuple(np.dtype(code) for code in (
+    "|b1", "|i1", "<i2", "<i4", "<i8", "|u1", "<u2", "<u4", "<u8",
+    "<f2", "<f4", "<f8"))
+_TABLE_CODES = {dtype: code for code, dtype in enumerate(TABLE_DTYPES)}
 
 
-def _varint_width(dtype: np.dtype) -> int:
-    """Most bytes a zigzag varint of this integer dtype can take."""
-    bits = dtype.itemsize * 8 + (dtype.kind == "u")
-    return -(-bits // 7)
+def _table_fields(cls: type) -> Optional[list]:
+    """Field names if ``cls(*record)`` rebuilds exactly the object the
+    row encoding holds -- a plain dataclass whose generated ``__init__``
+    takes its fields positionally, in order, and only assigns them --
+    else ``None``."""
+    if cls not in _A._ALL_ENCODERS or callable(getattr(cls, "serialize", None)):
+        return None
+    if not _is_generated_init(cls) or hasattr(cls, "__post_init__"):
+        return None
+    names = [f.name for f in dataclasses.fields(cls)]
+    positional = [p.name for p in inspect.signature(cls).parameters.values()
+                  if p.kind is p.POSITIONAL_OR_KEYWORD]
+    # an init=False or keyword-only field, or an InitVar between them
+    return names if positional == names else None
 
 
-def _zigzag_varints(column: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write each value's zigzag varint into its row of ``out``.
+class TableLayout:
+    """How the rows of one class lie in a typed table value.
 
-    ``out`` is ``(n, _varint_width(column.dtype))`` bytes.  Returns the
-    ``(n, width - 1)`` mask of the bytes after the first that belong to
-    the varint (the rest of a row is padding).
-    """
-    width = out.shape[1]
-    if column.dtype.kind == "u":
-        # zigzag of a non-negative v is v << 1: one bit more than fits
-        # when v >= 2**63, so bit 64 is carried apart.
-        z = column.astype(np.uint64)
-        top = z >> np.uint64(63) if column.dtype.itemsize == 8 else None
-        z = z << np.uint64(1)
-    else:
-        s = column.astype(np.int64)
-        z = ((s << 1) ^ (s >> 63)).view(np.uint64)
-        top = None
-    shifts = np.arange(width, dtype=np.uint64) * np.uint64(7)
-    groups = z[:, None] >> shifts
-    if top is not None:
-        groups[:, 9] |= top << np.uint64(1)
-    more = groups[:, 1:] != 0
-    if top is not None:
-        more |= (top != 0)[:, None]
-    out[:] = groups & np.uint64(0x7F)
-    out[:, :-1] |= more.view(np.uint8) << 7
-    return more
-
-
-class EncodedRows:
-    """An encoded run of rows: row ``i`` is ``buffer[off[i]:off[i+1]]``."""
-
-    __slots__ = ("_view", "_offsets")
-
-    def __init__(self, buffer: np.ndarray, offsets: Sequence[int]):
-        self._view = memoryview(buffer)
-        self._offsets = offsets
-
-    def list_value(self, start: int, stop: int) -> bytes:
-        """``dumps`` of the list of row objects ``start..stop``."""
-        n = stop - start
-        prefix = _LIST1[n] if n < 128 else _A._TAG_LIST + _uvarint(n)
-        offsets = self._offsets
-        return b"".join((prefix, self._view[offsets[start]:offsets[stop]]))
-
-
-class TablePlan:
-    """Encodes numpy columns of one class into its rows' archive bytes.
-
-    ``fields`` names the columns :meth:`encode` expects, in the order
-    the class serializes them.  Built by :func:`plan_table`.
+    ``header`` is the value up to the row count; ``dtype`` the packed
+    little-endian record, one field per class field in class order.
     """
 
-    __slots__ = ("fields", "_header", "_slots", "_width", "_ragged")
+    __slots__ = ("cls", "fields", "header", "dtype")
 
-    def __init__(self, header: bytes, fields: Sequence[str],
+    def __init__(self, cls: type, fields: Sequence[str],
                  dtypes: Sequence[np.dtype]):
+        self.cls = cls
         self.fields = tuple(fields)
-        self._header = np.frombuffer(header, dtype=np.uint8)
-        #: (first byte within a row of the byte matrix, dtype) per field
-        self._slots = []
-        pos = len(header)
-        for dtype in dtypes:
-            self._slots.append((pos, dtype))
-            if dtype.kind == "f":
-                pos += 9
-            elif dtype.kind == "b":
-                pos += 1
-            else:
-                pos += 1 + _varint_width(dtype)
-        self._width = pos
-        self._ragged = any(dtype.kind in "iu" for dtype in dtypes)
+        self.dtype = np.dtype(list(zip(fields, dtypes)))
+        name = _A._BY_TYPE[cls].encode("utf-8")
+        self.header = b"".join((
+            _A._TAG_TABLE, _uvarint(len(name)), name,
+            _uvarint(_A._VERSIONS[cls]), _uvarint(len(dtypes)),
+            bytes(_TABLE_CODES[dtype] for dtype in dtypes)))
 
-    def encode(self, columns: Sequence[np.ndarray]) -> EncodedRows:
-        """Encode ``n`` rows given as aligned columns, one per field.
+    def records(self, columns: Mapping[str, np.ndarray],
+                order: np.ndarray) -> memoryview:
+        """The bytes of rows ``order`` of aligned ``columns`` as records."""
+        records = np.empty(len(order), dtype=self.dtype)
+        for name in self.fields:
+            records[name] = columns[name][order]
+        return memoryview(records.view(np.uint8))
 
-        Rows are laid out in an ``(n, widest row)`` byte matrix: floats
-        as ``tag + <d`` blocks, bools as tags, ints as ``tag + zigzag
-        varint`` padded to the dtype's widest.  Only varints are ragged,
-        so one pass through a validity mask compacts the matrix into the
-        buffer.  Extra memory is a few arrays of the matrix's shape.
-        """
-        n = len(columns[0])
-        matrix = np.empty((n, self._width), dtype=np.uint8)
-        matrix[:, :len(self._header)] = self._header
-        if self._ragged:
-            valid = np.ones((n, self._width), dtype=bool)
-        for (pos, dtype), column in zip(self._slots, columns):
-            if dtype.kind == "f":
-                matrix[:, pos] = _A._T_FLOAT
-                matrix[:, pos + 1:pos + 9] = (
-                    column.astype("<f8").view(np.uint8).reshape(n, 8))
-            elif dtype.kind == "b":
-                matrix[:, pos] = np.where(column, _A._T_TRUE, _A._T_FALSE)
-            else:
-                matrix[:, pos] = _A._T_INT
-                end = pos + 1 + _varint_width(dtype)
-                valid[:, pos + 2:end] = _zigzag_varints(
-                    column, matrix[:, pos + 1:end])
-        if not self._ragged:
-            return EncodedRows(matrix.reshape(-1),
-                               range(0, (n + 1) * self._width, self._width))
-        offsets = [0]
-        offsets += np.cumsum(valid.sum(axis=1)).tolist()
-        return EncodedRows(matrix[valid], offsets)
+    def value(self, records: memoryview, start: int, stop: int) -> bytes:
+        """The table value of rows ``start..stop`` of :meth:`records`;
+        ``loads`` of it gives those rows' objects."""
+        width = self.dtype.itemsize
+        return b"".join((self.header, _uvarint(stop - start),
+                         records[start * width:stop * width]))
 
 
 def plan_table(cls: type, dtypes: Mapping[str, np.dtype]
-               ) -> Optional[TablePlan]:
-    """A :class:`TablePlan` for a table of ``cls`` rows, or ``None``.
+               ) -> Optional[TableLayout]:
+    """The :class:`TableLayout` to write a table of ``cls`` rows with, or
+    ``None``.
 
     ``dtypes`` maps field name to the dtype of the column holding it.
-    The contract is byte identity: for every row range,
-    ``plan.encode(columns).list_value(a, b)`` equals ``dumps`` of the
-    list of ``cls(**{field: column[i].item(), ...})`` objects.  The plan
-    declines (``None``) whenever it cannot vouch for that: the class has
-    no compiled encoder (or the fast path is pinned off), it has a
-    ``serialize`` method or an ``__init__`` that does more than assign
-    its fields, its fields and the columns are not the same set, or a
-    column is neither float, integer nor bool.
+    The contract is object identity with the row encoding: every value
+    the layout writes decodes to the list of ``cls(**{field:
+    column[i].item(), ...})`` objects.  The plan declines (``None``)
+    whenever it cannot vouch for that: the class has no compiled encoder
+    (or the fast path is pinned off), it has a ``serialize`` method or an
+    ``__init__`` that does more than assign its fields, its fields and
+    the columns are not the same set, or a column's dtype is not one of
+    :data:`TABLE_DTYPES` in either byte order.
     """
-    if cls not in _A._ENCODERS or callable(getattr(cls, "serialize", None)):
+    fields = _table_fields(cls) if cls in _A._ENCODERS else None
+    if fields is None or set(fields) != set(dtypes):
         return None
-    if not _init_assigns_fields(cls):
+    stored = [dtypes[name].newbyteorder("<") for name in fields]
+    if any(dtype not in _TABLE_CODES for dtype in stored):
         return None
-    fields = [f.name for f in dataclasses.fields(cls)]
-    if set(fields) != set(dtypes):
-        return None
-    if any(dtypes[name].kind not in "fiub" for name in fields):
-        return None
-    header = _object_header(_A._BY_TYPE[cls], _A._VERSIONS[cls])
-    return TablePlan(header, fields, [dtypes[name] for name in fields])
+    return TableLayout(cls, fields, stored)
+
+
+def table_layout(name: str, codes: bytes) -> TableLayout:
+    """The layout a table header of ``name`` with ``codes`` is read with."""
+    cls = _A.registered_type(name)
+    fields = _table_fields(cls)
+    if fields is None or len(fields) != len(codes):
+        raise SerializationError(
+            f"{name!r} is not registered as a table class of "
+            f"{len(codes)} fields")
+    if max(codes) >= len(TABLE_DTYPES):
+        raise SerializationError(
+            f"table of {name!r} has an unknown dtype code {max(codes)}")
+    return TableLayout(cls, fields, [TABLE_DTYPES[code] for code in codes])

@@ -183,8 +183,11 @@ class LSMStats:
     #: SSTable probes that passed the bloom filter (point lookups)
     sstable_reads: int = 0
     bloom_skips: int = 0
-    #: data blocks decoded from disk (block-cache misses)
+    #: data blocks decoded from disk (block-cache misses), whoever asked:
+    #: lookups, scans, ``list_keys``, compaction inputs
     blocks_read: int = 0
+    #: of those, the ones decoded for a counted lookup (``gets``)
+    lookup_blocks_read: int = 0
     block_cache_hits: int = 0
     block_cache_misses: int = 0
     block_cache_evictions: int = 0
@@ -206,7 +209,7 @@ class LSMStats:
     @property
     def read_amplification(self) -> float:
         """Disk blocks decoded per lookup (cache hits cost nothing)."""
-        return self.blocks_read / (self.gets or 1)
+        return self.lookup_blocks_read / (self.gets or 1)
 
     @property
     def block_cache_hit_rate(self) -> float:
@@ -440,7 +443,8 @@ class SSTable:
 
     # -- block access --------------------------------------------------------
 
-    def _block_entries(self, index: int) -> Tuple[list, list]:
+    def _block_entries(self, index: int,
+                       lookup: bool = False) -> Tuple[list, list]:
         cache_key = (self.uid, index)
         if self.cache is not None:
             block = self.cache.get(cache_key)
@@ -453,6 +457,7 @@ class SSTable:
         block = _parse_block(raw)
         if self.stats is not None:
             self.stats.blocks_read += 1
+            self.stats.lookup_blocks_read += lookup
         if self.cache is not None:
             keys, values = block
             nbytes = 64 + sum(len(k) for k in keys) + sum(
@@ -461,9 +466,10 @@ class SSTable:
         return block
 
     def get(self, key: bytes,
-            hashes: Optional[Tuple[int, int]] = None
+            hashes: Optional[Tuple[int, int]] = None, record: bool = False
             ) -> Tuple[bool, Optional[bytes]]:
-        """(found, value) -- value ``None`` with found=True is a tombstone."""
+        """(found, value) -- value ``None`` with found=True is a tombstone.
+        ``record`` counts a block decode towards read amplification."""
         if self.num_entries == 0 or not self.min_key <= key <= self.max_key:
             return False, None
         if hashes is not None:
@@ -474,7 +480,7 @@ class SSTable:
         index = bisect.bisect_right(self.block_firsts, key) - 1
         if index < 0:
             return False, None
-        keys, values = self._block_entries(index)
+        keys, values = self._block_entries(index, record)
         i = bisect.bisect_left(keys, key)
         if i < len(keys) and keys[i] == key:
             return True, values[i]
@@ -1134,7 +1140,7 @@ class LSMBackend(Backend):
                 continue
             if record:
                 stats.sstable_reads += 1
-            found, tvalue = table.get(key, hashes)
+            found, tvalue = table.get(key, hashes, record)
             if found:
                 return tvalue is not None, tvalue
         return False, None

@@ -147,11 +147,12 @@ class YokanProvider:
         #: admission control + fair-share on tenant-tagged requests.
         self.broker = broker
         self.databases: dict[str, Backend] = dict(databases or {})
-        # Server-side projection cache: (db name, key) -> decoded column
-        # table (or None for values no column plan covers), so repeated
-        # scan_columns passes skip the per-object decode.  Entries are
-        # invalidated on any put/erase of their key and evicted LRU
-        # under a bytes bound.
+        # Server-side projection cache for row-encoded values (typed
+        # tables project from their stored bytes): (db name, key) ->
+        # decoded column table (or None for values no column plan
+        # covers), so repeated scan_columns passes skip the per-object
+        # decode.  Entries are invalidated on any put/erase of their
+        # key and evicted LRU under a bytes bound.
         self._column_cache: OrderedDict = OrderedDict()
         self._column_cache_bytes = 0
         self._column_cache_max = (self.COLUMN_CACHE_BYTES
@@ -483,15 +484,68 @@ class YokanProvider:
                     self._column_cache_bytes -= evicted
         return entry_val
 
+    def _project(self, name: str, db: Backend, prefixes, suffix: bytes,
+                 fields: list) -> tuple:
+        """Per-prefix statuses and one wire block per field of a page.
+
+        Typed table values (what ingest stores) are never decoded:
+        consecutive ones of one layout have their record bytes joined
+        and each requested field copied out of the join in one strided
+        pass.  Row-encoded values go through the column-table cache.
+        """
+        statuses: list = []
+        tables: list = []
+        layout, known, run = None, False, []
+
+        def close_run() -> None:
+            if run:
+                tables.append(_columnar.project_records(
+                    layout, b"".join(run), fields))
+                run.clear()
+
+        # A value that cannot give every field travels row-wise (its
+        # bytes are the status): the client then evaluates per object
+        # and surfaces the same error the object path would.
+        for p in prefixes:
+            key = p + suffix
+            try:
+                value = db.get(key)
+            except KeyNotFound:
+                statuses.append(None)
+                continue
+            stored = _columnar.table_records(value)
+            if stored is None:
+                table = self._column_table(name, key, value)
+                if table is None or any(f not in table[1] for f in fields):
+                    statuses.append(value)
+                    continue
+                close_run()
+                statuses.append(table[0])
+                tables.append(table[1])
+                continue
+            if stored[0] is not layout:
+                close_run()
+                layout = stored[0]
+                known = all(f in layout.fields for f in fields)
+            if known:
+                run.append(stored[1])
+                statuses.append(len(stored[1]) // layout.dtype.itemsize)
+            else:
+                statuses.append(value)
+        close_run()
+        return statuses, [_columnar.pack_field_column(tables, f)
+                          for f in fields]
+
     def _rpc_scan_columns(self, req: RPCRequest) -> bytes:
         """Materialize requested columns server-side; push one page back.
 
         The request names a database, a list of container-key prefixes,
         the product-key suffix (label + type name) and a field list.
-        For every prefix whose product decodes to a homogeneous list of
-        planned products, only the requested columns travel; anything
-        else travels row-wise in place (a per-prefix ``raw`` status) so
-        the projection can never change what the client reconstructs.
+        For every prefix whose product is a typed table, or decodes to
+        a homogeneous list of planned products, only the requested
+        columns travel; anything else travels row-wise in place (a
+        per-prefix ``raw`` status) so the projection can never change
+        what the client reconstructs.
         """
         try:
             name, blob, lens, suffix, fields, bulk, capacity = \
@@ -512,32 +566,9 @@ class YokanProvider:
                 else:
                     entry = None
             if entry is None:
-                prefixes = packed.unpack_prefixes(blob, lens)
-                statuses: list = []
-                tables: list = []
-                for p in prefixes:
-                    key = p + suffix
-                    try:
-                        value = db.get(key)
-                    except KeyNotFound:
-                        statuses.append(None)
-                        continue
-                    table = self._column_table(name, key, value)
-                    if table is None:
-                        statuses.append(value)
-                        continue
-                    count, columns = table
-                    if any(f not in columns for f in fields):
-                        # Unknown field for this class: fall back
-                        # row-wise so the client evaluates per object
-                        # (and surfaces the same AttributeError the
-                        # object path would).
-                        statuses.append(value)
-                        continue
-                    statuses.append(count)
-                    tables.append(columns)
-                blocks = [_columnar.pack_field_column(tables, f)
-                          for f in fields]
+                statuses, blocks = self._project(
+                    name, db, packed.unpack_prefixes(blob, lens), suffix,
+                    fields)
                 buffer = packed.pack_column_page(statuses, blocks)
                 nprefixes = len(statuses)
                 crc = wire.checksum(buffer)

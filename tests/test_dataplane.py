@@ -152,7 +152,7 @@ class TestProductCache:
         metrics = MetricRegistry("test")
         cache = ProductCache(max_bytes=1 << 20, max_entries=8, metrics=metrics)
         cache.put(b"a", b"12345")
-        cache.put_columns(b"b", {"x": [1, 2]})
+        cache.put_columns([([b"b"], [2], {"x": [1, 2]})])
         writes = []
         for name in ("product_cache.bytes", "product_cache.entries",
                      "column_cache.bytes", "column_cache.entries"):

@@ -5,11 +5,16 @@ a plain dict model, plus the ways the lanes compose with an AsyncEngine.
 so one differential covers what used to be per-lane tests: absent
 products, a container key listed twice, dual-read during a migration,
 an epoch swap between issue and wait, a product moved between the two
-scans of a dual-read, and failover to a backup.
+scans of a dual-read, and failover to a backup.  Every page also mixes
+the ways a product value can be stored: a typed table (what ingest
+writes), the row-encoded list ``event.store`` writes -- some of them
+over a table -- and a list of a class no column plan covers.
 """
 
+import dataclasses
 import time
 
+import numpy as np
 import pytest
 
 from conftest import deploy
@@ -27,13 +32,14 @@ from repro.hepnos import (
     WriteBatch,
     vector_of,
 )
-from repro.hepnos.column_block import ABSENT, PRESENT
+from repro.hepnos.column_block import ABSENT, PRESENT, RAW
 from repro.hepnos.connection import DbTarget
 from repro.hepnos.failover import enable_replication
 from repro.hepnos.load_plan import _LANES
 from repro.mercury import Fabric
 from repro.rescale import LiveRescaler, add_server, migrate_live
-from repro.serial import serializable
+from repro.serial import register_type, serializable
+from repro.serial.compiled import plan_table
 
 N_EVENTS = 24
 LANES = ("exact", "packed", "columns")
@@ -42,41 +48,77 @@ STATES = ("settled", "split", "epoch_swap", "moved_between_scans",
           "dead_primary")
 
 
-@serializable("lp.Hit")
+@dataclasses.dataclass
 class Hit:
+    adc: float = 0.0
+    n: int = 0
+
+
+@serializable("lp.Odd", version=1)
+class Odd:
+    """Rows no column plan covers: ``serialize`` takes the version."""
+
     def __init__(self, adc=0.0, n=0):
         self.adc = adc
         self.n = n
 
-    def serialize(self, ar):
+    def serialize(self, ar, version):
         self.adc = ar.io(self.adc)
         self.n = ar.io(self.n)
 
     def __eq__(self, other):
-        return (self.adc, self.n) == (other.adc, other.n)
+        return (type(other) is Odd
+                and (self.adc, self.n) == (other.adc, other.n))
 
 
+register_type(Hit, "lp.Hit")
 HITS = (vector_of(Hit).name, "hits")
 FLAG = ("lp.Hit", "flag")
 
 
+def table_value(hits) -> bytes:
+    """``hits`` as ingest would store them, from f4/i4 file columns."""
+    columns = {"adc": np.array([h.adc for h in hits], dtype="<f4"),
+               "n": np.array([h.n for h in hits], dtype="<i4")}
+    layout = plan_table(Hit, {name: c.dtype for name, c in columns.items()})
+    return layout.value(layout.records(columns, np.arange(len(hits))),
+                        0, len(hits))
+
+
 def populate(datastore, path="lp"):
     """Events 0..N-1 of one subrun.  ``hits`` is missing from every
-    fifth event, ``flag`` exists on even ones; written through a batch
-    so the product cache stays empty.  Returns (subrun, keys, model)."""
+    fifth event and otherwise stored, by event number mod 4, as a typed
+    table, a table then overwritten row-wise, a row-encoded list, or a
+    list of :class:`Odd` (on odd events only); ``flag`` exists on even
+    events.  Written through batches so the product cache stays empty.
+    Returns (subrun, keys, model)."""
     ds = datastore.create_dataset(path)
     model = {}
+    overwrites = []
     with WriteBatch(datastore) as batch:
         subrun = ds.create_run(1, batch=batch).create_subrun(1, batch=batch)
         for e in range(N_EVENTS):
             event = subrun.create_event(e, batch=batch)
             if e % 5:
-                hits = [Hit(float(e) + 0.25 * j, e) for j in range(1 + e % 3)]
-                event.store(hits, label="hits", batch=batch)
+                cls = Odd if e % 4 == 3 else Hit
+                hits = [cls(float(e) + 0.25 * j, e) for j in range(1 + e % 3)]
+                if e % 4 < 2:
+                    stored = hits if e % 4 == 0 else [Hit(-7.5, 7)] + hits
+                    datastore.store_encoded_product(
+                        event.key, vector_of(Hit), table_value(stored),
+                        label="hits", batch=batch)
+                if e % 4 == 1:
+                    overwrites.append((event, hits))
+                elif e % 4 > 1:
+                    event.store(hits, label="hits", type_name=vector_of(Hit),
+                                batch=batch)
                 model[event.key, HITS] = hits
             if e % 2 == 0:
                 event.store(Hit(-1.0, e), label="flag", batch=batch)
                 model[event.key, FLAG] = Hit(-1.0, e)
+    with WriteBatch(datastore) as batch:
+        for event, hits in overwrites:
+            event.store(hits, label="hits", batch=batch)
     keys = [event.key for event in subrun]
     assert len(datastore._product_cache) == 0
     return subrun, keys, model
@@ -95,14 +137,21 @@ def check(lane, keys, model, result):
         assert result == {spec: [model.get((k, spec)) for k in keys]
                           for spec in (HITS, FLAG)}
         return
-    assert not result.raw
+    projected = 0
     for i, key in enumerate(keys):
         rows = model.get((key, HITS), [])
         lo, hi = result.event_rows(i)
-        assert result.present[i] is (PRESENT if rows else ABSENT)
+        if rows and type(rows[0]) is Odd:
+            assert result.present[i] is RAW and result.raw[i] == rows
+            rows = []       # the event's rows travel as objects instead
+        else:
+            assert result.present[i] is (PRESENT if rows else ABSENT)
         assert result.column("adc")[lo:hi].tolist() == [h.adc for h in rows]
         assert result.column("n")[lo:hi].tolist() == [h.n for h in rows]
-    assert result.rows == sum(len(model.get((k, HITS), [])) for k in keys)
+        projected += len(rows)
+    assert result.rows == projected
+    assert set(result.raw) == {i for i, s in enumerate(result.present)
+                               if s is RAW}
 
 
 def run_plan(datastore, mode, plan):

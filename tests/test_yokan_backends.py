@@ -529,6 +529,39 @@ class TestLSMProductionEngine:
         assert db.lsm_stats()["block_cache_hit_rate"] > 0.4
         db.close()
 
+    def test_read_amplification_counts_lookup_blocks_only(self, tmp_path):
+        # Two overlapping flushed tables, no block cache: every lookup
+        # decodes one block per table it probes, never more than one a
+        # table and never fewer than one.
+        db = LSMBackend(str(tmp_path / "db"), block_bytes=512,
+                        block_cache_bytes=0, compaction_trigger=100)
+        for generation in (b"old", b"new"):
+            for i in range(0, 200, 1 if generation == b"old" else 2):
+                db.put(b"k%04d" % i, generation * 20)
+            db.flush_memtable()
+        levels = db.lsm_stats()["sstables"]
+        assert levels == 2
+        for i in range(200):
+            assert db.get(b"k%04d" % i).startswith(b"old" if i % 2 else b"new")
+        stats = db.stats
+        assert stats.gets == 200
+        assert 1.0 <= stats.read_amplification <= levels
+        ratio, lookups = stats.read_amplification, stats.lookup_blocks_read
+        # Scans, listings, compaction inputs and uncounted pre-image
+        # probes decode blocks too; those are in the total only.
+        total = stats.blocks_read
+        assert total == lookups
+        assert len(list(db.scan_prefix(b"k"))) == 200
+        assert len(db.list_keys(b"k", limit=500)) == 200
+        assert len(db) == 200               # from here the count is kept...
+        db.put(b"k0001", b"overwritten")    # ...by probing for a pre-image
+        db.compact()
+        assert stats.blocks_read > total and stats.gets == 200
+        assert stats.lookup_blocks_read == lookups
+        assert stats.read_amplification == ratio
+        assert db.lsm_stats()["read_amplification"] == round(ratio, 3)
+        db.close()
+
     def test_block_cache_bytes_bounded(self, tmp_path):
         db = LSMBackend(str(tmp_path / "db"), block_bytes=512,
                         block_cache_bytes=2048)
