@@ -151,8 +151,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "wal_overhead_gate": recovery["wal_overhead_gate"],
         "isolation_gate": multitenant["isolation_gate"],
         "idle_overhead_gate": multitenant["idle_overhead_gate"],
-        "backend_ingest_gate": backends["ingest_gate"],
-        "backend_ingest_ratio": backends["ingest_ratio"],
         "backend_warm_p99_us": backends["warm_p99_us"],
         "backend_nocache_p99_us": backends["nocache_p99_us"],
         "gates_passed": not failures,

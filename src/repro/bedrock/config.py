@@ -205,13 +205,21 @@ def default_hepnos_config(
     :func:`~repro.hepnos.connection_from_servers` propagates to every
     connecting DataStore.
 
-    ``durability_root`` gives every database a write-ahead log at
-    ``<durability_root>/<db_name>.wal`` (checkpointed at
-    ``wal_checkpoint_bytes``): a server restarted after
-    ``crash(lose_state=True)`` then recovers its state by replaying
-    checkpoint + log.  ``replication`` (when >= 2) is recorded in the
-    config and picked up by ``connection_from_servers`` so clients and
-    the replication wiring agree on the copy count.
+    ``durability_root`` stamps ``wal_path =
+    <durability_root>/<db_name>.wal`` on every database.  What lives
+    there depends on the backend kind (see
+    :func:`~repro.yokan.backend.open_backend`): ``map`` and ``btree``
+    keep a write-ahead log at that path (checkpointed at
+    ``wal_checkpoint_bytes``), and a server restarted after
+    ``crash(lose_state=True)`` replays checkpoint + log; ``lsm`` is
+    durable through the log inside its own ``storage_root`` directory
+    and creates nothing under ``durability_root``.  ``wal_sync`` makes
+    whichever log a database has fsync each record before the write is
+    acknowledged.
+
+    ``replication`` (when >= 2) is recorded in the config and picked up
+    by ``connection_from_servers`` so clients and the replication
+    wiring agree on the copy count.
 
     ``tenants`` enables the multi-tenant request broker
     (:class:`~repro.broker.RequestBroker`): a dict with optional
@@ -237,8 +245,8 @@ def default_hepnos_config(
             config["wal_path"] = f"{durability_root}/{name}.wal"
             if wal_checkpoint_bytes is not None:
                 config["wal_checkpoint_bytes"] = int(wal_checkpoint_bytes)
-            if wal_sync:
-                config["wal_sync"] = True
+        if wal_sync:
+            config["wal_sync"] = True
         return {"name": name, "type": backend, "config": config}
 
     databases_per_provider: list[list[dict]] = [[] for _ in range(num_providers)]

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from repro.errors import ConfigError
 from repro.faults.retry import RetryPolicy
 from repro.margo import MargoInstance
 from repro.mercury import Fabric
 from repro.yokan import YokanProvider
-from repro.yokan.backend import open_backend
+from repro.yokan.backend import Backend, DurabilityStats, open_backend
+from repro.yokan.backends.lsm import LSMBackend
 from repro.bedrock.config import validate_config
 
 
@@ -27,8 +29,8 @@ class BedrockServer:
     backends -- the stand-in for durable storage -- survive the crash,
     so a restarted server serves exactly the data it held when it died.
     ``crash(lose_state=True)`` drops them instead: the restart rebuilds
-    every backend from its configuration, so only state a backend can
-    recover itself (WAL replay) or that a replica re-syncs comes back.
+    every backend from its configuration, so only state a durable
+    backend recovers (log replay) or that a replica re-syncs comes back.
     """
 
     def __init__(self, fabric: Fabric, config: Union[str, dict]):
@@ -37,7 +39,7 @@ class BedrockServer:
         #: persistent backend objects, keyed by provider id then
         #: database name; built once and reused across restarts --
         #: unless a lose-state crash dropped them.
-        self._backends: dict[int, dict[str, object]] = {}
+        self._backends: dict[int, dict[str, Backend]] = {}
         #: db name -> (backup address, provider id, db name) replica
         #: wiring, re-applied to fresh providers on every (re)start.
         self._replication: dict[str, tuple[str, int, str]] = {}
@@ -157,57 +159,45 @@ class BedrockServer:
 
     # -- durability ----------------------------------------------------------
 
+    def _all_backends(self) -> Iterator[Backend]:
+        for backends in self._backends.values():
+            yield from backends.values()
+
     def checkpoint(self) -> int:
         """Force a checkpoint on every durable backend; returns the count."""
         count = 0
-        for backends in self._backends.values():
-            for backend in backends.values():
-                do_checkpoint = getattr(backend, "checkpoint", None)
-                if do_checkpoint is not None:
-                    do_checkpoint()
-                    count += 1
+        for backend in self._all_backends():
+            if backend.durable:
+                backend.checkpoint()
+                count += 1
         return count
 
     def durability_stats(self) -> dict[str, object]:
-        """Aggregated WAL/checkpoint/replication counters (observability)."""
-        out = {"wal_records": 0, "checkpoints": 0, "replayed_records": 0,
-               "replayed_keys": 0, "replay_seconds": 0.0,
-               "replica_forwarded": 0, "replica_failures": 0}
-        for backends in self._backends.values():
-            for backend in backends.values():
-                stats = getattr(backend, "stats", None)
-                if stats is None or not hasattr(stats, "wal_records"):
-                    continue
-                out["wal_records"] += stats.wal_records
-                out["checkpoints"] += stats.checkpoints
-                out["replayed_records"] += stats.replayed_records
-                out["replayed_keys"] += stats.replayed_keys
-                out["replay_seconds"] += stats.replay_seconds
+        """Every backend's :class:`DurabilityStats` summed field by field
+        (``wal_records``, ``wal_bytes``, ``checkpoints``,
+        ``replayed_records``, ``replayed_keys``, ``replay_seconds``,
+        ``torn_tail_bytes``), plus the replica links' ``replica_forwarded``
+        and ``replica_failures``."""
+        out = {f.name: f.default for f in dataclasses.fields(DurabilityStats)}
+        for backend in self._all_backends():
+            stats = backend.durability_stats()
+            for name in out:
+                out[name] += getattr(stats, name)
+        out["replica_forwarded"] = out["replica_failures"] = 0
         for provider in self.providers.values():
             for link in provider.replica_links().values():
                 out["replica_forwarded"] += link.forwarded
                 out["replica_failures"] += link.failed
-        lsm = {"flushes": 0, "compactions": 0, "compaction_backlog": 0,
-               "throttle_waits": 0, "backpressure_waits": 0}
-        any_lsm = False
-        for stats in self.storage_stats().values():
-            any_lsm = True
-            for key in lsm:
-                lsm[key] += stats[key]
-        if any_lsm:
-            out["lsm"] = lsm
         return out
 
     def storage_stats(self) -> dict[str, dict]:
-        """Per-database storage-engine stats, for databases whose
-        backend exposes ``lsm_stats()`` (the LSM engine, possibly
-        wrapped in a :class:`DurableBackend`)."""
+        """Per-database storage-engine stats (``LSMBackend.lsm_stats()``),
+        for the databases that run on the LSM engine."""
         out: dict[str, dict] = {}
         for backends in self._backends.values():
             for name, backend in backends.items():
-                lsm_stats = getattr(backend, "lsm_stats", None)
-                if callable(lsm_stats):
-                    out[name] = lsm_stats()
+                if isinstance(backend, LSMBackend):
+                    out[name] = backend.lsm_stats()
         return out
 
     def crash(self, lose_state: bool = False) -> None:
@@ -232,9 +222,8 @@ class BedrockServer:
         # observes a dead server, never a half-shut-down one.
         self.margo.finalize()
         if lose_state:
-            for backends in self._backends.values():
-                for backend in backends.values():
-                    backend.crash()
+            for backend in self._all_backends():
+                backend.crash()
             self._backends.clear()
 
     def restart(self) -> None:
@@ -250,9 +239,8 @@ class BedrockServer:
 
     def shutdown(self) -> None:
         self.running = False
-        for backends in self._backends.values():
-            for backend in backends.values():
-                backend.close()
+        for backend in self._all_backends():
+            backend.close()
         self.margo.finalize()
 
 

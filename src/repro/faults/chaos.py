@@ -468,15 +468,9 @@ def _durability_stats(servers) -> dict:
     total: dict = {}
     for server in servers:
         for key, value in server.durability_stats().items():
-            if isinstance(value, dict):  # nested group (e.g. "lsm")
-                group = total.setdefault(key, {})
-                for sub, count in value.items():
-                    group[sub] = group.get(sub, 0) + count
-            else:
-                total[key] = total.get(key, 0) + value
+            total[key] = total.get(key, 0) + value
     total["replay_seconds"] = round(total.get("replay_seconds", 0.0), 4)
-    return {k: v for k, v in total.items()
-            if (any(v.values()) if isinstance(v, dict) else v)}
+    return {k: v for k, v in total.items() if v}
 
 
 def run_durability_chaos(seed: int = 0, files: int = 2, ranks: int = 2,
@@ -756,7 +750,10 @@ def run_durability_chaos(seed: int = 0, files: int = 2, ranks: int = 2,
         fabric.fault_model = FaultModel()
     result = workflow.select(num_ranks=ranks)
     record("lsm-crash-mid-compaction", result, time.perf_counter() - t0,
-           servers, schedule)
+           servers, schedule,
+           extra={"compactions": sum(
+               stats["compactions"] for server in servers
+               for stats in server.storage_stats().values())})
     fabric.runtime.shutdown()
 
     return DurabilityChaosReport(

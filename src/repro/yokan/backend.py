@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import AddressError, ConfigError, DatabaseClosed, KeyNotFound
@@ -21,30 +22,59 @@ def register_backend(kind: str):
     return decorate
 
 
+@dataclass
+class DurabilityStats:
+    """What a backend's record log did: the one shape every backend's
+    :meth:`Backend.durability_stats` returns."""
+
+    #: records appended since open (one per acknowledged mutation verb)
+    wal_records: int = 0
+    #: framed bytes appended (header + payload)
+    wal_bytes: int = 0
+    #: times logged state was folded into the store and its log retired
+    checkpoints: int = 0
+    #: whole log records applied by the last recovery
+    replayed_records: int = 0
+    #: keys those records (and a loaded checkpoint) carried
+    replayed_keys: int = 0
+    replay_seconds: float = 0.0
+    #: bytes of a half-written last record that recovery dropped
+    torn_tail_bytes: int = 0
+
+
 def open_backend(kind: str, **config) -> "Backend":
     """Instantiate a backend by kind name (``map``, ``lsm``, ``btree``).
 
-    A ``wal_path`` in the config wraps the backend in a
-    :class:`~repro.yokan.backends.wal.DurableBackend`: mutations are
-    CRC-framed into a write-ahead log (checkpointed at
-    ``wal_checkpoint_bytes``) and replayed here on reopen, so a
-    restarted server recovers state even when the inner backend is
-    volatile.
+    Durability is a property of the kind (:attr:`Backend.durable`), and
+    every database has at most one log:
+
+    - a durable kind (``lsm``) logs and recovers by itself.  ``wal_path``
+      is accepted -- deployments stamp it on every database -- and names
+      nothing: no file is created there;
+    - any other kind given a ``wal_path`` is wrapped in a
+      :class:`~repro.yokan.backends.wal.DurableBackend`, whose log at
+      that path (checkpointed at ``wal_checkpoint_bytes``) is replayed
+      here on reopen; without one it is volatile.
+
+    ``wal_sync`` makes whichever log the database has fsync every record
+    before the write is acknowledged.
     """
     wal_path = config.pop("wal_path", None)
     wal_checkpoint_bytes = config.pop("wal_checkpoint_bytes", None)
-    wal_sync = config.pop("wal_sync", False)
+    wal_sync = bool(config.pop("wal_sync", False))
     try:
         cls = BACKEND_KINDS[kind]
     except KeyError:
         raise ConfigError(
             f"unknown backend kind {kind!r}; known: {sorted(BACKEND_KINDS)}"
         ) from None
+    if cls.durable:
+        return cls(wal_sync=wal_sync, **config)
     backend = cls(**config)
     if wal_path:
         from repro.yokan.backends.wal import DurableBackend
 
-        kwargs = {"sync": bool(wal_sync)}
+        kwargs = {"wal_sync": wal_sync}
         if wal_checkpoint_bytes is not None:
             kwargs["checkpoint_bytes"] = int(wal_checkpoint_bytes)
         backend = DurableBackend(backend, wal_path, **kwargs)
@@ -71,9 +101,16 @@ class Backend(abc.ABC):
     subruns, and events (paper section II-C3).
     """
 
+    #: Whether every acknowledged write survives :meth:`crash` + reopen.
+    #: ``open_backend`` gives a write-ahead log only to kinds that say no.
+    durable = False
+
     def __init__(self) -> None:
         self._closed = False
         self._crashed = False
+        #: what this backend's log did; a backend that keeps a log
+        #: counts into it, a volatile one leaves it at zero
+        self.stats = DurabilityStats()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -106,6 +143,15 @@ class Backend(abc.ABC):
     def flush(self) -> None:
         """Force durability of buffered writes (no-op by default)."""
         self._check_open()
+
+    def checkpoint(self) -> None:
+        """Fold logged state into the store proper and retire the log,
+        so the next recovery replays nothing written before this call
+        (a volatile backend has no log: no-op)."""
+        self._check_open()
+
+    def durability_stats(self) -> DurabilityStats:
+        return self.stats
 
     # -- required primitives -------------------------------------------------
 

@@ -1,11 +1,12 @@
 """A log-structured merge-tree backend: the paper's RocksDB stand-in.
 
-Production-shaped engine (PR 10), replacing the seed's inline design:
+Production-shaped engine:
 
-- writes append to a checksummed, *segmented* write-ahead log and land
-  in a skip-list *memtable*; acknowledged writes always reach the OS
-  (flush per record), so a simulated process crash loses nothing that
-  was acked;
+- writes append to a *segmented* write-ahead log -- the shared record
+  log of :mod:`repro.yokan.backends.wal` -- and land in a skip-list
+  *memtable*; acknowledged writes always reach the OS (flush per
+  record, fsync with ``wal_sync``), so a simulated process crash loses
+  nothing that was acked;
 - when the active memtable exceeds ``memtable_bytes`` it is *rotated*
   onto an immutable-memtable list and a **background worker** (the
   Argobots-xstream stand-in) flushes it to an SSTable -- puts never
@@ -20,14 +21,13 @@ Production-shaped engine (PR 10), replacing the seed's inline design:
 - deletes write *tombstones*, dropped when a compaction includes the
   oldest table;
 - compaction is **size-tiered**: contiguous age-runs of similarly
-  sized tables merge into one (never the seed's merge-everything), on
-  the same background worker, with a backlog gauge and a write
-  throttle when the backlog grows.  ``compaction="full"`` restores the
-  seed's merge-everything policy, and ``background=False`` restores
-  inline flushes -- together they are the benchmark's seed baseline.
+  sized tables merge into one (never everything at once), on the same
+  background worker, with a backlog gauge and a write
+  throttle when the backlog grows.
 
-Crash-safety contract (composes with ``BedrockServer.crash(
-lose_state=True)`` and, when configured, an outer ``DurableBackend``):
+Crash-safety contract (the engine is ``durable``: ``open_backend``
+never wraps it in a second log, and ``BedrockServer.crash(
+lose_state=True)`` + restart recovers through it alone):
 a WAL segment is deleted only *after* the SSTable holding its data is
 durable (fsynced, renamed, and referenced by the fsynced MANIFEST).
 A crash mid-flush or mid-compaction leaves either orphan files (not in
@@ -51,15 +51,26 @@ import threading
 import time
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, CorruptionError, KeyNotFound
 from repro.monitor import tracing as _tracing
 from repro.utils import SkipListMap
-from repro.yokan.backend import Backend, prefix_upper_bound, register_backend
+from repro.yokan.backend import (
+    Backend,
+    DurabilityStats,
+    prefix_upper_bound,
+    register_backend,
+)
+from repro.yokan.backends.wal import (
+    append_record,
+    decode_puts,
+    encode_put,
+    encode_put_multi,
+    read_records,
+)
 
-_WAL_HEADER = struct.Struct("<II")  # payload length, crc32
 _U32 = struct.Struct("<I")
 _ENTRY = struct.Struct("<II")  # key length, value length
 _SST_MAGIC = b"SSTB0002"
@@ -161,11 +172,11 @@ class BloomFilter:
 
 
 @dataclass
-class LSMStats:
-    """Amplification, pipeline, and cache counters."""
+class LSMStats(DurabilityStats):
+    """The segmented log's durability counters (a memtable flush that
+    retires its segments is the engine's checkpoint), plus
+    amplification, pipeline, and cache counters."""
 
-    #: bytes framed into the WAL (the logical write stream)
-    wal_bytes: int = 0
     #: user payload bytes acknowledged (keys + values)
     logical_bytes: int = 0
     flushes: int = 0
@@ -531,12 +542,8 @@ class LSMBackend(Backend):
     (``{"type": "lsm", "config": {...}}``):
 
     - ``memtable_bytes`` -- rotation threshold for the active memtable;
-    - ``background`` -- flush/compact on the dedicated worker thread
-      (default); ``False`` restores the seed's inline behaviour;
-    - ``compaction`` -- ``"tiered"`` (size-tiered runs, default) or
-      ``"full"`` (the seed's merge-everything policy);
-    - ``compaction_trigger`` -- tables per size tier (or total tables,
-      for ``"full"``) before a merge is scheduled;
+    - ``compaction_trigger`` -- tables per size tier before a merge is
+      scheduled;
     - ``tier_ratio`` -- size ratio separating tiers;
     - ``max_immutables`` -- hard bound on unflushed sealed memtables
       (writers stall at the bound -- backpressure);
@@ -547,31 +554,30 @@ class LSMBackend(Backend):
     - ``bits_per_key`` -- bloom filter budget per table;
     - ``compression`` -- per-block codec: ``None``, ``"zlib"`` or
       ``"zstd"`` (gated on the module being available);
-    - ``sync_wal`` -- fsync the WAL on every append (records always
+    - ``wal_sync`` -- fsync the WAL on every append (records always
       reach the OS regardless, so acked writes survive process death).
+
+    Any other key is a :class:`ConfigError`, not a silent default.
     """
 
+    durable = True
+
     def __init__(self, path: str, memtable_bytes: int = 4 * 1024 * 1024,
-                 compaction_trigger: int = 4, sync_wal: bool = False,
-                 background: bool = True, compaction: str = "tiered",
+                 compaction_trigger: int = 4, wal_sync: bool = False,
                  tier_ratio: int = 4, max_immutables: int = 4,
                  throttle_backlog: int = 8, throttle_sleep_s: float = 0.002,
                  block_bytes: int = 4096,
                  block_cache_bytes: int = 8 * 1024 * 1024,
                  bits_per_key: int = 10, compression: Optional[str] = None,
-                 **_unused):
+                 **unknown):
         super().__init__()
-        if compaction not in ("tiered", "full"):
-            raise ConfigError(
-                f"unknown lsm compaction policy {compaction!r}; "
-                "known: 'tiered', 'full'")
+        if unknown:
+            raise ConfigError(f"unknown lsm option(s) {sorted(unknown)}")
         _codec_funcs(compression)  # validate (and gate zstd) eagerly
         self.path = path
         self.memtable_bytes = memtable_bytes
         self.compaction_trigger = max(2, int(compaction_trigger))
-        self.sync_wal = sync_wal
-        self.background = bool(background)
-        self.compaction_policy = compaction
+        self.wal_sync = wal_sync
         self.tier_ratio = max(2, int(tier_ratio))
         self.max_immutables = max(1, int(max_immutables))
         self.throttle_backlog = max(1, int(throttle_backlog))
@@ -601,17 +607,13 @@ class LSMBackend(Backend):
         self._test_hooks: dict[str, Callable] = {}
         self._recover()
         self._open_new_segment(fresh_ownership=False)
-        self._worker: Optional[threading.Thread] = None
-        if self.background:
-            self._worker = threading.Thread(
-                target=self._worker_loop, daemon=True,
-                name=f"lsm-worker:{os.path.basename(path)}")
-            self._worker.start()
+        self._worker = threading.Thread(
+            target=self._worker_loop, daemon=True,
+            name=f"lsm-worker:{os.path.basename(path)}")
+        self._worker.start()
         with self._lock:
             if self._mem_bytes >= self.memtable_bytes:
                 self._seal_memtable_locked()
-        if not self.background:
-            self._drain_inline()
 
     # -- WAL segments -------------------------------------------------------
 
@@ -640,21 +642,13 @@ class LSMBackend(Backend):
         else:
             self._active_segments.append(name)
 
-    def _wal_append(self, payload: bytes, flush: bool = True) -> None:
-        self._wal.write(_WAL_HEADER.pack(len(payload), zlib.crc32(payload)))
-        self._wal.write(payload)
-        if flush:
-            # Reach the OS on every record: a simulated process crash
-            # (file object abandoned, never closed) still finds every
-            # acknowledged write on disk.
-            self._wal.flush()
-            if self.sync_wal:
-                os.fsync(self._wal.fileno())
-        self.stats.wal_bytes += len(payload)
+    def _wal_append(self, payload: bytes) -> None:
+        append_record(self._wal, payload, self.wal_sync, self.stats)
 
     # -- recovery ---------------------------------------------------------
 
     def _recover(self) -> None:
+        start = time.perf_counter()
         tables: list[str] = []
         if os.path.exists(self._manifest_path):
             with open(self._manifest_path) as f:
@@ -680,13 +674,16 @@ class LSMBackend(Backend):
             name for name in os.listdir(self.path)
             if name.startswith("wal-") and name.endswith(".log"))
         self._active_segments: list[str] = []
-        replayed_any = False
         for name in segments:
-            if self._replay_segment(os.path.join(self.path, name)):
-                replayed_any = True
+            payloads, torn = read_records(os.path.join(self.path, name))
+            self.stats.torn_tail_bytes += torn
+            self.stats.replayed_records += len(payloads)
+            for payload in payloads:
+                self._apply_record(payload)
+            if payloads:
                 self._active_segments.append(name)
             else:
-                # Empty segment: nothing owned, drop it now.
+                # No whole record: nothing owned, drop it now.
                 try:
                     os.unlink(os.path.join(self.path, name))
                 except OSError:
@@ -694,47 +691,19 @@ class LSMBackend(Backend):
         if segments:
             last = segments[-1]
             self._wal_seq = int(last[4:-4]) + 1
-        if replayed_any:
-            self._live_keys = None
-
-    def _replay_segment(self, path: str) -> bool:
-        """Replay one WAL segment into the memtable; True if non-empty."""
-        replayed = False
-        with open(path, "rb") as f:
-            while True:
-                header = f.read(_WAL_HEADER.size)
-                if len(header) < _WAL_HEADER.size:
-                    break
-                length, crc = _WAL_HEADER.unpack(header)
-                payload = f.read(length)
-                if len(payload) < length or zlib.crc32(payload) != crc:
-                    # Torn tail write: everything before it is intact.
-                    break
-                self._apply_record(payload)
-                replayed = True
-        return replayed
+        self.stats.replay_seconds = time.perf_counter() - start
 
     def _apply_record(self, payload: bytes) -> None:
-        op = payload[0:1]
-        if op == b"P":
+        pairs = decode_puts(payload)
+        if pairs is None:
+            if payload[:1] != b"D":
+                raise CorruptionError(
+                    f"unknown LSM WAL opcode {payload[:1]!r}")
             (klen,) = _U32.unpack_from(payload, 1)
-            key = payload[5:5 + klen]
-            self._memtable_put(key, payload[5 + klen:])
-        elif op == b"D":
-            (klen,) = _U32.unpack_from(payload, 1)
-            self._memtable_put(payload[5:5 + klen], _TOMBSTONE)
-        elif op == b"M":
-            (count,) = _U32.unpack_from(payload, 1)
-            offset = 5
-            for _ in range(count):
-                klen, vlen = _ENTRY.unpack_from(payload, offset)
-                offset += 8
-                key = payload[offset:offset + klen]
-                offset += klen
-                self._memtable_put(key, payload[offset:offset + vlen])
-                offset += vlen
-        else:
-            raise CorruptionError(f"unknown LSM WAL opcode {op!r}")
+            pairs = [(payload[5:5 + klen], _TOMBSTONE)]
+        self.stats.replayed_keys += len(pairs)
+        for key, value in pairs:
+            self._memtable_put(key, value)
 
     # -- memtable ---------------------------------------------------------
 
@@ -797,8 +766,6 @@ class LSMBackend(Backend):
                 with self._work:
                     self._worker_busy = False
                     self._work.notify_all()
-            if self._closing and not self.background:
-                return
 
     def _should_abort(self) -> bool:
         return self._crashed
@@ -841,6 +808,7 @@ class LSMBackend(Backend):
             except ValueError:
                 pass
             self.stats.flushes += 1
+            self.stats.checkpoints += 1
             self.stats.flushed_bytes += written
             self.stats.flush_seconds += time.perf_counter() - t0
             self._write_manifest()
@@ -888,10 +856,6 @@ class LSMBackend(Backend):
         oldest ``compaction_trigger`` tables merge regardless, so the
         count stays bounded for any size distribution.
         """
-        if self.compaction_policy == "full":
-            if len(self._sstables) > self.compaction_trigger:
-                return (0, len(self._sstables))
-            return None
         tables = self._sstables
         if len(tables) < self.compaction_trigger:
             return None
@@ -1014,7 +978,7 @@ class LSMBackend(Backend):
             return
         with self._work:
             while (len(self._immutables) >= self.max_immutables
-                   and not self._closed and self.background):
+                   and not self._closed):
                 self.stats.backpressure_waits += 1
                 self._work.wait(0.05)
         backlog = self.compaction_backlog()
@@ -1023,21 +987,18 @@ class LSMBackend(Backend):
             time.sleep(self.throttle_sleep_s *
                        min(4, backlog - self.throttle_backlog))
 
-    def _drain_inline(self) -> None:
-        """Inline mode: run every pending flush/compaction to quiescence."""
-        while True:
-            with self._lock:
-                if self._immutables:
-                    task, payload = "flush", self._immutables[0]
-                else:
-                    run = self._candidate_locked()
-                    if run is None:
-                        return
-                    task, payload = "compact", run
-            if task == "flush":
-                self._flush_immutable(payload)
-            else:
-                self._compact_run(*payload)
+    def _await_worker(self, busy: Callable[[], bool], what: str,
+                      timeout: float = 60.0) -> None:
+        """Block while ``busy()``; raise the worker's first error, if any."""
+        deadline = time.monotonic() + timeout
+        with self._work:
+            while busy() and self._worker_error is None:
+                if time.monotonic() >= deadline:
+                    raise TimeoutError(f"lsm {what} timed out")
+                self._work.wait(0.05)
+            error, self._worker_error = self._worker_error, None
+        if error is not None:
+            raise error
 
     def drain(self, timeout: float = 60.0) -> None:
         """Block until the engine is quiescent (tests & benchmarks).
@@ -1045,42 +1006,22 @@ class LSMBackend(Backend):
         Raises the first background-worker error, if any occurred.
         """
         self._check_open()
-        if not self.background:
-            self._drain_inline()
-        else:
-            deadline = time.monotonic() + timeout
-            with self._work:
-                while (self._has_work_locked() or self._worker_busy):
-                    if self._worker_error is not None:
-                        break
-                    if time.monotonic() >= deadline:
-                        raise TimeoutError("lsm drain timed out")
-                    self._work.wait(0.05)
-        with self._lock:
-            error, self._worker_error = self._worker_error, None
-        if error is not None:
-            raise error
+        self._await_worker(
+            lambda: self._has_work_locked() or self._worker_busy,
+            "drain", timeout)
 
     def flush_memtable(self) -> None:
         """Rotate the active memtable and wait until it is on disk."""
         self._check_open()
         with self._lock:
             self._seal_memtable_locked()
-        if self.background:
-            deadline = time.monotonic() + 60.0
-            with self._work:
-                while self._immutables or self._worker_busy:
-                    if self._worker_error is not None:
-                        break
-                    if time.monotonic() >= deadline:
-                        raise TimeoutError("lsm flush_memtable timed out")
-                    self._work.wait(0.05)
-            with self._lock:
-                error, self._worker_error = self._worker_error, None
-            if error is not None:
-                raise error
-        else:
-            self._drain_inline()
+        self._await_worker(
+            lambda: bool(self._immutables) or self._worker_busy,
+            "flush_memtable")
+
+    #: the engine's checkpoint: once the memtable is an SSTable its WAL
+    #: segments are gone and a restart has nothing of it to replay
+    checkpoint = flush_memtable
 
     def compact(self) -> None:
         """Merge every SSTable into one, dropping tombstones and
@@ -1090,10 +1031,9 @@ class LSMBackend(Backend):
         # Wait out any in-flight background task so the full merge sees
         # a stable table list (flushes appending mid-merge are fine --
         # the run splice is position-checked).
-        if self.background:
-            with self._work:
-                while self._worker_busy:
-                    self._work.wait(0.05)
+        with self._work:
+            while self._worker_busy:
+                self._work.wait(0.05)
         with self._lock:
             count = len(self._sstables)
         if count <= 1:
@@ -1151,18 +1091,15 @@ class LSMBackend(Backend):
         self._check_open()
         key = bytes(key)
         value = bytes(value)
-        if self.background:
-            self._apply_write_pressure()
+        self._apply_write_pressure()
         with self._lock:
             self._check_open()
-            self._wal_append(b"P" + _U32.pack(len(key)) + key + value)
+            self._wal_append(encode_put(key, value))
             self._account_put_locked(key)
             self._memtable_put(key, value)
             self.stats.logical_bytes += len(key) + len(value)
             if self._mem_bytes >= self.memtable_bytes:
                 self._seal_memtable_locked()
-        if not self.background:
-            self._drain_inline()
 
     def put_multi(self, pairs: Iterable[Tuple[bytes, bytes]]) -> int:
         """Batched insert: one WAL record, one lock acquisition."""
@@ -1170,24 +1107,17 @@ class LSMBackend(Backend):
         pairs = [(bytes(k), bytes(v)) for k, v in pairs]
         if not pairs:
             return 0
-        if self.background:
-            self._apply_write_pressure()
-        parts = [b"M", _U32.pack(len(pairs))]
-        for key, value in pairs:
-            parts.append(_ENTRY.pack(len(key), len(value)))
-            parts.append(key)
-            parts.append(value)
+        self._apply_write_pressure()
+        record = encode_put_multi(pairs)
         with self._lock:
             self._check_open()
-            self._wal_append(b"".join(parts))
+            self._wal_append(record)
             for key, value in pairs:
                 self._account_put_locked(key)
                 self._memtable_put(key, value)
                 self.stats.logical_bytes += len(key) + len(value)
             if self._mem_bytes >= self.memtable_bytes:
                 self._seal_memtable_locked()
-        if not self.background:
-            self._drain_inline()
         return len(pairs)
 
     def _account_put_locked(self, key: bytes) -> None:
@@ -1233,8 +1163,7 @@ class LSMBackend(Backend):
     def erase(self, key: bytes) -> None:
         self._check_open()
         key = bytes(key)
-        if self.background:
-            self._apply_write_pressure()
+        self._apply_write_pressure()
         with self._lock:
             self._check_open()
             if not self._exists_internal(key):
@@ -1246,8 +1175,6 @@ class LSMBackend(Backend):
             self.stats.logical_bytes += len(key)
             if self._mem_bytes >= self.memtable_bytes:
                 self._seal_memtable_locked()
-        if not self.background:
-            self._drain_inline()
 
     def __len__(self) -> int:
         with self._lock:
@@ -1333,7 +1260,7 @@ class LSMBackend(Backend):
     # -- observability -------------------------------------------------------
 
     def lsm_stats(self) -> dict:
-        """Counters + live gauges for ``durability_stats()`` / the CLI."""
+        """Counters + live gauges for ``storage_stats()`` / the CLI."""
         with self._lock:
             tiers: dict[int, int] = {}
             for table in self._sstables:
@@ -1377,8 +1304,7 @@ class LSMBackend(Backend):
                 self._closing = True
                 self._wal.flush()
                 self._work.notify_all()
-            if self._worker is not None:
-                self._worker.join(timeout=30.0)
+            self._worker.join(timeout=30.0)
             with self._lock:
                 self._wal.close()
                 for table in self._sstables:
@@ -1398,9 +1324,8 @@ class LSMBackend(Backend):
                 self._wal.close()
             except OSError:
                 pass
-        if self._worker is not None:
-            # The dying process takes its xstreams with it: wait for
-            # the worker to observe the crash so a restarted backend
-            # over the same directory never races its file writes.
-            self._worker.join(timeout=30.0)
+        # The dying process takes its xstreams with it: wait for the
+        # worker to observe the crash so a restarted backend over the
+        # same directory never races its file writes.
+        self._worker.join(timeout=30.0)
         super().crash()

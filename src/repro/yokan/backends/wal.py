@@ -1,30 +1,36 @@
-"""Durability wrapper: write-ahead log + checkpoints over any backend.
+"""The record log, and the wrapper that gives a volatile backend one.
 
-``DurableBackend`` wraps an inner :class:`Backend` (typically the
-in-memory ``map``) and makes it crash-recoverable:
+**The record log** is the one on-disk format every write-ahead log in
+the package uses: the wrapper's ``<db>.wal`` below and the LSM engine's
+``wal-%06d.log`` segments.  A record is a ``<II`` header (payload
+length, crc32 of the payload) followed by the payload;
+:func:`append_record` writes one and pushes it to the OS before the
+caller acknowledges anything, :func:`read_records` returns every whole
+record and stops cleanly at a torn tail -- a record whose payload is
+short or whose CRC mismatches ends the recoverable history, everything
+before it is kept.  Payload opcodes:
 
-- every mutating verb appends one CRC-framed record to a per-database
-  WAL file *before* the operation is acknowledged;
-- when the log grows past ``checkpoint_bytes`` the whole inner backend
-  is snapshotted to an atomic checkpoint file (tmp + fsync +
-  ``os.replace``) and the log is truncated;
-- on open, the checkpoint (if any) is loaded and the WAL replayed on
-  top of it.  Replay stops cleanly at a torn tail: a record whose
-  payload is short or whose CRC mismatches marks the end of the
-  recoverable history, everything before it is kept.
-
-Record framing matches the LSM backend's WAL: a ``<II`` header
-(payload length, crc32) followed by the payload.  Payload opcodes:
-
-- ``P``: single put    — ``P u32(klen) key value``
-- ``D``: single erase  — ``D key``
-- ``M``: batched puts  — ``M u32(n) (u32(klen) u32(vlen) key value)*``
-- ``E``: batched erase — ``E u32(n) (u32(klen) key)*``
+- ``P``: single put    -- ``P u32(klen) key value``
+- ``M``: batched puts  -- ``M u32(n) (u32(klen) u32(vlen) key value)*``
+- ``D``: single erase  -- ``D key`` here, ``D u32(klen) key`` in an LSM
+  segment (two layouts, both older than the shared log)
+- ``E``: batched erase -- ``E u32(n) (u32(klen) key)*`` (wrapper only)
 
 Batch verbs log one record per batch, so the hot ingest path (write
 batches flushing via ``put_multi``) pays one frame per flush, not one
-per key.  Replay is idempotent: erases of absent keys are skipped, so
-re-replaying after a crash during checkpointing is safe.
+per key.
+
+**``DurableBackend``** makes a backend that is not ``durable`` by
+itself (``map``, ``btree``) crash-recoverable:
+
+- every mutating verb appends one record *before* the operation is
+  acknowledged;
+- when the log grows past ``checkpoint_bytes`` the whole inner backend
+  is snapshotted to an atomic checkpoint file (tmp + fsync +
+  ``os.replace``) and the log is truncated;
+- on open, the checkpoint (if any) is loaded and the log replayed on
+  top of it.  Replay is idempotent: erases of absent keys are skipped,
+  so re-replaying after a crash during checkpointing is safe.
 """
 
 from __future__ import annotations
@@ -33,14 +39,14 @@ import os
 import struct
 import time
 import zlib
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import CorruptionError, KeyNotFound
-from repro.yokan.backend import Backend
+from repro.yokan.backend import Backend, DurabilityStats
 
 _REC_HEADER = struct.Struct("<II")  # payload length, crc32
 _U32 = struct.Struct("<I")
+_ENTRY = struct.Struct("<II")  # key length, value length
 _CKPT_MAGIC = b"CKPT0001"
 _CKPT_FOOTER = struct.Struct("<QI")  # entry count, crc32 of entry region
 
@@ -48,35 +54,41 @@ _CKPT_FOOTER = struct.Struct("<QI")  # entry count, crc32 of entry region
 DEFAULT_CHECKPOINT_BYTES = 4 * 1024 * 1024
 
 
-@dataclass
-class DurabilityStats:
-    """Counters surfaced by ``DurableBackend.stats``."""
-
-    wal_records: int = 0
-    wal_bytes: int = 0
-    checkpoints: int = 0
-    checkpoint_bytes: int = 0
-    replayed_records: int = 0
-    replayed_keys: int = 0
-    replay_seconds: float = 0.0
-    torn_tail_bytes: int = 0
-    checkpoint_loaded: bool = False
-
-
 def checkpoint_path(wal_path: str) -> str:
     return wal_path + ".ckpt"
 
 
-def _frame(payload: bytes) -> bytes:
+# -- the record log ----------------------------------------------------------
+
+
+def frame(payload: bytes) -> bytes:
     return _REC_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def read_wal_records(path: str) -> Tuple[list[bytes], int]:
-    """All whole records in the WAL at ``path``.
+def append_record(log, payload: bytes, sync: bool,
+                  stats: DurabilityStats) -> int:
+    """Append one framed record to the open log file; returns its size.
+
+    The record reaches the OS before this returns, so a simulated
+    process crash (file object abandoned, never closed) still finds
+    every acknowledged write on disk; with ``sync`` it is fsynced too.
+    """
+    record = frame(payload)
+    log.write(record)
+    log.flush()
+    if sync:
+        os.fsync(log.fileno())
+    stats.wal_records += 1
+    stats.wal_bytes += len(record)
+    return len(record)
+
+
+def read_records(path: str) -> Tuple[list[bytes], int]:
+    """All whole records in the log at ``path``.
 
     Returns ``(payloads, torn_bytes)`` where ``torn_bytes`` counts the
     trailing bytes that did not form a complete, CRC-valid record (a
-    torn tail from a crash mid-append).  Never raises on a torn tail —
+    torn tail from a crash mid-append).  Never raises on a torn tail --
     durability means recovering *up to* the last whole record.
     """
     payloads: list[bytes] = []
@@ -96,26 +108,52 @@ def read_wal_records(path: str) -> Tuple[list[bytes], int]:
     return payloads, len(data) - offset
 
 
-def _decode_record(payload: bytes) -> Iterator[Tuple[bytes, Optional[bytes]]]:
-    """Yield (key, value-or-None-for-erase) mutations from one record."""
+def encode_put(key: bytes, value: bytes) -> bytes:
+    return b"P" + _U32.pack(len(key)) + key + value
+
+
+def encode_put_multi(pairs: Sequence[Tuple[bytes, bytes]]) -> bytes:
+    parts = [b"M", _U32.pack(len(pairs))]
+    for key, value in pairs:
+        parts.append(_ENTRY.pack(len(key), len(value)))
+        parts.append(key)
+        parts.append(value)
+    return b"".join(parts)
+
+
+def decode_puts(payload: bytes) -> Optional[list[Tuple[bytes, bytes]]]:
+    """The pairs of a ``P`` or ``M`` record; ``None`` for any other
+    opcode (erase records differ per log, their owners parse them)."""
     op = payload[:1]
     if op == b"P":
         (klen,) = _U32.unpack_from(payload, 1)
-        key = payload[5:5 + klen]
-        yield key, payload[5 + klen:]
+        return [(payload[5:5 + klen], payload[5 + klen:])]
+    if op != b"M":
+        return None
+    (count,) = _U32.unpack_from(payload, 1)
+    pairs = []
+    offset = 5
+    for _ in range(count):
+        klen, vlen = _ENTRY.unpack_from(payload, offset)
+        offset += 8
+        key = payload[offset:offset + klen]
+        offset += klen
+        pairs.append((key, payload[offset:offset + vlen]))
+        offset += vlen
+    return pairs
+
+
+# -- the wrapper's own records and checkpoint file -----------------------------
+
+
+def _decode_record(payload: bytes) -> Iterator[Tuple[bytes, Optional[bytes]]]:
+    """Yield (key, value-or-None-for-erase) mutations from one record."""
+    pairs = decode_puts(payload)
+    op = payload[:1]
+    if pairs is not None:
+        yield from pairs
     elif op == b"D":
         yield payload[1:], None
-    elif op == b"M":
-        (count,) = _U32.unpack_from(payload, 1)
-        offset = 5
-        for _ in range(count):
-            klen, vlen = struct.unpack_from("<II", payload, offset)
-            offset += 8
-            key = payload[offset:offset + klen]
-            offset += klen
-            value = payload[offset:offset + vlen]
-            offset += vlen
-            yield key, value
     elif op == b"E":
         (count,) = _U32.unpack_from(payload, 1)
         offset = 5
@@ -128,24 +166,22 @@ def _decode_record(payload: bytes) -> Iterator[Tuple[bytes, Optional[bytes]]]:
         raise CorruptionError(f"unknown WAL opcode {op!r}")
 
 
-def _write_checkpoint(path: str, pairs: Iterable[Tuple[bytes, bytes]]) -> int:
-    """Atomically snapshot ``pairs`` to ``path``; returns bytes written."""
+def _write_checkpoint(path: str, pairs: Iterable[Tuple[bytes, bytes]]) -> None:
+    """Atomically snapshot ``pairs`` to ``path``."""
     tmp = path + ".tmp"
     count = 0
     crc = 0
     with open(tmp, "wb") as f:
         f.write(_CKPT_MAGIC)
         for key, value in pairs:
-            entry = struct.pack("<II", len(key), len(value)) + key + value
+            entry = _ENTRY.pack(len(key), len(value)) + key + value
             crc = zlib.crc32(entry, crc)
             f.write(entry)
             count += 1
         f.write(_CKPT_FOOTER.pack(count, crc))
         f.flush()
         os.fsync(f.fileno())
-        size = f.tell()
     os.replace(tmp, path)
-    return size
 
 
 def _read_checkpoint(path: str) -> Optional[list[Tuple[bytes, bytes]]]:
@@ -165,7 +201,7 @@ def _read_checkpoint(path: str) -> Optional[list[Tuple[bytes, bytes]]]:
     entries: list[Tuple[bytes, bytes]] = []
     offset = 0
     for _ in range(count):
-        klen, vlen = struct.unpack_from("<II", region, offset)
+        klen, vlen = _ENTRY.unpack_from(region, offset)
         offset += 8
         key = region[offset:offset + klen]
         offset += klen
@@ -176,27 +212,28 @@ def _read_checkpoint(path: str) -> Optional[list[Tuple[bytes, bytes]]]:
 
 
 class DurableBackend(Backend):
-    """WAL + checkpoint durability over any inner backend.
+    """WAL + checkpoint durability over an inner backend that has none.
 
-    Not registered as its own kind: ``open_backend`` wraps whatever
-    kind is configured whenever the database config carries a
+    Not registered as its own kind: ``open_backend`` wraps a kind that
+    is not ``durable`` by itself whenever the database config carries a
     ``wal_path``.
     """
+
+    durable = True
 
     def __init__(
         self,
         inner: Backend,
         wal_path: str,
         checkpoint_bytes: int = DEFAULT_CHECKPOINT_BYTES,
-        sync: bool = False,
+        wal_sync: bool = False,
     ):
         super().__init__()
         self.inner = inner
         self.wal_path = wal_path
         self.ckpt_path = checkpoint_path(wal_path)
         self.checkpoint_bytes = int(checkpoint_bytes)
-        self.sync = sync
-        self.stats = DurabilityStats()
+        self.wal_sync = wal_sync
         parent = os.path.dirname(wal_path)
         if parent:
             os.makedirs(parent, exist_ok=True)
@@ -210,10 +247,9 @@ class DurableBackend(Backend):
         start = time.perf_counter()
         entries = _read_checkpoint(self.ckpt_path)
         if entries is not None:
-            self.stats.checkpoint_loaded = True
             self.inner.put_multi(entries)
             self.stats.replayed_keys += len(entries)
-        payloads, torn = read_wal_records(self.wal_path)
+        payloads, torn = read_records(self.wal_path)
         self.stats.torn_tail_bytes = torn
         if torn:
             # Drop the torn tail so new appends start at a record edge.
@@ -236,16 +272,8 @@ class DurableBackend(Backend):
     # -- WAL append ----------------------------------------------------------
 
     def _append(self, payload: bytes) -> None:
-        frame = _frame(payload)
-        self._wal.write(frame)
-        # Flush to the OS so a simulated crash (which abandons the file
-        # object without a clean close) still finds the record on disk.
-        self._wal.flush()
-        if self.sync:
-            os.fsync(self._wal.fileno())
-        self._wal_size += len(frame)
-        self.stats.wal_records += 1
-        self.stats.wal_bytes += len(frame)
+        self._wal_size += append_record(self._wal, payload, self.wal_sync,
+                                        self.stats)
 
     def _maybe_checkpoint(self) -> None:
         """Auto-checkpoint once the WAL outgrows the cadence.
@@ -262,12 +290,11 @@ class DurableBackend(Backend):
         """Snapshot the inner backend and truncate the WAL."""
         self._check_open()
         self.inner.flush()
-        size = _write_checkpoint(self.ckpt_path, self.inner.scan())
+        _write_checkpoint(self.ckpt_path, self.inner.scan())
         self._wal.close()
         self._wal = open(self.wal_path, "wb")
         self._wal_size = 0
         self.stats.checkpoints += 1
-        self.stats.checkpoint_bytes += size
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -294,21 +321,18 @@ class DurableBackend(Backend):
         finalizer could later close a reused descriptor number owned by
         a different backend.)
         """
-        self._closed = True
-        self._crashed = True
+        super().crash()
         try:
             self._wal.close()
         except OSError:
             pass
-        crash = getattr(self.inner, "crash", None)
-        if crash is not None:
-            crash()
+        self.inner.crash()
 
     # -- mutating verbs (logged) ---------------------------------------------
 
     def put(self, key: bytes, value: bytes) -> None:
         self._check_open()
-        self._append(b"P" + _U32.pack(len(key)) + bytes(key) + bytes(value))
+        self._append(encode_put(bytes(key), bytes(value)))
         self.inner.put(key, value)
         self._maybe_checkpoint()
 
@@ -323,12 +347,7 @@ class DurableBackend(Backend):
         pairs = [(bytes(k), bytes(v)) for k, v in pairs]
         if not pairs:
             return 0
-        parts = [b"M", _U32.pack(len(pairs))]
-        for key, value in pairs:
-            parts.append(struct.pack("<II", len(key), len(value)))
-            parts.append(key)
-            parts.append(value)
-        self._append(b"".join(parts))
+        self._append(encode_put_multi(pairs))
         stored = self.inner.put_multi(pairs)
         self._maybe_checkpoint()
         return stored
@@ -389,9 +408,3 @@ class DurableBackend(Backend):
     def count_prefix(self, prefix: bytes) -> int:
         self._check_open()
         return self.inner.count_prefix(prefix)
-
-    def __getattr__(self, name: str):
-        # Surface inner-backend extras (approximate_bytes, LSM stats...).
-        if name == "inner":  # not yet bound during __init__
-            raise AttributeError(name)
-        return getattr(self.inner, name)

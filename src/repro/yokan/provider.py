@@ -701,13 +701,11 @@ class YokanProvider:
             drained = self.flush_replication()
             checkpointed = 0
             for backend in self.databases.values():
-                if options.get("checkpoint"):
-                    do_checkpoint = getattr(backend, "checkpoint", None)
-                    if do_checkpoint is not None:
-                        do_checkpoint()
-                        checkpointed += 1
-                        continue
-                backend.flush()
+                if options.get("checkpoint") and backend.durable:
+                    backend.checkpoint()
+                    checkpointed += 1
+                else:
+                    backend.flush()
             return _ok({"drained": drained, "checkpointed": checkpointed})
         except _HANDLED_ERRORS as exc:
             return _err(exc)

@@ -1,14 +1,23 @@
 """Durability layer tests: WAL, checkpoints, replication, failover.
 
-Covers the write-ahead log's framing and recovery (including torn
-tails and damaged checkpoints), servers that lose their volatile state
-on crash, primary/backup write forwarding, client-side read failover,
-and the anti-entropy re-sync when a dead node rejoins.
+Covers the durability contract every backend kind meets through
+``open_backend`` (a dict-model differential, torn tails at every byte,
+one stats shape, fsync-before-ack), the record log's on-disk format
+(logs written before the log was shared still replay), damaged
+checkpoints, servers that lose their volatile state on crash,
+primary/backup write forwarding, client-side read failover, and the
+anti-entropy re-sync when a dead node rejoins.
 """
 
+import dataclasses
 import os
+import shutil
+import struct
+import tempfile
+import zlib
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.bedrock import BedrockServer, default_hepnos_config
 from repro.errors import (
@@ -28,12 +37,11 @@ from repro.hepnos.failover import (
 )
 from repro.hepnos.placement import ShardMap
 from repro.mercury import Fabric
-from repro.yokan.backend import open_backend
-from repro.yokan.backends.wal import (
-    DurableBackend,
-    checkpoint_path,
-    read_wal_records,
-)
+from repro.yokan import LSMBackend
+from repro.yokan.backend import DurabilityStats, open_backend
+from repro.yokan.backends.wal import DurableBackend, checkpoint_path
+
+KINDS = ["map", "btree", "lsm"]
 
 
 @pytest.fixture()
@@ -54,21 +62,6 @@ class TestDurableBackend:
         assert backend.stats.wal_records == 3  # put, put_multi, erase
         backend.close()
 
-    def test_crash_replay_recovers_acknowledged_writes(self, wal_path):
-        backend = open_backend("map", wal_path=wal_path)
-        backend.put(b"k1", b"v1")
-        backend.put_multi([(b"k2", b"v2"), (b"k3", b"v3")])
-        backend.erase(b"k2")
-        backend.crash()  # no flush, no clean close
-
-        recovered = open_backend("map", wal_path=wal_path)
-        assert recovered.get(b"k1") == b"v1"
-        assert recovered.get(b"k3") == b"v3"
-        with pytest.raises(KeyNotFound):
-            recovered.get(b"k2")
-        assert recovered.stats.replayed_records == 3
-        recovered.close()
-
     def test_checkpoint_truncates_wal_and_restores(self, wal_path):
         backend = open_backend("map", wal_path=wal_path)
         for i in range(10):
@@ -80,8 +73,8 @@ class TestDurableBackend:
         backend.crash()
 
         recovered = open_backend("map", wal_path=wal_path)
-        assert recovered.stats.checkpoint_loaded
         assert recovered.stats.replayed_records == 1  # just the tail
+        assert recovered.stats.replayed_keys == 11    # 10 snapshotted + it
         assert recovered.get(b"key-7") == b"val-7"
         assert recovered.get(b"tail") == b"after-ckpt"
         recovered.close()
@@ -97,33 +90,6 @@ class TestDurableBackend:
         for i in range(20):
             assert recovered.get(b"key-%02d" % i) == bytes(64)
         recovered.close()
-
-    def test_torn_tail_is_truncated_not_fatal(self, wal_path):
-        """A crash mid-append leaves a half record; replay must stop
-        cleanly at the last whole record and trim the torn bytes."""
-        backend = open_backend("map", wal_path=wal_path)
-        backend.put(b"whole", b"record")
-        backend.put(b"torn", b"casualty")
-        backend.crash()
-        size = os.path.getsize(wal_path)
-        with open(wal_path, "r+b") as f:
-            f.truncate(size - 3)  # rip the tail mid-record
-
-        recovered = open_backend("map", wal_path=wal_path)
-        assert recovered.get(b"whole") == b"record"
-        with pytest.raises(KeyNotFound):
-            recovered.get(b"torn")
-        assert recovered.stats.torn_tail_bytes > 0
-        # The torn bytes are physically gone: a second replay is clean.
-        payloads, torn = read_wal_records(wal_path)
-        assert torn == 0
-        assert len(payloads) == 1
-        # And appends continue from the trimmed edge.
-        recovered.put(b"after", b"torn")
-        recovered.crash()
-        again = open_backend("map", wal_path=wal_path)
-        assert again.get(b"after") == b"torn"
-        again.close()
 
     def test_corrupt_checkpoint_raises(self, wal_path):
         backend = open_backend("map", wal_path=wal_path)
@@ -143,6 +109,296 @@ class TestDurableBackend:
             backend.erase(b"ghost")
         assert backend.stats.wal_records == 0
         backend.close()
+
+
+def _open(kind, root, **extra):
+    """Open ``kind`` the only way deployments do, with every path under
+    ``root``; small thresholds so sequences cross rotations, background
+    flushes and auto-checkpoints."""
+    config = dict(wal_path=os.path.join(root, "wal", "db.wal"), **extra)
+    if kind == "lsm":
+        config.setdefault("memtable_bytes", 256)
+    else:
+        config.setdefault("wal_checkpoint_bytes", 512)
+    if kind != "map":
+        config["path"] = os.path.join(root, "store", "db")
+    return open_backend(kind, **config)
+
+
+def _live_log(backend):
+    """The file the backend's next record lands in."""
+    if isinstance(backend, LSMBackend):
+        return backend.active_wal_path
+    return backend.wal_path
+
+
+_keys = st.sampled_from([b"a", b"b", b"c", b"dd", b"e" * 9, b"\x00\xff"])
+_values = st.binary(max_size=40)
+_pairs = st.lists(st.tuples(_keys, _values), min_size=1, max_size=5)
+_ops = st.lists(st.one_of(
+    st.tuples(st.just("put"), _keys, _values),
+    st.tuples(st.just("put_multi"), _pairs),
+    st.tuples(st.just("erase"), _keys),
+    st.tuples(st.just("erase_multi"), st.lists(_keys, max_size=4)),
+    st.tuples(st.just("checkpoint")),
+    st.tuples(st.just("crash")),
+), max_size=30)
+
+
+class TestDurabilityContract:
+    """What ``durable`` means, for every kind ``open_backend`` can make
+    durable: map and btree under the wrapper's log, lsm under its own."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=25, deadline=None)
+    @given(ops=_ops)
+    @example(ops=[("put", b"k1", b"v1"),
+                  ("put_multi", [(b"k2", b"v2"), (b"k3", b"v3")]),
+                  ("erase", b"k2"), ("crash",)])
+    @example(ops=[("put_multi", [(b"key-%d" % i, b"val-%d" % i)
+                                 for i in range(10)]),
+                  ("checkpoint",), ("put", b"tail", b"after-ckpt"),
+                  ("crash",), ("erase_multi", [b"tail", b"ghost"]),
+                  ("checkpoint",), ("crash",)])
+    def test_matches_a_dict_across_crashes(self, kind, ops):
+        with tempfile.TemporaryDirectory() as root:
+            backend = _open(kind, root)
+            model: dict = {}
+            for op, *args in ops + [("crash",)]:
+                if op == "put":
+                    backend.put(*args)
+                    model[args[0]] = args[1]
+                elif op == "put_multi":
+                    assert backend.put_multi(args[0]) == len(args[0])
+                    model.update(args[0])
+                elif op == "erase":
+                    if args[0] in model:
+                        backend.erase(args[0])
+                        del model[args[0]]
+                    else:
+                        with pytest.raises(KeyNotFound):
+                            backend.erase(args[0])
+                elif op == "erase_multi":
+                    present = set(args[0]) & set(model)
+                    assert backend.erase_multi(args[0]) == len(present)
+                    for key in present:
+                        del model[key]
+                elif op == "checkpoint":
+                    backend.checkpoint()
+                else:
+                    backend.crash()
+                    backend = _open(kind, root)
+                    assert list(backend.scan()) == sorted(model.items())
+                    assert len(backend) == len(model)
+            backend.close()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_torn_tail_at_every_byte_recovers_the_prefix(self, kind,
+                                                         tmp_path):
+        """A crash mid-append leaves part of a record: recovery stops
+        at the last whole one wherever the tear is, and what is written
+        next is readable after the next crash."""
+        # The tear is made after the fact, so the store proper must not
+        # have kept the torn write: the btree commits nothing by itself.
+        extra = {"commit_every": 1 << 20} if kind == "btree" else {}
+        base = str(tmp_path / "base")
+        backend = _open(kind, base, **extra)
+        backend.put(b"whole", b"record")
+        before = backend.durability_stats().wal_bytes
+        backend.put_multi([(b"torn", b"casualty"), (b"too", b"")])
+        last = backend.durability_stats().wal_bytes - before
+        log = os.path.relpath(_live_log(backend), base)
+        backend.crash()
+        size = os.path.getsize(os.path.join(base, log))
+        for torn in range(last):  # bytes of the last record that survive
+            root = str(tmp_path / f"cut-{torn}")
+            shutil.copytree(base, root)
+            with open(os.path.join(root, log), "r+b") as f:
+                f.truncate(size - last + torn)
+            recovered = _open(kind, root, **extra)
+            assert dict(recovered.scan()) == {b"whole": b"record"}
+            stats = recovered.durability_stats()
+            assert stats.torn_tail_bytes == torn
+            assert stats.replayed_records == 1
+            recovered.put(b"after", b"the tear")
+            recovered.crash()
+            again = _open(kind, root, **extra)
+            assert dict(again.scan()) == {b"whole": b"record",
+                                          b"after": b"the tear"}
+            again.close()
+            shutil.rmtree(root)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_stats_shape(self, kind, tmp_path):
+        fields = {f.name for f in dataclasses.fields(DurabilityStats)}
+        assert fields == {"wal_records", "wal_bytes", "checkpoints",
+                          "replayed_records", "replayed_keys",
+                          "replay_seconds", "torn_tail_bytes"}
+        root = str(tmp_path)
+        backend = _open(kind, root)
+        assert backend.durable
+        backend.put(b"k1", b"v1")
+        backend.put_multi([(b"k2", b"v2"), (b"k3", b"v3")])
+        backend.erase(b"k2")
+        stats = backend.durability_stats()
+        assert fields <= set(vars(stats))
+        assert stats is backend.stats
+        assert stats.wal_records == 3  # one record per acknowledged verb
+        # Framed bytes: an 8-byte header on top of each payload.
+        assert stats.wal_bytes > 3 * 8 + len(b"k1v1k2v2k3v3k2")
+        assert (stats.checkpoints, stats.replayed_records) == (0, 0)
+        backend.crash()
+
+        backend = _open(kind, root)
+        stats = backend.durability_stats()
+        assert stats.replayed_records == 3 and stats.replayed_keys == 4
+        assert stats.replay_seconds > 0
+        assert dict(backend.scan()) == {b"k1": b"v1", b"k3": b"v3"}
+        backend.checkpoint()
+        assert stats.checkpoints == 1
+        backend.close()
+
+        backend = _open(kind, root)
+        stats = backend.durability_stats()
+        assert stats.replayed_records == 0  # the checkpoint retired the log
+        assert dict(backend.scan()) == {b"k1": b"v1", b"k3": b"v3"}
+        backend.close()
+
+    def test_volatile_backend_reports_zeros_and_ignores_checkpoint(self):
+        backend = open_backend("map")
+        assert not backend.durable
+        backend.put(b"a", b"1")
+        backend.checkpoint()
+        assert backend.durability_stats() == DurabilityStats()
+        backend.close()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("wal_sync", [True, False])
+    def test_wal_sync_is_fsync_before_ack(self, kind, wal_sync, tmp_path,
+                                          monkeypatch):
+        """``wal_sync`` reaches whichever log the kind has: one fsync
+        of the live log per acknowledged verb, none when unset."""
+        backend = _open(kind, str(tmp_path), wal_sync=wal_sync,
+                        memtable_bytes=1 << 20)
+        log_inode = os.stat(_live_log(backend)).st_ino
+        real_fsync = os.fsync
+        synced = []
+
+        def spy(fd):
+            if os.fstat(fd).st_ino == log_inode:
+                synced.append(fd)
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        backend.put(b"a", b"1")
+        assert len(synced) == (1 if wal_sync else 0)
+        backend.put_multi([(b"b", b"2"), (b"c", b"3")])
+        assert len(synced) == (2 if wal_sync else 0)
+        backend.erase(b"b")
+        assert len(synced) == (3 if wal_sync else 0)
+        monkeypatch.undo()
+        backend.close()
+
+    def test_wal_sync_reaches_an_lsm_deployment(self, tmp_path):
+        config = default_hepnos_config(
+            "sm://sync/hepnos", num_providers=1, backend="lsm",
+            storage_root=str(tmp_path / "store"), wal_sync=True)
+        specs = [db for provider in config["providers"]
+                 for db in provider["config"]["databases"]]
+        assert specs and all(db["config"]["wal_sync"] for db in specs)
+        backend = open_backend("lsm", **specs[0]["config"])
+        assert backend.wal_sync
+        backend.close()
+
+
+def _framed(payload):
+    """A log record, as both logs have always framed one."""
+    return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+
+
+def _put_record(key, value):
+    return _framed(b"P" + struct.pack("<I", len(key)) + key + value)
+
+
+def _put_multi_record(pairs):
+    return _framed(b"M" + struct.pack("<I", len(pairs)) + b"".join(
+        struct.pack("<II", len(k), len(v)) + k + v for k, v in pairs))
+
+
+class TestStoredFormats:
+    """Stores written by the parent commit reopen unchanged.  The bytes
+    are built here with ``struct``, not with the code under test."""
+
+    def test_wrapper_log_and_checkpoint_replay(self, wal_path):
+        entries = b"".join(struct.pack("<II", len(k), len(v)) + k + v
+                           for k, v in [(b"c1", b"snap"), (b"c2", b"shot"),
+                                        (b"c3", b"gone")])
+        with open(checkpoint_path(wal_path), "wb") as f:
+            f.write(b"CKPT0001" + entries
+                    + struct.pack("<QI", 3, zlib.crc32(entries)))
+        with open(wal_path, "wb") as f:
+            f.write(_put_record(b"p", b"single"))
+            f.write(_put_multi_record([(b"m1", b"one"), (b"m2", b""),
+                                       (b"c2", b"over")]))
+            f.write(_framed(b"D" + b"c3"))
+            f.write(_framed(b"E" + struct.pack("<I", 2)
+                            + struct.pack("<I", 2) + b"m1"
+                            + struct.pack("<I", 5) + b"ghost"))
+        backend = open_backend("map", wal_path=wal_path)
+        assert dict(backend.scan()) == {b"c1": b"snap", b"c2": b"over",
+                                        b"p": b"single", b"m2": b""}
+        assert backend.stats.replayed_records == 4
+        assert backend.stats.replayed_keys == 3 + 1 + 3 + 1 + 2
+        backend.close()
+
+    def test_lsm_segments_replay_through_the_shared_reader(self, tmp_path):
+        path = tmp_path / "db"
+        path.mkdir()
+        (path / "wal-000000.log").write_bytes(
+            _put_record(b"p", b"single")
+            + _put_multi_record([(b"m1", b"one"), (b"m2", b"two")]))
+        (path / "wal-000001.log").write_bytes(
+            _framed(b"D" + struct.pack("<I", 2) + b"m1")
+            + _put_record(b"last", b"whole")
+            + _put_record(b"torn", b"casualty")[:-5])
+        db = open_backend("lsm", path=str(path))
+        assert dict(db.scan()) == {b"p": b"single", b"m2": b"two",
+                                   b"last": b"whole"}
+        assert db.stats.replayed_records == 4
+        assert db.stats.replayed_keys == 5
+        assert db.stats.torn_tail_bytes == len(
+            _put_record(b"torn", b"casualty")) - 5
+        db.close()
+
+    def test_lsm_under_a_parent_written_outer_log(self, tmp_path):
+        """The parent wrapped the LSM in a ``DurableBackend``.  Such a
+        store reopens from the engine's own state; the outer log and
+        checkpoint are neither read nor written again."""
+        path, wal = str(tmp_path / "store" / "db"), str(tmp_path / "db.wal")
+        parent = DurableBackend(LSMBackend(path, memtable_bytes=512), wal)
+        acked = {b"key-%03d" % i: b"v%d" % i * 9 for i in range(60)}
+        parent.put_multi(list(acked.items())[:30])
+        parent.checkpoint()
+        for key, value in list(acked.items())[30:]:
+            parent.put(key, value)
+        parent.erase(b"key-000")
+        del acked[b"key-000"]
+        parent.crash()
+        # A record only the outer log holds: replaying it would show.
+        with open(wal, "ab") as f:
+            f.write(_put_record(b"outer-only", b"never applied"))
+        stale = {name: open(name, "rb").read()
+                 for name in (wal, checkpoint_path(wal))}
+
+        backend = open_backend("lsm", path=path, wal_path=wal)
+        assert isinstance(backend, LSMBackend)
+        assert dict(backend.scan()) == acked
+        backend.put(b"new", b"write")
+        backend.checkpoint()
+        backend.close()
+        assert {name: open(name, "rb").read() for name in stale} == stale
+        assert sorted(os.listdir(tmp_path)) == ["db.wal", "db.wal.ckpt",
+                                                "store"]
 
 
 def _durable_world(tmp_path, replication=None, durable=True):
@@ -447,5 +703,44 @@ class TestLSMCrashRecovery:
         assert got == list(range(40))
         stats = server.storage_stats()
         assert stats  # LSM stats are exposed through the server
-        assert server.durability_stats()["lsm"]["flushes"] >= 0
+        assert all(db["flushes"] >= 0 for db in stats.values())
+        fabric.runtime.shutdown()
+
+    def test_lsm_server_logs_once_and_recovers_by_itself(self, tmp_path):
+        """``durability_root`` is stamped on an LSM deployment and names
+        nothing: the engine's segments are the only log, and a restart
+        after state loss is the engine's own replay."""
+        durability_root = tmp_path / "wal"
+        fabric = Fabric(threaded=True)
+        config = default_hepnos_config(
+            "sm://lsm-once/hepnos", num_providers=1, event_databases=1,
+            product_databases=1, run_databases=1, subrun_databases=1,
+            backend="lsm", storage_root=str(tmp_path / "lsm"),
+            durability_root=str(durability_root))
+        assert all(db["config"]["wal_path"].startswith(str(durability_root))
+                   for provider in config["providers"]
+                   for db in provider["config"]["databases"])
+        server = BedrockServer(fabric, config)
+        fabric.runtime.start()
+        datastore = DataStore.connect(fabric, [server])
+        subrun = datastore.create_dataset("d").create_run(1).create_subrun(2)
+        for i in range(40):
+            subrun.create_event(i).store({"i": i}, label="x")
+        logged = server.durability_stats()["wal_records"]
+        assert logged > 0
+        server.crash(lose_state=True)
+        server.restart()
+        fresh = DataStore.connect(fabric, [server])
+        got = sorted(fresh["d"][1][2][e].load(dict, label="x")["i"]
+                     for e in range(40))
+        assert got == list(range(40))
+        stats = server.durability_stats()
+        # Nothing was flushed (default 4 MiB memtables): every record
+        # the engine logged is a record its restart replayed.
+        assert stats["replayed_records"] == logged
+        assert stats["replay_seconds"] > 0
+        assert "lsm" not in stats
+        assert server.checkpoint() == len(server.databases())
+        assert server.durability_stats()["checkpoints"] > 0
+        assert not durability_root.exists()
         fabric.runtime.shutdown()

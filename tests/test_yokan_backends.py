@@ -592,6 +592,14 @@ class TestLSMProductionEngine:
         with pytest.raises(ConfigError):
             LSMBackend(str(tmp_path / "db"), compression="lz99")
 
+    @pytest.mark.parametrize("option", ["compaction", "background",
+                                        "sync_wal"])
+    def test_removed_options_rejected(self, tmp_path, option):
+        """A config still carrying a removed mode flag fails loudly
+        (``sync_wal=True`` silently ignored would drop an fsync)."""
+        with pytest.raises(ConfigError, match=option):
+            LSMBackend(str(tmp_path / "db"), **{option: True})
+
     def test_zstd_gated_on_module(self, tmp_path):
         from repro.yokan.backends import lsm as lsm_mod
 
@@ -607,20 +615,23 @@ class TestLSMProductionEngine:
 
     def test_tiered_compaction_merges_runs_not_everything(self, tmp_path):
         db = LSMBackend(str(tmp_path / "db"), memtable_bytes=1 << 20,
-                        compaction_trigger=2, background=False,
-                        compaction="tiered")
+                        compaction_trigger=2)
         # Two big tables, then two small ones: the tiered policy merges
         # the small same-bucket run without rewriting the big tables.
+        # Draining after every flush pins the schedule: each table is
+        # considered for compaction before the next one lands.
         for start in (0, 4096):
             for i in range(start, start + 3500):
                 db.put(b"k%08d" % i, b"x" * 28)
             db.flush_memtable()
+            db.drain()
         big = len(db._sstables)
         compactions_before = db.stats.compactions
         for start in (20000, 20100):
             for i in range(start, start + 50):
                 db.put(b"k%08d" % i, b"x" * 8)
             db.flush_memtable()
+            db.drain()
         assert db.stats.compactions > compactions_before
         # The small run merged into one table; the big tables survive.
         tiers = db.lsm_stats()["tiers"]
