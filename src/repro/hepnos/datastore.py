@@ -25,6 +25,7 @@ from repro.hepnos.options import ProductCacheOptions, QuotaOptions
 from repro.hepnos.placement import ParentHashPlacement, ShardMap
 from repro.hepnos.product import product_type_name
 from repro.hepnos.product_cache import ProductCache
+from repro.hepnos.write_batch import forward_moved
 from repro.mercury import Engine, Fabric
 from repro.monitor import tracing as _tracing
 from repro.monitor.metrics import MetricRegistry
@@ -125,8 +126,9 @@ class DataStore:
             )
         #: per load lane: EMA of wire bytes per container (size hints).
         self._load_bytes_ema: dict[str, float] = {}
-        #: optional AsyncEngine pipelining this client's I/O; the
-        #: Prefetcher, the PEP, and WriteBatch pick it up automatically.
+        #: optional AsyncEngine pipelining this client's I/O: the one
+        #: engine every load, flush, Prefetcher and PEP of this
+        #: datastore goes through.
         self.async_engine = None
         if async_engine is not None:
             async_engine.attach(self)
@@ -433,10 +435,9 @@ class DataStore:
                        value: bytes) -> None:
         """Single put with write-forwarding across an epoch swap.
 
-        If a live rescale swapped the shard map while the put was on
-        the wire and the key's group moved, the value is re-sent to the
-        new shard and the stale copy erased -- so a migration that
-        already scanned the group cannot strand it on the old shard.
+        The pair travels inline (``yokan.put``); whether its group moved
+        while it was on the wire is :func:`forward_moved`'s rule, shared
+        with the batched path.
 
         Runs under :meth:`_with_shard_retry`, so a giveup against a
         dead primary promotes its backup and re-sends there -- writes
@@ -448,15 +449,10 @@ class DataStore:
             smap = self.placement
             target = smap.database_for(kind, parent_key)
             self._handle(target).put(key, value)
-            current = self.placement
-            if current is not smap:
-                moved = current.database_for(kind, parent_key)
-                if moved != target:
-                    self._handle(moved).put(key, value)
-                    try:
-                        self._handle(target).erase(key)
-                    except KeyNotFound:
-                        pass  # a retried attempt already cleaned up
+            if self.placement is not smap:
+                group = (kind, parent_key)
+                forward_moved(self, smap, {group: target},
+                              {group: [(key, value)]})
 
         self._with_shard_retry(attempt)
 
@@ -792,20 +788,6 @@ class DataStore:
                      for t in targets}
         with _tracing.span("hepnos.reconnect", addresses=len(addresses)):
             self._await_addresses(addresses, timeout, poll)
-
-    def adopt(self, connection: ConnectionInfo) -> None:
-        """Switch to a new service layout (after an offline rescale).
-
-        Replaces the shard map (bumping its epoch) and drops cached
-        handles; the UUID cache survives (dataset identities are
-        layout-independent).  Live rescales use
-        :meth:`begin_migration` / :meth:`commit_migration` instead.
-        """
-        self.connection = connection
-        self.placement = ShardMap(connection,
-                                  epoch=self.placement.epoch + 1)
-        self._handles.clear()
-        self.metrics.gauge("hepnos.shard.epoch").set(self.placement.epoch)
 
     def shutdown(self) -> None:
         """Finalize the client engine.

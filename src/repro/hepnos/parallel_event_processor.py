@@ -157,8 +157,7 @@ class ParallelEventProcessor:
     def __init__(self, datastore, comm=None, *,
                  options: Optional[PEPOptions] = None,
                  products: Sequence[Tuple[object, str]] = (),
-                 columns: Optional[Sequence[str]] = None,
-                 async_engine=None):
+                 columns: Optional[Sequence[str]] = None):
         options = options if options is not None else PEPOptions()
         self.options = options
         self.datastore = datastore
@@ -188,14 +187,6 @@ class ParallelEventProcessor:
         self.columns = list(columns) if columns is not None else None
         check_columnar(options, self.products, self.columns)
         self._batch_mode = False
-        self._async_engine = async_engine
-
-    @property
-    def async_engine(self):
-        """The engine pipelining batch loads, if one is available."""
-        if self._async_engine is not None:
-            return self._async_engine
-        return getattr(self.datastore, "async_engine", None)
 
     # -- public API --------------------------------------------------------
 
@@ -309,7 +300,8 @@ class ParallelEventProcessor:
         subrun -- in-flight pages of it are discarded -- and moves on,
         with the skip recorded in ``stats``.
         """
-        lookahead = 1 if self.async_engine is not None and self.products else 0
+        lookahead = (1 if self.datastore.async_engine is not None
+                     and self.products else 0)
         window: deque = deque()
         skipped: set[int] = set()
         for subrun, page in self._key_pages(subruns, stats, skipped):

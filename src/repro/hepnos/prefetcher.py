@@ -7,11 +7,11 @@ page -- one request per product database -- the access pattern the
 ParallelEventProcessor's readers rely on (paper section II-D).
 
 With an :class:`~repro.hepnos.AsyncEngine` attached to the datastore
-(or passed explicitly) the Prefetcher double-buffers: page N+1's
-loads are issued while page N's events are being consumed, so the
-store's latency hides behind the analysis compute.  The realized
-overlap is accumulated in :attr:`Prefetcher.overlap_seconds` and traced
-as ``hepnos.prefetch.page`` spans.
+the Prefetcher double-buffers: page N+1's loads are issued while page
+N's events are being consumed, so the store's latency hides behind the
+analysis compute.  The realized overlap is accumulated in
+:attr:`Prefetcher.overlap_seconds` and traced as
+``hepnos.prefetch.page`` spans.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ class Prefetcher:
     def __init__(self, datastore, *,
                  options: Optional[PrefetchOptions] = None,
                  products: Sequence[Tuple[object, str]] = (),
-                 columns: Optional[Sequence[str]] = None,
-                 async_engine=None):
+                 columns: Optional[Sequence[str]] = None):
         self.options = options if options is not None else PrefetchOptions()
         self.datastore = datastore
         self.batch_size = self.options.batch_size
@@ -51,7 +50,6 @@ class Prefetcher:
         #: fields to project server-side with ``options.columnar_loads``
         self.columns = list(columns) if columns is not None else None
         check_columnar(self.options, self.products, self.columns)
-        self._async_engine = async_engine
         #: seconds of product-load latency hidden behind consumption
         #: (double-buffered mode only)
         self.overlap_seconds = 0.0
@@ -60,24 +58,16 @@ class Prefetcher:
         #: key pages whose loads were issued ahead of consumption
         self.pages_prefetched = 0
 
-    @property
-    def async_engine(self):
-        """The engine pipelining this prefetcher's loads, if any."""
-        if self._async_engine is not None:
-            return self._async_engine
-        return getattr(self.datastore, "async_engine", None)
-
     def events(self, subrun: SubRun) -> Iterator["PrefetchedEvent"]:
         """Events of ``subrun`` in order, with products pre-loaded.
 
         The in-flight window holds ``options.lookahead`` pages of issued
-        loads when an AsyncEngine is available (each bounded further by
-        the engine's own in-flight cap) and none otherwise: issue, then
-        wait.
+        loads when an AsyncEngine is attached to the datastore (each
+        bounded further by the engine's own in-flight cap) and none
+        otherwise: issue, then wait.
         """
-        lookahead = (self.options.lookahead
-                     if self.async_engine is not None and self.products
-                     else 0)
+        pipelined = self.datastore.async_engine is not None and self.products
+        lookahead = self.options.lookahead if pipelined else 0
         window: deque = deque()
         for page in self._key_pages(subrun):
             plan = LoadPlan(

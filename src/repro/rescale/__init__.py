@@ -5,39 +5,27 @@ further improve HEPnOS's potential by allowing users to add and remove
 storage resources while HEP applications are using it."  This package
 implements that capability for this reproduction:
 
-- :func:`plan_rescale` -- given the current connection and a target
-  connection (databases added or removed), compute which keys must move
-  (consistent hashing keeps the moved fraction near the theoretical
-  minimum);
-- :func:`execute_rescale` -- stream the moving keys between databases
-  with batched transfers, then return the new connection for clients to
-  adopt;
 - :func:`add_server` / :func:`remove_server` -- connection surgery
   helpers building the target connection from a BedrockServer joining
   or leaving;
 - :class:`LiveRescaler` / :func:`migrate_live` -- *live* rescaling:
   the shard map enters a migration epoch (dual-read + write
-  forwarding) and keys move in idempotent steps while ingest and
-  queries keep running.
+  forwarding) and the parent groups whose database changed (consistent
+  hashing keeps the moved fraction near the theoretical minimum) move
+  in idempotent, batched steps while ingest and queries keep running.
 """
 
 from repro.rescale.migrate import (
     LiveRescaler,
-    MigrationPlan,
     MigrationStats,
     add_server,
-    execute_rescale,
     migrate_live,
-    plan_rescale,
     remove_server,
 )
 
 __all__ = [
-    "MigrationPlan",
     "MigrationStats",
     "LiveRescaler",
-    "plan_rescale",
-    "execute_rescale",
     "migrate_live",
     "add_server",
     "remove_server",

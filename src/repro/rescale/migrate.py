@@ -1,4 +1,4 @@
-"""Rescale planning and execution -- offline and live.
+"""Live rescaling: move parent groups between shards under traffic.
 
 Rescaling walks the container hierarchy (parents determine placement),
 compares each parent group's database under the old and new layouts,
@@ -6,18 +6,14 @@ and moves only the groups whose target changed.  Because placement uses
 consistent hashing, adding one database relocates roughly ``1/n`` of
 the groups -- Pufferscale's minimal-migration property.
 
-Two modes:
-
-- **offline** (:func:`plan_rescale` + :func:`execute_rescale`): plan
-  against a quiesced datastore, stream the moves, then ``adopt`` the
-  new layout;
-- **live** (:class:`LiveRescaler` / :func:`migrate_live`): swap the
-  client's shard map into a *migration epoch* first, then move keys in
-  small steps while ingest and queries keep running.  Reads fall back
-  to the old shard until :meth:`LiveRescaler.commit` (dual-read);
-  writes resolve to the new layout from the start (write-forwarding);
-  every step is copy-then-erase and idempotent, so a provider crash
-  mid-migration is survived by the ordinary retry policy.
+:class:`LiveRescaler` / :func:`migrate_live` swap the client's shard
+map into a *migration epoch* first, then move keys in small steps while
+ingest and queries keep running.  Reads fall back to the old shard
+until :meth:`LiveRescaler.commit` (dual-read); writes resolve to the
+new layout from the start (write-forwarding); every step is
+copy-then-erase and idempotent, so a provider crash mid-migration is
+survived by the ordinary retry policy.  An idle store is just the case
+with no traffic between the steps.
 """
 
 from __future__ import annotations
@@ -29,16 +25,7 @@ from typing import Callable, Iterable, Optional
 from repro.errors import ConfigError
 from repro.hepnos import keys as hkeys
 from repro.hepnos.connection import KINDS, ConnectionInfo, DbTarget
-from repro.hepnos.placement import ParentHashPlacement
 from repro.monitor import tracing as _tracing
-
-
-@dataclass(frozen=True)
-class _Move:
-    kind: str
-    source: DbTarget
-    destination: DbTarget
-    keys: tuple
 
 
 @dataclass
@@ -65,17 +52,6 @@ class MigrationStats:
                 f"({self.bytes_moved} bytes, "
                 f"{self.moved_fraction:.1%} of {self.keys_moved + self.keys_stayed}) "
                 f"[{by_kind or 'nothing'}]")
-
-
-@dataclass
-class MigrationPlan:
-    new_connection: ConnectionInfo
-    moves: list = field(default_factory=list)
-    keys_stayed: int = 0
-
-    @property
-    def keys_to_move(self) -> int:
-        return sum(len(m.keys) for m in self.moves)
 
 
 # -- connection surgery -------------------------------------------------------
@@ -200,60 +176,6 @@ def _product_group(datastore, container_key: bytes, child_keys):
         )
     if seen:
         yield ("products", container_key, sorted(seen))
-
-
-def plan_rescale(datastore, new_connection: ConnectionInfo) -> MigrationPlan:
-    """Compute the minimal key movements to adopt ``new_connection``."""
-    old_placement = datastore.placement
-    new_placement = ParentHashPlacement(new_connection)
-    plan = MigrationPlan(new_connection=new_connection)
-    for kind, parent_key, child_keys in _parent_groups(datastore):
-        source = old_placement.database_for(kind, parent_key)
-        destination = new_placement.database_for(kind, parent_key)
-        if source == destination:
-            plan.keys_stayed += len(child_keys)
-        else:
-            plan.moves.append(_Move(kind, source, destination,
-                                    tuple(child_keys)))
-    return plan
-
-
-# -- execution ---------------------------------------------------------------
-
-
-def execute_rescale(datastore, plan: MigrationPlan,
-                    batch_size: int = 1024) -> MigrationStats:
-    """Move the planned keys, then switch the datastore to the new layout.
-
-    Each move streams (get_multi -> put_multi -> erase_multi) in
-    batches; values (container existence markers or serialized
-    products) are copied verbatim.
-    """
-    stats = MigrationStats(keys_stayed=plan.keys_stayed)
-    with _tracing.span("rescale.execute", moves=len(plan.moves)) as sp:
-        for move in plan.moves:
-            source = datastore.handle_for_target(move.source)
-            destination = datastore.handle_for_target(move.destination)
-            for start in range(0, len(move.keys), batch_size):
-                chunk = list(move.keys[start : start + batch_size])
-                values = source.get_multi(chunk)
-                pairs = [(k, v) for k, v in zip(chunk, values)
-                         if v is not None]
-                destination.put_multi(pairs)
-                source.erase_multi([k for k, _ in pairs])
-                stats.keys_moved += len(pairs)
-                stats.bytes_moved += sum(len(k) + len(v) for k, v in pairs)
-                # Count pairs that actually landed, not planned keys:
-                # the plan can overcount when keys vanish mid-migration.
-                stats.moves_by_kind[move.kind] = (
-                    stats.moves_by_kind.get(move.kind, 0) + len(pairs)
-                )
-        datastore.adopt(plan.new_connection)
-        sp.set_tag("keys_moved", stats.keys_moved)
-        sp.set_tag("bytes_moved", stats.bytes_moved)
-        for kind, count in sorted(stats.moves_by_kind.items()):
-            sp.set_tag(f"moved_{kind}", count)
-    return stats
 
 
 # -- live rescaling -----------------------------------------------------------

@@ -63,8 +63,7 @@ class HEPnOSWorkflow:
                  output_path: Optional[str] = None,
                  load_retries: int = 2,
                  on_load_failure: str = "raise",
-                 pep_options: Optional[PEPOptions] = None,
-                 async_engine=None):
+                 pep_options: Optional[PEPOptions] = None):
         self.datastore = datastore
         self.dataset_path = dataset_path
         self.cut = cut
@@ -80,7 +79,6 @@ class HEPnOSWorkflow:
             load_retries=load_retries,
             on_load_failure=on_load_failure,
         )
-        self.async_engine = async_engine
 
     # -- phase 1 -------------------------------------------------------------
 
@@ -135,7 +133,6 @@ class HEPnOSWorkflow:
                 options=pep_options,
                 products=[(product_type, self.label)],
                 columns=fields,
-                async_engine=self.async_engine,
             )
             accepted: list[int] = []
             counters = {"events": 0, "slices": 0}

@@ -10,7 +10,7 @@ operations are idempotent, so retrying is always safe.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from repro.errors import (
     AddressError,
@@ -111,34 +111,24 @@ class DatabaseHandle:
             return prefix + envelope
         return envelope
 
-    def _call(self, rpc: str, payload,
-              _validate: Optional[Callable] = None, **trace_tags) -> object:
-        """Forward one RPC under the client's retry policy.
-
-        ``_validate`` (if given) runs on the decoded result inside the
-        retry loop, so e.g. a bulk-buffer checksum failure re-issues the
-        whole RPC rather than surfacing to the caller.
-        """
+    def _call(self, rpc: str, payload, **trace_tags) -> object:
+        """Forward one RPC under the client's retry policy."""
         if _tracing.enabled:
             with _tracing.span(f"yokan.client.{rpc.split('.', 1)[1]}",
                                db=self.name, target=str(self.target),
                                **trace_tags) as sp:
-                result = self._call_inner(rpc, payload, sp, _validate)
+                result = self._call_inner(rpc, payload, sp)
             return result
-        return self._call_inner(rpc, payload, None, _validate)
+        return self._call_inner(rpc, payload, None)
 
-    def _call_inner(self, rpc: str, payload, span,
-                    validate: Optional[Callable] = None) -> object:
+    def _call_inner(self, rpc: str, payload, span) -> object:
         handle = self._engine.create_handle(self.target, rpc)
         encoded = self._seal(dumps(payload))
         policy = self.client.retry_policy
 
         def attempt():
-            result = _unwrap(handle.forward(encoded, self.provider_id,
-                                            timeout=policy.rpc_timeout))
-            if validate is not None:
-                validate(result)
-            return result
+            return _unwrap(handle.forward(encoded, self.provider_id,
+                                          timeout=policy.rpc_timeout))
 
         def on_retry(n, exc, pause):
             self.client._record_retry(exc)
@@ -203,20 +193,6 @@ class DatabaseHandle:
         return self._call("yokan.erase_multi", (self.name, keys),
                           keys=len(keys))
 
-    def replicate(self, pairs: Iterable[Tuple[bytes, bytes]] = (),
-                  erase_keys: Iterable[bytes] = ()) -> Tuple[int, int]:
-        """Apply mutations *without* re-forwarding to this database's
-        own replica (the primary->backup and re-sync verb)."""
-        pairs = [(bytes(k), bytes(v)) for k, v in pairs]
-        keys = [bytes(k) for k in erase_keys]
-        if not pairs and not keys:
-            return (0, 0)
-        stored, removed = self._call(
-            "yokan.replicate", (self.name, pairs, keys),
-            keys=len(pairs) + len(keys),
-        )
-        return stored, removed
-
     def sync(self, checkpoint: bool = False) -> dict:
         """Drain this provider's replica links and flush its backends."""
         return self._call("yokan.sync", {"checkpoint": checkpoint})
@@ -224,143 +200,7 @@ class DatabaseHandle:
     def __len__(self) -> int:
         return self._call("yokan.length", self.name)
 
-    # -- batched operations (bulk transfers) -----------------------------------
-
-    def put_multi(self, pairs: Iterable[Tuple[bytes, bytes]]) -> int:
-        """Store many pairs with one RPC + one RDMA pull.
-
-        The RPC carries the CRC of the packed buffer; the provider
-        verifies it after the pull, so a corrupted bulk transfer fails
-        the call (retryably) instead of storing damaged values.
-        """
-        pairs = list(pairs)
-        if not pairs:
-            return 0
-        request = frame_put_multi(self._engine, self.name, pairs)
-        return self._call("yokan.put_multi", request,
-                          keys=len(pairs), bytes=request[2])
-
-    def get_multi(self, keys: Sequence[bytes],
-                  size_hint: int = 0) -> list[Optional[bytes]]:
-        """Fetch many keys with one RPC + one RDMA push-back.
-
-        Missing keys come back as ``None``.  ``size_hint`` presizes the
-        landing buffer; an undersized buffer costs one retry round-trip.
-        The provider responds with the packed size and its CRC; the
-        landing buffer is verified before decoding, inside the retry
-        loop, so a corrupted push re-issues the RPC.
-        """
-        keys = [bytes(k) for k in keys]
-        if not keys:
-            return []
-        capacity = size_hint or (64 * len(keys) + 1024)
-        while True:
-            buffer = bytearray(capacity)
-            bulk = self._engine.expose(buffer, Bulk.READ_WRITE)
-
-            def check(result, _buffer=buffer):
-                if isinstance(result, _Retry):
-                    return
-                nbytes, crc = result
-                wire.verify_bulk(memoryview(_buffer)[:nbytes], crc,
-                                 "get_multi landing buffer")
-
-            result = self._call(
-                "yokan.get_multi", (self.name, keys, bulk, capacity),
-                keys=len(keys), _validate=check,
-            )
-            if isinstance(result, _Retry):
-                capacity = result.needed
-                continue
-            nbytes, _crc = result
-            # Zero-copy decode straight out of the landing buffer; only
-            # the individual values are materialized as bytes.
-            return loads(memoryview(buffer)[:nbytes])
-
-    def load_prefix_packed(self, prefixes: Sequence[bytes],
-                           size_hint: int = 0
-                           ) -> list[list[Tuple[bytes, memoryview]]]:
-        """Fetch *all* pairs under each prefix: one RPC, one RDMA push.
-
-        Returns one group per prefix, in request order; values are
-        zero-copy ``memoryview`` slices of the landing buffer (the views
-        pin it, copy if you need the bytes to outlive the result).  The
-        packed buffer's CRC is verified inside the retry loop, so a
-        corrupted push re-issues the RPC; an undersized landing buffer
-        costs one retry round-trip with the provider's requested size.
-        """
-        prefixes = [bytes(p) for p in prefixes]
-        if not prefixes:
-            return []
-        capacity = size_hint or (4096 * len(prefixes))
-        while True:
-            buffer = bytearray(capacity)
-            bulk = self._engine.expose(buffer, Bulk.READ_WRITE)
-
-            def check(result, _buffer=buffer):
-                if isinstance(result, _Retry):
-                    return
-                _ngroups, nbytes, crc = result
-                wire.verify_bulk(memoryview(_buffer)[:nbytes], crc,
-                                 "load_prefix_packed landing buffer")
-
-            result = self._call(
-                "yokan.load_prefix_packed",
-                (self.name, prefixes, bulk, capacity),
-                prefixes=len(prefixes), _validate=check,
-            )
-            if isinstance(result, _Retry):
-                capacity = result.needed
-                continue
-            ngroups, nbytes, _crc = result
-            return packed.unpack_groups(memoryview(buffer)[:nbytes], ngroups)
-
-    def scan_columns(self, prefixes: Sequence[bytes], suffix: bytes,
-                     fields: Sequence[str], size_hint: int = 0
-                     ) -> Tuple[list, list]:
-        """Server-side projection: fetch only ``fields`` of each product.
-
-        For every ``prefix + suffix`` product key the provider decodes
-        the stored value and ships just the requested columns,
-        concatenated per field into one CRC-checked page
-        (:func:`repro.yokan.packed.unpack_column_page`).  Returns
-        ``(statuses, blocks)``: one status per prefix (``None`` absent,
-        row count when columnar, raw value ``memoryview`` fallback) and
-        one ``(dtype_str, payload)`` block per field.  Values without a
-        column plan travel row-wise, so projection narrows the data but
-        never changes it.
-        """
-        prefixes = [bytes(p) for p in prefixes]
-        fields = [str(f) for f in fields]
-        if not prefixes:
-            return [], [("O", memoryview(b"")) for _ in fields]
-        blob, lens = packed.pack_prefixes(prefixes)
-        capacity = size_hint or (64 * len(prefixes) * max(1, len(fields)))
-        while True:
-            buffer = bytearray(capacity)
-            bulk = self._engine.expose(buffer, Bulk.READ_WRITE)
-
-            def check(result, _buffer=buffer):
-                if isinstance(result, _Retry):
-                    return
-                _nprefixes, nbytes, crc = result
-                wire.verify_bulk(memoryview(_buffer)[:nbytes], crc,
-                                 "scan_columns landing buffer")
-
-            result = self._call(
-                "yokan.scan_columns",
-                (self.name, blob, lens, bytes(suffix), fields, bulk,
-                 capacity),
-                prefixes=len(prefixes), fields=len(fields), _validate=check,
-            )
-            if isinstance(result, _Retry):
-                capacity = result.needed
-                continue
-            nprefixes, nbytes, _crc = result
-            return packed.unpack_column_page(
-                memoryview(buffer)[:nbytes], nprefixes, len(fields))
-
-    # -- non-blocking operations ------------------------------------------
+    # -- bulk verbs: each defined once, as its non-blocking form --------------
 
     def _future(self, issue, finish, description: str,
                 dispatch: bool = True) -> OperationFuture:
@@ -380,82 +220,45 @@ class DatabaseHandle:
         # an AsyncEngine dispatches it when its in-flight window allows.
         return future.dispatch() if dispatch else future
 
-    def get_nb(self, key: bytes, *, dispatch: bool = True
-               ) -> OperationFuture:
-        """Non-blocking :meth:`get`: forward now, retire later.
+    def _wait(self, verb: str, future: OperationFuture):
+        """The blocking form of a bulk verb: issue + wait, under the
+        ``yokan.client.<verb>`` span (``future`` must be undispatched so
+        the forward carries that span's context)."""
+        if not _tracing.enabled:
+            return future.wait()
+        with _tracing.span(f"yokan.client.{verb}", db=self.name,
+                           target=str(self.target),
+                           op=future.description) as sp:
+            try:
+                return future.wait()
+            finally:
+                if future.retries:
+                    sp.set_tag("retries", future.retries)
 
-        Returns an :class:`~repro.yokan.OperationFuture` resolving to
-        the value bytes.  A value above :attr:`BULK_THRESHOLD` switches
-        to the bulk protocol on re-issue, exactly like the blocking
-        two-phase ``get``; retirement runs under the client's retry
-        policy.
+    def _landing(self, rpc: str, frame, decode, capacity: int):
+        """The landing-buffer protocol every bulk read shares.
+
+        Returns the ``(issue, finish)`` pair of an
+        :class:`OperationFuture`.  Each issue allocates a buffer of the
+        current capacity, exposes it, and sends ``frame(bulk,
+        capacity)``; the buffer and its ``Bulk`` (regions are tracked
+        weakly, and the provider's RDMA push may land long after issue)
+        stay pinned in the closure.  An undersized buffer re-issues at
+        the provider's requested size, outside the retry budget; the
+        pushed bytes are CRC-verified before ``decode(view, *head)``
+        sees them, inside the retirement loop, so a corrupted push
+        re-issues the RPC.  The decoded values are zero-copy views that
+        keep the buffer alive.
         """
-        key = bytes(key)
-        h_inline = self._engine.create_handle(self.target, "yokan.get")
-        h_bulk = self._engine.create_handle(self.target, "yokan.get_multi")
-        state = {"mode": "inline", "capacity": 0, "buffer": None}
+        handle = self._engine.create_handle(self.target, rpc)
+        state = {"capacity": capacity, "buffer": None, "bulk": None}
 
         def issue():
-            if state["mode"] == "inline":
-                payload = self._seal(dumps((self.name, key,
-                                            self.BULK_THRESHOLD)))
-                return h_inline.iforward(payload, self.provider_id)
-            buffer = bytearray(state["capacity"])
-            # The Bulk object must outlive the RPC: regions are tracked
-            # weakly (see repro.mercury.bulk), so pin it in the closure.
-            state["buffer"] = buffer
-            state["bulk"] = self._engine.expose(buffer, Bulk.READ_WRITE)
-            payload = self._seal(dumps((self.name, [key], state["bulk"],
-                                        state["capacity"])))
-            return h_bulk.iforward(payload, self.provider_id)
-
-        def finish(raw):
-            result = _unwrap(raw)
-            if state["mode"] == "inline":
-                if isinstance(result, tuple) and result and result[0] == "large":
-                    state["mode"] = "bulk"
-                    state["capacity"] = result[1] + 64
-                    raise _ResizeNeeded()
-                return result
-            if isinstance(result, _Retry):
-                state["capacity"] = result.needed
-                raise _ResizeNeeded()
-            nbytes, crc = result
-            wire.verify_bulk(memoryview(state["buffer"])[:nbytes], crc,
-                             "get landing buffer")
-            (value,) = loads(memoryview(state["buffer"])[:nbytes])
-            if value is None:
-                raise KeyNotFound(repr(key))
-            return value
-
-        return self._future(issue, finish, f"get@{self.name}",
-                            dispatch=dispatch)
-
-    def get_multi_nb(self, keys: Sequence[bytes], size_hint: int = 0,
-                     *, dispatch: bool = True) -> OperationFuture:
-        """Non-blocking :meth:`get_multi`.
-
-        The landing buffer lives in the future's closure; an undersized
-        buffer re-issues with the provider's requested capacity (not
-        charged against the retry budget), and the landing-buffer CRC is
-        verified inside the retirement loop so a corrupted RDMA push
-        re-issues the RPC like the blocking path.
-        """
-        keys = [bytes(k) for k in keys]
-        if not keys:
-            return OperationFuture.completed([], f"get_multi[0]@{self.name}")
-        handle = self._engine.create_handle(self.target, "yokan.get_multi")
-        state = {"capacity": size_hint or (64 * len(keys) + 1024),
-                 "buffer": None, "bulk": None}
-
-        def issue():
-            buffer = bytearray(state["capacity"])
-            # Pin the Bulk in the closure: regions are weakly tracked,
-            # and the provider's RDMA push may land long after issue.
-            state["buffer"] = buffer
-            state["bulk"] = self._engine.expose(buffer, Bulk.READ_WRITE)
-            payload = self._seal(dumps((self.name, keys, state["bulk"],
-                                        state["capacity"])))
+            state["buffer"] = bytearray(state["capacity"])
+            state["bulk"] = self._engine.expose(state["buffer"],
+                                                Bulk.READ_WRITE)
+            payload = self._seal(dumps(frame(state["bulk"],
+                                             state["capacity"])))
             return handle.iforward(payload, self.provider_id)
 
         def finish(raw):
@@ -463,128 +266,157 @@ class DatabaseHandle:
             if isinstance(result, _Retry):
                 state["capacity"] = result.needed
                 raise _ResizeNeeded()
-            nbytes, crc = result
-            wire.verify_bulk(memoryview(state["buffer"])[:nbytes], crc,
-                             "get_multi landing buffer")
-            return loads(memoryview(state["buffer"])[:nbytes])
+            *head, nbytes, crc = result
+            view = memoryview(state["buffer"])[:nbytes]
+            wire.verify_bulk(view, crc, f"{rpc} landing buffer")
+            return decode(view, *head)
 
-        return self._future(issue, finish,
-                            f"get_multi[{len(keys)}]@{self.name}",
+        return issue, finish
+
+    def _get_multi_ops(self, keys: list, size_hint: int):
+        return self._landing(
+            "yokan.get_multi",
+            lambda bulk, capacity: (self.name, keys, bulk, capacity),
+            loads, size_hint or (64 * len(keys) + 1024))
+
+    def get_multi_nb(self, keys: Sequence[bytes], size_hint: int = 0,
+                     *, dispatch: bool = True) -> OperationFuture:
+        """Fetch many keys with one RPC + one RDMA push-back.
+
+        Resolves to the values in request order, ``None`` for a missing
+        key.  ``size_hint`` presizes the landing buffer.
+        """
+        keys = [bytes(k) for k in keys]
+        description = f"get_multi[{len(keys)}]@{self.name}"
+        if not keys:
+            return OperationFuture.completed([], description)
+        return self._future(*self._get_multi_ops(keys, size_hint),
+                            description, dispatch=dispatch)
+
+    def get_multi(self, keys: Sequence[bytes],
+                  size_hint: int = 0) -> list[Optional[bytes]]:
+        return self._wait("get_multi", self.get_multi_nb(
+            keys, size_hint, dispatch=False))
+
+    def get_nb(self, key: bytes, *, dispatch: bool = True
+               ) -> OperationFuture:
+        """Non-blocking :meth:`get`: forward now, retire later.
+
+        Resolves to the value bytes.  A value above
+        :attr:`BULK_THRESHOLD` switches to the ``get_multi`` bulk
+        protocol on re-issue, exactly like the blocking two-phase
+        ``get``; retirement runs under the client's retry policy.
+        """
+        key = bytes(key)
+        handle = self._engine.create_handle(self.target, "yokan.get")
+        payload = self._seal(dumps((self.name, key, self.BULK_THRESHOLD)))
+        bulk_arm: list = []  # the get_multi (issue, finish) once "large"
+
+        def issue():
+            if bulk_arm:
+                return bulk_arm[0][0]()
+            return handle.iforward(payload, self.provider_id)
+
+        def finish(raw):
+            if bulk_arm:
+                (value,) = bulk_arm[0][1](raw)
+                if value is None:
+                    raise KeyNotFound(repr(key))
+                return value
+            result = _unwrap(raw)
+            if isinstance(result, tuple) and result and result[0] == "large":
+                bulk_arm.append(self._get_multi_ops([key], result[1] + 64))
+                raise _ResizeNeeded()
+            return result
+
+        return self._future(issue, finish, f"get@{self.name}",
                             dispatch=dispatch)
 
     def load_prefix_packed_nb(self, prefixes: Sequence[bytes],
                               size_hint: int = 0, *, dispatch: bool = True
                               ) -> OperationFuture:
-        """Non-blocking :meth:`load_prefix_packed`.
+        """Fetch *all* pairs under each prefix: one RPC, one RDMA push.
 
-        Resolves to the same list of per-prefix groups.  The landing
-        buffer lives in the future's closure (the zero-copy views pin
-        it); an undersized buffer re-issues with the provider's
-        requested capacity, and the packed buffer's CRC is verified
-        inside the retirement loop.  The datastore issues one of these
-        per involved shard so packed scans fan out concurrently.
+        Resolves to one group per prefix, in request order; values are
+        zero-copy ``memoryview`` slices of the landing buffer (the views
+        pin it, copy if you need the bytes to outlive the result).  The
+        datastore issues one of these per involved shard so packed scans
+        fan out concurrently.
         """
         prefixes = [bytes(p) for p in prefixes]
+        description = f"load_prefix_packed[{len(prefixes)}]@{self.name}"
         if not prefixes:
-            return OperationFuture.completed(
-                [], f"load_prefix_packed[0]@{self.name}")
-        handle = self._engine.create_handle(self.target,
-                                            "yokan.load_prefix_packed")
-        state = {"capacity": size_hint or (4096 * len(prefixes)),
-                 "buffer": None, "bulk": None}
+            return OperationFuture.completed([], description)
+        issue, finish = self._landing(
+            "yokan.load_prefix_packed",
+            lambda bulk, capacity: (self.name, prefixes, bulk, capacity),
+            packed.unpack_groups, size_hint or (4096 * len(prefixes)))
+        return self._future(issue, finish, description, dispatch=dispatch)
 
-        def issue():
-            buffer = bytearray(state["capacity"])
-            # Pin the Bulk in the closure: regions are weakly tracked,
-            # and the provider's RDMA push may land long after issue.
-            state["buffer"] = buffer
-            state["bulk"] = self._engine.expose(buffer, Bulk.READ_WRITE)
-            payload = self._seal(dumps((self.name, prefixes, state["bulk"],
-                                        state["capacity"])))
-            return handle.iforward(payload, self.provider_id)
-
-        def finish(raw):
-            result = _unwrap(raw)
-            if isinstance(result, _Retry):
-                state["capacity"] = result.needed
-                raise _ResizeNeeded()
-            ngroups, nbytes, crc = result
-            wire.verify_bulk(memoryview(state["buffer"])[:nbytes], crc,
-                             "load_prefix_packed landing buffer")
-            return packed.unpack_groups(
-                memoryview(state["buffer"])[:nbytes], ngroups)
-
-        return self._future(issue, finish,
-                            f"load_prefix_packed[{len(prefixes)}]"
-                            f"@{self.name}",
-                            dispatch=dispatch)
+    def load_prefix_packed(self, prefixes: Sequence[bytes],
+                           size_hint: int = 0
+                           ) -> list[list[Tuple[bytes, memoryview]]]:
+        return self._wait("load_prefix_packed", self.load_prefix_packed_nb(
+            prefixes, size_hint, dispatch=False))
 
     def scan_columns_nb(self, prefixes: Sequence[bytes], suffix: bytes,
                         fields: Sequence[str], size_hint: int = 0,
                         *, dispatch: bool = True) -> OperationFuture:
-        """Non-blocking :meth:`scan_columns`.
+        """Server-side projection: fetch only ``fields`` of each product.
 
-        Resolves to the same ``(statuses, blocks)`` page.  The landing
-        buffer lives in the future's closure (the zero-copy column
-        views pin it); an undersized buffer re-issues with the
-        provider's requested capacity, and the page CRC is verified
-        inside the retirement loop.  The datastore issues one of these
-        per involved shard so projections fan out concurrently.
+        For every ``prefix + suffix`` product key the provider decodes
+        the stored value and ships just the requested columns,
+        concatenated per field into one CRC-checked page
+        (:func:`repro.yokan.packed.unpack_column_page`).  Resolves to
+        ``(statuses, blocks)``: one status per prefix (``None`` absent,
+        row count when columnar, raw value ``memoryview`` fallback) and
+        one ``(dtype_str, payload)`` block per field.  Values without a
+        column plan travel row-wise, so projection narrows the data but
+        never changes it.  The datastore issues one of these per
+        involved shard so projections fan out concurrently.
         """
         prefixes = [bytes(p) for p in prefixes]
         fields = [str(f) for f in fields]
+        description = f"scan_columns[{len(prefixes)}]@{self.name}"
         if not prefixes:
             return OperationFuture.completed(
-                ([], [("O", memoryview(b"")) for _ in fields]),
-                f"scan_columns[0]@{self.name}")
-        handle = self._engine.create_handle(self.target,
-                                            "yokan.scan_columns")
+                ([], [("O", memoryview(b"")) for _ in fields]), description)
         suffix = bytes(suffix)
         # Flat framing: hundreds of prefix keys travel as two byte
         # strings instead of one archive value per key, and the blob
         # doubles as the server's page-cache token.
         blob, lens = packed.pack_prefixes(prefixes)
-        state = {"capacity":
-                 size_hint or (64 * len(prefixes) * max(1, len(fields))),
-                 "buffer": None, "bulk": None}
+        issue, finish = self._landing(
+            "yokan.scan_columns",
+            lambda bulk, capacity: (self.name, blob, lens, suffix, fields,
+                                    bulk, capacity),
+            lambda view, nprefixes: packed.unpack_column_page(
+                view, nprefixes, len(fields)),
+            size_hint or (64 * len(prefixes) * max(1, len(fields))))
+        return self._future(issue, finish, description, dispatch=dispatch)
 
-        def issue():
-            buffer = bytearray(state["capacity"])
-            # Pin the Bulk in the closure: regions are weakly tracked,
-            # and the provider's RDMA push may land long after issue.
-            state["buffer"] = buffer
-            state["bulk"] = self._engine.expose(buffer, Bulk.READ_WRITE)
-            payload = self._seal(dumps((self.name, blob, lens, suffix,
-                                        fields, state["bulk"],
-                                        state["capacity"])))
-            return handle.iforward(payload, self.provider_id)
-
-        def finish(raw):
-            result = _unwrap(raw)
-            if isinstance(result, _Retry):
-                state["capacity"] = result.needed
-                raise _ResizeNeeded()
-            nprefixes, nbytes, crc = result
-            wire.verify_bulk(memoryview(state["buffer"])[:nbytes], crc,
-                             "scan_columns landing buffer")
-            return packed.unpack_column_page(
-                memoryview(state["buffer"])[:nbytes], nprefixes, len(fields))
-
-        return self._future(issue, finish,
-                            f"scan_columns[{len(prefixes)}]@{self.name}",
-                            dispatch=dispatch)
+    def scan_columns(self, prefixes: Sequence[bytes], suffix: bytes,
+                     fields: Sequence[str], size_hint: int = 0
+                     ) -> Tuple[list, list]:
+        return self._wait("scan_columns", self.scan_columns_nb(
+            prefixes, suffix, fields, size_hint, dispatch=False))
 
     def put_multi_nb(self, pairs: Iterable[Tuple[bytes, bytes]],
                      *, dispatch: bool = True) -> OperationFuture:
-        """Non-blocking :meth:`put_multi`; resolves to the pair count.
+        """Store many pairs with one RPC + one RDMA pull; resolves to
+        the pair count.
 
-        The packed source buffer (and its bulk descriptor) stay alive in
-        the future's closure until retirement, so the provider's RDMA
-        pull always finds them -- including on policy-driven re-issues.
+        The RPC carries the CRC of the packed buffer; the provider
+        verifies it after the pull, so a corrupted bulk transfer fails
+        the call (retryably) instead of storing damaged values.  The
+        packed source buffer (and its bulk descriptor) stay alive in the
+        future's closure until retirement, so the provider's pull always
+        finds them -- including on policy-driven re-issues.
         """
         pairs = list(pairs)
+        description = f"put_multi[{len(pairs)}]@{self.name}"
         if not pairs:
-            return OperationFuture.completed(0, f"put_multi[0]@{self.name}")
+            return OperationFuture.completed(0, description)
         handle = self._engine.create_handle(self.target, "yokan.put_multi")
         request = frame_put_multi(self._engine, self.name, pairs)
         payload = self._seal(dumps(request))
@@ -594,34 +426,40 @@ class DatabaseHandle:
             # tracked) bulk region for the life of the future.
             return handle.iforward(payload, self.provider_id)
 
-        return self._future(issue, _unwrap,
-                            f"put_multi[{len(pairs)}]@{self.name}",
-                            dispatch=dispatch)
+        return self._future(issue, _unwrap, description, dispatch=dispatch)
+
+    def put_multi(self, pairs: Iterable[Tuple[bytes, bytes]]) -> int:
+        return self._wait("put_multi",
+                          self.put_multi_nb(pairs, dispatch=False))
 
     def replicate_nb(self, pairs: Iterable[Tuple[bytes, bytes]] = (),
                      erase_keys: Iterable[bytes] = (),
                      *, dispatch: bool = True) -> OperationFuture:
-        """Non-blocking :meth:`replicate`; resolves to (stored, removed).
+        """Apply mutations *without* re-forwarding to this database's
+        own replica; resolves to ``(stored, removed)``.
 
-        This is what a primary's :class:`~repro.yokan.provider.ReplicaLink`
-        issues per acknowledged mutation: the payload is pinned in the
-        closure so policy-driven re-issues resend identical bytes.
+        This is the primary->backup and re-sync verb -- what a primary's
+        :class:`~repro.yokan.provider.ReplicaLink` issues per
+        acknowledged mutation: the payload is pinned in the closure so
+        policy-driven re-issues resend identical bytes.
         """
         pairs = [(bytes(k), bytes(v)) for k, v in pairs]
         keys = [bytes(k) for k in erase_keys]
+        description = f"replicate[{len(pairs) + len(keys)}]@{self.name}"
         if not pairs and not keys:
-            return OperationFuture.completed((0, 0),
-                                             f"replicate[0]@{self.name}")
+            return OperationFuture.completed((0, 0), description)
         handle = self._engine.create_handle(self.target, "yokan.replicate")
         payload = self._seal(dumps((self.name, pairs, keys)))
 
         def issue():
             return handle.iforward(payload, self.provider_id)
 
-        return self._future(issue, _unwrap,
-                            f"replicate[{len(pairs) + len(keys)}]"
-                            f"@{self.name}",
-                            dispatch=dispatch)
+        return self._future(issue, _unwrap, description, dispatch=dispatch)
+
+    def replicate(self, pairs: Iterable[Tuple[bytes, bytes]] = (),
+                  erase_keys: Iterable[bytes] = ()) -> Tuple[int, int]:
+        return self._wait("replicate", self.replicate_nb(
+            pairs, erase_keys, dispatch=False))
 
     # -- iteration --------------------------------------------------------
 
@@ -662,9 +500,8 @@ class YokanClient:
     """Factory for database handles, bound to a client engine.
 
     Retry behaviour is governed by ``retry_policy``
-    (:class:`~repro.faults.RetryPolicy`).  The legacy ``retries``
-    integer is still accepted (and settable) and maps to a flat,
-    zero-delay policy of ``retries + 1`` attempts; 0 = fail fast.
+    (:class:`~repro.faults.RetryPolicy`); the default is a single
+    attempt (fail fast).
 
     ``metrics`` (a :class:`~repro.monitor.MetricRegistry`) receives
     ``yokan.client.retries`` / ``yokan.client.giveups`` counters plus
@@ -677,29 +514,19 @@ class YokanClient:
     admission control -- byte-identical to previous releases.
     """
 
-    def __init__(self, engine: Engine, retries: int = 0,
+    def __init__(self, engine: Engine,
                  retry_policy: Optional[RetryPolicy] = None,
                  metrics=None,
                  tenant: Optional[wire.TenantEnvelope] = None):
         self.engine = engine
-        if retry_policy is None:
-            retry_policy = RetryPolicy.from_retries(max(0, retries))
-        self.retry_policy = retry_policy
+        self.retry_policy = (retry_policy if retry_policy is not None
+                             else RetryPolicy.none())
         self.metrics = metrics
         self.tenant = tenant
         #: the identity's constant wire prefix, encoded once per client
         self._tenant_prefix = (
             wire.tenant_prefix(tenant.tenant, tenant.priority, tenant.token)
             if tenant is not None else None)
-
-    @property
-    def retries(self) -> int:
-        """Legacy view of the policy: number of re-sends after the first try."""
-        return self.retry_policy.max_attempts - 1
-
-    @retries.setter
-    def retries(self, value: int) -> None:
-        self.retry_policy = RetryPolicy.from_retries(max(0, int(value)))
 
     def _record_retry(self, exc: BaseException) -> None:
         if self.metrics is not None:

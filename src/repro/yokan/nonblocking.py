@@ -1,20 +1,24 @@
 """Non-blocking Yokan operations: the OperationFuture.
 
-The blocking client (:class:`~repro.yokan.client.DatabaseHandle`)
-forwards an RPC and drives the fabric until the response arrives.  The
-non-blocking verbs (``get_nb`` / ``get_multi_nb`` / ``put_multi_nb``)
-instead issue the Mercury forward immediately and hand back an
-:class:`OperationFuture`; the caller overlaps its own work with the
-in-flight request and *retires* the future later with :meth:`wait`.
+The single-item verbs of :class:`~repro.yokan.client.DatabaseHandle`
+(``get`` / ``put`` / ``exists`` / ``erase`` / ``list_keys``) forward an
+RPC and drive the fabric until the response arrives.  Every *bulk* verb
+(``get_multi`` / ``load_prefix_packed`` / ``scan_columns`` /
+``put_multi`` / ``replicate``, plus ``get_nb``) is instead defined once,
+as its ``_nb`` form: it issues the Mercury forward immediately and
+hands back an :class:`OperationFuture`; the caller overlaps its own
+work with the in-flight request and *retires* the future later with
+:meth:`wait`.  The blocking name of a bulk verb is that future, waited
+for at once.
 
-Retirement runs through the exact same machinery as the blocking path:
-the client's :class:`~repro.faults.RetryPolicy` governs re-issues after
+Retirement is the one fault-handling path those verbs have: the
+client's :class:`~repro.faults.RetryPolicy` governs re-issues after
 transient transport failures (drops, provider crashes, timeouts, wire
 corruption), landing-buffer resizes re-issue transparently, and retry /
-give-up metrics land in the same counters.  A future is therefore
-exactly as fault-tolerant as the blocking call it replaces -- it just
-lets the latency hide behind computation (the paper's core speedup
-mechanism, section II-D).
+give-up metrics land in the same counters as the single-item verbs'.
+A future is therefore exactly as fault-tolerant as a blocking call --
+it just lets the latency hide behind computation (the paper's core
+speedup mechanism, section II-D).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ import pytest
 
 from repro.bedrock import BedrockServer, default_hepnos_config
 from repro.hepnos import DataStore
-from repro.mercury import Fabric
+from repro.mercury import Fabric, FaultModel
 from repro.nova import BEAM, NovaGenerator, write_nova_file
 
 
@@ -28,6 +28,31 @@ def deploy(fabric, num_nodes=2, backend="map", storage_root=None,
         )
         servers.append(BedrockServer(fabric, config))
     return servers
+
+
+def shards(servers):
+    """``(address, database name) -> {key: value}`` of every backend."""
+    return {(str(server.address), name): dict(backend.scan())
+            for server in servers
+            for provider in server.providers.values()
+            for name, backend in provider.databases.items()}
+
+
+class FlakyModel(FaultModel):
+    """Drops the first ``n`` messages, then behaves."""
+
+    def __init__(self, n: int):
+        self.remaining = self.n = n
+
+    @property
+    def dropped(self) -> int:
+        return self.n - self.remaining
+
+    def should_drop(self, src, dst, nbytes) -> bool:
+        if self.remaining > 0:
+            self.remaining -= 1
+            return True
+        return False
 
 
 @pytest.fixture()

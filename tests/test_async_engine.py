@@ -302,7 +302,7 @@ class TestDataStoreIntegration:
             engine = AsyncEngine(datastore, max_inflight=4)
             chaotic = collect(ParallelEventProcessor(
                 datastore, options=PEPOptions(input_batch_size=8),
-                products=spec, async_engine=engine,
+                products=spec,
             ))
         finally:
             fabric.fault_model = FaultModel()

@@ -27,7 +27,7 @@ from repro.errors import (
     KeyNotFound,
 )
 from repro.faults.chaos import failover_client_policy
-from repro.hepnos import DataStore
+from repro.hepnos import AsynchronousWriteBatch, DataStore, WriteBatch
 from repro.hepnos.connection import ConnectionInfo, DbTarget
 from repro.hepnos.failover import (
     enable_replication,
@@ -565,6 +565,48 @@ class TestReplicationAndFailover:
         got = sorted(datastore["r"][1][1][e].load(dict, label="x")["e"]
                      for e in range(25))
         assert got == list(range(25))
+        fabric.runtime.shutdown()
+
+    @pytest.mark.parametrize("how", ["single", "batch", "async_batch"])
+    def test_writes_fail_over_like_reads(self, tmp_path, how):
+        """A store issued against a dead primary lands on its backup --
+        through ``event.store``, a ``WriteBatch`` and an
+        ``AsynchronousWriteBatch`` alike -- and the rejoined primary
+        learns the backup-absorbed pairs."""
+        fabric, servers, datastore = self._replicated_world(tmp_path)
+        subrun = datastore.create_dataset("w").create_run(1).create_subrun(1)
+        datastore.sync_service()
+        servers[1].crash(lose_state=True)
+        batch = {"single": lambda: None,
+                 "batch": lambda: WriteBatch(datastore),
+                 "async_batch": lambda: AsynchronousWriteBatch(
+                     datastore, flush_threshold=8)}[how]()
+        for e in range(20):
+            subrun.create_event(e, batch=batch).store(
+                {"e": e}, label="x", batch=batch)
+        if batch is not None:
+            batch.close()
+            assert batch.recovered_flushes >= 1
+        assert datastore.failed_over
+
+        def stored():
+            return [ev.load(dict, label="x")["e"]
+                    for ev in datastore["w"][1][1]]
+
+        assert stored() == list(range(20))
+        servers[1].restart()
+        assert datastore.rejoin(str(servers[1].address)) > 0
+        assert not datastore.failed_over
+        assert stored() == list(range(20))
+        # The recovered primary holds what its backup absorbed: every
+        # pair sits on the database placement names, no redirect needed.
+        for event in subrun:
+            for kind, parent, key in (
+                    ("events", subrun.key, event.key),
+                    ("products", event.key, event.key)):
+                target = datastore.target_for(kind, parent)
+                held = datastore._direct_handle(target).list_keys(prefix=key)
+                assert held and held[0].startswith(key)
         fabric.runtime.shutdown()
 
     def test_resync_missing_ships_only_missing_keys(self):

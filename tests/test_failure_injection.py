@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from conftest import FlakyModel
 from repro.argobots import Eventual
 from repro.bedrock import BedrockServer, default_hepnos_config
 from repro.errors import AddressError, HEPnOSError, NetworkFailure, RPCTimeout
@@ -23,23 +24,9 @@ from repro.faults import (
     run_nova_chaos,
 )
 from repro.hepnos import PEPOptions, DataStore, ParallelEventProcessor
-from repro.hepnos.write_batch import AsynchronousWriteBatch
 from repro.mercury import Engine, Fabric, FaultModel, InjectionFaultModel
 from repro.mercury.address import Address
 from repro.yokan import MemoryBackend, YokanClient, YokanProvider
-
-
-class FlakyModel(FaultModel):
-    """Drops the first ``n`` messages, then behaves."""
-
-    def __init__(self, n: int):
-        self.remaining = n
-
-    def should_drop(self, src, dst, nbytes) -> bool:
-        if self.remaining > 0:
-            self.remaining -= 1
-            return True
-        return False
 
 
 class EveryNthModel(FaultModel):
@@ -56,7 +43,8 @@ def make_world(fault_model, retries=0):
     fabric = Fabric(fault_model=fault_model)
     engine = Engine(fabric, "sm://server/0")
     YokanProvider(engine, databases={"db": MemoryBackend()})
-    client = YokanClient(Engine(fabric, "sm://client/0"), retries=retries)
+    client = YokanClient(Engine(fabric, "sm://client/0"),
+                         retry_policy=RetryPolicy.from_retries(retries))
     return fabric, client.database_handle("sm://server/0", 0, "db")
 
 
@@ -117,7 +105,7 @@ class TestHEPnOSLayer:
         ))
         datastore = DataStore.connect(fabric, [server])
         # Make the datastore's handles retry.
-        datastore._client.retries = 4
+        datastore.retry_policy = RetryPolicy.from_retries(4)
         ds = datastore.create_dataset("flaky")
         subrun = ds.create_run(1).create_subrun(1)
         for e in range(20):
@@ -316,43 +304,6 @@ def _hepnos_world(fault_model=None, **config_kwargs):
         **config_kwargs,
     ))
     return fabric, server
-
-
-class TestWriteBatchRecovery:
-    def test_wait_reissues_dropped_flushes(self):
-        fabric, server = _hepnos_world()
-        datastore = DataStore.connect(fabric, [server])
-        ds = datastore.create_dataset("batchy")
-        # Drop the next few sends: the async flush RPCs go down, the
-        # synchronous re-issue (which retries) recovers them.
-        batch = AsynchronousWriteBatch(datastore, flush_threshold=10_000)
-        subrun = ds.create_run(1, batch=batch).create_subrun(1, batch=batch)
-        for e in range(40):
-            subrun.create_event(e, batch=batch)
-        fabric.fault_model = FlakyModel(2)
-        batch.flush()
-        batch.wait()
-        fabric.fault_model = FaultModel()
-        assert batch.recovered_flushes >= 1
-        assert [ev.number for ev in subrun] == list(range(40))
-
-    def test_wait_drains_all_inflight_before_raising(self):
-        fabric, server = _hepnos_world()
-        datastore = DataStore.connect(fabric, [server])
-        datastore.retry_policy = RetryPolicy.none()
-        ds = datastore.create_dataset("draining")
-        batch = AsynchronousWriteBatch(datastore, flush_threshold=10_000)
-        subrun = ds.create_run(1, batch=batch).create_subrun(1, batch=batch)
-        for e in range(40):
-            subrun.create_event(e, batch=batch)
-        # Everything dropped, no retries: wait() must still settle every
-        # in-flight flush and then surface the failure.
-        fabric.fault_model = FlakyModel(1_000_000)
-        batch.flush()
-        with pytest.raises(NetworkFailure):
-            batch.wait()
-        fabric.fault_model = FaultModel()
-        assert batch._inflight == []
 
 
 class TestDegradation:

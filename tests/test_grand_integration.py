@@ -40,7 +40,7 @@ from repro.mercury import Fabric
 from repro.minimpi import mpirun
 from repro.monitor import FabricMonitor, diagnose, monitor_provider
 from repro.nova import GeneratorConfig, generate_file_set, nue_candidate_cut
-from repro.rescale import add_server, execute_rescale, plan_rescale
+from repro.rescale import add_server, migrate_live
 from repro.serial import registered_type, serializable
 from repro.workflows import TraditionalWorkflow, write_file_list
 
@@ -137,8 +137,7 @@ def test_full_campaign(tmp_path):
         run_databases=2, subrun_databases=2,
         backend="lsm", storage_root=str(tmp_path / "store2"),
     ))
-    plan = plan_rescale(datastore, add_server(datastore.connection, extra))
-    stats = execute_rescale(datastore, plan)
+    stats = migrate_live(datastore, add_server(datastore.connection, extra))
     assert 0.0 < stats.moved_fraction < 1.0
 
     # Products written by the pipeline survive the migration.

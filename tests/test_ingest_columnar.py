@@ -22,8 +22,6 @@ from repro.errors import CorruptionError, SerializationError
 from repro.faults.retry import RETRYABLE_ERRORS
 from repro.hdf5lite import H5LiteFile
 from repro.hepnos import (
-    AsyncEngine,
-    AsynchronousWriteBatch,
     DataLoader,
     DataStore,
     LoadPlan,
@@ -857,28 +855,3 @@ class TestPutMultiFraming:
         assert db.client.retry_policy.retryable(caught.value)
         # nothing of a damaged batch is stored
         assert len(provider.databases["events"]) == 0
-
-    def test_sync_async_and_engine_flushes_land_the_same_pairs(self):
-        def fill(batch):
-            for i in range(300):
-                parent = b"parent-%03d" % (i % 7)
-                batch.append_placed("events", parent, parent + b"/%d" % i, b"")
-                batch.append_placed("products", parent,
-                                    parent + b"#%d" % i, bytes([i % 251]) * i)
-
-        sync, raw, engine = Service(), Service(), Service()
-        with WriteBatch(sync.datastore, flush_threshold=128) as batch:
-            fill(batch)
-        with AsynchronousWriteBatch(raw.datastore,
-                                    flush_threshold=128) as batch:
-            assert batch.async_engine is None
-            fill(batch)
-        AsyncEngine(engine.datastore, max_inflight=2)
-        with AsynchronousWriteBatch(engine.datastore,
-                                    flush_threshold=128) as batch:
-            assert batch.async_engine is not None
-            fill(batch)
-        stored = sync.stored()
-        assert sum(len(db) for db in stored.values()) == 600
-        assert raw.stored() == stored
-        assert engine.stored() == stored

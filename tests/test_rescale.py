@@ -2,18 +2,19 @@
 
 import pytest
 
+from conftest import shards
 from repro.bedrock import BedrockServer, default_hepnos_config
 from repro.errors import ConfigError, ShardMapStale
 from repro.faults.retry import RETRYABLE_ERRORS
 from repro.hepnos import DataStore, WriteBatch, vector_of
+from repro.hepnos.placement import ParentHashPlacement
 from repro.rescale import (
     LiveRescaler,
     add_server,
-    execute_rescale,
     migrate_live,
-    plan_rescale,
     remove_server,
 )
+from repro.rescale.migrate import _parent_groups
 from repro.serial import serializable
 
 
@@ -92,46 +93,79 @@ class TestConnectionSurgery:
             remove_server(shrunk, str(service[0].address))
 
 
+def on_model_placement(datastore, servers, connection):
+    """Every stored pair sits on the one database the placement function
+    of ``connection`` names for its parent group, and nowhere else.
+    Returns the number of pairs checked."""
+    model = ParentHashPlacement(connection)
+    held = shards(servers)
+    checked = 0
+    for kind, parent_key, child_keys in _parent_groups(datastore):
+        target = model.database_for(kind, parent_key)
+        for key in child_keys:
+            assert {shard for shard, keys in held.items() if key in keys} == {
+                (target.address, target.name)}
+            checked += 1
+    assert checked == sum(len(keys) for keys in held.values())
+    return checked
+
+
 class TestPlan:
     def test_plan_moves_minority_of_keys(self, fabric, service, datastore):
-        _, expected = populate(datastore, "plan")
+        populate(datastore, "plan")
         joined = add_server(datastore.connection, new_server(fabric, 2))
-        plan = plan_rescale(datastore, joined)
-        total = plan.keys_to_move + plan.keys_stayed
+        rescaler = LiveRescaler(datastore, joined)
+        rescaler.begin()
+        to_move = rescaler.remaining_keys
+        total = to_move + rescaler.stats.keys_stayed
         assert total > 0
         # Consistent hashing: adding ~1/3 of capacity moves well under
         # half of the keys.
-        assert plan.keys_to_move < total * 0.6
-        assert plan.keys_to_move > 0
+        assert 0 < to_move < total * 0.6
 
     def test_plan_noop_for_same_connection(self, fabric, service, datastore):
         populate(datastore, "noop")
-        plan = plan_rescale(datastore, datastore.connection)
-        assert plan.keys_to_move == 0
-        assert plan.keys_stayed > 0
+        rescaler = LiveRescaler(datastore, datastore.connection)
+        rescaler.begin()
+        assert rescaler.remaining_keys == 0
+        assert rescaler.stats.keys_stayed > 0
+        assert rescaler.commit().keys_moved == 0
 
 
 class TestExecute:
+    """``migrate_live`` on an idle store, checked against the placement
+    function (the model) rather than against another implementation."""
+
     def test_grow_preserves_all_data(self, fabric, service, datastore):
         _, expected = populate(datastore, "grow")
         joined = add_server(datastore.connection, new_server(fabric, 3))
-        plan = plan_rescale(datastore, joined)
-        stats = execute_rescale(datastore, plan)
-        assert stats.keys_moved == plan.keys_to_move
+        rescaler = LiveRescaler(datastore, joined)
+        rescaler.begin()
+        planned = rescaler.remaining_keys
+        while rescaler.step():
+            pass
+        stats = rescaler.commit()
+        assert stats.keys_moved == planned
         assert stats.bytes_moved > 0
         verify(datastore, "grow", expected)
 
     def test_grow_then_shrink_roundtrip(self, fabric, service, datastore):
         _, expected = populate(datastore, "cycle")
         server = new_server(fabric, 4)
+        servers = service + [server]
         joined = add_server(datastore.connection, server)
-        execute_rescale(datastore, plan_rescale(datastore, joined))
+        grown = migrate_live(datastore, joined)
         verify(datastore, "cycle", expected)
+        pairs = on_model_placement(datastore, servers, joined)
+        assert grown.keys_moved + grown.keys_stayed == pairs
         # Now drain the server back out.
         shrunk = remove_server(datastore.connection, str(server.address))
-        execute_rescale(datastore, plan_rescale(datastore, shrunk))
+        drained = migrate_live(datastore, shrunk)
         verify(datastore, "cycle", expected)
-        # Nothing left behind on the drained server.
+        assert on_model_placement(datastore, servers, shrunk) == pairs
+        # What joined is what left; nothing stays on the drained server.
+        assert (drained.keys_moved, drained.moves_by_kind) == (
+            grown.keys_moved, grown.moves_by_kind)
         for provider in server.providers.values():
             for backend in provider.databases.values():
                 assert len(backend) == 0
@@ -139,7 +173,7 @@ class TestExecute:
     def test_new_clients_see_rescaled_layout(self, fabric, service, datastore):
         _, expected = populate(datastore, "fresh")
         joined = add_server(datastore.connection, new_server(fabric, 5))
-        execute_rescale(datastore, plan_rescale(datastore, joined))
+        migrate_live(datastore, joined)
         fresh = DataStore.connect(fabric, joined)
         seen = sum(1 for _ in fresh["rescale/fresh"].events())
         assert seen == len(expected)
@@ -147,14 +181,14 @@ class TestExecute:
     def test_iteration_order_preserved(self, fabric, service, datastore):
         ds, _ = populate(datastore, "order", runs=1, subruns=1, events=30)
         joined = add_server(datastore.connection, new_server(fabric, 6))
-        execute_rescale(datastore, plan_rescale(datastore, joined))
+        migrate_live(datastore, joined)
         numbers = [e.number for e in datastore["rescale/order"][0][0]]
         assert numbers == list(range(30))
 
     def test_moved_fraction_reported(self, fabric, service, datastore):
         populate(datastore, "frac")
         joined = add_server(datastore.connection, new_server(fabric, 7))
-        stats = execute_rescale(datastore, plan_rescale(datastore, joined))
+        stats = migrate_live(datastore, joined)
         assert 0.0 < stats.moved_fraction < 1.0
         assert sum(stats.moves_by_kind.values()) == stats.keys_moved
         assert set(stats.moves_by_kind) <= {

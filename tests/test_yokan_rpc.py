@@ -1,9 +1,13 @@
 """Tests for Yokan over RPC: provider + client, bulk batch paths."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import KeyNotFound, YokanError
-from repro.mercury import Engine, Fabric
+from repro.faults import RetryPolicy
+from repro.mercury import Engine, Fabric, FaultModel
+from repro.serial import dumps, register_type
 from repro.yokan import MemoryBackend, YokanClient, YokanProvider
 
 
@@ -253,3 +257,106 @@ class TestLargeValuePath:
         _, _, _, db = world
         with pytest.raises(KeyNotFound):
             db.get(b"never-stored")
+
+
+# -- each bulk verb is defined once: blocking == non-blocking + wait ---------
+
+
+@dataclasses.dataclass
+class Hit:
+    adc: float = 0.0
+    n: int = 0
+
+
+register_type(Hit, "yr.Hit")
+SUFFIX = b"#hits"
+PREFIXES = [b"ev%02d" % i for i in range(12)]
+STORED = [(prefix + SUFFIX, dumps([Hit(i + 0.5 * j, i) for j in range(i % 4)]))
+          for i, prefix in enumerate(PREFIXES) if i % 5]
+FRESH = [(b"new%02d" % i, bytes([i]) * (40 * i)) for i in range(10)]
+
+
+class CorruptNth(FaultModel):
+    """Flips a bit of the ``nth`` payload on the wire.  The second is the
+    bulk transfer of a bulk verb (request, bulk, response), and the
+    response of one that carries its data inline."""
+
+    def __init__(self, nth: int):
+        self.nth, self.seen = nth, 0
+
+    def corrupt(self, src, dst, payload):
+        self.seen += 1
+        if self.seen != self.nth:
+            return None
+        mutated = bytearray(payload)
+        mutated[len(mutated) // 2] ^= 0x10
+        return bytes(mutated)
+
+
+def plain(answer):
+    """``answer`` with every zero-copy view copied out, for ``==``."""
+    if isinstance(answer, memoryview):
+        return bytes(answer)
+    if isinstance(answer, (list, tuple)):
+        return [plain(item) for item in answer]
+    return answer
+
+
+#: verb -> (arguments, whether the last one is a landing-buffer size
+#: hint, the same call on empty input)
+BULK_VERBS = {
+    "get_multi": (([k for k, _ in STORED] + [b"absent"],), True, ([],)),
+    "load_prefix_packed": ((PREFIXES,), True, ([],)),
+    "scan_columns": ((PREFIXES, SUFFIX, ["adc", "n"]), True,
+                     ([], SUFFIX, ["adc", "n"])),
+    "put_multi": ((FRESH,), False, ([],)),
+    "replicate": ((FRESH, [STORED[0][0]]), False, ([], [])),
+}
+
+
+@pytest.mark.parametrize("condition", ["resize", "corrupt", "empty"])
+@pytest.mark.parametrize("verb", sorted(BULK_VERBS))
+def test_bulk_verb_blocking_equals_nonblocking(verb, condition):
+    args, sized, empty = BULK_VERBS[verb]
+
+    def run(form, condition=condition):
+        """The verb's answer and what the database holds afterwards."""
+        fabric = Fabric()
+        provider = YokanProvider(Engine(fabric, "sm://server/0"),
+                                 provider_id=1,
+                                 databases={"events": MemoryBackend()})
+        client = YokanClient(
+            Engine(fabric, "sm://client/0"),
+            retry_policy=RetryPolicy(max_attempts=3, base_delay=0.0))
+        db = client.database_handle("sm://server/0", 1, "events")
+        db.put_multi(STORED)
+        call = empty if condition == "empty" else args
+        if sized and condition == "resize":
+            call = call + (1,)      # a one-byte landing buffer: must resize
+        if condition == "corrupt":
+            fabric.fault_model = CorruptNth(2)
+        fabric.stats.reset()
+        if form == "blocking":
+            answer = getattr(db, verb)(*call)
+        else:
+            answer = getattr(db, verb + "_nb")(*call).wait()
+        stats = fabric.stats
+        return (plain(answer), dict(provider.databases["events"].scan()),
+                stats.rpc_count, stats.corrupted)
+
+    blocking, stored, rpcs, corrupted = run("blocking")
+    assert run("nonblocking") == (blocking, stored, rpcs, corrupted)
+    if condition == "empty":
+        assert rpcs == 0 and stored == dict(STORED)
+    elif condition == "resize":
+        assert rpcs == (2 if sized else 1)
+    else:
+        # The damaged transfer was re-issued, and the answer is the
+        # fault-free one.
+        assert (corrupted, rpcs) == (1, 2)
+        clean = run("blocking", "clean")
+        assert clean[1:] == (stored, 1, 0)
+        if verb != "replicate":   # whose re-applied erase removes nothing
+            assert clean[0] == blocking
+    if verb in ("put_multi", "replicate") and condition != "empty":
+        assert stored.items() >= dict(FRESH).items()
