@@ -236,7 +236,7 @@ def bench_projection_bytes(params: dict) -> dict:
         stats = fabric.stats
 
         def moved(fn) -> tuple:
-            fn()  # warm the server projection cache / scan path
+            fn()  # warm the scan path
             best_s, best_b = float("inf"), 0
             for _ in range(3):
                 before = stats.total_bytes

@@ -199,17 +199,6 @@ def project_records(layout, records, fields: Sequence[str]) -> Dict[str, Any]:
     return columns
 
 
-def table_nbytes(columns: Dict[str, Any]) -> int:
-    """Approximate resident size of a column table (for LRU accounting)."""
-    total = 0
-    for col in columns.values():
-        if isinstance(col, np.ndarray):
-            total += col.nbytes
-        else:
-            total += 64 * len(col)
-    return total
-
-
 # -- wire blocks for the scan_columns projection ------------------------------
 
 
@@ -270,7 +259,6 @@ __all__ = [
     "column_from_block",
     "pack_field_column",
     "project_records",
-    "table_nbytes",
     "table_records",
     "to_columns",
     "value_to_table",

@@ -383,8 +383,7 @@ class DatabaseHandle:
                 ([], [("O", memoryview(b"")) for _ in fields]), description)
         suffix = bytes(suffix)
         # Flat framing: hundreds of prefix keys travel as two byte
-        # strings instead of one archive value per key, and the blob
-        # doubles as the server's page-cache token.
+        # strings instead of one archive value per key.
         blob, lens = packed.pack_prefixes(prefixes)
         issue, finish = self._landing(
             "yokan.scan_columns",

@@ -103,8 +103,7 @@ def pack_prefixes(prefixes: Sequence[bytes]) -> Tuple[bytes, bytes]:
 
     A batch scan ships hundreds of prefix keys per request; framing
     them as two flat byte strings keeps them out of the generic
-    archive (one value each instead of one per key) and gives the
-    server a hashable whole-request token for its page cache.
+    archive (one value each instead of one per key).
     """
     blob = b"".join(prefixes)
     lens = struct.pack(f"<{len(prefixes)}I", *map(len, prefixes))

@@ -10,7 +10,7 @@ their data with RDMA-style bulk transfers, matching the paper's
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Optional
 
 from repro.argobots import Pool, ult_yield
@@ -50,20 +50,26 @@ RPC_NAMES = (
 )
 
 
-#: what a handler converts into a wire error response: the service's
-#: own exception hierarchy plus malformed-payload decode errors.
-#: Anything else (a genuine server bug) propagates and fails the RPC.
+#: what the serve wrapper converts into a wire error response: the
+#: service's own exception hierarchy plus malformed-payload decode
+#: errors.  Anything else (a genuine server bug) propagates and fails
+#: the RPC.
 _HANDLED_ERRORS = (ReproError, ValueError, TypeError, KeyError)
 
 
-def _ok(value=None) -> bytes:
-    return dumps(("ok", value))
+class _Resize:
+    """What a push-back returns when the landing buffer is too small."""
+
+    __slots__ = ("needed",)
+
+    def __init__(self, needed: int):
+        self.needed = needed
 
 
 def _err(exc: BaseException) -> bytes:
     kind = "KeyNotFound" if isinstance(exc, KeyNotFound) else type(exc).__name__
     # 429-style sheds carry their server-supplied backoff hint as a
-    # fourth element; older decoders index only the first three.
+    # fourth element.
     retry_after = getattr(exc, "retry_after_s", None)
     if retry_after is not None:
         return dumps(("err", kind, str(exc), float(retry_after)))
@@ -130,15 +136,9 @@ class ReplicaLink:
 class YokanProvider:
     """Server-side provider bound to one engine + provider id."""
 
-    #: default bound on the server-side projection cache (bytes).
-    COLUMN_CACHE_BYTES = 64 * 1024 * 1024
-    #: default bound on cached, already-packed scan_columns pages.
-    PAGE_CACHE_BYTES = 16 * 1024 * 1024
-
     def __init__(self, engine: Engine, provider_id: int = 0,
                  pool: Optional[Pool] = None,
                  databases: Optional[dict[str, Backend]] = None,
-                 column_cache_bytes: Optional[int] = None,
                  broker=None):
         self.engine = engine
         self.provider_id = provider_id
@@ -147,154 +147,111 @@ class YokanProvider:
         #: admission control + fair-share on tenant-tagged requests.
         self.broker = broker
         self.databases: dict[str, Backend] = dict(databases or {})
-        # Server-side projection cache for row-encoded values (typed
-        # tables project from their stored bytes): (db name, key) ->
-        # decoded column table (or None for values no column plan
-        # covers), so repeated scan_columns passes skip the per-object
-        # decode.  Entries are invalidated on any put/erase of their
-        # key and evicted LRU under a bytes bound.
-        self._column_cache: OrderedDict = OrderedDict()
-        self._column_cache_bytes = 0
-        self._column_cache_max = (self.COLUMN_CACHE_BYTES
-                                  if column_cache_bytes is None
-                                  else column_cache_bytes)
-        # Whole-page cache over identical scan_columns requests (an
-        # analysis re-run projects the same prefixes/fields verbatim):
-        # keyed by the full request, validated against a per-database
-        # write generation so any put/erase drops every page of that
-        # database at the cost of one integer compare.
-        self._page_cache: OrderedDict = OrderedDict()
-        self._page_cache_bytes = 0
-        self._page_gen: dict[str, int] = {}
-        self._column_lock = threading.Lock()
         #: db name -> ReplicaLink forwarding acknowledged writes.
         self._replicas: dict[str, ReplicaLink] = {}
         for rpc_name in RPC_NAMES:
             handler = getattr(self, "_rpc_" + rpc_name.split(".", 1)[1])
-            wrapped = (self._brokered(rpc_name, handler)
-                       if broker is not None
-                       else self._traced(rpc_name, handler))
-            engine.register(rpc_name, wrapped,
+            engine.register(rpc_name, self._serve(rpc_name, handler),
                             provider_id=provider_id, pool=self.pool)
 
-    def _traced(self, rpc_name: str, handler):
-        """Wrap a handler in a server-side span and the wire envelope.
+    def _serve(self, rpc_name: str, handler):
+        """Build what ``engine.register`` gets for one RPC name.
 
-        The span parents to the client span whose context arrived in
-        the RPC payload header, so one trace covers both sides of the
-        wire.  The request envelope is unsealed after the span opens
-        (so corrupted requests still produce a provider span) and every
-        response -- including error responses -- is sealed on the way
-        out.  With no tracer installed the original handler runs
-        directly (one attribute read of overhead).
+        Every request of every verb takes the same four steps, each
+        written once: *open* splits off the tenant envelope, *admit*
+        (only with a broker attached and a tenant on the request) asks
+        the broker for a service slot, *run* unseals the payload, calls
+        the handler and turns what it returned or raised into a response
+        body, *close* seals that body.  Handlers only decode, work and
+        return a value or raise.
+
+        With a broker the registered callable is a *generator*: an
+        admitted request cooperatively yields until the fair-share
+        scheduler grants its ticket, so queued requests occupy no
+        execution stream.  Without one it is a plain function; which of
+        the two is decided here, once.
         """
         op = rpc_name.split(".", 1)[1]
+        span_name = f"yokan.provider.{op}"
         provider_id = self.provider_id
         engine_address = str(self.engine.address)
+        broker = self.broker
 
-        def serve(req: RPCRequest) -> bytes:
-            try:
-                # An unbrokered server still accepts (and ignores) the
-                # tenant envelope, so tenant sessions work against any
-                # deployment; the magic check is four byte compares.
-                _meta, envelope = wire.unwrap_tenant(req.payload)
-                req.payload = wire.unseal(envelope)
-            except CorruptionError as exc:
-                if req.trace_span is not None:
-                    req.trace_span.set_tag("error", "CorruptionError")
-                return wire.seal(_err(exc))
-            return wire.seal(handler(req))
-
-        def traced_handler(req: RPCRequest) -> bytes:
+        def span_of(req: RPCRequest):
+            # The span parents to the client span whose context arrived
+            # in the RPC payload header, so one trace covers both sides
+            # of the wire; it opens before the envelope does, so a
+            # corrupted request still produces a provider span.  With
+            # no tracer installed this is one attribute read.
             if not _tracing.enabled:
-                return serve(req)
+                return _tracing.NULL_SPAN
             parent = req.trace_context
             if parent is None:
                 parent = _tracing.NO_PARENT
-            with _tracing.span(f"yokan.provider.{op}",
-                               parent=parent,
-                               provider=provider_id,
-                               address=engine_address) as sp:
-                req.trace_span = sp
-                return serve(req)
+            req.trace_span = _tracing.span(span_name, parent=parent,
+                                           provider=provider_id,
+                                           address=engine_address)
+            return req.trace_span
 
-        return traced_handler
+        def refuse(req: RPCRequest, exc: BaseException) -> bytes:
+            if req.trace_span is not None:
+                req.trace_span.set_tag("error", type(exc).__name__)
+            return _err(exc)
 
-    def _brokered(self, rpc_name: str, handler):
-        """Wrap a handler in admission control + fair-share scheduling.
-
-        The wrapper is a *generator* handler: after the broker admits a
-        tenant-tagged request, the ULT cooperatively yields until the
-        fair-share scheduler grants it a service slot, so queued
-        requests occupy no execution stream.  Sheds happen before the
-        payload is unsealed and travel back as sealed 429-style errors
-        with their ``retry_after_s`` hint.  Untagged (system/legacy)
-        traffic bypasses the broker entirely.
-        """
-        op = rpc_name.split(".", 1)[1]
-        provider_id = self.provider_id
-        engine_address = str(self.engine.address)
-
-        def serve(req: RPCRequest):
-            broker = self.broker
+        def enter(req: RPCRequest) -> tuple:
+            """*open* + *admit*: ``(envelope, admission, refusal body)``."""
             try:
                 meta, envelope = wire.unwrap_tenant(req.payload)
-            except CorruptionError as exc:
+                # Untagged (system) traffic bypasses the broker, and an
+                # unbrokered server accepts and ignores the tenant
+                # envelope, so tenant sessions work against any
+                # deployment.
+                if broker is None or meta is None or not meta.tenant:
+                    return envelope, None, None
                 if req.trace_span is not None:
-                    req.trace_span.set_tag("error", "CorruptionError")
-                return wire.seal(_err(exc))
-            if broker is None or meta is None or not meta.tenant:
-                try:
-                    req.payload = wire.unseal(envelope)
-                except CorruptionError as exc:
-                    if req.trace_span is not None:
-                        req.trace_span.set_tag("error", "CorruptionError")
-                    return wire.seal(_err(exc))
-                return wire.seal(handler(req))
-            try:
-                admission = broker.admit(meta, op, len(envelope))
-            except ServiceBusy as exc:
-                if req.trace_span is not None:
-                    req.trace_span.set_tag("error", type(exc).__name__)
                     req.trace_span.set_tag("tenant", meta.tenant)
-                return wire.seal(_err(exc))
-            if req.trace_span is not None:
-                req.trace_span.set_tag("tenant", meta.tenant)
-            response = None
-            queued = 0.0
+                # A shed is answered from here, before the payload is
+                # unsealed, as a 429-style error with its retry hint.
+                return envelope, broker.admit(meta, op, len(envelope)), None
+            except (CorruptionError, ServiceBusy) as exc:
+                return None, None, refuse(req, exc)
+
+        def run(req: RPCRequest, envelope) -> bytes:
             try:
-                while not admission.ticket.granted:
-                    yield ult_yield()
-                queued = broker.begin(admission)
-                try:
-                    req.payload = wire.unseal(envelope)
-                    response = handler(req)
-                except CorruptionError as exc:
-                    if req.trace_span is not None:
-                        req.trace_span.set_tag("error", "CorruptionError")
-                    response = _err(exc)
-                return wire.seal(response)
-            finally:
-                broker.finish(
-                    admission,
-                    response_bytes=len(response) if response is not None
-                    else 0,
-                    queued_s=queued)
+                req.payload = wire.unseal(envelope)
+                value = handler(req)
+            except _HANDLED_ERRORS as exc:
+                return refuse(req, exc)
+            if type(value) is _Resize:
+                return dumps(("retry", value.needed))
+            return dumps(("ok", value))
 
-        def brokered_handler(req: RPCRequest):
-            if not _tracing.enabled:
-                return (yield from serve(req))
-            parent = req.trace_context
-            if parent is None:
-                parent = _tracing.NO_PARENT
-            with _tracing.span(f"yokan.provider.{op}",
-                               parent=parent,
-                               provider=provider_id,
-                               address=engine_address) as sp:
-                req.trace_span = sp
-                return (yield from serve(req))
+        def serve(req: RPCRequest) -> bytes:
+            with span_of(req):
+                envelope, _admission, body = enter(req)
+                if body is None:
+                    body = run(req, envelope)
+                return wire.seal(body)
 
-        return brokered_handler
+        def serve_fair(req: RPCRequest):
+            with span_of(req):
+                envelope, admission, body = enter(req)
+                if admission is not None:
+                    queued = 0.0
+                    try:
+                        while not admission.ticket.granted:
+                            yield ult_yield()
+                        queued = broker.begin(admission)
+                        body = run(req, envelope)
+                    finally:
+                        broker.finish(admission,
+                                      response_bytes=len(body or b""),
+                                      queued_s=queued)
+                elif body is None:
+                    body = run(req, envelope)
+                return wire.seal(body)
+
+        return serve if broker is None else serve_fair
 
     # -- database management -----------------------------------------------
 
@@ -303,7 +260,10 @@ class YokanProvider:
             raise YokanError(f"database {name!r} already exists")
         self.databases[name] = backend
 
-    def _db(self, name: str) -> Backend:
+    def _db(self, req: RPCRequest, name: str) -> Backend:
+        """The database a request names (tagged on its span)."""
+        if req.trace_span is not None:
+            req.trace_span.set_tag("db", name)
         try:
             return self.databases[name]
         except KeyError:
@@ -337,84 +297,68 @@ class YokanProvider:
             link.forward(pairs, erase_keys)
 
     # -- RPC handlers --------------------------------------------------------
-    # Each returns response bytes (the engine auto-responds).
+    # Each decodes ``req.payload``, does the work and returns the value
+    # of the ``("ok", value)`` response or raises; `_serve` does the rest.
 
-    def _rpc_put(self, req: RPCRequest) -> bytes:
-        try:
-            name, key, value = loads(req.payload)
-            if req.trace_span is not None:
-                req.trace_span.set_tag("db", name)
-            self._db(name).put(key, value)
-            self._column_invalidate(name, key)
-            self._forward(name, pairs=[(bytes(key), bytes(value))])
-            return _ok()
-        except _HANDLED_ERRORS as exc:
-            return _err(exc)
+    def _push_back(self, req: RPCRequest, bulk, capacity: int, buffer,
+                   *head):
+        """Move a packed answer into the client's landing buffer.
 
-    def _rpc_put_multi(self, req: RPCRequest) -> bytes:
-        try:
-            name, bulk, nbytes, crc = loads(req.payload)
-            buffer = bytearray(nbytes)
-            local = self.engine.expose(buffer, Bulk.READ_WRITE)
-            req.bulk_transfer(BulkOp.PULL, bulk, local, size=nbytes)
-            # The CRC rejects a corrupted bulk pull before anything is
-            # stored; the pairs (one packed group, see the client's
-            # frame_put_multi) decode in place, values as views of the
-            # pulled buffer that the backend copies.
-            wire.verify_bulk(buffer, crc, "put_multi bulk buffer")
-            (pairs,) = packed.unpack_groups(buffer, 1)
-            if req.trace_span is not None:
-                req.trace_span.set_tag("db", name)
-                req.trace_span.set_tag("keys", len(pairs))
-            count = self._db(name).put_multi(pairs)
-            for key, _value in pairs:
-                self._column_invalidate(name, key)
-            self._forward(name, pairs=pairs)
-            return _ok(count)
-        except _HANDLED_ERRORS as exc:
-            return _err(exc)
+        The server half of the client's ``_landing`` protocol: a buffer
+        that does not fit is answered with the size it needs (the
+        client re-issues at that size); otherwise one RDMA push, and
+        ``(*head, length, crc)`` -- the client verifies its landing
+        buffer against the CRC before decoding, retrying the RPC on a
+        corrupted push.
+        """
+        if req.trace_span is not None:
+            req.trace_span.set_tag("bytes", len(buffer))
+        if len(buffer) > capacity:
+            return _Resize(len(buffer))
+        local = self.engine.expose(bytearray(buffer), Bulk.READ_ONLY)
+        req.bulk_transfer(BulkOp.PUSH, bulk, local, size=len(buffer))
+        return (*head, len(buffer), wire.checksum(buffer))
 
-    def _rpc_get(self, req: RPCRequest) -> bytes:
-        try:
-            decoded = loads(req.payload)
-            # Newer clients send a max-inline size; values above it are
-            # announced rather than shipped, so the client can fetch
-            # them with a bulk transfer.
-            if len(decoded) == 3:
-                name, key, max_inline = decoded
-            else:
-                name, key = decoded
-                max_inline = None
-            if req.trace_span is not None:
-                req.trace_span.set_tag("db", name)
-            value = self._db(name).get(key)
-            if max_inline is not None and len(value) > max_inline:
-                return _ok(("large", len(value)))
-            return _ok(value)
-        except _HANDLED_ERRORS as exc:
-            return _err(exc)
+    def _rpc_put(self, req: RPCRequest) -> None:
+        name, key, value = loads(req.payload)
+        self._db(req, name).put(key, value)
+        self._forward(name, pairs=[(bytes(key), bytes(value))])
 
-    def _rpc_get_multi(self, req: RPCRequest) -> bytes:
-        try:
-            name, keys, bulk, capacity = loads(req.payload)
-            if req.trace_span is not None:
-                req.trace_span.set_tag("db", name)
-                req.trace_span.set_tag("keys", len(keys))
-            values = self._db(name).get_multi(list(keys))
-            packed = dumps(values)
-            if len(packed) > capacity:
-                # Client's landing buffer is too small; tell it how much
-                # space the packed response needs so it can retry.
-                return dumps(("retry", len(packed)))
-            local = self.engine.expose(bytearray(packed), Bulk.READ_ONLY)
-            req.bulk_transfer(BulkOp.PUSH, bulk, local, size=len(packed))
-            # The client verifies its landing buffer against this CRC
-            # before decoding, retrying the RPC on a corrupted push.
-            return _ok((len(packed), wire.checksum(packed)))
-        except _HANDLED_ERRORS as exc:
-            return _err(exc)
+    def _rpc_put_multi(self, req: RPCRequest) -> int:
+        name, bulk, nbytes, crc = loads(req.payload)
+        buffer = bytearray(nbytes)
+        local = self.engine.expose(buffer, Bulk.READ_WRITE)
+        req.bulk_transfer(BulkOp.PULL, bulk, local, size=nbytes)
+        # The CRC rejects a corrupted bulk pull before anything is
+        # stored; the pairs (one packed group, see the client's
+        # frame_put_multi) decode in place, values as views of the
+        # pulled buffer that the backend copies.
+        wire.verify_bulk(buffer, crc, "put_multi bulk buffer")
+        (pairs,) = packed.unpack_groups(buffer, 1)
+        if req.trace_span is not None:
+            req.trace_span.set_tag("keys", len(pairs))
+        count = self._db(req, name).put_multi(pairs)
+        self._forward(name, pairs=pairs)
+        return count
 
-    def _rpc_load_prefix_packed(self, req: RPCRequest) -> bytes:
+    def _rpc_get(self, req: RPCRequest):
+        name, key, max_inline = loads(req.payload)
+        value = self._db(req, name).get(key)
+        # Values above the client's inline limit are announced rather
+        # than shipped, so the client can fetch them with a bulk
+        # transfer.
+        if len(value) > max_inline:
+            return "large", len(value)
+        return value
+
+    def _rpc_get_multi(self, req: RPCRequest):
+        name, keys, bulk, capacity = loads(req.payload)
+        if req.trace_span is not None:
+            req.trace_span.set_tag("keys", len(keys))
+        values = self._db(req, name).get_multi(list(keys))
+        return self._push_back(req, bulk, capacity, dumps(values))
+
+    def _rpc_load_prefix_packed(self, req: RPCRequest):
         """Scan every requested prefix and push one packed buffer back.
 
         Where ``get_multi`` needs the client to already know each key,
@@ -423,75 +367,26 @@ class YokanProvider:
         and moved in a single RDMA push.  The response carries the group
         count, packed size, and CRC for client-side verification.
         """
-        try:
-            name, prefixes, bulk, capacity = loads(req.payload)
-            db = self._db(name)
-            groups = [list(db.scan_prefix(bytes(p))) for p in prefixes]
-            buffer = packed.pack_groups(groups)
-            if req.trace_span is not None:
-                req.trace_span.set_tag("db", name)
-                req.trace_span.set_tag("prefixes", len(groups))
-                req.trace_span.set_tag("bytes", len(buffer))
-            if len(buffer) > capacity:
-                return dumps(("retry", len(buffer)))
-            local = self.engine.expose(bytearray(buffer), Bulk.READ_ONLY)
-            req.bulk_transfer(BulkOp.PUSH, bulk, local, size=len(buffer))
-            return _ok((len(groups), len(buffer), wire.checksum(buffer)))
-        except _HANDLED_ERRORS as exc:
-            return _err(exc)
+        name, prefixes, bulk, capacity = loads(req.payload)
+        db = self._db(req, name)
+        groups = [list(db.scan_prefix(bytes(p))) for p in prefixes]
+        if req.trace_span is not None:
+            req.trace_span.set_tag("prefixes", len(groups))
+        return self._push_back(req, bulk, capacity,
+                               packed.pack_groups(groups), len(groups))
 
     # -- server-side columnar projection -------------------------------------
 
-    def _column_invalidate(self, name: str, key: bytes) -> None:
-        with self._column_lock:
-            entry = self._column_cache.pop((name, bytes(key)), None)
-            if entry is not None and entry[1] is not None:
-                self._column_cache_bytes -= entry[0]
-            self._page_gen[name] = self._page_gen.get(name, 0) + 1
-
-    def _column_table(self, name: str, key: bytes, value):
-        """The cached column table for ``(name, key)``, decoding on miss.
-
-        Returns ``(count, columns)`` covering every field of the
-        element class, or ``None`` when the value is not columnar
-        (negative results are cached too, so raw values are not
-        re-decoded on every pass).
-        """
-        cache_key = (name, key)
-        with self._column_lock:
-            entry = self._column_cache.get(cache_key)
-            if entry is not None:
-                self._column_cache.move_to_end(cache_key)
-                return entry[1]
-        table = _columnar.value_to_table(value)
-        if table is None:
-            nbytes, entry_val = 0, None
-        else:
-            _tname, count, columns = table
-            entry_val = (count, columns)
-            nbytes = _columnar.table_nbytes(columns)
-        if nbytes > self._column_cache_max:
-            return entry_val
-        with self._column_lock:
-            old = self._column_cache.pop(cache_key, None)
-            if old is not None and old[1] is not None:
-                self._column_cache_bytes -= old[0]
-            self._column_cache[cache_key] = (nbytes, entry_val)
-            self._column_cache_bytes += nbytes
-            while self._column_cache_bytes > self._column_cache_max:
-                _k, (evicted, val) = self._column_cache.popitem(last=False)
-                if val is not None:
-                    self._column_cache_bytes -= evicted
-        return entry_val
-
-    def _project(self, name: str, db: Backend, prefixes, suffix: bytes,
+    def _project(self, db: Backend, prefixes, suffix: bytes,
                  fields: list) -> tuple:
         """Per-prefix statuses and one wire block per field of a page.
 
-        Typed table values (what ingest stores) are never decoded:
-        consecutive ones of one layout have their record bytes joined
-        and each requested field copied out of the join in one strided
-        pass.  Row-encoded values go through the column-table cache.
+        Always from what the backend holds now (a projection that keeps
+        no state cannot be stale).  Typed table values (what ingest
+        stores) are never decoded: consecutive ones of one layout have
+        their record bytes joined and each requested field copied out
+        of the join in one strided pass.  Row-encoded values are
+        decoded to their column table.
         """
         statuses: list = []
         tables: list = []
@@ -507,21 +402,20 @@ class YokanProvider:
         # bytes are the status): the client then evaluates per object
         # and surfaces the same error the object path would.
         for p in prefixes:
-            key = p + suffix
             try:
-                value = db.get(key)
+                value = db.get(p + suffix)
             except KeyNotFound:
                 statuses.append(None)
                 continue
             stored = _columnar.table_records(value)
             if stored is None:
-                table = self._column_table(name, key, value)
-                if table is None or any(f not in table[1] for f in fields):
+                table = _columnar.value_to_table(value)
+                if table is None or any(f not in table[2] for f in fields):
                     statuses.append(value)
                     continue
                 close_run()
-                statuses.append(table[0])
-                tables.append(table[1])
+                statuses.append(table[1])
+                tables.append(table[2])
                 continue
             if stored[0] is not layout:
                 close_run()
@@ -536,7 +430,7 @@ class YokanProvider:
         return statuses, [_columnar.pack_field_column(tables, f)
                           for f in fields]
 
-    def _rpc_scan_columns(self, req: RPCRequest) -> bytes:
+    def _rpc_scan_columns(self, req: RPCRequest):
         """Materialize requested columns server-side; push one page back.
 
         The request names a database, a list of container-key prefixes,
@@ -547,148 +441,70 @@ class YokanProvider:
         per-prefix ``raw`` status) so the projection can never change
         what the client reconstructs.
         """
-        try:
-            name, blob, lens, suffix, fields, bulk, capacity = \
-                loads(req.payload)
-            db = self._db(name)
-            suffix = bytes(suffix)
-            fields = [str(f) for f in fields]
-            # The prefix blob doubles as the page-cache token: a hit
-            # never re-slices the individual keys.
-            page_key = (name, suffix, bytes(blob), bytes(lens),
-                        tuple(fields))
-            with self._column_lock:
-                gen = self._page_gen.get(name, 0)
-                entry = self._page_cache.get(page_key)
-                if entry is not None and entry[0] == gen:
-                    self._page_cache.move_to_end(page_key)
-                    nprefixes, buffer, crc = entry[1], entry[2], entry[3]
-                else:
-                    entry = None
-            if entry is None:
-                statuses, blocks = self._project(
-                    name, db, packed.unpack_prefixes(blob, lens), suffix,
-                    fields)
-                buffer = packed.pack_column_page(statuses, blocks)
-                nprefixes = len(statuses)
-                crc = wire.checksum(buffer)
-                # `gen` was read before the scan: a write racing the
-                # build bumps it, so the entry is already stale and a
-                # later pass rebuilds from the new bytes.
-                nbytes = len(buffer) + len(blob) + len(lens) + 64
-                if nbytes <= self.PAGE_CACHE_BYTES:
-                    with self._column_lock:
-                        old = self._page_cache.pop(page_key, None)
-                        if old is not None:
-                            self._page_cache_bytes -= old[4]
-                        self._page_cache[page_key] = (
-                            gen, nprefixes, buffer, crc, nbytes)
-                        self._page_cache_bytes += nbytes
-                        while self._page_cache_bytes > self.PAGE_CACHE_BYTES:
-                            _k, dropped = self._page_cache.popitem(last=False)
-                            self._page_cache_bytes -= dropped[4]
-            if req.trace_span is not None:
-                req.trace_span.set_tag("db", name)
-                req.trace_span.set_tag("prefixes", nprefixes)
-                req.trace_span.set_tag("fields", len(fields))
-                req.trace_span.set_tag("bytes", len(buffer))
-                req.trace_span.set_tag("page_cached", entry is not None)
-            if len(buffer) > capacity:
-                return dumps(("retry", len(buffer)))
-            local = self.engine.expose(bytearray(buffer), Bulk.READ_ONLY)
-            req.bulk_transfer(BulkOp.PUSH, bulk, local, size=len(buffer))
-            return _ok((nprefixes, len(buffer), crc))
-        except _HANDLED_ERRORS as exc:
-            return _err(exc)
+        name, blob, lens, suffix, fields, bulk, capacity = \
+            loads(req.payload)
+        fields = [str(f) for f in fields]
+        statuses, blocks = self._project(
+            self._db(req, name), packed.unpack_prefixes(blob, lens),
+            bytes(suffix), fields)
+        if req.trace_span is not None:
+            req.trace_span.set_tag("prefixes", len(statuses))
+            req.trace_span.set_tag("fields", len(fields))
+        return self._push_back(req, bulk, capacity,
+                               packed.pack_column_page(statuses, blocks),
+                               len(statuses))
 
-    def _rpc_exists(self, req: RPCRequest) -> bytes:
-        try:
-            name, key = loads(req.payload)
-            return _ok(self._db(name).exists(key))
-        except _HANDLED_ERRORS as exc:
-            return _err(exc)
+    def _rpc_exists(self, req: RPCRequest) -> bool:
+        name, key = loads(req.payload)
+        return self._db(req, name).exists(key)
 
-    def _rpc_erase(self, req: RPCRequest) -> bytes:
-        try:
-            name, key = loads(req.payload)
-            self._db(name).erase(key)
-            self._column_invalidate(name, key)
-            self._forward(name, erase_keys=[bytes(key)])
-            return _ok()
-        except _HANDLED_ERRORS as exc:
-            return _err(exc)
+    def _rpc_erase(self, req: RPCRequest) -> None:
+        name, key = loads(req.payload)
+        self._db(req, name).erase(key)
+        self._forward(name, erase_keys=[bytes(key)])
 
-    def _rpc_erase_multi(self, req: RPCRequest) -> bytes:
-        try:
-            name, keys = loads(req.payload)
-            keys = list(keys)
-            erased = self._db(name).erase_multi(keys)
-            for key in keys:
-                self._column_invalidate(name, key)
-            self._forward(name, erase_keys=[bytes(k) for k in keys])
-            return _ok(erased)
-        except _HANDLED_ERRORS as exc:
-            return _err(exc)
+    def _rpc_erase_multi(self, req: RPCRequest) -> int:
+        name, keys = loads(req.payload)
+        keys = list(keys)
+        erased = self._db(req, name).erase_multi(keys)
+        self._forward(name, erase_keys=[bytes(k) for k in keys])
+        return erased
 
-    def _rpc_length(self, req: RPCRequest) -> bytes:
-        try:
-            name = loads(req.payload)
-            return _ok(len(self._db(name)))
-        except _HANDLED_ERRORS as exc:
-            return _err(exc)
+    def _rpc_length(self, req: RPCRequest) -> int:
+        return len(self._db(req, loads(req.payload)))
 
-    def _rpc_list_keys(self, req: RPCRequest) -> bytes:
-        try:
-            name, prefix, start_after, limit = loads(req.payload)
-            keys = self._db(name).list_keys(prefix, start_after, limit)
-            return _ok(keys)
-        except _HANDLED_ERRORS as exc:
-            return _err(exc)
+    def _rpc_list_keys(self, req: RPCRequest) -> list:
+        name, prefix, start_after, limit = loads(req.payload)
+        return self._db(req, name).list_keys(prefix, start_after, limit)
 
-    def _rpc_list_keyvals(self, req: RPCRequest) -> bytes:
-        try:
-            name, prefix, start_after, limit = loads(req.payload)
-            db = self._db(name)
-            out = []
-            for key in db.list_keys(prefix, start_after, limit):
-                out.append((key, db.get(key)))
-            return _ok(out)
-        except _HANDLED_ERRORS as exc:
-            return _err(exc)
+    def _rpc_list_keyvals(self, req: RPCRequest) -> list:
+        name, prefix, start_after, limit = loads(req.payload)
+        db = self._db(req, name)
+        return [(key, db.get(key))
+                for key in db.list_keys(prefix, start_after, limit)]
 
-    def _rpc_count_prefix(self, req: RPCRequest) -> bytes:
-        try:
-            name, prefix = loads(req.payload)
-            return _ok(self._db(name).count_prefix(prefix))
-        except _HANDLED_ERRORS as exc:
-            return _err(exc)
+    def _rpc_count_prefix(self, req: RPCRequest) -> int:
+        name, prefix = loads(req.payload)
+        return self._db(req, name).count_prefix(prefix)
 
-    def _rpc_replicate(self, req: RPCRequest) -> bytes:
+    def _rpc_replicate(self, req: RPCRequest) -> tuple:
         """Apply mutations forwarded by a primary (or a re-sync).
 
         Unlike ``put``/``erase`` this never re-forwards, so replica
         chains cannot loop; erases of absent keys are skipped because a
         forward may arrive after a re-sync already applied it.
         """
-        try:
-            name, pairs, erase_keys = loads(req.payload)
-            db = self._db(name)
-            pairs = [(bytes(k), bytes(v)) for k, v in pairs]
-            erase_keys = [bytes(k) for k in erase_keys]
-            stored = db.put_multi(pairs) if pairs else 0
-            removed = db.erase_multi(erase_keys) if erase_keys else 0
-            for key, _value in pairs:
-                self._column_invalidate(name, key)
-            for key in erase_keys:
-                self._column_invalidate(name, key)
-            if req.trace_span is not None:
-                req.trace_span.set_tag("db", name)
-                req.trace_span.set_tag("keys", len(pairs) + len(erase_keys))
-            return _ok((stored, removed))
-        except _HANDLED_ERRORS as exc:
-            return _err(exc)
+        name, pairs, erase_keys = loads(req.payload)
+        db = self._db(req, name)
+        pairs = [(bytes(k), bytes(v)) for k, v in pairs]
+        erase_keys = [bytes(k) for k in erase_keys]
+        stored = db.put_multi(pairs) if pairs else 0
+        removed = db.erase_multi(erase_keys) if erase_keys else 0
+        if req.trace_span is not None:
+            req.trace_span.set_tag("keys", len(pairs) + len(erase_keys))
+        return stored, removed
 
-    def _rpc_sync(self, req: RPCRequest) -> bytes:
+    def _rpc_sync(self, req: RPCRequest) -> dict:
         """Make the provider durable *now*: drain replicas, flush WALs.
 
         Options: ``{"checkpoint": true}`` additionally snapshots every
@@ -696,29 +512,22 @@ class YokanProvider:
         this on epoch swaps so no replicated write is still in flight
         when a migration commits.
         """
-        try:
-            options = loads(req.payload) or {}
-            drained = self.flush_replication()
-            checkpointed = 0
-            for backend in self.databases.values():
-                if options.get("checkpoint") and backend.durable:
-                    backend.checkpoint()
-                    checkpointed += 1
-                else:
-                    backend.flush()
-            return _ok({"drained": drained, "checkpointed": checkpointed})
-        except _HANDLED_ERRORS as exc:
-            return _err(exc)
+        options = dict(loads(req.payload) or {})
+        drained = self.flush_replication()
+        checkpointed = 0
+        for backend in self.databases.values():
+            if options.get("checkpoint") and backend.durable:
+                backend.checkpoint()
+                checkpointed += 1
+            else:
+                backend.flush()
+        return {"drained": drained, "checkpointed": checkpointed}
 
-    def _rpc_list_databases(self, req: RPCRequest) -> bytes:
-        return _ok(sorted(self.databases))
+    def _rpc_list_databases(self, req: RPCRequest) -> list:
+        return sorted(self.databases)
 
-    def _rpc_create_database(self, req: RPCRequest) -> bytes:
-        try:
-            name, kind, config = loads(req.payload)
-            if name in self.databases:
-                raise YokanError(f"database {name!r} already exists")
-            self.databases[name] = open_backend(kind, **dict(config))
-            return _ok()
-        except _HANDLED_ERRORS as exc:
-            return _err(exc)
+    def _rpc_create_database(self, req: RPCRequest) -> None:
+        name, kind, config = loads(req.payload)
+        if name in self.databases:
+            raise YokanError(f"database {name!r} already exists")
+        self.databases[name] = open_backend(kind, **dict(config))

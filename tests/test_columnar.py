@@ -217,14 +217,15 @@ class TestServerProjection:
         assert hits1 - hits0 >= len(keys)
         assert block.rows == sum(len(v) for v in stored.values())
 
-    def test_server_cache_invalidated_on_overwrite(self, datastore):
+    def test_overwrite_drops_client_columns_and_server_projects_new_bytes(
+            self, datastore):
         stored = self._populate(datastore, events=3)
         keys = sorted(stored)
         block = datastore.load_products_columnar(
             keys, vector_of(Hit), ["e"], label="hits")
         before = block.column("e").tolist()
-        # Overwrite one product; both the server projection cache and
-        # the client column cache must reflect the new bytes.
+        # Overwrite one product: the client column cache must drop its
+        # columns, and the (stateless) server projects the new bytes.
         ds = datastore["columnar/proj"]
         event = ds[1][1][0]
         event.store([Hit(e=99.0)], label="hits")

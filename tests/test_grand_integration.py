@@ -16,7 +16,6 @@ Story (a plausible campaign):
 
 import threading
 
-import numpy as np
 import pytest
 
 from repro.bedrock import BedrockServer, default_hepnos_config

@@ -698,37 +698,62 @@ class TestColumnsLaneOverTables:
         assert blocks == [("<f8", b""), ("<f8", b"")]
 
     def test_overwriting_one_event_changes_exactly_that_event(self, nova_file):
+        """``scan_columns`` keeps no state: the same request answers from
+        the bytes the backend holds when it arrives, whichever verb put
+        them there and whichever encoding the store uses."""
         path, _triples = nova_file
-        service = Service()
-        DataLoader(service.datastore, "lanes/ds").ingest_file(path)
-        cls = _archive.registered_type("rec.slc")
         fields = ["slice_id", "cal_e"]
-        target, keys = busiest_target(service, "lanes/ds")
-        assert len(keys) >= 3
-        provider = provider_of(service, target)
-        before = scan(service, target, keys, cls, fields)
-        assert scan(service, target, keys, cls, fields) == before
-        generation = provider._page_gen.get(target.name, 0)
+
         # Event 1 of the page is stored again the way a user stores:
         # row-encoded, two rows.
-        replacement = [cls(slice_id=-5, cal_e=0.5), cls(slice_id=-6, cal_e=2.0)]
-        service.datastore.store_product(keys[1], replacement,
-                                        type_name=vector_of(cls))
-        assert provider._page_gen[target.name] > generation
-        after = scan(service, target, keys, cls, fields)
-        assert after[0] == before[0][:1] + [2] + before[0][2:]
+        def replacement(cls):
+            return [cls(slice_id=-5, cal_e=0.5), cls(slice_id=-6, cal_e=2.0)]
+
+        def put(service, target, key, cls):
+            service.datastore.store_product(key, replacement(cls),
+                                            type_name=vector_of(cls))
+
+        def erase(service, target, key, cls):
+            service.datastore.handle_for_target(target).erase(
+                product_key(key, "", vector_of(cls).name))
+
+        def replicate(service, target, key, cls):
+            # What a backup does with a primary's forwarded overwrite.
+            service.datastore.handle_for_target(target).replicate(
+                [(product_key(key, "", vector_of(cls).name),
+                  dumps(replacement(cls)))])
 
         def per_event(page):
             statuses, blocks = page
-            bounds = np.concatenate(([0], np.cumsum(statuses)))
+            bounds = np.concatenate(([0], np.cumsum(
+                [status or 0 for status in statuses])))
             columns = [np.frombuffer(payload, dtype) for dtype, payload
                        in blocks]
             return [[col[lo:hi].tolist() for col in columns]
                     for lo, hi in zip(bounds[:-1], bounds[1:])]
 
-        old, new = per_event(before), per_event(after)
-        assert new[1] == [[-5, -6], [0.5, 2.0]]
-        assert new[:1] + new[2:] == old[:1] + old[2:]
+        expected = {put: (2, [[-5, -6], [0.5, 2.0]]),
+                    erase: (None, [[], []]),
+                    replicate: (2, [[-5, -6], [0.5, 2.0]])}
+        for ingest in ("tables", "rows"):
+            for mutate, (status, rows) in expected.items():
+                service = Service()
+                if ingest == "tables":
+                    DataLoader(service.datastore, "lanes/ds").ingest_file(path)
+                else:
+                    reference_ingest(service.datastore, "lanes/ds", path)
+                cls = _archive.registered_type("rec.slc")
+                target, keys = busiest_target(service, "lanes/ds")
+                assert len(keys) >= 3
+                before = scan(service, target, keys, cls, fields)
+                assert scan(service, target, keys, cls, fields) == before
+                mutate(service, target, keys[1], cls)
+                after = scan(service, target, keys, cls, fields)
+                assert scan(service, target, keys, cls, fields) == after
+                assert after[0] == before[0][:1] + [status] + before[0][2:]
+                old, new = per_event(before), per_event(after)
+                assert new[1] == rows
+                assert new[:1] + new[2:] == old[:1] + old[2:]
 
     @pytest.mark.parametrize("backend", ["map", "lsm"])
     def test_a_cold_pass_decodes_nothing_on_the_server(

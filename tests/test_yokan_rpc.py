@@ -4,25 +4,39 @@ import dataclasses
 
 import pytest
 
-from repro.errors import KeyNotFound, YokanError
+from repro.broker import RequestBroker, TenantRegistry, TenantSpec
+from repro.errors import (
+    CorruptionError,
+    KeyNotFound,
+    RPCError,
+    ServiceBusy,
+    YokanError,
+)
 from repro.faults import RetryPolicy
-from repro.mercury import Engine, Fabric, FaultModel
+from repro.mercury import Bulk, Engine, Fabric, FaultModel
 from repro.serial import dumps, register_type
-from repro.yokan import MemoryBackend, YokanClient, YokanProvider
+from repro.yokan import MemoryBackend, YokanClient, YokanProvider, packed, wire
+from repro.yokan.client import _unwrap, frame_put_multi
+from repro.yokan.provider import RPC_NAMES
 
 
-@pytest.fixture()
-def world():
+def make_world(broker=None):
     fabric = Fabric()
     server_engine = Engine(fabric, "sm://server/0")
     provider = YokanProvider(
         server_engine, provider_id=1,
         databases={"events": MemoryBackend(), "products": MemoryBackend()},
+        broker=broker,
     )
     client_engine = Engine(fabric, "sm://client/0")
     client = YokanClient(client_engine)
     db = client.database_handle("sm://server/0", 1, "events")
     return fabric, provider, client, db
+
+
+@pytest.fixture()
+def world():
+    return make_world()
 
 
 class TestBasicOps:
@@ -360,3 +374,148 @@ def test_bulk_verb_blocking_equals_nonblocking(verb, condition):
             assert clean[0] == blocking
     if verb in ("put_multi", "replicate") and condition != "empty":
         assert stored.items() >= dict(FRESH).items()
+
+
+# -- the request path as a table ----------------------------------------------
+# Every verb is served by one wrapper (open -> admit -> run -> close), so
+# what a request comes back as may depend on the verb and on the request,
+# never on which deployment -- and so which arm of the wrapper -- served it.
+
+DEPLOYMENTS = ("no broker", "broker, untagged", "broker, tagged")
+
+
+def deployment(kind: str, **spec_kwargs):
+    """``(world, tenant prefix)`` of one of the three deployments."""
+    broker = None
+    if kind != "no broker":
+        broker = RequestBroker(
+            registry=TenantRegistry([TenantSpec("t", **spec_kwargs)]))
+    prefix = wire.tenant_prefix("t") if kind == "broker, tagged" else b""
+    world = make_world(broker)
+    world[1].databases["events"].put_multi(STORED)
+    return world, prefix
+
+
+def request_body(engine: Engine, rpc_name: str, db: str, pins: list):
+    """A well-formed request of every verb against database ``db``."""
+    landing = engine.expose(bytearray(1 << 16), Bulk.READ_WRITE)
+    pins.append(landing)
+    blob, lens = packed.pack_prefixes(PREFIXES)
+    put_multi = frame_put_multi(engine, db, FRESH)
+    pins.append(put_multi)
+    return {
+        "yokan.put": (db, b"k", b"v"),
+        "yokan.put_multi": put_multi,
+        "yokan.get": (db, STORED[0][0], 8192),
+        "yokan.get_multi": (db, [STORED[0][0], b"absent"], landing, 1 << 16),
+        "yokan.load_prefix_packed": (db, PREFIXES, landing, 1 << 16),
+        "yokan.scan_columns": (db, blob, lens, SUFFIX, ["adc", "n"], landing,
+                               1 << 16),
+        "yokan.exists": (db, STORED[0][0]),
+        "yokan.erase": (db, STORED[1][0]),
+        "yokan.erase_multi": (db, [STORED[2][0], b"absent"]),
+        "yokan.length": db,
+        "yokan.list_keys": (db, b"ev", b"", 5),
+        "yokan.list_keyvals": (db, b"ev", b"", 3),
+        "yokan.count_prefix": (db, b"ev0"),
+        "yokan.list_databases": None,
+        "yokan.create_database": (
+            "fresh" if db == "events" else "events", "map", {}),
+        "yokan.replicate": (db, FRESH[:2], [STORED[3][0]]),
+        "yokan.sync": {},
+    }[rpc_name]
+
+
+def flipped(data: bytes, at: int) -> bytes:
+    mutated = bytearray(data)
+    mutated[at] ^= 0x10
+    return bytes(mutated)
+
+
+def outcome(world, rpc_name: str, payload: bytes):
+    """What the client's decoder makes of the answer to ``payload``."""
+    client = world[2]
+    handle = client.engine.create_handle("sm://server/0", rpc_name)
+    try:
+        return "ok", plain(_unwrap(handle.forward(payload, 1)))
+    except Exception as exc:
+        return "raised", type(exc)
+
+
+@pytest.mark.parametrize(
+    "request_kind", ["valid", "unknown database", "malformed", "flipped"])
+@pytest.mark.parametrize("rpc_name", RPC_NAMES)
+def test_every_verb_answers_alike_in_every_deployment(rpc_name, request_kind):
+    outcomes = {}
+    for kind in DEPLOYMENTS:
+        world, prefix = deployment(kind)
+        pins: list = []
+        engine = world[2].engine
+        if request_kind == "malformed":
+            body = dumps(42)
+        else:
+            body = dumps(request_body(
+                engine, rpc_name,
+                "nope" if request_kind == "unknown database" else "events",
+                pins))
+        payload = prefix + wire.seal(body)
+        if request_kind == "flipped":
+            if prefix:  # a damaged tenant header never gets past *open*
+                assert outcome(world, rpc_name, flipped(payload, 7)) == (
+                    "raised", CorruptionError)
+            payload = flipped(payload, -1)
+        outcomes[kind] = outcome(world, rpc_name, payload)
+        if request_kind == "flipped":
+            assert world[1].databases["events"].get_multi(
+                [k for k, _ in STORED]) == [v for _, v in STORED]
+        if kind == "broker, tagged":
+            counters = world[1].broker.tenant_stats()["tenants"]["t"]
+            assert counters["admitted"] == counters["completed"] > 0
+    status, answer = outcomes["no broker"]
+    assert all(other == (status, answer) for other in outcomes.values()), \
+        outcomes
+    if request_kind == "valid":
+        assert status == "ok"
+    elif request_kind == "flipped":
+        assert answer is CorruptionError
+    elif request_kind == "unknown database":
+        assert answer is YokanError or rpc_name in (
+            "yokan.list_databases", "yokan.sync")
+    elif rpc_name != "yokan.list_databases":
+        # The decode error's name travels; it is not a transport error.
+        assert answer is YokanError
+
+
+def test_a_shed_is_answered_before_the_handler_runs():
+    world, prefix = deployment("broker, tagged", rate=1.0, burst=1.0)
+    backend = world[1].databases["events"]
+    first = prefix + wire.seal(dumps(("events", b"first", b"v")))
+    assert outcome(world, "yokan.put", first) == ("ok", None)
+    # Shed on the tenant header alone: the payload is not even intact.
+    second = prefix + flipped(
+        wire.seal(dumps(("events", b"second", b"v"))), -1)
+    handle = world[2].engine.create_handle("sm://server/0", "yokan.put")
+    with pytest.raises(ServiceBusy) as shed:
+        _unwrap(handle.forward(second, 1))
+    assert shed.value.retry_after_s > 0.0
+    assert backend.exists(b"first") and not backend.exists(b"second")
+    counters = world[1].broker.tenant_stats()["tenants"]["t"]
+    assert (counters["admitted"], counters["completed"],
+            counters["shed"]) == (1, 1, 1)
+
+
+def test_the_slot_is_released_however_the_handler_ends(monkeypatch):
+    world, prefix = deployment("broker, tagged")
+    backend = world[1].databases["events"]
+    payload = prefix + wire.seal(dumps(("events", b"absent", 8192)))
+    assert outcome(world, "yokan.get", payload) == ("raised", KeyNotFound)
+
+    def server_bug(key):
+        raise RuntimeError("not one of the handled errors")
+
+    monkeypatch.setattr(backend, "get", server_bug)
+    # Outside the handled set the RPC itself fails, as without a broker.
+    assert outcome(world, "yokan.get", payload) == ("raised", RPCError)
+    counters = world[1].broker.tenant_stats()["tenants"]["t"]
+    assert counters["admitted"] == counters["completed"] == 2
+    assert world[1].broker.scheduler.stats()["running"] == 0
