@@ -37,12 +37,21 @@ import argparse
 import json
 import sys
 import tempfile
-import threading
 import time
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.bedrock import BedrockServer, default_hepnos_config
-from repro.faults.chaos import build_schedule, chaos_client_policy
+from repro.faults.chaos import (
+    LAYOUT,
+    PEP_OPTIONS,
+    SINGLE_SHARD,
+    STOCK_FAULTS,
+    ChaosStage,
+    build_schedule,
+    chaos_client_policy,
+    selection_bytes,
+)
 from repro.hepnos import (
     DataStore,
     PEPOptions,
@@ -50,7 +59,6 @@ from repro.hepnos import (
     vector_of,
 )
 from repro.mercury import Fabric
-from repro.mercury.fabric import FaultModel
 from repro.nova.datamodel import SliceData
 from repro.nova.files import generate_file_set
 from repro.nova.generator import GeneratorConfig
@@ -65,15 +73,12 @@ BYTES_GATE = 0.25
 PROJECTED_FIELDS = ["nhit", "cal_e", "cvn_e"]
 
 
-def _deploy(fabric: Fabric, num_servers: int = 2, **overrides) -> list:
-    config = dict(num_providers=2, event_databases=2, product_databases=2,
-                  run_databases=1, subrun_databases=1)
-    config.update(overrides)
+def _deploy(fabric: Fabric) -> list:
     servers = [
         BedrockServer(fabric, default_hepnos_config(
-            f"sm://node{i}/hepnos", **config,
+            f"sm://node{i}/hepnos", **LAYOUT,
         ))
-        for i in range(num_servers)
+        for i in range(2)
     ]
     fabric.runtime.start()
     return servers
@@ -95,10 +100,6 @@ def _workflow(datastore, columnar: bool) -> HEPnOSWorkflow:
                                dispatch_batch_size=256,
                                columnar_loads=columnar),
     )
-
-
-def _selection_bytes(result) -> bytes:
-    return dumps(sorted(result.accepted_ids))
 
 
 # -- 1. candidate-selection speedup ------------------------------------------
@@ -275,72 +276,34 @@ def bench_projection_bytes(params: dict) -> dict:
 
 
 def check_selection_identity(params: dict, seed: int, workdir: str) -> dict:
-    from repro.rescale import LiveRescaler, add_server
-
     id_params = dict(params, files=params["id_files"],
                      mean_events=params["id_events"])
     sample = _sample(id_params, workdir, tag="identity")
-    policy = chaos_client_policy()
+
+    def stage(columnar: bool, **deployment) -> ChaosStage:
+        return ChaosStage(
+            sample.paths, retry_policy=chaos_client_policy(),
+            pep_options=replace(PEP_OPTIONS, columnar_loads=columnar),
+            **deployment)
+
     blobs = {}
-
-    def select_once(label: str, columnar: bool, with_chaos: bool = False,
-                    live_grow: bool = False) -> None:
-        fabric = Fabric(threaded=True)
-        if live_grow:
-            servers = _deploy(fabric, num_servers=1, num_providers=1,
-                              event_databases=1, product_databases=1)
-        else:
-            servers = _deploy(fabric)
-        datastore = DataStore.connect(fabric, servers, retry_policy=policy)
-        workflow = HEPnOSWorkflow(
-            datastore, "nova/columnar-id",
-            pep_options=PEPOptions(input_batch_size=64,
-                                   dispatch_batch_size=8,
-                                   columnar_loads=columnar),
-        )
-        workflow.ingest(sample.paths, num_ranks=1)
-        thread = None
-        migration = {"error": None}
-        if with_chaos:
-            fabric.fault_model = build_schedule(
-                seed, servers, drop=0.02, delay=0.0005, corrupt=0.01,
-                crash_window=(10, 30), spike_window=(40, 44))
-        if live_grow:
-            joining = BedrockServer(fabric, default_hepnos_config(
-                "sm://joining/hepnos", num_providers=3, event_databases=3,
-                product_databases=3, run_databases=1, subrun_databases=1,
-            ))
-            rescaler = LiveRescaler(
-                datastore, add_server(datastore.connection, joining),
-                batch_size=16)
-
-            def migrate() -> None:
-                try:
-                    rescaler.begin()
-                    while rescaler.step():
-                        time.sleep(0.002)
-                    rescaler.commit()
-                except BaseException as exc:  # noqa: BLE001 - re-raised
-                    migration["error"] = exc
-
-            thread = threading.Thread(target=migrate, daemon=True,
-                                      name="live-rescaler")
-            thread.start()
-        try:
-            result = workflow.select(num_ranks=2)
-        finally:
-            if thread is not None:
-                thread.join(timeout=120.0)
-            fabric.fault_model = FaultModel()
-        if migration["error"] is not None:
-            raise migration["error"]
-        blobs[label] = _selection_bytes(result)
-        fabric.runtime.shutdown()
-
-    select_once("per-event", columnar=False)
-    select_once("columnar", columnar=True)
-    select_once("columnar+chaos", columnar=True, with_chaos=True)
-    select_once("columnar+rescale", columnar=True, live_grow=True)
+    with stage(columnar=False) as quiet:
+        quiet.ingest()
+        blobs["per-event"] = selection_bytes(quiet.select())
+    with stage(columnar=True) as quiet:
+        quiet.ingest()
+        blobs["columnar"] = selection_bytes(quiet.select())
+    with stage(columnar=True) as chaos:
+        chaos.ingest()
+        with chaos.faults(build_schedule(
+                seed, chaos.servers,
+                **dict(STOCK_FAULTS, spike_window=(40, 44)))):
+            blobs["columnar+chaos"] = selection_bytes(chaos.select())
+    with stage(columnar=True, layout=SINGLE_SHARD, num_servers=1) as grown:
+        grown.ingest()
+        with grown.live_grow(num_providers=3, event_databases=3,
+                             product_databases=3):
+            blobs["columnar+rescale"] = selection_bytes(grown.select())
     identical = len(set(blobs.values())) == 1
     print(f"[columnar-identity] selected-event sets byte-identical across "
           f"{sorted(blobs)}: {identical}")

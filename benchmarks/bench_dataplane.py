@@ -40,10 +40,19 @@ import json
 import sys
 import tempfile
 import time
+from contextlib import nullcontext
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.bedrock import BedrockServer, default_hepnos_config
-from repro.faults.chaos import build_schedule, chaos_client_policy
+from repro.faults.chaos import (
+    PEP_OPTIONS,
+    STOCK_FAULTS,
+    ChaosStage,
+    build_schedule,
+    chaos_client_policy,
+    selection_bytes,
+)
 from repro.hepnos import (
     DataStore,
     ParallelEventProcessor,
@@ -53,12 +62,10 @@ from repro.hepnos import (
     vector_of,
 )
 from repro.mercury import Fabric
-from repro.mercury.fabric import FaultModel
 from repro.nova.datamodel import EventHeader, SliceData
 from repro.nova.files import generate_file_set
 from repro.nova.generator import BEAM, COSMIC, GeneratorConfig, NovaGenerator
 from repro.serial import dumps, fast_path, loads
-from repro.workflows.hepnos import HEPnOSWorkflow
 
 QUICK = dict(serial_events=8, serial_rounds=3, pep_events=96, pep_rounds=2,
              cache_events=120, cache_rounds=6, wf_files=2, wf_events=24,
@@ -219,34 +226,19 @@ def _run_workflow(sample_paths: Sequence[str], enabled: bool,
                   chaos_seed: Optional[int] = None) -> bytes:
     """Ingest + select under one configuration; return the accepted-id
     blob serialized by that configuration's own archive path."""
-    fabric = Fabric(threaded=True)
-    servers = _deploy(fabric)
-    try:
-        policy = chaos_client_policy() if chaos_seed is not None else None
-        datastore = DataStore.connect(
-            fabric, servers, retry_policy=policy,
+    chaos = chaos_seed is not None
+    with ChaosStage(
+            sample_paths,
+            retry_policy=chaos_client_policy() if chaos else None,
+            pep_options=replace(PEP_OPTIONS, packed_loads=enabled),
             product_cache=ProductCacheOptions(enabled=enabled),
-        )
-        workflow = HEPnOSWorkflow(
-            datastore, "nova/dataplane",
-            pep_options=PEPOptions(input_batch_size=64,
-                                   dispatch_batch_size=8,
-                                   packed_loads=enabled),
-        )
-        with fast_path(enabled):
-            workflow.ingest(sample_paths, num_ranks=1)
-            if chaos_seed is not None:
-                fabric.fault_model = build_schedule(
-                    chaos_seed, servers, drop=0.02, delay=0.0005,
-                    corrupt=0.01, crash_window=(10, 30),
-                    spike_window=(40, 44))
-            try:
-                result = workflow.select(num_ranks=2)
-            finally:
-                fabric.fault_model = FaultModel()
-            return dumps(sorted(result.accepted_ids))
-    finally:
-        fabric.runtime.shutdown()
+    ) as stage, fast_path(enabled):
+        stage.ingest()
+        with stage.faults(build_schedule(
+                chaos_seed, stage.servers,
+                **dict(STOCK_FAULTS, spike_window=(40, 44))
+        )) if chaos else nullcontext():
+            return selection_bytes(stage.select())
 
 
 def check_workflow_identity(params: dict, seed: int, workdir: str) -> dict:

@@ -22,7 +22,7 @@ import tempfile
 import numpy as np
 
 from repro.bedrock import BedrockServer, default_hepnos_config
-from repro.hepnos import DataStore
+from repro.hepnos import DataStore, PEPOptions
 from repro.mercury import Fabric
 from repro.monitor.tracing import trace_session
 from repro.nova import GeneratorConfig, Spectrum, Var, generate_file_set
@@ -54,8 +54,8 @@ def main():
 
     # -- ingest + selection ----------------------------------------------------
     workflow = HEPnOSWorkflow(
-        datastore, "nova/prod5", input_batch_size=128,
-        dispatch_batch_size=16,
+        datastore, "nova/prod5",
+        pep_options=PEPOptions(input_batch_size=128, dispatch_batch_size=16),
         output_path=f"{workdir}/selected.txt",
     )
     print("ingesting...")
@@ -78,7 +78,7 @@ def main():
               f"batches={stats.batches_received}")
 
     # -- a CAFAna-style spectrum of the candidates --------------------------------
-    from repro.hepnos import ParallelEventProcessor, PEPOptions, vector_of
+    from repro.hepnos import ParallelEventProcessor, vector_of
     from repro.serial import registered_type
 
     slc = registered_type("rec.slc")

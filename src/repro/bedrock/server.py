@@ -56,6 +56,10 @@ class BedrockServer:
             margo_config["mercury"]["address"],
             argobots_config=margo_config.get("argobots"),
             tag=tag,
+            # Addressable only once every provider below has registered:
+            # a request racing a restart sees a dead address, never an
+            # engine without its handlers (a non-retryable NoSuchRPCError).
+            listen=False,
         )
         #: the multi-tenant request broker, shared by every provider of
         #: this server; ``None`` when the config has no ``tenants``
@@ -94,6 +98,7 @@ class BedrockServer:
             self.providers[pid] = provider
             for db_name in databases:
                 self.database_directory[db_name] = pid
+        self.margo.engine.listen()
         self.running = True
         if self._replication:
             self._apply_replication()

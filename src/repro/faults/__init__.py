@@ -13,9 +13,11 @@ package generalizes that one failure mode into a catalog:
 - the **tolerance side** (:class:`RetryPolicy`) -- exponential backoff
   with jitter and deadlines, consumed by the Yokan client, the
   asynchronous write batch, and the ParallelEventProcessor readers;
-- a **chaos harness** (:func:`run_nova_chaos`, loaded lazily) that runs
-  the NOvA ingest+selection workflow under a schedule and verifies the
-  selected-event set matches a fault-free run.
+- a **chaos harness** (:func:`run_chaos`, loaded lazily): one
+  :class:`ChaosStage` every fault scenario runs on, one table of
+  scenarios, and one :class:`ChaosReport` whose ``ok`` says every
+  scenario selected the byte-identical NOvA event set of the fault-free
+  baseline.
 """
 
 from repro.faults.models import (
@@ -38,9 +40,8 @@ _LAZY = {
     # The chaos harness pulls in bedrock/nova/workflows; keep those out
     # of the import path of the clients that only need RetryPolicy.
     "ChaosReport": "repro.faults.chaos",
-    "TenantChaosReport": "repro.faults.chaos",
-    "run_nova_chaos": "repro.faults.chaos",
-    "run_tenant_chaos": "repro.faults.chaos",
+    "ChaosStage": "repro.faults.chaos",
+    "run_chaos": "repro.faults.chaos",
 }
 
 
@@ -69,7 +70,6 @@ __all__ = [
     "ScheduledFault",
     "default_client_policy",
     "ChaosReport",
-    "TenantChaosReport",
-    "run_nova_chaos",
-    "run_tenant_chaos",
+    "ChaosStage",
+    "run_chaos",
 ]

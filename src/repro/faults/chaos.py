@@ -1,34 +1,55 @@
-"""The chaos harness: NOvA ingest + selection under a fault schedule.
+"""The chaos harness: one stage, one scenario table, one verdict.
 
-:func:`run_nova_chaos` runs the paper's candidate-selection workflow
-twice over the same synthetic file set -- once fault-free, once with a
-seeded :class:`~repro.faults.FaultSchedule` injecting drops, latency,
-corruption, a timeout-inducing latency spike, and one provider
-crash/restart mid-selection -- and verifies that the selected-event set
-is identical.  That equality is the whole point of the robustness
-stack: retries, checksums, and reconnection must make injected faults
-*invisible* in the physics result, visible only in the counters.
+A :class:`ChaosStage` is everything a fault scenario repeats -- corpus,
+deployment, client, workflow, a ``faults(schedule)`` block, a
+``live_grow()`` block and a ``close()`` that gives every thread,
+descriptor and directory back.  :data:`FAMILIES` is the table of what is
+run on it: each :class:`Scenario` row is a name, its layout overrides
+and a body of a few lines written against the stage.
+
+:func:`run_chaos` runs a family's quiet baseline once, then each row,
+and judges every row by the same rule: every selection made on the
+row's stage serializes to the baseline's bytes, no scheduled action was
+left unfired, and the row's own expectation (if it has one) holds.  That
+equality is the whole point of the robustness stack: retries, checksums,
+WAL replay, failover and dual-read must make injected faults *invisible*
+in the physics result, visible only in the counters.
 """
 
 from __future__ import annotations
 
+import shutil
 import tempfile
 import threading
 import time
+from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
+import repro.hepnos as hepnos
 from repro.bedrock import BedrockServer, default_hepnos_config
 from repro.errors import HEPnOSError
 from repro.faults.retry import RetryPolicy
 from repro.faults.schedule import FaultSchedule
-from repro.hepnos import DataStore
-from repro.hepnos.parallel_event_processor import PEPStatistics
+from repro.hepnos import PEPOptions, connection_from_servers
+from repro.hepnos.failover import enable_replication
 from repro.mercury import Fabric
 from repro.mercury.fabric import FaultModel
 from repro.nova import GeneratorConfig, generate_file_set
 from repro.serial import dumps
 from repro.workflows import HEPnOSWorkflow
+
+#: The small two-database-per-kind layout every scenario starts from.
+LAYOUT = dict(num_providers=2, event_databases=2, product_databases=2,
+              run_databases=1, subrun_databases=1)
+#: A genuine single shard: one provider, one database per kind.
+SINGLE_SHARD = dict(num_providers=1, event_databases=1, product_databases=1)
+#: Small batches so even a 48-event corpus crosses several load rounds.
+PEP_OPTIONS = PEPOptions(input_batch_size=64, dispatch_batch_size=8)
+#: client-side recovery counters reported in a scenario's detail
+CLIENT_COUNTERS = {"failovers_activated": "hepnos.failover.activated",
+                   "resynced_keys": "hepnos.failover.resynced_keys",
+                   "stale_retries": "hepnos.shard.stale_retries"}
 
 
 def chaos_client_policy() -> RetryPolicy:
@@ -45,73 +66,17 @@ def chaos_client_policy() -> RetryPolicy:
                        deadline=120.0, rpc_timeout=0.02)
 
 
-@dataclass
-class ChaosReport:
-    """Outcome of one chaos run, compared against its fault-free twin."""
+def failover_client_policy() -> RetryPolicy:
+    """A retry policy that gives up fast against a dead address.
 
-    seed: int
-    matches: bool
-    baseline_accepted: frozenset
-    chaos_accepted: frozenset
-    baseline_wall: float = 0.0
-    chaos_wall: float = 0.0
-    #: fabric counters from the chaos run
-    dropped: int = 0
-    corrupted: int = 0
-    delayed: int = 0
-    timeouts: int = 0
-    fabric_failures: dict = field(default_factory=dict)
-    #: client-side retry counters (DataStore metrics registry)
-    client_retries: int = 0
-    client_giveups: int = 0
-    #: (op, action) entries for fired schedule actions
-    schedule_log: list = field(default_factory=list)
-    schedule_counts: dict = field(default_factory=dict)
-    schedule_ops: int = 0
-    pending_actions: list = field(default_factory=list)
-    #: PEP aggregate for the chaos selection (includes load_retries)
-    pep: dict = field(default_factory=dict)
-
-    def summary(self) -> str:
-        verdict = "MATCH" if self.matches else "MISMATCH"
-        lines = [
-            f"chaos run (seed={self.seed}): {verdict}",
-            f"  selected events: baseline={len(self.baseline_accepted)} "
-            f"chaos={len(self.chaos_accepted)}",
-            f"  wall seconds: baseline={self.baseline_wall:.3f} "
-            f"chaos={self.chaos_wall:.3f}",
-            f"  injected: dropped={self.dropped} corrupted={self.corrupted} "
-            f"delayed={self.delayed} timeouts={self.timeouts}",
-            f"  client: retries={self.client_retries} "
-            f"giveups={self.client_giveups}",
-            f"  schedule: ops={self.schedule_ops} "
-            f"counts={dict(self.schedule_counts)}",
-        ]
-        for op, name in self.schedule_log:
-            lines.append(f"    op {op}: {name}")
-        if self.pending_actions:
-            lines.append(f"  NEVER FIRED: {self.pending_actions}")
-        if self.pep:
-            lines.append(
-                f"  pep: load_retries={self.pep.get('load_retries', 0)} "
-                f"load_failures={self.pep.get('load_failures', 0)} "
-                f"subruns_skipped={self.pep.get('subruns_skipped', 0)}"
-            )
-        return "\n".join(lines)
-
-
-def _deploy(fabric: Fabric, num_servers: int = 2, **overrides):
-    config = dict(num_providers=2, event_databases=2, product_databases=2,
-                  run_databases=1, subrun_databases=1)
-    config.update(overrides)
-    servers = [
-        BedrockServer(fabric, default_hepnos_config(
-            f"sm://node{i}/hepnos", **config,
-        ))
-        for i in range(num_servers)
-    ]
-    fabric.runtime.start()
-    return servers
+    Replica failover only engages once the per-call retry budget is
+    exhausted (the giveup carries the failed target).  Against a
+    crashed server every attempt fails immediately with an
+    ``AddressError``, so a small budget promotes the backup within a
+    few milliseconds instead of burning the full chaos budget first.
+    """
+    return RetryPolicy(max_attempts=4, base_delay=0.001, max_delay=0.005,
+                       deadline=2.0, rpc_timeout=0.02)
 
 
 def build_schedule(seed: int, servers, drop: float, delay: float,
@@ -142,790 +107,476 @@ def build_schedule(seed: int, servers, drop: float, delay: float,
     return schedule
 
 
-def run_nova_chaos(seed: int = 0, files: int = 2, ranks: int = 2,
-                   mean_events_per_file: int = 24,
-                   drop: float = 0.02, delay: float = 0.0005,
-                   corrupt: float = 0.01,
-                   crash_window: Optional[Tuple[int, int]] = (10, 30),
-                   spike_window: Optional[Tuple[int, int]] = (40, 50),
-                   retry_policy: Optional[RetryPolicy] = None,
-                   workdir: Optional[str] = None) -> ChaosReport:
-    """Run NOvA ingest+selection fault-free and under chaos; compare.
-
-    Both runs ingest the same generated file set into fresh in-process
-    services.  The fault schedule is installed only for the selection
-    phase of the second run (ingest is the controlled setup step; the
-    paper's failures hit the analysis phase).  Returns a
-    :class:`ChaosReport`; ``report.matches`` is the verdict.
-    """
-    if workdir is None:
-        workdir = tempfile.mkdtemp(prefix="hepnos-chaos-")
-    sample = generate_file_set(
-        f"{workdir}/files", num_files=files,
-        mean_events_per_file=mean_events_per_file,
-        config=GeneratorConfig(signal_fraction=0.05, events_per_subrun=16,
-                               subruns_per_run=4),
-    )
-    policy = retry_policy or chaos_client_policy()
-
-    # -- fault-free baseline ------------------------------------------------
-    fabric = Fabric(threaded=True)
-    servers = _deploy(fabric)
-    datastore = DataStore.connect(fabric, servers, retry_policy=policy)
-    workflow = HEPnOSWorkflow(datastore, "nova/chaos", input_batch_size=64,
-                              dispatch_batch_size=8)
-    baseline = workflow.run(sample.paths, num_ranks=ranks)
-    fabric.runtime.shutdown()
-
-    # -- chaos run ----------------------------------------------------------
-    fabric = Fabric(threaded=True)
-    servers = _deploy(fabric)
-    datastore = DataStore.connect(fabric, servers, retry_policy=policy)
-    workflow = HEPnOSWorkflow(datastore, "nova/chaos", input_batch_size=64,
-                              dispatch_batch_size=8)
-    workflow.ingest(sample.paths, num_ranks=1)
-
-    schedule = build_schedule(seed, servers, drop, delay, corrupt,
-                              crash_window, spike_window)
-    fabric.stats.reset()
-    fabric.fault_model = schedule
-    try:
-        chaos_result = workflow.select(num_ranks=ranks)
-    finally:
-        fabric.fault_model = FaultModel()
-    stats = fabric.stats
-    report = ChaosReport(
-        seed=seed,
-        matches=(frozenset(chaos_result.accepted_ids)
-                 == frozenset(baseline.accepted_ids)),
-        baseline_accepted=frozenset(baseline.accepted_ids),
-        chaos_accepted=frozenset(chaos_result.accepted_ids),
-        baseline_wall=baseline.wall_seconds,
-        chaos_wall=chaos_result.wall_seconds,
-        dropped=stats.dropped,
-        corrupted=stats.corrupted,
-        delayed=stats.delayed,
-        timeouts=stats.timeouts,
-        fabric_failures=dict(stats.failures),
-        client_retries=datastore.metrics.counter("yokan.client.retries").value,
-        client_giveups=datastore.metrics.counter("yokan.client.giveups").value,
-        schedule_log=list(schedule.log),
-        schedule_counts=dict(schedule.counts),
-        schedule_ops=schedule.ops,
-        pending_actions=schedule.pending_actions,
-        pep=PEPStatistics.aggregate(chaos_result.pep_stats),
-    )
-    fabric.runtime.shutdown()
-    return report
-
-
-# -- sharding / live-rescale chaos -------------------------------------------
-
-
-@dataclass
-class RescaleChaosReport:
-    """Selection parity across shard topologies, including a live grow.
-
-    Three runs over identical input files: one provider group
-    (single shard), the full multi-provider deployment, and the
-    multi-provider deployment with a *new provider joining mid-
-    selection* (a live rescale driven concurrently with the query
-    traffic) under the chaos schedule.  The physics selection must be
-    byte-identical across all three.
-    """
-
-    seed: int
-    matches: bool
-    single_shard_accepted: frozenset
-    multi_shard_accepted: frozenset
-    migrated_accepted: frozenset
-    #: epoch observed after the live run committed (0 -> 2: one
-    #: migration epoch plus its commit)
-    final_epoch: int = 0
-    keys_moved: int = 0
-    moves_by_kind: dict = field(default_factory=dict)
-    stale_retries: int = 0
-    #: fabric counters from the chaos (migrated) run
-    dropped: int = 0
-    corrupted: int = 0
-    delayed: int = 0
-    timeouts: int = 0
-    schedule_counts: dict = field(default_factory=dict)
-    pending_actions: list = field(default_factory=list)
-
-    def summary(self) -> str:
-        verdict = "MATCH" if self.matches else "MISMATCH"
-        lines = [
-            f"rescale chaos (seed={self.seed}): {verdict}",
-            f"  selected: single={len(self.single_shard_accepted)} "
-            f"multi={len(self.multi_shard_accepted)} "
-            f"migrated={len(self.migrated_accepted)}",
-            f"  migration: epoch={self.final_epoch} "
-            f"keys_moved={self.keys_moved} by_kind={self.moves_by_kind} "
-            f"stale_retries={self.stale_retries}",
-            f"  injected: dropped={self.dropped} corrupted={self.corrupted} "
-            f"delayed={self.delayed} timeouts={self.timeouts}",
-            f"  schedule: counts={dict(self.schedule_counts)}",
-        ]
-        if self.pending_actions:
-            lines.append(f"  NEVER FIRED: {self.pending_actions}")
-        return "\n".join(lines)
-
-
-def _selection_bytes(result) -> bytes:
+def selection_bytes(result) -> bytes:
     """Canonical serialized selection: byte-identity is the verdict."""
     return dumps(sorted(result.accepted_ids))
 
 
-def run_rescale_chaos(seed: int = 0, files: int = 2, ranks: int = 2,
-                      mean_events_per_file: int = 24,
-                      drop: float = 0.01, delay: float = 0.0003,
-                      corrupt: float = 0.005,
-                      crash_window: Optional[Tuple[int, int]] = (30, 60),
-                      retry_policy: Optional[RetryPolicy] = None,
-                      workdir: Optional[str] = None) -> RescaleChaosReport:
-    """NOvA selection parity: 1 shard vs N shards vs N+1 mid-run.
+class ChaosStage(AbstractContextManager):
+    """One corpus, deployment, client and workflow, given back by
+    :meth:`close` (which leaving the ``with`` block calls).
 
-    The third run begins a :class:`~repro.rescale.LiveRescaler` toward
-    a joining server *while selection is executing* and drives
-    migration steps from a concurrent thread, with the chaos schedule
-    installed (including a provider crash/restart that can land inside
-    the migration window).  Dual-read, write-forwarding and
-    ``ShardMapStale`` retries must keep the selected-event set
-    byte-identical to the quiet single-shard run.
+    ``paths`` is the corpus; without it one is generated under the
+    workdir.  ``layout`` overrides :data:`LAYOUT` in every server's
+    :func:`~repro.bedrock.default_hepnos_config`; ``durability_root`` /
+    ``storage_root`` there are names under the workdir and get a
+    per-node subdirectory, and ``replication`` wires the replica links.
+    Remaining keywords (``tenant``, ``priority``, ``product_cache`` ...)
+    go to :func:`repro.hepnos.connect`.  A workdir the stage made itself
+    is removed on close; a caller's is left alone.
     """
-    from repro.rescale import LiveRescaler, add_server
 
-    if workdir is None:
-        workdir = tempfile.mkdtemp(prefix="hepnos-rescale-chaos-")
-    sample = generate_file_set(
-        f"{workdir}/files", num_files=files,
-        mean_events_per_file=mean_events_per_file,
-        config=GeneratorConfig(signal_fraction=0.05, events_per_subrun=16,
-                               subruns_per_run=4),
-    )
-    policy = retry_policy or chaos_client_policy()
+    def __init__(self, paths: Optional[Sequence[str]] = None, *,
+                 files: int = 2, mean_events_per_file: int = 24,
+                 signal_fraction: float = 0.05, ranks: int = 2,
+                 workdir: Optional[str] = None,
+                 layout: Optional[dict] = None, num_servers: int = 2,
+                 retry_policy: Optional[RetryPolicy] = None,
+                 pep_options: PEPOptions = PEP_OPTIONS, **connect):
+        self._owns_workdir = workdir is None
+        self.workdir = workdir or tempfile.mkdtemp(prefix="hepnos-chaos-")
+        if paths is None:
+            paths = generate_file_set(
+                f"{self.workdir}/files", num_files=files,
+                mean_events_per_file=mean_events_per_file,
+                config=GeneratorConfig(signal_fraction=signal_fraction,
+                                       events_per_subrun=16,
+                                       subruns_per_run=4),
+            ).paths
+        self.paths = list(paths)
+        self.ranks = ranks
+        self.layout = {**LAYOUT, **(layout or {})}
+        self.fabric = Fabric(threaded=True)
+        self.servers: list[BedrockServer] = []
+        for i in range(num_servers):
+            self.add_server(f"node{i}")
+        self.fabric.runtime.start()
+        replication = self.layout.get("replication")
+        self.session = hepnos.connect(
+            enable_replication(self.servers, replication=replication)
+            if replication else connection_from_servers(self.servers),
+            fabric=self.fabric, retry_policy=retry_policy, **connect)
+        self.datastore = self.session.datastore
+        self.workflow = HEPnOSWorkflow(self.datastore, "nova/chaos",
+                                       pep_options=pep_options)
+        #: every selection made on this stage, in order
+        self.results: list = []
+        #: fabric / client / schedule counters of the last faults() block
+        self.injected: dict = {}
+        self.pending_actions: list = []
+        #: :class:`~repro.rescale.MigrationStats` of the last live_grow()
+        self.migration = None
 
-    def select_once(num_servers: int, live_grow: bool, with_faults: bool):
-        fabric = Fabric(threaded=True)
-        if num_servers == 1:
-            # A genuine single shard: one provider, one database per kind.
-            servers = _deploy(fabric, num_servers=1, num_providers=1,
-                              event_databases=1, product_databases=1)
-        else:
-            servers = _deploy(fabric, num_servers=num_servers)
-        datastore = DataStore.connect(fabric, servers, retry_policy=policy)
-        workflow = HEPnOSWorkflow(datastore, "nova/rescale",
-                                  input_batch_size=64,
-                                  dispatch_batch_size=8)
-        workflow.ingest(sample.paths, num_ranks=1)
-        schedule = None
-        migration = {"stats": None, "error": None}
-        thread = None
-        if with_faults:
-            schedule = build_schedule(seed, servers, drop, delay, corrupt,
-                                      crash_window, spike_window=None)
-            fabric.stats.reset()
-            fabric.fault_model = schedule
-        if live_grow:
-            joining = BedrockServer(fabric, default_hepnos_config(
-                "sm://joining/hepnos", num_providers=2, event_databases=2,
-                product_databases=2, run_databases=1, subrun_databases=1,
-            ))
-            rescaler = LiveRescaler(
-                datastore, add_server(datastore.connection, joining),
-                batch_size=16,
-            )
+    def add_server(self, node: str, **overrides) -> BedrockServer:
+        """Deploy one more server of this stage's layout at ``node``."""
+        config = {**self.layout, **overrides}
+        for root in ("durability_root", "storage_root"):
+            if config.get(root):
+                config[root] = f"{self.workdir}/{config[root]}/{node}"
+        server = BedrockServer(self.fabric, default_hepnos_config(
+            f"sm://{node}/hepnos", **config))
+        self.servers.append(server)
+        return server
 
-            def migrate() -> None:
-                try:
-                    rescaler.begin()
-                    while rescaler.step():
-                        # Let selection traffic interleave with handoff.
-                        time.sleep(0.002)
-                    migration["stats"] = rescaler.commit()
-                except BaseException as exc:  # noqa: BLE001 - reported
-                    migration["error"] = exc
+    def ingest(self):
+        return self.workflow.ingest(self.paths, num_ranks=1)
 
-            thread = threading.Thread(target=migrate, daemon=True,
-                                      name="live-rescaler")
-            thread.start()
+    def select(self):
+        result = self.workflow.select(num_ranks=self.ranks)
+        self.results.append(result)
+        return result
+
+    @contextmanager
+    def faults(self, schedule: FaultSchedule):
+        """Install ``schedule`` for the block; always uninstall it and
+        record what it injected and what it never got to fire."""
+        self.fabric.stats.reset()
+        self.fabric.fault_model = schedule
         try:
-            result = workflow.select(num_ranks=ranks)
+            yield schedule
         finally:
-            if thread is not None:
-                thread.join(timeout=120.0)
-            fabric.fault_model = FaultModel()
-        if thread is not None and thread.is_alive():
+            self.fabric.fault_model = FaultModel()
+            stats, metrics = self.fabric.stats, self.datastore.metrics
+            self.injected = dict(
+                dropped=stats.dropped, corrupted=stats.corrupted,
+                delayed=stats.delayed, timeouts=stats.timeouts,
+                client_retries=metrics.counter("yokan.client.retries").value,
+                client_giveups=metrics.counter("yokan.client.giveups").value,
+                schedule_ops=schedule.ops,
+                schedule_counts=dict(schedule.counts),
+                schedule_log=list(schedule.log),
+            )
+            self.pending_actions = schedule.pending_actions
+
+    @contextmanager
+    def live_grow(self, **overrides):
+        """A server joins and a :class:`~repro.rescale.LiveRescaler`
+        migrates onto it from a concurrent thread while the block runs.
+        ``overrides`` change the joining server's layout."""
+        from repro.rescale import LiveRescaler, add_server
+
+        joining = self.add_server("joining", **overrides)
+        rescaler = LiveRescaler(
+            self.datastore, add_server(self.datastore.connection, joining),
+            batch_size=16)
+        errors: list[BaseException] = []
+
+        def migrate() -> None:
+            try:
+                rescaler.begin()
+                while rescaler.step():
+                    # Let selection traffic interleave with handoff.
+                    time.sleep(0.002)
+                self.migration = rescaler.commit()
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                errors.append(exc)
+
+        thread = threading.Thread(target=migrate, daemon=True,
+                                  name="live-rescaler")
+        thread.start()
+        try:
+            yield rescaler
+        finally:
+            thread.join(timeout=120.0)
+        if thread.is_alive():
             # A wedged migration (e.g. blocked on a crashed provider)
-            # must be a test failure, not a silently accepted run over
-            # a half-migrated store.
+            # must be a failure, not a silently accepted run over a
+            # half-migrated store.
             raise HEPnOSError(
                 "live-rescaler thread still running after 120s join; "
-                "aborting the rescale-chaos run instead of reporting "
-                "parity against a half-migrated store"
-            )
-        if thread is not None and migration["error"] is not None:
-            raise migration["error"]
-        stale = datastore.metrics.counter("hepnos.shard.stale_retries").value
-        epoch = datastore.placement.epoch
-        stats = fabric.stats
-        fabric.runtime.shutdown()
-        return result, migration["stats"], schedule, stats, stale, epoch
+                "aborting instead of reporting parity against a "
+                "half-migrated store")
+        if errors:
+            raise errors[0]
 
-    single, _, _, _, _, _ = select_once(1, live_grow=False, with_faults=False)
-    multi, _, _, _, _, _ = select_once(2, live_grow=False, with_faults=False)
-    migrated, mstats, schedule, fstats, stale, epoch = select_once(
-        2, live_grow=True, with_faults=True)
+    def detail(self) -> dict:
+        """What recovery, migration and admission did: the servers'
+        durability, storage-engine and broker counters plus the client's
+        failover and rescale ones, zeros pruned."""
+        out: dict = {}
+        broker: dict = {}
+        for server in self.servers:
+            for key, value in server.durability_stats().items():
+                out[key] = out.get(key, 0) + value
+            for stats in server.storage_stats().values():
+                out["compactions"] = (out.get("compactions", 0)
+                                      + stats["compactions"])
+            counters = server.tenant_stats().get("tenants", {}).get(
+                self.session.tenant, {})
+            for key, value in counters.items():
+                if isinstance(value, (int, float)):
+                    broker[key] = broker.get(key, 0) + value
+        out["replay_seconds"] = round(out.get("replay_seconds", 0.0), 4)
+        for key, counter in CLIENT_COUNTERS.items():
+            out[key] = self.datastore.metrics.counter(counter).value
+        out["broker"] = broker
+        if self.migration is not None:
+            out["final_epoch"] = self.datastore.placement.epoch
+            out["keys_moved"] = self.migration.keys_moved
+            out["moves_by_kind"] = dict(self.migration.moves_by_kind)
+        return {key: value for key, value in out.items() if value}
 
-    matches = (_selection_bytes(single) == _selection_bytes(multi)
-               == _selection_bytes(migrated))
-    return RescaleChaosReport(
-        seed=seed,
-        matches=matches,
-        single_shard_accepted=frozenset(single.accepted_ids),
-        multi_shard_accepted=frozenset(multi.accepted_ids),
-        migrated_accepted=frozenset(migrated.accepted_ids),
-        final_epoch=epoch,
-        keys_moved=mstats.keys_moved if mstats else 0,
-        moves_by_kind=dict(mstats.moves_by_kind) if mstats else {},
-        stale_retries=stale,
-        dropped=fstats.dropped,
-        corrupted=fstats.corrupted,
-        delayed=fstats.delayed,
-        timeouts=fstats.timeouts,
-        schedule_counts=dict(schedule.counts) if schedule else {},
-        pending_actions=schedule.pending_actions if schedule else [],
-    )
+    def close(self) -> None:
+        self.session.close()
+        for server in self.servers:
+            server.shutdown()
+        self.fabric.runtime.shutdown()
+        if self._owns_workdir:
+            shutil.rmtree(self.workdir, ignore_errors=True)
 
-
-# -- durability / crash-recovery chaos ---------------------------------------
-
-
-def failover_client_policy() -> RetryPolicy:
-    """A retry policy that gives up fast against a dead address.
-
-    Replica failover only engages once the per-call retry budget is
-    exhausted (the giveup carries the failed target).  Against a
-    crashed server every attempt fails immediately with an
-    ``AddressError``, so a small budget promotes the backup within a
-    few milliseconds instead of burning the full chaos budget first.
-    """
-    return RetryPolicy(max_attempts=4, base_delay=0.001, max_delay=0.005,
-                       deadline=2.0, rpc_timeout=0.02)
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
-@dataclass
-class DurabilityScenario:
-    """One crash-recovery scenario's outcome vs the fault-free baseline."""
+# -- scenario bodies ----------------------------------------------------------
+# body(stage, seed, faults): ``faults`` are build_schedule's keywords.
+
+
+def _quiet(stage, seed, faults):
+    stage.ingest()
+    stage.select()
+
+
+def _select_under_faults(stage, seed, faults):
+    # The schedule covers selection only: ingest is the controlled
+    # setup step; the paper's failures hit the analysis phase.
+    stage.ingest()
+    with stage.faults(build_schedule(seed, stage.servers, **faults)):
+        stage.select()
+
+
+def _grow_under_faults(stage, seed, faults):
+    # The crash/restart can land inside the migration window: dual-read,
+    # write-forwarding and ShardMapStale retries keep the selection.
+    stage.ingest()
+    with stage.faults(build_schedule(seed, stage.servers, **faults)), \
+            stage.live_grow():
+        stage.select()
+
+
+def _state_loss(stage, seed, *windows) -> FaultSchedule:
+    """``(server index, crash_at, restart_at)`` kills that lose state:
+    the restart starts from empty backends."""
+    schedule = FaultSchedule(seed)
+    for index, crash_at, restart_at in windows:
+        schedule.crash_restart(stage.servers[index], crash_at, restart_at,
+                               lose_state=True)
+    return schedule
+
+
+def _kill_mid_ingest(stage, seed, faults):
+    with stage.faults(_state_loss(stage, seed, (1, 10, 40))):
+        stage.ingest()
+    stage.select()
+
+
+def _kill_during_checkpoint(stage, seed, faults):
+    stage.ingest()
+    stage.servers[1].checkpoint()  # node1 recovers from its checkpoint ...
+    for server in stage.servers:   # ... node0 from pure WAL replay
+        server.crash(lose_state=True)
+    for server in stage.servers:
+        server.restart()
+    stage.select()
+
+
+def _failover_resync(stage, seed, faults):
+    stage.ingest()
+    stage.datastore.sync_service()  # drain the replica links before the kill
+    stage.servers[1].crash(lose_state=True)
+    stage.select()  # served by the promoted backup
+    stage.servers[1].restart()
+    stage.datastore.rejoin(str(stage.servers[1].address))
+    stage.select()  # served by the re-synced primary
+
+
+def _kill_both(stage, seed, faults):
+    stage.ingest()
+    # Low op indices: even a small selection crosses them, and the
+    # client's retries against the dead servers advance the op counter
+    # (every attempt is a fabric send), so the restarts always fire.
+    with stage.faults(_state_loss(stage, seed, (0, 5, 25), (1, 15, 35))
+                      ) as schedule:
+        stage.select()
+        # A small run can finish before the later op indices arrive; the
+        # counter persists across passes, so re-selecting drives the
+        # remaining kills/restarts and re-checks parity after them.
+        while schedule.pending_actions and len(stage.results) < 5:
+            stage.select()
+
+
+def _rescale_crash(stage, seed, faults):
+    stage.ingest()
+    with stage.faults(_state_loss(stage, seed, (1, 30, 60))), \
+            stage.live_grow():
+        stage.select()
+
+
+# -- the table ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One row: a name, its deployment and a body run on the stage."""
 
     name: str
-    matches: bool
-    wall: float = 0.0
-    detail: dict = field(default_factory=dict)
-    pending_actions: list = field(default_factory=list)
+    body: Callable
+    layout: dict = field(default_factory=dict)
+    num_servers: int = 2
+    policy: Callable[[], RetryPolicy] = chaos_client_policy
+    #: keywords for :func:`repro.hepnos.connect` (the tenant identity)
+    connect: dict = field(default_factory=dict)
+    #: the row's own expectation on its outcome's ``detail``
+    expect: Optional[Callable[[dict], bool]] = None
 
-    @property
-    def ok(self) -> bool:
-        return self.matches and not self.pending_actions
+
+@dataclass(frozen=True)
+class Family:
+    """Scenarios judged against one quiet baseline over one corpus."""
+
+    scenarios: Tuple[Scenario, ...]
+    #: high enough that the baseline selection is never empty
+    signal_fraction: float = 0.05
+    #: :func:`build_schedule` defaults
+    faults: dict = field(default_factory=dict)
+    #: upper bounds ``quick`` puts on files / ranks / mean_events_per_file
+    quick: dict = field(default_factory=dict)
+
+
+WAL = dict(durability_root="wal")
+STOCK_FAULTS = dict(drop=0.02, delay=0.0005, corrupt=0.01,
+                    crash_window=(10, 30), spike_window=(40, 50))
+
+FAMILIES = {
+    "stock": Family(
+        (Scenario("stock", _select_under_faults),),
+        faults=STOCK_FAULTS),
+    "rescale": Family(
+        (Scenario("single-shard-quiet", _quiet, SINGLE_SHARD, num_servers=1),
+         Scenario("live-grow-under-chaos", _grow_under_faults)),
+        faults=dict(drop=0.01, delay=0.0003, corrupt=0.005,
+                    crash_window=(30, 60), spike_window=None)),
+    # Every row kills at least one server with lose_state=True; recovery
+    # must come from WAL replay, a promoted backup or anti-entropy re-sync.
+    "durability": Family(
+        (Scenario("wal-replay-mid-write", _kill_mid_ingest, WAL),
+         Scenario("kill-during-checkpoint", _kill_during_checkpoint, WAL),
+         # Volatile backends: the primary dies for good mid-run.
+         Scenario("failover-resync", _failover_resync, dict(replication=2),
+                  policy=failover_client_policy),
+         Scenario("kill-both-then-replay", _kill_both, WAL),
+         Scenario("rescale-crash", _rescale_crash, WAL),
+         # Tiny memtables + an aggressive trigger keep the background
+         # worker flushing and compacting throughout ingest, so the kill
+         # lands on a half-written SSTable with high probability;
+         # recovery replays the engine's own segmented WAL and discards
+         # any orphan table the manifest never published.
+         Scenario("lsm-crash-mid-compaction", _kill_mid_ingest, dict(
+             backend="lsm", storage_root="lsm",
+             backend_config=dict(memtable_bytes=512, compaction_trigger=2,
+                                 max_immutables=2,
+                                 block_cache_bytes=256 * 1024)))),
+        signal_fraction=0.3,
+        quick=dict(files=1, ranks=1, mean_events_per_file=16)),
+    # A deliberately modest rate limit: the stock schedule *and* real
+    # 429-style sheds both hit the selection, so parity plus shed > 0
+    # proves admission control is load-bearing yet invisible.
+    "tenants": Family(
+        (Scenario("metered-tenant", _select_under_faults, dict(tenants={
+            "slots": 8, "interactive_reserve": 2,
+            "registry": [{"id": "nova", "priority": "interactive",
+                          "rate": 50.0, "burst": 5.0}]}),
+            connect=dict(tenant="nova", priority="interactive"),
+            expect=lambda detail: detail.get("broker", {}).get("shed", 0) > 0),
+         ),
+        signal_fraction=0.1, faults=STOCK_FAULTS, quick=dict(files=2)),
+}
+
+
+# -- the report ---------------------------------------------------------------
 
 
 @dataclass
-class DurabilityChaosReport:
-    """Selection byte-parity across crash-with-state-loss scenarios.
+class ScenarioOutcome:
+    """One scenario against the family's fault-free baseline."""
 
-    Every scenario kills at least one server with ``lose_state=True``
-    -- the restart starts from *empty* backends -- and recovery must
-    come from WAL replay, a promoted backup, or anti-entropy re-sync.
-    The verdict is byte-identity of the serialized NOvA selection
-    against a fault-free run over the same generated files.
-    """
-
-    seed: int
+    name: str
+    #: every selection on the stage was byte-identical to the baseline
     matches: bool
+    #: the row's own expectation held (True when it has none)
+    expected: bool
+    accepted: int
+    wall: float
+    #: counters of the scenario's ``faults()`` block (see ChaosStage)
+    injected: dict = field(default_factory=dict)
+    #: :meth:`ChaosStage.detail`
+    detail: dict = field(default_factory=dict)
+    pending_actions: list = field(default_factory=list)
+    #: the one verdict
+    ok: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.ok = self.matches and self.expected and not self.pending_actions
+
+
+@dataclass
+class ChaosReport:
+    """One family run: the baseline's size and every scenario's outcome."""
+
+    family: str
+    seed: int
     baseline_accepted: int
+    baseline_wall: float
     scenarios: list = field(default_factory=list)
+    #: every scenario's verdict held
+    ok: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.ok = all(s.ok for s in self.scenarios)
+
+    def __getitem__(self, name: str) -> ScenarioOutcome:
+        return next(s for s in self.scenarios if s.name == name)
 
     def summary(self) -> str:
-        verdict = "MATCH" if self.matches else "MISMATCH"
         lines = [
-            f"durability chaos (seed={self.seed}): {verdict}",
-            f"  baseline selected events: {self.baseline_accepted}",
+            f"{self.family} chaos (seed={self.seed}): "
+            f"{'MATCH' if self.ok else 'FAIL'}",
+            f"  baseline: selected={self.baseline_accepted} "
+            f"wall={self.baseline_wall:.3f}s",
         ]
         for s in self.scenarios:
-            mark = "ok" if s.ok else "FAIL"
-            lines.append(f"  [{mark}] {s.name}: wall={s.wall:.3f}s")
-            for key, value in sorted(s.detail.items()):
-                if value:
+            lines.append(f"  [{'ok' if s.ok else 'FAIL'}] {s.name}: "
+                         f"selected={s.accepted} wall={s.wall:.3f}s")
+            for key, value in sorted({**s.injected, **s.detail}.items()):
+                if key == "schedule_log":
+                    lines.extend(f"        op {op}: {name}"
+                                 for op, name in value)
+                elif value:
                     lines.append(f"        {key}={value}")
+            if not s.matches:
+                lines.append("        SELECTION DIFFERS FROM BASELINE")
+            if not s.expected:
+                lines.append("        EXPECTATION NOT MET")
             if s.pending_actions:
                 lines.append(f"        NEVER FIRED: {s.pending_actions}")
         return "\n".join(lines)
 
 
-def _durability_stats(servers) -> dict:
-    """Aggregate (and prune zero) durability counters across servers."""
-    total: dict = {}
-    for server in servers:
-        for key, value in server.durability_stats().items():
-            total[key] = total.get(key, 0) + value
-    total["replay_seconds"] = round(total.get("replay_seconds", 0.0), 4)
-    return {k: v for k, v in total.items() if v}
+def run_chaos(family: str = "stock", seed: int = 0, files: int = 2,
+              ranks: int = 2, mean_events_per_file: int = 24,
+              quick: bool = False, workdir: Optional[str] = None,
+              **faults) -> ChaosReport:
+    """Run one family of :data:`FAMILIES`; ``report.ok`` is the verdict.
 
-
-def run_durability_chaos(seed: int = 0, files: int = 2, ranks: int = 2,
-                         mean_events_per_file: int = 24,
-                         quick: bool = False,
-                         retry_policy: Optional[RetryPolicy] = None,
-                         workdir: Optional[str] = None
-                         ) -> DurabilityChaosReport:
-    """NOvA selection parity across crash-with-state-loss scenarios.
-
-    Six scenarios, all against the same generated file set and the
-    same fault-free baseline selection:
-
-    - ``wal-replay-mid-write``: a primary dies (state lost) in the
-      middle of ingest and restarts; acknowledged writes must survive
-      through WAL replay.
-    - ``kill-during-checkpoint``: one server checkpoints and both then
-      die with state loss; recovery mixes checkpoint load (truncated
-      WAL) with pure WAL replay.
-    - ``failover-resync``: volatile backends with replication 2; the
-      primary dies for good mid-selection, reads fail over to the
-      backup, and after a restart + :meth:`DataStore.rejoin` the
-      re-synced primary serves an identical second selection pass.
-    - ``kill-both-then-replay``: both WAL-backed servers die with state
-      loss in staggered windows during selection and replay on restart.
-    - ``rescale-crash``: a WAL-backed server dies with state loss while
-      a live rescale (joining server, dual-read migration) runs
-      concurrently with selection.
-    - ``lsm-crash-mid-compaction``: the service runs on the LSM engine
-      tuned so background flushes/compactions are continuously in
-      flight, and a server dies with state loss mid-ingest; recovery
-      replays the engine's segmented WAL and drops orphan tables.
-
-    ``quick`` shrinks the dataset for CI smoke use.  The report's
-    ``matches`` is True only if *every* scenario reproduced the
-    baseline selection byte-for-byte.
+    The baseline and every scenario ingest the same generated file set
+    into fresh in-process services.  ``faults`` override the family's
+    :func:`build_schedule` keywords; ``quick`` shrinks the dataset for
+    CI smoke use.
     """
-    from repro.hepnos.failover import enable_replication
-
+    spec = FAMILIES[family]
+    sizes = dict(files=files, ranks=ranks,
+                 mean_events_per_file=mean_events_per_file)
     if quick:
-        files, ranks = 1, 1
-        mean_events_per_file = min(mean_events_per_file, 16)
-    if workdir is None:
-        workdir = tempfile.mkdtemp(prefix="hepnos-durability-")
-    # A high signal fraction keeps the baseline selection non-empty
-    # even in quick mode: byte-parity against an empty accepted set
-    # would pass vacuously and prove nothing about recovery.
-    sample = generate_file_set(
-        f"{workdir}/files", num_files=files,
-        mean_events_per_file=mean_events_per_file,
-        config=GeneratorConfig(signal_fraction=0.3, events_per_subrun=16,
-                               subruns_per_run=4),
-    )
-    policy = retry_policy or chaos_client_policy()
-    layout = dict(num_providers=2, event_databases=2, product_databases=2,
-                  run_databases=1, subrun_databases=1)
-
-    def deploy(fabric, durable_root=None, replication=None):
-        servers = []
-        for i in range(2):
-            kwargs = dict(layout)
-            if durable_root is not None:
-                kwargs["durability_root"] = f"{durable_root}/node{i}"
-            if replication is not None:
-                kwargs["replication"] = replication
-            servers.append(BedrockServer(fabric, default_hepnos_config(
-                f"sm://node{i}/hepnos", **kwargs)))
-        fabric.runtime.start()
-        return servers
-
-    # -- fault-free baseline ------------------------------------------------
-    fabric = Fabric(threaded=True)
-    servers = deploy(fabric)
-    datastore = DataStore.connect(fabric, servers, retry_policy=policy)
-    workflow = HEPnOSWorkflow(datastore, "nova/durability",
-                              input_batch_size=64, dispatch_batch_size=8)
-    baseline = workflow.run(sample.paths, num_ranks=ranks)
-    baseline_bytes = _selection_bytes(baseline)
-    fabric.runtime.shutdown()
-    if not baseline.accepted_ids:
-        raise HEPnOSError(
-            "durability-chaos baseline selected no events; byte-parity "
-            "against an empty selection is vacuous -- grow the dataset"
-        )
-
-    scenarios: list[DurabilityScenario] = []
-
-    def record(name, result, wall, servers, schedule=None, extra=None):
-        detail = _durability_stats(servers)
-        if extra:
-            detail.update(extra)
-        scenarios.append(DurabilityScenario(
-            name=name,
-            matches=(_selection_bytes(result) == baseline_bytes),
-            wall=wall,
-            detail=detail,
-            pending_actions=(schedule.pending_actions if schedule else []),
-        ))
-
-    # -- scenario: WAL replay after a mid-ingest kill -----------------------
-    fabric = Fabric(threaded=True)
-    servers = deploy(fabric, durable_root=f"{workdir}/s1")
-    datastore = DataStore.connect(fabric, servers, retry_policy=policy)
-    workflow = HEPnOSWorkflow(datastore, "nova/durability",
-                              input_batch_size=64, dispatch_batch_size=8)
-    schedule = FaultSchedule(seed).crash_restart(
-        servers[1], crash_at=10, restart_at=40, lose_state=True)
-    fabric.fault_model = schedule
+        sizes.update({key: min(sizes[key], cap)
+                      for key, cap in spec.quick.items()})
+    faults = {**spec.faults, **faults}
     t0 = time.perf_counter()
-    try:
-        workflow.ingest(sample.paths, num_ranks=1)
-    finally:
-        fabric.fault_model = FaultModel()
-    result = workflow.select(num_ranks=ranks)
-    record("wal-replay-mid-write", result, time.perf_counter() - t0,
-           servers, schedule)
-    fabric.runtime.shutdown()
-
-    # -- scenario: checkpoint, then lose everything -------------------------
-    fabric = Fabric(threaded=True)
-    servers = deploy(fabric, durable_root=f"{workdir}/s2")
-    datastore = DataStore.connect(fabric, servers, retry_policy=policy)
-    workflow = HEPnOSWorkflow(datastore, "nova/durability",
-                              input_batch_size=64, dispatch_batch_size=8)
-    workflow.ingest(sample.paths, num_ranks=1)
-    t0 = time.perf_counter()
-    servers[1].checkpoint()  # node1 recovers from its checkpoint ...
-    for server in servers:   # ... node0 from pure WAL replay
-        server.crash(lose_state=True)
-    for server in servers:
-        server.restart()
-    result = workflow.select(num_ranks=ranks)
-    record("kill-during-checkpoint", result, time.perf_counter() - t0,
-           servers)
-    fabric.runtime.shutdown()
-
-    # -- scenario: replica failover + rejoin re-sync ------------------------
-    fabric = Fabric(threaded=True)
-    servers = deploy(fabric, replication=2)  # volatile backends: no WAL
-    connection = enable_replication(servers, replication=2)
-    datastore = DataStore.connect(fabric, connection,
-                                  retry_policy=failover_client_policy())
-    workflow = HEPnOSWorkflow(datastore, "nova/durability",
-                              input_batch_size=64, dispatch_batch_size=8)
-    workflow.ingest(sample.paths, num_ranks=1)
-    datastore.sync_service()  # drain the replica links before the kill
-    t0 = time.perf_counter()
-    servers[1].crash(lose_state=True)
-    result = workflow.select(num_ranks=ranks)
-    failed_over = (_selection_bytes(result) == baseline_bytes)
-    activated = datastore.metrics.counter("hepnos.failover.activated").value
-    servers[1].restart()
-    resynced = datastore.rejoin(str(servers[1].address))
-    second = workflow.select(num_ranks=ranks)
-    rejoined = (_selection_bytes(second) == baseline_bytes)
-    scenarios.append(DurabilityScenario(
-        name="failover-resync",
-        matches=failed_over and rejoined,
-        wall=time.perf_counter() - t0,
-        detail={**_durability_stats(servers),
-                "failovers_activated": activated,
-                "resynced_keys": resynced,
-                "failover_pass": failed_over, "rejoin_pass": rejoined},
-    ))
-    fabric.runtime.shutdown()
-
-    # -- scenario: both servers die (staggered), WAL replay -----------------
-    fabric = Fabric(threaded=True)
-    servers = deploy(fabric, durable_root=f"{workdir}/s4")
-    datastore = DataStore.connect(fabric, servers, retry_policy=policy)
-    workflow = HEPnOSWorkflow(datastore, "nova/durability",
-                              input_batch_size=64, dispatch_batch_size=8)
-    workflow.ingest(sample.paths, num_ranks=1)
-    # Low op indices: even a small selection run crosses them, and the
-    # client's retries against the dead servers advance the op counter
-    # (every attempt is a fabric send), so the restarts always fire.
-    schedule = (FaultSchedule(seed)
-                .crash_restart(servers[0], crash_at=5, restart_at=25,
-                               lose_state=True)
-                .crash_restart(servers[1], crash_at=15, restart_at=35,
-                               lose_state=True))
-    fabric.fault_model = schedule
-    t0 = time.perf_counter()
-    try:
-        result = workflow.select(num_ranks=ranks)
-        # A small run can finish before the later op indices arrive;
-        # the counter persists across passes, so re-selecting drives
-        # the remaining kills/restarts and re-checks parity after them.
-        passes = 1
-        while schedule.pending_actions and passes < 5:
-            result = workflow.select(num_ranks=ranks)
-            passes += 1
-    finally:
-        fabric.fault_model = FaultModel()
-    record("kill-both-then-replay", result, time.perf_counter() - t0,
-           servers, schedule)
-    fabric.runtime.shutdown()
-
-    # -- scenario: state loss during a live rescale -------------------------
-    from repro.rescale import LiveRescaler, add_server
-
-    fabric = Fabric(threaded=True)
-    servers = deploy(fabric, durable_root=f"{workdir}/s5")
-    datastore = DataStore.connect(fabric, servers, retry_policy=policy)
-    workflow = HEPnOSWorkflow(datastore, "nova/durability",
-                              input_batch_size=64, dispatch_batch_size=8)
-    workflow.ingest(sample.paths, num_ranks=1)
-    joining = BedrockServer(fabric, default_hepnos_config(
-        "sm://joining/hepnos", durability_root=f"{workdir}/s5/joining",
-        **layout))
-    rescaler = LiveRescaler(
-        datastore, add_server(datastore.connection, joining), batch_size=16)
-    migration = {"stats": None, "error": None}
-
-    def migrate() -> None:
-        try:
-            rescaler.begin()
-            while rescaler.step():
-                time.sleep(0.002)
-            migration["stats"] = rescaler.commit()
-        except BaseException as exc:  # noqa: BLE001 - reported below
-            migration["error"] = exc
-
-    schedule = FaultSchedule(seed).crash_restart(
-        servers[1], crash_at=30, restart_at=60, lose_state=True)
-    fabric.fault_model = schedule
-    thread = threading.Thread(target=migrate, daemon=True,
-                              name="durability-rescaler")
-    t0 = time.perf_counter()
-    thread.start()
-    try:
-        result = workflow.select(num_ranks=ranks)
-    finally:
-        thread.join(timeout=120.0)
-        fabric.fault_model = FaultModel()
-    if thread.is_alive():
-        raise HEPnOSError(
-            "live-rescaler thread still running after 120s join during "
-            "the durability rescale-crash scenario"
-        )
-    if migration["error"] is not None:
-        raise migration["error"]
-    record("rescale-crash", result, time.perf_counter() - t0,
-           servers + [joining], schedule,
-           extra={"keys_moved": (migration["stats"].keys_moved
-                                 if migration["stats"] else 0),
-                  "final_epoch": datastore.placement.epoch})
-    fabric.runtime.shutdown()
-
-    # -- scenario: LSM engine killed with flush/compaction in flight --------
-    # Tiny memtables + an aggressive trigger keep the background worker
-    # continuously flushing and compacting during ingest, so the
-    # mid-ingest state-loss crash lands on a half-written SSTable with
-    # high probability.  Recovery replays the engine's own segmented
-    # WAL and discards any orphan table the manifest never published.
-    fabric = Fabric(threaded=True)
-    servers = []
-    for i in range(2):
-        servers.append(BedrockServer(fabric, default_hepnos_config(
-            f"sm://node{i}/hepnos", backend="lsm",
-            storage_root=f"{workdir}/s6/node{i}",
-            backend_config=dict(memtable_bytes=512, compaction_trigger=2,
-                                max_immutables=2,
-                                block_cache_bytes=256 * 1024),
-            **layout)))
-    fabric.runtime.start()
-    datastore = DataStore.connect(fabric, servers, retry_policy=policy)
-    workflow = HEPnOSWorkflow(datastore, "nova/durability",
-                              input_batch_size=64, dispatch_batch_size=8)
-    schedule = FaultSchedule(seed).crash_restart(
-        servers[1], crash_at=10, restart_at=40, lose_state=True)
-    fabric.fault_model = schedule
-    t0 = time.perf_counter()
-    try:
-        workflow.ingest(sample.paths, num_ranks=1)
-    finally:
-        fabric.fault_model = FaultModel()
-    result = workflow.select(num_ranks=ranks)
-    record("lsm-crash-mid-compaction", result, time.perf_counter() - t0,
-           servers, schedule,
-           extra={"compactions": sum(
-               stats["compactions"] for server in servers
-               for stats in server.storage_stats().values())})
-    fabric.runtime.shutdown()
-
-    return DurabilityChaosReport(
-        seed=seed,
-        matches=all(s.ok for s in scenarios),
-        baseline_accepted=len(baseline.accepted_ids),
-        scenarios=scenarios,
-    )
+    with ChaosStage(workdir=workdir, signal_fraction=spec.signal_fraction,
+                    retry_policy=chaos_client_policy(), **sizes) as base:
+        _quiet(base, seed, faults)
+        baseline = base.results[0]
+        if not baseline.accepted_ids:
+            raise HEPnOSError(
+                "chaos baseline selected no events; byte-parity against "
+                "an empty selection is vacuous -- grow the dataset")
+        baseline_wall = time.perf_counter() - t0
+        want = selection_bytes(baseline)
+        outcomes = []
+        for row in spec.scenarios:
+            t0 = time.perf_counter()
+            with ChaosStage(base.paths, ranks=sizes["ranks"],
+                            workdir=f"{base.workdir}/{row.name}",
+                            layout=row.layout, num_servers=row.num_servers,
+                            retry_policy=row.policy(), **row.connect
+                            ) as stage:
+                row.body(stage, seed, faults)
+                detail = stage.detail()
+                outcomes.append(ScenarioOutcome(
+                    name=row.name,
+                    matches=all(selection_bytes(result) == want
+                                for result in stage.results),
+                    expected=row.expect is None or row.expect(detail),
+                    accepted=len(stage.results[-1].accepted_ids),
+                    wall=time.perf_counter() - t0,
+                    injected=stage.injected,
+                    detail=detail,
+                    pending_actions=stage.pending_actions,
+                ))
+    return ChaosReport(family, seed, len(baseline.accepted_ids),
+                       baseline_wall, outcomes)
 
 
-# -- multi-tenant chaos ------------------------------------------------------
-
-
-@dataclass
-class TenantChaosReport:
-    """NOvA selection parity with the request broker in the path.
-
-    The tenant run is metered: its session carries a tenant envelope
-    and the service enforces a deliberately modest rate limit, so the
-    standard fault schedule *and* real 429-style sheds both hit the
-    selection.  Parity plus ``sheds > 0`` proves admission control is
-    load-bearing yet invisible in the physics result.
-    """
-
-    seed: int
-    matches: bool
-    baseline_accepted: int
-    tenant_accepted: int
-    tenant: str = ""
-    baseline_wall: float = 0.0
-    tenant_wall: float = 0.0
-    #: broker counters for the metered tenant (admitted/shed/...)
-    broker: dict = field(default_factory=dict)
-    #: fabric fault counters from the tenant run
-    dropped: int = 0
-    corrupted: int = 0
-    delayed: int = 0
-    timeouts: int = 0
-    client_retries: int = 0
-    client_giveups: int = 0
-    schedule_counts: dict = field(default_factory=dict)
-    pending_actions: list = field(default_factory=list)
-
-    def summary(self) -> str:
-        verdict = "MATCH" if self.matches else "MISMATCH"
-        lines = [
-            f"tenant chaos (seed={self.seed}): {verdict}",
-            f"  selected events: baseline={self.baseline_accepted} "
-            f"tenant={self.tenant_accepted}",
-            f"  wall seconds: baseline={self.baseline_wall:.3f} "
-            f"tenant={self.tenant_wall:.3f}",
-            f"  broker[{self.tenant}]: "
-            f"admitted={self.broker.get('admitted', 0)} "
-            f"shed={self.broker.get('shed', 0)} "
-            f"(rate={self.broker.get('shed_rate', 0)} "
-            f"quota={self.broker.get('shed_quota', 0)} "
-            f"queue={self.broker.get('shed_queue', 0)})",
-            f"  injected: dropped={self.dropped} corrupted={self.corrupted} "
-            f"delayed={self.delayed} timeouts={self.timeouts}",
-            f"  client: retries={self.client_retries} "
-            f"giveups={self.client_giveups}",
-            f"  schedule: counts={dict(self.schedule_counts)}",
-        ]
-        if self.pending_actions:
-            lines.append(f"  NEVER FIRED: {self.pending_actions}")
-        return "\n".join(lines)
-
-
-def run_tenant_chaos(seed: int = 0, files: int = 2, ranks: int = 2,
-                     mean_events_per_file: int = 24,
-                     drop: float = 0.02, delay: float = 0.0005,
-                     corrupt: float = 0.01,
-                     crash_window: Optional[Tuple[int, int]] = (10, 30),
-                     spike_window: Optional[Tuple[int, int]] = (40, 50),
-                     rate: float = 50.0, burst: float = 5.0,
-                     quick: bool = False,
-                     workdir: Optional[str] = None) -> TenantChaosReport:
-    """NOvA selection through a metered tenant session, under chaos.
-
-    The baseline run is the stock unbrokered service, fault-free.  The
-    tenant run deploys the same layout with a request broker whose
-    registry meters the ``nova`` tenant at ``rate`` requests/s (burst
-    ``burst``) -- low enough that the selection is genuinely shed and
-    must recover through ``retry_after_s`` hints -- then installs the
-    standard fault schedule for the selection phase.  The verdict is
-    set equality of accepted event ids.
-    """
-    if quick:
-        files = min(files, 2)
-    if workdir is None:
-        workdir = tempfile.mkdtemp(prefix="hepnos-tenant-chaos-")
-    sample = generate_file_set(
-        f"{workdir}/files", num_files=files,
-        mean_events_per_file=mean_events_per_file,
-        config=GeneratorConfig(signal_fraction=0.1, events_per_subrun=16,
-                               subruns_per_run=4),
-    )
-    policy = chaos_client_policy()
-
-    # -- fault-free, unbrokered baseline ------------------------------------
-    fabric = Fabric(threaded=True)
-    servers = _deploy(fabric)
-    datastore = DataStore.connect(fabric, servers, retry_policy=policy)
-    workflow = HEPnOSWorkflow(datastore, "nova/tenant-chaos",
-                              input_batch_size=64, dispatch_batch_size=8)
-    baseline = workflow.run(sample.paths, num_ranks=ranks)
-    fabric.runtime.shutdown()
-
-    # -- brokered tenant run under the fault schedule -----------------------
-    import repro.hepnos as hepnos
-
-    tenant = "nova"
-    tenants_config = {
-        "slots": 8,
-        "interactive_reserve": 2,
-        "registry": [
-            {"id": tenant, "priority": "interactive",
-             "rate": rate, "burst": burst},
-        ],
-    }
-    fabric = Fabric(threaded=True)
-    servers = _deploy(fabric, tenants=tenants_config)
-    session = hepnos.connect(servers=servers, tenant=tenant,
-                             priority="interactive", retry_policy=policy)
-    workflow = HEPnOSWorkflow(session.datastore, "nova/tenant-chaos",
-                              input_batch_size=64, dispatch_batch_size=8)
-    workflow.ingest(sample.paths, num_ranks=1)
-
-    schedule = build_schedule(seed, servers, drop, delay, corrupt,
-                              crash_window, spike_window)
-    fabric.stats.reset()
-    fabric.fault_model = schedule
-    try:
-        tenant_result = workflow.select(num_ranks=ranks)
-    finally:
-        fabric.fault_model = FaultModel()
-    stats = fabric.stats
-    broker_counters: dict = {}
-    for server in servers:
-        snapshot = server.tenant_stats()
-        counters = snapshot.get("tenants", {}).get(tenant)
-        if counters:
-            for key, value in counters.items():
-                if isinstance(value, (int, float)):
-                    broker_counters[key] = broker_counters.get(key, 0) + value
-    metrics = session.datastore.metrics
-    report = TenantChaosReport(
-        seed=seed,
-        matches=(frozenset(tenant_result.accepted_ids)
-                 == frozenset(baseline.accepted_ids)),
-        baseline_accepted=len(baseline.accepted_ids),
-        tenant_accepted=len(tenant_result.accepted_ids),
-        tenant=tenant,
-        baseline_wall=baseline.wall_seconds,
-        tenant_wall=tenant_result.wall_seconds,
-        broker=broker_counters,
-        dropped=stats.dropped,
-        corrupted=stats.corrupted,
-        delayed=stats.delayed,
-        timeouts=stats.timeouts,
-        client_retries=metrics.counter("yokan.client.retries").value,
-        client_giveups=metrics.counter("yokan.client.giveups").value,
-        schedule_counts=dict(schedule.counts),
-        pending_actions=schedule.pending_actions,
-    )
-    session.close()
-    fabric.runtime.shutdown()
-    return report
-
-
-__all__ = ["ChaosReport", "DurabilityChaosReport", "DurabilityScenario",
-           "RescaleChaosReport", "build_schedule", "chaos_client_policy",
-           "failover_client_policy", "run_durability_chaos",
-           "run_nova_chaos", "run_rescale_chaos", "run_tenant_chaos",
-           "TenantChaosReport"]
+__all__ = ["ChaosReport", "ChaosStage", "FAMILIES", "Family", "LAYOUT",
+           "PEP_OPTIONS", "SINGLE_SHARD", "STOCK_FAULTS", "Scenario",
+           "ScenarioOutcome", "build_schedule", "chaos_client_policy",
+           "failover_client_policy", "run_chaos", "selection_bytes"]

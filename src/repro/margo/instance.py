@@ -26,12 +26,15 @@ class MargoInstance:
     """
 
     def __init__(self, fabric: Fabric, address: Union[str, Address],
-                 argobots_config: Optional[dict] = None, tag: str = ""):
+                 argobots_config: Optional[dict] = None, tag: str = "",
+                 listen: bool = True):
         with _tracing.span("margo.init", address=str(address)) as init_span:
-            self._init(fabric, address, argobots_config, tag, init_span)
+            self._init(fabric, address, argobots_config, tag, listen,
+                       init_span)
 
     def _init(self, fabric: Fabric, address: Union[str, Address],
-              argobots_config: Optional[dict], tag: str, init_span) -> None:
+              argobots_config: Optional[dict], tag: str, listen: bool,
+              init_span) -> None:
         self.fabric = fabric
         addr = Address.parse(address) if isinstance(address, str) else address
         # The tag disambiguates runtime resource names when an instance
@@ -82,7 +85,7 @@ class MargoInstance:
         if rpc_pool_name is not None and rpc_pool_name not in self.pools:
             raise ConfigError(f"rpc_pool {rpc_pool_name!r} is not a defined pool")
         rpc_pool = self.pools[rpc_pool_name] if rpc_pool_name else first_pool
-        self.engine = Engine(fabric, addr, pool=rpc_pool)
+        self.engine = Engine(fabric, addr, pool=rpc_pool, listen=listen)
         init_span.set_tag("pools", len(self.pools))
         init_span.set_tag("xstreams", len(self.xstreams))
 

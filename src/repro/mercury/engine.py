@@ -167,7 +167,7 @@ class Engine:
     """
 
     def __init__(self, fabric: Fabric, address: Union[str, Address],
-                 pool: Optional[Pool] = None):
+                 pool: Optional[Pool] = None, listen: bool = True):
         self.fabric = fabric
         self.address = Address.parse(address) if isinstance(address, str) else address
         runtime = fabric.runtime
@@ -177,7 +177,18 @@ class Engine:
         self.pool = pool
         self._registry: dict[tuple[str, int], tuple[HandlerFn, Pool]] = {}
         self._finalized = False
-        fabric.register_engine(self)
+        if listen:
+            self.listen()
+
+    def listen(self) -> None:
+        """Become addressable on the fabric.
+
+        A server builds its engine with ``listen=False`` and calls this
+        once every provider has registered, so a request never meets an
+        engine that lacks its handlers: until then the address is dead
+        (a retryable ``AddressError``), not a ``NoSuchRPCError``.
+        """
+        self.fabric.register_engine(self)
 
     # -- registration --------------------------------------------------------
 

@@ -1,10 +1,12 @@
 """``repro-chaos``: run the NOvA workflow under a seeded fault schedule.
 
-Runs ingest + candidate selection twice -- once fault-free, once with
-drops, latency, payload corruption, a timeout-inducing latency spike,
-and a provider crash/restart -- and verifies the selected-event sets
-are identical.  Exits nonzero on a mismatch, so it doubles as a CI
-chaos smoke test::
+Runs one family of :data:`repro.faults.chaos.FAMILIES` -- the stock run
+(drops, latency, payload corruption, a timeout-inducing latency spike
+and a provider crash/restart during selection) unless ``--rescale``,
+``--durability`` or ``--tenants`` picks another -- and verifies every
+scenario selects the byte-identical event set of the fault-free
+baseline.  The exit status is the printed verdict (``report.ok``), so
+it doubles as a CI chaos smoke test::
 
     repro-chaos --seed 7
     repro-chaos --seed 3 --files 4 --ranks 4 --drop 0.05
@@ -20,7 +22,7 @@ import argparse
 import sys
 from typing import Optional, Sequence, Tuple
 
-from repro.faults.chaos import run_nova_chaos
+from repro.faults.chaos import STOCK_FAULTS, run_chaos
 from repro.tools.common import common_parser, emit_report
 
 
@@ -52,22 +54,25 @@ def build_parser() -> argparse.ArgumentParser:
                         help="selection MPI ranks (default: 2)")
     parser.add_argument("--events-per-file", type=int, default=24,
                         help="mean events per generated file (default: 24)")
-    parser.add_argument("--drop", type=float, default=0.02,
-                        help="message drop probability (default: 0.02)")
-    parser.add_argument("--delay", type=float, default=0.0005,
+    # argparse.SUPPRESS: an unset schedule flag is absent from the
+    # namespace, so the family's default in FAMILIES applies.
+    parser.add_argument("--drop", type=float, default=argparse.SUPPRESS,
+                        help="message drop probability "
+                             "(stock default: 0.02)")
+    parser.add_argument("--delay", type=float, default=argparse.SUPPRESS,
                         help="mean injected latency in seconds "
-                             "(default: 0.0005)")
-    parser.add_argument("--corrupt", type=float, default=0.01,
+                             "(stock default: 0.0005)")
+    parser.add_argument("--corrupt", type=float, default=argparse.SUPPRESS,
                         help="payload corruption probability "
-                             "(default: 0.01)")
-    parser.add_argument("--crash-window", type=_window, default=(10, 30),
-                        metavar="START:END",
+                             "(stock default: 0.01)")
+    parser.add_argument("--crash-window", type=_window,
+                        default=argparse.SUPPRESS, metavar="START:END",
                         help="op window for provider crash/restart, or "
-                             "'none' (default: 10:30)")
-    parser.add_argument("--spike-window", type=_window, default=(40, 50),
-                        metavar="START:END",
+                             "'none' (stock default: 10:30)")
+    parser.add_argument("--spike-window", type=_window,
+                        default=argparse.SUPPRESS, metavar="START:END",
                         help="op window for the timeout-inducing latency "
-                             "spike, or 'none' (default: 40:50)")
+                             "spike, or 'none' (stock default: 40:50)")
     parser.add_argument("--workdir", default=None,
                         help="directory for generated files "
                              "(default: fresh temp dir)")
@@ -91,69 +96,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.tenants:
-        from repro.faults.chaos import run_tenant_chaos
-
-        report = run_tenant_chaos(
-            seed=args.seed,
-            files=args.files,
-            ranks=args.ranks,
-            mean_events_per_file=args.events_per_file,
-            drop=args.drop,
-            delay=args.delay,
-            corrupt=args.corrupt,
-            crash_window=args.crash_window,
-            spike_window=args.spike_window,
-            quick=args.quick,
-            workdir=args.workdir,
-        )
-        emit_report(report, args.json)
-        ok = (report.matches and not report.pending_actions
-              and report.broker.get("shed", 0) > 0)
-        return 0 if ok else 1
-    if args.durability:
-        from repro.faults.chaos import run_durability_chaos
-
-        report = run_durability_chaos(
-            seed=args.seed,
-            files=args.files,
-            ranks=args.ranks,
-            mean_events_per_file=args.events_per_file,
-            quick=args.quick,
-            workdir=args.workdir,
-        )
-        emit_report(report, args.json)
-        return 0 if report.matches else 1
-    if args.rescale:
-        from repro.faults.chaos import run_rescale_chaos
-
-        report = run_rescale_chaos(
-            seed=args.seed,
-            files=args.files,
-            ranks=args.ranks,
-            mean_events_per_file=args.events_per_file,
-            drop=args.drop,
-            delay=args.delay,
-            corrupt=args.corrupt,
-            crash_window=args.crash_window,
-            workdir=args.workdir,
-        )
-        emit_report(report, args.json)
-        return 0 if report.matches and not report.pending_actions else 1
-    report = run_nova_chaos(
+    family = ("tenants" if args.tenants else "durability" if args.durability
+              else "rescale" if args.rescale else "stock")
+    report = run_chaos(
+        family,
         seed=args.seed,
         files=args.files,
         ranks=args.ranks,
         mean_events_per_file=args.events_per_file,
-        drop=args.drop,
-        delay=args.delay,
-        corrupt=args.corrupt,
-        crash_window=args.crash_window,
-        spike_window=args.spike_window,
+        quick=args.quick,
         workdir=args.workdir,
+        **{flag: getattr(args, flag) for flag in STOCK_FAULTS
+           if hasattr(args, flag)},
     )
     emit_report(report, args.json)
-    return 0 if report.matches and not report.pending_actions else 1
+    return 0 if report.ok else 1
 
 
 if __name__ == "__main__":

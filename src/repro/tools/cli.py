@@ -53,7 +53,7 @@ def _cmd_inspect(args) -> int:
 
 def _cmd_demo(args) -> int:
     from repro.bedrock import BedrockServer, default_hepnos_config
-    from repro.hepnos import DataStore
+    from repro.hepnos import DataStore, PEPOptions
     from repro.mercury import Fabric
     from repro.nova import GeneratorConfig, generate_file_set
     from repro.tools.inspect import service_stat, tree
@@ -75,8 +75,9 @@ def _cmd_demo(args) -> int:
     ]
     fabric.runtime.start()
     datastore = DataStore.connect(fabric, servers)
-    workflow = HEPnOSWorkflow(datastore, "nova/demo", input_batch_size=64,
-                              dispatch_batch_size=8)
+    workflow = HEPnOSWorkflow(
+        datastore, "nova/demo",
+        pep_options=PEPOptions(input_batch_size=64, dispatch_batch_size=8))
     result = workflow.run(sample.paths, num_ranks=args.ranks)
     print(f"ingested {sample.num_files} files; selected "
           f"{len(result.accepted_ids)} of {result.slices_examined} slices\n")
@@ -120,7 +121,7 @@ def _cmd_demo_export(args) -> int:
 def _cmd_rescale(args) -> int:
     """Demo a live rescale: grow the service under ingest traffic."""
     from repro.bedrock import BedrockServer, default_hepnos_config
-    from repro.hepnos import DataStore
+    from repro.hepnos import DataStore, PEPOptions
     from repro.mercury import Fabric
     from repro.nova import GeneratorConfig, generate_file_set
     from repro.rescale import LiveRescaler, add_server
@@ -142,8 +143,9 @@ def _cmd_rescale(args) -> int:
     ]
     fabric.runtime.start()
     datastore = DataStore.connect(fabric, servers)
-    workflow = HEPnOSWorkflow(datastore, "nova/rescale", input_batch_size=64,
-                              dispatch_batch_size=8)
+    workflow = HEPnOSWorkflow(
+        datastore, "nova/rescale",
+        pep_options=PEPOptions(input_batch_size=64, dispatch_batch_size=8))
     workflow.ingest(sample.paths, num_ranks=1)
     print(f"ingested {sample.total_events} events into "
           f"{len(servers)} servers; shard map: "
@@ -306,7 +308,7 @@ def _cmd_tenants(args) -> int:
 def _cmd_storage(args) -> int:
     """Drive an LSM-backed service; print per-database engine stats."""
     from repro.bedrock import BedrockServer, default_hepnos_config
-    from repro.hepnos import DataStore
+    from repro.hepnos import DataStore, PEPOptions
     from repro.mercury import Fabric
     from repro.nova import GeneratorConfig, generate_file_set
     from repro.tools.common import emit_report
@@ -335,8 +337,9 @@ def _cmd_storage(args) -> int:
     ]
     fabric.runtime.start()
     datastore = DataStore.connect(fabric, servers)
-    workflow = HEPnOSWorkflow(datastore, "nova/storage", input_batch_size=64,
-                              dispatch_batch_size=8)
+    workflow = HEPnOSWorkflow(
+        datastore, "nova/storage",
+        pep_options=PEPOptions(input_batch_size=64, dispatch_batch_size=8))
     result = workflow.run(sample.paths, num_ranks=2)
     stats = {f"node{i}": server.storage_stats()
              for i, server in enumerate(servers)}

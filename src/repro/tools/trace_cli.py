@@ -71,7 +71,7 @@ def _report(collector: TraceCollector, args) -> None:
 def _cmd_nova(args) -> int:
     """Trace an in-process NOvA ingest + candidate selection."""
     from repro.bedrock import BedrockServer, default_hepnos_config
-    from repro.hepnos import DataStore
+    from repro.hepnos import DataStore, PEPOptions
     from repro.mercury import Fabric
     from repro.nova import GeneratorConfig, generate_file_set
     from repro.workflows import HEPnOSWorkflow
@@ -93,8 +93,9 @@ def _cmd_nova(args) -> int:
     ]
     fabric.runtime.start()
     datastore = DataStore.connect(fabric, servers)
-    workflow = HEPnOSWorkflow(datastore, "nova/traced", input_batch_size=64,
-                              dispatch_batch_size=8)
+    workflow = HEPnOSWorkflow(
+        datastore, "nova/traced",
+        pep_options=PEPOptions(input_batch_size=64, dispatch_batch_size=8))
     with trace_session() as tracer:
         result = workflow.run(sample.paths, num_ranks=args.ranks)
     fabric.runtime.shutdown()

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.hepnos import DataStore
+from repro.hepnos import DataStore, PEPOptions
 from repro.nova.cafana import Cut, nue_candidate_cut
 from repro.workflows.hepnos import HEPnOSResult, HEPnOSWorkflow
 from repro.workflows.traditional import (
@@ -62,9 +62,8 @@ def compare_workflows(
     num_ranks: int = 4,
     dataset_path: str = "nova/compare",
     files_per_block: int = 1,
-    input_batch_size: int = 256,
-    dispatch_batch_size: int = 16,
-    num_readers: Optional[int] = None,
+    pep_options: PEPOptions = PEPOptions(input_batch_size=256,
+                                         dispatch_batch_size=16),
 ) -> ComparisonReport:
     """Execute both workflows over ``file_paths`` and diff their selections."""
     os.makedirs(workdir, exist_ok=True)
@@ -77,9 +76,7 @@ def compare_workflows(
 
     workflow = HEPnOSWorkflow(
         datastore, dataset_path, cut=cut,
-        input_batch_size=input_batch_size,
-        dispatch_batch_size=dispatch_batch_size,
-        num_readers=num_readers,
+        pep_options=pep_options,
         output_path=os.path.join(workdir, "hepnos-out", "selected.txt"),
     )
     hepnos = workflow.run(file_paths, num_ranks=num_ranks)

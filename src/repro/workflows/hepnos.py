@@ -57,28 +57,16 @@ class HEPnOSWorkflow:
     def __init__(self, datastore: DataStore, dataset_path: str,
                  cut: Cut = nue_candidate_cut, label: str = "",
                  slice_class: str = "rec.slc",
-                 input_batch_size: int = 16384,
-                 dispatch_batch_size: int = 64,
-                 num_readers: Optional[int] = None,
                  output_path: Optional[str] = None,
-                 load_retries: int = 2,
-                 on_load_failure: str = "raise",
-                 pep_options: Optional[PEPOptions] = None):
+                 pep_options: PEPOptions = PEPOptions()):
         self.datastore = datastore
         self.dataset_path = dataset_path
         self.cut = cut
         self.label = label
         self.slice_class = slice_class
         self.output_path = output_path
-        #: processor tuning; explicit ``pep_options`` wins over the
-        #: individual convenience keywords.
-        self.pep_options = pep_options or PEPOptions(
-            input_batch_size=input_batch_size,
-            dispatch_batch_size=dispatch_batch_size,
-            num_readers=num_readers,
-            load_retries=load_retries,
-            on_load_failure=on_load_failure,
-        )
+        #: processor tuning (batch sizes, readers, load-retry budget, lane)
+        self.pep_options = pep_options
 
     # -- phase 1 -------------------------------------------------------------
 

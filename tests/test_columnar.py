@@ -9,21 +9,22 @@ and across a live 1 -> 4 shard rescale.
 """
 
 import dataclasses
-import threading
-import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bedrock import BedrockServer, default_hepnos_config
-from repro.faults.chaos import build_schedule, chaos_client_policy
-from repro.hepnos import DataStore, PEPOptions, product_type_name, vector_of
+from repro.faults.chaos import (
+    SINGLE_SHARD,
+    STOCK_FAULTS,
+    ChaosStage,
+    build_schedule,
+    chaos_client_policy,
+)
+from repro.hepnos import PEPOptions, product_type_name, vector_of
 from repro.hepnos.column_block import ABSENT
 from repro.hepnos.keys import product_key
-from repro.mercury import Fabric
-from repro.mercury.fabric import FaultModel
 from repro.nova import GeneratorConfig, generate_file_set, nue_candidate_cut
 from repro.nova.cafana import Cut
 from repro.serial import dumps, register_type, serializable
@@ -267,8 +268,9 @@ class TestServerProjection:
 
 
 def _ingest(datastore, paths, tag):
-    workflow = HEPnOSWorkflow(datastore, f"columnar/{tag}",
-                              input_batch_size=64, dispatch_batch_size=8)
+    workflow = HEPnOSWorkflow(
+        datastore, f"columnar/{tag}",
+        pep_options=PEPOptions(input_batch_size=64, dispatch_batch_size=8))
     workflow.ingest(paths, num_ranks=1)
     return workflow
 
@@ -318,86 +320,34 @@ class TestSelectionIdentity:
         """Vectorized selection under the stock fault schedule must
         accept the byte-identical event set of a quiet per-event run."""
         policy = chaos_client_policy()
+        with ChaosStage(sample.paths, retry_policy=policy) as quiet:
+            _ingest(quiet.datastore, sample.paths, "chaos")
+            baseline = _select(quiet.datastore, "chaos", columnar=False)
 
-        def deploy():
-            fabric = Fabric(threaded=True)
-            servers = [BedrockServer(fabric, default_hepnos_config(
-                f"sm://node{i}/hepnos", num_providers=2, event_databases=2,
-                product_databases=2, run_databases=1, subrun_databases=1,
-            )) for i in range(2)]
-            fabric.runtime.start()
-            return fabric, servers
-
-        fabric, servers = deploy()
-        datastore = DataStore.connect(fabric, servers, retry_policy=policy)
-        _ingest(datastore, sample.paths, "chaos")
-        baseline = _select(datastore, "chaos", columnar=False)
-        fabric.runtime.shutdown()
-
-        fabric, servers = deploy()
-        datastore = DataStore.connect(fabric, servers, retry_policy=policy)
-        _ingest(datastore, sample.paths, "chaos")
-        schedule = build_schedule(7, servers, drop=0.02, delay=0.0005,
-                                  corrupt=0.01, crash_window=(10, 30),
-                                  spike_window=(40, 44))
-        fabric.stats.reset()
-        fabric.fault_model = schedule
-        try:
-            chaos = _select(datastore, "chaos", columnar=True)
-        finally:
-            fabric.fault_model = FaultModel()
-        injected = fabric.stats
-        fabric.runtime.shutdown()
-        assert (injected.dropped + injected.corrupted + injected.delayed) > 0
+        with ChaosStage(sample.paths, retry_policy=policy) as stage:
+            _ingest(stage.datastore, sample.paths, "chaos")
+            with stage.faults(build_schedule(
+                    7, stage.servers,
+                    **dict(STOCK_FAULTS, spike_window=(40, 44)))):
+                chaos = _select(stage.datastore, "chaos", columnar=True)
+        injected = stage.injected
+        assert (injected["dropped"] + injected["corrupted"]
+                + injected["delayed"]) > 0
         assert _selection_bytes(chaos) == _selection_bytes(baseline)
 
     def test_identity_across_live_rescale(self, sample):
         """1 -> 4 shard live grow mid-selection: the vectorized path's
         dual-read fan-out must keep the selection byte-identical."""
-        from repro.rescale import LiveRescaler, add_server
-
-        fabric = Fabric(threaded=True)
-        servers = [BedrockServer(fabric, default_hepnos_config(
-            "sm://node0/hepnos", num_providers=1, event_databases=1,
-            product_databases=1, run_databases=1, subrun_databases=1,
-        ))]
-        fabric.runtime.start()
-        datastore = DataStore.connect(fabric, servers)
-        _ingest(datastore, sample.paths, "rescale")
-        baseline = _select(datastore, "rescale", columnar=False)
-
-        joining = BedrockServer(fabric, default_hepnos_config(
-            "sm://joining/hepnos", num_providers=3, event_databases=3,
-            product_databases=3, run_databases=1, subrun_databases=1,
-        ))
-        rescaler = LiveRescaler(
-            datastore, add_server(datastore.connection, joining),
-            batch_size=16,
-        )
-        migration = {"error": None}
-
-        def migrate():
-            try:
-                rescaler.begin()
-                while rescaler.step():
-                    time.sleep(0.002)
-                rescaler.commit()
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                migration["error"] = exc
-
-        thread = threading.Thread(target=migrate, daemon=True,
-                                  name="live-rescaler")
-        thread.start()
-        try:
-            during = _select(datastore, "rescale", columnar=True)
-        finally:
-            thread.join(timeout=120.0)
-        assert not thread.is_alive()
-        if migration["error"] is not None:
-            raise migration["error"]
-        assert datastore.connection.counts()["products"] == 4
-        assert not datastore.placement.migrating
-        after = _select(datastore, "rescale", columnar=True)
-        fabric.runtime.shutdown()
+        with ChaosStage(sample.paths, layout=SINGLE_SHARD,
+                        num_servers=1) as stage:
+            datastore = stage.datastore
+            _ingest(datastore, sample.paths, "rescale")
+            baseline = _select(datastore, "rescale", columnar=False)
+            with stage.live_grow(num_providers=3, event_databases=3,
+                                 product_databases=3):
+                during = _select(datastore, "rescale", columnar=True)
+            assert datastore.connection.counts()["products"] == 4
+            assert not datastore.placement.migrating
+            after = _select(datastore, "rescale", columnar=True)
         assert _selection_bytes(during) == _selection_bytes(baseline)
         assert _selection_bytes(after) == _selection_bytes(baseline)

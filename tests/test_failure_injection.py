@@ -6,6 +6,9 @@ that failure mode and verify (a) errors surface cleanly at every layer
 and (b) bounded client retries mask transient drops.
 """
 
+import os
+import tempfile
+import threading
 import time
 
 import pytest
@@ -21,7 +24,7 @@ from repro.faults import (
     LatencyFault,
     PartitionFault,
     RetryPolicy,
-    run_nova_chaos,
+    run_chaos,
 )
 from repro.hepnos import PEPOptions, DataStore, ParallelEventProcessor
 from repro.mercury import Engine, Fabric, FaultModel, InjectionFaultModel
@@ -402,29 +405,109 @@ class TestCrashRestart:
         subrun.create_event(1)
         assert [ev.number for ev in subrun] == [0, 1]
 
+    def test_restarting_server_is_dead_until_every_provider_is_up(
+            self, monkeypatch):
+        """A request racing a restart must see a dead address (which the
+        retry policy rides out), never a live engine without handlers."""
+        import repro.bedrock.server as bedrock_server
+
+        fabric, server = _hepnos_world()
+        datastore = DataStore.connect(fabric, [server],
+                                      retry_policy=RetryPolicy.none())
+        subrun = datastore.create_dataset("racy").create_run(1) \
+                          .create_subrun(1)
+        server.crash()
+        real_provider = bedrock_server.YokanProvider
+        seen = []
+
+        def probing_provider(*args, **kwargs):
+            # Stands in for a client on another thread, mid-restart.
+            with pytest.raises(AddressError) as info:
+                list(subrun)
+            seen.append(info.value)
+            return real_provider(*args, **kwargs)
+
+        monkeypatch.setattr(bedrock_server, "YokanProvider",
+                            probing_provider)
+        server.restart()
+        assert len(seen) == 2  # probed before each provider registered
+        assert list(subrun) == []
+
 
 class TestChaosHarness:
+    """All four families of the scenario table, judged by one verdict."""
+
     def test_nova_chaos_run_matches_baseline(self):
-        report = run_nova_chaos(seed=1)
-        assert report.matches, report.summary()
-        assert report.pending_actions == []
-        fired = [name for _, name in report.schedule_log]
+        report = run_chaos("stock", seed=1)
+        assert report.ok, report.summary()
+        stock = report["stock"]
+        assert stock.matches and stock.pending_actions == []
+        fired = [name for _, name in stock.injected["schedule_log"]]
         assert any(name.startswith("crash") for name in fired)
         assert any(name.startswith("restart") for name in fired)
         # The spike window is sized to force at least one timeout.
-        assert report.timeouts >= 1
-        assert report.client_retries >= 1
+        assert stock.injected["timeouts"] >= 1
+        assert stock.injected["client_retries"] >= 1
 
     def test_rescale_chaos_selection_is_byte_identical(self):
-        from repro.faults.chaos import run_rescale_chaos
-
-        report = run_rescale_chaos(seed=2)
-        assert report.matches, report.summary()
-        assert report.pending_actions == [], report.summary()
+        report = run_chaos("rescale", seed=2)
+        assert report.ok, report.summary()
+        assert report["single-shard-quiet"].matches
+        grown = report["live-grow-under-chaos"]
+        assert grown.matches and grown.pending_actions == []
         # The live grow really happened: one migration epoch + commit.
-        assert report.final_epoch == 2
-        assert report.keys_moved > 0
-        assert sum(report.moves_by_kind.values()) == report.keys_moved
+        assert grown.detail["final_epoch"] == 2
+        assert grown.detail["keys_moved"] > 0
+        assert (sum(grown.detail["moves_by_kind"].values())
+                == grown.detail["keys_moved"])
+
+    def test_durability_chaos_survives_every_state_loss(self):
+        report = run_chaos("durability", seed=3, quick=True)
+        assert report.ok, report.summary()
+        assert [s.name for s in report.scenarios] == [
+            "wal-replay-mid-write", "kill-during-checkpoint",
+            "failover-resync", "kill-both-then-replay", "rescale-crash",
+            "lsm-crash-mid-compaction"]
+        assert all(s.ok for s in report.scenarios), report.summary()
+        # Recovery really ran: log replay, a promoted backup, a re-sync.
+        assert report["wal-replay-mid-write"].detail["replayed_records"] > 0
+        assert report["failover-resync"].detail["failovers_activated"] > 0
+        assert report["failover-resync"].detail["resynced_keys"] > 0
+
+    def test_tenant_chaos_sheds_and_matches(self):
+        report = run_chaos("tenants", seed=5, quick=True)
+        assert report.ok, report.summary()
+        # Admission control was load-bearing, not idle.
+        assert report["metered-tenant"].detail["broker"]["shed"] > 0
+
+    def test_run_returns_the_process_to_where_it_started(self, tmp_path,
+                                                         monkeypatch):
+        """No thread, descriptor or directory outlives a run."""
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        run_chaos("stock", seed=1)  # imports, lazy singletons
+        threads = threading.active_count()
+        descriptors = len(os.listdir("/proc/self/fd"))
+        run_chaos("durability", seed=3, quick=True)
+        assert threading.active_count() <= threads
+        assert len(os.listdir("/proc/self/fd")) <= descriptors
+        assert os.listdir(scratch) == []
+        # A caller's workdir is the caller's to remove.
+        mine = tmp_path / "mine"
+        run_chaos("stock", seed=1, workdir=str(mine))
+        assert (mine / "files").is_dir()
+
+    def test_cli_exit_status_is_the_printed_verdict(self, capsys):
+        from repro.tools import chaos_cli
+
+        assert chaos_cli.main(["--seed", "7"]) == 0
+        assert "MATCH" in capsys.readouterr().out
+        # A crash window the run never reaches: the action never fires.
+        assert chaos_cli.main(["--seed", "7", "--crash-window",
+                               "100000:100001"]) == 1
+        out = capsys.readouterr().out
+        assert "MATCH" not in out and "NEVER FIRED" in out
 
 
 class TestGiveupEnrichment:
@@ -478,7 +561,6 @@ class TestScheduleConcurrency:
 
     def test_one_shot_action_fires_once_and_may_reenter(self):
         from repro.faults import FaultSchedule
-        import threading
 
         schedule = FaultSchedule(seed=0)
         fired = []
@@ -509,7 +591,6 @@ class TestScheduleConcurrency:
 
     def test_crash_restart_races_inflight_ops(self):
         from repro.faults import FaultSchedule
-        import threading
 
         fabric, server = _hepnos_world()
         schedule = FaultSchedule(seed=3).crash_restart(

@@ -32,6 +32,7 @@ from repro.hepnos import (
     DataLoader,
     DataStore,
     DatasetExporter,
+    PEPOptions,
     discover_schema,
     vector_of,
 )
@@ -153,8 +154,8 @@ def test_full_campaign(tmp_path):
     from repro.workflows import HEPnOSWorkflow
 
     hepnos_result = HEPnOSWorkflow(
-        datastore, "grand/run1", input_batch_size=64,
-        dispatch_batch_size=8,
+        datastore, "grand/run1",
+        pep_options=PEPOptions(input_batch_size=64, dispatch_batch_size=8),
     ).select(num_ranks=3)
     file_list = str(tmp_path / "files.txt")
     write_file_list(file_list, sample.paths)

@@ -8,7 +8,7 @@ redeploy over the same storage paths.
 import pytest
 
 from repro.bedrock import BedrockServer, default_hepnos_config
-from repro.hepnos import DataStore, WriteBatch, vector_of
+from repro.hepnos import DataStore, PEPOptions, WriteBatch, vector_of
 from repro.mercury import Fabric
 from repro.serial import serializable
 
@@ -109,7 +109,7 @@ def test_mixed_workflow_after_restart(tmp_path):
     server1 = deploy_persistent(fabric1, tmp_path / "store")
     datastore1 = DataStore.connect(fabric1, [server1])
     workflow1 = HEPnOSWorkflow(datastore1, "nova/persist",
-                               input_batch_size=64)
+                               pep_options=PEPOptions(input_batch_size=64))
     workflow1.ingest(sample.paths)
     first = workflow1.select(num_ranks=1)
     server1.shutdown()
@@ -118,7 +118,7 @@ def test_mixed_workflow_after_restart(tmp_path):
     server2 = deploy_persistent(fabric2, tmp_path / "store")
     datastore2 = DataStore.connect(fabric2, [server2])
     workflow2 = HEPnOSWorkflow(datastore2, "nova/persist",
-                               input_batch_size=64)
+                               pep_options=PEPOptions(input_batch_size=64))
     second = workflow2.select(num_ranks=1)
     assert second.accepted_ids == first.accepted_ids
     assert second.events_processed == sample.total_events

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.errors import ReproError
+from repro.hepnos import PEPOptions
 from repro.nova import generate_file_set
 from repro.workflows import (
     HEPnOSWorkflow,
@@ -113,8 +114,9 @@ class TestTraditionalWorkflow:
 class TestHEPnOSWorkflow:
     def test_ingest_then_select(self, datastore, file_set, tmp_path):
         workflow = HEPnOSWorkflow(
-            datastore, "wf/hepnos", input_batch_size=64,
-            dispatch_batch_size=8,
+            datastore, "wf/hepnos",
+            pep_options=PEPOptions(input_batch_size=64,
+                                   dispatch_batch_size=8),
             output_path=str(tmp_path / "out" / "selected.txt"),
         )
         result = workflow.run(file_set.paths, num_ranks=4)
@@ -127,17 +129,17 @@ class TestHEPnOSWorkflow:
         assert written == result.accepted_ids
 
     def test_single_rank(self, datastore, file_set):
-        workflow = HEPnOSWorkflow(datastore, "wf/single",
-                                  input_batch_size=64)
+        workflow = HEPnOSWorkflow(
+            datastore, "wf/single",
+            pep_options=PEPOptions(input_batch_size=64))
         result = workflow.run(file_set.paths, num_ranks=1)
         assert result.events_processed == file_set.total_events
 
     def test_rank_count_invariance(self, datastore, file_set):
-        w2 = HEPnOSWorkflow(datastore, "wf/inv", input_batch_size=64,
-                            dispatch_batch_size=8)
+        options = PEPOptions(input_batch_size=64, dispatch_batch_size=8)
+        w2 = HEPnOSWorkflow(datastore, "wf/inv", pep_options=options)
         r2 = w2.run(file_set.paths, num_ranks=2)
-        w4 = HEPnOSWorkflow(datastore, "wf/inv", input_batch_size=64,
-                            dispatch_batch_size=8)
+        w4 = HEPnOSWorkflow(datastore, "wf/inv", pep_options=options)
         r4 = w4.select(num_ranks=4)  # same already-ingested dataset
         assert r2.accepted_ids == r4.accepted_ids
 
