@@ -5,8 +5,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
+import time
+from _thread import allocate_lock
 from collections import deque
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 from repro.errors import ReproError
 
@@ -82,9 +84,10 @@ class ULT:
     _ids = itertools.count()
 
     def __init__(self, func: Callable, args: tuple = (), kwargs: Optional[dict] = None,
-                 name: Optional[str] = None, priority: int = 0):
+                 name: Union[str, Callable[[], str], None] = None,
+                 priority: int = 0):
         self.ult_id = next(ULT._ids)
-        self.name = name or f"ult-{self.ult_id}"
+        self._name = name
         self.priority = priority
         self._func = func
         self._args = args
@@ -99,6 +102,15 @@ class ULT:
         self._done_callbacks: list[Callable[["ULT"], None]] = []
 
     # -- inspection --------------------------------------------------------
+
+    @property
+    def name(self) -> str:
+        """The ULT's label, built when first read: a hot spawner passes a
+        callable (or nothing) instead of formatting a string per ULT."""
+        if not isinstance(self._name, str):
+            self._name = (self._name() if self._name is not None
+                          else f"ult-{self.ult_id}")
+        return self._name
 
     @property
     def done(self) -> bool:
@@ -199,7 +211,10 @@ class Pool:
 
     ``kind`` is ``"fifo"`` (default) or ``"prio"`` (smaller ``priority``
     first, FIFO among equals).  Pools are thread-safe so that threaded
-    xstreams and external producers can share them.
+    xstreams and external producers can share them: pushes and the heap
+    sit behind a lock, the fifo queue is a ``deque`` popped without one
+    (``popleft`` is atomic), and a push wakes one parked xstream of
+    those that serve the pool (see :class:`ExecutionStream`).
     """
 
     def __init__(self, name: str = "pool", kind: str = "fifo"):
@@ -208,15 +223,15 @@ class Pool:
         self.name = name
         self.kind = kind
         self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
         self._fifo: deque[ULT] = deque()
         self._heap: list[tuple[int, int, ULT]] = []
         self._seq = itertools.count()
         self._pushed_total = 0
+        #: the execution streams draining this pool (whom a push wakes)
+        self._xstreams: list["ExecutionStream"] = []
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._fifo) + len(self._heap)
+        return len(self._fifo) + len(self._heap)
 
     def __bool__(self) -> bool:
         # A pool object is always truthy, even when empty -- falling back
@@ -230,37 +245,31 @@ class Pool:
 
     def push(self, ult: ULT) -> None:
         ult.pool = self
-        with self._not_empty:
+        with self._lock:
             if self.kind == "fifo":
                 self._fifo.append(ult)
             else:
                 heapq.heappush(self._heap, (ult.priority, next(self._seq), ult))
             self._pushed_total += 1
-            self._not_empty.notify()
+        # Queue first, then look for a sleeper: an xstream raises
+        # ``_parked`` *before* it scans its pools (each a single store or
+        # load, which the interpreter lock orders), so either it sees
+        # this ULT or this push sees the flag.
+        for xstream in self._xstreams:
+            if xstream._parked:
+                xstream._wake()
+                return
 
     def pop(self) -> Optional[ULT]:
-        with self._lock:
-            return self._pop_locked()
-
-    def _pop_locked(self) -> Optional[ULT]:
-        if self.kind == "fifo":
-            return self._fifo.popleft() if self._fifo else None
-        if self._heap:
-            return heapq.heappop(self._heap)[2]
-        return None
-
-    def pop_wait(self, timeout: Optional[float] = None) -> Optional[ULT]:
-        """Blocking pop used by threaded xstreams."""
-        with self._not_empty:
+        try:
             if self.kind == "fifo":
-                while not self._fifo:
-                    if not self._not_empty.wait(timeout):
-                        return None
-            else:
-                while not self._heap:
-                    if not self._not_empty.wait(timeout):
-                        return None
-            return self._pop_locked()
+                return self._fifo.popleft() if self._fifo else None
+            if self._heap:
+                with self._lock:
+                    return heapq.heappop(self._heap)[2]
+        except IndexError:  # another xstream took the last one first
+            pass
+        return None
 
 
 class ExecutionStream:
@@ -268,7 +277,10 @@ class ExecutionStream:
 
     In inline mode, :meth:`step` is invoked by the owning
     :class:`Runtime`; in threaded mode :meth:`start` spawns an OS thread
-    running the same scheduler loop.
+    running the same scheduler loop.  An idle thread *parks*: it blocks
+    on ``_gate``, a raw lock it holds itself, until a push to any of its
+    pools -- or :meth:`join` -- releases it.  The same held-lock
+    hand-off carries the answer back (:class:`~repro.argobots.Eventual`).
     """
 
     def __init__(self, name: str, pools: Iterable[Pool]):
@@ -278,42 +290,72 @@ class ExecutionStream:
             raise ValueError("an execution stream needs at least one pool")
         self._rr = 0
         self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
+        self._stopping = False
+        self._parked = False
+        self._gate = allocate_lock()
         self.steps_executed = 0
+        for pool in self.pools:
+            pool._xstreams.append(self)
+
+    def _next(self) -> Optional[ULT]:
+        """Pop the next runnable ULT, round-robin over the pools."""
+        pools = self.pools
+        for offset in range(len(pools)):
+            ult = pools[(self._rr + offset) % len(pools)].pop()
+            if ult is not None:
+                self._rr = (self._rr + offset + 1) % len(pools)
+                return ult
+        return None
 
     def step(self) -> bool:
         """Pop and run one ULT; return whether any work was found."""
-        for offset in range(len(self.pools)):
-            pool = self.pools[(self._rr + offset) % len(self.pools)]
-            ult = pool.pop()
-            if ult is not None:
-                self._rr = (self._rr + offset + 1) % len(self.pools)
-                self.steps_executed += 1
-                ult.step()
-                return True
-        return False
+        ult = self._next()
+        if ult is None:
+            return False
+        self.steps_executed += 1
+        ult.step()
+        return True
 
     # -- threaded mode -------------------------------------------------------
 
     def start(self) -> None:
         if self._thread is not None:
             raise ReproError(f"xstream {self.name} already started")
-        self._stop.clear()
+        self._stopping = False
+        self._gate = allocate_lock()
+        self._gate.acquire()
         self._thread = threading.Thread(target=self._loop, name=self.name, daemon=True)
         self._thread.start()
 
+    def _wake(self) -> None:
+        self._parked = False
+        try:
+            self._gate.release()
+        except RuntimeError:  # already released: a wake is pending
+            pass
+
     def _loop(self) -> None:
-        while not self._stop.is_set():
-            if not self.step():
-                # Block briefly on the first pool; re-check stop regularly.
-                ult = self.pools[0].pop_wait(timeout=0.01)
-                if ult is not None:
-                    self.steps_executed += 1
-                    ult.step()
+        gate = self._gate
+        while not self._stopping:
+            self._parked = True
+            ult = self._next()
+            if ult is None:
+                gate.acquire()  # until a push or join releases it
+            else:
+                self._parked = False
+                self.steps_executed += 1
+                ult.step()
+        self._parked = False
+
+    def stop(self) -> None:
+        """Ask the thread to exit after the ULT it is running, waking it
+        if parked; :meth:`join` waits for it."""
+        self._stopping = True
+        self._wake()
 
     def join(self) -> None:
         if self._thread is not None:
-            self._stop.set()
+            self.stop()
             self._thread.join()
             self._thread = None
 
@@ -382,7 +424,10 @@ class Runtime:
             xstream.start()
 
     def shutdown(self) -> None:
-        for xstream in self.xstreams.values():
+        # Stop them all, then join: none waits out the one before it.
+        for xstream in self._xstream_cache:
+            xstream.stop()
+        for xstream in self._xstream_cache:
             xstream.join()
         self._started = False
 
@@ -403,7 +448,7 @@ class Runtime:
         while not predicate():
             if self.threaded:
                 # Threads make progress on their own; just spin-wait politely.
-                threading.Event().wait(0.0005)
+                time.sleep(0.0005)
                 steps += 1
             else:
                 if not self.progress_once():

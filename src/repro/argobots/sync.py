@@ -9,6 +9,7 @@ inline scheduler (or sleep-wait in threaded mode).
 from __future__ import annotations
 
 import threading
+from _thread import allocate_lock
 from collections import deque
 from typing import Optional
 
@@ -21,21 +22,21 @@ class Eventual:
 
     The producer calls :meth:`set` (or :meth:`set_exception`); consumers
     either ``yield ev.wait()`` from a ULT or call :meth:`get` from
-    ordinary code with the runtime to drive.
+    ordinary code with the runtime to drive.  OS threads block in
+    :meth:`wait_blocking` on ``_gate``, a raw lock the eventual holds
+    from birth until it is set -- the hand-off a parked xstream uses
+    (:class:`~repro.argobots.ExecutionStream`), in the other direction.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._ready = False
+        self._lock = allocate_lock()
+        self._gate = allocate_lock()
+        self._gate.acquire()
+        #: whether the value is there; written once, by :meth:`set`
+        self.is_ready = False
         self._value = None
-        self._exception: Optional[BaseException] = None
-        self._waiters: deque[ULT] = deque()
-        self._event = threading.Event()
+        self._waiters: list[ULT] = []
         self._done_callbacks: list = []
-
-    @property
-    def is_ready(self) -> bool:
-        return self._ready
 
     def add_done_callback(self, callback) -> None:
         """Run ``callback(eventual)`` once the value is set.
@@ -47,75 +48,70 @@ class Eventual:
         advance its in-flight window).
         """
         with self._lock:
-            if not self._ready:
+            if not self.is_ready:
                 self._done_callbacks.append(callback)
                 return
         callback(self)
 
     def set(self, value=None) -> None:
         with self._lock:
-            if self._ready:
+            if self.is_ready:
                 raise ReproError("eventual already set")
-            self._ready = True
+            self.is_ready = True
             self._value = value
-            waiters, self._waiters = self._waiters, deque()
-            callbacks, self._done_callbacks = self._done_callbacks, []
-        self._event.set()
+            waiters, self._waiters = self._waiters, ()
+            callbacks, self._done_callbacks = self._done_callbacks, ()
+        self._gate.release()
         for ult in waiters:
             ult.resume(value)
         for callback in callbacks:
             callback(self)
 
     def set_exception(self, exc: BaseException) -> None:
-        with self._lock:
-            if self._ready:
-                raise ReproError("eventual already set")
-            self._ready = True
-            self._exception = exc
-            waiters, self._waiters = self._waiters, deque()
-            callbacks, self._done_callbacks = self._done_callbacks, []
-        self._event.set()
-        for ult in waiters:
-            # Deliver by resuming; the value raises on unwrap.
-            ult.resume(_Raiser(exc))
-        for callback in callbacks:
-            callback(self)
+        # Held, and handed to waiting ULTs, as the token that raises
+        # where it is unwrapped.
+        self.set(_Raiser(exc))
 
     def _unwrap(self):
-        if self._exception is not None:
-            raise self._exception
-        return self._value
+        value = self._value
+        if value.__class__ is _Raiser:
+            raise value.exception
+        return value
 
     def wait(self) -> WaitDirective:
         """Directive for ULTs: ``value = yield ev.wait()``."""
 
         def register(ult: ULT) -> None:
             with self._lock:
-                if self._ready:
+                if self.is_ready:
                     resume_now = True
                 else:
                     self._waiters.append(ult)
                     resume_now = False
             if resume_now:
-                ult.resume(self._result_token())
+                ult.resume(self._value)
 
         return WaitDirective(
-            ready=lambda: self._ready,
-            value=self._result_token,
+            ready=lambda: self.is_ready,
+            value=lambda: self._value,
             register=register,
         )
 
-    def _result_token(self):
-        if self._exception is not None:
-            return _Raiser(self._exception)
-        return self._value
+    def wait_blocking(self, timeout: Optional[float] = None) -> bool:
+        """Block this OS thread until set, at most ``timeout`` seconds;
+        return whether the value is there.  Any number of threads may
+        wait: each passes the gate on to the next."""
+        if not self.is_ready and self._gate.acquire(
+                timeout=-1 if timeout is None else max(0.0, timeout)):
+            self._gate.release()
+        return self.is_ready
 
     def get(self, runtime: Runtime):
         """Blocking accessor for non-ULT callers."""
         if runtime.threaded:
-            self._event.wait()
+            self.wait_blocking()
         else:
-            runtime.run_until(lambda: self._ready)
+            runtime.run_until(lambda: self.is_ready)
         return self._unwrap()
 
 

@@ -170,10 +170,10 @@ class RetryPolicy:
         enriched.__cause__ = exc
         return enriched
 
-    def call(self, fn: Callable[[], object],
+    def call(self, fn: Callable[..., object], *args,
              on_retry: Optional[Callable[[int, BaseException, float], None]] = None,
              on_giveup: Optional[Callable[[int, BaseException], None]] = None):
-        """Invoke ``fn`` under this policy; return its result.
+        """Invoke ``fn(*args)`` under this policy; return its result.
 
         ``on_retry(attempt, exc, delay)`` fires before each backoff
         sleep; ``on_giveup(attempts, exc)`` fires right before the final
@@ -186,7 +186,7 @@ class RetryPolicy:
         attempt = 0
         while True:
             try:
-                return fn()
+                return fn(*args)
             except self.retry_on as exc:
                 attempt += 1
                 if attempt >= self.max_attempts:

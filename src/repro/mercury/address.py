@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import AddressError
 
@@ -24,6 +24,14 @@ class Address:
     protocol: str
     node: str
     instance: str = "0"
+    #: ``protocol://node/instance``, built once: what ``str()`` gives and
+    #: what the fabric keys its engine table by (a ``str`` hashes and
+    #: compares in C; the generated ``__hash__`` builds a tuple per call)
+    uri: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "uri", f"{self.protocol}://{self.node}/{self.instance}")
 
     @classmethod
     def parse(cls, text: str) -> "Address":
@@ -37,8 +45,4 @@ class Address:
         )
 
     def __str__(self) -> str:
-        return f"{self.protocol}://{self.node}/{self.instance}"
-
-    @property
-    def uri(self) -> str:
-        return str(self)
+        return self.uri

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import itertools
-import threading
 from typing import Callable, Optional, Union
 
-from repro.argobots import Eventual, Pool, unwrap_wait_result
+from repro.argobots import ULT, Eventual, Pool, unwrap_wait_result
 from repro.errors import NoSuchRPCError, ReproError, RPCError, RPCTimeout
 from repro.mercury.address import Address
 from repro.mercury.bulk import Bulk, BulkOp
@@ -42,33 +41,53 @@ class RPCRequest:
         #: Set by traced providers so handlers can attach tags.
         self.trace_span = None
         self.response = Eventual()
-        self._responded = threading.Event()
-
-    @property
-    def responded(self) -> bool:
-        return self._responded.is_set()
+        #: whether the call has been answered; written once, by
+        #: :meth:`respond` or :meth:`fail`
+        self.responded = False
 
     def respond(self, payload: bytes = b"") -> None:
         """Send the response back to the caller."""
-        if not isinstance(payload, (bytes, bytearray)):
-            raise TypeError("responses must be bytes")
-        if self._responded.is_set():
+        if payload.__class__ is not bytes:
+            if not isinstance(payload, (bytes, bytearray)):
+                raise TypeError("responses must be bytes")
+            payload = bytes(payload)
+        if self.responded:
             raise RPCError(f"rpc {self.rpc_name!r} already responded")
-        payload = bytes(payload)
         # The fault model may drop the response; check before committing so
         # the failure can still be delivered through fail().
-        self.fabric.check_send(self.target, self.origin, len(payload))
-        payload = self.fabric.corrupt_payload(self.target, self.origin, payload)
-        self._responded.set()
-        self.fabric.stats.record_response(len(payload))
+        fabric = self.fabric
+        fabric.check_send(self.target, self.origin, len(payload))
+        payload = fabric.corrupt_payload(self.target, self.origin, payload)
+        self.responded = True
+        fabric.stats.response_bytes += len(payload)
         self.response.set(payload)
 
     def fail(self, exc: BaseException) -> None:
         """Propagate a handler failure to the caller."""
-        if self._responded.is_set():
+        if not self.responded:
+            self.responded = True
+            self.response.set_exception(exc)
+
+    def _handler_done(self, ult: ULT) -> None:
+        """The handler's ULT finished: answer with what it returned,
+        unless the handler already answered for itself."""
+        if self.responded:
             return
-        self._responded.set()
-        self.response.set_exception(exc)
+        result = ult._value
+        if ult.exception is not None:
+            self.fail(RPCError(
+                f"handler for {self.rpc_name!r} raised: {ult.exception!r}"))
+        elif isinstance(result, (bytes, bytearray)):
+            try:
+                self.respond(result)
+            except ReproError as exc:  # fault model may drop the response
+                self.fail(exc)
+        else:
+            self.fail(RPCError(
+                f"handler for {self.rpc_name!r} completed without responding"))
+
+    def _ult_name(self) -> str:
+        return f"{self.target}:{self.rpc_name}#{self.request_id}"
 
     # -- bulk transfers -----------------------------------------------------
 
@@ -126,20 +145,22 @@ class Handle:
         :class:`~repro.errors.RPCTimeout` (the response, if it ever
         arrives, is discarded -- at-most-once from the caller's view).
         """
-        if _tracing.enabled:
-            with _tracing.span("mercury.forward", rpc=self.rpc_name,
-                               target=str(self.target)) as sp:
-                eventual = self.iforward(payload, provider_id)
-                try:
-                    response = self.engine.fabric.wait(eventual, timeout=timeout)
-                except RPCTimeout:
-                    sp.set_tag("error", "RPCTimeout")
-                    sp.set_tag("timeout", timeout)
-                    raise
-                sp.set_tag("response_bytes", len(response))
-                return response
-        eventual = self.iforward(payload, provider_id)
-        return self.engine.fabric.wait(eventual, timeout=timeout)
+        engine = self.engine
+        if not _tracing.enabled:
+            return engine.fabric.wait(
+                engine._forward(self.target, self.rpc_name, provider_id,
+                                payload), timeout)
+        with _tracing.span("mercury.forward", rpc=self.rpc_name,
+                           target=str(self.target)) as sp:
+            eventual = self.iforward(payload, provider_id)
+            try:
+                response = engine.fabric.wait(eventual, timeout=timeout)
+            except RPCTimeout:
+                sp.set_tag("error", "RPCTimeout")
+                sp.set_tag("timeout", timeout)
+                raise
+            sp.set_tag("response_bytes", len(response))
+            return response
 
     def iforward(self, payload: bytes = b"", provider_id: int = 0) -> Eventual:
         """Send the RPC; return an eventual resolving to the response.
@@ -149,7 +170,7 @@ class Handle:
             resp = unwrap_wait_result((yield handle.iforward(data).wait()))
         """
         return self.engine._forward(self.target, self.rpc_name, provider_id,
-                                    bytes(payload))
+                                    payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Handle({self.rpc_name!r} -> {self.target})"
@@ -230,24 +251,26 @@ class Engine:
 
     def _forward(self, target: Address, rpc_name: str, provider_id: int,
                  payload: bytes) -> Eventual:
+        if payload.__class__ is not bytes:
+            payload = bytes(payload)
+        fabric = self.fabric
         # Corrupt the application payload before the trace header wraps
         # it, so corruption damages data (caught by wire checksums), not
         # the tracing envelope.
-        payload = self.fabric.corrupt_payload(self.address, target, payload)
+        payload = fabric.corrupt_payload(self.address, target, payload)
         # Inject the caller's span context (if any) as a payload header
         # so the receiving side can parent its spans across the wire.
         payload = _tracing.wrap_payload(payload)
-        self.fabric.check_send(self.address, target, len(payload))
-        self.fabric.stats.record_rpc(self.address, target, len(payload))
-        remote = self.fabric.lookup(target)
+        fabric.check_send(self.address, target, len(payload))
+        fabric.stats.record_rpc(self.address, target, len(payload))
+        remote = fabric.lookup(target)
         return remote._deliver(self.address, rpc_name, provider_id, payload)
 
     def _deliver(self, origin: Address, rpc_name: str, provider_id: int,
                  payload: bytes) -> Eventual:
         trace_context, payload = _tracing.unwrap_payload(payload)
         request = RPCRequest(self.fabric, origin, self.address, rpc_name,
-                             provider_id, payload,
-                             trace_context=trace_context)
+                             provider_id, payload, trace_context)
         entry = self._registry.get((rpc_name, provider_id))
         if entry is None:
             request.fail(NoSuchRPCError(
@@ -256,31 +279,11 @@ class Engine:
             ))
             return request.response
         handler, pool = entry
-
-        def on_done(ult) -> None:
-            if request.responded:
-                return
-            if ult.exception is not None:
-                request.fail(RPCError(
-                    f"handler for {rpc_name!r} raised: {ult.exception!r}"
-                ))
-                return
-            result = ult._value
-            if isinstance(result, (bytes, bytearray)):
-                try:
-                    request.respond(bytes(result))
-                except ReproError as exc:  # fault model may drop the response
-                    request.fail(exc)
-            else:
-                request.fail(RPCError(
-                    f"handler for {rpc_name!r} completed without responding"
-                ))
-
-        ult = self.fabric.runtime.spawn(
-            handler, request, pool=pool,
-            name=f"{self.address}:{rpc_name}#{request.request_id}",
-        )
-        ult.add_done_callback(on_done)
+        # The callback goes on before the push: once queued, the ULT may
+        # finish on another thread before this one runs again.
+        ult = ULT(handler, (request,), name=request._ult_name)
+        ult.add_done_callback(request._handler_done)
+        pool.push(ult)
         return request.response
 
     def finalize(self) -> None:

@@ -60,9 +60,6 @@ class FabricStats:
         self.rpc_bytes += nbytes
         self.per_pair[(src.node, dst.node)] += nbytes
 
-    def record_response(self, nbytes: int) -> None:
-        self.response_bytes += nbytes
-
     def record_bulk(self, src: Address, dst: Address, nbytes: int) -> None:
         self.bulk_transfers += 1
         self.bulk_bytes += nbytes
@@ -168,7 +165,8 @@ class Fabric:
         #: is outstanding before :meth:`wait` raises :class:`RPCTimeout`
         #: (the time-based replacement for the old fixed spin budget).
         self.idle_timeout = idle_timeout
-        self._engines: dict[Address, "Engine"] = {}
+        #: address uri -> engine
+        self._engines: dict[str, "Engine"] = {}
         self._lock = threading.Lock()
         # Serializes inline progress when several OS threads (MPI ranks)
         # wait on responses concurrently.
@@ -178,33 +176,35 @@ class Fabric:
 
     def register_engine(self, engine: "Engine") -> None:
         with self._lock:
-            if engine.address in self._engines:
+            if engine.address.uri in self._engines:
                 raise AddressError(f"address {engine.address} already in use")
-            self._engines[engine.address] = engine
+            self._engines[engine.address.uri] = engine
 
     def deregister_engine(self, engine: "Engine") -> None:
         with self._lock:
-            self._engines.pop(engine.address, None)
+            self._engines.pop(engine.address.uri, None)
 
     def lookup(self, address) -> "Engine":
-        if isinstance(address, str):
+        if address.__class__ is str:
             address = Address.parse(address)
-        with self._lock:
-            try:
-                return self._engines[address]
-            except KeyError:
-                raise AddressError(f"no engine at {address}") from None
+        # A dict read is atomic; the lock orders only the writers.
+        engine = self._engines.get(address.uri)
+        if engine is None:
+            raise AddressError(f"no engine at {address}")
+        return engine
 
     @property
     def addresses(self) -> list[Address]:
         with self._lock:
-            return sorted(self._engines)
+            return sorted(e.address for e in self._engines.values())
 
     # -- transport ---------------------------------------------------------
 
     def check_send(self, src: Address, dst: Address, nbytes: int) -> None:
         """Account for a message and apply the fault model."""
         model = self.fault_model
+        if model.__class__ is FaultModel:
+            return  # the stock model's hooks inject nothing
         if model.should_drop(src, dst, nbytes):
             self.stats.dropped += 1
             self.stats.record_failure("drop")
@@ -220,7 +220,9 @@ class Fabric:
     def corrupt_payload(self, src: Address, dst: Address,
                         payload: bytes) -> bytes:
         """Give the fault model a chance to damage ``payload`` in flight."""
-        mutated = self.fault_model.corrupt(src, dst, payload)
+        model = self.fault_model
+        mutated = (None if model.__class__ is FaultModel
+                   else model.corrupt(src, dst, payload))
         if mutated is None:
             return payload
         self.stats.corrupted += 1
@@ -241,17 +243,12 @@ class Fabric:
         stay idle (no runnable work anywhere) with the response still
         outstanding.  Both raise :class:`~repro.errors.RPCTimeout`.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
         if self.runtime.threaded:
-            if deadline is None:
-                return eventual.get(self.runtime)
-            while not eventual.is_ready:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self.stats.record_timeout()
-                    raise RPCTimeout(f"no response within {timeout:.3f}s")
-                eventual._event.wait(min(remaining, 0.05))
+            if not eventual.wait_blocking(timeout):
+                self.stats.record_timeout()
+                raise RPCTimeout(f"no response within {timeout:.3f}s")
             return eventual._unwrap()
+        deadline = None if timeout is None else time.monotonic() + timeout
         idle_since = None
         spins = 0
         while not eventual.is_ready:

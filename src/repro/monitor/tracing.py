@@ -300,6 +300,11 @@ def current_context() -> Optional[SpanContext]:
     return tracer.current_context() if tracer is not None else None
 
 
+def current_span() -> Optional[Span]:
+    tracer = _active_tracer
+    return tracer.current_span() if tracer is not None else None
+
+
 def span(name: str, parent=None, **tags):
     """Start a span on the installed tracer, or a shared no-op span."""
     tracer = _active_tracer

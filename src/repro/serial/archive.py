@@ -54,7 +54,8 @@ import dataclasses
 import inspect
 import io
 import struct
-from itertools import starmap
+from functools import partial
+from itertools import chain, starmap
 from typing import Any, Callable, Optional, Union
 
 import numpy as np
@@ -99,6 +100,11 @@ _TAG_TABLE = bytes((_T_TABLE,))
 
 _FLOAT_STRUCT = struct.Struct("<d")
 _COMPLEX_STRUCT = struct.Struct("<dd")
+_FLOAT1_PACK = struct.Struct("<Bd").pack
+
+#: ``_HEADS[tag][n]``: the tag byte and the one-byte varint ``n`` -- a
+#: single ``write`` for every length, count or zigzag integer under 128.
+_HEADS = tuple(tuple(bytes((tag, n)) for n in range(128)) for tag in range(16))
 
 # -- type registry -------------------------------------------------------------
 
@@ -113,7 +119,10 @@ _TAKES_VERSION: dict[type, bool] = {}
 # ``_DECODERS`` are the tables the hot path actually consults.  When
 # the fast path is enabled they alias the ``_ALL_*`` tables; disabling
 # rebinds them to empty dicts, so the interpreted path runs with no
-# per-value flag check.
+# per-value flag check.  ``_ALL_ENCODERS`` is the one exact-class
+# dispatch table of ``_write_value``: it also holds the writers of the
+# built-in types, each byte-identical to its branch of the interpreted
+# chain.
 
 _ALL_ENCODERS: dict[type, Callable] = {}
 _ALL_DECODERS: dict[type, tuple[int, Callable]] = {}
@@ -332,6 +341,17 @@ class OutputArchive:
     # -- encoders ---------------------------------------------------------
 
     def _write_value(self, value: Any) -> None:
+        encoder = _ENCODERS.get(value.__class__)
+        if encoder is not None:
+            encoder(value, self)
+        else:
+            self._write_interpreted(value)
+
+    def _write_interpreted(self, value: Any) -> None:
+        """The reference encoder: every serializable value, by
+        ``isinstance``.  Serves what has no exact-class entry (subclasses
+        of the built-ins, NumPy scalars, arrays, sets, uncompiled
+        objects) and, with the fast path off, everything."""
         buf = self._buf
         if value is None:
             buf.write(_TAG_NONE)
@@ -341,10 +361,6 @@ class OutputArchive:
             return
         if value is False:
             buf.write(_TAG_FALSE)
-            return
-        encoder = _ENCODERS.get(value.__class__)
-        if encoder is not None:
-            encoder(value, self)
             return
         if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
             buf.write(_TAG_INT)
@@ -441,6 +457,70 @@ class OutputArchive:
         _visit_fields(value, self, version)
 
 
+# -- exact-class writers of the built-in types ---------------------------------
+#
+# ``write(value, ar)`` like a compiled encoder.  A head under 128 is one
+# write from ``_HEADS``; containers dispatch their items themselves, so
+# an element costs one ``dict.get`` and one call.
+
+
+def _write_sized(tag: int, n: int, buf: io.BytesIO, data: bytes = b"") -> None:
+    if n < 128:
+        buf.write(_HEADS[tag][n] + data)
+    else:
+        buf.write(_HEADS[tag][0][:1])
+        _write_uvarint(buf, n)
+        buf.write(data)
+
+
+def _write_none(value, ar) -> None:
+    ar._buf.write(_TAG_NONE)
+
+
+def _write_bool(value, ar) -> None:
+    ar._buf.write(_TAG_TRUE if value else _TAG_FALSE)
+
+
+def _write_int(value: int, ar) -> None:
+    _write_sized(_T_INT, (value << 1) if value >= 0 else ((-value << 1) - 1),
+                 ar._buf)
+
+
+def _write_float(value: float, ar) -> None:
+    ar._buf.write(_FLOAT1_PACK(_T_FLOAT, value))
+
+
+def _write_str(value: str, ar) -> None:
+    data = value.encode("utf-8")
+    _write_sized(_T_STR, len(data), ar._buf, data)
+
+
+def _write_bytes(value: bytes, ar) -> None:
+    _write_sized(_T_BYTES, len(value), ar._buf, value)
+
+
+def _write_items(tag: int, value, ar) -> None:
+    """A list, tuple or dict (its keys and values alternating)."""
+    _write_sized(tag, len(value), ar._buf)
+    get = _ENCODERS.get
+    for item in (chain.from_iterable(value.items()) if tag == _T_DICT
+                 else value):
+        encoder = get(item.__class__)
+        if encoder is not None:
+            encoder(item, ar)
+        else:
+            ar._write_interpreted(item)
+
+
+_ALL_ENCODERS.update({
+    type(None): _write_none, bool: _write_bool, int: _write_int,
+    float: _write_float, str: _write_str, bytes: _write_bytes,
+    list: partial(_write_items, _T_LIST),
+    tuple: partial(_write_items, _T_TUPLE),
+    dict: partial(_write_items, _T_DICT),
+})
+
+
 class InputArchive:
     """Deserializes values from a bytes-like buffer.
 
@@ -453,7 +533,7 @@ class InputArchive:
     is_input = True
 
     def __init__(self, data: Union[bytes, bytearray, memoryview]) -> None:
-        if isinstance(data, (bytearray, memoryview)):
+        if data.__class__ is not bytes:
             data = memoryview(data)
         self._data = data
         self._len = len(data)
@@ -556,7 +636,7 @@ def _read_list(ar: InputArchive):
 
 def _read_tuple(ar: InputArchive):
     read = ar._read_value
-    return tuple(read() for _ in range(ar._read_uvarint()))
+    return tuple([read() for _ in range(ar._read_uvarint())])
 
 
 def _read_dict(ar: InputArchive):
@@ -704,8 +784,8 @@ def _visit_fields(obj: Any, ar, version: int = 0) -> None:
 def dumps(value: Any) -> bytes:
     """Serialize a single value to bytes."""
     ar = OutputArchive()
-    ar.io(value)
-    return ar.getvalue()
+    ar._write_value(value)
+    return ar._buf.getvalue()
 
 
 def loads(data: Union[bytes, bytearray, memoryview]) -> Any:

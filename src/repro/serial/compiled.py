@@ -63,11 +63,11 @@ _SCALARS = (float, int, bool, str, bytes)
 # -- small write tables: one ``write`` call per common scalar ---------------
 
 _ONE = tuple(bytes((i,)) for i in range(256))
-_INT1 = tuple(bytes((_A._T_INT, z)) for z in range(128))
-_STR1 = tuple(bytes((_A._T_STR, n)) for n in range(128))
-_BYTES1 = tuple(bytes((_A._T_BYTES, n)) for n in range(128))
+_INT1 = _A._HEADS[_A._T_INT]
+_STR1 = _A._HEADS[_A._T_STR]
+_BYTES1 = _A._HEADS[_A._T_BYTES]
 
-_FLOAT1_PACK = struct.Struct("<Bd").pack
+_FLOAT1_PACK = _A._FLOAT1_PACK
 
 _RUN_STRUCTS: dict[int, struct.Struct] = {}
 

@@ -98,6 +98,15 @@ class DatabaseHandle:
         self.provider_id = provider_id
         self.name = name
         self._engine = client.engine
+        #: rpc name -> the mercury handle every call of that verb reuses
+        self._handles: dict = {}
+
+    def _handle(self, rpc: str):
+        handle = self._handles.get(rpc)
+        if handle is None:
+            handle = self._handles[rpc] = self._engine.create_handle(
+                self.target, rpc)
+        return handle
 
     def _seal(self, body) -> bytes:
         """Seal a payload, adding the tenant envelope inside a session.
@@ -116,34 +125,37 @@ class DatabaseHandle:
         if _tracing.enabled:
             with _tracing.span(f"yokan.client.{rpc.split('.', 1)[1]}",
                                db=self.name, target=str(self.target),
-                               **trace_tags) as sp:
-                result = self._call_inner(rpc, payload, sp)
-            return result
-        return self._call_inner(rpc, payload, None)
+                               **trace_tags):
+                return self._call_inner(rpc, payload)
+        return self._call_inner(rpc, payload)
 
-    def _call_inner(self, rpc: str, payload, span) -> object:
-        handle = self._engine.create_handle(self.target, rpc)
-        encoded = self._seal(dumps(payload))
+    def _call_inner(self, rpc: str, payload) -> object:
         policy = self.client.retry_policy
+        return policy.call(self._attempt, self._handle(rpc),
+                           self._seal(dumps(payload)), policy.rpc_timeout,
+                           on_retry=self._on_retry, on_giveup=self._on_giveup)
 
-        def attempt():
-            return _unwrap(handle.forward(encoded, self.provider_id,
-                                          timeout=policy.rpc_timeout))
+    def _attempt(self, handle, encoded: bytes, timeout):
+        return _unwrap(handle.forward(encoded, self.provider_id, timeout))
 
-        def on_retry(n, exc, pause):
-            self.client._record_retry(exc)
-            if span is not None:
-                span.set_tag("retries", n)
-                span.set_tag("error", type(exc).__name__)
+    # The retry callbacks tag the ``yokan.client.*`` span of the call
+    # they belong to: by the time the policy calls them it is the
+    # thread's current span again (the attempt's own spans have closed).
 
-        def on_giveup(n, exc):
-            self.client._record_giveup(exc)
-            self._tag_failure(exc)
-            if span is not None:
-                span.set_tag("error", type(exc).__name__)
-                span.set_tag("gave_up", True)
+    def _on_retry(self, n: int, exc: BaseException, pause: float) -> None:
+        self.client._record_retry(exc)
+        span = _tracing.current_span()
+        if span is not None:
+            span.set_tag("retries", n)
+            span.set_tag("error", type(exc).__name__)
 
-        return policy.call(attempt, on_retry=on_retry, on_giveup=on_giveup)
+    def _on_giveup(self, n: int, exc: BaseException) -> None:
+        self.client._record_giveup(exc)
+        self._tag_failure(exc)
+        span = _tracing.current_span()
+        if span is not None:
+            span.set_tag("error", type(exc).__name__)
+            span.set_tag("gave_up", True)
 
     def _tag_failure(self, exc: BaseException) -> None:
         """Stamp the failed target onto a given-up exception.
@@ -250,7 +262,7 @@ class DatabaseHandle:
         re-issues the RPC.  The decoded values are zero-copy views that
         keep the buffer alive.
         """
-        handle = self._engine.create_handle(self.target, rpc)
+        handle = self._handle(rpc)
         state = {"capacity": capacity, "buffer": None, "bulk": None}
 
         def issue():
@@ -308,7 +320,7 @@ class DatabaseHandle:
         ``get``; retirement runs under the client's retry policy.
         """
         key = bytes(key)
-        handle = self._engine.create_handle(self.target, "yokan.get")
+        handle = self._handle("yokan.get")
         payload = self._seal(dumps((self.name, key, self.BULK_THRESHOLD)))
         bulk_arm: list = []  # the get_multi (issue, finish) once "large"
 
@@ -416,7 +428,7 @@ class DatabaseHandle:
         description = f"put_multi[{len(pairs)}]@{self.name}"
         if not pairs:
             return OperationFuture.completed(0, description)
-        handle = self._engine.create_handle(self.target, "yokan.put_multi")
+        handle = self._handle("yokan.put_multi")
         request = frame_put_multi(self._engine, self.name, pairs)
         payload = self._seal(dumps(request))
 
@@ -447,7 +459,7 @@ class DatabaseHandle:
         description = f"replicate[{len(pairs) + len(keys)}]@{self.name}"
         if not pairs and not keys:
             return OperationFuture.completed((0, 0), description)
-        handle = self._engine.create_handle(self.target, "yokan.replicate")
+        handle = self._handle("yokan.replicate")
         payload = self._seal(dumps((self.name, pairs, keys)))
 
         def issue():

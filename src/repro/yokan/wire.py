@@ -67,18 +67,15 @@ class TenantEnvelope(NamedTuple):
     token: str = ""
 
 
-def checksum(data) -> int:
-    """CRC32 of ``data`` (any buffer), as an unsigned 32-bit int.
-
-    Zero-copy: ``zlib.crc32`` consumes the buffer protocol directly, so
-    passing a ``memoryview`` checksums in place.
-    """
-    return zlib.crc32(data) & 0xFFFFFFFF
+#: CRC32 of any buffer, as an unsigned 32-bit int.  Zero-copy: the C
+#: function consumes the buffer protocol directly, so passing a
+#: ``memoryview`` checksums in place.
+checksum = zlib.crc32
 
 
 def seal(body: bytes) -> bytes:
     """Prepend the CRC32 envelope to ``body``."""
-    if not isinstance(body, bytes):
+    if body.__class__ is not bytes:
         body = bytes(body)
     return checksum(body).to_bytes(_CRC_SIZE, "big") + body
 
@@ -90,7 +87,8 @@ def unseal(envelope) -> memoryview:
     view keeps the envelope's buffer alive, and feeds straight into the
     positional decoder (:func:`repro.serial.loads`).
     """
-    view = envelope if isinstance(envelope, memoryview) else memoryview(envelope)
+    view = (envelope if envelope.__class__ is memoryview
+            else memoryview(envelope))
     if len(view) < _CRC_SIZE:
         raise CorruptionError(
             f"short wire envelope ({len(view)}B, need >= {_CRC_SIZE}B)"
@@ -164,8 +162,8 @@ def unwrap_tenant(payload) -> Tuple[Optional[TenantEnvelope], memoryview]:
     raises :class:`~repro.errors.CorruptionError` (retryable: the
     client re-sends an intact wrapper).
     """
-    view = payload if isinstance(payload, memoryview) else memoryview(payload)
-    if len(view) < len(_TENANT_MAGIC) or bytes(view[:4]) != _TENANT_MAGIC:
+    view = payload if payload.__class__ is memoryview else memoryview(payload)
+    if view[:4] != _TENANT_MAGIC:
         return None, view
     if len(view) < 10:
         raise CorruptionError(

@@ -1,5 +1,9 @@
 """Tests for the Argobots-style ULT runtime."""
 
+import statistics
+import threading
+import time
+
 import pytest
 
 from repro.argobots import (
@@ -334,6 +338,92 @@ class TestThreadedMode:
             assert values == [i * i for i in range(50)]
         finally:
             rt.shutdown()
+
+    def test_xstream_wakes_for_any_of_its_pools(self):
+        """A parked xstream blocks on all its pools, not on the first
+        with a poll: a ULT pushed to the second pool used to wait out
+        the 10 ms poll (median 7 ms)."""
+        rt = Runtime(threaded=True)
+        first, second = rt.create_pool("first"), rt.create_pool("second", "prio")
+        rt.create_xstream("es", [first, second])
+        rt.start()
+        try:
+            for pool in (first, second):
+                took = []
+                for _ in range(20):
+                    time.sleep(0.002)  # let the xstream park
+                    ev = Eventual()
+                    t0 = time.perf_counter()
+                    rt.spawn(lambda ev=ev: ev.set(1), pool=pool)
+                    assert ev.get(rt) == 1
+                    took.append(time.perf_counter() - t0)
+                assert statistics.median(took) < 0.002, (pool.name, took)
+        finally:
+            rt.shutdown()
+
+    def test_shared_pool_and_several_pools_together(self):
+        """Two xstreams share one pool and each also serves its own."""
+        rt = Runtime(threaded=True)
+        shared = rt.create_pool("shared")
+        own = [rt.create_pool(f"own{i}") for i in range(2)]
+        for i in range(2):
+            rt.create_xstream(f"es{i}", [own[i], shared])
+        rt.start()
+        try:
+            eventuals = []
+            for i in range(90):
+                ev = Eventual()
+                eventuals.append(ev)
+                rt.spawn(lambda ev=ev, i=i: ev.set(i),
+                         pool=(shared, own[0], own[1])[i % 3])
+            assert [ev.get(rt) for ev in eventuals] == list(range(90))
+        finally:
+            rt.shutdown()
+
+    def test_shutdown_wakes_idle_xstreams(self):
+        """Stop wakes every parked xstream at once (each used to sleep
+        out its poll in turn: 48 ms for 7), leaves no thread behind, and
+        the runtime restarts."""
+        before = threading.active_count()
+        rt = Runtime(threaded=True)
+        pools = [rt.create_pool(f"p{i}") for i in range(8)]
+        for i, pool in enumerate(pools):
+            rt.create_xstream(f"es{i}", [pool])
+        took = []
+        for _ in range(2):
+            rt.start()
+            assert threading.active_count() == before + 8
+            ev = Eventual()
+            rt.spawn(lambda ev=ev: ev.set("served"), pool=pools[3])
+            assert ev.get(rt) == "served"
+            time.sleep(0.005)  # all parked again
+            t0 = time.perf_counter()
+            rt.shutdown()
+            took.append(time.perf_counter() - t0)
+            assert threading.active_count() == before
+        assert min(took) < 0.010, took
+
+    def test_two_os_threads_wait_on_one_eventual(self):
+        for fail in (False, True):
+            ev, seen = Eventual(), []
+
+            def waiter():
+                assert ev.wait_blocking(5.0)
+                try:
+                    seen.append(ev._unwrap())
+                except ValueError as exc:
+                    seen.append(exc)
+
+            threads = [threading.Thread(target=waiter) for _ in range(2)]
+            for t in threads:
+                t.start()
+            time.sleep(0.01)
+            assert not ev.wait_blocking(0.0) and seen == []
+            boom = ValueError("boom")
+            ev.set_exception(boom) if fail else ev.set(7)
+            for t in threads:
+                t.join(5.0)
+            assert seen == ([boom, boom] if fail else [7, 7])
 
 
 class TestUltJoin:

@@ -321,3 +321,48 @@ class TestThreadedFabric:
             assert handle.forward(b"threaded") == b"threaded"
         finally:
             fabric.runtime.shutdown()
+
+    def test_forward_timeout_then_late_response_is_discarded(self):
+        """One timed block on the eventual (no 50 ms polling): the call
+        gives up when told to, the answer that arrives afterwards reaches
+        nobody, and the request is still write-once."""
+        import time
+        from repro.argobots import Eventual
+        from repro.errors import RPCTimeout
+
+        fabric = Fabric(threaded=True)
+        server = Engine(fabric, "sm://node0/server")
+        client = Engine(fabric, "sm://node1/client")
+        release, answered, requests = Eventual(), Eventual(), []
+
+        def never(req):
+            requests.append(req)
+            yield release.wait()
+            req.respond(b"late")
+            answered.set()
+
+        server.register("never", never)
+        fabric.runtime.start()
+        try:
+            handle = client.create_handle(server.address, "never")
+            t0 = time.monotonic()
+            with pytest.raises(RPCTimeout):
+                handle.forward(b"?", timeout=0.05)
+            waited = time.monotonic() - t0
+            assert 0.05 <= waited < 0.2
+            assert fabric.stats.timeouts == 1
+            assert fabric.stats.failures["timeout"] == 1
+            (request,) = requests
+            assert not request.responded
+            release.set()
+            answered.get(fabric.runtime)
+            # The late answer was accepted and reached nobody; the
+            # request stays write-once and the next call is unaffected.
+            assert request.response.is_ready and fabric.stats.timeouts == 1
+            with pytest.raises(RPCError, match="already responded"):
+                request.respond(b"again")
+            server.register("echo", lambda req: req.payload)
+            echo = client.create_handle(server.address, "echo")
+            assert echo.forward(b"next", timeout=1.0) == b"next"
+        finally:
+            fabric.runtime.shutdown()

@@ -7,7 +7,9 @@ oracle throughout.
 """
 
 import dataclasses
+import enum
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -236,3 +238,102 @@ class TestInputForms:
     def test_trailing_bytes_raise(self):
         with pytest.raises(SerializationError, match="trailing"):
             loads(dumps(1) + b"\x00")
+
+
+# -- the built-in types' exact-class writers vs the interpreted chain -------
+
+
+class Color(enum.IntEnum):
+    RED = 1
+    BLUE = -300
+
+
+class Name(str):
+    pass
+
+
+class Blob(bytes):
+    pass
+
+
+_scalars = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(min_value=-2**70, max_value=2**70),
+    st.floats(allow_nan=False), st.text(max_size=200),
+    st.binary(max_size=200), st.binary(max_size=40).map(bytearray),
+    st.binary(max_size=40).map(memoryview),
+    st.integers(-2**62, 2**62).map(np.int64),
+    st.floats(allow_nan=False, width=32).map(np.float32),
+    st.sampled_from(list(Color)), st.text(max_size=20).map(Name),
+    st.binary(max_size=20).map(Blob))
+_hashable = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=8),
+                      st.binary(max_size=8))
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=6),
+                            st.lists(inner, max_size=6).map(tuple),
+                            st.dictionaries(_hashable, inner, max_size=5)),
+    max_leaves=25)
+
+
+def _plain(value):
+    """What a value decodes to: subclasses and views come back as the
+    built-in the wire format has for them."""
+    if isinstance(value, (bool, type(None))):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    if isinstance(value, str):
+        return str(value)
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        return bytes(value)
+    if isinstance(value, (list, tuple)):
+        return type(value)(_plain(item) for item in value)
+    return {_plain(k): _plain(v) for k, v in value.items()}
+
+
+class TestBuiltinDispatch:
+    @settings(max_examples=300, deadline=None)
+    @given(_values)
+    def test_table_matches_the_interpreted_chain(self, value):
+        encoded = dumps(value)
+        assert encoded == interpreted_dumps(value)
+        assert loads(encoded) == _plain(value)
+        assert interpreted_loads(encoded) == _plain(value)
+
+    def test_long_heads_take_the_varint_form(self):
+        for value in ("x" * 128, b"y" * 20000, list(range(-200, 200)),
+                      tuple("ab" * 100), {i: str(i) for i in range(300)},
+                      2**63, -2**63 - 1, 63, 64, -64, -65):
+            assert dumps(value) == interpreted_dumps(value)
+            assert loads(dumps(value)) == value
+
+    # The point path's request and response heads, as the parent of the
+    # dispatch-table change wrote them: the wire format may not drift.
+    GOLDEN = [
+        (("products-0", b"ev/0007", 8192),                 # yokan.get
+         "0803050a70726f64756374732d30060765762f3030303703808001"),
+        (("products-0", b"ev/0007", b"\x01\x02value"),     # yokan.put
+         "0803050a70726f64756374732d30060765762f303030370607010276616c7565"),
+        (("products-0", b"ev/0007"),                       # yokan.exists
+         "0802050a70726f64756374732d30060765762f30303037"),
+        (("events-1", b"ev/", b"", 128),                   # yokan.list_keys
+         "080405086576656e74732d31060365762f0600038002"),
+        (("ok", b"value"), "080205026f6b060576616c7565"),
+        (("ok", False), "080205026f6b01"),
+        (("ok", None), "080205026f6b00"),
+        (("retry", 70000), "08020505726574727903e0c508"),
+        (("err", "ServiceBusy", "tenant 'bench' over quota", 0.25),
+         "08040503657272050b5365727669636542757379051974656e616e74202762656e"
+         "636827206f7665722071756f746104000000000000d03f"),
+        (("err", "KeyNotFound", "b'k'"),
+         "08030503657272050b4b65794e6f74466f756e64050462276b27"),
+    ]
+
+    @pytest.mark.parametrize("value,golden", GOLDEN)
+    def test_point_path_heads_are_pinned(self, value, golden):
+        assert dumps(value).hex() == golden
+        assert interpreted_dumps(value).hex() == golden
+        assert loads(bytes.fromhex(golden)) == value
