@@ -4,10 +4,9 @@
 Two layers:
 
 1. **pytest-benchmark micro-tests** (run under pytest): put / get /
-   ordered-scan / prefix-listing rates of the in-memory map, the LSM
-   tree (RocksDB stand-in), and the copy-on-write B+tree (BerkeleyDB
-   stand-in) -- the backend choice behind Figure 2's mem-vs-RocksDB
-   pair.
+   ordered-scan / prefix-listing rates of the in-memory map and the
+   LSM tree (RocksDB stand-in) -- the backend choice behind Figure 2's
+   mem-vs-RocksDB pair.
 
 2. **The gated write/read-amplification suite** (``run_benches`` /
    ``evaluate_gates``, wired into ``run_all.py``): a fill ->
@@ -37,7 +36,7 @@ from typing import Optional, Sequence
 
 import pytest
 
-from repro.yokan import BTreeBackend, LSMBackend, MemoryBackend
+from repro.yokan import LSMBackend, MemoryBackend
 
 N_ITEMS = 2000
 
@@ -64,9 +63,7 @@ LSM_TUNING = dict(memtable_bytes=64 * 1024, compaction_trigger=4,
 def make_backend(kind: str, tmp_path):
     if kind == "map":
         return MemoryBackend()
-    if kind == "lsm":
-        return LSMBackend(str(tmp_path / "lsm"), memtable_bytes=1 << 20)
-    return BTreeBackend(str(tmp_path / "bt"), order=64, commit_every=64)
+    return LSMBackend(str(tmp_path / "lsm"), memtable_bytes=1 << 20)
 
 
 def fill(backend, n=N_ITEMS):
@@ -75,7 +72,7 @@ def fill(backend, n=N_ITEMS):
     return backend
 
 
-@pytest.mark.parametrize("kind", ["map", "lsm", "btree"])
+@pytest.mark.parametrize("kind", ["map", "lsm"])
 def test_put_rate(benchmark, kind, tmp_path):
     backend = make_backend(kind, tmp_path)
     counter = {"i": 0}
@@ -89,7 +86,7 @@ def test_put_rate(benchmark, kind, tmp_path):
     backend.close()
 
 
-@pytest.mark.parametrize("kind", ["map", "lsm", "btree"])
+@pytest.mark.parametrize("kind", ["map", "lsm"])
 def test_get_rate(benchmark, kind, tmp_path):
     backend = fill(make_backend(kind, tmp_path))
     if kind == "lsm":
@@ -105,7 +102,7 @@ def test_get_rate(benchmark, kind, tmp_path):
     backend.close()
 
 
-@pytest.mark.parametrize("kind", ["map", "lsm", "btree"])
+@pytest.mark.parametrize("kind", ["map", "lsm"])
 def test_ordered_scan(benchmark, kind, tmp_path):
     backend = fill(make_backend(kind, tmp_path))
 
@@ -117,7 +114,7 @@ def test_ordered_scan(benchmark, kind, tmp_path):
     backend.close()
 
 
-@pytest.mark.parametrize("kind", ["map", "lsm", "btree"])
+@pytest.mark.parametrize("kind", ["map", "lsm"])
 def test_prefix_listing(benchmark, kind, tmp_path):
     """The container-iteration primitive HEPnOS uses."""
     backend = make_backend(kind, tmp_path)
@@ -144,8 +141,6 @@ def _percentile(samples: list, q: float) -> float:
 def _open_backend(kind: str, workdir: str, name: str):
     if kind == "map":
         return MemoryBackend()
-    if kind == "btree":
-        return BTreeBackend(f"{workdir}/{name}", order=64, commit_every=64)
     if kind == "lsm":
         return LSMBackend(f"{workdir}/{name}", **LSM_TUNING)
     raise ValueError(kind)
@@ -253,7 +248,7 @@ def run_benches(quick: bool, seed: int = 7,
 
     benches: dict = {}
     backends: dict = {}
-    for kind in ("map", "btree", "lsm"):
+    for kind in ("map", "lsm"):
         backend = _open_backend(kind, workdir, kind)
         fill_result = _fill_phase(backend, keys, value)
         print(f"[fill:{kind}] {fill_result['ops_per_s']:,.0f} puts/s"

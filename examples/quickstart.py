@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.bedrock import BedrockServer, default_hepnos_config
-from repro.hepnos import vector_of
+from repro.hepnos import Prefetcher, vector_of
 import repro.hepnos as hepnos
 from repro.mercury import Fabric
 from repro.serial import serializable
@@ -69,6 +69,14 @@ def main():
             vector_of(Particle), label="tracker"
         )
         print(f"loaded back: {vp2}")
+
+        # iterate a subrun through a Prefetcher (paper section II-D): key
+        # pages and the named products arrive in batches, not per event
+        prefetcher = Prefetcher(session.datastore,
+                                products=[(vector_of(Particle), "tracker")])
+        for ev in prefetcher.events(subrun):
+            print(f"prefetched event {ev.triple()}:",
+                  ev.load(vector_of(Particle), label="tracker"))
 
         # iterate over the subruns in a run (ascending, one database)
         for n in (3, 99, 7):

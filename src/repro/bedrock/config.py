@@ -208,8 +208,8 @@ def default_hepnos_config(
     ``durability_root`` stamps ``wal_path =
     <durability_root>/<db_name>.wal`` on every database.  What lives
     there depends on the backend kind (see
-    :func:`~repro.yokan.backend.open_backend`): ``map`` and ``btree``
-    keep a write-ahead log at that path (checkpointed at
+    :func:`~repro.yokan.backend.open_backend`): ``map``
+    keeps a write-ahead log at that path (checkpointed at
     ``wal_checkpoint_bytes``), and a server restarted after
     ``crash(lose_state=True)`` replays checkpoint + log; ``lsm`` is
     durable through the log inside its own ``storage_root`` directory

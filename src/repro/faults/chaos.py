@@ -123,7 +123,9 @@ class ChaosStage(AbstractContextManager):
     per-node subdirectory, and ``replication`` wires the replica links.
     Remaining keywords (``tenant``, ``priority``, ``product_cache`` ...)
     go to :func:`repro.hepnos.connect`.  A workdir the stage made itself
-    is removed on close; a caller's is left alone.
+    is removed on close; a caller's is left alone, except that each
+    server empties its own state directory before it starts (generated
+    input files are reused).
     """
 
     def __init__(self, paths: Optional[Sequence[str]] = None, *,
@@ -173,6 +175,9 @@ class ChaosStage(AbstractContextManager):
         for root in ("durability_root", "storage_root"):
             if config.get(root):
                 config[root] = f"{self.workdir}/{config[root]}/{node}"
+                # A caller's workdir may hold an earlier run's logs and
+                # SSTables: a new server must not open on them.
+                shutil.rmtree(config[root], ignore_errors=True)
         server = BedrockServer(self.fabric, default_hepnos_config(
             f"sm://{node}/hepnos", **config))
         self.servers.append(server)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import keyword
+import threading
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -191,6 +192,9 @@ class IngestStats:
         return self
 
 
+_CLASS_LOCK = threading.Lock()
+
+
 class DataLoader:
     """Ingests hdf5lite files into a HEPnOS dataset.
 
@@ -210,10 +214,13 @@ class DataLoader:
     def _class_for(self, schema: TableSchema) -> type:
         cls = self._classes.get(schema.class_name)
         if cls is None:
-            try:
-                cls = registered_type(schema.class_name)
-            except SerializationError:
-                cls = build_product_class(schema)
+            # Ingest ranks are threads sharing one type registry: two
+            # that meet a new table together must not both build it.
+            with _CLASS_LOCK:
+                try:
+                    cls = registered_type(schema.class_name)
+                except SerializationError:
+                    cls = build_product_class(schema)
             self._classes[schema.class_name] = cls
         return cls
 

@@ -32,7 +32,6 @@ historically raised.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import HEPnOSError
 
@@ -50,12 +49,6 @@ class PEPOptions:
     input_batch_size: int = 16384
     #: events handed to a worker per pull (paper default 64)
     dispatch_batch_size: int = 64
-    #: reader ranks; ``None`` = one per event database (bounded)
-    num_readers: Optional[int] = None
-    #: input batches a reader may buffer ahead of the workers
-    queue_depth: int = 8
-    #: concurrent pull requests a worker keeps in flight
-    worker_pipeline: int = 1
     #: batch-load re-attempts on top of the client retry policy
     load_retries: int = 2
     #: ``"raise"`` fails the run; ``"skip"`` abandons the subrun
@@ -72,8 +65,6 @@ class PEPOptions:
     def __post_init__(self) -> None:
         if self.input_batch_size <= 0 or self.dispatch_batch_size <= 0:
             raise HEPnOSError("batch sizes must be positive")
-        if self.worker_pipeline <= 0:
-            raise HEPnOSError("worker_pipeline must be positive")
         if self.load_retries < 0:
             raise HEPnOSError("load_retries must be non-negative")
         if self.on_load_failure not in ("raise", "skip"):

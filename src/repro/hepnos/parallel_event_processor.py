@@ -38,6 +38,8 @@ from repro.monitor import tracing as _tracing
 
 _TAG_REQUEST = 101
 _TAG_REPLY = 102
+#: input batches a reader may buffer ahead of the workers
+_QUEUE_DEPTH = 8
 
 
 @dataclass
@@ -169,11 +171,6 @@ class ParallelEventProcessor:
         self.products = [
             (product_type_name(ptype), label) for ptype, label in products
         ]
-        self.num_readers = options.num_readers
-        self.queue_depth = options.queue_depth
-        #: how many requests a worker keeps in flight (to distinct
-        #: readers); > 1 overlaps processing with the next fetch
-        self.worker_pipeline = options.worker_pipeline
         #: re-attempts per batch load on top of the client-level retry
         #: policy (which already masks individual RPC failures)
         self.load_retries = options.load_retries
@@ -418,12 +415,9 @@ class ParallelEventProcessor:
         """Decide reader ranks and the per-reader subrun assignment."""
         groups = self._subruns_by_event_db(dataset)
         size = self.comm.size
-        if self.num_readers:
-            wanted = self.num_readers
-        else:
-            # Paper default: one reader per event database -- but never
-            # starve the workers when the rank count is small.
-            wanted = min(len(groups), max(1, size // 4))
+        # Paper default: one reader per event database -- but never
+        # starve the workers when the rank count is small.
+        wanted = min(len(groups), max(1, size // 4))
         num_readers = max(1, min(wanted, size - 1, max(len(groups), 1)))
         # Deterministic assignment: sort db groups, round-robin to readers.
         assignments: list[list] = [[] for _ in range(num_readers)]
@@ -456,7 +450,7 @@ class ParallelEventProcessor:
         ready = threading.Condition(lock)
         state = {"done": False, "error": None}
         max_queued = max(
-            1, self.queue_depth * self.input_batch_size // self.dispatch_batch_size
+            1, _QUEUE_DEPTH * self.input_batch_size // self.dispatch_batch_size
         )
 
         def loader() -> None:
@@ -519,46 +513,39 @@ class ParallelEventProcessor:
         stats = PEPStatistics(role="worker")
         comm = self.comm
         active = set(readers)
-        outstanding: set[int] = set()
         errors: list[str] = []
         rr = comm.rank % max(len(readers), 1)
         order = readers[rr:] + readers[:rr]  # stagger first contacts
-        depth = self.worker_pipeline
 
-        def top_up() -> None:
-            """Keep up to ``depth`` requests in flight, one per reader."""
+        def request() -> bool:
+            """Ask the first reader that still has events for a batch."""
             for reader in order:
-                if len(outstanding) >= depth:
-                    return
-                if reader in active and reader not in outstanding:
+                if reader in active:
                     comm.send(None, dest=reader, tag=_TAG_REQUEST)
-                    outstanding.add(reader)
+                    return True
+            return False
 
-        top_up()
-        while outstanding:
+        in_flight = request()
+        while in_flight:
             t0 = time.monotonic()
             (kind, payload), src, _ = comm.recv_with_status(
                 tag=_TAG_REPLY, timeout=None
             )
             stats.waiting_seconds += time.monotonic() - t0
-            outstanding.discard(src)
-            if kind == "done":
-                active.discard(src)
-            elif kind == "error":
+            if kind == "error":
                 # Keep draining the other readers so they terminate,
                 # then report the failure.
                 errors.append(payload)
+            if kind != "batch":
                 active.discard(src)
-            else:
-                # Request the next batch BEFORE processing this one so
-                # the fetch overlaps the compute (pipeline > 1 also
-                # spreads the in-flight requests over readers).
-                top_up()
+            # Request the next batch BEFORE processing this one so the
+            # fetch overlaps the compute.
+            in_flight = request()
+            if kind == "batch":
                 stats.batches_received += 1
                 t1 = time.monotonic()
                 self._process_events(payload, fn, stats)
                 stats.processing_seconds += time.monotonic() - t1
-            top_up()
         if errors:
             raise HEPnOSError(f"PEP reader reported: {errors[0]}")
         return stats

@@ -155,12 +155,6 @@ class ShardMap:
                 fallback = candidate
         return fallback
 
-    def replica_group(self, kind: str, parent_key: bytes) -> list[DbTarget]:
-        """Primary plus backup (when any) holding children of the key."""
-        primary = self.database_for(kind, parent_key)
-        backup = self.backup_for(kind, primary)
-        return [primary] if backup is None else [primary, backup]
-
     # -- dual-read helpers --------------------------------------------------
 
     def previous_database_for(self, kind: str, parent_key: bytes

@@ -7,9 +7,7 @@ as OS threads inside one Python process:
 
 - point-to-point ``send``/``recv`` (with ANY_SOURCE / ANY_TAG),
 - collectives: ``barrier``, ``bcast``, ``scatter``, ``gather``,
-  ``allgather``, ``reduce``, ``allreduce``, ``alltoall``,
-- ``split`` for sub-communicators (the ParallelEventProcessor designates
-  a subset of ranks as readers),
+  ``reduce``, ``allreduce``,
 - an :func:`mpirun` launcher.
 
 Python's GIL serializes compute across ranks, so *wall-clock speedup*
@@ -26,7 +24,6 @@ from repro.minimpi.comm import (
     PROD,
     SUM,
     Communicator,
-    Request,
     Wtime,
     mpirun,
 )
@@ -39,7 +36,6 @@ __all__ = [
     "MIN",
     "PROD",
     "Communicator",
-    "Request",
     "Wtime",
     "mpirun",
 ]

@@ -64,60 +64,11 @@ class _Mailbox:
 
 
 class _Backend:
-    """Shared state of one communicator: mailboxes and split bookkeeping."""
+    """Shared state of one communicator: one mailbox per rank."""
 
     def __init__(self, size: int):
         self.size = size
         self.mailboxes = [_Mailbox() for _ in range(size)]
-        self._split_lock = threading.Lock()
-        self._split_groups: dict[tuple[int, int], "_Backend"] = {}
-
-    def split_backend(self, seq: int, color: int, group_size: int) -> "_Backend":
-        with self._split_lock:
-            key = (seq, color)
-            backend = self._split_groups.get(key)
-            if backend is None:
-                backend = _Backend(group_size)
-                self._split_groups[key] = backend
-            return backend
-
-
-class Request:
-    """Handle for a nonblocking operation (cf. ``MPI.Request``).
-
-    ``wait`` returns the received payload (irecv) or ``None`` (isend);
-    ``test`` polls without blocking.
-    """
-
-    def __init__(self, fn, poll_fn=None):
-        self._fn = fn
-        self._poll_fn = poll_fn
-        self._done = False
-        self._value = None
-
-    def wait(self, timeout: Optional[float] = 60.0) -> Any:
-        if not self._done:
-            self._value = self._fn(timeout)
-            self._done = True
-        return self._value
-
-    def test(self) -> tuple[bool, Any]:
-        """(completed, value) without blocking."""
-        if self._done:
-            return True, self._value
-        if self._poll_fn is None:  # sends complete immediately
-            return True, self.wait()
-        polled = self._poll_fn()
-        if polled is not None:
-            self._done = True
-            self._value = polled[0]
-            return True, self._value
-        return False, None
-
-    @staticmethod
-    def waitall(requests: "list[Request]",
-                timeout: Optional[float] = 60.0) -> list:
-        return [request.wait(timeout) for request in requests]
 
 
 class Communicator:
@@ -136,13 +87,6 @@ class Communicator:
 
     @property
     def size(self) -> int:
-        return self._backend.size
-
-    # Familiar mpi4py spellings.
-    def Get_rank(self) -> int:
-        return self._rank
-
-    def Get_size(self) -> int:
         return self._backend.size
 
     # -- point-to-point ------------------------------------------------------
@@ -168,32 +112,6 @@ class Communicator:
             source, tag, timeout
         )
         return payload, src, mtag
-
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        """Nonblocking send.
-
-        Buffered semantics: the message is enqueued immediately, so the
-        request is already complete (like a small eager-protocol send).
-        """
-        self.send(obj, dest, tag)
-        return Request(lambda timeout: None)
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        """Nonblocking receive; complete it with ``request.wait()``."""
-        mailbox = self._backend.mailboxes[self._rank]
-
-        def poll():
-            with mailbox._cond:
-                for i, (src, mtag, payload) in enumerate(mailbox._messages):
-                    if source not in (ANY_SOURCE, src) or \
-                            tag not in (ANY_TAG, mtag):
-                        continue
-                    del mailbox._messages[i]
-                    return (payload,)
-            return None
-
-        return Request(lambda timeout: self.recv(source, tag, timeout),
-                       poll_fn=poll)
 
     def _coll_send(self, obj: Any, dest: int, seq: int) -> None:
         self._backend.mailboxes[dest].put(self._rank, _COLL_TAG_BASE - seq, obj)
@@ -258,10 +176,6 @@ class Communicator:
         self._coll_send((self._rank, obj), root, seq)
         return None
 
-    def allgather(self, obj: Any) -> list:
-        gathered = self.gather(obj, root=0)
-        return self.bcast(gathered, root=0)
-
     def reduce(self, obj: Any, op: Callable[[Any, Any], Any] = SUM,
                root: int = 0) -> Optional[Any]:
         gathered = self.gather(obj, root=root)
@@ -272,46 +186,6 @@ class Communicator:
     def allreduce(self, obj: Any, op: Callable[[Any, Any], Any] = SUM) -> Any:
         return self.bcast(self.reduce(obj, op=op, root=0), root=0)
 
-    def alltoall(self, objs: Sequence[Any]) -> list:
-        if len(objs) != self.size:
-            raise MPIError(f"alltoall needs exactly {self.size} items")
-        seq = self._coll_seq
-        self._coll_seq += 1
-        out: list[Any] = [None] * self.size
-        for dest in range(self.size):
-            if dest == self._rank:
-                out[dest] = objs[dest]
-            else:
-                self._coll_send((self._rank, objs[dest]), dest, seq)
-        for _ in range(self.size - 1):
-            _src, _tag, payload = self._backend.mailboxes[self._rank].take(
-                ANY_SOURCE, _COLL_TAG_BASE - seq, None
-            )
-            src_rank, value = payload
-            out[src_rank] = value
-        return out
-
-    # -- sub-communicators -----------------------------------------------------
-
-    def split(self, color: int, key: Optional[int] = None) -> Optional["Communicator"]:
-        """Partition ranks by ``color``; order within a group by ``key``.
-
-        Color ``None`` (MPI_UNDEFINED) yields ``None``.  Implemented with
-        an allgather so every rank learns the full grouping.
-        """
-        entry = (color, self._rank if key is None else key, self._rank)
-        seq = self._coll_seq  # allgather advances it further below
-        everyone = self.allgather(entry)
-        if color is None:
-            return None
-        members = sorted(
-            [(k, r) for c, k, r in everyone if c == color]
-        )
-        new_rank = members.index(
-            (entry[1], self._rank)
-        )
-        backend = self._backend.split_backend(seq, color, len(members))
-        return Communicator(backend, new_rank)
 
 
 def mpirun(fn: Callable[..., Any], size: int, *args: Any,

@@ -5,9 +5,9 @@ further improve HEPnOS's potential by allowing users to add and remove
 storage resources while HEP applications are using it."  This package
 implements that capability for this reproduction:
 
-- :func:`add_server` / :func:`remove_server` -- connection surgery
-  helpers building the target connection from a BedrockServer joining
-  or leaving;
+- :func:`add_server` -- connection surgery: the target connection
+  after a BedrockServer joins (a server leaves by migrating back to
+  the connection that did not have it);
 - :class:`LiveRescaler` / :func:`migrate_live` -- *live* rescaling:
   the shard map enters a migration epoch (dual-read + write
   forwarding) and the parent groups whose database changed (consistent
@@ -20,7 +20,6 @@ from repro.rescale.migrate import (
     MigrationStats,
     add_server,
     migrate_live,
-    remove_server,
 )
 
 __all__ = [
@@ -28,5 +27,4 @@ __all__ = [
     "LiveRescaler",
     "migrate_live",
     "add_server",
-    "remove_server",
 ]

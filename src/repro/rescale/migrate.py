@@ -74,25 +74,6 @@ def add_server(connection: ConnectionInfo, server) -> ConnectionInfo:
                           replication=connection.replication)
 
 
-def remove_server(connection: ConnectionInfo, address: str) -> ConnectionInfo:
-    """The connection after the server at ``address`` leaves."""
-    address = str(address)
-    targets = {}
-    removed = 0
-    for kind in KINDS:
-        kept = [t for t in connection[kind] if t.address != address]
-        removed += len(connection[kind]) - len(kept)
-        if not kept:
-            raise ConfigError(
-                f"removing {address} would leave no {kind!r} databases"
-            )
-        targets[kind] = kept
-    if removed == 0:
-        raise ConfigError(f"no databases at {address}")
-    return ConnectionInfo(targets, client=connection.client,
-                          replication=connection.replication)
-
-
 # -- planning ---------------------------------------------------------------
 
 

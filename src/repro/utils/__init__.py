@@ -1,14 +1,12 @@
-"""Shared low-level utilities: sorted maps, hashing, key codecs, stats."""
+"""Shared low-level utilities: sorted maps, hashing, key codecs."""
 
 from repro.utils.skiplist import SkipListMap
 from repro.utils.hashing import fnv1a_64, mix64, ConsistentHashRing, jump_hash
 from repro.utils.keycodec import (
     encode_u64_be,
     decode_u64_be,
-    bytes_with_prefix,
     prefix_upper_bound,
 )
-from repro.utils.stats import RunningStats, summarize
 
 __all__ = [
     "SkipListMap",
@@ -18,8 +16,5 @@ __all__ = [
     "jump_hash",
     "encode_u64_be",
     "decode_u64_be",
-    "bytes_with_prefix",
     "prefix_upper_bound",
-    "RunningStats",
-    "summarize",
 ]

@@ -109,18 +109,6 @@ class ConsistentHashRing:
             self._points.insert(idx, point)
             self._owners.insert(idx, target)
 
-    def remove_target(self, target: object) -> None:
-        if target not in self._targets:
-            raise KeyError(target)
-        self._targets.discard(target)
-        self._memo.clear()
-        keep_points, keep_owners = [], []
-        for point, owner in zip(self._points, self._owners):
-            if owner != target:
-                keep_points.append(point)
-                keep_owners.append(owner)
-        self._points, self._owners = keep_points, keep_owners
-
     def locate(self, key: bytes) -> object:
         """Return the target owning ``key``."""
         owner = self._memo.get(key)
@@ -137,12 +125,3 @@ class ConsistentHashRing:
             self._memo.clear()
         self._memo[bytes(key)] = owner
         return owner
-
-    def locate_index(self, key: bytes, count: int) -> int:
-        """Convenience: locate ``key`` on an implicit ring of ``range(count)``.
-
-        Used by placement code that addresses databases by index without
-        materializing a ring per lookup; falls back to jump hashing which
-        has the same stability property.
-        """
-        return jump_hash(mix64(fnv1a_64(key)), count)

@@ -27,11 +27,6 @@ def decode_u64_be(data: bytes) -> int:
     return int.from_bytes(data, "big")
 
 
-def bytes_with_prefix(prefix: bytes, *parts: bytes) -> bytes:
-    """Concatenate ``prefix`` and ``parts`` into a single key."""
-    return prefix + b"".join(parts)
-
-
 def prefix_upper_bound(prefix: bytes) -> bytes | None:
     """Smallest byte string greater than every string with ``prefix``.
 

@@ -35,12 +35,9 @@ class _Node:
 class SkipListMap:
     """Ordered mapping from ``bytes`` keys to arbitrary values.
 
-    Supports the mapping protocol plus ordered-scan primitives used by
-    the KV backends:
-
-    - :meth:`seek` -- first item with key >= a lower bound.
-    - :meth:`scan` -- ordered (key, value) iteration from a bound.
-    - :meth:`scan_prefix` -- ordered iteration of keys sharing a prefix.
+    Supports the mapping protocol plus :meth:`scan`, the ordered
+    (key, value) iteration from a lower bound the KV backends build
+    their range and prefix scans on.
     """
 
     def __init__(self, seed: int = 0x5EED):
@@ -132,25 +129,7 @@ class SkipListMap:
         del self[key]
         return value
 
-    def clear(self) -> None:
-        self._head = _Node(None, None, _MAX_LEVEL)
-        self._level = 1
-        self._len = 0
-
     # -- ordered access ----------------------------------------------------
-
-    def seek(self, key: bytes) -> Optional[Tuple[bytes, object]]:
-        """Return the first (key, value) pair with key >= ``key``."""
-        node = self._find_predecessors(key)[0].forward[0]
-        if node is None:
-            return None
-        return node.key, node.value
-
-    def first(self) -> Optional[Tuple[bytes, object]]:
-        node = self._head.forward[0]
-        if node is None:
-            return None
-        return node.key, node.value
 
     def scan(
         self, start: bytes = b"", inclusive: bool = True
@@ -166,23 +145,9 @@ class SkipListMap:
             yield node.key, node.value
             node = node.forward[0]
 
-    def scan_prefix(self, prefix: bytes) -> Iterator[Tuple[bytes, object]]:
-        """Yield pairs whose key starts with ``prefix``, in key order."""
-        for key, value in self.scan(prefix):
-            if not key.startswith(prefix):
-                return
-            yield key, value
-
     def keys(self) -> Iterator[bytes]:
         for key, _ in self.scan():
             yield key
-
-    def values(self) -> Iterator[object]:
-        for _, value in self.scan():
-            yield value
-
-    def items(self) -> Iterator[Tuple[bytes, object]]:
-        return self.scan()
 
     def __iter__(self) -> Iterator[bytes]:
         return self.keys()

@@ -9,15 +9,12 @@ Backends provided here:
 
 - ``"map"``      -- in-memory skip-list map (the paper's ``std::map``);
 - ``"lsm"``      -- a log-structured merge tree with WAL, SSTables,
-  bloom filters and compaction (the paper's RocksDB);
-- ``"btree"``    -- a copy-on-write persistent B+tree (the paper's
-  BerkeleyDB).
+  bloom filters and compaction (the paper's RocksDB).
 """
 
 from repro.yokan.backend import Backend, open_backend, BACKEND_KINDS
 from repro.yokan.backends.memory import MemoryBackend
 from repro.yokan.backends.lsm import LSMBackend
-from repro.yokan.backends.btree import BTreeBackend
 from repro.yokan.provider import YokanProvider
 from repro.yokan.client import YokanClient, DatabaseHandle
 from repro.yokan.nonblocking import OperationFuture
@@ -28,7 +25,6 @@ __all__ = [
     "BACKEND_KINDS",
     "MemoryBackend",
     "LSMBackend",
-    "BTreeBackend",
     "YokanProvider",
     "YokanClient",
     "DatabaseHandle",

@@ -43,7 +43,7 @@ class DurabilityStats:
 
 
 def open_backend(kind: str, **config) -> "Backend":
-    """Instantiate a backend by kind name (``map``, ``lsm``, ``btree``).
+    """Instantiate a backend by kind name (``map``, ``lsm``).
 
     Durability is a property of the kind (:attr:`Backend.durable`), and
     every database has at most one log:
@@ -79,18 +79,6 @@ def open_backend(kind: str, **config) -> "Backend":
             kwargs["checkpoint_bytes"] = int(wal_checkpoint_bytes)
         backend = DurableBackend(backend, wal_path, **kwargs)
     return backend
-
-
-def prefix_upper_bound(prefix: bytes) -> Optional[bytes]:
-    """The smallest key greater than every key with ``prefix``.
-
-    ``None`` when no such bound exists (empty prefix or all-0xFF), in
-    which case a prefix scan is unbounded to the right.
-    """
-    trimmed = prefix.rstrip(b"\xff")
-    if not trimmed:
-        return None
-    return trimmed[:-1] + bytes([trimmed[-1] + 1])
 
 
 class Backend(abc.ABC):
@@ -203,9 +191,6 @@ class Backend(abc.ABC):
         """Fetch many keys; missing keys yield ``None``."""
         return [self.get_or_none(key) for key in keys]
 
-    def exists_multi(self, keys: Sequence[bytes]) -> list[bool]:
-        return [self.exists(key) for key in keys]
-
     def erase_multi(self, keys: Sequence[bytes]) -> int:
         """Remove many keys; missing keys are skipped. Returns the count
         actually removed (batch RPC fast path for migration)."""
@@ -249,6 +234,3 @@ class Backend(abc.ABC):
             if limit and len(out) >= limit:
                 break
         return out
-
-    def count_prefix(self, prefix: bytes) -> int:
-        return sum(1 for _ in self.scan_prefix(prefix))

@@ -1,1 +1,1 @@
-"""Yokan storage backends: in-memory map, LSM tree, copy-on-write B+tree."""
+"""Yokan storage backends: in-memory map, LSM tree."""

@@ -56,13 +56,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, CorruptionError, KeyNotFound
 from repro.monitor import tracing as _tracing
-from repro.utils import SkipListMap
-from repro.yokan.backend import (
-    Backend,
-    DurabilityStats,
-    prefix_upper_bound,
-    register_backend,
-)
+from repro.utils import SkipListMap, prefix_upper_bound
+from repro.yokan.backend import Backend, DurabilityStats, register_backend
 from repro.yokan.backends.wal import (
     append_record,
     decode_puts,

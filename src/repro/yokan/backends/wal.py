@@ -21,7 +21,7 @@ batches flushing via ``put_multi``) pays one frame per flush, not one
 per key.
 
 **``DurableBackend``** makes a backend that is not ``durable`` by
-itself (``map``, ``btree``) crash-recoverable:
+itself (``map``) crash-recoverable:
 
 - every mutating verb appends one record *before* the operation is
   acknowledged;
@@ -388,10 +388,6 @@ class DurableBackend(Backend):
         self._check_open()
         return self.inner.get_multi(keys)
 
-    def exists_multi(self, keys: Sequence[bytes]) -> list[bool]:
-        self._check_open()
-        return self.inner.exists_multi(keys)
-
     def scan_prefix(self, prefix: bytes) -> Iterator[Tuple[bytes, bytes]]:
         self._check_open()
         return self.inner.scan_prefix(prefix)
@@ -404,7 +400,3 @@ class DurableBackend(Backend):
     ) -> list[bytes]:
         self._check_open()
         return self.inner.list_keys(prefix, start_after, limit)
-
-    def count_prefix(self, prefix: bytes) -> int:
-        self._check_open()
-        return self.inner.count_prefix(prefix)

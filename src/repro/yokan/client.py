@@ -480,16 +480,6 @@ class DatabaseHandle:
             "yokan.list_keys", (self.name, bytes(prefix), bytes(start_after), limit)
         )
 
-    def list_keyvals(self, prefix: bytes = b"", start_after: bytes = b"",
-                     limit: int = 0) -> list[Tuple[bytes, bytes]]:
-        return self._call(
-            "yokan.list_keyvals",
-            (self.name, bytes(prefix), bytes(start_after), limit),
-        )
-
-    def count_prefix(self, prefix: bytes = b"") -> int:
-        return self._call("yokan.count_prefix", (self.name, bytes(prefix)))
-
     def iter_keys(self, prefix: bytes = b"", batch: int = 128):
         """Generator over keys with ``prefix``, paging ``batch`` at a time."""
         start_after = b""
@@ -581,11 +571,3 @@ class YokanClient:
         """Drain a provider's replica links and flush its backends."""
         return self._admin_call(target, "yokan.sync",
                                 {"checkpoint": checkpoint}, provider_id)
-
-    def create_database(self, target: Union[str, Address], provider_id: int,
-                        name: str, kind: str = "map",
-                        config: Optional[dict] = None) -> DatabaseHandle:
-        self._admin_call(target, "yokan.create_database",
-                         (name, kind, config or {}), provider_id)
-        address = Address.parse(target) if isinstance(target, str) else target
-        return self.database_handle(address, provider_id, name)

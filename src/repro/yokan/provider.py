@@ -26,7 +26,7 @@ from repro.monitor import tracing as _tracing
 from repro.serial import dumps, loads
 from repro.serial import columnar as _columnar
 from repro.yokan import packed, wire
-from repro.yokan.backend import Backend, open_backend
+from repro.yokan.backend import Backend
 
 #: RPC names served by every Yokan provider.
 RPC_NAMES = (
@@ -41,10 +41,7 @@ RPC_NAMES = (
     "yokan.erase_multi",
     "yokan.length",
     "yokan.list_keys",
-    "yokan.list_keyvals",
-    "yokan.count_prefix",
     "yokan.list_databases",
-    "yokan.create_database",
     "yokan.replicate",
     "yokan.sync",
 )
@@ -477,16 +474,6 @@ class YokanProvider:
         name, prefix, start_after, limit = loads(req.payload)
         return self._db(req, name).list_keys(prefix, start_after, limit)
 
-    def _rpc_list_keyvals(self, req: RPCRequest) -> list:
-        name, prefix, start_after, limit = loads(req.payload)
-        db = self._db(req, name)
-        return [(key, db.get(key))
-                for key in db.list_keys(prefix, start_after, limit)]
-
-    def _rpc_count_prefix(self, req: RPCRequest) -> int:
-        name, prefix = loads(req.payload)
-        return self._db(req, name).count_prefix(prefix)
-
     def _rpc_replicate(self, req: RPCRequest) -> tuple:
         """Apply mutations forwarded by a primary (or a re-sync).
 
@@ -525,9 +512,3 @@ class YokanProvider:
 
     def _rpc_list_databases(self, req: RPCRequest) -> list:
         return sorted(self.databases)
-
-    def _rpc_create_database(self, req: RPCRequest) -> None:
-        name, kind, config = loads(req.payload)
-        if name in self.databases:
-            raise YokanError(f"database {name!r} already exists")
-        self.databases[name] = open_backend(kind, **dict(config))

@@ -1,5 +1,5 @@
-"""Tests for the data-plane fast paths: packed prefix loads, the
-client-side product cache, and the btree node-cache LRU."""
+"""Tests for the data-plane fast paths: packed prefix loads and the
+client-side product cache."""
 
 import pytest
 
@@ -19,7 +19,6 @@ from repro.hepnos import (
 )
 from repro.serial import serializable
 from repro.yokan import packed
-from repro.yokan.backends.btree import BTreeBackend
 
 
 @serializable("dp.Hit")
@@ -290,23 +289,3 @@ class TestLoadProductsPacked:
         slow = run(PrefetchOptions(batch_size=5, packed_loads=False))
         assert fast == slow
         assert len(fast) == 12
-
-
-# -- btree node-cache LRU ----------------------------------------------------
-
-
-class TestBTreeNodeCache:
-    def test_cache_bounded_and_lru(self, tmp_path):
-        db = BTreeBackend(str(tmp_path / "bt"), order=4, cache_nodes=8)
-        for i in range(200):
-            db.put(b"k%04d" % i, b"v%d" % i)
-        assert len(db._cache) <= 8
-        # A freshly read node must be resident and most-recently-used.
-        assert db.get(b"k0000") == b"v0"
-        hot = next(reversed(db._cache))
-        db.get(b"k0199")
-        assert hot in db._cache or db.get(b"k0000") == b"v0"
-        # Reading everything back works regardless of evictions.
-        for i in range(0, 200, 17):
-            assert db.get(b"k%04d" % i) == b"v%d" % i
-        db.close()

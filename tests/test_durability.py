@@ -41,7 +41,7 @@ from repro.yokan import LSMBackend
 from repro.yokan.backend import DurabilityStats, open_backend
 from repro.yokan.backends.wal import DurableBackend, checkpoint_path
 
-KINDS = ["map", "btree", "lsm"]
+KINDS = ["map", "lsm"]
 
 
 @pytest.fixture()
@@ -147,7 +147,7 @@ _ops = st.lists(st.one_of(
 
 class TestDurabilityContract:
     """What ``durable`` means, for every kind ``open_backend`` can make
-    durable: map and btree under the wrapper's log, lsm under its own."""
+    durable: map under the wrapper's log, lsm under its own."""
 
     @pytest.mark.parametrize("kind", KINDS)
     @settings(max_examples=25, deadline=None)
@@ -198,11 +198,8 @@ class TestDurabilityContract:
         """A crash mid-append leaves part of a record: recovery stops
         at the last whole one wherever the tear is, and what is written
         next is readable after the next crash."""
-        # The tear is made after the fact, so the store proper must not
-        # have kept the torn write: the btree commits nothing by itself.
-        extra = {"commit_every": 1 << 20} if kind == "btree" else {}
         base = str(tmp_path / "base")
-        backend = _open(kind, base, **extra)
+        backend = _open(kind, base)
         backend.put(b"whole", b"record")
         before = backend.durability_stats().wal_bytes
         backend.put_multi([(b"torn", b"casualty"), (b"too", b"")])
@@ -215,14 +212,14 @@ class TestDurabilityContract:
             shutil.copytree(base, root)
             with open(os.path.join(root, log), "r+b") as f:
                 f.truncate(size - last + torn)
-            recovered = _open(kind, root, **extra)
+            recovered = _open(kind, root)
             assert dict(recovered.scan()) == {b"whole": b"record"}
             stats = recovered.durability_stats()
             assert stats.torn_tail_bytes == torn
             assert stats.replayed_records == 1
             recovered.put(b"after", b"the tear")
             recovered.crash()
-            again = _open(kind, root, **extra)
+            again = _open(kind, root)
             assert dict(again.scan()) == {b"whole": b"record",
                                           b"after": b"the tear"}
             again.close()
@@ -479,13 +476,6 @@ class TestReplicaPlacement:
         smap = ShardMap(self._connection(replication=1))
         target = smap.connection["events"][0]
         assert smap.backup_for("events", target) is None
-
-    def test_replica_group_lists_primary_then_backup(self):
-        smap = ShardMap(self._connection())
-        group = smap.replica_group("events", b"some-parent-key")
-        assert len(group) == 2
-        assert group[0] == smap.database_for("events", b"some-parent-key")
-        assert group[1] == smap.backup_for("events", group[0])
 
     def test_replica_links_cover_every_primary(self):
         smap = ShardMap(self._connection())

@@ -498,6 +498,14 @@ class TestChaosHarness:
         run_chaos("stock", seed=1, workdir=str(mine))
         assert (mine / "files").is_dir()
 
+    def test_a_workdir_can_be_used_again(self, tmp_path):
+        """The second run must not open the first one's logs and
+        SSTables (it died with ``AddressError: no engine at ...``)."""
+        for _ in range(2):
+            report = run_chaos("durability", seed=3, quick=True,
+                               workdir=str(tmp_path))
+            assert report.ok, report.summary()
+
     def test_cli_exit_status_is_the_printed_verdict(self, capsys):
         from repro.tools import chaos_cli
 

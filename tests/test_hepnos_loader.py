@@ -1,5 +1,9 @@
 """Tests for HDF2HEPnOS: schema discovery, codegen, and bulk ingest."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -108,6 +112,35 @@ class TestCodeGeneration:
 
 
 class TestIngest:
+    def test_ranks_meeting_a_new_table_together_build_one_class(
+            self, datastore):
+        """Ingest ranks are threads over one type registry: the loser of
+        a lookup-then-register race died on "already registered" and
+        left the other ranks waiting in the closing allreduce."""
+        from repro.hepnos.loader import TableSchema
+
+        schema = TableSchema(
+            class_name="test.built.Raced", group_path="g", id_columns={},
+            value_columns=(("a", "<f8"), ("b", "<i4")), length=0,
+        )
+        loader = DataLoader(datastore, "raced")
+        ranks = 8
+        barrier = threading.Barrier(ranks)
+
+        def rank():
+            barrier.wait(timeout=30)
+            return loader._class_for(schema)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(ranks) as pool:
+                futures = [pool.submit(rank) for _ in range(ranks)]
+                classes = {future.result(timeout=30) for future in futures}
+        finally:
+            sys.setswitchinterval(interval)
+        assert classes == {registered_type("test.built.Raced")}
+
     def test_single_file(self, datastore, nova_file):
         path, triples = nova_file
         loader = DataLoader(datastore, "ingested")

@@ -1,5 +1,6 @@
 """Tests for the ParallelEventProcessor (sequential and MPI-parallel)."""
 
+import dataclasses
 import threading
 
 import pytest
@@ -107,6 +108,10 @@ class TestSequential:
         # Tuning lives in options=; anything else is a plain bad keyword.
         with pytest.raises(TypeError, match="unexpected keyword argument"):
             ParallelEventProcessor(datastore, input_batch_size=8)
+        # Reader count, queue depth and worker pipeline are not options.
+        assert len(dataclasses.fields(PEPOptions)) == 6
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            PEPOptions(worker_pipeline=2)
         # Dispatch batches are clamped to the input batch size.
         pep = ParallelEventProcessor(
             datastore, options=PEPOptions(input_batch_size=8,
@@ -140,7 +145,7 @@ class TestParallel:
     def test_work_split_across_workers(self, datastore, populated):
         ds, expected = populated
         seen, stats = self._run(datastore, ds, 5, options=PEPOptions(
-            input_batch_size=16, dispatch_batch_size=4, num_readers=1))
+            input_batch_size=16, dispatch_batch_size=4))
         workers = [s for s in stats if s.role == "worker"]
         readers = [s for s in stats if s.role == "reader"]
         assert len(readers) == 1
@@ -152,7 +157,7 @@ class TestParallel:
     def test_reader_serving_accounting(self, datastore, populated):
         ds, expected = populated
         seen, stats = self._run(datastore, ds, 3, options=PEPOptions(
-            input_batch_size=32, dispatch_batch_size=8, num_readers=1))
+            input_batch_size=32, dispatch_batch_size=8))
         reader = next(s for s in stats if s.role == "reader")
         assert reader.events_loaded == len(expected)
         assert sum(reader.served.values()) == len(expected)
@@ -183,8 +188,9 @@ class TestParallel:
 
     def test_multiple_readers(self, datastore, populated):
         ds, expected = populated
-        seen, stats = self._run(datastore, ds, 6, options=PEPOptions(
-            input_batch_size=16, dispatch_batch_size=4, num_readers=2))
+        # One reader per four ranks, at most one per event database.
+        seen, stats = self._run(datastore, ds, 8, options=PEPOptions(
+            input_batch_size=16, dispatch_batch_size=4))
         readers = [s for s in stats if s.role == "reader"]
         assert len(readers) == 2
         assert sorted(seen) == expected
@@ -218,54 +224,3 @@ class TestParallel:
         seen, _ = self._run(datastore, ds, 2, options=PEPOptions(
             input_batch_size=16, dispatch_batch_size=4))
         assert sorted(seen) == expected
-
-
-class TestWorkerPipeline:
-    def test_pipelined_workers_exactly_once(self, datastore, populated):
-        ds, expected = populated
-        lock = threading.Lock()
-        seen: list = []
-
-        def body(comm):
-            pep = ParallelEventProcessor(
-                datastore, comm=comm,
-                options=PEPOptions(input_batch_size=16, dispatch_batch_size=4,
-                                   num_readers=2, worker_pipeline=2),
-            )
-
-            def handle(ev):
-                with lock:
-                    seen.append(ev.triple())
-
-            return pep.process(ds, handle)
-
-        mpirun(body, 6, timeout=60.0)
-        assert sorted(seen) == expected
-
-    def test_deep_pipeline_clamped_by_reader_count(self, datastore,
-                                                   populated):
-        """A pipeline depth beyond the reader count still terminates."""
-        ds, expected = populated
-        lock = threading.Lock()
-        seen: list = []
-
-        def body(comm):
-            pep = ParallelEventProcessor(
-                datastore, comm=comm,
-                options=PEPOptions(input_batch_size=16, dispatch_batch_size=4,
-                                   num_readers=1, worker_pipeline=8),
-            )
-
-            def handle(ev):
-                with lock:
-                    seen.append(ev.triple())
-
-            return pep.process(ds, handle)
-
-        mpirun(body, 3, timeout=60.0)
-        assert sorted(seen) == expected
-
-    def test_invalid_pipeline(self, datastore):
-        with pytest.raises(HEPnOSError):
-            ParallelEventProcessor(
-                datastore, options=PEPOptions(worker_pipeline=0))

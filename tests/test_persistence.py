@@ -34,7 +34,7 @@ def deploy_persistent(fabric, storage_root, backend="lsm"):
     ))
 
 
-@pytest.mark.parametrize("backend", ["lsm", "btree"])
+@pytest.mark.parametrize("backend", ["lsm"])
 def test_service_restart_preserves_everything(tmp_path, backend):
     # ---- first life: write ------------------------------------------------
     fabric1 = Fabric()

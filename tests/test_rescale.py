@@ -12,7 +12,6 @@ from repro.rescale import (
     LiveRescaler,
     add_server,
     migrate_live,
-    remove_server,
 )
 from repro.rescale.migrate import _parent_groups
 from repro.serial import serializable
@@ -76,22 +75,6 @@ class TestConnectionSurgery:
         with pytest.raises(ConfigError, match="already"):
             add_server(joined, server)
 
-    def test_remove_server(self, fabric, service, datastore):
-        address = str(service[1].address)
-        shrunk = remove_server(datastore.connection, address)
-        assert all(t.address != address
-                   for kind in ("events", "products")
-                   for t in shrunk[kind])
-
-    def test_remove_unknown_address(self, fabric, service, datastore):
-        with pytest.raises(ConfigError, match="no databases"):
-            remove_server(datastore.connection, "sm://ghost/hepnos")
-
-    def test_remove_last_server_rejected(self, fabric, service, datastore):
-        shrunk = remove_server(datastore.connection, str(service[1].address))
-        with pytest.raises(ConfigError, match="would leave no"):
-            remove_server(shrunk, str(service[0].address))
-
 
 def on_model_placement(datastore, servers, connection):
     """Every stored pair sits on the one database the placement function
@@ -153,13 +136,13 @@ class TestExecute:
         _, expected = populate(datastore, "cycle")
         server = new_server(fabric, 4)
         servers = service + [server]
-        joined = add_server(datastore.connection, server)
+        shrunk = datastore.connection
+        joined = add_server(shrunk, server)
         grown = migrate_live(datastore, joined)
         verify(datastore, "cycle", expected)
         pairs = on_model_placement(datastore, servers, joined)
         assert grown.keys_moved + grown.keys_stayed == pairs
         # Now drain the server back out.
-        shrunk = remove_server(datastore.connection, str(server.address))
         drained = migrate_live(datastore, shrunk)
         verify(datastore, "cycle", expected)
         assert on_model_placement(datastore, servers, shrunk) == pairs
@@ -305,10 +288,10 @@ class TestLiveRescale:
                                              datastore):
         _, expected = populate(datastore, "liveshrink")
         server = new_server(fabric, 12)
-        joined = add_server(datastore.connection, server)
+        shrunk = datastore.connection
+        joined = add_server(shrunk, server)
         migrate_live(datastore, joined, batch_size=32)
         verify(datastore, "liveshrink", expected)
-        shrunk = remove_server(datastore.connection, str(server.address))
         stats = migrate_live(datastore, shrunk, batch_size=32)
         verify(datastore, "liveshrink", expected)
         assert sum(stats.moves_by_kind.values()) == stats.keys_moved

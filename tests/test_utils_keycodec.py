@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils import (
-    bytes_with_prefix,
     decode_u64_be,
     encode_u64_be,
     prefix_upper_bound,
@@ -43,11 +42,6 @@ def test_roundtrip(value):
 def test_order_preserving(a, b):
     """The whole point of big-endian keys: byte order == numeric order."""
     assert (encode_u64_be(a) < encode_u64_be(b)) == (a < b)
-
-
-def test_bytes_with_prefix():
-    assert bytes_with_prefix(b"uuid", encode_u64_be(1)) == b"uuid" + b"\x00" * 7 + b"\x01"
-    assert bytes_with_prefix(b"", b"a", b"b") == b"ab"
 
 
 def test_prefix_upper_bound_simple():

@@ -13,8 +13,6 @@ def test_empty_map():
     assert not m
     assert b"a" not in m
     assert m.get(b"a") is None
-    assert m.first() is None
-    assert m.seek(b"") is None
     assert list(m.scan()) == []
 
 
@@ -78,10 +76,10 @@ def test_seek_lower_bound():
     m = SkipListMap()
     for k in (b"b", b"d", b"f"):
         m[k] = k
-    assert m.seek(b"a") == (b"b", b"b")
-    assert m.seek(b"b") == (b"b", b"b")
-    assert m.seek(b"c") == (b"d", b"d")
-    assert m.seek(b"g") is None
+    assert next(m.scan(b"a")) == (b"b", b"b")
+    assert next(m.scan(b"b")) == (b"b", b"b")
+    assert next(m.scan(b"c")) == (b"d", b"d")
+    assert next(m.scan(b"g"), None) is None
 
 
 def test_scan_exclusive_start():
@@ -92,22 +90,6 @@ def test_scan_exclusive_start():
     assert [k for k, _ in m.scan(b"b", inclusive=True)] == [b"b", b"c"]
 
 
-def test_scan_prefix():
-    m = SkipListMap()
-    for k in (b"run/001", b"run/002", b"sub/001", b"run/010"):
-        m[k] = k
-    assert [k for k, _ in m.scan_prefix(b"run/")] == [b"run/001", b"run/002", b"run/010"]
-    assert list(m.scan_prefix(b"zzz")) == []
-
-
-def test_clear():
-    m = SkipListMap()
-    m[b"a"] = 1
-    m.clear()
-    assert len(m) == 0
-    assert list(m.scan()) == []
-
-
 def test_deterministic_structure():
     m1, m2 = SkipListMap(seed=7), SkipListMap(seed=7)
     for i in range(100):
@@ -115,7 +97,7 @@ def test_deterministic_structure():
         m1[key] = i
         m2[key] = i
     assert m1._level == m2._level
-    assert list(m1.items()) == list(m2.items())
+    assert list(m1.scan()) == list(m2.scan())
 
 
 @settings(max_examples=200, deadline=None)
@@ -155,7 +137,7 @@ def test_mixed_ops_match_dict(ops):
             else:
                 with pytest.raises(KeyError):
                     del m[key]
-    assert list(m.items()) == sorted(model.items())
+    assert list(m.scan()) == sorted(model.items())
 
 
 @settings(max_examples=100, deadline=None)
@@ -168,5 +150,5 @@ def test_seek_is_lower_bound(keys, probe):
     for k in keys:
         m[k] = True
     expected = min((k for k in keys if k >= probe), default=None)
-    got = m.seek(probe)
+    got = next(m.scan(probe), None)
     assert (got[0] if got else None) == expected

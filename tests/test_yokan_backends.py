@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError, DatabaseClosed, KeyNotFound
-from repro.yokan import BTreeBackend, LSMBackend, MemoryBackend, open_backend
+from repro.yokan import BACKEND_KINDS, LSMBackend, MemoryBackend, open_backend
 
-BACKENDS = ["map", "lsm", "btree"]
+BACKENDS = ["map", "lsm"]
 
 
 @pytest.fixture(params=BACKENDS)
@@ -15,12 +15,10 @@ def backend(request, tmp_path):
     kind = request.param
     if kind == "map":
         db = MemoryBackend()
-    elif kind == "lsm":
+    else:
         # Small memtable to exercise flush/compaction in ordinary tests.
         db = LSMBackend(str(tmp_path / "lsm"), memtable_bytes=2048,
                         compaction_trigger=3)
-    else:
-        db = BTreeBackend(str(tmp_path / "bt"), order=8)
     yield db
     if not db.closed:
         db.close()
@@ -107,12 +105,6 @@ class TestConformance:
         backend.put(b"ac1", b"")
         assert backend.list_keys(prefix=b"ab") == [b"ab1"]
 
-    def test_count_prefix(self, backend):
-        for i in range(7):
-            backend.put(f"p/{i}".encode(), b"")
-        backend.put(b"q/0", b"")
-        assert backend.count_prefix(b"p/") == 7
-
     def test_get_multi(self, backend):
         backend.put(b"a", b"1")
         backend.put(b"c", b"3")
@@ -145,11 +137,11 @@ class TestOpenBackend:
     def test_open_by_kind(self, tmp_path):
         assert isinstance(open_backend("map"), MemoryBackend)
         assert isinstance(open_backend("lsm", path=str(tmp_path / "l")), LSMBackend)
-        assert isinstance(open_backend("btree", path=str(tmp_path / "b")), BTreeBackend)
 
     def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            open_backend("rocksdb")
+        assert sorted(BACKEND_KINDS) == ["lsm", "map"]
+        with pytest.raises(ConfigError, match=r"known: \['lsm', 'map'\]"):
+            open_backend("btree")
 
 
 class TestLSMInternals:
@@ -289,77 +281,6 @@ class TestBloomFilter:
         assert clone.num_bits == 256 and clone.num_hashes == 3
 
 
-class TestBTreeInternals:
-    def test_splits_build_multilevel_tree(self, tmp_path):
-        db = BTreeBackend(str(tmp_path / "bt"), order=4)
-        for i in range(200):
-            db.put(f"{i:04d}".encode(), str(i).encode())
-        assert db.get(b"0123") == b"123"
-        assert len(db) == 200
-        root = db._read_node(db._root)
-        assert not root.is_leaf
-
-    def test_persistence_across_reopen(self, tmp_path):
-        path = str(tmp_path / "bt")
-        db = BTreeBackend(path, order=8)
-        for i in range(100):
-            db.put(f"{i:03d}".encode(), str(i).encode())
-        db.close()
-        db2 = BTreeBackend(path, order=8)
-        assert len(db2) == 100
-        assert db2.get(b"050") == b"50"
-        assert [k for k, _ in db2.scan()][:3] == [b"000", b"001", b"002"]
-        db2.close()
-
-    def test_crash_before_header_swap_keeps_old_tree(self, tmp_path):
-        path = str(tmp_path / "bt")
-        db = BTreeBackend(path, order=8)
-        db.put(b"committed", b"1")
-        db.close()
-        # Simulate a crash mid-append: garbage after the last commit.
-        with open(tmp_path / "bt" / "btree.dat", "ab") as f:
-            f.write(b"partial-node-write")
-        db2 = BTreeBackend(path, order=8)
-        assert db2.get(b"committed") == b"1"
-        db2.put(b"new", b"2")
-        assert db2.get(b"new") == b"2"
-        db2.close()
-
-    def test_commit_every_batches_headers(self, tmp_path):
-        db = BTreeBackend(str(tmp_path / "bt"), order=8, commit_every=10)
-        for i in range(25):
-            db.put(f"{i}".encode(), b"v")
-        db.flush()
-        db.close()
-        db2 = BTreeBackend(str(tmp_path / "bt"), order=8)
-        assert len(db2) == 25
-        db2.close()
-
-    def test_rebuild_compacts_file(self, tmp_path):
-        db = BTreeBackend(str(tmp_path / "bt"), order=8)
-        for i in range(200):
-            db.put(f"{i:04d}".encode(), b"v" * 20)
-        before = db.file_bytes
-        db.rebuild()
-        after = db.file_bytes
-        assert after < before
-        assert len(db) == 200
-        assert db.get(b"0100") == b"v" * 20
-        assert [k for k, _ in db.scan()] == [f"{i:04d}".encode() for i in range(200)]
-
-    def test_rebuild_empty(self, tmp_path):
-        db = BTreeBackend(str(tmp_path / "bt"))
-        db.put(b"a", b"1")
-        db.erase(b"a")
-        db.rebuild()
-        assert len(db) == 0
-        assert list(db.scan()) == []
-
-    def test_order_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            BTreeBackend(str(tmp_path / "bt"), order=2)
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     st.lists(
@@ -383,33 +304,6 @@ def test_lsm_matches_model(tmp_path_factory, ops):
             db.erase(key)
             del model[key]
     assert sorted(model.items()) == list(db.scan())
-    db.close()
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.sampled_from(["put", "erase"]),
-            st.binary(min_size=1, max_size=6),
-            st.binary(max_size=12),
-        ),
-        max_size=80,
-    )
-)
-def test_btree_matches_model(tmp_path_factory, ops):
-    tmp = tmp_path_factory.mktemp("bt-prop")
-    db = BTreeBackend(str(tmp / "db"), order=4)
-    model = {}
-    for op, key, value in ops:
-        if op == "put":
-            db.put(key, value)
-            model[key] = value
-        elif key in model:
-            db.erase(key)
-            del model[key]
-    assert sorted(model.items()) == list(db.scan())
-    assert len(db) == len(model)
     db.close()
 
 

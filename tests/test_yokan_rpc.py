@@ -1,6 +1,8 @@
 """Tests for Yokan over RPC: provider + client, bulk batch paths."""
 
 import dataclasses
+import inspect
+import re
 
 import pytest
 
@@ -8,14 +10,16 @@ from repro.broker import RequestBroker, TenantRegistry, TenantSpec
 from repro.errors import (
     CorruptionError,
     KeyNotFound,
+    NoSuchRPCError,
     RPCError,
     ServiceBusy,
     YokanError,
 )
-from repro.faults import RetryPolicy
+from repro.faults import RETRYABLE_ERRORS, RetryPolicy
 from repro.mercury import Bulk, Engine, Fabric, FaultModel
 from repro.serial import dumps, register_type
 from repro.yokan import MemoryBackend, YokanClient, YokanProvider, packed, wire
+from repro.yokan import client as client_module
 from repro.yokan.client import _unwrap, frame_put_multi
 from repro.yokan.provider import RPC_NAMES
 
@@ -148,45 +152,11 @@ class TestIteration:
         assert len(keys) == 57
         assert keys == sorted(keys)
 
-    def test_list_keyvals(self, world):
-        _, _, _, db = world
-        db.put(b"a", b"1")
-        db.put(b"b", b"2")
-        assert db.list_keyvals() == [(b"a", b"1"), (b"b", b"2")]
-
-    def test_count_prefix(self, world):
-        _, _, _, db = world
-        for i in range(8):
-            db.put(f"p{i}".encode(), b"")
-        assert db.count_prefix(b"p") == 8
-        assert db.count_prefix(b"q") == 0
-
 
 class TestManagement:
     def test_list_databases(self, world):
         _, _, client, _ = world
         assert client.list_databases("sm://server/0", 1) == ["events", "products"]
-
-    def test_create_database(self, world):
-        _, provider, client, _ = world
-        handle = client.create_database("sm://server/0", 1, "new-db", kind="map")
-        handle.put(b"k", b"v")
-        assert handle.get(b"k") == b"v"
-        assert "new-db" in provider.databases
-
-    def test_create_duplicate_rejected(self, world):
-        _, _, client, _ = world
-        with pytest.raises(YokanError, match="already exists"):
-            client.create_database("sm://server/0", 1, "events")
-
-    def test_create_persistent_database(self, world, tmp_path):
-        _, _, client, _ = world
-        handle = client.create_database(
-            "sm://server/0", 1, "disk", kind="lsm",
-            config={"path": str(tmp_path / "disk")},
-        )
-        handle.put(b"k", b"v")
-        assert handle.get(b"k") == b"v"
 
     def test_add_database_conflict(self, world):
         _, provider, _, _ = world
@@ -416,11 +386,7 @@ def request_body(engine: Engine, rpc_name: str, db: str, pins: list):
         "yokan.erase_multi": (db, [STORED[2][0], b"absent"]),
         "yokan.length": db,
         "yokan.list_keys": (db, b"ev", b"", 5),
-        "yokan.list_keyvals": (db, b"ev", b"", 3),
-        "yokan.count_prefix": (db, b"ev0"),
         "yokan.list_databases": None,
-        "yokan.create_database": (
-            "fresh" if db == "events" else "events", "map", {}),
         "yokan.replicate": (db, FRESH[:2], [STORED[3][0]]),
         "yokan.sync": {},
     }[rpc_name]
@@ -519,3 +485,32 @@ def test_the_slot_is_released_however_the_handler_ends(monkeypatch):
     counters = world[1].broker.tenant_stats()["tenants"]["t"]
     assert counters["admitted"] == counters["completed"] == 2
     assert world[1].broker.scheduler.stats()["running"] == 0
+
+
+# -- verbs cannot rot: handler <-> RPC_NAMES <-> sender ------------------------
+
+REMOVED_VERBS = ("yokan.list_keyvals", "yokan.count_prefix",
+                 "yokan.create_database")
+
+
+def test_every_handler_has_a_sender_and_every_sender_a_handler(world):
+    """What a provider registers, ``RPC_NAMES`` and the verb literals the
+    client module sends are one set: a verb nobody sends, or one nobody
+    serves, fails here."""
+    _, provider, _, _ = world
+    registered = {name for name, provider_id in provider.engine._registry
+                  if provider_id == provider.provider_id}
+    sent = set(re.findall(r'"(yokan\.[a-z_]+)"',
+                          inspect.getsource(client_module)))
+    assert len(set(RPC_NAMES)) == len(RPC_NAMES) == 14
+    assert registered == set(RPC_NAMES) == sent
+
+
+@pytest.mark.parametrize("rpc_name", REMOVED_VERBS)
+def test_a_removed_verb_is_refused_not_hung(world, rpc_name):
+    _, _, client, _ = world
+    handle = client.engine.create_handle("sm://server/0", rpc_name)
+    with pytest.raises(NoSuchRPCError) as refused:
+        handle.forward(wire.seal(dumps(("events", b"ev", b"", 3))), 1,
+                       timeout=5.0)
+    assert not isinstance(refused.value, RETRYABLE_ERRORS)
