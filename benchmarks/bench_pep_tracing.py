@@ -81,7 +81,7 @@ def test_traced_pep_pass_collects_cross_layer_spans(benchmark, datastore,
           f"({per_event} pep.event spans)")
     assert per_event == N_EVENTS
     # The full cross-layer chain is present.
-    for name in ("pep.process_batch", "pep.materialize",
+    for name in ("pep.process_batch", "hepnos.prefetch.page",
                  "hepnos.load_products", "yokan.client.list_keys",
                  "mercury.forward", "yokan.provider.load_prefix_packed"):
         assert collector.find(name), f"missing {name} spans"

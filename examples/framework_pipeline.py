@@ -109,7 +109,7 @@ def main():
         )
         source = HEPnOSSource(
             datastore, "fw/run1", products=[(vector_of(slc), "")],
-            input_batch_size=64, dispatch_batch_size=8, columnar=True,
+            input_batch_size=64, dispatch_batch_size=8,
         )
         return pipeline.run(source, comm=comm)
 

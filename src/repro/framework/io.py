@@ -7,11 +7,16 @@ benefit from a data service.
 
 from __future__ import annotations
 
+import time
 from typing import Iterator, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ProductNotFound
 from repro.framework.modules import EventContext
 from repro.hepnos.options import PEPOptions
+from repro.hepnos.parallel_event_processor import ParallelEventProcessor
+from repro.hepnos.prefetcher import Prefetcher
 from repro.hepnos.product import product_type_name, vector_of
 from repro.hepnos.write_batch import WriteBatch
 from repro.nova.files import iter_file_events
@@ -57,72 +62,60 @@ class HEPnOSSource:
     def __init__(self, datastore, dataset_path: str,
                  products: Sequence[Tuple[object, str]] = (),
                  comm=None, input_batch_size: int = 1024,
-                 dispatch_batch_size: int = 64, columnar: bool = False):
+                 dispatch_batch_size: int = 64):
         self.datastore = datastore
         self.dataset_path = dataset_path
         self.products = list(products)
         self.comm = comm
         self.input_batch_size = input_batch_size
         self.dispatch_batch_size = dispatch_batch_size
-        #: opt-in: let a leading CutFilter with declared columns be
-        #: evaluated over server-projected arrays (scan_columns)
-        self.columnar = columnar
 
-    def _context_for(self, stub) -> EventContext:
+    def _context_for(self, event) -> EventContext:
         def loader(tname, label):
             try:
-                return stub.load(tname, label=label)
+                return event.load(tname, label=label)
             except ProductNotFound:
                 return None
 
-        return EventContext(stub.triple(), loader=loader)
+        return EventContext(event.triple(), loader=loader)
+
+    def _pep(self, comm=None, columns=None) -> ParallelEventProcessor:
+        return ParallelEventProcessor(
+            self.datastore, comm=comm,
+            options=PEPOptions(
+                input_batch_size=self.input_batch_size,
+                dispatch_batch_size=self.dispatch_batch_size,
+                columnar_loads=columns is not None,
+            ),
+            products=self.products, columns=columns,
+        )
 
     def events(self) -> Iterator[EventContext]:
         """Sequential iteration (ignores ``comm``)."""
-        from repro.hepnos.parallel_event_processor import (
-            ParallelEventProcessor,
-        )
-
-        pep = ParallelEventProcessor(
-            self.datastore, comm=None,
+        reader = Prefetcher(
+            self.datastore,
             options=PEPOptions(input_batch_size=self.input_batch_size),
             products=self.products,
         )
-        dataset = self.datastore[self.dataset_path]
-        for batch in pep._load_batches(pep._all_subruns(dataset)):
-            for stub in batch:
-                yield self._context_for(stub)
+        for run in self.datastore[self.dataset_path]:
+            for subrun in run:
+                for event in reader.events(subrun):
+                    yield self._context_for(event)
 
     def process_parallel(self, handle) -> object:
         """Collective mode: invoke ``handle(EventContext)`` on each
         event via the PEP; returns this rank's PEPStatistics."""
-        from repro.hepnos.parallel_event_processor import (
-            ParallelEventProcessor,
-        )
-
-        pep = ParallelEventProcessor(
-            self.datastore, comm=self.comm,
-            options=PEPOptions(
-                input_batch_size=self.input_batch_size,
-                dispatch_batch_size=self.dispatch_batch_size,
-            ),
-            products=self.products,
-        )
-        dataset = self.datastore[self.dataset_path]
-        return pep.process(dataset, lambda stub: handle(self._context_for(stub)))
+        return self._pep(self.comm).process(
+            self.datastore[self.dataset_path],
+            lambda event: handle(self._context_for(event)))
 
     # -- columnar fast path -------------------------------------------------
 
     def supports_columnar(self, cut_filter) -> bool:
-        """Whether this source can vectorize ``cut_filter``.
-
-        Requires the columnar opt-in, a cut with declared columns, and
-        the filter's product spec to be the source's single prefetched
-        spec (the projection covers exactly that product).
-        """
-        if not self.columnar or cut_filter.columns is None:
-            return False
-        if len(self.products) != 1:
+        """Whether this source can vectorize ``cut_filter``: its cut
+        declares its columns and its product spec is the source's single
+        prefetched spec (the projection covers exactly that product)."""
+        if cut_filter.columns is None or len(self.products) != 1:
             return False
         ptype, label = self.products[0]
         return (product_type_name(ptype)
@@ -140,31 +133,10 @@ class HEPnOSSource:
         ``observe(total, passed, seconds)`` reports each batch's
         prefilter accounting.  Collective over ``comm`` when set.
         """
-        import time as _time
-
-        import numpy as np
-
-        from repro.hepnos.parallel_event_processor import (
-            ParallelEventProcessor,
-        )
-
         cut = cut_filter.cut
-        fields = sorted(cut.columns)
-        pep = ParallelEventProcessor(
-            self.datastore,
-            comm=self.comm if self.comm is not None
-            and self.comm.size > 1 else None,
-            options=PEPOptions(
-                input_batch_size=self.input_batch_size,
-                dispatch_batch_size=self.dispatch_batch_size,
-                columnar_loads=True,
-            ),
-            products=self.products,
-            columns=fields,
-        )
 
         def handle_batch(batch):
-            t0 = _time.monotonic()
+            t0 = time.monotonic()
             block = batch.block
             if block.rows:
                 ev_pass = block.event_any(cut.mask(block.table))
@@ -178,14 +150,14 @@ class HEPnOSSource:
                 i for i in range(len(batch))
                 if bool(ev_pass[i]) or raw_pass.get(i, False)
             ]
-            seconds = _time.monotonic() - t0
+            seconds = time.monotonic() - t0
             if observe is not None:
                 observe(len(batch), len(survivors), seconds)
             for i in survivors:
                 handle(self._context_for(batch.items[i]))
 
-        dataset = self.datastore[self.dataset_path]
-        return pep.process_batches(dataset, handle_batch)
+        return self._pep(self.comm, sorted(cut.columns)).process_batches(
+            self.datastore[self.dataset_path], handle_batch)
 
 
 class HEPnOSSink:

@@ -29,9 +29,10 @@ The lower-level constructors remain public and unchanged::
 
 Performance features (section II-D): :class:`WriteBatch` and
 :class:`AsynchronousWriteBatch` group updates per target database;
-:class:`Prefetcher` streams container iteration;
-:class:`ParallelEventProcessor` gives a group of MPI ranks
-load-balanced parallel iteration over a dataset's events; and
+:class:`Prefetcher` is the one event reader -- pages of event keys,
+each loaded with one request per product database, handed out as
+:class:`PrefetchedEvent` views; :class:`ParallelEventProcessor` puts a
+load-balancing MPI pull protocol on top of it; and
 :class:`AsyncEngine` pipelines all of the above through a bounded
 window of non-blocking operations (futures with wait/test/then/cancel
 semantics, retired under the client retry policy).
@@ -42,9 +43,9 @@ This module is the complete public client surface: handle types
 (:class:`AsyncEngine`, :class:`OperationFuture`), the load plan
 (:class:`LoadPlan`, :class:`PendingLoad`),
 the performance objects, and their configuration dataclasses
-(:class:`PEPOptions`, :class:`PrefetchOptions`,
-:class:`ProductCacheOptions`, :class:`QuotaOptions` -- all living in
-the :mod:`repro.hepnos.options` namespace).  Application code
+(:class:`PEPOptions`, :class:`ProductCacheOptions`,
+:class:`QuotaOptions` -- all living in the :mod:`repro.hepnos.options`
+namespace).  Application code
 never needs raw ``container_key`` bytes: store and load products
 through the typed handles (``event.store(obj, label)``,
 ``event.load(Type, label)``).  The exception hierarchy is importable
@@ -70,7 +71,6 @@ from repro.hepnos.async_engine import AsyncEngine, AsyncEngineStats
 from repro.hepnos import options
 from repro.hepnos.options import (
     PEPOptions,
-    PrefetchOptions,
     ProductCacheOptions,
     QuotaOptions,
 )
@@ -117,7 +117,6 @@ __all__ = [
     "AsyncEngineStats",
     "OperationFuture",
     "PEPOptions",
-    "PrefetchOptions",
     "ProductCacheOptions",
     "QuotaOptions",
     "ProductCache",

@@ -4,12 +4,13 @@ Mirrors ``hepnos::AsyncEngine`` from the paper (section II-D): most of
 HEPnOS's speedup over the file-based workflow comes from hiding store
 latency behind computation, and this is the object that does the
 hiding.  It manages a bounded window of in-flight non-blocking Yokan
-operations (:class:`~repro.yokan.OperationFuture`), a completion queue,
-and drain-on-shutdown semantics.  The operations themselves ride the
+operations (:class:`~repro.yokan.OperationFuture`) and drain-on-shutdown
+semantics.  The operations themselves ride the
 fabric's shared Argobots runtime -- each forward becomes a handler ULT
 on the provider engine's pool -- so the engine's job is purely
 client-side flow control: dispatch eagerly while the window has room,
-queue (cancellably) when it does not, and retire completions in order.
+queue (cancellably) when it does not; a settled operation is counted
+and forgotten, its answer belongs to whoever waits on the future.
 
 Construct one over a :class:`~repro.hepnos.DataStore` and the
 datastore, its :class:`~repro.hepnos.Prefetcher`, its
@@ -27,7 +28,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.errors import OperationCancelled, ReproError
 from repro.monitor import tracing as _tracing
@@ -73,8 +74,6 @@ class AsyncEngine:
         self._outstanding: List[OperationFuture] = []
         #: pending subset of _outstanding, FIFO
         self._queued: deque[OperationFuture] = deque()
-        #: settled futures in completion order, until popped
-        self._completed: deque[OperationFuture] = deque()
         self.datastore = None
         if datastore is not None:
             self.attach(datastore)
@@ -125,7 +124,7 @@ class AsyncEngine:
         return count
 
     def pump(self) -> int:
-        """Advance the window: reap settled slots, dispatch queued.
+        """Advance the window: dispatch queued operations into free slots.
 
         Called from every touch point (submit / wait / drain); inline
         fabrics also get a bounded progress poll so responses can land
@@ -136,7 +135,6 @@ class AsyncEngine:
             self.fabric.poll()
         to_dispatch = []
         with self._lock:
-            self._outstanding = [f for f in self._outstanding if not f.done]
             inflight = self._inflight_count()
             self.stats.peak_inflight = max(self.stats.peak_inflight, inflight)
             while self._queued and inflight < self.max_inflight:
@@ -153,7 +151,12 @@ class AsyncEngine:
         return len(to_dispatch)
 
     def _record_done(self, future: OperationFuture) -> None:
+        """Count a settled operation and let go of it: its answer
+        belongs to whoever waits on the future, not to the engine."""
         with self._lock:
+            self._outstanding.remove(future)
+            if future in self._queued:  # cancelled, or waited on directly
+                self._queued.remove(future)
             if future.state == OperationFuture.CANCELLED:
                 self.stats.cancelled += 1
             elif future.exception is not None:
@@ -161,20 +164,6 @@ class AsyncEngine:
                 self.stats.completed += 1
             else:
                 self.stats.completed += 1
-            self._completed.append(future)
-
-    # -- completion queue --------------------------------------------------
-
-    def pop_completed(self) -> Optional[OperationFuture]:
-        """Next settled future in completion order, or ``None``."""
-        with self._lock:
-            return self._completed.popleft() if self._completed else None
-
-    def drain_completed(self) -> List[OperationFuture]:
-        """All settled-but-unclaimed futures, in completion order."""
-        with self._lock:
-            out, self._completed = list(self._completed), deque()
-            return out
 
     @property
     def outstanding(self) -> int:

@@ -176,7 +176,8 @@ class ColumnBlock:
 
 
 class EventBatch:
-    """A batch of events plus the column block loaded for them.
+    """A batch of event views (:class:`~repro.hepnos.PrefetchedEvent`)
+    plus the column block loaded for them.
 
     Slicing returns an :class:`EventBatch` over the same arrays, so the
     dispatch loop can hand workers contiguous chunks without copying.
@@ -193,6 +194,9 @@ class EventBatch:
 
     def __len__(self) -> int:
         return len(self.items)
+
+    def __iter__(self) -> Iterator[object]:
+        return iter(self.items)
 
     def __getitem__(self, index):
         if isinstance(index, slice):

@@ -17,6 +17,8 @@ from repro.hepnos import keys
 class _ProductHolder:
     """Mixin for containers that hold products (run/subrun/event)."""
 
+    __slots__ = ()  # the prefetched event view is slotted
+
     def store(self, obj, label: str = "", type_name=None, batch=None) -> bytes:
         """Store a product on this container; returns the product key."""
         return self.datastore.store_product(

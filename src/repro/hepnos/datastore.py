@@ -792,7 +792,7 @@ class DataStore:
     def shutdown(self) -> None:
         """Finalize the client engine.
 
-        With an attached :class:`AsyncEngine`, its completion queue is
+        With an attached :class:`AsyncEngine`, its window is
         drained first so no in-flight non-blocking operation is
         abandoned mid-wire (failures surface here rather than being
         silently dropped).

@@ -21,8 +21,8 @@ on it, so every lane pipelines and none has its own shard logic.
 
 A retired load is its lane: ``result`` as in the table, ``block`` (the
 :class:`ColumnBlock`, columns lane only), and the per-event walk
-``event_products(i)`` / ``event_columns(i)`` from which the Prefetcher
-and the ParallelEventProcessor both build their event objects.
+``event_products(i)`` / ``event_columns(i)`` that the reader's event
+view (:class:`~repro.hepnos.PrefetchedEvent`) asks on demand.
 """
 
 from __future__ import annotations

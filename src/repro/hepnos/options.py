@@ -15,8 +15,8 @@ one documented place::
         products=[(Hit, "reco")],
     )
 
-- :class:`PEPOptions` -- the ParallelEventProcessor;
-- :class:`PrefetchOptions` -- the Prefetcher;
+- :class:`PEPOptions` -- the event reader: the Prefetcher and the
+  ParallelEventProcessor on top of it;
 - :class:`ProductCacheOptions` -- the DataStore product cache;
 - :class:`QuotaOptions` -- the tenant identity of a session
   (:func:`repro.hepnos.connect`).
@@ -38,7 +38,9 @@ from repro.errors import HEPnOSError
 
 @dataclass(frozen=True)
 class PEPOptions:
-    """Tuning knobs for :class:`~repro.hepnos.ParallelEventProcessor`.
+    """Tuning knobs for the event reader: the
+    :class:`~repro.hepnos.Prefetcher`'s page loop and the
+    :class:`~repro.hepnos.ParallelEventProcessor`'s dispatch on top.
 
     All fields are keyword-only.  The defaults reproduce the paper's
     configuration: large input batches (few RPCs, big transfers), small
@@ -69,29 +71,6 @@ class PEPOptions:
             raise HEPnOSError("load_retries must be non-negative")
         if self.on_load_failure not in ("raise", "skip"):
             raise HEPnOSError("on_load_failure must be 'raise' or 'skip'")
-
-
-@dataclass(frozen=True)
-class PrefetchOptions:
-    """Tuning knobs for :class:`~repro.hepnos.Prefetcher`."""
-
-    #: events per key page / per batched product load
-    batch_size: int = 1024
-    #: pages of product loads kept in flight ahead of consumption
-    #: (only effective with an AsyncEngine; 0 disables lookahead)
-    lookahead: int = 1
-    #: load whole events with one packed prefix-scan RPC per database
-    #: instead of one ``get_multi`` of the exact product keys
-    packed_loads: bool = True
-    #: project declared columns server-side (``scan_columns``) instead of
-    #: shipping whole products; events still load lazily per product
-    columnar_loads: bool = False
-
-    def __post_init__(self) -> None:
-        if self.batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        if self.lookahead < 0:
-            raise ValueError("lookahead must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -149,11 +128,9 @@ class QuotaOptions:
                                    self.token)
 
 
-def check_columnar(options, products, columns) -> None:
-    """Reject ``columnar_loads`` without exactly one product spec and
-    the columns to project (shared by the PEP and the Prefetcher)."""
-    if not options.columnar_loads:
-        return
+def check_columnar(products, columns) -> None:
+    """A column projection covers exactly one product spec and names
+    the fields to project (shared by the PEP and the Prefetcher)."""
     if len(products) != 1:
         raise HEPnOSError(
             f"columnar_loads projects one product spec; got {len(products)}")
@@ -165,7 +142,6 @@ def check_columnar(options, products, columns) -> None:
 
 __all__ = [
     "PEPOptions",
-    "PrefetchOptions",
     "ProductCacheOptions",
     "QuotaOptions",
 ]

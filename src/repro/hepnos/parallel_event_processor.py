@@ -5,17 +5,18 @@ events of a dataset cooperatively:
 
 - a subset of ranks become **readers** (typically as many readers as
   event databases).  Each reader owns a disjoint set of event databases
-  and streams their events in *input batches* (default 16384 events --
-  few RPCs, large transfers), prefetching requested products with
-  one load plan per batch (one request per product database);
+  and iterates their events through a
+  :class:`~repro.hepnos.Prefetcher` in *input batches* (default 16384
+  events -- few RPCs, large transfers; requested products arrive with
+  one load plan per batch, one request per product database);
 - readers chop input batches into *dispatch batches* (default 64
   events -- fine-grained load balancing) and serve them to worker ranks
   on demand through a pull protocol;
 - every event is delivered exactly once; workers invoke the
   user-supplied callable on each event.
 
-With one rank (or ``comm=None``) the PEP degrades to sequential
-prefetched iteration, which is also the mode ingest validation uses.
+With one rank (or ``comm=None``) the PEP degrades to iterating the
+Prefetcher sequentially, which is also the mode ingest validation uses.
 """
 
 from __future__ import annotations
@@ -26,14 +27,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
-from repro.errors import HEPnOSError, ProductNotFound
-from repro.faults.retry import RETRYABLE_ERRORS
-from repro.hepnos import keys as hkeys
+from repro.errors import HEPnOSError
 from repro.hepnos.column_block import EventBatch
 from repro.hepnos.connection import DbTarget
-from repro.hepnos.load_plan import LoadPlan
 from repro.hepnos.options import PEPOptions, check_columnar
-from repro.hepnos.product import product_type_name
+from repro.hepnos.prefetcher import Prefetcher
 from repro.monitor import tracing as _tracing
 
 _TAG_REQUEST = 101
@@ -68,6 +66,14 @@ class PEPStatistics:
     #: time blocked on in-flight product loads at consumption
     prefetch_wait_seconds: float = 0.0
 
+    def absorb(self, reader: Prefetcher) -> None:
+        """Take over the counters of the reader this rank loaded with."""
+        self.load_retries = reader.load_retries
+        self.load_failures = reader.load_failures
+        self.subruns_skipped = reader.subruns_skipped
+        self.overlap_seconds = reader.overlap_seconds
+        self.prefetch_wait_seconds = reader.wait_seconds
+
     @staticmethod
     def aggregate(stats_list: "list[PEPStatistics]") -> dict:
         """Summarize a run's per-rank statistics (the offline analysis
@@ -100,59 +106,6 @@ class PEPStatistics:
         }
 
 
-class _EventStub:
-    """A shipped event: identity plus prefetched products.
-
-    Presented to the user callable; ``load`` first serves prefetched
-    products and falls back to the datastore otherwise.
-    """
-
-    __slots__ = ("datastore", "key", "_triple", "_products")
-
-    def __init__(self, datastore, key: bytes, triple: Tuple[int, int, int],
-                 products: dict):
-        self.datastore = datastore
-        self.key = key
-        self._triple = triple
-        self._products = products
-
-    @property
-    def number(self) -> int:
-        return self._triple[2]
-
-    @property
-    def run_number(self) -> int:
-        return self._triple[0]
-
-    @property
-    def subrun_number(self) -> int:
-        return self._triple[1]
-
-    def triple(self) -> Tuple[int, int, int]:
-        return self._triple
-
-    def load(self, product_type, label: str = ""):
-        spec = (product_type_name(product_type), label)
-        if spec in self._products:
-            value = self._products[spec]
-            if value is None:
-                raise ProductNotFound(
-                    f"no product label={label!r} type={spec[0]!r} "
-                    f"in event {self._triple}"
-                )
-            return value
-        return self.datastore.load_product(self.key, product_type, label=label)
-
-    def store(self, obj, label: str = "", type_name=None, batch=None):
-        """Store a product on this event (same API as :class:`Event`).
-
-        Lets analysis callables write derived products back without
-        touching raw container keys.
-        """
-        return self.datastore.store_product(self.key, obj, label=label,
-                                            type_name=type_name, batch=batch)
-
-
 class ParallelEventProcessor:
     """Parallel, load-balanced ``for each event`` over a dataset."""
 
@@ -168,21 +121,12 @@ class ParallelEventProcessor:
         # A dispatch batch never exceeds one input batch.
         self.dispatch_batch_size = min(options.dispatch_batch_size,
                                        options.input_batch_size)
-        self.products = [
-            (product_type_name(ptype), label) for ptype, label in products
-        ]
-        #: re-attempts per batch load on top of the client-level retry
-        #: policy (which already masks individual RPC failures)
-        self.load_retries = options.load_retries
-        #: what to do when a batch load exhausts its retries: ``raise``
-        #: fails the run; ``skip`` abandons the rest of that subrun,
-        #: counts it in :attr:`PEPStatistics.subruns_skipped`, and keeps
-        #: going (graceful degradation).
-        self.on_load_failure = options.on_load_failure
+        self.products = list(products)
         #: fields to project in columnar mode (``process_batches`` with
         #: ``options.columnar_loads``); ``None`` otherwise
         self.columns = list(columns) if columns is not None else None
-        check_columnar(options, self.products, self.columns)
+        if options.columnar_loads:
+            check_columnar(self.products, self.columns)
         self._batch_mode = False
 
     # -- public API --------------------------------------------------------
@@ -207,7 +151,7 @@ class ParallelEventProcessor:
         With ``options.columnar_loads`` each batch is an
         :class:`~repro.hepnos.column_block.EventBatch` whose projected
         columns were fetched server-side (one ``scan_columns`` per
-        database); otherwise ``fn`` receives the plain stub lists.
+        database); otherwise ``fn`` receives plain lists of event views.
         Collective over the communicator, like :meth:`process`.
         """
         start = time.monotonic()
@@ -226,15 +170,19 @@ class ParallelEventProcessor:
 
     def _process_sequential(self, dataset, fn: Callable) -> PEPStatistics:
         stats = PEPStatistics(rank=0, role="sequential")
-        for batch in self._load_batches(self._all_subruns(dataset), stats):
-            t0 = time.monotonic()
-            self._process_events(batch, fn, stats)
-            stats.processing_seconds += time.monotonic() - t0
+        reader = self._reader()
+        try:
+            for batch in reader.pages(self._all_subruns(dataset)):
+                t0 = time.monotonic()
+                self._process_events(batch, fn, stats)
+                stats.processing_seconds += time.monotonic() - t0
+        finally:
+            stats.absorb(reader)
         return stats
 
     def _process_events(self, batch, fn: Callable,
                         stats: PEPStatistics) -> None:
-        """Apply ``fn`` to every stub of one dispatch/input batch.
+        """Apply ``fn`` to every event of one dispatch/input batch.
 
         Per-event spans only exist while a tracer is installed; the
         disabled path adds a single module-attribute read per batch.
@@ -242,7 +190,7 @@ class ParallelEventProcessor:
         if self._batch_mode:
             # Batch dispatch: one call covers the whole chunk (the
             # vectorized analysis path -- fn sees an EventBatch or a
-            # stub list, never individual events).
+            # list of event views, never individual events).
             if _tracing.enabled:
                 with _tracing.span("pep.process_batch", events=len(batch),
                                    columnar=isinstance(batch, EventBatch)):
@@ -253,18 +201,26 @@ class ParallelEventProcessor:
             return
         if _tracing.enabled:
             with _tracing.span("pep.process_batch", events=len(batch)):
-                for stub in batch:
-                    with _tracing.span("pep.event", run=stub.run_number,
-                                       subrun=stub.subrun_number,
-                                       event=stub.number):
-                        fn(stub)
+                for event in batch:
+                    with _tracing.span("pep.event", run=event.run_number,
+                                       subrun=event.subrun_number,
+                                       event=event.number):
+                        fn(event)
                     stats.events_processed += 1
             return
-        for stub in batch:
-            fn(stub)
+        for event in batch:
+            fn(event)
             stats.events_processed += 1
 
-    # -- shared loading machinery ----------------------------------------------
+    # -- loading: the Prefetcher's page loop -----------------------------------
+
+    def _reader(self) -> Prefetcher:
+        """This pass's event reader.  Per-event ``process()`` always
+        reads whole objects, whatever ``columnar_loads`` says."""
+        columnar = self._batch_mode and self.options.columnar_loads
+        return Prefetcher(self.datastore, options=self.options,
+                          products=self.products,
+                          columns=self.columns if columnar else None)
 
     def _all_subruns(self, dataset):
         return [subrun for run in dataset for subrun in run]
@@ -277,137 +233,6 @@ class ParallelEventProcessor:
             target = self.datastore.target_for("events", subrun.key)
             groups.setdefault(target, []).append(subrun)
         return groups
-
-    def _load_batches(self, subruns, stats: Optional[PEPStatistics] = None):
-        """Yield batches of :class:`_EventStub` of up to input_batch_size.
-
-        One loop for every lane and mode: list a key page (cheap,
-        synchronous), issue its load plan -- one request per product
-        database, the few-RPCs/large-payload pattern from the paper --
-        and retire the oldest page once the look-ahead window is full.
-        The window is 0 pages without an :class:`~repro.hepnos.AsyncEngine`
-        (issue, then wait) and 1 with one: batch N+1's products are on
-        the wire while batch N's stubs are being processed.
-
-        Listing and loading each get a bounded retry budget on top of
-        the client's own retry policy (stale shard maps and dead
-        primaries never reach it: the load executor re-issues those
-        itself).  Exhausting it either fails the run or
-        (``on_load_failure="skip"``) abandons the remainder of the
-        subrun -- in-flight pages of it are discarded -- and moves on,
-        with the skip recorded in ``stats``.
-        """
-        lookahead = (1 if self.datastore.async_engine is not None
-                     and self.products else 0)
-        window: deque = deque()
-        skipped: set[int] = set()
-        for subrun, page in self._key_pages(subruns, stats, skipped):
-            window.append((subrun, page,
-                           self.datastore.issue_load(self._plan(page))))
-            if len(window) > lookahead:
-                yield from self._retire(*window.popleft(), stats, skipped)
-        while window:
-            yield from self._retire(*window.popleft(), stats, skipped)
-
-    def _retrying(self, fn: Callable, stats: Optional[PEPStatistics]):
-        """Run idempotent ``fn`` under the ``load_retries`` budget."""
-        attempts = 0
-        while True:
-            try:
-                return fn()
-            except RETRYABLE_ERRORS:
-                attempts += 1
-                if stats is not None:
-                    stats.load_retries += 1
-                if attempts > self.load_retries:
-                    if stats is not None:
-                        stats.load_failures += 1
-                    raise
-
-    def _abandon(self, subrun, stats: Optional[PEPStatistics],
-                 skipped: set) -> bool:
-        """A load of ``subrun`` gave up: under ``on_load_failure="skip"``
-        mark the subrun abandoned, otherwise tell the caller to raise."""
-        if self.on_load_failure != "skip":
-            return False
-        if stats is not None:
-            stats.subruns_skipped += 1
-        skipped.add(id(subrun))
-        return True
-
-    def _key_pages(self, subruns, stats: Optional[PEPStatistics],
-                   skipped: set):
-        """``(subrun, event key page)`` pairs, in order."""
-
-        def list_page():
-            with _tracing.span("pep.list_events",
-                               limit=self.input_batch_size) as sp:
-                page = list(self.datastore.list_child_keys(
-                    "events", subrun.key, start_after=cursor,
-                    limit=self.input_batch_size,
-                ))
-                sp.set_tag("events", len(page))
-            return page
-
-        for subrun in subruns:
-            cursor = b""
-            while id(subrun) not in skipped:
-                try:
-                    page = self._retrying(list_page, stats)
-                except RETRYABLE_ERRORS:
-                    if not self._abandon(subrun, stats, skipped):
-                        raise
-                    break
-                if not page:
-                    break
-                cursor = page[-1]
-                yield subrun, page
-                if len(page) < self.input_batch_size:
-                    break
-
-    def _plan(self, event_keys: list[bytes]) -> LoadPlan:
-        """The one place a lane is chosen.  Per-event ``process()``
-        always reads whole objects, whatever ``columnar_loads`` says."""
-        columnar = self._batch_mode and self.options.columnar_loads
-        return LoadPlan(event_keys, self.products,
-                        columns=self.columns if columnar else None,
-                        whole_events=self.options.packed_loads)
-
-    def _retire(self, subrun, page, pending,
-                stats: Optional[PEPStatistics], skipped: set):
-        """Wait for one issued page; yields its batch (or nothing when
-        its subrun was abandoned)."""
-        if id(subrun) in skipped:
-            return
-        wait_start = time.monotonic()
-        overlap = pending.overlap_seconds(wait_start)
-        with _tracing.span("pep.materialize", events=len(page),
-                           products=len(self.products),
-                           overlap_seconds=round(overlap, 6)):
-            try:
-                # A wait() that gave up re-issues what is still
-                # unanswered when called again.
-                loaded = self._retrying(pending.wait, stats)
-            except RETRYABLE_ERRORS:
-                if not self._abandon(subrun, stats, skipped):
-                    raise
-                return
-            if stats is not None:
-                stats.overlap_seconds += overlap
-                stats.prefetch_wait_seconds += time.monotonic() - wait_start
-            run_number = subrun.run.number
-            subrun_number = subrun.number
-            stubs = [
-                _EventStub(self.datastore, key,
-                           (run_number, subrun_number,
-                            hkeys.child_number(key)),
-                           loaded.event_products(i))
-                for i, key in enumerate(page)
-            ]
-        # A columnar batch's consumers read the block's arrays; stubs
-        # only carry what could not be projected.
-        yield stubs if loaded.block is None else EventBatch(stubs,
-                                                            loaded.block)
 
     # -- parallel mode ---------------------------------------------------------
 
@@ -453,9 +278,11 @@ class ParallelEventProcessor:
             1, _QUEUE_DEPTH * self.input_batch_size // self.dispatch_batch_size
         )
 
+        reader = self._reader()
+
         def loader() -> None:
             try:
-                iterator = self._load_batches(subruns, stats)
+                iterator = reader.pages(subruns)
                 while True:
                     t0 = time.monotonic()
                     batch = next(iterator, None)
@@ -473,6 +300,7 @@ class ParallelEventProcessor:
             except BaseException as exc:  # noqa: BLE001 - forwarded to workers
                 state["error"] = exc
             finally:
+                stats.absorb(reader)
                 with ready:
                     state["done"] = True
                     ready.notify_all()
@@ -483,10 +311,8 @@ class ParallelEventProcessor:
 
         dones_sent = 0
         while dones_sent < num_workers:
-            worker, _src, _tag = None, None, None
-            payload, src, _ = comm.recv_with_status(tag=_TAG_REQUEST,
-                                                    timeout=None)
-            worker = src
+            _, worker, _ = comm.recv_with_status(tag=_TAG_REQUEST,
+                                                 timeout=None)
             with ready:
                 while not queue and not state["done"]:
                     ready.wait()

@@ -1,57 +1,67 @@
-"""Prefetcher: pipelined iteration over containers and their products.
+"""Prefetcher: the one event reader (paper section II-D).
 
 Plain container iteration issues one ``list_keys`` page at a time and
-one ``get`` per product.  The Prefetcher fetches key pages ahead of
-consumption and gang-loads requested products with one load plan per
-page -- one request per product database -- the access pattern the
-ParallelEventProcessor's readers rely on (paper section II-D).
+one ``get`` per product.  The Prefetcher lists a page of event keys,
+issues its load plan -- one request per product database, few RPCs and
+large payloads -- and retires the oldest page once its look-ahead
+window is full.  The window is 0 pages without an
+:class:`~repro.hepnos.AsyncEngine` (issue, then wait) and 1 with one:
+page N+1's products are on the wire while page N's events are being
+consumed, so the store's latency hides behind the analysis compute.
 
-With an :class:`~repro.hepnos.AsyncEngine` attached to the datastore
-the Prefetcher double-buffers: page N+1's loads are issued while page
-N's events are being consumed, so the store's latency hides behind the
-analysis compute.  The realized overlap is accumulated in
-:attr:`Prefetcher.overlap_seconds` and traced as
-``hepnos.prefetch.page`` spans.
+:meth:`Prefetcher.pages` is that loop over any sequence of subruns;
+:meth:`Prefetcher.events` is it flattened for one subrun.  The
+ParallelEventProcessor's sequential mode and its readers' loader thread
+iterate ``pages``; what they add is the MPI pull protocol on top.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
-from repro.errors import ProductNotFound
+from repro.errors import ProductNotFound, ReproError
+from repro.faults.retry import RETRYABLE_ERRORS
 from repro.hepnos import keys as hkeys
-from repro.hepnos.containers import Event, SubRun
+from repro.hepnos.column_block import EventBatch
+from repro.hepnos.containers import SubRun, _ProductHolder
 from repro.hepnos.load_plan import LoadPlan
-from repro.hepnos.options import PrefetchOptions, check_columnar
+from repro.hepnos.options import PEPOptions, check_columnar
 from repro.hepnos.product import product_type_name
 from repro.monitor import tracing as _tracing
 
 
 class Prefetcher:
-    """Iterate a subrun's events with products loaded in batches.
+    """Iterate events with their products loaded a page at a time.
 
     ``products`` lists (type, label) pairs to prefetch for every event;
-    access them through the yielded :class:`PrefetchedEvent`.  Tuning
-    lives in ``options`` (:class:`~repro.hepnos.PrefetchOptions`).
+    with ``columns`` the single spec is projected server-side to those
+    fields instead.  Of ``options`` the reader uses the page size
+    (``input_batch_size``), the lane (``packed_loads``) and the failure
+    policy (``load_retries`` / ``on_load_failure``).
     """
 
     def __init__(self, datastore, *,
-                 options: Optional[PrefetchOptions] = None,
+                 options: Optional[PEPOptions] = None,
                  products: Sequence[Tuple[object, str]] = (),
                  columns: Optional[Sequence[str]] = None):
-        self.options = options if options is not None else PrefetchOptions()
+        self.options = options if options is not None else PEPOptions()
         self.datastore = datastore
-        self.batch_size = self.options.batch_size
         self.products = [
             (product_type_name(ptype), label) for ptype, label in products
         ]
-        #: fields to project server-side with ``options.columnar_loads``
+        #: fields to project server-side; ``None`` loads whole objects
         self.columns = list(columns) if columns is not None else None
-        check_columnar(self.options, self.products, self.columns)
+        if columns is not None:
+            check_columnar(self.products, self.columns)
+        #: page loads re-attempted after a transient failure
+        self.load_retries = 0
+        #: page loads that exhausted their retry budget
+        self.load_failures = 0
+        #: subruns abandoned under ``on_load_failure="skip"``
+        self.subruns_skipped = 0
         #: seconds of product-load latency hidden behind consumption
-        #: (double-buffered mode only)
         self.overlap_seconds = 0.0
         #: seconds spent blocked on product loads at consumption time
         self.wait_seconds = 0.0
@@ -59,107 +69,204 @@ class Prefetcher:
         self.pages_prefetched = 0
 
     def events(self, subrun: SubRun) -> Iterator["PrefetchedEvent"]:
-        """Events of ``subrun`` in order, with products pre-loaded.
+        """Events of ``subrun`` in order, with products pre-loaded."""
+        for page in self.pages([subrun]):
+            yield from page
 
-        The in-flight window holds ``options.lookahead`` pages of issued
-        loads when an AsyncEngine is attached to the datastore (each
-        bounded further by the engine's own in-flight cap) and none
-        otherwise: issue, then wait.
+    def pages(self, subruns) -> Iterator[object]:
+        """One list of :class:`PrefetchedEvent` per key page of
+        ``subruns``, in order -- an
+        :class:`~repro.hepnos.column_block.EventBatch` when the page was
+        projected to columns.
+
+        Listing and loading each get ``options.load_retries``
+        re-attempts on top of the client's own retry policy (stale
+        shard maps and dead primaries never reach it: the load executor
+        re-issues those itself).  Exhausting them either fails the
+        iteration or (``on_load_failure="skip"``) abandons the rest of
+        the subrun and moves on.  Whatever is abandoned -- on skip, on
+        failure, or because the consumer stopped iterating -- is
+        cancelled or settled here, so nothing stays in the engine's
+        window for ``DataStore.shutdown()`` to trip over.
         """
-        pipelined = self.datastore.async_engine is not None and self.products
-        lookahead = self.options.lookahead if pipelined else 0
+        #: pages of loads kept on the wire ahead of consumption
+        ahead = (1 if self.datastore.async_engine is not None
+                 and self.products else 0)
         window: deque = deque()
-        for page in self._key_pages(subrun):
-            plan = LoadPlan(
-                page, self.products,
-                columns=self.columns if self.options.columnar_loads else None,
-                whole_events=self.options.packed_loads)
-            window.append((page, self.datastore.issue_load(plan)))
-            if lookahead:
-                self.pages_prefetched += 1
-            if len(window) > lookahead:
-                yield from self._retire(subrun, *window.popleft())
-        while window:
-            yield from self._retire(subrun, *window.popleft())
+        skipped: set[int] = set()
+        try:
+            for subrun, keys in self._key_pages(subruns, skipped):
+                # The one place a lane is named.
+                plan = LoadPlan(keys, self.products, columns=self.columns,
+                                whole_events=self.options.packed_loads)
+                window.append((subrun, keys, self.datastore.issue_load(plan)))
+                self.pages_prefetched += ahead
+                if len(window) > ahead:
+                    yield from self._retire(window, skipped)
+            while window:
+                yield from self._retire(window, skipped)
+        finally:
+            for _subrun, _keys, pending in window:
+                self._discard(pending)
 
-    def _key_pages(self, subrun: SubRun) -> Iterator[list]:
-        cursor = b""
+    def _retrying(self, fn: Callable):
+        """Run idempotent ``fn`` under the ``load_retries`` budget."""
+        attempts = 0
         while True:
-            page = list(self.datastore.list_child_keys(
-                "events", subrun.key, start_after=cursor,
-                limit=self.batch_size,
-            ))
-            if not page:
-                return
-            cursor = page[-1]
-            yield page
-            if len(page) < self.batch_size:
-                return
+            try:
+                return fn()
+            except RETRYABLE_ERRORS:
+                attempts += 1
+                self.load_retries += 1
+                if attempts > self.options.load_retries:
+                    self.load_failures += 1
+                    raise
 
-    def _retire(self, subrun: SubRun, event_keys: list[bytes],
-                pending) -> Iterator["PrefetchedEvent"]:
-        """Wait for one issued page and emit its events.
+    def _abandon(self, subrun, skipped: set) -> bool:
+        """A load of ``subrun`` gave up: under ``on_load_failure="skip"``
+        mark the subrun abandoned, otherwise tell the caller to raise."""
+        if self.options.on_load_failure != "skip":
+            return False
+        self.subruns_skipped += 1
+        skipped.add(id(subrun))
+        return True
 
-        Projected events expose their columns through
-        :meth:`PrefetchedEvent.columns`; events the server could not
-        project carry the row-wise objects instead, and ``load`` of
-        anything not prefetched falls back to a per-event RPC.
-        """
+    def _discard(self, pending) -> None:
+        """Cancel an abandoned page's queued requests and settle the
+        ones already on the wire, so the engine holds none of them."""
+        if self.datastore.async_engine is None:
+            return
+        for future in pending.futures:
+            if not future.cancel():
+                try:
+                    future.wait()
+                except ReproError:
+                    pass
+
+    def _key_pages(self, subruns, skipped: set):
+        """``(subrun, event key page)`` pairs, in order."""
+        size = self.options.input_batch_size
+
+        def list_page():
+            with _tracing.span("hepnos.prefetch.list", limit=size) as sp:
+                page = list(self.datastore.list_child_keys(
+                    "events", subrun.key, start_after=cursor, limit=size))
+                sp.set_tag("events", len(page))
+            return page
+
+        for subrun in subruns:
+            cursor = b""
+            while id(subrun) not in skipped:
+                try:
+                    page = self._retrying(list_page)
+                except RETRYABLE_ERRORS:
+                    if not self._abandon(subrun, skipped):
+                        raise
+                    break
+                if not page:
+                    break
+                cursor = page[-1]
+                yield subrun, page
+                if len(page) < size:
+                    break
+
+    def _retire(self, window: deque, skipped: set):
+        """Wait for the oldest issued page; yields it, or nothing when
+        its subrun was abandoned.  The page leaves the window only once
+        its load is retired or discarded: one that raises stays for
+        :meth:`pages` to discard."""
+        subrun, keys, pending = window[0]
+        loaded = (None if id(subrun) in skipped
+                  else self._wait(subrun, keys, pending, skipped))
+        window.popleft()
+        if loaded is None:
+            self._discard(pending)
+            return
+        events = [PrefetchedEvent(subrun, key, loaded, i)
+                  for i, key in enumerate(keys)]
+        # A columnar page's consumers read the block's arrays.
+        yield events if loaded.block is None else EventBatch(events,
+                                                             loaded.block)
+
+    def _wait(self, subrun, keys, pending, skipped: set):
+        """The retired load of one page, or ``None`` when it gave up and
+        its subrun is skipped."""
         wait_start = time.monotonic()
         overlap = pending.overlap_seconds(wait_start)
-        with _tracing.span("hepnos.prefetch.page", events=len(event_keys),
-                           products=len(self.products)) as sp:
-            loaded = pending.wait()
-            waited = time.monotonic() - wait_start
-            sp.set_tag("overlap_seconds", round(overlap, 6))
-            sp.set_tag("wait_seconds", round(waited, 6))
+        with _tracing.span("hepnos.prefetch.page", events=len(keys),
+                           products=len(self.products),
+                           overlap_seconds=round(overlap, 6)):
+            try:
+                # A wait() that gave up re-issues what is still
+                # unanswered when called again.
+                loaded = self._retrying(pending.wait)
+            except RETRYABLE_ERRORS:
+                if not self._abandon(subrun, skipped):
+                    raise
+                return None
         self.overlap_seconds += overlap
-        self.wait_seconds += waited
-        for i, key in enumerate(event_keys):
-            event = Event(self.datastore, subrun, hkeys.child_number(key), key)
-            yield PrefetchedEvent(event, loaded.event_products(i),
-                                  loaded.event_columns(i))
+        self.wait_seconds += time.monotonic() - wait_start
+        return loaded
 
 
-class PrefetchedEvent:
-    """An event plus its prefetched products.
+class PrefetchedEvent(_ProductHolder):
+    """One event of a retired page: its identity plus its slot in the
+    page's answer.
 
-    :meth:`load` serves prefetched (type, label) pairs from memory and
-    falls back to the datastore for anything else.
+    Handed out by the Prefetcher, the ParallelEventProcessor and
+    ``EventBatch.items`` alike.  :meth:`load` serves prefetched
+    (type, label) pairs from memory and falls back to the datastore for
+    anything else; :meth:`store` writes a product on the event, as
+    :class:`~repro.hepnos.Event` does.
     """
 
-    __slots__ = ("event", "_products", "_columns")
+    __slots__ = ("subrun", "key", "_loaded", "_index")
 
-    def __init__(self, event: Event, products: dict,
-                 columns: Optional[dict] = None):
-        self.event = event
-        self._products = products
-        self._columns = columns
+    def __init__(self, subrun: SubRun, key: bytes, loaded, index: int):
+        self.subrun = subrun
+        self.key = key
+        self._loaded = loaded
+        self._index = index
+
+    @property
+    def datastore(self):
+        return self.subrun.datastore
 
     @property
     def number(self) -> int:
-        return self.event.number
+        return hkeys.child_number(self.key)
 
-    def triple(self) -> tuple[int, int, int]:
-        return self.event.triple()
+    @property
+    def run_number(self) -> int:
+        return self.subrun.run.number
+
+    @property
+    def subrun_number(self) -> int:
+        return self.subrun.number
+
+    def triple(self) -> Tuple[int, int, int]:
+        return (self.subrun.run.number, self.subrun.number,
+                hkeys.child_number(self.key))
 
     def load(self, product_type, label: str = ""):
         spec = (product_type_name(product_type), label)
-        if spec in self._products:
-            value = self._products[spec]
-            if value is None:
-                raise ProductNotFound(
-                    f"no product label={label!r} type={spec[0]!r} "
-                    f"in event {self.event.triple()}"
-                )
-            return value
-        return self.event.load(product_type, label=label)
+        products = self._loaded.event_products(self._index)
+        if spec not in products:
+            return super().load(product_type, label=label)
+        value = products[spec]
+        if value is None:
+            raise ProductNotFound(
+                f"no product label={label!r} type={spec[0]!r} "
+                f"in event {self.triple()}"
+            )
+        return value
 
     def prefetched(self, product_type, label: str = "") -> Optional[object]:
         """The prefetched product or None (no fallback RPC)."""
-        return self._products.get((product_type_name(product_type), label))
+        return self._loaded.event_products(self._index).get(
+            (product_type_name(product_type), label))
 
     def columns(self) -> Optional[dict]:
         """Projected field arrays for this event (columnar prefetch
         only); ``None`` when the event was not projected."""
-        return self._columns
+        return self._loaded.event_columns(self._index)

@@ -1,7 +1,7 @@
 """Shared low-level utilities: sorted maps, hashing, key codecs."""
 
 from repro.utils.skiplist import SkipListMap
-from repro.utils.hashing import fnv1a_64, mix64, ConsistentHashRing, jump_hash
+from repro.utils.hashing import fnv1a_64, mix64, ConsistentHashRing
 from repro.utils.keycodec import (
     encode_u64_be,
     decode_u64_be,
@@ -13,7 +13,6 @@ __all__ = [
     "fnv1a_64",
     "mix64",
     "ConsistentHashRing",
-    "jump_hash",
     "encode_u64_be",
     "decode_u64_be",
     "prefix_upper_bound",

@@ -2,8 +2,7 @@
 
 HEPnOS selects which database instance holds a container (or product) by
 *consistent hashing of the parent container's key* (paper section II-C3).
-We provide both a classic virtual-node hash ring and Google's jump
-consistent hash; the ring is the default because it supports weighted
+We provide a classic virtual-node hash ring: it supports weighted
 targets and incremental membership changes (the Pufferscale rescaling
 work the paper cites relies on that property).
 """
@@ -36,30 +35,13 @@ def mix64(value: int) -> int:
     """SplitMix64 finalizer: full-avalanche mix of a 64-bit value.
 
     FNV-1a of short, similar inputs differs mostly in the low bits; the
-    hash ring and jump hash need dispersion across all 64 bits, so both
-    run raw hashes through this finalizer.
+    hash ring needs dispersion across all 64 bits, so it runs raw
+    hashes through this finalizer.
     """
     z = (value + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
-
-
-def jump_hash(key: int, num_buckets: int) -> int:
-    """Jump consistent hash (Lamping & Veach, 2014).
-
-    Maps a 64-bit ``key`` onto ``num_buckets`` buckets such that growing
-    the bucket count relocates only ~1/n of the keys.
-    """
-    if num_buckets <= 0:
-        raise ValueError("num_buckets must be positive")
-    k = key & _MASK64
-    b, j = -1, 0
-    while j < num_buckets:
-        b = j
-        k = (k * 2862933555777941757 + 1) & _MASK64
-        j = int((b + 1) * (float(1 << 31) / float((k >> 33) + 1)))
-    return b
 
 
 class ConsistentHashRing:

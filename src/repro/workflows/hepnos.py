@@ -104,15 +104,9 @@ class HEPnOSWorkflow:
         # whole selection transparently falls back to per-event mode.
         use_columnar = (self.pep_options.columnar_loads
                         and self.cut.columns is not None)
-        if use_columnar:
-            fields = sorted(set(self.cut.columns) | {"slice_id"})
-            pep_options = self.pep_options
-        else:
-            fields = None
-            pep_options = (
-                replace(self.pep_options, columnar_loads=False)
-                if self.pep_options.columnar_loads else self.pep_options
-            )
+        fields = (sorted(set(self.cut.columns) | {"slice_id"})
+                  if use_columnar else None)
+        pep_options = replace(self.pep_options, columnar_loads=use_columnar)
 
         def rank_body(comm):
             pep = ParallelEventProcessor(
@@ -136,13 +130,13 @@ class HEPnOSWorkflow:
             def handle_batch(batch):
                 missing = batch.missing_indices()
                 if missing:
-                    stub = batch.items[missing[0]]
+                    event = batch.items[missing[0]]
                     # Same semantics as the per-event path, where
                     # event.load raises on an absent product.
                     raise ProductNotFound(
                         f"no product label={self.label!r} "
                         f"type={product_type.name!r} in event "
-                        f"{stub.triple()}"
+                        f"{event.triple()}"
                     )
                 table = batch.table
                 mask = self.cut.mask(table)
@@ -151,7 +145,7 @@ class HEPnOSWorkflow:
                 accepted.extend(int(x) for x in table["slice_id"][mask])
                 # Events the server could not project (stored row-wise
                 # or a degraded column) evaluate object-by-object.
-                for _stub, slices in batch.fallback_items():
+                for _event, slices in batch.fallback_items():
                     counters["slices"] += len(slices)
                     accepted.extend(
                         s.slice_id for s in slices if self.cut(s)

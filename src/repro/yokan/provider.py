@@ -252,11 +252,6 @@ class YokanProvider:
 
     # -- database management -----------------------------------------------
 
-    def add_database(self, name: str, backend: Backend) -> None:
-        if name in self.databases:
-            raise YokanError(f"database {name!r} already exists")
-        self.databases[name] = backend
-
     def _db(self, req: RPCRequest, name: str) -> Backend:
         """The database a request names (tagged on its span)."""
         if req.trace_span is not None:
@@ -277,9 +272,6 @@ class YokanProvider:
         if db_name not in self.databases:
             raise YokanError(f"no database named {db_name!r}")
         self._replicas[db_name] = ReplicaLink(handle, window=window)
-
-    def clear_replica(self, db_name: str) -> None:
-        self._replicas.pop(db_name, None)
 
     def replica_links(self) -> dict[str, ReplicaLink]:
         return dict(self._replicas)

@@ -6,6 +6,9 @@ engine's bounded window, drain-on-shutdown, and async-vs-sync
 equivalence under a chaos FaultSchedule.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.bedrock import BedrockServer, default_hepnos_config
@@ -166,17 +169,6 @@ class TestAsyncEngineWindow:
         assert (stats.submitted, stats.completed, stats.failed) == (6, 6, 0)
         assert db.exists(b"k5")
 
-    def test_completion_queue_follows_retirement_order(self, world):
-        fabric, _, _, db = world
-        db.put_multi([(f"k{i}".encode(), f"v{i}".encode()) for i in range(3)])
-        engine = AsyncEngine(max_inflight=8)
-        engine.fabric = fabric
-        futures = [engine.submit(db.get_nb(f"k{i}".encode())) for i in range(3)]
-        for future in reversed(futures):
-            future.wait()
-        assert engine.drain_completed() == list(reversed(futures))
-        assert engine.pop_completed() is None
-
     def test_cancel_queued_future(self, world):
         fabric, _, _, db = world
         engine = AsyncEngine(max_inflight=1)
@@ -266,6 +258,32 @@ class TestDataStoreIntegration:
         ]
         assert got == expected
         assert piped.pages_prefetched > 0
+        datastore.shutdown()
+
+    def test_engine_forgets_what_it_carried(self):
+        """Regression: every settled future -- with its decoded answer
+        -- used to stay in a completion queue nobody popped."""
+        fabric, servers = _hepnos_world()
+        datastore = DataStore.connect(  # no cache: every page hits the wire
+            fabric, servers, product_cache=ProductCacheOptions(enabled=False))
+        _populate(datastore, "nb/forget", subruns=1, events=64)
+        subrun = datastore["nb/forget"][1][0]
+        engine = AsyncEngine(datastore, max_inflight=2)
+        carried, submit = [], engine.submit
+
+        def recording_submit(future):
+            carried.append(weakref.ref(future))
+            return submit(future)
+
+        engine.submit = recording_submit
+        reader = Prefetcher(datastore, options=PEPOptions(input_batch_size=8),
+                            products=[(vector_of(Hit), "hits")])
+        assert sum(1 for _ in reader.events(subrun)) == 64
+        del reader
+        gc.collect()
+        assert len(carried) >= 8
+        assert engine.stats.completed == len(carried)
+        assert [ref() for ref in carried if ref() is not None] == []
         datastore.shutdown()
 
     def test_async_vs_sync_pep_equivalence_under_chaos(self):

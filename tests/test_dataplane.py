@@ -3,7 +3,6 @@ client-side product cache."""
 
 import pytest
 
-from conftest import deploy
 from repro.errors import CorruptionError, ProductNotFound
 from repro.hepnos import (
     DataStore,
@@ -11,7 +10,6 @@ from repro.hepnos import (
     ParallelEventProcessor,
     PEPOptions,
     Prefetcher,
-    PrefetchOptions,
     ProductCache,
     ProductCacheOptions,
     WriteBatch,
@@ -285,7 +283,7 @@ class TestLoadProductsPacked:
                     out.append((ev.number, None))
             return out
 
-        fast = run(PrefetchOptions(batch_size=5))
-        slow = run(PrefetchOptions(batch_size=5, packed_loads=False))
+        fast = run(PEPOptions(input_batch_size=5))
+        slow = run(PEPOptions(input_batch_size=5, packed_loads=False))
         assert fast == slow
         assert len(fast) == 12

@@ -26,7 +26,15 @@ from repro.faults import (
     RetryPolicy,
     run_chaos,
 )
-from repro.hepnos import PEPOptions, DataStore, ParallelEventProcessor
+from repro.hepnos import (
+    AsyncEngine,
+    DataStore,
+    ParallelEventProcessor,
+    PEPOptions,
+    Prefetcher,
+    ProductCacheOptions,
+    WriteBatch,
+)
 from repro.mercury import Engine, Fabric, FaultModel, InjectionFaultModel
 from repro.mercury.address import Address
 from repro.yokan import MemoryBackend, YokanClient, YokanProvider
@@ -346,6 +354,57 @@ class TestDegradation:
         assert stats.subruns_skipped == 3
         assert stats.load_retries >= 3
         assert stats.load_failures >= 3
+
+    def test_reader_settles_what_it_abandons(self):
+        """Regression: pages of a skipped subrun stayed in the engine's
+        window, so a run that had degraded gracefully raised
+        NetworkFailure from ``shutdown()``."""
+        fabric = Fabric()
+        # Listings and half the products on node0; the other product
+        # shard on node1, which gets partitioned away.
+        servers = [
+            BedrockServer(fabric, default_hepnos_config(
+                "sm://node0/hepnos", num_providers=1, event_databases=2,
+                product_databases=1, run_databases=1, subrun_databases=1)),
+            BedrockServer(fabric, default_hepnos_config(
+                "sm://node1/hepnos", num_providers=1, event_databases=0,
+                product_databases=1, run_databases=0, subrun_databases=0,
+                dataset_databases=0)),
+        ]
+        datastore = DataStore.connect(
+            fabric, servers,
+            retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0,
+                                     jitter=0.0),
+            product_cache=ProductCacheOptions(enabled=False))
+        engine = AsyncEngine(datastore, max_inflight=8)
+        ds = datastore.create_dataset("abandoned")
+        with WriteBatch(datastore) as batch:
+            run = ds.create_run(1, batch=batch)
+            for s in range(2):
+                subrun = run.create_subrun(s, batch=batch)
+                for e in range(24):
+                    subrun.create_event(e, batch=batch).store(
+                        float(e), label="x", batch=batch)
+        options = PEPOptions(input_batch_size=8, load_retries=0,
+                             on_load_failure="skip")
+
+        # A consumer that stops early leaves nothing behind either.
+        events = Prefetcher(datastore, options=options,
+                            products=[(float, "x")]).events(subrun)
+        assert next(events).load(float, label="x") == 0.0
+        events.close()
+        assert engine.outstanding == 0
+
+        fabric.fault_model = PartitionFault(group_a={"hepnos-client"},
+                                            group_b={"node1"})
+        pep = ParallelEventProcessor(datastore, options=options,
+                                     products=[(float, "x")])
+        seen = []
+        stats = pep.process(ds, seen.append)
+        assert seen == [] and stats.subruns_skipped == 2
+        assert engine.outstanding == 0
+        datastore.shutdown()  # the partition is still up: nothing to trip on
+        fabric.fault_model = FaultModel()
 
     def test_pep_raise_mode_propagates(self):
         fabric = Fabric()

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import HEPnOSError, ProductNotFound
 from repro.framework import (
     Analyzer,
+    CutFilter,
     EventContext,
     FileSource,
     Filter,
@@ -18,7 +19,8 @@ from repro.framework import (
 )
 from repro.hepnos import DataLoader, vector_of
 from repro.minimpi import mpirun
-from repro.nova import BEAM, GeneratorConfig, NovaGenerator, write_nova_file
+from repro.nova import GeneratorConfig, NovaGenerator, write_nova_file
+from repro.nova.cafana import Cut
 from repro.nova.datamodel import SliceData
 from repro.serial import registered_type, serializable
 
@@ -30,6 +32,17 @@ class EnergySum:
 
     def serialize(self, ar):
         self.total = ar.io(self.total)
+
+
+@serializable("fw.UnplannedSlice", version=1)
+class UnplannedSlice:
+    """``serialize`` takes the version, so no column plan covers it."""
+
+    def __init__(self, cal_e=0.0):
+        self.cal_e = cal_e
+
+    def serialize(self, ar, version):
+        self.cal_e = ar.io(self.cal_e)
 
 
 class SumProducer(Producer):
@@ -299,3 +312,54 @@ class TestHEPnOSIO:
 
         mpirun(body, 3, timeout=120.0)
         assert sorted(analyzer.seen) == sorted(triples)
+
+    def test_vectorised_prefilter_matches_the_per_event_filter(
+            self, datastore, nova_files):
+        """A leading CutFilter whose cut declares its columns runs over
+        server-projected arrays; the same cut wrapped opaque runs per
+        event.  Same accounting, same survivors."""
+        paths, _ = nova_files
+        DataLoader(datastore, "fw/vec").ingest_file(paths[0])
+        slc = registered_type("rec.slc")
+        events = list(datastore["fw/vec"].events())
+        # One event stored row-wise over its ingested table, one whose
+        # rows no column plan covers (it travels as objects), and one
+        # event without the product.
+        events[1].store(events[1].load(vector_of(slc)))
+        events[2].store([UnplannedSlice(5.0)], type_name=vector_of(slc))
+        events[0].subrun.create_event(10 ** 6)
+        declared = Cut("hot", lambda s: s.cal_e > 2.0,
+                       lambda t: t["cal_e"] > 2.0, columns=["cal_e"])
+        opaque = Cut("hot", lambda s: declared(s))
+
+        class CountingCutFilter(CutFilter):
+            per_event = 0
+
+            def filter(self, event):
+                self.per_event += 1
+                return super().filter(event)
+
+        def run_with(cut):
+            head = CountingCutFilter(cut, vector_of(slc))
+            analyzer = CountingAnalyzer()
+            source = HEPnOSSource(
+                datastore, "fw/vec", products=[(vector_of(slc), "")],
+                input_batch_size=8)
+            assert source.supports_columnar(head) == (cut is declared)
+            report = Pipeline([head, analyzer]).run(source)
+            assert head.per_event == (
+                0 if cut is declared else report.events_read)
+            return (report.events_read,
+                    [(m.events_seen, m.events_passed) for m in report.modules],
+                    sorted(analyzer.seen))
+
+        vectorised, per_event = run_with(declared), run_with(opaque)
+        assert vectorised == per_event
+        events_read, _, survivors = vectorised
+        assert events_read == len(events) + 1
+        assert 0 < len(survivors) < events_read
+        assert events[2].triple() in survivors
+        assert HEPnOSSource(datastore, "fw/vec").supports_columnar(
+            CutFilter(declared, vector_of(slc))) is False  # no single spec
+        with pytest.raises(TypeError):
+            HEPnOSSource(datastore, "fw/vec", columnar=True)

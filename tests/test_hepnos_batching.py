@@ -6,7 +6,7 @@ from repro.errors import HEPnOSError, ProductNotFound
 from repro.hepnos import (
     AsynchronousWriteBatch,
     Prefetcher,
-    PrefetchOptions,
+    PEPOptions,
     WriteBatch,
     vector_of,
 )
@@ -142,13 +142,13 @@ class TestPrefetcher:
 
     def test_iterates_all_events_in_order(self, datastore, populated):
         prefetcher = Prefetcher(
-            datastore, options=PrefetchOptions(batch_size=16))
+            datastore, options=PEPOptions(input_batch_size=16))
         numbers = [ev.number for ev in prefetcher.events(populated)]
         assert numbers == list(range(100))
 
     def test_products_prefetched(self, fabric, datastore, populated):
         prefetcher = Prefetcher(
-            datastore, options=PrefetchOptions(batch_size=32),
+            datastore, options=PEPOptions(input_batch_size=32),
             products=[(vector_of(Hit), "hits")],
         )
         fabric.stats.reset()
@@ -165,7 +165,7 @@ class TestPrefetcher:
 
     def test_missing_prefetched_product_raises(self, datastore, populated):
         prefetcher = Prefetcher(
-            datastore, options=PrefetchOptions(batch_size=32),
+            datastore, options=PEPOptions(input_batch_size=32),
             products=[(Hit, "flag")])
         seen = 0
         for ev in prefetcher.events(populated):
@@ -179,7 +179,7 @@ class TestPrefetcher:
 
     def test_prefetched_accessor_no_fallback(self, datastore, populated):
         prefetcher = Prefetcher(
-            datastore, options=PrefetchOptions(batch_size=32),
+            datastore, options=PEPOptions(input_batch_size=32),
             products=[(Hit, "flag")])
         for ev in prefetcher.events(populated):
             value = ev.prefetched(Hit, label="flag")
@@ -187,13 +187,13 @@ class TestPrefetcher:
 
     def test_fallback_load_for_unprefetched(self, datastore, populated):
         prefetcher = Prefetcher(
-            datastore, options=PrefetchOptions(batch_size=32))
+            datastore, options=PEPOptions(input_batch_size=32))
         first = next(prefetcher.events(populated))
         assert first.load(vector_of(Hit), label="hits") == [Hit(0.0)]
 
     def test_batch_size_validation(self, datastore):
-        with pytest.raises(ValueError):
-            Prefetcher(datastore, options=PrefetchOptions(batch_size=0))
+        with pytest.raises(HEPnOSError):
+            Prefetcher(datastore, options=PEPOptions(input_batch_size=0))
         with pytest.raises(TypeError, match="unexpected keyword argument"):
             Prefetcher(datastore, batch_size=16)
 

@@ -11,7 +11,10 @@ writes), the row-encoded list ``event.store`` writes -- some of them
 over a table -- and a list of a class no column plan covers.
 """
 
+import ast
 import dataclasses
+import glob
+import os
 import time
 
 import numpy as np
@@ -28,7 +31,6 @@ from repro.hepnos import (
     PendingLoad,
     PEPOptions,
     Prefetcher,
-    PrefetchOptions,
     WriteBatch,
     vector_of,
 )
@@ -37,6 +39,7 @@ from repro.hepnos.connection import DbTarget
 from repro.hepnos.failover import enable_replication
 from repro.hepnos.load_plan import _LANES
 from repro.mercury import Fabric
+from repro.minimpi import mpirun
 from repro.rescale import LiveRescaler, add_server, migrate_live
 from repro.serial import register_type, serializable
 from repro.serial.compiled import plan_table
@@ -188,6 +191,19 @@ def moving(datastore, keys):
             if smap.previous_product_database_for(k) is not None]
 
 
+def split_migration(fabric, datastore, keys):
+    """Stop a live rescale with half the moving products moved."""
+    rescaler = LiveRescaler(
+        datastore, add_server(datastore.connection,
+                              joining_server(fabric)), batch_size=4)
+    rescaler.begin()
+    movers = moving(datastore, keys)
+    assert len(movers) >= 2
+    while rescaler.stats.moves_by_kind.get("products", 0) < len(movers) // 2:
+        assert rescaler.step()
+    assert datastore.placement.migrating
+
+
 @pytest.fixture()
 def world():
     """``build(replicated)`` -> (fabric, servers, datastore); torn down."""
@@ -232,15 +248,7 @@ def test_plan_matches_model(world, monkeypatch, lane, mode, state):
     fired = [True]
 
     if state == "split":
-        rescaler = LiveRescaler(
-            datastore, add_server(datastore.connection,
-                                  joining_server(fabric)), batch_size=4)
-        rescaler.begin()
-        movers = moving(datastore, keys)
-        assert len(movers) >= 2
-        while rescaler.stats.moves_by_kind.get("products", 0) < len(movers) // 2:
-            assert rescaler.step()
-        assert datastore.placement.migrating
+        split_migration(fabric, datastore, keys)
     elif state == "epoch_swap":
         joined = add_server(datastore.connection, joining_server(fabric))
         fired = before_first_wait(
@@ -364,8 +372,67 @@ def pep_pass(datastore, dataset, **options):
     return seen, stats
 
 
+def reader_streams(datastore, dataset, subrun, lane):
+    """``(reader, [(triple, hits, flag), ...])`` for every way of
+    reading ``subrun``: its products through ``lane``, or -- for what a
+    column projection leaves on the server -- through ``event.load``."""
+    from repro.errors import ProductNotFound
+
+    specs = SPECS[:1] if lane == "columns" else SPECS
+    columns = ["adc", "n"] if lane == "columns" else None
+    options = PEPOptions(input_batch_size=8, dispatch_batch_size=4,
+                         packed_loads=lane != "exact",
+                         columnar_loads=lane == "columns")
+
+    def row(event):
+        out = [event.triple()]
+        for ptype, label in SPECS:
+            try:
+                out.append(event.load(ptype, label=label))
+            except ProductNotFound:
+                out.append(None)
+        return tuple(out)
+
+    def pep_rows(comm):
+        rows = []
+        pep = ParallelEventProcessor(datastore, comm, options=options,
+                                     products=specs, columns=columns)
+        if lane == "columns":
+            pep.process_batches(dataset, lambda batch: rows.extend(
+                row(event) for event in batch.items))
+        else:
+            pep.process(dataset, lambda event: rows.append(row(event)))
+        return rows
+
+    yield "containers", [row(event) for event in subrun]
+    yield "prefetcher", [row(event) for event in Prefetcher(
+        datastore, options=options, products=specs,
+        columns=columns).events(subrun)]
+    yield "pep", pep_rows(None)
+    yield "pep on 3 ranks", sorted(
+        (r for rows in mpirun(pep_rows, 3) for r in rows), key=lambda r: r[0])
+
+
+@pytest.mark.parametrize("state", ("settled", "split"))
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("lane", LANES)
+def test_every_reader_yields_the_same_stream(world, lane, mode, state):
+    fabric, _, datastore = world()
+    subrun, keys, model = populate(datastore)
+    if mode == "engine":
+        AsyncEngine(datastore, max_inflight=2)
+    if state == "split":
+        split_migration(fabric, datastore, keys)
+    expected = [((1, 1, e), model.get((key, HITS)), model.get((key, FLAG)))
+                for e, key in enumerate(keys)]
+    for reader, rows in reader_streams(datastore, datastore["lp"], subrun,
+                                       lane):
+        assert rows == expected, reader
+    assert datastore.placement.migrating == (state == "split")
+
+
 def prefetch_pass(datastore, subrun):
-    prefetcher = Prefetcher(datastore, options=PrefetchOptions(batch_size=8),
+    prefetcher = Prefetcher(datastore, options=PEPOptions(input_batch_size=8),
                             products=SPECS)
     events = [(ev.number, ev.prefetched(*SPECS[0]), ev.prefetched(*SPECS[1]))
               for ev in prefetcher.events(subrun)]
@@ -393,7 +460,7 @@ def test_engine_passes_equal_blocking_and_stay_packed(fabric, datastore):
             datastore, options=PEPOptions(input_batch_size=8)
         ).process(dataset, lambda ev: None))
     _, pf_listing = counted(lambda: list(Prefetcher(
-        datastore, options=PrefetchOptions(batch_size=8)).events(subrun)))
+        datastore, options=PEPOptions(input_batch_size=8)).events(subrun)))
     (blocking_pep, _), pep_rpcs = counted(lambda: pep_pass(datastore, dataset))
     (blocking_pf, _), pf_rpcs = counted(
         lambda: prefetch_pass(datastore, subrun))
@@ -478,3 +545,77 @@ def test_pipelined_page_survives_epoch_swap_without_pep_retries(world):
     assert datastore.metrics.counter("hepnos.shard.stale_retries").value >= 1
     got, _ = pep_pass(datastore, dataset)
     assert got == expected
+
+
+# -- the reader cannot fork again: one page loop, one place a lane is named ---
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
+
+
+def _src_trees(pattern):
+    """``(path relative to src/, parsed module)`` of every source file
+    matching ``pattern``."""
+    for path in sorted(glob.glob(os.path.join(SRC, pattern), recursive=True)):
+        with open(path, encoding="utf-8") as handle:
+            yield os.path.relpath(path, SRC), ast.parse(handle.read())
+
+
+def _src_calls():
+    """``(module path under src/, enclosing function, call node)`` for
+    every call in the source tree."""
+    for module, tree in _src_trees("**/*.py"):
+
+        def walk(node, function):
+            for child in ast.iter_child_nodes(node):
+                inner = function
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    inner = child.name
+                elif isinstance(child, ast.Call):
+                    yield module, function, child
+                yield from walk(child, inner)
+
+        yield from walk(tree, None)
+
+
+def _callee(call) -> str:
+    func = call.func
+    return getattr(func, "attr", None) or getattr(func, "id", "")
+
+
+def test_one_module_pages_through_events_and_names_the_lane():
+    calls = list(_src_calls())
+    issuers = {module for module, _, call in calls
+               if _callee(call) == "issue_load"}
+    assert issuers == {"repro/hepnos/prefetcher.py"}
+    # The datastore's two named conveniences plan over whatever
+    # container keys they are given; only the reader plans event pages.
+    planners = {(module, function) for module, function, call in calls
+                if _callee(call) == "LoadPlan"}
+    assert planners == {
+        ("repro/hepnos/datastore.py", "load_products_packed"),
+        ("repro/hepnos/datastore.py", "load_products_columnar"),
+        ("repro/hepnos/prefetcher.py", "pages"),
+    }
+    event_listers = {
+        module for module, _, call in calls
+        if _callee(call) == "list_child_keys" and call.args
+        and getattr(call.args[0], "value", None) == "events"}
+    assert event_listers == {"repro/hepnos/containers.py",
+                             "repro/hepnos/prefetcher.py",
+                             "repro/rescale/migrate.py"}
+
+
+def test_framework_and_workflows_use_the_readers_public_surface():
+    private = {name
+               for reader in (ParallelEventProcessor(None), Prefetcher(None))
+               for name in set(dir(reader)) | set(vars(reader))
+               if name.startswith("_") and not name.startswith("__")}
+    assert {"_reader", "_batch_mode", "_key_pages", "_retire"} <= private
+    reached = [(module, node.attr)
+               for package in ("framework", "workflows")
+               for module, tree in _src_trees(f"repro/{package}/*.py")
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr in private]
+    assert reached == []

@@ -1,4 +1,5 @@
-"""The RPC floor as a count: Python-level calls per null ``exists``.
+"""The RPC floor and the reader floor as counts: Python-level calls
+per null ``exists`` and per event of a no-op pass.
 
 A timing gate depends on the machine; this one does not.  On the inline
 fabric one ``DatabaseHandle.exists`` of an absent key walks the whole
@@ -6,35 +7,67 @@ small-RPC path (client encode + seal, forward, hand-off, dispatch,
 ``_serve``, respond, wake, decode) on one thread, and ``cProfile``'s
 call count for it repeats exactly from run to run -- so the next
 closure, wrapper frame or per-call object on that path fails here,
-before any benchmark runs.  ``python tests/test_rpc_floor.py`` prints
-the counts (CI puts them in the job summary).
+before any benchmark runs.  The reader floor is the same method one
+layer up: calls per event of a sequential no-op pass over one 1-field
+product in pages of 64, through the ParallelEventProcessor and through
+the Prefetcher it iterates -- so a second object or wrapper frame per
+event fails here too.  ``python tests/test_rpc_floor.py`` prints the
+counts (CI puts them in the job summary).
 """
 
 import cProfile
+import dataclasses
+import gc
 import pstats
 
 import pytest
 
 from repro import hepnos
 from repro.bedrock import BedrockServer, default_hepnos_config
+from repro.hepnos import (
+    ParallelEventProcessor,
+    PEPOptions,
+    Prefetcher,
+    WriteBatch,
+)
 from repro.mercury import Fabric
+from repro.serial import register_type
 
 #: calls per null exists the path may make: (untagged, tenant + broker).
 #: The tree before the hand-off rewrite made 268 and 321 on this
 #: deployment; the rewrite left 160 and 213.
 BUDGET = {False: 200, True: 250}
 CALLS = 1000
+#: calls per event a no-op pass may make: what the two copies of the
+#: loading loop made on this deployment before they became one (125.30
+#: the PEP's, 126.31 the Prefetcher's); the one loop leaves 117.3 and
+#: 115.5.
+READER_BUDGET = {"pep": 125.3, "prefetcher": 126.3}
+EVENTS = 512
+
+
+@dataclasses.dataclass
+class Flag:
+    n: int = 0
+
+
+register_type(Flag, "floor.Flag")
+
+
+def deploy(tenants=None) -> list:
+    """Two ``map`` servers, two providers each, on an inline fabric."""
+    fabric = Fabric()
+    return [BedrockServer(fabric, default_hepnos_config(
+        f"sm://node{i}/hepnos", num_providers=2, event_databases=2,
+        product_databases=2, run_databases=1, subrun_databases=1,
+        tenants=tenants)) for i in range(2)]
 
 
 def null_exists_calls(brokered: bool) -> float:
     """Mean calls per ``exists`` over ``CALLS`` calls on a ``map``
     deployment; ``brokered`` adds the tenant envelope and the broker."""
-    fabric = Fabric()
-    tenants = {"slots": 8, "interactive_reserve": 2} if brokered else None
-    servers = [BedrockServer(fabric, default_hepnos_config(
-        f"sm://node{i}/hepnos", num_providers=2, event_databases=2,
-        product_databases=2, run_databases=1, subrun_databases=1,
-        tenants=tenants)) for i in range(2)]
+    servers = deploy({"slots": 8, "interactive_reserve": 2}
+                     if brokered else None)
     session = hepnos.connect(
         servers=servers, **({"tenant": "floor", "priority": "interactive"}
                             if brokered else {}))
@@ -55,6 +88,60 @@ def null_exists_calls(brokered: bool) -> float:
             server.shutdown()
 
 
+def reader_calls(reader: str) -> float:
+    """Mean calls per event of one no-op pass over ``EVENTS`` events of
+    one subrun, one ``Flag`` each, in pages of 64."""
+    servers = deploy()
+    session = hepnos.connect(servers=servers)
+    try:
+        datastore = session.datastore
+        dataset = datastore.create_dataset("floor")
+        with WriteBatch(datastore) as batch:
+            subrun = (dataset.create_run(1, batch=batch)
+                      .create_subrun(1, batch=batch))
+            for e in range(EVENTS):
+                subrun.create_event(e, batch=batch).store(
+                    Flag(e), label="f", batch=batch)
+        options = PEPOptions(input_batch_size=64)
+        if reader == "pep":
+            pep = ParallelEventProcessor(datastore, options=options,
+                                         products=[(Flag, "f")])
+
+            def one_pass():
+                pep.process(dataset, lambda event: None)
+        else:
+            prefetcher = Prefetcher(datastore, options=options,
+                                    products=[(Flag, "f")])
+
+            def one_pass():
+                for _ in prefetcher.events(subrun):
+                    pass
+        one_pass()  # warm: handles, size hints
+        # Weak-reference callbacks of an earlier deployment's garbage
+        # would be counted if the collector ran inside the profile.
+        gc.collect()
+        gc.disable()
+        profile = cProfile.Profile()
+        profile.enable()
+        one_pass()
+        profile.disable()
+        gc.enable()
+        return pstats.Stats(profile).total_calls / EVENTS
+    finally:
+        session.close()
+        for server in servers:
+            server.shutdown()
+
+
+@pytest.mark.parametrize("reader", sorted(READER_BUDGET))
+def test_noop_pass_stays_within_its_call_budget(reader):
+    first, second = reader_calls(reader), reader_calls(reader)
+    assert abs(first - second) < 0.01, "the count must repeat exactly"
+    assert first <= READER_BUDGET[reader], (
+        f"a no-op {reader} pass makes {first:.1f} Python-level calls per "
+        f"event, budget {READER_BUDGET[reader]}")
+
+
 @pytest.mark.parametrize("brokered", [False, True],
                          ids=["untagged", "tenant+broker"])
 def test_null_exists_stays_within_its_call_budget(brokered):
@@ -70,3 +157,7 @@ if __name__ == "__main__":
         print(f"null exists, inline fabric, {label}: "
               f"{null_exists_calls(brokered):.0f} Python-level calls "
               f"(budget {BUDGET[brokered]})")
+    for reader, budget in sorted(READER_BUDGET.items()):
+        print(f"no-op pass, inline fabric, {reader}: "
+              f"{reader_calls(reader):.1f} Python-level calls per event "
+              f"(budget {budget})")

@@ -126,8 +126,7 @@ def test_wrap_payload_injects_active_context():
 
 def _yokan_pair(fabric):
     server = Engine(fabric, "sm://srv/e")
-    provider = YokanProvider(server, provider_id=3)
-    provider.add_database("db", MemoryBackend())
+    YokanProvider(server, provider_id=3, databases={"db": MemoryBackend()})
     client = YokanClient(Engine(fabric, "sm://cli/e"))
     return client.database_handle("sm://srv/e", 3, "db")
 
@@ -274,12 +273,12 @@ def test_pep_emits_batch_and_event_spans(datastore):
     batches = collector.find("pep.process_batch")
     assert batches and all(e.parent_id in {b.span_id for b in batches}
                            for e in events)
-    materialize = collector.find("pep.materialize")
-    assert materialize
-    # One load span per page, issued before the page materializes (the
+    pages = collector.find("hepnos.prefetch.page")
+    assert pages
+    # One load span per page, issued before the page is retired (the
     # default PEP configuration prefetches with packed prefix loads).
     loads = collector.find("hepnos.load_products")
-    assert len(loads) == len(materialize) == 2
+    assert len(loads) == len(pages) == 2
     for span in loads:
         assert span.tags["lane"] == "packed"
         assert {"containers", "specs", "databases", "epoch",

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils import ConsistentHashRing, fnv1a_64, jump_hash
+from repro.utils import ConsistentHashRing, fnv1a_64
 
 
 def test_fnv1a_known_values():
@@ -16,31 +16,6 @@ def test_fnv1a_known_values():
 
 def test_fnv1a_distinct_inputs():
     assert fnv1a_64(b"run1") != fnv1a_64(b"run2")
-
-
-def test_jump_hash_range():
-    for key in range(1000):
-        b = jump_hash(key, 7)
-        assert 0 <= b < 7
-
-
-def test_jump_hash_single_bucket():
-    assert jump_hash(12345, 1) == 0
-
-
-def test_jump_hash_invalid_buckets():
-    with pytest.raises(ValueError):
-        jump_hash(1, 0)
-
-
-def test_jump_hash_monotone_moves():
-    """Growing bucket count only moves keys into the *new* bucket."""
-    keys = [fnv1a_64(str(i).encode()) for i in range(500)]
-    for n in range(1, 10):
-        before = [jump_hash(k, n) for k in keys]
-        after = [jump_hash(k, n + 1) for k in keys]
-        for b, a in zip(before, after):
-            assert a == b or a == n
 
 
 def test_ring_requires_targets():

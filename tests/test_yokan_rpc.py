@@ -158,11 +158,6 @@ class TestManagement:
         _, _, client, _ = world
         assert client.list_databases("sm://server/0", 1) == ["events", "products"]
 
-    def test_add_database_conflict(self, world):
-        _, provider, _, _ = world
-        with pytest.raises(YokanError):
-            provider.add_database("events", MemoryBackend())
-
     def test_provider_close_closes_backends(self, world):
         _, provider, _, _ = world
         provider.close()
