@@ -1,4 +1,4 @@
-"""Figure 2: strong scaling of the three workflows (paper section IV-E).
+"""Model study: Figure 2, strong scaling of the three workflows (section IV-E).
 
 Regenerates: throughput (slices/s) vs nodes in {16, 32, 64, 128, 256}
 on the 7716-file / 17,437,656-event sample, for the traditional

@@ -1,4 +1,4 @@
-"""Figure 3: throughput vs dataset size at 128 nodes (paper section IV-E).
+"""Model study: Figure 3, throughput vs dataset size at 128 nodes (section IV-E).
 
 Regenerates: throughput for the {1929, 3858, 7716}-file samples
 ({4.36M, 8.72M, 17.44M} events) on a fixed 128-node allocation.

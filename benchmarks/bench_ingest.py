@@ -1,58 +1,10 @@
-"""A-ingest ablation: DataLoader (HDF2HEPnOS) throughput.
+"""Model study: A-ingest ablation, DataLoader (HDF2HEPnOS) ingest scaling.
 
 Ingest is the only HEPnOS workflow step whose parallelism is bounded by
-the file count (paper section III-B).  Measures single-rank ingest rate
-and the effect of splitting the file list over ranks.
+the file count (paper section III-B).  Measured ingest rates on the
+real stack are ``ingest_events_per_s`` and ``loader.ingest_us_per_event``
+in ``benchmarks/e2e``; this file keeps the simulator half.
 """
-
-import pytest
-
-from repro.hepnos import DataLoader
-from repro.minimpi import mpirun
-from repro.nova import GeneratorConfig, generate_file_set
-
-CONFIG = GeneratorConfig(events_per_subrun=16, subruns_per_run=4)
-
-
-@pytest.fixture(scope="module")
-def file_set(tmp_path_factory):
-    return generate_file_set(
-        str(tmp_path_factory.mktemp("ingest-files")), num_files=8,
-        mean_events_per_file=24, config=CONFIG,
-    )
-
-
-def test_single_file_ingest(benchmark, datastore, file_set):
-    counter = {"n": 0}
-
-    def run():
-        counter["n"] += 1
-        loader = DataLoader(datastore, f"bench/ingest-{counter['n']}")
-        return loader.ingest_file(file_set.paths[0])
-
-    stats = benchmark.pedantic(run, rounds=3, iterations=1)
-    print(f"\nper-file: {stats.events_created} events, "
-          f"{stats.rows} slices, {stats.products_stored} products")
-
-
-@pytest.mark.parametrize("ranks", [1, 2, 4])
-def test_parallel_ingest(benchmark, datastore, file_set, ranks):
-    counter = {"n": 0}
-
-    def run():
-        counter["n"] += 1
-        loader = DataLoader(datastore,
-                            f"bench/par-ingest-{ranks}-{counter['n']}")
-        if ranks == 1:
-            return loader.ingest(file_set.paths)
-        return mpirun(lambda comm: loader.ingest(file_set.paths, comm=comm),
-                      ranks, timeout=300.0)[0]
-
-    stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert stats.files == file_set.num_files
-    assert stats.events_created == file_set.total_events
-    print(f"\n[ranks={ranks}] ingested {stats.files} files / "
-          f"{stats.events_created} events")
 
 
 class TestIngestScalingSim:

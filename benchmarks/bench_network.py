@@ -1,4 +1,4 @@
-"""A-fabric ablation: dragonfly interconnect behaviour.
+"""Model study: A-fabric ablation, dragonfly interconnect behaviour.
 
 The service traffic pattern -- many client nodes pulling bulk data from
 few server nodes -- concentrates load on a few global links of the

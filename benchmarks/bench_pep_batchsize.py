@@ -1,4 +1,4 @@
-"""A-pep ablation: ParallelEventProcessor batch-size tuning.
+"""Paper ablation (counts) + model study: A-pep, PEP batch-size tuning.
 
 The paper's configuration (section IV-D) loads events in input batches
 of 16384 ("fewer RPCs but with a large data transfer payload") and

@@ -1,4 +1,4 @@
-"""A-place ablation: parent-hash placement vs full-key hashing.
+"""Paper ablation (counts): A-place, parent-hash placement vs full-key hashing.
 
 The paper (section II-C3) places a container's children by hashing the
 *parent* key so listing them touches exactly one database; consistent

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Provider scaling benchmark: throughput curves across shard counts.
+"""Model study: provider scaling curves under a sleep-based ServiceTimeModel.
 
 Measures how ingest and read throughput grow as Yokan providers are
 added (the paper's figures 2 and 6 shape, on the in-process service).

@@ -1,4 +1,4 @@
-"""A-placement-topo ablation: where to put the service nodes.
+"""Model study: A-placement-topo ablation, where to put the service nodes.
 
 The paper deploys one HEPnOS server per 8 nodes.  With the dragonfly
 topology modeled explicitly, the *location* of those server nodes

@@ -1,4 +1,4 @@
-"""A-tune ablation: configuration autotuning over the simulator.
+"""Model study: A-tune ablation, configuration autotuning over the simulator.
 
 The paper used ML-based autotuning [6] to pick the deployed
 configuration (databases, batch sizes).  This bench compares tuners on

@@ -1,4 +1,4 @@
-"""A-weak ablation: weak scaling of the HEPnOS workflows.
+"""Model study: A-weak ablation, weak scaling of the HEPnOS workflows.
 
 The paper claims both weak and strong scalability (sections I and IV).
 Here the per-node dataset share is fixed while the allocation grows;

@@ -82,8 +82,7 @@ def build_modules(slc_cls):
     return nue_filter, CalibProducer(), SpectrumAnalyzer()
 
 
-def main():
-    workdir = tempfile.mkdtemp(prefix="framework-")
+def main(workdir):
     sample = generate_file_set(
         f"{workdir}/files", num_files=6, mean_events_per_file=32,
         config=GeneratorConfig(signal_fraction=0.08, events_per_subrun=32,
@@ -142,4 +141,5 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    with tempfile.TemporaryDirectory(prefix="framework-") as workdir:
+        main(workdir)

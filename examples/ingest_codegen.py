@@ -19,8 +19,7 @@ from repro.nova import BEAM, NovaGenerator, write_nova_file
 from repro.serial import registered_type
 
 
-def main():
-    workdir = tempfile.mkdtemp(prefix="hdf2hepnos-")
+def main(workdir):
     path = f"{workdir}/nova-00000.h5l"
     generator = NovaGenerator(BEAM)
     triples = [(1000, 0, e) for e in range(16)]
@@ -68,4 +67,5 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    with tempfile.TemporaryDirectory(prefix="hdf2hepnos-") as workdir:
+        main(workdir)

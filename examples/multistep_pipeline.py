@@ -21,7 +21,7 @@ import numpy as np
 from repro.bedrock import BedrockServer, default_hepnos_config
 from repro.hepnos import DataStore
 from repro.mercury import Fabric
-from repro.nova import BEAM, GeneratorConfig, NovaGenerator, write_nova_file
+from repro.nova import GeneratorConfig, NovaGenerator, write_nova_file
 from repro.serial import registered_type, serializable
 from repro.hepnos import DataLoader, vector_of
 from repro.workflows import FileBasedPipeline, HEPnOSPipeline, StepSpec
@@ -49,8 +49,7 @@ class EventSummary:
         self.max_nhit = ar.io(self.max_nhit)
 
 
-def main():
-    workdir = tempfile.mkdtemp(prefix="multistep-")
+def main(workdir):
     generator = NovaGenerator(GeneratorConfig(events_per_subrun=32))
     path = f"{workdir}/input.h5l"
     write_nova_file(path, generator, [(1000, 0, e) for e in range(64)])
@@ -131,4 +130,5 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    with tempfile.TemporaryDirectory(prefix="multistep-") as workdir:
+        main(workdir)

@@ -14,7 +14,8 @@ End to end:
    captured trace (Chrome trace-event JSON + critical path).
 
 Run:  python examples/nova_candidate_selection.py
-Then: repro-trace view <workdir>/selection-trace.json --tree
+The work directory (files, selected.txt, the trace) is removed at exit;
+for a trace to keep: repro-trace nova --out nova-trace.json
 """
 
 import tempfile
@@ -29,9 +30,8 @@ from repro.nova import GeneratorConfig, Spectrum, Var, generate_file_set
 from repro.workflows import HEPnOSWorkflow
 
 
-def main():
+def main(workdir):
     # -- the data sample -------------------------------------------------
-    workdir = tempfile.mkdtemp(prefix="nova-selection-")
     config = GeneratorConfig(signal_fraction=0.05, events_per_subrun=32,
                              subruns_per_run=8)
     sample = generate_file_set(f"{workdir}/files", num_files=8,
@@ -110,11 +110,11 @@ def main():
     for name, entry in summary[:5]:
         print(f"    {name:<28} x{entry['count']:<5} "
               f"{entry['total_seconds'] * 1e3:7.1f}ms total")
-    print(f"  inspect with: repro-trace view {trace_path} --tree")
+    print("  for a trace to keep: repro-trace nova --out nova-trace.json")
 
     fabric.runtime.shutdown()
-    print(f"\noutputs in {workdir}")
 
 
 if __name__ == "__main__":
-    main()
+    with tempfile.TemporaryDirectory(prefix="nova-selection-") as workdir:
+        main(workdir)

@@ -18,8 +18,7 @@ from repro.nova import GeneratorConfig, generate_file_set
 from repro.workflows import compare_workflows
 
 
-def main():
-    workdir = tempfile.mkdtemp(prefix="wf-compare-")
+def main(workdir):
     sample = generate_file_set(
         f"{workdir}/files", num_files=10, mean_events_per_file=32,
         config=GeneratorConfig(signal_fraction=0.05, events_per_subrun=32,
@@ -63,4 +62,5 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    with tempfile.TemporaryDirectory(prefix="wf-compare-") as workdir:
+        main(workdir)

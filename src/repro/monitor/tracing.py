@@ -21,7 +21,7 @@ that:
 Zero-overhead contract: nothing here runs unless a tracer is installed.
 Instrumented hot paths guard with the module-level :data:`enabled` flag
 (one attribute read); :func:`span` returns a shared no-op span when no
-tracer is active.  ``benchmarks/bench_pep_tracing.py`` measures both.
+tracer is active (``tests/test_tracing.py`` pins the disabled path).
 """
 
 from __future__ import annotations

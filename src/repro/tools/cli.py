@@ -59,33 +59,33 @@ def _cmd_demo(args) -> int:
     from repro.tools.inspect import service_stat, tree
     from repro.workflows import HEPnOSWorkflow
 
-    workdir = tempfile.mkdtemp(prefix="hepnos-demo-")
-    sample = generate_file_set(
-        f"{workdir}/files", num_files=4, mean_events_per_file=24,
-        config=GeneratorConfig(signal_fraction=0.05, events_per_subrun=16,
-                               subruns_per_run=4),
-    )
-    fabric = Fabric(threaded=True)
-    servers = [
-        BedrockServer(fabric, default_hepnos_config(
-            f"sm://node{i}/hepnos", num_providers=4, event_databases=4,
-            product_databases=4, run_databases=2, subrun_databases=2,
-        ))
-        for i in range(2)
-    ]
-    fabric.runtime.start()
-    datastore = DataStore.connect(fabric, servers)
-    workflow = HEPnOSWorkflow(
-        datastore, "nova/demo",
-        pep_options=PEPOptions(input_batch_size=64, dispatch_batch_size=8))
-    result = workflow.run(sample.paths, num_ranks=args.ranks)
-    print(f"ingested {sample.num_files} files; selected "
-          f"{len(result.accepted_ids)} of {result.slices_examined} slices\n")
-    print("store tree:")
-    print(tree(datastore))
-    print("\nservice statistics:")
-    print(service_stat(datastore))
-    fabric.runtime.shutdown()
+    with tempfile.TemporaryDirectory(prefix="hepnos-demo-") as workdir:
+        sample = generate_file_set(
+            f"{workdir}/files", num_files=4, mean_events_per_file=24,
+            config=GeneratorConfig(signal_fraction=0.05, events_per_subrun=16,
+                                   subruns_per_run=4),
+        )
+        fabric = Fabric(threaded=True)
+        servers = [
+            BedrockServer(fabric, default_hepnos_config(
+                f"sm://node{i}/hepnos", num_providers=4, event_databases=4,
+                product_databases=4, run_databases=2, subrun_databases=2,
+            ))
+            for i in range(2)
+        ]
+        fabric.runtime.start()
+        datastore = DataStore.connect(fabric, servers)
+        workflow = HEPnOSWorkflow(
+            datastore, "nova/demo",
+            pep_options=PEPOptions(input_batch_size=64, dispatch_batch_size=8))
+        result = workflow.run(sample.paths, num_ranks=args.ranks)
+        print(f"ingested {sample.num_files} files; selected "
+              f"{len(result.accepted_ids)} of {result.slices_examined} slices\n")
+        print("store tree:")
+        print(tree(datastore))
+        print("\nservice statistics:")
+        print(service_stat(datastore))
+        fabric.runtime.shutdown()
     return 0
 
 
@@ -97,18 +97,18 @@ def _cmd_demo_export(args) -> int:
     from repro.nova import GeneratorConfig, generate_file_set
     from repro.tools.inspect import file_structure
 
-    workdir = tempfile.mkdtemp(prefix="hepnos-export-")
-    sample = generate_file_set(
-        f"{workdir}/files", num_files=2, mean_events_per_file=16,
-        config=GeneratorConfig(events_per_subrun=16, subruns_per_run=4),
-    )
-    fabric = Fabric()
-    server = BedrockServer(fabric, default_hepnos_config(
-        "sm://node0/hepnos", num_providers=4, event_databases=4,
-        product_databases=4, run_databases=2, subrun_databases=2,
-    ))
-    datastore = DataStore.connect(fabric, [server])
-    DataLoader(datastore, "cli/export").ingest(sample.paths)
+    with tempfile.TemporaryDirectory(prefix="hepnos-export-") as workdir:
+        sample = generate_file_set(
+            f"{workdir}/files", num_files=2, mean_events_per_file=16,
+            config=GeneratorConfig(events_per_subrun=16, subruns_per_run=4),
+        )
+        fabric = Fabric()
+        server = BedrockServer(fabric, default_hepnos_config(
+            "sm://node0/hepnos", num_providers=4, event_databases=4,
+            product_databases=4, run_databases=2, subrun_databases=2,
+        ))
+        datastore = DataStore.connect(fabric, [server])
+        DataLoader(datastore, "cli/export").ingest(sample.paths)
     stats = DatasetExporter(datastore, "cli/export").export(
         args.output, ["rec.slc"], compression="zlib",
     )
@@ -127,52 +127,52 @@ def _cmd_rescale(args) -> int:
     from repro.rescale import LiveRescaler, add_server
     from repro.workflows import HEPnOSWorkflow
 
-    workdir = tempfile.mkdtemp(prefix="hepnos-rescale-")
-    sample = generate_file_set(
-        f"{workdir}/files", num_files=args.files, mean_events_per_file=24,
-        config=GeneratorConfig(signal_fraction=0.05, events_per_subrun=16,
-                               subruns_per_run=4),
-    )
-    fabric = Fabric(threaded=True)
-    servers = [
-        BedrockServer(fabric, default_hepnos_config(
-            f"sm://node{i}/hepnos", num_providers=2, event_databases=2,
+    with tempfile.TemporaryDirectory(prefix="hepnos-rescale-") as workdir:
+        sample = generate_file_set(
+            f"{workdir}/files", num_files=args.files, mean_events_per_file=24,
+            config=GeneratorConfig(signal_fraction=0.05, events_per_subrun=16,
+                                   subruns_per_run=4),
+        )
+        fabric = Fabric(threaded=True)
+        servers = [
+            BedrockServer(fabric, default_hepnos_config(
+                f"sm://node{i}/hepnos", num_providers=2, event_databases=2,
+                product_databases=2, run_databases=1, subrun_databases=1,
+            ))
+            for i in range(args.servers)
+        ]
+        fabric.runtime.start()
+        datastore = DataStore.connect(fabric, servers)
+        workflow = HEPnOSWorkflow(
+            datastore, "nova/rescale",
+            pep_options=PEPOptions(input_batch_size=64, dispatch_batch_size=8))
+        workflow.ingest(sample.paths, num_ranks=1)
+        print(f"ingested {sample.total_events} events into "
+              f"{len(servers)} servers; shard map: "
+              f"{datastore.placement.describe()}")
+
+        joining = BedrockServer(fabric, default_hepnos_config(
+            "sm://joining/hepnos", num_providers=2, event_databases=2,
             product_databases=2, run_databases=1, subrun_databases=1,
         ))
-        for i in range(args.servers)
-    ]
-    fabric.runtime.start()
-    datastore = DataStore.connect(fabric, servers)
-    workflow = HEPnOSWorkflow(
-        datastore, "nova/rescale",
-        pep_options=PEPOptions(input_batch_size=64, dispatch_batch_size=8))
-    workflow.ingest(sample.paths, num_ranks=1)
-    print(f"ingested {sample.total_events} events into "
-          f"{len(servers)} servers; shard map: "
-          f"{datastore.placement.describe()}")
+        rescaler = LiveRescaler(datastore, add_server(datastore.connection,
+                                                      joining),
+                                batch_size=args.batch_size)
+        steps = {"n": 0}
 
-    joining = BedrockServer(fabric, default_hepnos_config(
-        "sm://joining/hepnos", num_providers=2, event_databases=2,
-        product_databases=2, run_databases=1, subrun_databases=1,
-    ))
-    rescaler = LiveRescaler(datastore, add_server(datastore.connection,
-                                                  joining),
-                            batch_size=args.batch_size)
-    steps = {"n": 0}
+        def tick() -> None:
+            steps["n"] += 1
 
-    def tick() -> None:
-        steps["n"] += 1
-
-    stats = rescaler.run(step_callback=tick)
-    print(f"live rescale: epoch {datastore.placement.epoch}, "
-          f"{steps['n']} steps")
-    print(f"  {stats.describe()}")
-    for kind, count in sorted(stats.moves_by_kind.items()):
-        print(f"    moved {kind}: {count}")
-    result = workflow.select(num_ranks=2)
-    print(f"post-rescale selection: {len(result.accepted_ids)} of "
-          f"{result.slices_examined} slices accepted")
-    fabric.runtime.shutdown()
+        stats = rescaler.run(step_callback=tick)
+        print(f"live rescale: epoch {datastore.placement.epoch}, "
+              f"{steps['n']} steps")
+        print(f"  {stats.describe()}")
+        for kind, count in sorted(stats.moves_by_kind.items()):
+            print(f"    moved {kind}: {count}")
+        result = workflow.select(num_ranks=2)
+        print(f"post-rescale selection: {len(result.accepted_ids)} of "
+              f"{result.slices_examined} slices accepted")
+        fabric.runtime.shutdown()
     return 0
 
 
@@ -314,36 +314,36 @@ def _cmd_storage(args) -> int:
     from repro.tools.common import emit_report
     from repro.workflows import HEPnOSWorkflow
 
-    workdir = tempfile.mkdtemp(prefix="hepnos-storage-")
-    sample = generate_file_set(
-        f"{workdir}/files", num_files=1 if args.quick else 4,
-        mean_events_per_file=16 if args.quick else 48,
-        config=GeneratorConfig(signal_fraction=0.1, events_per_subrun=16,
-                               subruns_per_run=4),
-    )
-    fabric = Fabric(threaded=True)
-    servers = [
-        BedrockServer(fabric, default_hepnos_config(
-            f"sm://node{i}/hepnos", num_providers=2, event_databases=2,
-            product_databases=2, run_databases=1, subrun_databases=1,
-            backend="lsm", storage_root=f"{workdir}/node{i}",
-            backend_config={
-                "memtable_bytes": args.memtable_bytes,
-                "compaction_trigger": 2,
-                "block_cache_bytes": 1 << 20,
-            },
-        ))
-        for i in range(2)
-    ]
-    fabric.runtime.start()
-    datastore = DataStore.connect(fabric, servers)
-    workflow = HEPnOSWorkflow(
-        datastore, "nova/storage",
-        pep_options=PEPOptions(input_batch_size=64, dispatch_batch_size=8))
-    result = workflow.run(sample.paths, num_ranks=2)
-    stats = {f"node{i}": server.storage_stats()
-             for i, server in enumerate(servers)}
-    fabric.runtime.shutdown()
+    with tempfile.TemporaryDirectory(prefix="hepnos-storage-") as workdir:
+        sample = generate_file_set(
+            f"{workdir}/files", num_files=1 if args.quick else 4,
+            mean_events_per_file=16 if args.quick else 48,
+            config=GeneratorConfig(signal_fraction=0.1, events_per_subrun=16,
+                                   subruns_per_run=4),
+        )
+        fabric = Fabric(threaded=True)
+        servers = [
+            BedrockServer(fabric, default_hepnos_config(
+                f"sm://node{i}/hepnos", num_providers=2, event_databases=2,
+                product_databases=2, run_databases=1, subrun_databases=1,
+                backend="lsm", storage_root=f"{workdir}/node{i}",
+                backend_config={
+                    "memtable_bytes": args.memtable_bytes,
+                    "compaction_trigger": 2,
+                    "block_cache_bytes": 1 << 20,
+                },
+            ))
+            for i in range(2)
+        ]
+        fabric.runtime.start()
+        datastore = DataStore.connect(fabric, servers)
+        workflow = HEPnOSWorkflow(
+            datastore, "nova/storage",
+            pep_options=PEPOptions(input_batch_size=64, dispatch_batch_size=8))
+        result = workflow.run(sample.paths, num_ranks=2)
+        stats = {f"node{i}": server.storage_stats()
+                 for i, server in enumerate(servers)}
+        fabric.runtime.shutdown()
     if args.json:
         emit_report({"selected": len(result.accepted_ids),
                      "databases": stats}, True)

@@ -76,29 +76,29 @@ def _cmd_nova(args) -> int:
     from repro.nova import GeneratorConfig, generate_file_set
     from repro.workflows import HEPnOSWorkflow
 
-    workdir = tempfile.mkdtemp(prefix="repro-trace-")
-    sample = generate_file_set(
-        f"{workdir}/files", num_files=args.files,
-        mean_events_per_file=args.events_per_file,
-        config=GeneratorConfig(signal_fraction=0.05, events_per_subrun=16,
-                               subruns_per_run=4),
-    )
-    fabric = Fabric(threaded=True)
-    servers = [
-        BedrockServer(fabric, default_hepnos_config(
-            f"sm://node{i}/hepnos", num_providers=2, event_databases=2,
-            product_databases=2, run_databases=1, subrun_databases=1,
-        ))
-        for i in range(2)
-    ]
-    fabric.runtime.start()
-    datastore = DataStore.connect(fabric, servers)
-    workflow = HEPnOSWorkflow(
-        datastore, "nova/traced",
-        pep_options=PEPOptions(input_batch_size=64, dispatch_batch_size=8))
-    with trace_session() as tracer:
-        result = workflow.run(sample.paths, num_ranks=args.ranks)
-    fabric.runtime.shutdown()
+    with tempfile.TemporaryDirectory(prefix="repro-trace-") as workdir:
+        sample = generate_file_set(
+            f"{workdir}/files", num_files=args.files,
+            mean_events_per_file=args.events_per_file,
+            config=GeneratorConfig(signal_fraction=0.05, events_per_subrun=16,
+                                   subruns_per_run=4),
+        )
+        fabric = Fabric(threaded=True)
+        servers = [
+            BedrockServer(fabric, default_hepnos_config(
+                f"sm://node{i}/hepnos", num_providers=2, event_databases=2,
+                product_databases=2, run_databases=1, subrun_databases=1,
+            ))
+            for i in range(2)
+        ]
+        fabric.runtime.start()
+        datastore = DataStore.connect(fabric, servers)
+        workflow = HEPnOSWorkflow(
+            datastore, "nova/traced",
+            pep_options=PEPOptions(input_batch_size=64, dispatch_batch_size=8))
+        with trace_session() as tracer:
+            result = workflow.run(sample.paths, num_ranks=args.ranks)
+        fabric.runtime.shutdown()
 
     collector = tracer.collector
     print(f"traced {sample.num_files} files -> {result.events_processed} "

@@ -328,3 +328,29 @@ class TestDataStoreIntegration:
         assert sum(schedule.counts.values()) > 0  # faults actually fired
         engine.drain(raise_errors=True)
         fabric.runtime.shutdown()
+
+    @pytest.mark.parametrize("response_latency", [0.0, 0.002])
+    def test_pep_pass_goes_through_the_window(self, response_latency):
+        """With an engine attached every page's load plan is submitted
+        through its window, and under server -> client latency page N+1
+        is on the wire while page N is processed."""
+        fabric, servers = _hepnos_world(threaded=True)
+        datastore = DataStore.connect(  # no cache: every page hits the wire
+            fabric, servers, product_cache=ProductCacheOptions(enabled=False))
+        _populate(datastore, "nb/overlap", subruns=2, events=32)
+        engine = AsyncEngine(datastore, max_inflight=4)
+        if response_latency:
+            fabric.fault_model = FaultSchedule(seed=3).delay(
+                response_latency, src="node0")
+        seen = []
+        stats = ParallelEventProcessor(
+            datastore, options=PEPOptions(input_batch_size=8),
+            products=[(vector_of(Hit), "hits")],
+        ).process(datastore["nb/overlap"], lambda ev: seen.append(ev.triple()))
+        fabric.fault_model = FaultModel()
+        engine.drain(raise_errors=True)
+        fabric.runtime.shutdown()
+        assert len(set(seen)) == 64
+        assert engine.stats.submitted > 0
+        if response_latency:
+            assert stats.overlap_seconds > 0.0

@@ -1,10 +1,15 @@
 """The documents name real things: every backticked ``repro.…`` dotted
-name in ARCHITECTURE.md, README.md and DESIGN.md imports or resolves by
-``getattr``, every backticked path under ``src/``, ``tests/``,
-``benchmarks/`` or ``examples/`` exists, and every ``repro-hepnos`` /
-``repro-chaos`` / ``repro-trace`` subcommand or ``--flag`` they show is
-one the parsers accept."""
+name in ARCHITECTURE.md, README.md, DESIGN.md and EXPERIMENTS.md imports
+or resolves by ``getattr``, every backticked path under ``src/``,
+``tests/``, ``benchmarks/`` or ``examples/`` exists, and every
+``repro-hepnos`` / ``repro-chaos`` / ``repro-trace`` subcommand or
+``--flag`` they show is one the parsers accept.  ``ci.yml`` is held to
+the same: the paths its commands name exist, no document names a
+``BENCH_*.json`` that is not there or a CI job the workflow does not
+have, and every ``benchmarks/bench_*.py`` says in its first line which
+clause of the keep-rule (ARCHITECTURE.md) keeps it."""
 
+import ast
 import glob
 import importlib
 import os
@@ -15,7 +20,11 @@ import pytest
 from repro.tools import chaos_cli, cli, trace_cli
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DOCS = ("ARCHITECTURE.md", "README.md", "DESIGN.md")
+DOCS = ("ARCHITECTURE.md", "README.md", "DESIGN.md", "EXPERIMENTS.md")
+CI = ".github/workflows/ci.yml"
+#: how a kept ``benchmarks/bench_*.py`` begins (the keep-rule's clauses)
+LABELS = ("Model study", "Paper ablation (counts)",
+          "Parked on benchmark letter (d)")
 PARSERS = {
     "repro-hepnos": cli.build_parser,
     "repro-chaos": chaos_cli.build_parser,
@@ -26,6 +35,11 @@ _FENCE = re.compile(r"^```.*?^```", re.M | re.S)
 _SPAN = re.compile(r"``(.+?)``|`([^`]+)`", re.S)
 _DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
 _PATH = re.compile(r"^(?:src|tests|benchmarks|examples)/[\w./*-]*")
+_CI_PATH = re.compile(r"\b(?:tests|benchmarks|examples)/[\w./-]*\w")
+_BASELINE = re.compile(r"\bBENCH_\w+\.json")
+#: a backticked word called a job: "CI `x`", "`x` job(s)", or a `*-smoke`
+_JOB = re.compile(r"\bCI\s+`([\w-]+)`|`([\w-]+)`\s+jobs?\b"
+                  r"|`([a-z][\w-]*-smoke)`")
 
 
 def _read(doc: str) -> str:
@@ -131,3 +145,36 @@ def test_readme_lists_every_subcommand():
     shown = {word for _, command, words in _commands("README.md")
              if command == "repro-hepnos" for word in words}
     assert set(_subparsers(cli.build_parser())) <= shown
+
+
+def test_ci_paths_exist():
+    missing = sorted(path for path in set(_CI_PATH.findall(_read(CI)))
+                     if not os.path.exists(os.path.join(REPO, path)))
+    assert not missing, f"{CI} runs what does not exist: {missing}"
+
+
+@pytest.mark.parametrize("doc", DOCS + (CI,))
+def test_named_baselines_exist(doc):
+    missing = sorted(name for name in set(_BASELINE.findall(_read(doc)))
+                     if not os.path.exists(os.path.join(REPO, name)))
+    assert not missing, f"{doc} names baselines that do not exist: {missing}"
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_named_ci_jobs_exist(doc):
+    workflow = _read(CI)
+    jobs = set(re.findall(r"^  ([\w-]+):$",
+                          workflow[workflow.index("\njobs:"):], re.M))
+    named = {name for groups in _JOB.findall(_FENCE.sub("", _read(doc)))
+             for name in groups if name}
+    assert named <= jobs, f"{doc} names CI jobs {sorted(named - jobs)}"
+
+
+def test_every_bench_says_why_it_stays():
+    unlabelled = [
+        path for path in sorted(glob.glob("benchmarks/bench_*.py",
+                                          root_dir=REPO))
+        if not (ast.get_docstring(ast.parse(_read(path))) or "")
+        .startswith(LABELS)]
+    assert not unlabelled, (
+        f"no keep-rule label {LABELS} opens the docstring of: {unlabelled}")

@@ -89,7 +89,7 @@ class TestSequential:
         pep_naive.process(ds, lambda ev: ev.load(vector_of(Slice), label="slices"))
         without_prefetch = fabric.stats.rpc_count
         # At this tiny scale the fixed per-subrun paging costs dominate;
-        # the gap widens with event count (see benchmarks/bench_batching).
+        # the gap widens with event count.
         assert with_prefetch < without_prefetch * 0.6
 
     def test_empty_dataset(self, datastore):

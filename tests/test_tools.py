@@ -116,3 +116,16 @@ class TestExportCommand:
         import os
 
         assert os.path.exists(out)
+
+
+def test_demo_commands_remove_their_work_directory(tmp_path, monkeypatch):
+    """Regression: ``demo`` and ``export`` left a ``hepnos-demo-*`` /
+    ``hepnos-export-*`` directory under the temp root on every run."""
+    import os
+    import tempfile
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    out = str(tmp_path / "export.h5l")
+    assert main(["demo"]) == 0
+    assert main(["export", out]) == 0
+    assert os.listdir(tmp_path) == ["export.h5l"]

@@ -284,6 +284,10 @@ def test_pep_emits_batch_and_event_spans(datastore):
         assert {"containers", "specs", "databases", "epoch",
                 "cache_hits"} <= set(span.tags)
     assert sum(s.tags["containers"] for s in loads) == 12
+    # The chain continues below the reader, across the RPC boundary.
+    for name in ("yokan.client.list_keys", "mercury.forward",
+                 "yokan.provider.load_prefix_packed"):
+        assert collector.find(name), f"missing {name} spans"
 
 
 # -- exporters ---------------------------------------------------------------
