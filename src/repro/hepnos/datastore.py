@@ -619,6 +619,8 @@ class DataStore:
         Normally served by one database (all children of a parent
         colocate); while a migration is in flight, each page merges the
         old and new shards so children split across them are not missed.
+        A page shorter than asked for is the last: a shard holding more
+        would have filled it, so every shard the page merged ran dry.
         """
         produced = 0
         cursor = start_after
@@ -626,13 +628,13 @@ class DataStore:
             want = page if not limit else min(page, limit - produced)
             keys_page = self._with_shard_retry(
                 lambda: self._list_page(kind, parent_key, cursor, want))
-            if not keys_page:
-                return
             for key in keys_page:
                 yield key
                 produced += 1
                 if limit and produced >= limit:
                     return
+            if len(keys_page) < want:
+                return
             cursor = keys_page[-1]
 
     def _list_page(self, kind: str, parent_key: bytes, cursor: bytes,

@@ -21,8 +21,10 @@ on it, so every lane pipelines and none has its own shard logic.
 
 A retired load is its lane: ``result`` as in the table, ``block`` (the
 :class:`ColumnBlock`, columns lane only), and the per-event walk
-``event_products(i)`` / ``event_columns(i)`` that the reader's event
-view (:class:`~repro.hepnos.PrefetchedEvent`) asks on demand.
+``event_product(i, spec)`` / ``event_columns(i)`` that the reader's
+event view (:class:`~repro.hepnos.PrefetchedEvent`) asks on demand.
+The two object lanes keep stored values as they arrived and decode a
+product only when a consumer loads it.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ from repro.hepnos.product import product_type_name
 from repro.monitor import tracing as _tracing
 from repro.serial import columnar as _columnar
 from repro.serial import loads
+
+#: what ``event_product`` answers for a product the load did not fetch
+#: for that event (the event view then asks the datastore)
+NOT_LOADED = object()
 
 
 @dataclass(frozen=True)
@@ -68,25 +74,41 @@ class LoadPlan:
 
 
 class _ObjectLane:
-    """Slot table shared by the two lanes that return whole objects."""
+    """Slot table shared by the two lanes that return whole objects.
+
+    A slot holds the product's stored value as it arrived -- a cache
+    entry, or a zero-copy view of the landing buffer -- and is decoded
+    only when asked for: :meth:`event_product` decodes one product for
+    the consumer that loads it (who then owns the object; a reader's
+    consumer may load a few of a page's events, or none), and
+    ``result`` decodes them all.
+    """
 
     block = None
 
     def __init__(self, plan: LoadPlan):
         self.keys = list(plan.container_keys)
-        self.result = {
+        #: per spec: every container's stored value, ``None`` if absent
+        self.stored = {
             (product_type_name(ptype), label): [None] * len(self.keys)
             for ptype, label in plan.specs
         }
         #: per spec: (product key suffix, the spec's aligned value list)
         self.slots = [(hkeys.product_key(b"", label, tname), values)
-                      for (tname, label), values in self.result.items()]
+                      for (tname, label), values in self.stored.items()]
         #: product key -> the (value list, index) slots it fills; a
         #: container key listed twice owns two slots of one product key
         self.want: dict[bytes, list] = {}
         for suffix, values in self.slots:
             for i, ckey in enumerate(self.keys):
                 self.want.setdefault(ckey + suffix, []).append((values, i))
+
+    @property
+    def result(self) -> dict:
+        """``{spec: [object or None, ...]}`` aligned with the keys."""
+        return {spec: [None if value is None else loads(value)
+                       for value in values]
+                for spec, values in self.stored.items()}
 
     def probe(self, cache) -> int:
         hits = 0
@@ -102,12 +124,11 @@ class _ObjectLane:
         # Scan resistance: batch loads stream each event once, so
         # inserting here would evict genuinely hot products.  Batch
         # loads read the product cache but never populate it.
-        obj = loads(value)
         for values, i in slots:
-            values[i] = obj
+            values[i] = value
 
     def unanswered(self) -> list[int]:
-        lists = list(self.result.values())
+        lists = list(self.stored.values())
         return [i for i in range(len(self.keys))
                 if any(values[i] is None for values in lists)]
 
@@ -130,8 +151,12 @@ class _ObjectLane:
     def finish(self, cache) -> None:
         pass
 
-    def event_products(self, i: int) -> dict:
-        return {spec: values[i] for spec, values in self.result.items()}
+    def event_product(self, i: int, spec: tuple):
+        values = self.stored.get(spec)
+        if values is None:
+            return NOT_LOADED
+        value = values[i]
+        return None if value is None else loads(value)
 
     def event_columns(self, i: int) -> None:
         return None
@@ -259,11 +284,11 @@ class _ColumnsLane:
                                 columns)
                                for indices, counts, columns in self.fresh])
 
-    def event_products(self, i: int) -> dict:
+    def event_product(self, i: int, spec: tuple):
         status = self.block.present[i]
-        if status is PRESENT:
-            return {}  # the event's data is its rows of the block
-        return {self.spec: self.block.raw[i] if status is RAW else None}
+        if status is PRESENT or spec != self.spec:
+            return NOT_LOADED  # a present event's data is its block rows
+        return self.block.raw[i] if status is RAW else None
 
     def event_columns(self, i: int) -> Optional[dict]:
         if self.block.present[i] is PRESENT:
@@ -338,7 +363,9 @@ class PendingLoad:
         ema = store._load_bytes_ema.get(lane.name, 0.0)
         issued = []
         for target, group in by_target.items():
-            hint = int(ema * len(group) * 1.5) + 1024 if ema else 0
+            # Tight slack: an object lane's answers are views that pin
+            # the whole landing buffer for the page's life.
+            hint = int(ema * len(group) * 1.1) + 1024 if ema else 0
             token, future = lane.request(store._handle(target), group, hint,
                                          dispatch=engine is None)
             if engine is not None:

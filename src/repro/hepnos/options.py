@@ -47,7 +47,8 @@ class PEPOptions:
     dispatch batches (fine-grained load balancing).
     """
 
-    #: events fetched per reader RPC round (paper default 16384)
+    #: events fetched per reader RPC round -- one page, which spans
+    #: subrun boundaries (paper default 16384)
     input_batch_size: int = 16384
     #: events handed to a worker per pull (paper default 64)
     dispatch_batch_size: int = 64

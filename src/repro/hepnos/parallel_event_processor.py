@@ -36,8 +36,10 @@ from repro.monitor import tracing as _tracing
 
 _TAG_REQUEST = 101
 _TAG_REPLY = 102
-#: input batches a reader may buffer ahead of the workers
-_QUEUE_DEPTH = 8
+#: input batches a reader may buffer ahead of the workers: one -- the
+#: next page loads while the workers drain this one, and every batch
+#: buffered beyond it holds a whole input batch of products in memory
+_QUEUE_DEPTH = 1
 
 
 @dataclass

@@ -1,10 +1,12 @@
 """Prefetcher: the one event reader (paper section II-D).
 
 Plain container iteration issues one ``list_keys`` page at a time and
-one ``get`` per product.  The Prefetcher lists a page of event keys,
-issues its load plan -- one request per product database, few RPCs and
-large payloads -- and retires the oldest page once its look-ahead
-window is full.  The window is 0 pages without an
+one ``get`` per product.  The Prefetcher gathers a page of
+``input_batch_size`` event keys -- across subrun boundaries: it lists
+one subrun after another until the page is full or the subruns run
+out -- issues the page's one load plan -- one request per product
+database, few RPCs and large payloads -- and retires the oldest page
+once its look-ahead window is full.  The window is 0 pages without an
 :class:`~repro.hepnos.AsyncEngine` (issue, then wait) and 1 with one:
 page N+1's products are on the wire while page N's events are being
 consumed, so the store's latency hides behind the analysis compute.
@@ -26,7 +28,7 @@ from repro.faults.retry import RETRYABLE_ERRORS
 from repro.hepnos import keys as hkeys
 from repro.hepnos.column_block import EventBatch
 from repro.hepnos.containers import SubRun, _ProductHolder
-from repro.hepnos.load_plan import LoadPlan
+from repro.hepnos.load_plan import NOT_LOADED, LoadPlan
 from repro.hepnos.options import PEPOptions, check_columnar
 from repro.hepnos.product import product_type_name
 from repro.monitor import tracing as _tracing
@@ -74,17 +76,19 @@ class Prefetcher:
             yield from page
 
     def pages(self, subruns) -> Iterator[object]:
-        """One list of :class:`PrefetchedEvent` per key page of
-        ``subruns``, in order -- an
+        """One list of :class:`PrefetchedEvent` per page of up to
+        ``input_batch_size`` events of ``subruns``, in order -- an
         :class:`~repro.hepnos.column_block.EventBatch` when the page was
-        projected to columns.
+        projected to columns.  A page may span several subruns.
 
         Listing and loading each get ``options.load_retries``
         re-attempts on top of the client's own retry policy (stale
         shard maps and dead primaries never reach it: the load executor
         re-issues those itself).  Exhausting them either fails the
-        iteration or (``on_load_failure="skip"``) abandons the rest of
-        the subrun and moves on.  Whatever is abandoned -- on skip, on
+        iteration or (``on_load_failure="skip"``) abandons what gave
+        up -- the subrun being listed, or every subrun the page
+        touches -- and moves on; no event of an abandoned subrun is
+        yielded after that.  Whatever is abandoned -- on skip, on
         failure, or because the consumer stopped iterating -- is
         cancelled or settled here, so nothing stays in the engine's
         window for ``DataStore.shutdown()`` to trip over.
@@ -93,20 +97,21 @@ class Prefetcher:
         ahead = (1 if self.datastore.async_engine is not None
                  and self.products else 0)
         window: deque = deque()
-        skipped: set[int] = set()
+        skipped: set[bytes] = set()
         try:
-            for subrun, keys in self._key_pages(subruns, skipped):
+            for runs in self._key_pages(subruns, skipped):
+                keys = [key for _subrun, part in runs for key in part]
                 # The one place a lane is named.
                 plan = LoadPlan(keys, self.products, columns=self.columns,
                                 whole_events=self.options.packed_loads)
-                window.append((subrun, keys, self.datastore.issue_load(plan)))
+                window.append((runs, self.datastore.issue_load(plan)))
                 self.pages_prefetched += ahead
                 if len(window) > ahead:
                     yield from self._retire(window, skipped)
             while window:
                 yield from self._retire(window, skipped)
         finally:
-            for _subrun, _keys, pending in window:
+            for _runs, pending in window:
                 self._discard(pending)
 
     def _retrying(self, fn: Callable):
@@ -122,13 +127,16 @@ class Prefetcher:
                     self.load_failures += 1
                     raise
 
-    def _abandon(self, subrun, skipped: set) -> bool:
-        """A load of ``subrun`` gave up: under ``on_load_failure="skip"``
-        mark the subrun abandoned, otherwise tell the caller to raise."""
+    def _abandon(self, subruns, skipped: set) -> bool:
+        """A listing or load of ``subruns`` gave up: under
+        ``on_load_failure="skip"`` mark each abandoned (and count it
+        once), otherwise tell the caller to raise."""
         if self.options.on_load_failure != "skip":
             return False
-        self.subruns_skipped += 1
-        skipped.add(id(subrun))
+        for subrun in subruns:
+            if subrun.key not in skipped:
+                skipped.add(subrun.key)
+                self.subruns_skipped += 1
         return True
 
     def _discard(self, pending) -> None:
@@ -144,56 +152,82 @@ class Prefetcher:
                     pass
 
     def _key_pages(self, subruns, skipped: set):
-        """``(subrun, event key page)`` pairs, in order."""
+        """Pages of up to ``input_batch_size`` event keys, in order, each
+        a list of ``(subrun, keys)`` runs -- one per subrun it covers.
+
+        Subruns are listed one at a time (a subrun's events colocate),
+        each listing asking for the room left in the page, so a page
+        closes when it is full or the subruns run out.
+        """
         size = self.options.input_batch_size
 
-        def list_page():
-            with _tracing.span("hepnos.prefetch.list", limit=size) as sp:
-                page = list(self.datastore.list_child_keys(
-                    "events", subrun.key, start_after=cursor, limit=size))
-                sp.set_tag("events", len(page))
-            return page
+        def list_keys():
+            with _tracing.span("hepnos.prefetch.list", limit=room) as sp:
+                keys = list(self.datastore.list_child_keys(
+                    "events", subrun.key, start_after=cursor, limit=room))
+                sp.set_tag("events", len(keys))
+            return keys
 
+        page, room = [], size
         for subrun in subruns:
             cursor = b""
-            while id(subrun) not in skipped:
+            while subrun.key not in skipped:
+                asked = room
                 try:
-                    page = self._retrying(list_page)
+                    keys = self._retrying(list_keys)
                 except RETRYABLE_ERRORS:
-                    if not self._abandon(subrun, skipped):
+                    if not self._abandon((subrun,), skipped):
                         raise
                     break
-                if not page:
-                    break
-                cursor = page[-1]
-                yield subrun, page
-                if len(page) < size:
-                    break
+                if keys:
+                    page.append((subrun, keys))
+                    cursor = keys[-1]
+                    room -= len(keys)
+                if not room:
+                    yield page
+                    page, room = [], size
+                if len(keys) < asked:
+                    break  # the subrun ran dry
+        if page:
+            yield page
 
     def _retire(self, window: deque, skipped: set):
-        """Wait for the oldest issued page; yields it, or nothing when
-        its subrun was abandoned.  The page leaves the window only once
-        its load is retired or discarded: one that raises stays for
-        :meth:`pages` to discard."""
-        subrun, keys, pending = window[0]
-        loaded = (None if id(subrun) in skipped
-                  else self._wait(subrun, keys, pending, skipped))
+        """Wait for the oldest issued page and yield the events of it
+        whose subruns are not abandoned, or nothing when none are left.
+        The page leaves the window only once its load is retired or
+        discarded: one that raises stays for :meth:`pages` to
+        discard."""
+        runs, pending = window[0]
+        live = any(subrun.key not in skipped for subrun, _keys in runs)
+        loaded = self._wait(runs, pending, skipped) if live else None
         window.popleft()
         if loaded is None:
             self._discard(pending)
             return
-        events = [PrefetchedEvent(subrun, key, loaded, i)
-                  for i, key in enumerate(keys)]
-        # A columnar page's consumers read the block's arrays.
-        yield events if loaded.block is None else EventBatch(events,
-                                                             loaded.block)
+        events: list = []
+        start = 0
+        for subrun, keys in runs:
+            if subrun.key not in skipped:
+                events += [PrefetchedEvent(subrun, key, loaded, i)
+                           for i, key in enumerate(keys, start)]
+            start += len(keys)
+        if loaded.block is None:
+            yield events
+            return
+        # A columnar page's consumers read the block's arrays: the
+        # surviving events' rows when a subrun was abandoned meanwhile.
+        block = loaded.block
+        if len(events) < len(block):
+            block = block.take([event._index for event in events])
+        yield EventBatch(events, block)
 
-    def _wait(self, subrun, keys, pending, skipped: set):
+    def _wait(self, runs, pending, skipped: set):
         """The retired load of one page, or ``None`` when it gave up and
-        its subrun is skipped."""
+        every subrun the page touches is skipped."""
         wait_start = time.monotonic()
         overlap = pending.overlap_seconds(wait_start)
-        with _tracing.span("hepnos.prefetch.page", events=len(keys),
+        with _tracing.span("hepnos.prefetch.page",
+                           events=len(pending.lane.keys), subruns=len(runs),
                            products=len(self.products),
                            overlap_seconds=round(overlap, 6)):
             try:
@@ -201,7 +235,8 @@ class Prefetcher:
                 # unanswered when called again.
                 loaded = self._retrying(pending.wait)
             except RETRYABLE_ERRORS:
-                if not self._abandon(subrun, skipped):
+                if not self._abandon([subrun for subrun, _ in runs],
+                                     skipped):
                     raise
                 return None
         self.overlap_seconds += overlap
@@ -250,10 +285,9 @@ class PrefetchedEvent(_ProductHolder):
 
     def load(self, product_type, label: str = ""):
         spec = (product_type_name(product_type), label)
-        products = self._loaded.event_products(self._index)
-        if spec not in products:
+        value = self._loaded.event_product(self._index, spec)
+        if value is NOT_LOADED:
             return super().load(product_type, label=label)
-        value = products[spec]
         if value is None:
             raise ProductNotFound(
                 f"no product label={label!r} type={spec[0]!r} "
@@ -263,8 +297,9 @@ class PrefetchedEvent(_ProductHolder):
 
     def prefetched(self, product_type, label: str = "") -> Optional[object]:
         """The prefetched product or None (no fallback RPC)."""
-        return self._loaded.event_products(self._index).get(
-            (product_type_name(product_type), label))
+        value = self._loaded.event_product(
+            self._index, (product_type_name(product_type), label))
+        return None if value is NOT_LOADED else value
 
     def columns(self) -> Optional[dict]:
         """Projected field arrays for this event (columnar prefetch

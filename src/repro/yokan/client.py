@@ -79,7 +79,7 @@ def frame_put_multi(engine: Engine, name: str,
     the request alive until the response arrives: the fabric tracks the
     bulk registration (which owns the buffer) only weakly.
     """
-    buffer = bytearray(packed.pack_groups((pairs,)))
+    buffer = packed.pack_groups((pairs,))
     bulk = engine.expose(buffer, Bulk.READ_ONLY)
     return name, bulk, len(buffer), wire.checksum(buffer)
 
@@ -353,7 +353,10 @@ class DatabaseHandle:
         zero-copy ``memoryview`` slices of the landing buffer (the views
         pin it, copy if you need the bytes to outlive the result).  The
         datastore issues one of these per involved shard so packed scans
-        fan out concurrently.
+        fan out concurrently.  Without a ``size_hint`` the buffer starts
+        at a small per-prefix floor: a first, cold request is answered
+        with the size it needs and re-issued once, instead of every cold
+        request zero-filling a buffer many times its payload.
         """
         prefixes = [bytes(p) for p in prefixes]
         description = f"load_prefix_packed[{len(prefixes)}]@{self.name}"
@@ -362,7 +365,7 @@ class DatabaseHandle:
         issue, finish = self._landing(
             "yokan.load_prefix_packed",
             lambda bulk, capacity: (self.name, prefixes, bulk, capacity),
-            packed.unpack_groups, size_hint or (4096 * len(prefixes)))
+            packed.unpack_groups, size_hint or (256 * len(prefixes)))
         return self._future(issue, finish, description, dispatch=dispatch)
 
     def load_prefix_packed(self, prefixes: Sequence[bytes],
@@ -481,13 +484,14 @@ class DatabaseHandle:
         )
 
     def iter_keys(self, prefix: bytes = b"", batch: int = 128):
-        """Generator over keys with ``prefix``, paging ``batch`` at a time."""
+        """Generator over keys with ``prefix``, paging ``batch`` at a time
+        (a short page is the last)."""
         start_after = b""
         while True:
             page = self.list_keys(prefix, start_after, batch)
-            if not page:
-                return
             yield from page
+            if not batch or len(page) < batch:
+                return
             start_after = page[-1]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -212,18 +212,22 @@ class OperationFuture:
         per_attempt = timeout if timeout is not None else self._policy.rpc_timeout
 
         def attempt():
-            if self._eventual is None:
-                self._reissue()
-            try:
-                raw = self._fabric.wait(self._eventual, timeout=per_attempt)
-                result = self._finish(raw)
-            except _ResizeNeeded:
-                self._eventual = None
-                return attempt()
-            except BaseException:
-                self._eventual = None
-                raise
-            return result
+            # A loop, not a recursive closure: a closure that names
+            # itself is a reference cycle, and would keep the waited
+            # future -- its result and its landing buffer -- alive until
+            # the cyclic collector runs.
+            while True:
+                if self._eventual is None:
+                    self._reissue()
+                try:
+                    raw = self._fabric.wait(self._eventual,
+                                            timeout=per_attempt)
+                    return self._finish(raw)
+                except _ResizeNeeded:
+                    self._eventual = None  # re-issue at the new size
+                except BaseException:
+                    self._eventual = None
+                    raise
 
         def on_retry(n, exc, pause):
             self.retries = n

@@ -33,8 +33,14 @@ def _append_uvarint(out: bytearray, value: int) -> None:
             return
 
 
-def pack_groups(groups: Sequence[Iterable[Tuple[bytes, bytes]]]) -> bytes:
-    """Pack per-prefix ``(key, value)`` pair groups into one buffer."""
+def pack_groups(groups: Iterable[Iterable[Tuple[bytes, bytes]]]
+                ) -> bytearray:
+    """Pack per-prefix ``(key, value)`` pair groups into one buffer.
+
+    ``groups`` is consumed one group at a time, so a lazy iterable of
+    scans holds one group's pairs, never all of them; the buffer comes
+    back as built (a ``bytearray``, ready to expose for bulk transfer).
+    """
     out = bytearray()
     for pairs in groups:
         pairs = list(pairs)
@@ -44,7 +50,7 @@ def pack_groups(groups: Sequence[Iterable[Tuple[bytes, bytes]]]) -> bytes:
             out += key
             _append_uvarint(out, len(value))
             out += value
-    return bytes(out)
+    return out
 
 
 def _read_uvarint(data, pos: int, end: int) -> Tuple[int, int]:
@@ -137,7 +143,7 @@ COL_RAW = 2       # row-wise fallback: followed by uvarint(len) + value
 
 
 def pack_column_page(statuses: Sequence, blocks: Sequence[Tuple[str, bytes]]
-                     ) -> bytes:
+                     ) -> bytearray:
     """Pack one ``scan_columns`` response page.
 
     ``statuses`` holds one entry per requested prefix, in request
@@ -164,7 +170,7 @@ def pack_column_page(statuses: Sequence, blocks: Sequence[Tuple[str, bytes]]
         out += encoded
         _append_uvarint(out, len(payload))
         out += payload
-    return bytes(out)
+    return out
 
 
 def unpack_column_page(buffer, nprefixes: int, nfields: int

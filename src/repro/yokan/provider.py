@@ -298,13 +298,15 @@ class YokanProvider:
         client re-issues at that size); otherwise one RDMA push, and
         ``(*head, length, crc)`` -- the client verifies its landing
         buffer against the CRC before decoding, retrying the RPC on a
-        corrupted push.
+        corrupted push.  A ``bytearray`` answer is exposed as it is.
         """
         if req.trace_span is not None:
             req.trace_span.set_tag("bytes", len(buffer))
         if len(buffer) > capacity:
             return _Resize(len(buffer))
-        local = self.engine.expose(bytearray(buffer), Bulk.READ_ONLY)
+        if buffer.__class__ is not bytearray:
+            buffer = bytearray(buffer)
+        local = self.engine.expose(buffer, Bulk.READ_ONLY)
         req.bulk_transfer(BulkOp.PUSH, bulk, local, size=len(buffer))
         return (*head, len(buffer), wire.checksum(buffer))
 
@@ -354,15 +356,16 @@ class YokanProvider:
         this serves *whole events*: one server-side ordered scan per
         prefix, all pairs length-prefix packed (:mod:`repro.yokan.packed`)
         and moved in a single RDMA push.  The response carries the group
-        count, packed size, and CRC for client-side verification.
+        count, packed size, and CRC for client-side verification.  Each
+        prefix is packed as it is scanned, so the request holds one
+        group's pairs at a time besides the buffer it pushes.
         """
         name, prefixes, bulk, capacity = loads(req.payload)
         db = self._db(req, name)
-        groups = [list(db.scan_prefix(bytes(p))) for p in prefixes]
         if req.trace_span is not None:
-            req.trace_span.set_tag("prefixes", len(groups))
-        return self._push_back(req, bulk, capacity,
-                               packed.pack_groups(groups), len(groups))
+            req.trace_span.set_tag("prefixes", len(prefixes))
+        buffer = packed.pack_groups(db.scan_prefix(bytes(p)) for p in prefixes)
+        return self._push_back(req, bulk, capacity, buffer, len(prefixes))
 
     # -- server-side columnar projection -------------------------------------
 

@@ -1,8 +1,12 @@
 """Tests for the data-plane fast paths: packed prefix loads and the
 client-side product cache."""
 
+import gc
+import weakref
+
 import pytest
 
+from conftest import deploy
 from repro.errors import CorruptionError, ProductNotFound
 from repro.hepnos import (
     DataStore,
@@ -15,8 +19,9 @@ from repro.hepnos import (
     WriteBatch,
     vector_of,
 )
+from repro.mercury import Fabric
 from repro.serial import serializable
-from repro.yokan import packed
+from repro.yokan import YokanProvider, packed
 
 
 @serializable("dp.Hit")
@@ -88,6 +93,51 @@ class TestLoadPrefixPacked:
     def test_empty_prefix_list(self, datastore):
         db = datastore._handle(datastore.target_for("products", b"x"))
         assert db.load_prefix_packed([]) == []
+
+    def test_pushed_bytes_are_the_packed_groups(self, datastore,
+                                                monkeypatch):
+        """The provider packs each prefix as it scans it and pushes the
+        buffer it built; the bytes are those of packing the groups
+        materialised first."""
+        db = datastore._handle(datastore.target_for("products", b"x"))
+        stored = {b"ev1#a": b"alpha", b"ev1#b": b"beta" * 300,
+                  b"ev2#c": b"gamma", b"ev3#d": b""}
+        for key, value in stored.items():
+            db.put(key, value)
+        prefixes = [b"ev1", b"none", b"ev2", b"ev3"]
+        pushed = []
+        real = YokanProvider._push_back
+
+        def spy(self, req, bulk, capacity, buffer, *head):
+            pushed.append(bytes(buffer))
+            return real(self, req, bulk, capacity, buffer, *head)
+
+        monkeypatch.setattr(YokanProvider, "_push_back", spy)
+        db.load_prefix_packed(prefixes, size_hint=4096)
+        assert pushed == [bytes(packed.pack_groups(
+            [sorted((k, v) for k, v in stored.items() if k.startswith(p))
+             for p in prefixes]))]
+
+    def test_waited_future_leaves_no_reference_cycle(self):
+        """Regression: the retry loop of ``OperationFuture.wait`` was a
+        closure that called itself, so every waited future -- with its
+        result and its landing buffer -- lived until the cyclic
+        collector ran."""
+        fabric = Fabric()  # inline: no other thread holds a reference
+        datastore = DataStore.connect(fabric, deploy(fabric))
+        db = datastore._handle(datastore.target_for("products", b"x"))
+        db.put(b"big#k", b"B" * 50000)
+        gc.collect()
+        gc.disable()
+        try:
+            # An undersized buffer takes the resize re-issue too.
+            future = db.load_prefix_packed_nb([b"big"], size_hint=16)
+            assert bytes(future.wait()[0][0][1]) == b"B" * 50000
+            alive = weakref.ref(future)
+            del future
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 # -- ProductCache ------------------------------------------------------------

@@ -6,6 +6,8 @@ that failure mode and verify (a) errors surface cleanly at every layer
 and (b) bounded client retries mask transient drops.
 """
 
+import dataclasses
+import itertools
 import os
 import tempfile
 import threading
@@ -34,10 +36,22 @@ from repro.hepnos import (
     Prefetcher,
     ProductCacheOptions,
     WriteBatch,
+    vector_of,
 )
+from repro.hepnos import keys as hkeys
+from repro.hepnos.column_block import EventBatch
 from repro.mercury import Engine, Fabric, FaultModel, InjectionFaultModel
 from repro.mercury.address import Address
+from repro.serial import register_type
 from repro.yokan import MemoryBackend, YokanClient, YokanProvider
+
+
+@dataclasses.dataclass
+class Pt:
+    x: float = 0.0
+
+
+register_type(Pt, "fi.Pt")
 
 
 class EveryNthModel(FaultModel):
@@ -405,6 +419,74 @@ class TestDegradation:
         assert engine.outstanding == 0
         datastore.shutdown()  # the partition is still up: nothing to trip on
         fabric.fault_model = FaultModel()
+
+    @pytest.mark.parametrize("lane", ["packed", "columns"])
+    def test_page_spanning_subruns_is_abandoned_whole(self, lane):
+        """A page over two subruns that cannot load abandons both; the
+        next page, already on the wire, yields only the subrun nobody
+        abandoned -- none of the events it holds of an abandoned one."""
+        fabric = Fabric()
+        servers = [
+            BedrockServer(fabric, default_hepnos_config(
+                "sm://node0/hepnos", num_providers=1, event_databases=2,
+                product_databases=1, run_databases=1, subrun_databases=1)),
+            BedrockServer(fabric, default_hepnos_config(
+                "sm://node1/hepnos", num_providers=1, event_databases=0,
+                product_databases=1, run_databases=0, subrun_databases=0,
+                dataset_databases=0)),
+        ]
+        datastore = DataStore.connect(
+            fabric, servers,
+            retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0,
+                                     jitter=0.0),
+            product_cache=ProductCacheOptions(enabled=False))
+        engine = AsyncEngine(datastore, max_inflight=8)
+        run = datastore.create_dataset("spanning").create_run(1)
+        # Subrun 0's products all live on node1, the others' on node0.
+        layout = (("sm://node1/hepnos", 5), ("sm://node0/hepnos", 5),
+                  ("sm://node0/hepnos", 6))
+        subruns, numbers = [], []
+        with WriteBatch(datastore) as batch:
+            for s, (address, count) in enumerate(layout):
+                subrun = run.create_subrun(s, batch=batch)
+                placed = (e for e in itertools.count()
+                          if datastore.placement.product_database_for(
+                              hkeys.event_key(subrun.key, e)).address
+                          == address)
+                subruns.append(subrun)
+                numbers.append(list(itertools.islice(placed, count)))
+                for e in numbers[-1]:
+                    subrun.create_event(e, batch=batch).store(
+                        [Pt(float(e))], label="x", type_name=vector_of(Pt),
+                        batch=batch)
+        reader = Prefetcher(
+            datastore,
+            options=PEPOptions(input_batch_size=8, load_retries=0,
+                               on_load_failure="skip"),
+            products=[(vector_of(Pt), "x")],
+            columns=["x"] if lane == "columns" else None)
+
+        fabric.fault_model = PartitionFault(group_a={"hepnos-client"},
+                                            group_b={"node1"})
+        # Page 1 is subrun 0 + 3 events of subrun 1 and cannot load;
+        # page 2 -- 2 events of subrun 1 + subrun 2 -- can.
+        pages = list(reader.pages(subruns))
+        fabric.fault_model = FaultModel()
+        assert reader.subruns_skipped == 2
+        assert engine.outstanding == 0
+        (page,) = pages
+        assert [event.triple() for event in page] == [
+            (1, 2, e) for e in numbers[2]]
+        expected = [float(e) for e in numbers[2]]
+        if lane == "columns":
+            assert isinstance(page, EventBatch)
+            assert page.block.rows == len(expected)
+            assert page.table["x"].tolist() == expected
+            assert [event.columns()["x"].tolist() for event in page] == [
+                [x] for x in expected]
+        else:
+            assert [event.load(vector_of(Pt), label="x")[0].x
+                    for event in page] == expected
 
     def test_pep_raise_mode_propagates(self):
         fabric = Fabric()

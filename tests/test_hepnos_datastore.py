@@ -2,8 +2,10 @@
 
 import pytest
 
+from conftest import deploy
 from repro.errors import ContainerNotFound, HEPnOSError, ProductNotFound
-from repro.hepnos import DataStore, LoadPlan, vector_of
+from repro.hepnos import DataStore, LoadPlan, WriteBatch, vector_of
+from repro.mercury import Fabric
 from repro.serial import serializable
 
 
@@ -132,6 +134,55 @@ class TestRunsSubrunsEvents:
         big = (1 << 64) - 1
         subrun.create_event(big)
         assert [e.number for e in subrun] == [big]
+
+
+class TestListingRoundTrips:
+    """A listing page shorter than asked for is the last: no round trip
+    is spent on an empty page to learn that the children ran out."""
+
+    @pytest.fixture()
+    def inline(self):
+        fabric = Fabric()
+        return fabric, DataStore.connect(fabric, deploy(fabric))
+
+    @staticmethod
+    def subrun_of(datastore, events):
+        subrun = datastore.create_dataset("listed").create_run(1) \
+                          .create_subrun(1)
+        with WriteBatch(datastore) as batch:
+            for e in range(events):
+                subrun.create_event(e, batch=batch)
+        return subrun
+
+    def test_listing_a_subrun_is_one_rpc(self, inline):
+        fabric, datastore = inline
+        subrun = self.subrun_of(datastore, 64)
+        fabric.stats.reset()
+        assert [e.number for e in subrun.events()] == list(range(64))
+        assert fabric.stats.rpc_count == 1
+
+    @pytest.mark.parametrize("events, rpcs", [(40, 3), (48, 4), (0, 1)])
+    def test_only_a_full_page_asks_again(self, inline, events, rpcs):
+        fabric, datastore = inline
+        subrun = self.subrun_of(datastore, events)
+        fabric.stats.reset()
+        listed = list(datastore.list_child_keys("events", subrun.key,
+                                                page=16))
+        assert listed == [e.key for e in
+                          (subrun.event(n) for n in range(events))]
+        assert fabric.stats.rpc_count == rpcs
+        fabric.stats.reset()
+        assert len(list(datastore.list_child_keys(
+            "events", subrun.key, limit=16, page=16))) == min(events, 16)
+        assert fabric.stats.rpc_count == 1
+
+    def test_dataset_listing_is_one_rpc(self, inline):
+        fabric, datastore = inline
+        for name in ("a", "b", "c"):
+            datastore.create_dataset(name)
+        fabric.stats.reset()
+        assert [ds.path for ds in datastore.datasets()] == ["a", "b", "c"]
+        assert fabric.stats.rpc_count == 1
 
 
 class TestProducts:

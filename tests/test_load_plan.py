@@ -32,6 +32,7 @@ from repro.hepnos import (
     PEPOptions,
     Prefetcher,
     WriteBatch,
+    load_plan,
     vector_of,
 )
 from repro.hepnos.column_block import ABSENT, PRESENT, RAW
@@ -89,19 +90,32 @@ def table_value(hits) -> bytes:
 
 
 def populate(datastore, path="lp"):
-    """Events 0..N-1 of one subrun.  ``hits`` is missing from every
-    fifth event and otherwise stored, by event number mod 4, as a typed
-    table, a table then overwritten row-wise, a row-encoded list, or a
-    list of :class:`Odd` (on odd events only); ``flag`` exists on even
-    events.  Written through batches so the product cache stays empty.
+    """Events 0..N-1 of one subrun; see :func:`populate_subruns`.
     Returns (subrun, keys, model)."""
+    (subrun,), keys, model = populate_subruns(datastore, path, (N_EVENTS,))
+    return subrun, keys, model
+
+
+def populate_subruns(datastore, path, sizes):
+    """Subruns 1, 2, ... of run 1 holding ``sizes`` events each,
+    numbered from 0.  ``hits`` is missing from every fifth event and
+    otherwise stored, by event number mod 4, as a typed table, a table
+    then overwritten row-wise, a row-encoded list, or a list of
+    :class:`Odd` (on odd events only); ``flag`` exists on even events.
+    Written through batches so the product cache stays empty.  Returns
+    (subruns, event keys in order, model)."""
     ds = datastore.create_dataset(path)
     model = {}
     overwrites = []
     with WriteBatch(datastore) as batch:
-        subrun = ds.create_run(1, batch=batch).create_subrun(1, batch=batch)
-        for e in range(N_EVENTS):
-            event = subrun.create_event(e, batch=batch)
+        run = ds.create_run(1, batch=batch)
+        subruns = [run.create_subrun(s, batch=batch)
+                   for s in range(1, len(sizes) + 1)]
+        events = [subrun.create_event(e, batch=batch)
+                  for subrun, size in zip(subruns, sizes)
+                  for e in range(size)]
+        for event in events:
+            e = event.number
             if e % 5:
                 cls = Odd if e % 4 == 3 else Hit
                 hits = [cls(float(e) + 0.25 * j, e) for j in range(1 + e % 3)]
@@ -122,9 +136,10 @@ def populate(datastore, path="lp"):
     with WriteBatch(datastore) as batch:
         for event, hits in overwrites:
             event.store(hits, label="hits", batch=batch)
-    keys = [event.key for event in subrun]
+    keys = [event.key for subrun in subruns for event in subrun]
+    assert len(keys) == sum(sizes)
     assert len(datastore._product_cache) == 0
-    return subrun, keys, model
+    return subruns, keys, model
 
 
 def plan_for(lane, keys):
@@ -335,6 +350,31 @@ def test_all_cache_hit_page_sends_nothing(fabric, datastore, lane):
     assert fabric.stats.rpc_count == 0
 
 
+@pytest.mark.parametrize("lane", ("exact", "packed"))
+def test_object_lanes_decode_only_what_is_loaded(datastore, monkeypatch,
+                                                 lane):
+    subrun, keys, model = populate(datastore)
+    real, decoded = load_plan.loads, []
+    monkeypatch.setattr(load_plan, "loads",
+                        lambda value: decoded.append(1) or real(value))
+    reader = Prefetcher(datastore, products=SPECS[:1],
+                        options=PEPOptions(input_batch_size=N_EVENTS,
+                                           packed_loads=lane == "packed"))
+    (page,) = reader.pages([subrun])
+    assert decoded == []
+    chosen = [event for event in page if (event.key, HITS) in model][:5]
+    for event in chosen:
+        assert event.load(*SPECS[0]) == model[event.key, HITS]
+    assert len(decoded) == len(chosen) == 5
+    # Absent products and specs the page did not fetch decode nothing.
+    missing = next(event for event in page if (event.key, HITS) not in model)
+    assert missing.prefetched(*SPECS[0]) is None
+    assert chosen[0].prefetched(*SPECS[1]) is None
+    assert len(decoded) == 5
+    # The blocking form still hands back objects.
+    check(lane, keys, model, datastore.load_products(plan_for(lane, keys)))
+
+
 def test_columns_plan_needs_fields_and_one_spec(datastore):
     from repro.errors import HEPnOSError
 
@@ -372,15 +412,16 @@ def pep_pass(datastore, dataset, **options):
     return seen, stats
 
 
-def reader_streams(datastore, dataset, subrun, lane):
+def reader_streams(datastore, dataset, subruns, lane, page):
     """``(reader, [(triple, hits, flag), ...])`` for every way of
-    reading ``subrun``: its products through ``lane``, or -- for what a
-    column projection leaves on the server -- through ``event.load``."""
+    reading ``subruns`` (all of ``dataset``) in pages of ``page``
+    events: their products through ``lane``, or -- for what a column
+    projection leaves on the server -- through ``event.load``."""
     from repro.errors import ProductNotFound
 
     specs = SPECS[:1] if lane == "columns" else SPECS
     columns = ["adc", "n"] if lane == "columns" else None
-    options = PEPOptions(input_batch_size=8, dispatch_batch_size=4,
+    options = PEPOptions(input_batch_size=page, dispatch_batch_size=4,
                          packed_loads=lane != "exact",
                          columnar_loads=lane == "columns")
 
@@ -404,30 +445,49 @@ def reader_streams(datastore, dataset, subrun, lane):
             pep.process(dataset, lambda event: rows.append(row(event)))
         return rows
 
-    yield "containers", [row(event) for event in subrun]
-    yield "prefetcher", [row(event) for event in Prefetcher(
-        datastore, options=options, products=specs,
-        columns=columns).events(subrun)]
+    def prefetcher():
+        reader = Prefetcher(datastore, options=options, products=specs,
+                            columns=columns)
+        pages = list(reader.pages(subruns))
+        assert [len(p) for p in pages[:-1]] == [page] * (len(pages) - 1)
+        return [row(event) for p in pages for event in p]
+
+    yield "containers", [row(event) for subrun in subruns for event in subrun]
+    yield "prefetcher", prefetcher()
     yield "pep", pep_rows(None)
     yield "pep on 3 ranks", sorted(
         (r for rows in mpirun(pep_rows, 3) for r in rows), key=lambda r: r[0])
+
+
+#: subrun sizes whose pages of 16 straddle subrun boundaries: a page
+#: covering a whole subrun and part of the next, a subrun covering whole
+#: pages, a one-event and an empty subrun
+STRADDLING = (5, 13, 64, 1, 0)
 
 
 @pytest.mark.parametrize("state", ("settled", "split"))
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("lane", LANES)
 def test_every_reader_yields_the_same_stream(world, lane, mode, state):
+    """One 24-event subrun in pages of 8, and subruns of ``STRADDLING``
+    sizes in pages of 16."""
     fabric, _, datastore = world()
-    subrun, keys, model = populate(datastore)
+    layouts = [(path, sizes, page, populate_subruns(datastore, path, sizes))
+               for path, sizes, page in (("lp", (N_EVENTS,), 8),
+                                         ("lp-straddling", STRADDLING, 16))]
     if mode == "engine":
         AsyncEngine(datastore, max_inflight=2)
     if state == "split":
-        split_migration(fabric, datastore, keys)
-    expected = [((1, 1, e), model.get((key, HITS)), model.get((key, FLAG)))
-                for e, key in enumerate(keys)]
-    for reader, rows in reader_streams(datastore, datastore["lp"], subrun,
-                                       lane):
-        assert rows == expected, reader
+        split_migration(fabric, datastore,
+                        [key for *_, (_, keys, _) in layouts for key in keys])
+    for path, sizes, page, (subruns, keys, model) in layouts:
+        triples = [(1, s, e) for s, size in enumerate(sizes, 1)
+                   for e in range(size)]
+        expected = [(triple, model.get((key, HITS)), model.get((key, FLAG)))
+                    for triple, key in zip(triples, keys)]
+        for reader, rows in reader_streams(datastore, datastore[path],
+                                           subruns, lane, page):
+            assert rows == expected, (path, reader)
     assert datastore.placement.migrating == (state == "split")
 
 

@@ -1,5 +1,6 @@
 """The RPC floor and the reader floor as counts: Python-level calls
-per null ``exists`` and per event of a no-op pass.
+per null ``exists`` and per event of a no-op pass, and RPCs per page
+pass over many subruns.
 
 A timing gate depends on the machine; this one does not.  On the inline
 fabric one ``DatabaseHandle.exists`` of an absent key walks the whole
@@ -11,8 +12,11 @@ before any benchmark runs.  The reader floor is the same method one
 layer up: calls per event of a sequential no-op pass over one 1-field
 product in pages of 64, through the ParallelEventProcessor and through
 the Prefetcher it iterates -- so a second object or wrapper frame per
-event fails here too.  ``python tests/test_rpc_floor.py`` prints the
-counts (CI puts them in the job summary).
+event fails here too.  The page floor counts round trips instead, on
+the benchmark's shape (many 64-event subruns, pages of 1024): a page
+that closes at a subrun boundary again, or a listing that asks once
+more than it needs, fails here.  ``python tests/test_rpc_floor.py``
+prints the counts (CI puts them in the job summary).
 """
 
 import cProfile
@@ -38,12 +42,19 @@ from repro.serial import register_type
 #: deployment; the rewrite left 160 and 213.
 BUDGET = {False: 200, True: 250}
 CALLS = 1000
-#: calls per event a no-op pass may make: what the two copies of the
-#: loading loop made on this deployment before they became one (125.30
-#: the PEP's, 126.31 the Prefetcher's); the one loop leaves 117.3 and
-#: 115.5.
-READER_BUDGET = {"pep": 125.3, "prefetcher": 126.3}
+#: calls per event a no-op pass may make: what the one loading loop made
+#: on this deployment while it decoded every prefetched product as the
+#: page arrived (the two copies it replaced made 125.30 / 126.31); a
+#: page that decodes only what its consumer loads leaves 102.8 and 101.8.
+READER_BUDGET = {"pep": 117.3, "prefetcher": 115.5}
 EVENTS = 512
+#: RPCs one ``Prefetcher.pages`` pass may send over ``SUBRUNS`` subruns
+#: of ``PER_SUBRUN`` events, one product each, in pages of 1024, per
+#: lane.  Pages that closed at every subrun boundary made it 96 in both
+#: object lanes (16 x (2 listings + 4 loads)); one page of 1024 events
+#: is 17 listings (the last finds the 16th subrun dry) + 4 loads.
+PAGE_BUDGET = {"exact": 21, "packed": 21, "columns": 21}
+SUBRUNS, PER_SUBRUN = 16, 64
 
 
 @dataclasses.dataclass
@@ -133,6 +144,48 @@ def reader_calls(reader: str) -> float:
             server.shutdown()
 
 
+def page_pass_rpcs(lane: str) -> int:
+    """RPCs of one cold ``Prefetcher.pages`` pass through ``lane`` over
+    ``SUBRUNS`` subruns of ``PER_SUBRUN`` events, one ``Flag`` each, in
+    pages of 1024 (2 servers x 2 providers, 4 product databases)."""
+    servers = deploy()
+    session = hepnos.connect(servers=servers)
+    try:
+        datastore = session.datastore
+        run = datastore.create_dataset("floor").create_run(1)
+        with WriteBatch(datastore) as batch:
+            subruns = [run.create_subrun(s, batch=batch)
+                       for s in range(SUBRUNS)]
+            for subrun in subruns:
+                for e in range(PER_SUBRUN):
+                    subrun.create_event(e, batch=batch).store(
+                        Flag(e), label="f", batch=batch)
+        reader = Prefetcher(
+            datastore,
+            options=PEPOptions(input_batch_size=1024,
+                               packed_loads=lane != "exact"),
+            products=[(Flag, "f")],
+            columns=["n"] if lane == "columns" else None)
+        fabric = datastore.fabric
+        fabric.stats.reset()
+        events = sum(len(page) for page in reader.pages(subruns))
+        assert events == SUBRUNS * PER_SUBRUN
+        return fabric.stats.rpc_count
+    finally:
+        session.close()
+        for server in servers:
+            server.shutdown()
+
+
+@pytest.mark.parametrize("lane", sorted(PAGE_BUDGET))
+def test_page_pass_stays_within_its_rpc_budget(lane):
+    rpcs = page_pass_rpcs(lane)
+    assert rpcs == page_pass_rpcs(lane), "the count must repeat exactly"
+    assert rpcs <= PAGE_BUDGET[lane], (
+        f"a {lane} page pass over {SUBRUNS} subruns x {PER_SUBRUN} events "
+        f"sends {rpcs} RPCs, budget {PAGE_BUDGET[lane]}")
+
+
 @pytest.mark.parametrize("reader", sorted(READER_BUDGET))
 def test_noop_pass_stays_within_its_call_budget(reader):
     first, second = reader_calls(reader), reader_calls(reader)
@@ -160,4 +213,8 @@ if __name__ == "__main__":
     for reader, budget in sorted(READER_BUDGET.items()):
         print(f"no-op pass, inline fabric, {reader}: "
               f"{reader_calls(reader):.1f} Python-level calls per event "
+              f"(budget {budget})")
+    for lane, budget in sorted(PAGE_BUDGET.items()):
+        print(f"page pass, {SUBRUNS} subruns x {PER_SUBRUN} events, pages "
+              f"of 1024, {lane} lane: {page_pass_rpcs(lane)} RPCs "
               f"(budget {budget})")
