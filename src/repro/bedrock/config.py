@@ -223,8 +223,8 @@ def default_hepnos_config(
 
     ``tenants`` enables the multi-tenant request broker
     (:class:`~repro.broker.RequestBroker`): a dict with optional
-    ``slots`` / ``interactive_reserve`` / ``quantum_bytes`` /
-    ``slow_query_s`` / ``shed_retry_hint_s`` scheduler settings, a
+    ``slots`` (default 8), ``interactive_reserve`` (in ``[0, slots)``;
+    default ``min(2, slots - 1)``) and ``slow_query_s`` settings, a
     ``registry`` mapping tenant ids to their service terms (rate,
     burst, weight, priority, quotas, token), and a ``default`` spec
     for unregistered tenants (an explicit ``None`` closes the

@@ -43,7 +43,6 @@ class BedrockServer:
         #: db name -> (backup address, provider id, db name) replica
         #: wiring, re-applied to fresh providers on every (re)start.
         self._replication: dict[str, tuple[str, int, str]] = {}
-        self._replication_window = 8
         self._generation = 0
         self.running = False
         self._start()
@@ -127,8 +126,8 @@ class BedrockServer:
 
     # -- replication wiring --------------------------------------------------
 
-    def set_replication(self, links: dict[str, tuple[str, int, str]],
-                        window: int = 8) -> None:
+    def set_replication(self, links: dict[str, tuple[str, int, str]]
+                        ) -> None:
         """Forward acknowledged writes of each database to its backup.
 
         ``links`` maps a local database name to its backup's
@@ -137,7 +136,6 @@ class BedrockServer:
         need fresh handles on the new engine).
         """
         self._replication = dict(links)
-        self._replication_window = window
         if self.running:
             self._apply_replication()
 
@@ -155,8 +153,7 @@ class BedrockServer:
             if owner is None:
                 continue
             handle = client.database_handle(address, pid, backup_name)
-            self.providers[owner].set_replica(
-                db_name, handle, window=self._replication_window)
+            self.providers[owner].set_replica(db_name, handle)
 
     def flush_replication(self) -> int:
         """Drain every provider's replica links; returns futures waited."""

@@ -37,6 +37,10 @@ from repro.errors import ConfigError, QuotaExceeded, ServiceBusy
 from repro.monitor.metrics import MetricRegistry
 from repro.yokan import wire
 
+#: ``retry_after_s`` hint for quota and queue-full sheds (a queue-full
+#: hint grows with the queue's depth).
+SHED_RETRY_HINT_S = 0.002
+
 
 class TokenBucket:
     """Classic token bucket: ``rate`` tokens/s, capacity ``burst``."""
@@ -130,20 +134,19 @@ class RequestBroker:
     """Admission control and fair-share scheduling for one server."""
 
     def __init__(self, registry: Optional[TenantRegistry] = None,
-                 slots: int = 8, interactive_reserve: int = 2,
-                 quantum_bytes: int = 4096,
+                 slots: int = 8, interactive_reserve: Optional[int] = None,
                  slow_query_s: float = 0.05,
-                 shed_retry_hint_s: float = 0.002,
                  metrics: Optional[MetricRegistry] = None,
                  clock: Callable[[], float] = time.monotonic):
         self.registry = registry if registry is not None else TenantRegistry(
             default=TenantSpec(tenant=""))
+        if interactive_reserve is None:
+            interactive_reserve = min(2, slots - 1)
+        # An explicit reserve outside [0, slots) is the scheduler's
+        # ValueError (a ConfigError from validate_config).
         self.scheduler = FairShareScheduler(
-            slots=slots,
-            interactive_reserve=max(0, min(interactive_reserve, slots - 1)),
-            quantum=quantum_bytes)
+            slots=slots, interactive_reserve=interactive_reserve)
         self.slow_queries = SlowQueryLog(threshold_s=slow_query_s)
-        self.shed_retry_hint_s = shed_retry_hint_s
         self.metrics = metrics if metrics is not None else MetricRegistry(
             "broker")
         self._clock = clock
@@ -206,7 +209,7 @@ class RequestBroker:
                 f"tenant {spec.tenant!r} has {state.bytes_in_flight}B in "
                 f"flight; admitting {nbytes}B would exceed its "
                 f"{spec.max_bytes_in_flight}B quota",
-                retry_after_s=self.shed_retry_hint_s)
+                retry_after_s=SHED_RETRY_HINT_S)
         ticket = self.scheduler.submit(spec.tenant, spec.priority_code,
                                        nbytes, weight=spec.weight,
                                        max_queue=spec.max_queue)
@@ -217,7 +220,7 @@ class RequestBroker:
                                                spec.priority_code)
             raise ServiceBusy(
                 f"tenant {spec.tenant!r} queue is full ({depth} waiting)",
-                retry_after_s=self.shed_retry_hint_s * (1 + depth / 8))
+                retry_after_s=SHED_RETRY_HINT_S * (1 + depth / 8))
         with self._lock:
             state.bytes_in_flight += nbytes
         self._count(state, spec.tenant, "admitted")
@@ -272,18 +275,17 @@ class RequestBroker:
                     metrics: Optional[MetricRegistry] = None
                     ) -> "RequestBroker":
         """Build from the validated bedrock ``tenants`` config section."""
-        known = {"slots", "interactive_reserve", "quantum_bytes",
-                 "slow_query_s", "shed_retry_hint_s", "registry", "default"}
+        known = {"slots", "interactive_reserve", "slow_query_s", "registry",
+                 "default"}
         unknown = set(config) - known
         if unknown:
             raise ConfigError(
                 f"unknown tenants settings: {sorted(unknown)}")
+        reserve = config.get("interactive_reserve")
         return cls(
             registry=TenantRegistry.from_config(config),
             slots=int(config.get("slots", 8)),
-            interactive_reserve=int(config.get("interactive_reserve", 2)),
-            quantum_bytes=int(config.get("quantum_bytes", 4096)),
+            interactive_reserve=None if reserve is None else int(reserve),
             slow_query_s=float(config.get("slow_query_s", 0.05)),
-            shed_retry_hint_s=float(config.get("shed_retry_hint_s", 0.002)),
             metrics=metrics,
         )

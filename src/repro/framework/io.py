@@ -163,11 +163,10 @@ class HEPnOSSource:
 class HEPnOSSink:
     """Persists produced products next to their event (batched)."""
 
-    def __init__(self, datastore, dataset_path: str,
-                 flush_threshold: int = 1024):
+    def __init__(self, datastore, dataset_path: str):
         self.datastore = datastore
         self.dataset = datastore[dataset_path]
-        self.batch = WriteBatch(datastore, flush_threshold=flush_threshold)
+        self.batch = WriteBatch(datastore, flush_threshold=1024)
         self.products_written = 0
 
     def write(self, event: EventContext) -> None:

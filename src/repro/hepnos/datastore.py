@@ -60,7 +60,7 @@ class DataStore:
     """
 
     def __init__(self, fabric: Fabric, connection: ConnectionInfo,
-                 client_address: Optional[str] = None, placement=None,
+                 placement=None,
                  retry_policy: Optional[RetryPolicy] = None,
                  metrics: Optional[MetricRegistry] = None,
                  async_engine=None,
@@ -68,8 +68,7 @@ class DataStore:
                  quota: Optional[QuotaOptions] = None):
         self.fabric = fabric
         self.connection = connection
-        if client_address is None:
-            client_address = f"sm://hepnos-client/{next(_client_counter)}"
+        client_address = f"sm://hepnos-client/{next(_client_counter)}"
         self.engine = Engine(fabric, client_address)
         if retry_policy is None:
             retry_policy = connection.retry_policy()
@@ -135,7 +134,6 @@ class DataStore:
 
     @classmethod
     def connect(cls, fabric: Fabric, connection,
-                client_address: Optional[str] = None,
                 retry_policy: Optional[RetryPolicy] = None,
                 metrics: Optional[MetricRegistry] = None,
                 async_engine=None,
@@ -143,15 +141,17 @@ class DataStore:
                 quota: Optional[QuotaOptions] = None
                 ) -> "DataStore":
         """Connect using a :class:`ConnectionInfo`, JSON text, or a list
-        of deployed :class:`~repro.bedrock.BedrockServer` objects."""
+        of deployed :class:`~repro.bedrock.BedrockServer` objects.
+
+        The client's own fabric address is derived, one fresh
+        ``sm://hepnos-client/<n>`` per datastore."""
         if isinstance(connection, ConnectionInfo):
             info = connection
         elif isinstance(connection, (str, dict)):
             info = ConnectionInfo.from_json(connection)
         else:
             info = connection_from_servers(connection)
-        return cls(fabric, info, client_address=client_address,
-                   retry_policy=retry_policy, metrics=metrics,
+        return cls(fabric, info, retry_policy=retry_policy, metrics=metrics,
                    async_engine=async_engine, product_cache=product_cache,
                    quota=quota)
 

@@ -44,7 +44,7 @@ def replica_links(shard_map: ShardMap) -> dict[DbTarget, DbTarget]:
     return links
 
 
-def enable_replication(servers, replication: int = 2, window: int = 8,
+def enable_replication(servers, replication: int = 2,
                        client: Optional[dict] = None) -> ConnectionInfo:
     """Wire primary/backup write forwarding across deployed servers.
 
@@ -62,7 +62,7 @@ def enable_replication(servers, replication: int = 2, window: int = 8,
         per_server.setdefault(primary.address, {})[primary.name] = (
             backup.address, backup.provider_id, backup.name)
     for address, links in per_server.items():
-        by_address[address].set_replication(links, window=window)
+        by_address[address].set_replication(links)
     return connection
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 import keyword
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -203,12 +203,10 @@ class DataLoader:
     stored under ``label``.  Containers are created on demand.
     """
 
-    def __init__(self, datastore, dataset_path: str, label: str = "",
-                 flush_threshold: int = 4096):
+    def __init__(self, datastore, dataset_path: str, label: str = ""):
         self.datastore = datastore
         self.dataset = datastore.create_dataset(dataset_path)
         self.label = label
-        self.flush_threshold = flush_threshold
         self._classes: dict[str, type] = {}
 
     def _class_for(self, schema: TableSchema) -> type:
@@ -231,7 +229,7 @@ class DataLoader:
         own_batch = batch is None
         if own_batch:
             batch = WriteBatch(self.datastore,
-                               flush_threshold=self.flush_threshold)
+                               flush_threshold=4096)
         with H5LiteFile.open(path) as h5:
             schemas = discover_schema(h5)
             if not schemas:

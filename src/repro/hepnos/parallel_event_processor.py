@@ -76,37 +76,6 @@ class PEPStatistics:
         self.overlap_seconds = reader.overlap_seconds
         self.prefetch_wait_seconds = reader.wait_seconds
 
-    @staticmethod
-    def aggregate(stats_list: "list[PEPStatistics]") -> dict:
-        """Summarize a run's per-rank statistics (the offline analysis
-        of the per-rank timestamp files the paper describes)."""
-        workers = [s for s in stats_list if s.role in ("worker", "sequential")]
-        readers = [s for s in stats_list if s.role == "reader"]
-        events = [w.events_processed for w in workers]
-        mean_events = sum(events) / len(events) if events else 0.0
-        return {
-            "ranks": len(stats_list),
-            "readers": len(readers),
-            "workers": len(workers),
-            "events_processed": sum(events),
-            "events_loaded": sum(r.events_loaded for r in readers),
-            "worker_imbalance": (
-                max(events) / mean_events if mean_events else 1.0
-            ),
-            "total_seconds": max(
-                (s.total_seconds for s in stats_list), default=0.0
-            ),
-            "processing_seconds": sum(w.processing_seconds for w in workers),
-            "waiting_seconds": sum(w.waiting_seconds for w in workers),
-            "load_retries": sum(s.load_retries for s in stats_list),
-            "load_failures": sum(s.load_failures for s in stats_list),
-            "subruns_skipped": sum(s.subruns_skipped for s in stats_list),
-            "overlap_seconds": sum(s.overlap_seconds for s in stats_list),
-            "prefetch_wait_seconds": sum(
-                s.prefetch_wait_seconds for s in stats_list
-            ),
-        }
-
 
 class ParallelEventProcessor:
     """Parallel, load-balanced ``for each event`` over a dataset."""

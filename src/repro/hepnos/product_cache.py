@@ -100,10 +100,6 @@ class ProductCache:
         return self._bytes
 
     @property
-    def cached_column_bytes(self) -> int:
-        return self._col_bytes
-
-    @property
     def cached_column_entries(self) -> int:
         return self._col_entries
 

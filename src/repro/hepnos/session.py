@@ -98,7 +98,6 @@ def connect(connection=None, *,
             priority: str = "batch",
             token: str = "",
             quota: Optional[QuotaOptions] = None,
-            client_address: Optional[str] = None,
             retry_policy: Optional[RetryPolicy] = None,
             metrics: Optional[MetricRegistry] = None,
             async_engine: Union[AsyncEngine, bool, None] = None,
@@ -122,7 +121,8 @@ def connect(connection=None, *,
     ``async_engine=True`` builds a default
     :class:`~repro.hepnos.AsyncEngine` and attaches it; an explicit
     engine instance is attached as-is.  Remaining keywords mirror
-    :meth:`DataStore.connect <repro.hepnos.DataStore.connect>`.
+    :meth:`DataStore.connect <repro.hepnos.DataStore.connect>`; the
+    client's own fabric address is derived there, not passed.
     """
     if quota is not None:
         if tenant or token or priority != "batch":
@@ -156,7 +156,6 @@ def connect(connection=None, *,
 
     datastore = DataStore.connect(
         fabric, connection,
-        client_address=client_address,
         retry_policy=retry_policy,
         metrics=metrics,
         async_engine=engine,

@@ -5,11 +5,12 @@ This reproduces the role monitoring played in HEPnOS's development
 the batching and parallel-event-processing optimizations.  The checks
 here detect exactly those classes of problem:
 
-- **chatty clients** -- many RPCs, few bytes each: recommend WriteBatch
-  / batched loads;
-- **hot databases** -- operation counts skewed across databases:
-  placement or workload imbalance;
-- **slow tail** -- high p99/mean latency ratio on some database;
+- **chatty clients** -- over 100 RPCs averaging under
+  :data:`SMALL_RPC_BYTES` each: recommend WriteBatch / batched loads;
+- **hot databases** -- one database serving over :data:`SKEW_THRESHOLD`
+  times the mean operation count: placement or workload imbalance;
+- **slow tail** -- a p99 over :data:`TAIL_THRESHOLD` times the mean
+  latency on some database;
 - **drops** -- fabric-level message drops (injection saturation).
 """
 
@@ -19,6 +20,13 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.monitor.collect import FabricMonitor, ProviderMonitor
+
+#: Mean bytes per RPC below which a busy client is chatty.
+SMALL_RPC_BYTES = 256.0
+#: Hottest database's op count over the mean that flags a hot database.
+SKEW_THRESHOLD = 4.0
+#: p99 over mean latency that flags a slow tail.
+TAIL_THRESHOLD = 50.0
 
 
 @dataclass
@@ -51,9 +59,6 @@ class DiagnosticReport:
 def diagnose(
     fabric_monitor: Optional[FabricMonitor] = None,
     provider_monitors: Sequence[ProviderMonitor] = (),
-    small_rpc_bytes: float = 256.0,
-    skew_threshold: float = 4.0,
-    tail_threshold: float = 50.0,
 ) -> DiagnosticReport:
     """Analyze collected metrics and report findings."""
     report = DiagnosticReport()
@@ -62,7 +67,7 @@ def diagnose(
         stats = fabric_monitor.fabric.stats
         if stats.rpc_count > 100:
             per_rpc = fabric_monitor.bytes_per_rpc()
-            if per_rpc < small_rpc_bytes:
+            if per_rpc < SMALL_RPC_BYTES:
                 report.findings.append(Finding(
                     "warning", "chatty-client",
                     f"{stats.rpc_count} RPCs averaging {per_rpc:.0f} B "
@@ -90,7 +95,7 @@ def diagnose(
     if len(loaded) >= 2:
         mean = sum(loaded.values()) / len(loaded)
         hottest = max(loaded, key=loaded.get)
-        if loaded[hottest] > skew_threshold * mean:
+        if loaded[hottest] > SKEW_THRESHOLD * mean:
             report.findings.append(Finding(
                 "warning", "hot-database",
                 f"database {hottest!r} served {loaded[hottest]} ops "
@@ -114,7 +119,7 @@ def diagnose(
             if histogram.count < 10 or histogram.mean <= 0:
                 continue
             p99 = histogram.quantile(0.99)
-            if p99 != float("inf") and p99 > tail_threshold * histogram.mean:
+            if p99 != float("inf") and p99 > TAIL_THRESHOLD * histogram.mean:
                 report.findings.append(Finding(
                     "warning", "slow-tail",
                     f"{name}: p99 {p99:.2g}s vs mean "

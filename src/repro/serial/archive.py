@@ -311,10 +311,6 @@ def _zigzag(value: int) -> int:
     return (value << 1) if value >= 0 else ((-value << 1) - 1)
 
 
-def _unzigzag(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
-
-
 # -- archives ---------------------------------------------------------------
 
 

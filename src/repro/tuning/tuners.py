@@ -34,12 +34,6 @@ class TuningResult:
     def evaluations(self) -> int:
         return len(self.trials)
 
-    def improvement_over_first(self) -> float:
-        if not self.trials:
-            return 0.0
-        first = self.trials[0].score
-        return self.best_score / first if first > 0 else float("inf")
-
 
 class _Base:
     def __init__(self, space: SearchSpace, objective: Objective,

@@ -11,13 +11,12 @@ Production-shaped engine:
   onto an immutable-memtable list and a **background worker** (the
   Argobots-xstream stand-in) flushes it to an SSTable -- puts never
   stall on disk.  Reads consult active -> immutables -> SSTables;
-- SSTables are **block-based** (``block_bytes`` entries per block, an
-  optional per-block zlib/zstd codec) and read through an ``mmap``:
-  a block fetch is a zero-copy slice of the map, decoded once and kept
-  in a bytes-bounded **block LRU cache** shared across all tables of
-  the backend;
-- a tunable ``bits_per_key`` bloom filter per table skips tables that
-  cannot hold a key;
+- SSTables are **block-based** (blocks of ~4 KiB of raw entries) and
+  read through an ``mmap``: a block fetch is a zero-copy slice of the
+  map, decoded once and kept in a bytes-bounded **block LRU cache**
+  shared across all tables of the backend;
+- a 10-bits-per-key bloom filter per table skips tables that cannot
+  hold a key;
 - deletes write *tombstones*, dropped when a compaction includes the
   oldest table;
 - compaction is **size-tiered**: contiguous age-runs of similarly
@@ -49,7 +48,6 @@ import os
 import struct
 import threading
 import time
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
@@ -77,29 +75,17 @@ _TOMBSTONE = object()
 
 #: Tables smaller than this all land in size tier 0.
 _TIER_BASE_BYTES = 64 * 1024
-
-try:  # gated optional dependency -- never required
-    import zstandard as _zstd
-except ImportError:  # pragma: no cover - environment-dependent
-    _zstd = None
-
-
-def _codec_funcs(name: Optional[str]):
-    """(compress, decompress) for a block codec name (None = raw)."""
-    if name is None or name == "none":
-        return None, None
-    if name == "zlib":
-        return (lambda b: zlib.compress(b, 1)), zlib.decompress
-    if name == "zstd":
-        if _zstd is None:
-            raise ConfigError(
-                "lsm compression 'zstd' requested but the zstandard "
-                "module is not installed; use 'zlib' or None")
-        cctx = _zstd.ZstdCompressor(level=1)
-        dctx = _zstd.ZstdDecompressor()
-        return cctx.compress, dctx.decompress
-    raise ConfigError(f"unknown lsm compression {name!r}; "
-                      "known: None, 'zlib', 'zstd'")
+#: Size ratio separating one tier from the next.
+_TIER_RATIO = 4
+#: Raw entry bytes per SSTable block (a block closes once it passes this).
+_BLOCK_BYTES = 4096
+#: Bloom filter budget per table.
+_BITS_PER_KEY = 10
+#: Soft write throttle: once the flush + compaction backlog passes
+#: ``_THROTTLE_BACKLOG``, a write sleeps ``_THROTTLE_SLEEP_S`` per excess
+#: task (at most four).
+_THROTTLE_BACKLOG = 8
+_THROTTLE_SLEEP_S = 0.002
 
 
 class _FlushAborted(Exception):
@@ -124,8 +110,8 @@ class BloomFilter:
         self._bits = bits if bits is not None else bytearray((num_bits + 7) // 8)
 
     @classmethod
-    def for_capacity(cls, n: int, bits_per_key: int = 10) -> "BloomFilter":
-        return cls(max(64, n * bits_per_key))
+    def for_capacity(cls, n: int) -> "BloomFilter":
+        return cls(max(64, n * _BITS_PER_KEY))
 
     @staticmethod
     def hash_pair(key: bytes) -> Tuple[int, int]:
@@ -197,7 +183,7 @@ class LSMStats(DurabilityStats):
     block_cache_hits: int = 0
     block_cache_misses: int = 0
     block_cache_evictions: int = 0
-    #: soft write throttles (backlog over ``throttle_backlog``)
+    #: soft write throttles (backlog over ``_THROTTLE_BACKLOG``)
     throttle_waits: int = 0
     #: hard write stalls (immutable list at ``max_immutables``)
     backpressure_waits: int = 0
@@ -333,12 +319,15 @@ class SSTable:
         self._view = view
         self.num_entries: int = footer["n"]
         self.data_end: int = footer["data_end"]
-        self.codec: Optional[str] = footer.get("codec")
-        _compress, self._decompress = _codec_funcs(self.codec)
-        #: per block: (offset, stored length, compressed flag)
-        self.blocks: list[tuple[int, int, int]] = [
-            (off, stored, flag) for _first, off, stored, flag
-            in footer["blocks"]
+        # Tables are raw ("none" spells the raw codec too): a named codec
+        # or a compressed block is foreign input.
+        if footer.get("codec") not in (None, "none") or any(
+                flag for *_rest, flag in footer["blocks"]):
+            self.close()
+            raise CorruptionError(f"{path}: compressed SSTable blocks")
+        #: per block: (offset, length)
+        self.blocks: list[tuple[int, int]] = [
+            (off, stored) for _first, off, stored, _flag in footer["blocks"]
         ]
         self.block_firsts: list[bytes] = [
             bytes.fromhex(b[0]) for b in footer["blocks"]
@@ -359,14 +348,12 @@ class SSTable:
 
     @staticmethod
     def write(path: str, entries: Iterable[Tuple[bytes, Optional[bytes]]],
-              expected_count: int, *, block_bytes: int = 4096,
-              bits_per_key: int = 10, codec: Optional[str] = None,
+              expected_count: int, *,
               should_abort: Optional[Callable[[], bool]] = None,
               on_block: Optional[Callable[[int], None]] = None) -> int:
         """Write sorted ``entries`` (value ``None`` = tombstone) to ``path``.
 
-        Entries are grouped into blocks of ~``block_bytes``; each block
-        is compressed with ``codec`` when that actually shrinks it.
+        Entries are grouped into blocks of ~``_BLOCK_BYTES``.
         ``should_abort`` is polled at every block boundary so a
         simulated crash can abandon a half-written table (the ``.tmp``
         never becomes visible).  ``on_block`` is a test hook invoked
@@ -374,8 +361,7 @@ class SSTable:
 
         Returns the number of data bytes written.
         """
-        compress, _decompress = _codec_funcs(codec)
-        bloom = BloomFilter.for_capacity(max(expected_count, 1), bits_per_key)
+        bloom = BloomFilter.for_capacity(max(expected_count, 1))
         blocks: list[tuple[str, int, int, int]] = []
         n = 0
         min_key = max_key = None
@@ -392,15 +378,10 @@ class SSTable:
                         return
                     if should_abort is not None and should_abort():
                         raise _FlushAborted(path)
-                    raw = bytes(buf)
-                    stored, flag = raw, 0
-                    if compress is not None:
-                        packed = compress(raw)
-                        if len(packed) < len(raw):
-                            stored, flag = packed, 1
                     offset = f.tell()
-                    f.write(stored)
-                    blocks.append((first_key.hex(), offset, len(stored), flag))
+                    f.write(buf)
+                    # The trailing 0 is the format's "not compressed" flag.
+                    blocks.append((first_key.hex(), offset, len(buf), 0))
                     if on_block is not None:
                         on_block(len(blocks) - 1)
                     buf = bytearray()
@@ -421,14 +402,14 @@ class SSTable:
                         buf += key
                         buf += value
                     n += 1
-                    if len(buf) >= block_bytes:
+                    if len(buf) >= _BLOCK_BYTES:
                         emit_block()
                 emit_block()
                 data_end = f.tell()
                 footer = json.dumps({
                     "n": n,
                     "data_end": data_end,
-                    "codec": codec,
+                    "codec": None,
                     "blocks": blocks,
                     "bloom": bloom.to_bytes().hex(),
                     "min": min_key.hex() if min_key is not None else "",
@@ -456,11 +437,8 @@ class SSTable:
             block = self.cache.get(cache_key)
             if block is not None:
                 return block
-        offset, stored, flag = self.blocks[index]
-        raw = self._view[offset:offset + stored]
-        if flag:
-            raw = self._decompress(bytes(raw))
-        block = _parse_block(raw)
+        offset, stored = self.blocks[index]
+        block = _parse_block(self._view[offset:offset + stored])
         if self.stats is not None:
             self.stats.blocks_read += 1
             self.stats.lookup_blocks_read += lookup
@@ -539,47 +517,32 @@ class LSMBackend(Backend):
     - ``memtable_bytes`` -- rotation threshold for the active memtable;
     - ``compaction_trigger`` -- tables per size tier before a merge is
       scheduled;
-    - ``tier_ratio`` -- size ratio separating tiers;
     - ``max_immutables`` -- hard bound on unflushed sealed memtables
       (writers stall at the bound -- backpressure);
-    - ``throttle_backlog`` / ``throttle_sleep_s`` -- soft write
-      throttle once the flush+compaction backlog passes the threshold;
-    - ``block_bytes`` / ``block_cache_bytes`` -- SSTable block size and
-      the shared decoded-block LRU budget (0 disables the cache);
-    - ``bits_per_key`` -- bloom filter budget per table;
-    - ``compression`` -- per-block codec: ``None``, ``"zlib"`` or
-      ``"zstd"`` (gated on the module being available);
+    - ``block_cache_bytes`` -- the shared decoded-block LRU budget (0
+      disables the cache);
     - ``wal_sync`` -- fsync the WAL on every append (records always
       reach the OS regardless, so acked writes survive process death).
 
-    Any other key is a :class:`ConfigError`, not a silent default.
+    Those five are the engine's options; tier ratio, block size, bloom
+    budget and write throttle are module constants.  Any other key is a
+    :class:`ConfigError`, not a silent default.
     """
 
     durable = True
 
     def __init__(self, path: str, memtable_bytes: int = 4 * 1024 * 1024,
                  compaction_trigger: int = 4, wal_sync: bool = False,
-                 tier_ratio: int = 4, max_immutables: int = 4,
-                 throttle_backlog: int = 8, throttle_sleep_s: float = 0.002,
-                 block_bytes: int = 4096,
-                 block_cache_bytes: int = 8 * 1024 * 1024,
-                 bits_per_key: int = 10, compression: Optional[str] = None,
-                 **unknown):
+                 max_immutables: int = 4,
+                 block_cache_bytes: int = 8 * 1024 * 1024, **unknown):
         super().__init__()
         if unknown:
             raise ConfigError(f"unknown lsm option(s) {sorted(unknown)}")
-        _codec_funcs(compression)  # validate (and gate zstd) eagerly
         self.path = path
         self.memtable_bytes = memtable_bytes
         self.compaction_trigger = max(2, int(compaction_trigger))
         self.wal_sync = wal_sync
-        self.tier_ratio = max(2, int(tier_ratio))
         self.max_immutables = max(1, int(max_immutables))
-        self.throttle_backlog = max(1, int(throttle_backlog))
-        self.throttle_sleep_s = float(throttle_sleep_s)
-        self.block_bytes = max(256, int(block_bytes))
-        self.bits_per_key = max(1, int(bits_per_key))
-        self.compression = compression
         self.stats = LSMStats()
         self.block_cache = BlockCache(block_cache_bytes, self.stats)
         os.makedirs(path, exist_ok=True)
@@ -786,8 +749,7 @@ class LSMBackend(Backend):
         try:
             written = SSTable.write(
                 os.path.join(self.path, name), entries, len(imm.memtable),
-                block_bytes=self.block_bytes, bits_per_key=self.bits_per_key,
-                codec=self.compression, should_abort=self._should_abort,
+                should_abort=self._should_abort,
                 on_block=self._test_hooks.get("flush_block"))
         finally:
             if span is not None:
@@ -836,7 +798,7 @@ class LSMBackend(Backend):
         bucket = 0
         size = max(size, 1)
         while size > _TIER_BASE_BYTES:
-            size //= self.tier_ratio
+            size //= _TIER_RATIO
             bucket += 1
         return bucket
 
@@ -893,8 +855,7 @@ class LSMBackend(Backend):
         try:
             written = SSTable.write(
                 os.path.join(self.path, name), merged, expected,
-                block_bytes=self.block_bytes, bits_per_key=self.bits_per_key,
-                codec=self.compression, should_abort=self._should_abort,
+                should_abort=self._should_abort,
                 on_block=self._test_hooks.get("compact_block"))
         finally:
             if span is not None:
@@ -977,10 +938,9 @@ class LSMBackend(Backend):
                 self.stats.backpressure_waits += 1
                 self._work.wait(0.05)
         backlog = self.compaction_backlog()
-        if backlog > self.throttle_backlog:
+        if backlog > _THROTTLE_BACKLOG:
             self.stats.throttle_waits += 1
-            time.sleep(self.throttle_sleep_s *
-                       min(4, backlog - self.throttle_backlog))
+            time.sleep(_THROTTLE_SLEEP_S * min(4, backlog - _THROTTLE_BACKLOG))
 
     def _await_worker(self, busy: Callable[[], bool], what: str,
                       timeout: float = 60.0) -> None:

@@ -21,15 +21,10 @@ class MemoryBackend(Backend):
     def __init__(self, seed: int = 0x5EED, **_unused):
         super().__init__()
         self._map = SkipListMap(seed=seed)
-        self._bytes = 0
 
     def put(self, key: bytes, value: bytes) -> None:
         self._check_open()
-        old = self._map.get(key)
-        if old is not None:
-            self._bytes -= len(key) + len(old)
         self._map[key] = bytes(value)
-        self._bytes += len(key) + len(value)
 
     def get(self, key: bytes) -> bytes:
         self._check_open()
@@ -45,18 +40,12 @@ class MemoryBackend(Backend):
     def erase(self, key: bytes) -> None:
         self._check_open()
         try:
-            value = self._map.pop(key)
+            self._map.pop(key)
         except KeyError:
             raise KeyNotFound(repr(key)) from None
-        self._bytes -= len(key) + len(value)
 
     def __len__(self) -> int:
         return len(self._map)
-
-    @property
-    def approximate_bytes(self) -> int:
-        """Total key+value payload currently stored."""
-        return self._bytes
 
     def scan(self, start: bytes = b"", inclusive: bool = True
              ) -> Iterator[Tuple[bytes, bytes]]:

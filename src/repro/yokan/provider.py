@@ -79,16 +79,18 @@ class ReplicaLink:
     Acknowledged mutations are re-sent as ``yokan.replicate`` RPCs
     (which apply without re-forwarding, so replication can never loop).
     Forwards are non-blocking with a bounded lag window: up to
-    ``window`` replicate futures may be in flight before the oldest is
-    retired, mirroring the :class:`~repro.hepnos.AsyncEngine`
+    :data:`WINDOW` replicate futures may be in flight before the oldest
+    is retired, mirroring the :class:`~repro.hepnos.AsyncEngine`
     submit/pump discipline.  A forward that exhausts its retry budget
     (backup down) is dropped and counted -- the anti-entropy re-sync on
     rejoin repairs the gap.
     """
 
-    def __init__(self, handle, window: int = 8):
+    #: replicate futures in flight before the oldest is waited for
+    WINDOW = 8
+
+    def __init__(self, handle):
         self.handle = handle
-        self.window = max(1, int(window))
         self._inflight: "deque" = deque()
         self._lock = threading.Lock()
         self.forwarded = 0
@@ -105,7 +107,7 @@ class ReplicaLink:
         stale = []
         with self._lock:
             self._inflight.append(future)
-            while len(self._inflight) > self.window:
+            while len(self._inflight) > self.WINDOW:
                 stale.append(self._inflight.popleft())
         for old in stale:
             self._reap(old)
@@ -267,11 +269,11 @@ class YokanProvider:
 
     # -- replication ---------------------------------------------------------
 
-    def set_replica(self, db_name: str, handle, window: int = 8) -> None:
+    def set_replica(self, db_name: str, handle) -> None:
         """Forward acknowledged writes of ``db_name`` to ``handle``."""
         if db_name not in self.databases:
             raise YokanError(f"no database named {db_name!r}")
-        self._replicas[db_name] = ReplicaLink(handle, window=window)
+        self._replicas[db_name] = ReplicaLink(handle)
 
     def replica_links(self) -> dict[str, ReplicaLink]:
         return dict(self._replicas)

@@ -173,6 +173,21 @@ class TestAdmission:
         broker = RequestBroker.from_config(
             {"slots": 2, "registry": [{"id": "a", "rate": 3}]})
         assert broker.scheduler.slots == 2
+        assert broker.scheduler.interactive_reserve == 1  # min(2, slots - 1)
+
+    @pytest.mark.parametrize("reserve", [9, 4, -3])
+    def test_out_of_range_reserve_refused(self, reserve):
+        """An explicit reserve outside [0, slots) is an error, not
+        silently clamped into range."""
+        with pytest.raises(ConfigError, match="interactive_reserve"):
+            default_hepnos_config("sm://r/hepnos", tenants={
+                "slots": 4, "interactive_reserve": reserve})
+
+    @pytest.mark.parametrize("key", ["quantum_bytes", "shed_retry_hint_s"])
+    def test_removed_settings_refused(self, key):
+        with pytest.raises(ConfigError, match=key):
+            default_hepnos_config("sm://r/hepnos",
+                                  tenants={"slots": 4, key: 1})
 
 
 # -- retry integration -------------------------------------------------------

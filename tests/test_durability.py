@@ -10,6 +10,8 @@ anti-entropy re-sync when a dead node rejoins.
 """
 
 import dataclasses
+import hashlib
+import json
 import os
 import shutil
 import struct
@@ -322,6 +324,28 @@ def _put_multi_record(pairs):
         struct.pack("<II", len(k), len(v)) + k + v for k, v in pairs))
 
 
+def _sstable(entries, codec=None, flag=0):
+    """An LSM table file: magic, one block of entries, JSON footer."""
+    block = b"".join(struct.pack("<II", len(k), len(v)) + k + v
+                     for k, v in entries)
+    num_bits = max(64, len(entries) * 10)
+    bits = bytearray((num_bits + 7) // 8)
+    for key, _value in entries:
+        digest = hashlib.blake2b(key, digest_size=16).digest()
+        h1 = int.from_bytes(digest[:8], "little")
+        h2 = int.from_bytes(digest[8:], "little") | 1
+        for i in range(4):
+            pos = (h1 + i * h2) % num_bits
+            bits[pos >> 3] |= 1 << (pos & 7)
+    footer = json.dumps({
+        "n": len(entries), "data_end": 8 + len(block), "codec": codec,
+        "blocks": [[entries[0][0].hex(), 8, len(block), flag]],
+        "bloom": (struct.pack("<QI", num_bits, 4) + bytes(bits)).hex(),
+        "min": entries[0][0].hex(), "max": entries[-1][0].hex(),
+    }).encode()
+    return b"SSTB0002" + block + footer + struct.pack("<Q", len(footer))
+
+
 class TestStoredFormats:
     """Stores written by the parent commit reopen unchanged.  The bytes
     are built here with ``struct``, not with the code under test."""
@@ -396,6 +420,28 @@ class TestStoredFormats:
         assert {name: open(name, "rb").read() for name in stale} == stale
         assert sorted(os.listdir(tmp_path)) == ["db.wal", "db.wal.ckpt",
                                                 "store"]
+
+    ENTRIES = [(b"k%03d" % i, b"v%d" % i * 5) for i in range(40)]
+
+    def test_lsm_tables_are_raw(self, tmp_path):
+        """A flushed table is byte for byte the raw format: footer codec
+        null, every block flagged uncompressed."""
+        db = LSMBackend(str(tmp_path / "db"))
+        db.put_multi(self.ENTRIES)
+        db.flush_memtable()
+        db.close()
+        written = (tmp_path / "db" / "sst-000000.tbl").read_bytes()
+        assert written == _sstable(self.ENTRIES)
+
+    @pytest.mark.parametrize("patch", [{"codec": "zlib"}, {"flag": 1}])
+    def test_lsm_compressed_tables_refused(self, tmp_path, patch):
+        path = tmp_path / "db"
+        path.mkdir()
+        (path / "sst-000000.tbl").write_bytes(_sstable(self.ENTRIES, **patch))
+        (path / "MANIFEST.json").write_text(json.dumps(
+            {"next_table_id": 1, "tables": ["sst-000000.tbl"]}))
+        with pytest.raises(CorruptionError, match="compressed"):
+            LSMBackend(str(path))
 
 
 def _durable_world(tmp_path, replication=None, durable=True):

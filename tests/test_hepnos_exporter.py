@@ -8,7 +8,6 @@ from repro.hdf5lite import H5LiteFile
 from repro.hepnos import (
     DataLoader,
     DatasetExporter,
-    PEPStatistics,
     discover_schema,
 )
 from repro.nova import BEAM, NovaGenerator, read_nova_file, write_nova_file
@@ -95,30 +94,3 @@ class TestExport:
             out, ["rec.slc"], events=subset
         )
         assert stats.events == 3
-
-
-class TestPEPAggregate:
-    def test_aggregate_summary(self):
-        stats = [
-            PEPStatistics(rank=0, role="reader", events_loaded=100,
-                          total_seconds=2.0),
-            PEPStatistics(rank=1, role="worker", events_processed=60,
-                          processing_seconds=1.0, waiting_seconds=0.2,
-                          total_seconds=1.9),
-            PEPStatistics(rank=2, role="worker", events_processed=40,
-                          processing_seconds=0.8, waiting_seconds=0.4,
-                          total_seconds=1.8),
-        ]
-        summary = PEPStatistics.aggregate(stats)
-        assert summary["ranks"] == 3
-        assert summary["readers"] == 1
-        assert summary["workers"] == 2
-        assert summary["events_processed"] == 100
-        assert summary["events_loaded"] == 100
-        assert summary["worker_imbalance"] == pytest.approx(60 / 50)
-        assert summary["total_seconds"] == 2.0
-
-    def test_aggregate_empty(self):
-        summary = PEPStatistics.aggregate([])
-        assert summary["ranks"] == 0
-        assert summary["worker_imbalance"] == 1.0

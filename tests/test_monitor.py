@@ -187,11 +187,19 @@ class TestDiagnose:
 
     def test_hot_database_detected(self, monitored_world):
         fabric, _, monitor, db0, db1 = monitored_world
+        # One database can pass 4x the mean only among more than four
+        # active ones: a second provider adds four cold databases.
+        extra = monitor_provider(YokanProvider(
+            Engine(fabric, "sm://server/1"), provider_id=0,
+            databases={f"events-{i}": MemoryBackend() for i in range(2, 6)}))
+        client = YokanClient(Engine(fabric, "sm://client/1"))
         db1.put(b"cold", b"v")
+        for i in range(2, 6):
+            client.database_handle("sm://server/1", 0,
+                                   f"events-{i}").put(b"cold", b"v")
         for i in range(100):
             db0.put(f"{i}".encode(), b"v")
-        # With two databases the max possible skew is 2x the mean.
-        report = diagnose(provider_monitors=[monitor], skew_threshold=1.5)
+        report = diagnose(provider_monitors=[monitor, extra])
         assert report.has("hot-database")
 
     def test_balanced_databases_clean(self, monitored_world):

@@ -134,7 +134,6 @@ class TestTuners:
                               seed=2).run()
         assert len(result.trials) == 10
         assert result.trials[0].trial == 0
-        assert result.improvement_over_first() >= 1.0 or True
 
     def test_population_validation(self):
         with pytest.raises(ConfigError):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError, DatabaseClosed, KeyNotFound
 from repro.yokan import BACKEND_KINDS, LSMBackend, MemoryBackend, open_backend
+from repro.yokan.backends import lsm as lsm_module
 
 BACKENDS = ["map", "lsm"]
 
@@ -326,43 +327,49 @@ def test_lsm_background_matches_memory_model(tmp_path_factory, ops):
     Every observation point must agree while flushes and compactions
     land concurrently with the driving thread."""
     tmp = tmp_path_factory.mktemp("lsm-bg-prop")
-    db = LSMBackend(str(tmp / "db"), memtable_bytes=512,
-                    compaction_trigger=2, block_bytes=512,
-                    block_cache_bytes=4096, max_immutables=2)
-    model = MemoryBackend()
-    try:
-        for op, key, value in ops:
-            if op == "put":
-                db.put(key, value)
-                model.put(key, value)
-            elif op == "erase":
-                if model.exists(key):
-                    db.erase(key)
-                    model.erase(key)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lsm_module, "_BLOCK_BYTES", 512)
+        db = LSMBackend(str(tmp / "db"), memtable_bytes=512,
+                        compaction_trigger=2, block_cache_bytes=4096,
+                        max_immutables=2)
+        model = MemoryBackend()
+        try:
+            for op, key, value in ops:
+                if op == "put":
+                    db.put(key, value)
+                    model.put(key, value)
+                elif op == "erase":
+                    if model.exists(key):
+                        db.erase(key)
+                        model.erase(key)
+                    else:
+                        assert not db.exists(key)
+                elif op == "scan":
+                    assert list(db.scan(key)) == list(model.scan(key))
+                elif op == "len":
+                    assert len(db) == len(model)
+                elif op == "flush":
+                    db.flush_memtable()
+                elif op == "compact":
+                    db.compact()
                 else:
-                    assert not db.exists(key)
-            elif op == "scan":
-                assert list(db.scan(key)) == list(model.scan(key))
-            elif op == "len":
-                assert len(db) == len(model)
-            elif op == "flush":
-                db.flush_memtable()
-            elif op == "compact":
-                db.compact()
-            else:
-                db.drain()
-        db.drain()
-        assert list(db.scan()) == list(model.scan())
-        assert len(db) == len(model)
-        for key in list(model.list_keys())[:20]:
-            assert db.get(key) == model.get(key)
-    finally:
-        db.close()
+                    db.drain()
+            db.drain()
+            assert list(db.scan()) == list(model.scan())
+            assert len(db) == len(model)
+            for key in list(model.list_keys())[:20]:
+                assert db.get(key) == model.get(key)
+        finally:
+            db.close()
 
 
 class TestLSMProductionEngine:
     """The PR 10 engine features: incremental key counting, unified
-    lookup stats, the block cache, compression, and backpressure."""
+    lookup stats, the block cache, and backpressure."""
+
+    @pytest.fixture()
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(lsm_module, "_BLOCK_BYTES", 512)
 
     def test_len_maintained_incrementally(self, tmp_path):
         db = LSMBackend(str(tmp_path / "db"), memtable_bytes=512,
@@ -407,9 +414,8 @@ class TestLSMProductionEngine:
         assert db.stats.rotations == 1
         db.close()
 
-    def test_block_cache_serves_repeat_reads(self, tmp_path):
-        db = LSMBackend(str(tmp_path / "db"), block_bytes=512,
-                        block_cache_bytes=1 << 20)
+    def test_block_cache_serves_repeat_reads(self, tmp_path, small_blocks):
+        db = LSMBackend(str(tmp_path / "db"), block_cache_bytes=1 << 20)
         for i in range(200):
             db.put(b"k%04d" % i, b"v" * 50)
         db.flush_memtable()
@@ -423,12 +429,13 @@ class TestLSMProductionEngine:
         assert db.lsm_stats()["block_cache_hit_rate"] > 0.4
         db.close()
 
-    def test_read_amplification_counts_lookup_blocks_only(self, tmp_path):
+    def test_read_amplification_counts_lookup_blocks_only(self, tmp_path,
+                                                           small_blocks):
         # Two overlapping flushed tables, no block cache: every lookup
         # decodes one block per table it probes, never more than one a
         # table and never fewer than one.
-        db = LSMBackend(str(tmp_path / "db"), block_bytes=512,
-                        block_cache_bytes=0, compaction_trigger=100)
+        db = LSMBackend(str(tmp_path / "db"), block_cache_bytes=0,
+                        compaction_trigger=100)
         for generation in (b"old", b"new"):
             for i in range(0, 200, 1 if generation == b"old" else 2):
                 db.put(b"k%04d" % i, generation * 20)
@@ -456,9 +463,8 @@ class TestLSMProductionEngine:
         assert db.lsm_stats()["read_amplification"] == round(ratio, 3)
         db.close()
 
-    def test_block_cache_bytes_bounded(self, tmp_path):
-        db = LSMBackend(str(tmp_path / "db"), block_bytes=512,
-                        block_cache_bytes=2048)
+    def test_block_cache_bytes_bounded(self, tmp_path, small_blocks):
+        db = LSMBackend(str(tmp_path / "db"), block_cache_bytes=2048)
         for i in range(400):
             db.put(b"k%04d" % i, b"v" * 60)
         db.flush_memtable()
@@ -468,44 +474,16 @@ class TestLSMProductionEngine:
         assert db.stats.block_cache_evictions > 0
         db.close()
 
-    def test_zlib_compression_roundtrip(self, tmp_path):
-        path = str(tmp_path / "db")
-        db = LSMBackend(path, compression="zlib", block_bytes=1024)
-        payload = {b"k%03d" % i: bytes(40) + b"%d" % i for i in range(100)}
-        for key, value in payload.items():
-            db.put(key, value)
-        db.flush_memtable()
-        assert dict(db.scan()) == payload
-        db.close()
-        reopened = LSMBackend(path, compression="zlib")
-        assert dict(reopened.scan()) == payload
-        assert reopened._sstables[0].codec == "zlib"
-        reopened.close()
-
-    def test_unknown_compression_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            LSMBackend(str(tmp_path / "db"), compression="lz99")
-
-    @pytest.mark.parametrize("option", ["compaction", "background",
-                                        "sync_wal"])
+    @pytest.mark.parametrize("option", [
+        "compaction", "background", "sync_wal", "tier_ratio",
+        "throttle_backlog", "throttle_sleep_s", "bits_per_key",
+        "block_bytes", "compression"])
     def test_removed_options_rejected(self, tmp_path, option):
-        """A config still carrying a removed mode flag fails loudly
-        (``sync_wal=True`` silently ignored would drop an fsync)."""
+        """A config still carrying a removed option fails loudly
+        (``sync_wal=True`` silently ignored would drop an fsync,
+        ``compression="zlib"`` would silently store raw blocks)."""
         with pytest.raises(ConfigError, match=option):
             LSMBackend(str(tmp_path / "db"), **{option: True})
-
-    def test_zstd_gated_on_module(self, tmp_path):
-        from repro.yokan.backends import lsm as lsm_mod
-
-        if lsm_mod._zstd is None:
-            with pytest.raises(ConfigError):
-                LSMBackend(str(tmp_path / "db"), compression="zstd")
-        else:
-            db = LSMBackend(str(tmp_path / "db"), compression="zstd")
-            db.put(b"k", b"v" * 100)
-            db.flush_memtable()
-            assert db.get(b"k") == b"v" * 100
-            db.close()
 
     def test_tiered_compaction_merges_runs_not_everything(self, tmp_path):
         db = LSMBackend(str(tmp_path / "db"), memtable_bytes=1 << 20,
