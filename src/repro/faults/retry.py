@@ -91,12 +91,6 @@ class RetryPolicy:
         return cls(max_attempts=1)
 
     @classmethod
-    def from_retries(cls, retries: int) -> "RetryPolicy":
-        """Legacy flat-counter semantics: ``retries`` immediate re-sends."""
-        return cls(max_attempts=max(0, retries) + 1, base_delay=0.0,
-                   jitter=0.0)
-
-    @classmethod
     def from_config(cls, config: dict) -> "RetryPolicy":
         """Build from a JSON-ish dict (the connection ``client`` section)."""
         known = {"max_attempts", "base_delay", "max_delay", "multiplier",

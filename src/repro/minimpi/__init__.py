@@ -6,8 +6,8 @@ rank 0.  This module provides the needed MPI surface with ranks running
 as OS threads inside one Python process:
 
 - point-to-point ``send``/``recv`` (with ANY_SOURCE / ANY_TAG),
-- collectives: ``barrier``, ``bcast``, ``scatter``, ``gather``,
-  ``reduce``, ``allreduce``,
+- collectives: ``barrier``, ``bcast``, ``gather``, ``reduce``,
+  ``allreduce``,
 - an :func:`mpirun` launcher.
 
 Python's GIL serializes compute across ranks, so *wall-clock speedup*

@@ -6,7 +6,7 @@ import operator
 import threading
 import time
 from functools import reduce as _functools_reduce
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 from repro.errors import MPIError
 
@@ -144,20 +144,6 @@ class Communicator:
                 if dest != root:
                     self._coll_send(obj, dest, seq)
             return obj
-        return self._coll_recv(root, seq)
-
-    def scatter(self, objs: Optional[Sequence[Any]] = None, root: int = 0) -> Any:
-        seq = self._coll_seq
-        self._coll_seq += 1
-        if self._rank == root:
-            if objs is None or len(objs) != self.size:
-                raise MPIError(
-                    f"scatter needs exactly {self.size} items at the root"
-                )
-            for dest in range(self.size):
-                if dest != root:
-                    self._coll_send(objs[dest], dest, seq)
-            return objs[root]
         return self._coll_recv(root, seq)
 
     def gather(self, obj: Any, root: int = 0) -> Optional[list]:

@@ -1,17 +1,27 @@
 """The documents name real things: every backticked ``repro.…`` dotted
 name in ARCHITECTURE.md, README.md, DESIGN.md and EXPERIMENTS.md imports
 or resolves by ``getattr``, every backticked path under ``src/``,
-``tests/``, ``benchmarks/`` or ``examples/`` exists, and every
-``repro-hepnos`` / ``repro-chaos`` / ``repro-trace`` subcommand or
-``--flag`` they show is one the parsers accept.  ``ci.yml`` is held to
-the same: the paths its commands name exist, no document names a
-``BENCH_*.json`` that is not there or a CI job the workflow does not
-have, and every ``benchmarks/bench_*.py`` says in its first line which
-clause of the keep-rule (ARCHITECTURE.md) keeps it."""
+``tests/``, ``benchmarks/`` or ``examples/`` exists, every backticked
+test id (``tests/x.py::A::b``, and a ``::c`` written after one) names a
+class or function of that file, and every ``repro-hepnos`` /
+``repro-chaos`` / ``repro-trace`` subcommand or ``--flag`` they show is
+one the parsers accept.  ``ci.yml`` is held to the same: the paths its
+commands name exist, no document names a ``BENCH_*.json`` that is not
+there or a CI job the workflow does not have, and every
+``benchmarks/bench_*.py`` says in its first line which clause of the
+keep-rule (ARCHITECTURE.md) keeps it.
+
+A figure -- a number with a unit -- in ARCHITECTURE.md, README.md or
+DESIGN.md shares its paragraph or table row with what owns it: a
+declared metric name, a test id that resolves, a ``repro.…`` constant
+that resolves, or the ``benchmarks/bench_fig*.py`` model study that
+asserts a paper figure.  A figure nothing owns goes stale silently."""
 
 import ast
 import glob
 import importlib
+import inspect
+import json
 import os
 import re
 
@@ -21,6 +31,8 @@ from repro.tools import chaos_cli, cli, trace_cli
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DOCS = ("ARCHITECTURE.md", "README.md", "DESIGN.md", "EXPERIMENTS.md")
+#: the documents whose figures must each have an owner
+FIGURE_DOCS = ("ARCHITECTURE.md", "README.md", "DESIGN.md")
 CI = ".github/workflows/ci.yml"
 #: how a kept ``benchmarks/bench_*.py`` begins (the keep-rule's clauses)
 LABELS = ("Model study", "Paper ablation (counts)",
@@ -40,6 +52,11 @@ _BASELINE = re.compile(r"\bBENCH_\w+\.json")
 #: a backticked word called a job: "CI `x`", "`x` job(s)", or a `*-smoke`
 _JOB = re.compile(r"\bCI\s+`([\w-]+)`|`([\w-]+)`\s+jobs?\b"
                   r"|`([a-z][\w-]*-smoke)`")
+#: a number with a unit, outside a word ("1.0×", "~4 KiB", "305 B")
+_FIGURE = re.compile(
+    r"(?<![\w.])[~≈]?\d[\d,]*(?:\.\d+)?\s?"
+    r"(?:[µμ]s|ns|ms|s|%|×|KiB|MiB|MB|B|events/s|RPCs?)(?![\w/])")
+_MODEL_STUDY = re.compile(r"benchmarks/bench_fig\w*\.py")
 
 
 def _read(doc: str) -> str:
@@ -47,10 +64,73 @@ def _read(doc: str) -> str:
         return handle.read()
 
 
+def _code_spans(text: str) -> list:
+    return [" ".join((a or b).split()) for a, b in _SPAN.findall(text)]
+
+
 def _spans(doc: str) -> list:
     """Inline code spans of ``doc`` (fenced blocks are not spans)."""
-    text = _FENCE.sub("", _read(doc))
-    return [" ".join((a or b).split()) for a, b in _SPAN.findall(text)]
+    return _code_spans(_FENCE.sub("", _read(doc)))
+
+
+def _units(doc: str) -> list:
+    """The paragraphs and table rows of ``doc`` outside fenced blocks."""
+    units = []
+    for block in re.split(r"\n\s*\n", _FENCE.sub("", _read(doc))):
+        lines = block.splitlines()
+        units += [line for line in lines if line.lstrip().startswith("|")]
+        units.append("\n".join(line for line in lines
+                               if not line.lstrip().startswith("|")))
+    return [unit for unit in units if unit.strip()]
+
+
+def _metric_names() -> set:
+    """What ``BENCHMARK.json`` declares plus ``metrics.END_TO_END``."""
+    declared = json.loads(_read("BENCHMARK.json"))
+    names = {metric["name"] for section in ("end_to_end", "per_layer")
+             for metric in declared[section]}
+    for node in ast.parse(_read("benchmarks/e2e/metrics.py")).body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", "") == "END_TO_END"
+                        for t in node.targets)):
+            names |= set(ast.literal_eval(node.value))
+    return names
+
+
+def _defines(path: str, parts: list) -> bool:
+    """``path`` is a file that defines the class / function chain
+    ``parts`` (a parametrised id's ``[...]`` is not part of the name)."""
+    if not os.path.isfile(os.path.join(REPO, path)):
+        return False
+    scope = ast.parse(_read(path)).body
+    for part in parts:
+        name = part.split("[")[0]
+        node = next((n for n in scope
+                     if isinstance(n, (ast.ClassDef, ast.FunctionDef))
+                     and n.name == name), None)
+        if node is None:
+            return False
+        scope = node.body
+    return True
+
+
+def _test_ids(spans: list) -> list:
+    """``(span, resolves)`` for every test id among ``spans``: a
+    ``tests/…py::A::b`` span, or a ``::c`` continuation, which names a
+    child or sibling of the last full id's parts, or a module-level
+    name of its file."""
+    out, last = [], None
+    for span in spans:
+        if span.startswith("tests/") and "::" in span:
+            path, *parts = span.split("::")
+            last = (path, parts)
+            out.append((span, _defines(path, parts)))
+        elif re.match(r"::\w", span):
+            path, parents = last or ("", [])
+            parts = span[2:].split("::")
+            out.append((span, any(_defines(path, parents[:cut] + parts)
+                                  for cut in range(len(parents) + 1))))
+    return out
 
 
 def _commands(doc: str) -> list:
@@ -68,7 +148,11 @@ def _commands(doc: str) -> list:
     return out
 
 
-def _resolves(dotted: str) -> bool:
+_MISSING = object()
+
+
+def _lookup(dotted: str):
+    """What ``dotted`` names, or ``_MISSING``."""
     parts = dotted.split(".")
     for cut in range(len(parts), 0, -1):
         try:
@@ -79,9 +163,20 @@ def _resolves(dotted: str) -> bool:
             for name in parts[cut:]:
                 target = getattr(target, name)
         except AttributeError:
-            return False
-        return True
-    return False
+            return _MISSING
+        return target
+    return _MISSING
+
+
+def _resolves(dotted: str) -> bool:
+    return _lookup(dotted) is not _MISSING
+
+
+def _is_constant(dotted: str) -> bool:
+    """``dotted`` names a value -- not a module, a class or a function."""
+    target = _lookup(dotted)
+    return (target is not _MISSING and not callable(target)
+            and not inspect.ismodule(target))
 
 
 def _subparsers(parser) -> dict:
@@ -115,6 +210,38 @@ def test_paths_exist(doc):
         if not glob.glob(os.path.join(REPO, path)):
             missing.append(path)
     assert not missing, f"{doc} names paths that do not exist: {missing}"
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_named_test_ids_exist(doc):
+    missing = [span for span, resolves in _test_ids(_spans(doc))
+               if not resolves]
+    assert not missing, f"{doc} names tests that do not exist: {missing}"
+
+
+def _owns(span: str, metrics: set) -> bool:
+    if span in metrics:
+        return True
+    if span.startswith("tests/") and "::" in span:
+        return _test_ids([span])[0][1]
+    if _DOTTED.fullmatch(span):
+        return _is_constant(span)
+    return (_MODEL_STUDY.fullmatch(span) is not None
+            and os.path.isfile(os.path.join(REPO, span)))
+
+
+@pytest.mark.parametrize("doc", FIGURE_DOCS)
+def test_figures_have_owners(doc):
+    metrics = _metric_names()
+    orphans = []
+    for unit in _units(doc):
+        figures = _FIGURE.findall(unit)
+        if figures and not any(_owns(span, metrics)
+                               for span in _code_spans(unit)):
+            orphans.append(f"{figures} in {' '.join(unit.split())[:80]!r}")
+    assert not orphans, (
+        f"{doc} quotes figures no metric, test id or constant owns: "
+        f"{orphans}")
 
 
 @pytest.mark.parametrize("doc", DOCS)

@@ -69,7 +69,8 @@ def make_world(fault_model, retries=0):
     engine = Engine(fabric, "sm://server/0")
     YokanProvider(engine, databases={"db": MemoryBackend()})
     client = YokanClient(Engine(fabric, "sm://client/0"),
-                         retry_policy=RetryPolicy.from_retries(retries))
+                         retry_policy=RetryPolicy(max_attempts=retries + 1,
+                                                  base_delay=0.0, jitter=0.0))
     return fabric, client.database_handle("sm://server/0", 0, "db")
 
 
@@ -130,7 +131,8 @@ class TestHEPnOSLayer:
         ))
         datastore = DataStore.connect(fabric, [server])
         # Make the datastore's handles retry.
-        datastore.retry_policy = RetryPolicy.from_retries(4)
+        datastore.retry_policy = RetryPolicy(max_attempts=5, base_delay=0.0,
+                                             jitter=0.0)
         ds = datastore.create_dataset("flaky")
         subrun = ds.create_run(1).create_subrun(1)
         for e in range(20):
@@ -260,7 +262,7 @@ class TestRetryPolicy:
         assert calls["n"] == 1
 
     def test_from_retries_legacy_semantics(self):
-        policy = RetryPolicy.from_retries(3)
+        policy = RetryPolicy(max_attempts=4, base_delay=0.0, jitter=0.0)
         assert policy.max_attempts == 4
         assert policy.delay(0) == 0.0
 

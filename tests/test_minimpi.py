@@ -124,21 +124,6 @@ class TestCollectives:
 
         assert mpirun(body, 4) == [{"value": 42}] * 4
 
-    def test_scatter(self):
-        def body(comm):
-            objs = [i * i for i in range(comm.size)] if comm.rank == 0 else None
-            return comm.scatter(objs, root=0)
-
-        assert mpirun(body, 4) == [0, 1, 4, 9]
-
-    def test_scatter_wrong_count(self):
-        def body(comm):
-            objs = [1] if comm.rank == 0 else None
-            return comm.scatter(objs, root=0)
-
-        with pytest.raises(MPIError):
-            mpirun(body, 2, timeout=5.0)
-
     def test_gather(self):
         def body(comm):
             return comm.gather(comm.rank + 1, root=2)
