@@ -9,7 +9,11 @@ work in two modes sharing one definition:
 - columnar mode: ``cut.mask(table) -> bool ndarray`` for the file-based
   workflow's vectorized scan over slice tables.
 
-Cuts compose with ``&``, ``|`` and ``~``.
+Cuts compose with ``&``, ``|`` and ``~``.  In object mode a composed
+Var or Cut is one function: every Var and Cut carries its expression
+(Python source over the slice ``s`` and the constants and callables it
+binds by reference), and the first object-mode call compiles it, so a
+whole selection costs one Python call per slice, not one per node.
 
 Vars and Cuts additionally carry a ``columns`` declaration: the set of
 table fields their columnar evaluation reads.  Plain attribute Vars
@@ -23,11 +27,56 @@ tells batch loaders to fall back to whole-object, per-event evaluation.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+import keyword
+import operator
+from functools import cached_property
+from itertools import count
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 _UNSET = object()
+
+#: a deeper expression is compiled on its own (the parser refuses deep parens)
+_MAX_DEPTH = 32
+_NAMES = count()
+
+
+class _Expr(NamedTuple):
+    """An object-mode expression: Python source over the slice ``s``,
+    the namespace its names resolve in, and its nesting depth."""
+
+    src: str
+    ns: dict
+    depth: int = 0
+
+    @staticmethod
+    def bind(value, template: str = "{}") -> "_Expr":
+        """``template`` around a fresh name bound to ``value``."""
+        name = f"_{next(_NAMES)}"
+        return _Expr(template.format(name), {name: value})
+
+    def compile(self) -> Callable:
+        exec(f"def _expr(s):\n    return {self.src}", ns := dict(self.ns))
+        return ns["_expr"]
+
+
+def _attribute(name) -> _Expr:
+    # ASCII only: source identifiers are NFKC-normalised, getattr's are not
+    if (isinstance(name, str) and name.isascii() and name.isidentifier()
+            and not keyword.iskeyword(name)):
+        return _Expr("s." + name, {})
+    return _Expr.bind(name, "getattr(s, {})")
+
+
+def _compose(template: str, *operands: _Expr) -> _Expr:
+    """``template`` over the operands' sources; an operand at the depth
+    limit is compiled on its own and called."""
+    operands = [e if e.depth < _MAX_DEPTH else _Expr.bind(e.compile(), "{}(s)")
+                for e in operands]
+    return _Expr(template.format(*(e.src for e in operands)),
+                 {k: v for e in operands for k, v in e.ns.items()},
+                 1 + max(e.depth for e in operands))
 
 
 def _merge_columns(*parts) -> Optional[frozenset]:
@@ -52,7 +101,13 @@ class Var:
                  cfn: Optional[Callable] = None,
                  columns: Optional[Iterable[str]] = _UNSET):
         self.name = name
-        self._fn = fn if fn is not None else (lambda s: getattr(s, name))
+        if fn is None:
+            self._expr = _attribute(name)
+        elif isinstance(fn, _Expr):
+            self._expr = fn
+        else:
+            self._fn = fn
+            self._expr = _Expr.bind(fn, "{}(s)")
         self._cfn = cfn
         if columns is _UNSET:
             # A plain attribute Var reads exactly its own column; an
@@ -62,6 +117,11 @@ class Var:
         self.columns: Optional[frozenset] = (
             None if columns is None else frozenset(columns)
         )
+
+    @cached_property
+    def _fn(self) -> Callable:
+        """The expression compiled, on first object-mode use."""
+        return self._expr.compile()
 
     def __call__(self, slice_data) -> float:
         return self._fn(slice_data)
@@ -79,7 +139,7 @@ class Var:
     def _lift(value) -> "Var":
         if isinstance(value, Var):
             return value
-        return Var(repr(value), lambda s: value, lambda t: value,
+        return Var(repr(value), _Expr.bind(value), lambda t: value,
                    columns=frozenset())
 
     def _binary(self, other, op, symbol: str, reflected: bool = False) -> "Var":
@@ -87,59 +147,54 @@ class Var:
         left, right = (other, self) if reflected else (self, other)
         return Var(
             f"({left.name}{symbol}{right.name})",
-            lambda s: op(left(s), right(s)),
+            _compose("({} %s {})" % symbol, left._expr, right._expr),
             lambda t: op(left.column(t), right.column(t)),
             columns=_merge_columns(left.columns, right.columns),
         )
 
     def __add__(self, other) -> "Var":
-        return self._binary(other, lambda a, b: a + b, "+")
+        return self._binary(other, operator.add, "+")
 
     def __radd__(self, other) -> "Var":
-        return self._binary(other, lambda a, b: a + b, "+", reflected=True)
+        return self._binary(other, operator.add, "+", reflected=True)
 
     def __sub__(self, other) -> "Var":
-        return self._binary(other, lambda a, b: a - b, "-")
+        return self._binary(other, operator.sub, "-")
 
     def __rsub__(self, other) -> "Var":
-        return self._binary(other, lambda a, b: a - b, "-", reflected=True)
+        return self._binary(other, operator.sub, "-", reflected=True)
 
     def __mul__(self, other) -> "Var":
-        return self._binary(other, lambda a, b: a * b, "*")
+        return self._binary(other, operator.mul, "*")
 
     def __rmul__(self, other) -> "Var":
-        return self._binary(other, lambda a, b: a * b, "*", reflected=True)
+        return self._binary(other, operator.mul, "*", reflected=True)
 
     def __truediv__(self, other) -> "Var":
-        return self._binary(other, lambda a, b: a / b, "/")
+        return self._binary(other, operator.truediv, "/")
 
     def __rtruediv__(self, other) -> "Var":
-        return self._binary(other, lambda a, b: a / b, "/", reflected=True)
+        return self._binary(other, operator.truediv, "/", reflected=True)
 
-    # Comparisons produce cuts.
-    def __gt__(self, value) -> "Cut":
-        return Cut(f"{self.name}>{value}",
-                   lambda s: self(s) > value,
-                   lambda t: self.column(t) > value,
-                   columns=self.columns)
+    # Comparisons produce cuts; the right side is a constant or a Var.
+    def _compare(self, other, op, symbol: str) -> "Cut":
+        other = Var._lift(other)
+        return Cut(f"{self.name}{symbol}{other.name}",
+                   _compose("({} %s {})" % symbol, self._expr, other._expr),
+                   lambda t: op(self.column(t), other.column(t)),
+                   columns=_merge_columns(self.columns, other.columns))
 
-    def __ge__(self, value) -> "Cut":
-        return Cut(f"{self.name}>={value}",
-                   lambda s: self(s) >= value,
-                   lambda t: self.column(t) >= value,
-                   columns=self.columns)
+    def __gt__(self, other) -> "Cut":
+        return self._compare(other, operator.gt, ">")
 
-    def __lt__(self, value) -> "Cut":
-        return Cut(f"{self.name}<{value}",
-                   lambda s: self(s) < value,
-                   lambda t: self.column(t) < value,
-                   columns=self.columns)
+    def __ge__(self, other) -> "Cut":
+        return self._compare(other, operator.ge, ">=")
 
-    def __le__(self, value) -> "Cut":
-        return Cut(f"{self.name}<={value}",
-                   lambda s: self(s) <= value,
-                   lambda t: self.column(t) <= value,
-                   columns=self.columns)
+    def __lt__(self, other) -> "Cut":
+        return self._compare(other, operator.lt, "<")
+
+    def __le__(self, other) -> "Cut":
+        return self._compare(other, operator.le, "<=")
 
 
 class Cut:
@@ -148,13 +203,19 @@ class Cut:
     def __init__(self, name: str, fn: Callable, vfn: Optional[Callable] = None,
                  columns: Optional[Iterable[str]] = None):
         self.name = name
-        self._fn = fn
+        if isinstance(fn, _Expr):
+            self._expr = fn
+        else:
+            self._fn = fn
+            self._expr = _Expr.bind(fn, "{}(s)")
         self._vfn = vfn
         #: table fields :meth:`mask` reads (None = unknown; such cuts
         #: cannot drive a server-side column projection)
         self.columns: Optional[frozenset] = (
             None if columns is None else frozenset(columns)
         )
+
+    _fn = Var._fn   # the same lazily compiled expression
 
     def __call__(self, slice_data) -> bool:
         return bool(self._fn(slice_data))
@@ -175,7 +236,7 @@ class Cut:
     def __and__(self, other: "Cut") -> "Cut":
         return Cut(
             f"({self.name} && {other.name})",
-            lambda s: self._fn(s) and other._fn(s),
+            _compose("({} and {})", self._expr, other._expr),
             (lambda t: self.mask(t) & other.mask(t)),
             columns=_merge_columns(self.columns, other.columns),
         )
@@ -183,7 +244,7 @@ class Cut:
     def __or__(self, other: "Cut") -> "Cut":
         return Cut(
             f"({self.name} || {other.name})",
-            lambda s: self._fn(s) or other._fn(s),
+            _compose("({} or {})", self._expr, other._expr),
             (lambda t: self.mask(t) | other.mask(t)),
             columns=_merge_columns(self.columns, other.columns),
         )
@@ -191,7 +252,7 @@ class Cut:
     def __invert__(self) -> "Cut":
         return Cut(
             f"!{self.name}",
-            lambda s: not self._fn(s),
+            _compose("(not {})", self._expr),
             (lambda t: ~self.mask(t)),
             columns=self.columns,
         )

@@ -722,10 +722,7 @@ def _read_table_records(ar: InputArchive) -> tuple:
 
 def _read_table(ar: InputArchive) -> list:
     layout, records = _read_table_records(ar)
-    if not len(records):
-        return []
-    return list(starmap(layout.cls,
-                        np.frombuffer(records, layout.dtype).tolist()))
+    return list(starmap(layout.cls, layout.rows(records)))
 
 
 #: tag-indexed dispatch table (index == tag value).

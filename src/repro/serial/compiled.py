@@ -533,6 +533,11 @@ TABLE_DTYPES = tuple(np.dtype(code) for code in (
     "|b1", "|i1", "<i2", "<i4", "<i8", "|u1", "<u2", "<u4", "<u8",
     "<f2", "<f4", "<f8"))
 _TABLE_CODES = {dtype: code for code, dtype in enumerate(TABLE_DTYPES)}
+#: the ``struct`` code a record field of each dtype unpacks with.  None
+#: for ``<f2``: struct's ``e`` turns a half-float NaN payload into the
+#: canonical NaN, which numpy keeps (the identity is byte-level).
+_STRUCT_CODES = dict(zip(TABLE_DTYPES, ("?", "b", "h", "i", "q", "B", "H",
+                                        "I", "Q", None, "f", "d")))
 
 
 def _table_fields(cls: type) -> Optional[list]:
@@ -555,16 +560,22 @@ class TableLayout:
     """How the rows of one class lie in a typed table value.
 
     ``header`` is the value up to the row count; ``dtype`` the packed
-    little-endian record, one field per class field in class order.
+    little-endian record, one field per class field in class order;
+    ``rows(records)`` iterates the records as tuples of Python values,
+    those ``np.frombuffer(records, dtype).tolist()`` gives.
     """
 
-    __slots__ = ("cls", "fields", "header", "dtype")
+    __slots__ = ("cls", "fields", "header", "dtype", "rows")
 
     def __init__(self, cls: type, fields: Sequence[str],
                  dtypes: Sequence[np.dtype]):
         self.cls = cls
         self.fields = tuple(fields)
-        self.dtype = np.dtype(list(zip(fields, dtypes)))
+        record = self.dtype = np.dtype(list(zip(fields, dtypes)))
+        codes = [_STRUCT_CODES[dtype] for dtype in dtypes]
+        self.rows = (
+            struct.Struct("<" + "".join(codes)).iter_unpack if None not in codes
+            else lambda records: np.frombuffer(records, record).tolist())
         name = _A._BY_TYPE[cls].encode("utf-8")
         self.header = b"".join((
             _A._TAG_TABLE, _uvarint(len(name)), name,

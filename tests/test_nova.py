@@ -1,7 +1,14 @@
 """Tests for the synthetic NOvA workload: generator, files, selection."""
 
+import collections
+import operator
+import struct
+import types
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nova import (
     BEAM,
@@ -20,7 +27,7 @@ from repro.nova import (
     select_slices,
     write_nova_file,
 )
-from repro.nova.cafana import select_from_table
+from repro.nova.cafana import kCalE, kCVNe, kCVNmu, select_from_table
 from repro.nova.datamodel import SLICE_COLUMNS, SliceData
 from repro.nova.files import iter_file_events
 from repro.nova.generator import table_to_slices
@@ -315,6 +322,235 @@ class TestVarAlgebra:
 
     def test_name_composition(self):
         assert (Var("a") + Var("b")).name == "(a+b)"
+
+    def test_comparing_two_vars_compares_their_values(self):
+        cut = kCVNe > kCVNmu
+        assert not cut(SliceData(cvn_e=0.1, cvn_mu=0.9))
+        assert cut(SliceData(cvn_e=0.9, cvn_mu=0.1))
+        table = {"cvn_e": np.array([0.1, 0.9]), "cvn_mu": np.array([0.9, 0.1])}
+        assert cut.mask(table).tolist() == [False, True]
+        assert cut.columns == {"cvn_e", "cvn_mu"}
+        assert (kCVNe < kCVNmu).mask(table).tolist() == [True, False]
+        assert (kCVNe <= kCVNmu).mask(table).tolist() == [True, False]
+        assert (kCVNe >= kCVNmu).mask(table).tolist() == [False, True]
+
+
+# -- compiled object-mode cuts against the closure tree ----------------------
+
+BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv}
+#: symbol -> (operator, its mirror): Python evaluates ``constant < var``
+#: as ``var > constant``
+COMPARE = {">": (operator.gt, operator.lt), ">=": (operator.ge, operator.le),
+           "<": (operator.lt, operator.gt), "<=": (operator.le, operator.ge)}
+ATTRS = ("a", "b", "c")
+EDGE_VALUES = [0.0, -0.0, 1.0, -2.5, 3.0, float("nan"), float("inf"),
+               float("-inf"), 5e-324, 1e308]
+
+
+class Leaves:
+    """Opaque Var and Cut leaves that count their calls per leaf."""
+
+    def __init__(self):
+        self.calls = collections.Counter()
+
+    def fn(self, kind: str, name: str):
+        def leaf(s):
+            self.calls[kind, name] += 1
+            return getattr(s, name)
+
+        return leaf
+
+
+def reference(spec, leaves: Leaves):
+    """The object-mode evaluator as a tree of closures, one per node,
+    as the combinators built it before cuts were compiled."""
+    kind = spec[0]
+    if kind == "attr":
+        return lambda s: getattr(s, spec[1])
+    if kind == "const":
+        return lambda s: spec[1]
+    if kind in ("var", "cut"):
+        return leaves.fn(kind, spec[1])
+    if kind == "bin":
+        op = BINARY[spec[1]]
+        left, right = reference(spec[2], leaves), reference(spec[3], leaves)
+        return lambda s: op(left(s), right(s))
+    if kind == "cmp":
+        op, mirrored = COMPARE[spec[1]]
+        left, right = reference(spec[2], leaves), reference(spec[3], leaves)
+        if spec[2][0] == "const":
+            return lambda s: mirrored(right(s), left(s))
+        return lambda s: op(left(s), right(s))
+    if kind == "not":
+        operand = reference(spec[1], leaves)
+        return lambda s: not operand(s)
+    left, right = reference(spec[1], leaves), reference(spec[2], leaves)
+    if kind == "and":
+        return lambda s: left(s) and right(s)
+    return lambda s: left(s) or right(s)
+
+
+def build(spec, leaves: Leaves):
+    """The Var or Cut ``spec`` describes, built with the combinators."""
+    kind = spec[0]
+    if kind == "attr":
+        return Var(spec[1])
+    if kind == "const":
+        return spec[1]
+    if kind == "var":
+        return Var("opaque", leaves.fn(kind, spec[1]))
+    if kind == "cut":
+        return Cut("opaque", leaves.fn(kind, spec[1]))
+    if kind == "bin":
+        return BINARY[spec[1]](build(spec[2], leaves), build(spec[3], leaves))
+    if kind == "cmp":
+        return COMPARE[spec[1]][0](build(spec[2], leaves),
+                                   build(spec[3], leaves))
+    if kind == "not":
+        return ~build(spec[1], leaves)
+    left, right = build(spec[1], leaves), build(spec[2], leaves)
+    return left & right if kind == "and" else left | right
+
+
+def outcome(fn, s, leaves: Leaves):
+    """What ``fn(s)`` gives or raises, and the opaque leaves' calls on the
+    way.  A float compares by its bits (so -0.0 is not 0.0), a NaN as any
+    NaN: which operand's payload an arithmetic NaN carries differs
+    between CPython's generic and specialised float paths."""
+    leaves.calls.clear()
+    try:
+        value = fn(s)
+        if type(value) is float:
+            value = "nan" if value != value else struct.pack("<d", value)
+    except ZeroDivisionError as exc:
+        value = type(exc)
+    return value, dict(leaves.calls)
+
+
+_CONST = st.sampled_from(EDGE_VALUES).map(lambda v: ("const", v))
+_VARS = st.recursive(
+    st.tuples(st.sampled_from(["attr", "var"]), st.sampled_from(ATTRS)),
+    lambda inner: st.one_of(
+        st.tuples(st.just("bin"), st.sampled_from(sorted(BINARY)), inner,
+                  inner),
+        st.tuples(st.just("bin"), st.sampled_from(sorted(BINARY)), _CONST,
+                  inner),
+        st.tuples(st.just("bin"), st.sampled_from(sorted(BINARY)), inner,
+                  _CONST)),
+    max_leaves=5)
+_CUTS = st.recursive(
+    st.one_of(
+        st.tuples(st.just("cmp"), st.sampled_from(sorted(COMPARE)), _VARS,
+                  _VARS | _CONST),
+        st.tuples(st.just("cmp"), st.sampled_from(sorted(COMPARE)), _CONST,
+                  _VARS),
+        st.tuples(st.just("cut"), st.sampled_from(ATTRS))),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(["and", "or"]), inner, inner),
+        st.tuples(st.just("not"), inner)),
+    max_leaves=8)
+_SLICES = st.builds(types.SimpleNamespace,
+                    **{name: st.sampled_from(EDGE_VALUES) | st.floats()
+                       for name in ATTRS})
+
+
+class TestCompiledCuts:
+    @settings(max_examples=300, deadline=None)
+    @given(_CUTS, st.lists(_SLICES, min_size=1, max_size=4))
+    def test_cut_matches_the_closure_tree(self, spec, slices):
+        leaves = Leaves()
+        cut, expected = build(spec, leaves), reference(spec, leaves)
+        for s in slices:
+            assert outcome(cut, s, leaves) == outcome(
+                lambda s: bool(expected(s)), s, leaves)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_VARS, st.lists(_SLICES, min_size=1, max_size=4))
+    def test_var_matches_the_closure_tree(self, spec, slices):
+        leaves = Leaves()
+        var, expected = build(spec, leaves), reference(spec, leaves)
+        for s in slices:
+            assert outcome(var, s, leaves) == outcome(expected, s, leaves)
+
+    def test_an_opaque_leafs_exception_propagates_unchanged(self):
+        error = LookupError("opaque")
+
+        def fails(s):
+            raise error
+
+        for cut in ((kCalE > 0) & Cut("opaque", fails),
+                    (Var("v", fails) * 2.0) > 1.0):
+            with pytest.raises(LookupError) as caught:
+                cut(SliceData(cal_e=1.0))
+            assert caught.value is error
+        # short-circuited away, it is never called
+        assert not ((kCalE > 5) & Cut("opaque", fails))(SliceData(cal_e=1.0))
+
+    def test_a_non_identifier_name_is_read_with_getattr(self):
+        s = types.SimpleNamespace(**{"my-field": 2.0, "class": 3.0,
+                                     "ﬁ": 4.0, "fi": 5.0})
+        assert ((Var("my-field") * 2.0) > 3.0)(s)
+        assert (Var("class") + Var("my-field"))(s) == 5.0
+        # source would read "ﬁ" (the fi ligature) as "fi" (NFKC)
+        assert Var("ﬁ")(s) == 4.0
+        table = {"my-field": np.array([1.0, 2.0])}
+        assert (Var("my-field") > 1.5).mask(table).tolist() == [False, True]
+
+    def test_constants_are_bound_not_spelled(self):
+        """A constant whose repr is no expression is still the constant."""
+        class Threshold(float):
+            def __repr__(self):
+                return "<threshold>"
+
+        cut = kCalE > Threshold(1.0)
+        assert cut(SliceData(cal_e=2.0)) and not cut(SliceData(cal_e=0.5))
+
+    @pytest.mark.parametrize("shape", ["and", "or", "not", "var+"])
+    def test_300_deep_chains(self, shape):
+        """Deeper than the parser nests parentheses, in both modes."""
+        leaves = Leaves()
+        depth = 300
+        if shape == "var+":
+            spec = ("attr", "a")
+            for _ in range(depth):
+                spec = ("bin", "+", spec, ("const", 0.5))
+        elif shape == "not":
+            spec = ("cmp", ">", ("attr", "a"), ("const", 0.0))
+            for _ in range(depth):
+                spec = ("not", spec)
+        else:
+            spec = ("cmp", ">", ("attr", "a"), ("const", -1.0))
+            for i in range(depth):
+                spec = (shape, spec, ("cmp", "<", ("attr", "b"),
+                                      ("const", float(i))))
+        built, expected = build(spec, leaves), reference(spec, leaves)
+        values = np.array([-2.0, 0.0, 0.5, 7.0, 150.0, 400.0])
+        for a in values:
+            for b in values:
+                s = types.SimpleNamespace(a=float(a), b=float(b))
+                assert built(s) == (expected(s) if shape == "var+"
+                                    else bool(expected(s)))
+        table = {"a": np.repeat(values, len(values)),
+                 "b": np.tile(values, len(values))}
+        if shape == "var+":
+            assert np.array_equal(built.column(table), table["a"] + 150.0)
+            return
+        rows = [bool(expected(types.SimpleNamespace(a=a, b=b)))
+                for a, b in zip(table["a"], table["b"])]
+        assert built.mask(table).tolist() == rows
+
+    def test_mask_is_the_columnar_form(self):
+        table = {name: np.array([0.0, -0.0, 1.0, -2.5, float("nan"),
+                                 float("inf")]) for name in ATTRS}
+        table["b"] = table["b"][::-1].copy()
+        cut = (((Var("a") + 1.0) * Var("b") > 0.5) | ~(Var("c") <= Var("a"))
+               ) & (2.0 - Var("b") >= Var("c"))
+        a, b, c = table["a"], table["b"], table["c"]
+        with np.errstate(invalid="ignore"):
+            expected = (((a + 1.0) * b > 0.5) | ~(c <= a)) & (2.0 - b >= c)
+            assert cut.mask(table).tolist() == expected.tolist()
+        assert cut.columns == {"a", "b", "c"}
 
 
 class TestNumuSelection:

@@ -1,6 +1,7 @@
-"""The RPC floor and the reader floor as counts: Python-level calls
-per null ``exists`` and per event of a no-op pass, and RPCs per page
-pass over many subruns.
+"""The RPC floor, the reader floor and the consumer floor as counts:
+Python-level calls per null ``exists``, per event of a no-op pass and
+per slice the candidate cut examines, and RPCs per page pass over many
+subruns.
 
 A timing gate depends on the machine; this one does not.  On the inline
 fabric one ``DatabaseHandle.exists`` of an absent key walks the whole
@@ -15,7 +16,9 @@ the Prefetcher it iterates -- so a second object or wrapper frame per
 event fails here too.  The page floor counts round trips instead, on
 the benchmark's shape (many 64-event subruns, pages of 1024): a page
 that closes at a subrun boundary again, or a listing that asks once
-more than it needs, fails here.  ``python tests/test_rpc_floor.py``
+more than it needs, fails here.  The consumer floor is the worker's side
+of a row-wise selection: an object-mode cut that goes back to a call
+per node of its expression fails here.  ``python tests/test_rpc_floor.py``
 prints the counts (CI puts them in the job summary).
 """
 
@@ -35,6 +38,8 @@ from repro.hepnos import (
     WriteBatch,
 )
 from repro.mercury import Fabric
+from repro.nova import GeneratorConfig, NovaGenerator, nue_candidate_cut
+from repro.nova.generator import table_to_slices
 from repro.serial import register_type
 
 #: calls per null exists the path may make: (untagged, tenant + broker).
@@ -55,6 +60,11 @@ EVENTS = 512
 #: is 17 listings (the last finds the 16th subrun dry) + 4 loads.
 PAGE_BUDGET = {"exact": 21, "packed": 21, "columns": 21}
 SUBRUNS, PER_SUBRUN = 16, 64
+#: calls per slice ``nue_candidate_cut`` may make in object mode: its
+#: ``__call__`` and the one function the cut compiles to.  A tree of one
+#: closure per node made 18.3 on these slices.
+CUT_BUDGET = 3
+SLICES = 4000
 
 
 @dataclasses.dataclass
@@ -177,6 +187,26 @@ def page_pass_rpcs(lane: str) -> int:
             server.shutdown()
 
 
+def cut_calls() -> float:
+    """Mean calls per slice of ``nue_candidate_cut`` over ``SLICES``
+    generated slices (the generator's default seed)."""
+    generator = NovaGenerator(GeneratorConfig(signal_fraction=0.05))
+    slices: list = []
+    subrun = 0
+    while len(slices) < SLICES:
+        table = generator.subrun_table(1000, subrun, range(64))
+        slices += table_to_slices(table, range(len(table["slice_id"])))
+        subrun += 1
+    slices = slices[:SLICES]
+    nue_candidate_cut(slices[0])    # warm: the first call compiles
+    profile = cProfile.Profile()
+    profile.enable()
+    for s in slices:
+        nue_candidate_cut(s)
+    profile.disable()
+    return pstats.Stats(profile).total_calls / SLICES
+
+
 @pytest.mark.parametrize("lane", sorted(PAGE_BUDGET))
 def test_page_pass_stays_within_its_rpc_budget(lane):
     rpcs = page_pass_rpcs(lane)
@@ -193,6 +223,14 @@ def test_noop_pass_stays_within_its_call_budget(reader):
     assert first <= READER_BUDGET[reader], (
         f"a no-op {reader} pass makes {first:.1f} Python-level calls per "
         f"event, budget {READER_BUDGET[reader]}")
+
+
+def test_cut_stays_within_its_call_budget():
+    first, second = cut_calls(), cut_calls()
+    assert first == second, "the count must repeat exactly"
+    assert first <= CUT_BUDGET, (
+        f"nue_candidate_cut makes {first:.2f} Python-level calls per slice, "
+        f"budget {CUT_BUDGET}")
 
 
 @pytest.mark.parametrize("brokered", [False, True],
@@ -218,3 +256,5 @@ if __name__ == "__main__":
         print(f"page pass, {SUBRUNS} subruns x {PER_SUBRUN} events, pages "
               f"of 1024, {lane} lane: {page_pass_rpcs(lane)} RPCs "
               f"(budget {budget})")
+    print(f"nue_candidate_cut, object mode: {cut_calls():.2f} Python-level "
+          f"calls per slice (budget {CUT_BUDGET})")
