@@ -91,16 +91,18 @@ class HEPnOSSource:
         )
 
     def events(self) -> Iterator[EventContext]:
-        """Sequential iteration (ignores ``comm``)."""
+        """Sequential iteration (ignores ``comm``): pages of
+        ``input_batch_size`` events across subruns, as the PEP reads."""
         reader = Prefetcher(
             self.datastore,
             options=PEPOptions(input_batch_size=self.input_batch_size),
             products=self.products,
         )
-        for run in self.datastore[self.dataset_path]:
-            for subrun in run:
-                for event in reader.events(subrun):
-                    yield self._context_for(event)
+        subruns = [subrun for run in self.datastore[self.dataset_path]
+                   for subrun in run]
+        for page in reader.pages(subruns):
+            for event in page:
+                yield self._context_for(event)
 
     def process_parallel(self, handle) -> object:
         """Collective mode: invoke ``handle(EventContext)`` on each

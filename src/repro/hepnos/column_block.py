@@ -170,20 +170,6 @@ class ColumnBlock:
         return ColumnBlock(self.fields, arrays, offsets,
                            self.present[lo:hi], raw)
 
-    def take(self, indices: Sequence[int]) -> "ColumnBlock":
-        """The events at ascending ``indices``, their rows copied out."""
-        idx = np.asarray(indices, dtype=np.int64)
-        first = self.offsets[idx]
-        counts = self.offsets[idx + 1] - first
-        offsets = np.zeros(len(idx) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        rows = (np.arange(offsets[-1], dtype=np.int64)
-                + np.repeat(first - offsets[:-1], counts))
-        arrays = {f: arr[rows] for f, arr in self.arrays.items()}
-        raw = {j: self.raw[i] for j, i in enumerate(indices) if i in self.raw}
-        return ColumnBlock(self.fields, arrays, offsets,
-                           [self.present[i] for i in indices], raw)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ColumnBlock(events={len(self.present)}, rows={self.rows}, "
                 f"fields={self.fields}, raw={len(self.raw)})")

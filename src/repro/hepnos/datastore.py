@@ -22,7 +22,7 @@ from repro.hepnos.column_block import ColumnBlock
 from repro.hepnos.connection import ConnectionInfo, DbTarget, connection_from_servers
 from repro.hepnos.load_plan import LoadPlan, PendingLoad
 from repro.hepnos.options import ProductCacheOptions, QuotaOptions
-from repro.hepnos.placement import ParentHashPlacement, ShardMap
+from repro.hepnos.placement import ShardMap
 from repro.hepnos.product import product_type_name
 from repro.hepnos.product_cache import ProductCache
 from repro.hepnos.write_batch import forward_moved
@@ -54,15 +54,13 @@ class DataStore:
 
     Retry behaviour resolves in priority order: an explicit
     ``retry_policy`` argument, then the connection's ``client.retry``
-    section, then :func:`~repro.faults.default_client_policy`.  The
-    ``metrics`` registry collects client retry/giveup counters (one is
-    created per datastore when not supplied).
+    section, then :func:`~repro.faults.default_client_policy`.  Each
+    datastore owns its ``metrics`` registry (client retry/giveup
+    counters, shard epoch, cache and failover counts).
     """
 
     def __init__(self, fabric: Fabric, connection: ConnectionInfo,
-                 placement=None,
                  retry_policy: Optional[RetryPolicy] = None,
-                 metrics: Optional[MetricRegistry] = None,
                  async_engine=None,
                  product_cache: Optional[ProductCacheOptions] = None,
                  quota: Optional[QuotaOptions] = None):
@@ -74,22 +72,15 @@ class DataStore:
             retry_policy = connection.retry_policy()
         if retry_policy is None:
             retry_policy = default_client_policy()
-        self.metrics = metrics if metrics is not None else MetricRegistry(
-            f"datastore:{client_address}"
-        )
+        self.metrics = MetricRegistry(f"datastore:{client_address}")
         #: tenant identity every RPC of this datastore is accounted
         #: under; ``None`` sends untagged traffic (no admission control).
         self.quota = quota
         tenant = quota.envelope() if quota is not None else None
         self._client = YokanClient(self.engine, retry_policy=retry_policy,
                                    metrics=self.metrics, tenant=tenant)
-        #: the versioned shard map every lookup goes through.  A raw
-        #: strategy (e.g. ParentHashPlacement) is wrapped at epoch 0.
-        strategy = placement or ParentHashPlacement(connection)
-        self.placement: ShardMap = (
-            strategy if isinstance(strategy, ShardMap)
-            else ShardMap(connection, strategy=strategy)
-        )
+        #: the versioned shard map every lookup goes through, at epoch 0
+        self.placement = ShardMap(connection)
         self.metrics.gauge(
             "hepnos.shard.epoch",
             help="current shard map epoch of this client",
@@ -135,7 +126,6 @@ class DataStore:
     @classmethod
     def connect(cls, fabric: Fabric, connection,
                 retry_policy: Optional[RetryPolicy] = None,
-                metrics: Optional[MetricRegistry] = None,
                 async_engine=None,
                 product_cache: Optional[ProductCacheOptions] = None,
                 quota: Optional[QuotaOptions] = None
@@ -151,7 +141,7 @@ class DataStore:
             info = ConnectionInfo.from_json(connection)
         else:
             info = connection_from_servers(connection)
-        return cls(fabric, info, retry_policy=retry_policy, metrics=metrics,
+        return cls(fabric, info, retry_policy=retry_policy,
                    async_engine=async_engine, product_cache=product_cache,
                    quota=quota)
 

@@ -6,8 +6,7 @@ one documented place::
     from repro.hepnos import options
 
     session = hepnos.connect(
-        servers=servers,
-        quota=options.QuotaOptions(tenant="nova-prod"),
+        servers=servers, tenant="nova-prod",
         product_cache=options.ProductCacheOptions(max_bytes=1 << 28),
     )
     pep = ParallelEventProcessor(
@@ -19,7 +18,8 @@ one documented place::
   ParallelEventProcessor on top of it;
 - :class:`ProductCacheOptions` -- the DataStore product cache;
 - :class:`QuotaOptions` -- the tenant identity of a session
-  (:func:`repro.hepnos.connect`).
+  (:func:`repro.hepnos.connect` builds it from its ``tenant`` /
+  ``priority`` / ``token`` keywords).
 
 ``products`` and ``comm`` are not configuration -- they describe *what*
 to process, not *how* -- and remain first-class parameters.
@@ -52,10 +52,6 @@ class PEPOptions:
     input_batch_size: int = 16384
     #: events handed to a worker per pull (paper default 64)
     dispatch_batch_size: int = 64
-    #: batch-load re-attempts on top of the client retry policy
-    load_retries: int = 2
-    #: ``"raise"`` fails the run; ``"skip"`` abandons the subrun
-    on_load_failure: str = "raise"
     #: load whole events with one packed prefix-scan RPC per database
     #: instead of one ``get_multi`` of the exact product keys
     packed_loads: bool = True
@@ -68,10 +64,6 @@ class PEPOptions:
     def __post_init__(self) -> None:
         if self.input_batch_size <= 0 or self.dispatch_batch_size <= 0:
             raise HEPnOSError("batch sizes must be positive")
-        if self.load_retries < 0:
-            raise HEPnOSError("load_retries must be non-negative")
-        if self.on_load_failure not in ("raise", "skip"):
-            raise HEPnOSError("on_load_failure must be 'raise' or 'skip'")
 
 
 @dataclass(frozen=True)

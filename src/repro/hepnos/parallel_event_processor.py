@@ -13,7 +13,8 @@ events of a dataset cooperatively:
   events -- fine-grained load balancing) and serve them to worker ranks
   on demand through a pull protocol;
 - every event is delivered exactly once; workers invoke the
-  user-supplied callable on each event.
+  user-supplied callable on each event.  A load the client's retry
+  policy gives up on fails the run: a selection is complete or raises.
 
 With one rank (or ``comm=None``) the PEP degrades to iterating the
 Prefetcher sequentially, which is also the mode ingest validation uses.
@@ -57,12 +58,6 @@ class PEPStatistics:
     total_seconds: float = 0.0
     #: reader only: events served per worker rank
     served: dict = field(default_factory=dict)
-    #: batch loads re-attempted after a transient failure
-    load_retries: int = 0
-    #: batch loads that exhausted their retry budget
-    load_failures: int = 0
-    #: subruns abandoned under ``on_load_failure="skip"``
-    subruns_skipped: int = 0
     #: product-load latency hidden behind processing (async pipeline)
     overlap_seconds: float = 0.0
     #: time blocked on in-flight product loads at consumption
@@ -70,9 +65,6 @@ class PEPStatistics:
 
     def absorb(self, reader: Prefetcher) -> None:
         """Take over the counters of the reader this rank loaded with."""
-        self.load_retries = reader.load_retries
-        self.load_failures = reader.load_failures
-        self.subruns_skipped = reader.subruns_skipped
         self.overlap_seconds = reader.overlap_seconds
         self.prefetch_wait_seconds = reader.wait_seconds
 

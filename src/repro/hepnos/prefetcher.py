@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.errors import ProductNotFound, ReproError
-from repro.faults.retry import RETRYABLE_ERRORS
 from repro.hepnos import keys as hkeys
 from repro.hepnos.column_block import EventBatch
 from repro.hepnos.containers import SubRun, _ProductHolder
@@ -40,8 +39,7 @@ class Prefetcher:
     ``products`` lists (type, label) pairs to prefetch for every event;
     with ``columns`` the single spec is projected server-side to those
     fields instead.  Of ``options`` the reader uses the page size
-    (``input_batch_size``), the lane (``packed_loads``) and the failure
-    policy (``load_retries`` / ``on_load_failure``).
+    (``input_batch_size``) and the lane (``packed_loads``).
     """
 
     def __init__(self, datastore, *,
@@ -57,12 +55,6 @@ class Prefetcher:
         self.columns = list(columns) if columns is not None else None
         if columns is not None:
             check_columnar(self.products, self.columns)
-        #: page loads re-attempted after a transient failure
-        self.load_retries = 0
-        #: page loads that exhausted their retry budget
-        self.load_failures = 0
-        #: subruns abandoned under ``on_load_failure="skip"``
-        self.subruns_skipped = 0
         #: seconds of product-load latency hidden behind consumption
         self.overlap_seconds = 0.0
         #: seconds spent blocked on product loads at consumption time
@@ -81,25 +73,19 @@ class Prefetcher:
         :class:`~repro.hepnos.column_block.EventBatch` when the page was
         projected to columns.  A page may span several subruns.
 
-        Listing and loading each get ``options.load_retries``
-        re-attempts on top of the client's own retry policy (stale
-        shard maps and dead primaries never reach it: the load executor
-        re-issues those itself).  Exhausting them either fails the
-        iteration or (``on_load_failure="skip"``) abandons what gave
-        up -- the subrun being listed, or every subrun the page
-        touches -- and moves on; no event of an abandoned subrun is
-        yielded after that.  Whatever is abandoned -- on skip, on
-        failure, or because the consumer stopped iterating -- is
-        cancelled or settled here, so nothing stays in the engine's
-        window for ``DataStore.shutdown()`` to trip over.
+        A listing or page load that the client's retry policy gives up
+        on raises out of here (stale shard maps and dead primaries never
+        reach it: the load executor re-issues those itself).  Whatever
+        is still on the wire then -- or when the consumer stops
+        iterating -- is cancelled or settled here, so nothing stays in
+        the engine's window for ``DataStore.shutdown()`` to trip over.
         """
         #: pages of loads kept on the wire ahead of consumption
         ahead = (1 if self.datastore.async_engine is not None
                  and self.products else 0)
         window: deque = deque()
-        skipped: set[bytes] = set()
         try:
-            for runs in self._key_pages(subruns, skipped):
+            for runs in self._key_pages(subruns):
                 keys = [key for _subrun, part in runs for key in part]
                 # The one place a lane is named.
                 plan = LoadPlan(keys, self.products, columns=self.columns,
@@ -107,37 +93,12 @@ class Prefetcher:
                 window.append((runs, self.datastore.issue_load(plan)))
                 self.pages_prefetched += ahead
                 if len(window) > ahead:
-                    yield from self._retire(window, skipped)
+                    yield self._retire(window)
             while window:
-                yield from self._retire(window, skipped)
+                yield self._retire(window)
         finally:
             for _runs, pending in window:
                 self._discard(pending)
-
-    def _retrying(self, fn: Callable):
-        """Run idempotent ``fn`` under the ``load_retries`` budget."""
-        attempts = 0
-        while True:
-            try:
-                return fn()
-            except RETRYABLE_ERRORS:
-                attempts += 1
-                self.load_retries += 1
-                if attempts > self.options.load_retries:
-                    self.load_failures += 1
-                    raise
-
-    def _abandon(self, subruns, skipped: set) -> bool:
-        """A listing or load of ``subruns`` gave up: under
-        ``on_load_failure="skip"`` mark each abandoned (and count it
-        once), otherwise tell the caller to raise."""
-        if self.options.on_load_failure != "skip":
-            return False
-        for subrun in subruns:
-            if subrun.key not in skipped:
-                skipped.add(subrun.key)
-                self.subruns_skipped += 1
-        return True
 
     def _discard(self, pending) -> None:
         """Cancel an abandoned page's queued requests and settle the
@@ -151,7 +112,7 @@ class Prefetcher:
                 except ReproError:
                     pass
 
-    def _key_pages(self, subruns, skipped: set):
+    def _key_pages(self, subruns):
         """Pages of up to ``input_batch_size`` event keys, in order, each
         a list of ``(subrun, keys)`` runs -- one per subrun it covers.
 
@@ -160,25 +121,15 @@ class Prefetcher:
         closes when it is full or the subruns run out.
         """
         size = self.options.input_batch_size
-
-        def list_keys():
-            with _tracing.span("hepnos.prefetch.list", limit=room) as sp:
-                keys = list(self.datastore.list_child_keys(
-                    "events", subrun.key, start_after=cursor, limit=room))
-                sp.set_tag("events", len(keys))
-            return keys
-
         page, room = [], size
         for subrun in subruns:
             cursor = b""
-            while subrun.key not in skipped:
+            while True:
                 asked = room
-                try:
-                    keys = self._retrying(list_keys)
-                except RETRYABLE_ERRORS:
-                    if not self._abandon((subrun,), skipped):
-                        raise
-                    break
+                with _tracing.span("hepnos.prefetch.list", limit=room) as sp:
+                    keys = list(self.datastore.list_child_keys(
+                        "events", subrun.key, start_after=cursor, limit=room))
+                    sp.set_tag("events", len(keys))
                 if keys:
                     page.append((subrun, keys))
                     cursor = keys[-1]
@@ -191,57 +142,28 @@ class Prefetcher:
         if page:
             yield page
 
-    def _retire(self, window: deque, skipped: set):
-        """Wait for the oldest issued page and yield the events of it
-        whose subruns are not abandoned, or nothing when none are left.
-        The page leaves the window only once its load is retired or
-        discarded: one that raises stays for :meth:`pages` to
-        discard."""
+    def _retire(self, window: deque):
+        """Wait for the oldest issued page and return its events.  The
+        page leaves the window only once its load is retired: one that
+        raises stays for :meth:`pages` to discard."""
         runs, pending = window[0]
-        live = any(subrun.key not in skipped for subrun, _keys in runs)
-        loaded = self._wait(runs, pending, skipped) if live else None
-        window.popleft()
-        if loaded is None:
-            self._discard(pending)
-            return
-        events: list = []
-        start = 0
-        for subrun, keys in runs:
-            if subrun.key not in skipped:
-                events += [PrefetchedEvent(subrun, key, loaded, i)
-                           for i, key in enumerate(keys, start)]
-            start += len(keys)
-        if loaded.block is None:
-            yield events
-            return
-        # A columnar page's consumers read the block's arrays: the
-        # surviving events' rows when a subrun was abandoned meanwhile.
-        block = loaded.block
-        if len(events) < len(block):
-            block = block.take([event._index for event in events])
-        yield EventBatch(events, block)
-
-    def _wait(self, runs, pending, skipped: set):
-        """The retired load of one page, or ``None`` when it gave up and
-        every subrun the page touches is skipped."""
         wait_start = time.monotonic()
         overlap = pending.overlap_seconds(wait_start)
         with _tracing.span("hepnos.prefetch.page",
                            events=len(pending.lane.keys), subruns=len(runs),
                            products=len(self.products),
                            overlap_seconds=round(overlap, 6)):
-            try:
-                # A wait() that gave up re-issues what is still
-                # unanswered when called again.
-                loaded = self._retrying(pending.wait)
-            except RETRYABLE_ERRORS:
-                if not self._abandon([subrun for subrun, _ in runs],
-                                     skipped):
-                    raise
-                return None
+            loaded = pending.wait()
+        window.popleft()
         self.overlap_seconds += overlap
         self.wait_seconds += time.monotonic() - wait_start
-        return loaded
+        events: list = []
+        for subrun, keys in runs:
+            events += [PrefetchedEvent(subrun, key, loaded, i)
+                       for i, key in enumerate(keys, len(events))]
+        if loaded.block is None:
+            return events
+        return EventBatch(events, loaded.block)
 
 
 class PrefetchedEvent(_ProductHolder):

@@ -97,9 +97,7 @@ def connect(connection=None, *,
             tenant: str = "",
             priority: str = "batch",
             token: str = "",
-            quota: Optional[QuotaOptions] = None,
             retry_policy: Optional[RetryPolicy] = None,
-            metrics: Optional[MetricRegistry] = None,
             async_engine: Union[AsyncEngine, bool, None] = None,
             product_cache: Optional[ProductCacheOptions] = None
             ) -> TenantSession:
@@ -113,10 +111,10 @@ def connect(connection=None, *,
     used automatically).
 
     ``tenant`` / ``priority`` / ``token`` name the identity the
-    service accounts this session under (or pass a full
-    :class:`~repro.hepnos.options.QuotaOptions` as ``quota``).  With
-    an empty tenant the session sends untagged traffic that bypasses
-    admission control -- byte-identical to the pre-session API.
+    service accounts this session under (a
+    :class:`~repro.hepnos.options.QuotaOptions`).  With an empty tenant
+    the session sends untagged traffic that bypasses admission control
+    -- byte-identical to the pre-session API.
 
     ``async_engine=True`` builds a default
     :class:`~repro.hepnos.AsyncEngine` and attaches it; an explicit
@@ -124,12 +122,8 @@ def connect(connection=None, *,
     :meth:`DataStore.connect <repro.hepnos.DataStore.connect>`; the
     client's own fabric address is derived there, not passed.
     """
-    if quota is not None:
-        if tenant or token or priority != "batch":
-            raise HEPnOSError(
-                "pass either quota= or the tenant/priority/token "
-                "keywords, not both")
-    elif tenant or token or priority != "batch":
+    quota = None
+    if tenant or token or priority != "batch":
         quota = QuotaOptions(tenant=tenant, priority=priority, token=token)
 
     if servers is not None:
@@ -157,7 +151,6 @@ def connect(connection=None, *,
     datastore = DataStore.connect(
         fabric, connection,
         retry_policy=retry_policy,
-        metrics=metrics,
         async_engine=engine,
         product_cache=product_cache,
         quota=quota,

@@ -499,9 +499,6 @@ class TestSessionAPI:
             hepnos.connect()
         with pytest.raises(HEPnOSError):
             hepnos.connect(servers=[])
-        with pytest.raises(HEPnOSError):
-            hepnos.connect(servers=[object()], tenant="a",
-                           quota=hepnos.QuotaOptions(tenant="b"))
 
     def test_errors_exported(self):
         from repro import errors

@@ -6,8 +6,6 @@ that failure mode and verify (a) errors surface cleanly at every layer
 and (b) bounded client retries mask transient drops.
 """
 
-import dataclasses
-import itertools
 import os
 import tempfile
 import threading
@@ -18,7 +16,7 @@ import pytest
 from conftest import FlakyModel
 from repro.argobots import Eventual
 from repro.bedrock import BedrockServer, default_hepnos_config
-from repro.errors import AddressError, HEPnOSError, NetworkFailure, RPCTimeout
+from repro.errors import AddressError, NetworkFailure, RPCTimeout
 from repro.faults import (
     ComposedFaultModel,
     CorruptionFault,
@@ -36,22 +34,10 @@ from repro.hepnos import (
     Prefetcher,
     ProductCacheOptions,
     WriteBatch,
-    vector_of,
 )
-from repro.hepnos import keys as hkeys
-from repro.hepnos.column_block import EventBatch
 from repro.mercury import Engine, Fabric, FaultModel, InjectionFaultModel
 from repro.mercury.address import Address
-from repro.serial import register_type
 from repro.yokan import MemoryBackend, YokanClient, YokanProvider
-
-
-@dataclasses.dataclass
-class Pt:
-    x: float = 0.0
-
-
-register_type(Pt, "fi.Pt")
 
 
 class EveryNthModel(FaultModel):
@@ -333,62 +319,55 @@ def _hepnos_world(fault_model=None, **config_kwargs):
     return fabric, server
 
 
+def _split_product_world(fabric):
+    """Listings and half the product shards on node0; the other product
+    shard on node1, which a test partitions away."""
+    return [
+        BedrockServer(fabric, default_hepnos_config(
+            "sm://node0/hepnos", num_providers=1, event_databases=2,
+            product_databases=1, run_databases=1, subrun_databases=1)),
+        BedrockServer(fabric, default_hepnos_config(
+            "sm://node1/hepnos", num_providers=1, event_databases=0,
+            product_databases=1, run_databases=0, subrun_databases=0,
+            dataset_databases=0)),
+    ]
+
+
 class TestDegradation:
-    def test_pep_skips_unreachable_subruns(self):
+    def test_unreachable_page_raises_the_client_give_up(self):
+        """The reader has no retry budget of its own: a page whose
+        product shard is partitioned away fails the run with the
+        client's give-up, after exactly the client policy's attempts."""
         fabric = Fabric()
-        # Metadata (datasets/runs/subruns) on node0; event and product
-        # data on node1, which we will partition away from the client.
-        meta = BedrockServer(fabric, default_hepnos_config(
-            "sm://node0/hepnos", num_providers=1, event_databases=0,
-            product_databases=0, run_databases=1, subrun_databases=1,
-        ))
-        data = BedrockServer(fabric, default_hepnos_config(
-            "sm://node1/hepnos", num_providers=1, event_databases=2,
-            product_databases=2, run_databases=0, subrun_databases=0,
-            dataset_databases=0,
-        ))
+        policy = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
         datastore = DataStore.connect(
-            fabric, [meta, data],
-            retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0,
-                                     jitter=0.0),
-        )
-        ds = datastore.create_dataset("degraded")
-        run = ds.create_run(1)
-        for s in range(3):
-            subrun = run.create_subrun(s)
-            for e in range(5):
-                subrun.create_event(e)
+            fabric, _split_product_world(fabric), retry_policy=policy,
+            product_cache=ProductCacheOptions(enabled=False))
+        ds = datastore.create_dataset("unreachable")
+        with WriteBatch(datastore) as batch:
+            subrun = ds.create_run(1, batch=batch).create_subrun(0, batch=batch)
+            for e in range(16):
+                subrun.create_event(e, batch=batch).store(
+                    float(e), label="x", batch=batch)
 
         fabric.fault_model = PartitionFault(group_a={"hepnos-client"},
                                             group_b={"node1"})
-        pep = ParallelEventProcessor(datastore, options=PEPOptions(
-            load_retries=1, on_load_failure="skip"))
+        pep = ParallelEventProcessor(datastore, products=[(float, "x")])
         seen = []
-        stats = pep.process(ds, seen.append)
+        with pytest.raises(NetworkFailure):
+            pep.process(ds, seen.append)
         fabric.fault_model = FaultModel()
-        assert seen == []  # every event database was unreachable
-        assert stats.subruns_skipped == 3
-        assert stats.load_retries >= 3
-        assert stats.load_failures >= 3
+        assert seen == []
+        # One page, one request to node1's product database: each of
+        # the policy's attempts was dropped once, and nothing re-issued.
+        assert fabric.stats.dropped == policy.max_attempts
 
     def test_reader_settles_what_it_abandons(self):
-        """Regression: pages of a skipped subrun stayed in the engine's
-        window, so a run that had degraded gracefully raised
-        NetworkFailure from ``shutdown()``."""
+        """Regression: pages a reader abandoned stayed in the engine's
+        window, so ``shutdown()`` raised NetworkFailure after the run."""
         fabric = Fabric()
-        # Listings and half the products on node0; the other product
-        # shard on node1, which gets partitioned away.
-        servers = [
-            BedrockServer(fabric, default_hepnos_config(
-                "sm://node0/hepnos", num_providers=1, event_databases=2,
-                product_databases=1, run_databases=1, subrun_databases=1)),
-            BedrockServer(fabric, default_hepnos_config(
-                "sm://node1/hepnos", num_providers=1, event_databases=0,
-                product_databases=1, run_databases=0, subrun_databases=0,
-                dataset_databases=0)),
-        ]
         datastore = DataStore.connect(
-            fabric, servers,
+            fabric, _split_product_world(fabric),
             retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0,
                                      jitter=0.0),
             product_cache=ProductCacheOptions(enabled=False))
@@ -401,8 +380,7 @@ class TestDegradation:
                 for e in range(24):
                     subrun.create_event(e, batch=batch).store(
                         float(e), label="x", batch=batch)
-        options = PEPOptions(input_batch_size=8, load_retries=0,
-                             on_load_failure="skip")
+        options = PEPOptions(input_batch_size=8)
 
         # A consumer that stops early leaves nothing behind either.
         events = Prefetcher(datastore, options=options,
@@ -416,79 +394,12 @@ class TestDegradation:
         pep = ParallelEventProcessor(datastore, options=options,
                                      products=[(float, "x")])
         seen = []
-        stats = pep.process(ds, seen.append)
-        assert seen == [] and stats.subruns_skipped == 2
+        with pytest.raises(NetworkFailure):
+            pep.process(ds, seen.append)
+        assert seen == []
         assert engine.outstanding == 0
         datastore.shutdown()  # the partition is still up: nothing to trip on
         fabric.fault_model = FaultModel()
-
-    @pytest.mark.parametrize("lane", ["packed", "columns"])
-    def test_page_spanning_subruns_is_abandoned_whole(self, lane):
-        """A page over two subruns that cannot load abandons both; the
-        next page, already on the wire, yields only the subrun nobody
-        abandoned -- none of the events it holds of an abandoned one."""
-        fabric = Fabric()
-        servers = [
-            BedrockServer(fabric, default_hepnos_config(
-                "sm://node0/hepnos", num_providers=1, event_databases=2,
-                product_databases=1, run_databases=1, subrun_databases=1)),
-            BedrockServer(fabric, default_hepnos_config(
-                "sm://node1/hepnos", num_providers=1, event_databases=0,
-                product_databases=1, run_databases=0, subrun_databases=0,
-                dataset_databases=0)),
-        ]
-        datastore = DataStore.connect(
-            fabric, servers,
-            retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0,
-                                     jitter=0.0),
-            product_cache=ProductCacheOptions(enabled=False))
-        engine = AsyncEngine(datastore, max_inflight=8)
-        run = datastore.create_dataset("spanning").create_run(1)
-        # Subrun 0's products all live on node1, the others' on node0.
-        layout = (("sm://node1/hepnos", 5), ("sm://node0/hepnos", 5),
-                  ("sm://node0/hepnos", 6))
-        subruns, numbers = [], []
-        with WriteBatch(datastore) as batch:
-            for s, (address, count) in enumerate(layout):
-                subrun = run.create_subrun(s, batch=batch)
-                placed = (e for e in itertools.count()
-                          if datastore.placement.product_database_for(
-                              hkeys.event_key(subrun.key, e)).address
-                          == address)
-                subruns.append(subrun)
-                numbers.append(list(itertools.islice(placed, count)))
-                for e in numbers[-1]:
-                    subrun.create_event(e, batch=batch).store(
-                        [Pt(float(e))], label="x", type_name=vector_of(Pt),
-                        batch=batch)
-        reader = Prefetcher(
-            datastore,
-            options=PEPOptions(input_batch_size=8, load_retries=0,
-                               on_load_failure="skip"),
-            products=[(vector_of(Pt), "x")],
-            columns=["x"] if lane == "columns" else None)
-
-        fabric.fault_model = PartitionFault(group_a={"hepnos-client"},
-                                            group_b={"node1"})
-        # Page 1 is subrun 0 + 3 events of subrun 1 and cannot load;
-        # page 2 -- 2 events of subrun 1 + subrun 2 -- can.
-        pages = list(reader.pages(subruns))
-        fabric.fault_model = FaultModel()
-        assert reader.subruns_skipped == 2
-        assert engine.outstanding == 0
-        (page,) = pages
-        assert [event.triple() for event in page] == [
-            (1, 2, e) for e in numbers[2]]
-        expected = [float(e) for e in numbers[2]]
-        if lane == "columns":
-            assert isinstance(page, EventBatch)
-            assert page.block.rows == len(expected)
-            assert page.table["x"].tolist() == expected
-            assert [event.columns()["x"].tolist() for event in page] == [
-                [x] for x in expected]
-        else:
-            assert [event.load(vector_of(Pt), label="x")[0].x
-                    for event in page] == expected
 
     def test_pep_raise_mode_propagates(self):
         fabric = Fabric()
@@ -503,18 +414,10 @@ class TestDegradation:
         for e in range(5):
             subrun.create_event(e)
         fabric.fault_model = FlakyModel(1_000_000)
-        pep = ParallelEventProcessor(
-            datastore, options=PEPOptions(load_retries=1))
+        pep = ParallelEventProcessor(datastore)
         with pytest.raises(NetworkFailure):
             pep.process(ds, lambda ev: None)
         fabric.fault_model = FaultModel()
-
-    def test_pep_rejects_bad_failure_mode(self):
-        fabric, server = _hepnos_world()
-        datastore = DataStore.connect(fabric, [server])
-        with pytest.raises(HEPnOSError):
-            ParallelEventProcessor(
-                datastore, options=PEPOptions(on_load_failure="explode"))
 
 
 class TestCrashRestart:

@@ -108,8 +108,9 @@ class TestSequential:
         # Tuning lives in options=; anything else is a plain bad keyword.
         with pytest.raises(TypeError, match="unexpected keyword argument"):
             ParallelEventProcessor(datastore, input_batch_size=8)
-        # Reader count, queue depth and worker pipeline are not options.
-        assert len(dataclasses.fields(PEPOptions)) == 6
+        # Reader count, queue depth, worker pipeline and a failure
+        # policy of the reader's own are not options.
+        assert len(dataclasses.fields(PEPOptions)) == 4
         with pytest.raises(TypeError, match="unexpected keyword argument"):
             PEPOptions(worker_pipeline=2)
         # Dispatch batches are clamped to the input batch size.

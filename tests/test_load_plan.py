@@ -391,7 +391,7 @@ def test_columns_plan_needs_fields_and_one_spec(datastore):
 SPECS = [(vector_of(Hit), "hits"), (Hit, "flag")]
 
 
-def pep_pass(datastore, dataset, **options):
+def pep_pass(datastore, dataset):
     seen = []
 
     def handle(event):
@@ -406,10 +406,10 @@ def pep_pass(datastore, dataset, **options):
         seen.append(row)
 
     pep = ParallelEventProcessor(
-        datastore, options=PEPOptions(input_batch_size=8, **options),
+        datastore, options=PEPOptions(input_batch_size=8),
         products=SPECS)
-    stats = pep.process(dataset, handle)
-    return seen, stats
+    pep.process(dataset, handle)
+    return seen
 
 
 def reader_streams(datastore, dataset, subruns, lane, page):
@@ -521,13 +521,13 @@ def test_engine_passes_equal_blocking_and_stay_packed(fabric, datastore):
         ).process(dataset, lambda ev: None))
     _, pf_listing = counted(lambda: list(Prefetcher(
         datastore, options=PEPOptions(input_batch_size=8)).events(subrun)))
-    (blocking_pep, _), pep_rpcs = counted(lambda: pep_pass(datastore, dataset))
+    blocking_pep, pep_rpcs = counted(lambda: pep_pass(datastore, dataset))
     (blocking_pf, _), pf_rpcs = counted(
         lambda: prefetch_pass(datastore, subrun))
     assert pep_rpcs - pep_listing == pf_rpcs - pf_listing == load_rpcs
 
     engine = AsyncEngine(datastore, max_inflight=4)
-    (piped_pep, stats), piped_pep_rpcs = counted(
+    piped_pep, piped_pep_rpcs = counted(
         lambda: pep_pass(datastore, dataset))
     (piped_pf, prefetcher), piped_pf_rpcs = counted(
         lambda: prefetch_pass(datastore, subrun))
@@ -535,7 +535,6 @@ def test_engine_passes_equal_blocking_and_stay_packed(fabric, datastore):
     assert (piped_pep_rpcs, piped_pf_rpcs) == (pep_rpcs, pf_rpcs)
     assert engine.stats.submitted == 2 * load_rpcs
     assert prefetcher.pages_prefetched > 0
-    assert stats.load_retries == 0
 
 
 def test_columnar_batches_pipeline_through_the_engine(datastore):
@@ -568,14 +567,14 @@ def test_pipelined_page_survives_dead_primary_without_pep_retries(world):
     _, servers, datastore = world(replicated=True)
     populate(datastore)
     dataset = datastore["lp"]
-    expected, _ = pep_pass(datastore, dataset)
+    expected = pep_pass(datastore, dataset)
     datastore.sync_service()
     AsyncEngine(datastore, max_inflight=4)
     servers[1].crash(lose_state=True)
-    # load_retries=0: any retryable error reaching the PEP fails the run.
-    got, stats = pep_pass(datastore, dataset, load_retries=0)
+    # The reader retries nothing: any retryable error reaching it fails
+    # the run.
+    got = pep_pass(datastore, dataset)
     assert got == expected
-    assert stats.load_retries == 0 and stats.load_failures == 0
     assert datastore.metrics.counter("hepnos.failover.activated").value >= 1
 
 
@@ -583,7 +582,7 @@ def test_pipelined_page_survives_epoch_swap_without_pep_retries(world):
     fabric, _, datastore = world()
     populate(datastore)
     dataset = datastore["lp"]
-    expected, _ = pep_pass(datastore, dataset)
+    expected = pep_pass(datastore, dataset)
     AsyncEngine(datastore, max_inflight=4)
     joined = add_server(datastore.connection, joining_server(fabric))
     seen = []
@@ -595,15 +594,13 @@ def test_pipelined_page_survives_epoch_swap_without_pep_retries(world):
         seen.append(event.triple())
 
     pep = ParallelEventProcessor(
-        datastore, options=PEPOptions(input_batch_size=8, load_retries=0),
-        products=SPECS)
-    stats = pep.process(dataset, handle)
+        datastore, options=PEPOptions(input_batch_size=8), products=SPECS)
+    pep.process(dataset, handle)
     assert seen == [row[0] for row in expected]
-    assert stats.load_retries == 0
     # Every page misses some product, so the swap is noticed and the
     # executor re-asks under the new map.
     assert datastore.metrics.counter("hepnos.shard.stale_retries").value >= 1
-    got, _ = pep_pass(datastore, dataset)
+    got = pep_pass(datastore, dataset)
     assert got == expected
 
 

@@ -15,8 +15,9 @@ product in pages of 64, through the ParallelEventProcessor and through
 the Prefetcher it iterates -- so a second object or wrapper frame per
 event fails here too.  The page floor counts round trips instead, on
 the benchmark's shape (many 64-event subruns, pages of 1024): a page
-that closes at a subrun boundary again, or a listing that asks once
-more than it needs, fails here.  The consumer floor is the worker's side
+that closes at a subrun boundary again, a listing that asks once
+more than it needs, or a framework source that pages apart from the
+PEP's reader fails here.  The consumer floor is the worker's side
 of a row-wise selection: an object-mode cut that goes back to a call
 per node of its expression fails here.  ``python tests/test_rpc_floor.py``
 prints the counts (CI puts them in the job summary).
@@ -31,6 +32,7 @@ import pytest
 
 from repro import hepnos
 from repro.bedrock import BedrockServer, default_hepnos_config
+from repro.framework.io import HEPnOSSource
 from repro.hepnos import (
     ParallelEventProcessor,
     PEPOptions,
@@ -57,8 +59,14 @@ EVENTS = 512
 #: of ``PER_SUBRUN`` events, one product each, in pages of 1024, per
 #: lane.  Pages that closed at every subrun boundary made it 96 in both
 #: object lanes (16 x (2 listings + 4 loads)); one page of 1024 events
-#: is 17 listings (the last finds the 16th subrun dry) + 4 loads.
-PAGE_BUDGET = {"exact": 21, "packed": 21, "columns": 21}
+#: is 17 listings (the last finds the 16th subrun dry) + 4 loads.  The
+#: ``source`` input is a sequential ``HEPnOSSource`` pass (packed lane):
+#: the same pages after a walk of the dataset to its subruns, which a
+#: ``ParallelEventProcessor(comm=None)`` pass makes too.  Paging one
+#: subrun at a time, it sent 82.
+PAGE_BUDGET = {"exact": 21, "packed": 21, "columns": 21, "source": 21}
+#: RPCs of that walk: one runs listing and one subruns listing
+WALK_RPCS = 2
 SUBRUNS, PER_SUBRUN = 16, 64
 #: calls per slice ``nue_candidate_cut`` may make in object mode: its
 #: ``__call__`` and the one function the cut compiles to.  A tree of one
@@ -154,10 +162,16 @@ def reader_calls(reader: str) -> float:
             server.shutdown()
 
 
+def page_budget(lane: str) -> int:
+    return PAGE_BUDGET[lane] + (WALK_RPCS if lane == "source" else 0)
+
+
 def page_pass_rpcs(lane: str) -> int:
     """RPCs of one cold ``Prefetcher.pages`` pass through ``lane`` over
     ``SUBRUNS`` subruns of ``PER_SUBRUN`` events, one ``Flag`` each, in
-    pages of 1024 (2 servers x 2 providers, 4 product databases)."""
+    pages of 1024 (2 servers x 2 providers, 4 product databases).
+    ``"source"`` and ``"pep"`` are whole-dataset passes of a
+    ``HEPnOSSource`` and of a sequential ``ParallelEventProcessor``."""
     servers = deploy()
     session = hepnos.connect(servers=servers)
     try:
@@ -170,15 +184,23 @@ def page_pass_rpcs(lane: str) -> int:
                 for e in range(PER_SUBRUN):
                     subrun.create_event(e, batch=batch).store(
                         Flag(e), label="f", batch=batch)
-        reader = Prefetcher(
-            datastore,
-            options=PEPOptions(input_batch_size=1024,
-                               packed_loads=lane != "exact"),
-            products=[(Flag, "f")],
-            columns=["n"] if lane == "columns" else None)
+        options = PEPOptions(input_batch_size=1024,
+                             packed_loads=lane != "exact")
         fabric = datastore.fabric
         fabric.stats.reset()
-        events = sum(len(page) for page in reader.pages(subruns))
+        if lane == "source":
+            source = HEPnOSSource(datastore, "floor", products=[(Flag, "f")],
+                                  input_batch_size=1024)
+            events = sum(1 for _ in source.events())
+        elif lane == "pep":
+            events = ParallelEventProcessor(
+                datastore, options=options, products=[(Flag, "f")]
+            ).process(run.dataset, lambda event: None).events_processed
+        else:
+            reader = Prefetcher(datastore, options=options,
+                                products=[(Flag, "f")],
+                                columns=["n"] if lane == "columns" else None)
+            events = sum(len(page) for page in reader.pages(subruns))
         assert events == SUBRUNS * PER_SUBRUN
         return fabric.stats.rpc_count
     finally:
@@ -211,9 +233,12 @@ def cut_calls() -> float:
 def test_page_pass_stays_within_its_rpc_budget(lane):
     rpcs = page_pass_rpcs(lane)
     assert rpcs == page_pass_rpcs(lane), "the count must repeat exactly"
-    assert rpcs <= PAGE_BUDGET[lane], (
+    if lane == "source":
+        assert rpcs == page_pass_rpcs("pep"), (
+            "a framework source pass must page as the PEP's reader does")
+    assert rpcs <= page_budget(lane), (
         f"a {lane} page pass over {SUBRUNS} subruns x {PER_SUBRUN} events "
-        f"sends {rpcs} RPCs, budget {PAGE_BUDGET[lane]}")
+        f"sends {rpcs} RPCs, budget {page_budget(lane)}")
 
 
 @pytest.mark.parametrize("reader", sorted(READER_BUDGET))
@@ -252,9 +277,9 @@ if __name__ == "__main__":
         print(f"no-op pass, inline fabric, {reader}: "
               f"{reader_calls(reader):.1f} Python-level calls per event "
               f"(budget {budget})")
-    for lane, budget in sorted(PAGE_BUDGET.items()):
+    for lane in sorted(PAGE_BUDGET):
         print(f"page pass, {SUBRUNS} subruns x {PER_SUBRUN} events, pages "
               f"of 1024, {lane} lane: {page_pass_rpcs(lane)} RPCs "
-              f"(budget {budget})")
+              f"(budget {page_budget(lane)})")
     print(f"nue_candidate_cut, object mode: {cut_calls():.2f} Python-level "
           f"calls per slice (budget {CUT_BUDGET})")
