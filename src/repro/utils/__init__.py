@@ -1,6 +1,6 @@
 """Shared low-level utilities: sorted maps, hashing, key codecs."""
 
-from repro.utils.skiplist import SkipListMap
+from repro.utils.sortedmap import SortedMap
 from repro.utils.hashing import fnv1a_64, mix64, ConsistentHashRing
 from repro.utils.keycodec import (
     encode_u64_be,
@@ -9,7 +9,7 @@ from repro.utils.keycodec import (
 )
 
 __all__ = [
-    "SkipListMap",
+    "SortedMap",
     "fnv1a_64",
     "mix64",
     "ConsistentHashRing",

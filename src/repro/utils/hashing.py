@@ -63,6 +63,9 @@ class ConsistentHashRing:
         #: on every batch load, and the ring only changes on membership
         #: events, which clear it.
         self._memo: dict[bytes, object] = {}
+        #: ``key[:-8]`` -> its FNV-1a state: a left fold, so a key hashes
+        #: only its last 8 bytes on top (a subrun's events share a head).
+        self._heads: dict[bytes, int] = {}
         for target in targets:
             self.add_target(target)
 
@@ -98,12 +101,16 @@ class ConsistentHashRing:
             return owner
         if not self._points:
             raise ValueError("hash ring has no targets")
-        point = mix64(fnv1a_64(key))
+        state = self._heads.get(key[:-8])
+        if state is None:
+            state = self._heads[bytes(key[:-8])] = fnv1a_64(key[:-8])
+        point = mix64(fnv1a_64(key[-8:], state))
         idx = bisect.bisect_right(self._points, point)
         if idx == len(self._points):
             idx = 0
         owner = self._owners[idx]
         if len(self._memo) >= 1 << 16:
             self._memo.clear()
+            self._heads.clear()  # one head per memo miss: bounded alike
         self._memo[bytes(key)] = owner
         return owner

@@ -1,0 +1,125 @@
+"""An ordered map over ``bytes`` keys: a dict plus bisected key chunks.
+
+The values live in a ``dict``; the order lives in sorted key *chunks*,
+each with an upper bound in ``_maxes``.  A new key is one ``insort``
+into the chunk its bound routes it to, and a full chunk splits in two.
+Writers are serialized by the caller; :meth:`SortedMap.scan` runs
+against that one writer without a lock.  Chunks are split, never merged
+or removed, so a chunk a scan located can only move to a higher index.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left, bisect_right, insort
+from typing import Iterator, Tuple
+
+#: keys per chunk before it splits in two
+_CHUNK = 1000
+#: keys a scan copies at first (doubling per copy up to ``_CHUNK``)
+_SCAN_STEP = 8
+_ABSENT = object()
+
+
+class SortedMap:
+    """Ordered mapping from ``bytes`` keys to arbitrary values."""
+
+    def __init__(self) -> None:
+        self._values: dict = {}
+        self._chunks: list[list[bytes]] = []
+        self._maxes: list[bytes] = []  # per chunk, a bound on its keys
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __contains__(self, key: bytes) -> bool:
+        return key in self._values
+
+    def __getitem__(self, key: bytes):
+        return self._values[key]
+
+    def get(self, key: bytes, default=None):
+        return self._values.get(key, default)
+
+    def __setitem__(self, key: bytes, value) -> None:
+        values = self._values
+        if key not in values:
+            if not isinstance(key, bytes):
+                raise TypeError(f"keys must be bytes, not {type(key).__name__}")
+            chunks, maxes = self._chunks, self._maxes
+            i = bisect_left(maxes, key)
+            if i < len(maxes):
+                chunk = chunks[i]
+                insort(chunk, key)
+            elif maxes:
+                i -= 1
+                chunk = chunks[i]
+                chunk.append(key)
+                maxes[i] = key
+            else:
+                chunk = [key]
+                chunks.append(chunk)
+                maxes.append(key)
+            if len(chunk) > _CHUNK:
+                # The upper half is a chunk of its own before it leaves
+                # this one: a racing scan sees its keys twice, never not.
+                half = len(chunk) >> 1
+                chunks.insert(i + 1, chunk[half:])
+                del chunk[half:]
+                maxes.insert(i, chunk[-1])
+        values[key] = value
+
+    def pop(self, key: bytes, *default):
+        try:
+            value = self._values.pop(key)
+        except KeyError:
+            if default:
+                return default[0]
+            raise
+        chunk = self._chunks[bisect_left(self._maxes, key)]
+        del chunk[bisect_left(chunk, key)]
+        return value
+
+    __delitem__ = pop
+
+    def scan(self, start: bytes = b"", inclusive: bool = True
+             ) -> Iterator[Tuple[bytes, object]]:
+        """Yield (key, value) pairs in key order from ``start``: strictly
+        increasing, with every key present for the whole scan exactly
+        once, whatever the writer does between two ``next()`` calls."""
+        values = self._values
+        if inclusive:
+            value = values.get(start, _ABSENT)
+            if value is not _ABSENT:
+                yield start, value
+        last, chunks, step = start, self._chunks, _SCAN_STEP
+        i = bisect_right(self._maxes, last)
+        if i and i == len(self._maxes):
+            i -= 1  # the last chunk may hold keys its bound has not caught
+        while True:
+            if i >= len(chunks):
+                return
+            chunk = chunks[i]
+            # Copy the keys after ``last`` with the one before them, the
+            # witness that the writer shifted nothing in between.
+            j = bisect_right(chunk, last)
+            batch = chunk[j - 1 if j else 0:j + step]
+            if j and (not batch or batch[0] > last):
+                continue  # keys left the chunk after the bisect: redo
+            n, want = len(batch), step + 1 if j else step
+            k = bisect_right(batch, last)
+            if k == n:
+                if n < want:
+                    i += 1  # nothing after ``last`` here
+                continue  # else keys entered before the bisect: redo
+            for key in batch[k:]:
+                value = values.get(key, _ABSENT)
+                if value is not _ABSENT:  # else erased since the copy
+                    yield key, value
+            last = batch[-1]
+            if n < want:
+                i += 1
+            elif step < _CHUNK:
+                step <<= 1
+
+    def keys(self) -> Iterator[bytes]:
+        return (key for key, _ in self.scan())

@@ -7,7 +7,7 @@ iteration and a choice of persistent or in-memory backends.
 
 Backends provided here:
 
-- ``"map"``      -- in-memory skip-list map (the paper's ``std::map``);
+- ``"map"``      -- in-memory sorted map (the paper's ``std::map``);
 - ``"lsm"``      -- a log-structured merge tree with WAL, SSTables,
   bloom filters and compaction (the paper's RocksDB).
 """

@@ -171,6 +171,10 @@ class Backend(abc.ABC):
     ) -> Iterator[Tuple[bytes, bytes]]:
         """Ordered iteration of (key, value) from ``start``."""
 
+    @abc.abstractmethod
+    def put_multi(self, pairs: Iterable[Tuple[bytes, bytes]]) -> int:
+        """Insert many pairs; returns the count (batch RPC fast path)."""
+
     # -- derived operations --------------------------------------------------
 
     def get_or_none(self, key: bytes) -> Optional[bytes]:
@@ -178,14 +182,6 @@ class Backend(abc.ABC):
             return self.get(key)
         except KeyNotFound:
             return None
-
-    def put_multi(self, pairs: Iterable[Tuple[bytes, bytes]]) -> int:
-        """Insert many pairs; returns the count (batch RPC fast path)."""
-        count = 0
-        for key, value in pairs:
-            self.put(key, value)
-            count += 1
-        return count
 
     def get_multi(self, keys: Sequence[bytes]) -> list[Optional[bytes]]:
         """Fetch many keys; missing keys yield ``None``."""

@@ -3,7 +3,7 @@
 Production-shaped engine:
 
 - writes append to a *segmented* write-ahead log -- the shared record
-  log of :mod:`repro.yokan.backends.wal` -- and land in a skip-list
+  log of :mod:`repro.yokan.backends.wal` -- and land in a sorted-map
   *memtable*; acknowledged writes always reach the OS (flush per
   record, fsync with ``wal_sync``), so a simulated process crash loses
   nothing that was acked;
@@ -54,7 +54,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, CorruptionError, KeyNotFound
 from repro.monitor import tracing as _tracing
-from repro.utils import SkipListMap, prefix_upper_bound
+from repro.utils import SortedMap, prefix_upper_bound
 from repro.yokan.backend import Backend, DurabilityStats, register_backend
 from repro.yokan.backends.wal import (
     append_record,
@@ -500,8 +500,7 @@ class _Immutable:
 
     __slots__ = ("memtable", "nbytes", "segments")
 
-    def __init__(self, memtable: SkipListMap, nbytes: int,
-                 segments: list[str]):
+    def __init__(self, memtable: SortedMap, nbytes: int, segments: list[str]):
         self.memtable = memtable
         self.nbytes = nbytes
         self.segments = segments
@@ -549,7 +548,7 @@ class LSMBackend(Backend):
         self._manifest_path = os.path.join(path, "MANIFEST.json")
         self._lock = threading.RLock()
         self._work = threading.Condition(self._lock)
-        self._memtable = SkipListMap()
+        self._memtable = SortedMap()
         self._mem_bytes = 0
         self._immutables: list[_Immutable] = []  # oldest first
         self._sstables: list[SSTable] = []  # oldest first
@@ -680,7 +679,7 @@ class LSMBackend(Backend):
         self._wal.close()
         self._immutables.append(_Immutable(
             self._memtable, self._mem_bytes, self._active_segments))
-        self._memtable = SkipListMap()
+        self._memtable = SortedMap()
         self._mem_bytes = 0
         self.stats.rotations += 1
         self._open_new_segment()

@@ -2,29 +2,38 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Iterable, Iterator, Tuple
 
-from repro.errors import KeyNotFound
-from repro.utils import SkipListMap
+from repro.errors import ConfigError, KeyNotFound
+from repro.utils import SortedMap
 from repro.yokan.backend import Backend, register_backend
 
 
 @register_backend("map")
 class MemoryBackend(Backend):
-    """Sorted in-memory store backed by a skip list.
+    """Sorted in-memory store backed by a :class:`SortedMap`.
 
     This is the highest-performing configuration in the paper's
     evaluation (Figure 2's "HEPnOS in-memory" series): no WAL, no disk,
-    data lives exactly as long as the service.
+    data lives exactly as long as the service.  It takes no option.
     """
 
-    def __init__(self, seed: int = 0x5EED, **_unused):
+    def __init__(self, **unknown):
         super().__init__()
-        self._map = SkipListMap(seed=seed)
+        if unknown:
+            raise ConfigError(f"unknown map option(s) {sorted(unknown)}")
+        self._map = SortedMap()
 
     def put(self, key: bytes, value: bytes) -> None:
         self._check_open()
         self._map[key] = bytes(value)
+
+    def put_multi(self, pairs: Iterable[Tuple[bytes, bytes]]) -> int:
+        self._check_open()
+        pairs = list(pairs)
+        for key, value in pairs:
+            self._map[key] = bytes(value)
+        return len(pairs)
 
     def get(self, key: bytes) -> bytes:
         self._check_open()

@@ -42,14 +42,21 @@ def pack_groups(groups: Iterable[Iterable[Tuple[bytes, bytes]]]
     back as built (a ``bytearray``, ready to expose for bulk transfer).
     """
     out = bytearray()
+    append = out.append
     for pairs in groups:
         pairs = list(pairs)
         _append_uvarint(out, len(pairs))
         for key, value in pairs:
-            _append_uvarint(out, len(key))
-            out += key
-            _append_uvarint(out, len(value))
-            out += value
+            for part in (key, value):  # lengths under 2**14 inline
+                n = len(part)
+                if n < 0x80:
+                    append(n)
+                elif n < 0x4000:
+                    append(n & 0x7F | 0x80)
+                    append(n >> 7)
+                else:
+                    _append_uvarint(out, n)
+                out += part
     return out
 
 
@@ -77,21 +84,34 @@ def unpack_groups(buffer, ngroups: int) -> List[List[Tuple[bytes, memoryview]]]:
     end = len(view)
     pos = 0
     groups: List[List[Tuple[bytes, memoryview]]] = []
-    for _ in range(ngroups):
-        npairs, pos = _read_uvarint(view, pos, end)
-        pairs: List[Tuple[bytes, memoryview]] = []
-        for _ in range(npairs):
-            klen, pos = _read_uvarint(view, pos, end)
-            if pos + klen > end:
-                raise CorruptionError("truncated key in packed buffer")
-            key = bytes(view[pos:pos + klen])
-            pos += klen
-            vlen, pos = _read_uvarint(view, pos, end)
-            if pos + vlen > end:
-                raise CorruptionError("truncated value in packed buffer")
-            pairs.append((key, view[pos:pos + vlen]))
-            pos += vlen
-        groups.append(pairs)
+    try:
+        for _ in range(ngroups):
+            npairs, pos = _read_uvarint(view, pos, end)
+            pairs: List[Tuple[bytes, memoryview]] = []
+            for _ in range(npairs):
+                klen = view[pos]  # past the end: IndexError, see below
+                pos += 1
+                if klen >= 0x80:
+                    klen, pos = _read_uvarint(view, pos - 1, end)
+                if pos + klen > end:
+                    raise CorruptionError("truncated key in packed buffer")
+                key = bytes(view[pos:pos + klen])
+                pos += klen
+                vlen = view[pos]  # 1- and 2-byte lengths inline
+                pos += 1
+                if vlen >= 0x80:
+                    if view[pos] < 0x80:
+                        vlen = vlen & 0x7F | view[pos] << 7
+                        pos += 1
+                    else:
+                        vlen, pos = _read_uvarint(view, pos - 1, end)
+                if pos + vlen > end:
+                    raise CorruptionError("truncated value in packed buffer")
+                pairs.append((key, view[pos:pos + vlen]))
+                pos += vlen
+            groups.append(pairs)
+    except IndexError:
+        raise CorruptionError("truncated varint in packed buffer") from None
     if pos != end:
         raise CorruptionError(
             f"trailing bytes in packed buffer ({end - pos} after "

@@ -67,6 +67,49 @@ class TestPackedCodec:
         with pytest.raises(CorruptionError, match="trailing"):
             packed.unpack_groups(buf + b"\x00", 1)
 
+    @staticmethod
+    def _uvarint(n):
+        out = bytearray()
+        while True:
+            byte, n = n & 0x7F, n >> 7
+            out.append(byte | 0x80 if n else byte)
+            if not n:
+                return bytes(out)
+
+    def _reference_pack(self, groups):
+        """The generic encoder: every length through the uvarint loop."""
+        out = bytearray()
+        for pairs in groups:
+            out += self._uvarint(len(pairs))
+            for key, value in pairs:
+                out += self._uvarint(len(key)) + key
+                out += self._uvarint(len(value)) + value
+        return bytes(out)
+
+    @pytest.mark.parametrize("length",
+                             [0, 1, 127, 128, 16383, 16384, 2 ** 21])
+    def test_inline_lengths_match_the_generic_encoder(self, length):
+        groups = [[(b"k" * length, b"v"), (b"k", b"v" * length)],
+                  [(b"", b"")]]
+        buf = packed.pack_groups(groups)
+        assert bytes(buf) == self._reference_pack(groups)
+        back = packed.unpack_groups(buf, len(groups))
+        assert [[(k, bytes(v)) for k, v in g] for g in back] == groups
+
+    @pytest.mark.parametrize("field", ["key", "value"])
+    @pytest.mark.parametrize("length", [1, 128, 16384],
+                             ids=["1-byte", "2-byte", "3-byte"])
+    def test_cut_inside_a_length_is_corruption(self, field, length):
+        key, value = (b"k" * length, b"v") if field == "key" \
+            else (b"k", b"v" * length)
+        buf = bytes(packed.pack_groups([[(key, value)]]))
+        at = 1 if field == "key" else 1 + len(self._uvarint(len(key))) + 1
+        for cut in range(at, at + len(self._uvarint(length))):
+            with pytest.raises(CorruptionError, match="truncated"):
+                packed.unpack_groups(buf[:cut], 1)
+        with pytest.raises(CorruptionError, match="trailing"):
+            packed.unpack_groups(buf + b"\x00", 1)
+
 
 # -- load_prefix_packed RPC --------------------------------------------------
 

@@ -278,7 +278,8 @@ class TestDurabilityContract:
         """``wal_sync`` reaches whichever log the kind has: one fsync
         of the live log per acknowledged verb, none when unset."""
         backend = _open(kind, str(tmp_path), wal_sync=wal_sync,
-                        memtable_bytes=1 << 20)
+                        **({"memtable_bytes": 1 << 20} if kind == "lsm"
+                           else {}))
         log_inode = os.stat(_live_log(backend)).st_ino
         real_fsync = os.fsync
         synced = []

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils import ConsistentHashRing, fnv1a_64
+from repro.bedrock import BedrockServer, default_hepnos_config
+from repro.hepnos.connection import connection_from_servers
+from repro.hepnos.keys import event_key, new_dataset_uuid, run_key, subrun_key
+from repro.hepnos.placement import ParentHashPlacement
+from repro.mercury import Fabric
+from repro.utils import ConsistentHashRing, fnv1a_64, mix64
 
 
 def test_fnv1a_known_values():
@@ -65,3 +70,67 @@ def test_ring_balance():
 @given(st.binary(max_size=32))
 def test_fnv_is_64bit(data):
     assert 0 <= fnv1a_64(data) < (1 << 64)
+
+
+def _ring_owner(ring, key):
+    """The owner of ``key`` by definition: the first ring point
+    clockwise of ``mix64(fnv1a_64(key))``, wrapping past the top."""
+    point = mix64(fnv1a_64(key))
+    return next((owner for p, owner in zip(ring._points, ring._owners)
+                 if p > point), ring._owners[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=80), st.binary(max_size=8))
+def test_locate_resumes_the_full_key_hash(key, other_tail):
+    """``locate`` hashes only a key's last 8 bytes on top of its head's
+    cached fold state; the owner stays that of the full-key hash, cold
+    and with the head already cached by a sibling key."""
+    ring = ConsistentHashRing(range(5))
+    assert ring.locate(key) == _ring_owner(ring, key)  # cold
+    sibling = key[:-8] + other_tail
+    ring._memo.clear()
+    ring.locate(sibling)  # warms key[:-8], if the sibling shares it
+    ring._memo.clear()
+    assert ring.locate(key) == _ring_owner(ring, key)  # warm head
+
+
+#: (kind, container numbers, address, database) pinned on the tree that
+#: hashed every key byte by byte: placement must never move a stored key.
+GOLDEN_PLACEMENT = [
+    ("subruns", (1,), "sm://node1/hepnos", "subruns-1"),
+    ("subruns", (7,), "sm://node0/hepnos", "subruns-0"),
+    ("subruns", (1 << 40,), "sm://node1/hepnos", "subruns-0"),
+    ("subruns", (4,), "sm://node0/hepnos", "subruns-0"),
+    ("events", (1, 0), "sm://node1/hepnos", "events-2"),
+    ("events", (1, 63), "sm://node1/hepnos", "events-6"),
+    ("events", (7, 2), "sm://node0/hepnos", "events-1"),
+    ("events", (1 << 40, 5), "sm://node0/hepnos", "events-4"),
+    ("products", (1, 0, 0), "sm://node1/hepnos", "products-3"),
+    ("products", (1, 0, 1), "sm://node1/hepnos", "products-4"),
+    ("products", (1, 63, 4095), "sm://node1/hepnos", "products-7"),
+    ("products", (7, 2, 1 << 33), "sm://node1/hepnos", "products-7"),
+]
+
+
+def test_placement_matches_golden_targets():
+    """Run, subrun and event keys of a two-server default deployment
+    land on the databases they always have."""
+    fabric = Fabric()
+    servers = [BedrockServer(fabric, default_hepnos_config(
+        f"sm://node{i}/hepnos")) for i in range(2)]
+    try:
+        placement = ParentHashPlacement(connection_from_servers(servers))
+        uuid = new_dataset_uuid("golden/nova")
+        for kind, numbers, address, name in GOLDEN_PLACEMENT:
+            key = run_key(uuid, numbers[0])
+            if len(numbers) > 1:
+                key = subrun_key(key, numbers[1])
+            if len(numbers) > 2:
+                key = event_key(key, numbers[2])
+            target = placement.database_for(kind, key)
+            assert (target.address, target.name) == (address, name), \
+                (kind, numbers)
+    finally:
+        for server in servers:
+            server.shutdown()

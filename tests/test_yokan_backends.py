@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bedrock import BedrockServer, default_hepnos_config
 from repro.errors import ConfigError, DatabaseClosed, KeyNotFound
+from repro.mercury import Fabric
 from repro.yokan import BACKEND_KINDS, LSMBackend, MemoryBackend, open_backend
 from repro.yokan.backends import lsm as lsm_module
 
@@ -143,6 +145,24 @@ class TestOpenBackend:
         assert sorted(BACKEND_KINDS) == ["lsm", "map"]
         with pytest.raises(ConfigError, match=r"known: \['lsm', 'map'\]"):
             open_backend("btree")
+
+    @pytest.mark.parametrize("option", ["seed", "memtable_bytes", "bogus"])
+    def test_map_refuses_every_option(self, option):
+        """``map`` takes no option: a key ``open_backend`` does not
+        consume is refused by name, never silently ignored."""
+        with pytest.raises(ConfigError, match=option):
+            open_backend("map", **{option: 1})
+        with pytest.raises(ConfigError, match=option):
+            open_backend("map", wal_sync=True, **{option: 1})
+
+    def test_map_option_refused_through_bedrock(self):
+        config = default_hepnos_config("sm://n0/h", num_providers=1,
+                                       backend_config={"bogus": 1})
+        specs = config["providers"][0]["config"]["databases"]
+        assert specs[0]["type"] == "map"
+        assert specs[0]["config"] == {"bogus": 1}
+        with pytest.raises(ConfigError, match="bogus"):
+            BedrockServer(Fabric(), config)
 
 
 class TestLSMInternals:
