@@ -11,13 +11,19 @@ configuration.
 3. autotune the service configuration on the simulator and compare
    against the paper's hand-tuned values.
 
+The diagnostics read the fabric's traffic counters and the trace of
+each phase.  The script exits non-zero unless the naive loop is flagged
+``chatty-client`` and the WriteBatch loop is not.
+
 Run:  python examples/monitoring_and_tuning.py
 """
+
+import sys
 
 from repro.bedrock import BedrockServer, default_hepnos_config
 from repro.hepnos import DataStore, WriteBatch
 from repro.mercury import Fabric
-from repro.monitor import FabricMonitor, diagnose, monitor_provider
+from repro.monitor import diagnose, trace_session
 from repro.perf.workload import LARGE
 from repro.serial import serializable
 from repro.tuning import hepnos_objective, tune_hepnos
@@ -39,32 +45,39 @@ def main():
         "sm://node0/hepnos", num_providers=4, event_databases=4,
         product_databases=4, run_databases=2, subrun_databases=2,
     ))
-    monitors = [monitor_provider(p) for p in server.providers.values()]
-    fabric_monitor = FabricMonitor(fabric)
     datastore = DataStore.connect(fabric, [server])
 
-    # -- 1. the naive application ------------------------------------------
-    ds = datastore.create_dataset("mt/naive")
-    subrun = ds.create_run(1).create_subrun(1)
-    for e in range(400):
-        event = subrun.create_event(e)          # one RPC
-        event.store(Sample(float(e)), label="s")  # another RPC
-    report = diagnose(fabric_monitor, monitors)
-    print("diagnostics after the naive ingest loop:")
-    print(report)
-
-    # -- 2. apply the recommendation ---------------------------------------
-    fabric.stats.reset()
-    ds2 = datastore.create_dataset("mt/batched")
-    with WriteBatch(datastore) as batch:
-        subrun = ds2.create_run(1, batch=batch).create_subrun(1, batch=batch)
+    with trace_session() as tracer:
+        # -- 1. the naive application --------------------------------------
+        fabric.stats.reset()
+        ds = datastore.create_dataset("mt/naive")
+        subrun = ds.create_run(1).create_subrun(1)
         for e in range(400):
-            event = subrun.create_event(e, batch=batch)
-            event.store(Sample(float(e)), label="s", batch=batch)
-    report = diagnose(fabric_monitor, monitors)
-    print("\ndiagnostics after switching to WriteBatch:")
-    print(report)
-    print(f"(bytes per RPC rose to {fabric_monitor.bytes_per_rpc():,.0f})")
+            event = subrun.create_event(e)          # one RPC
+            event.store(Sample(float(e)), label="s")  # another RPC
+        naive = diagnose(fabric.stats, tracer.collector)
+        print("diagnostics after the naive ingest loop:")
+        print(naive)
+
+        # -- 2. apply the recommendation -----------------------------------
+        fabric.stats.reset()
+        tracer.collector.clear()
+        ds2 = datastore.create_dataset("mt/batched")
+        with WriteBatch(datastore) as batch:
+            subrun = ds2.create_run(1, batch=batch).create_subrun(
+                1, batch=batch)
+            for e in range(400):
+                event = subrun.create_event(e, batch=batch)
+                event.store(Sample(float(e)), label="s", batch=batch)
+        batched = diagnose(fabric.stats, tracer.collector)
+        print("\ndiagnostics after switching to WriteBatch:")
+        print(batched)
+        stats = fabric.stats
+        print(f"(bytes per RPC rose to "
+              f"{stats.total_bytes / max(stats.rpc_count, 1):,.0f})")
+    if not naive.has("chatty-client") or batched.has("chatty-client"):
+        sys.exit("diagnose missed the chatty naive loop or flagged the "
+                 "batched one")
 
     # -- 3. autotune the deployment -----------------------------------------
     print("\nautotuning 25 configurations at 64 simulated nodes...")

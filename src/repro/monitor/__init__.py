@@ -3,29 +3,22 @@
 The paper (section V) credits a composable monitoring service [5] with
 diagnosing early HEPnOS performance problems, which led to the batching
 and parallel-event-processing optimizations.  This package provides the
-same capability for this stack:
+same capability for this stack without a second instrumentation layer:
 
-- :class:`MetricRegistry` -- counters, gauges, and histogram metrics
-  with time-series snapshots;
+- :class:`MetricRegistry` -- the counters and gauges a client keeps
+  (``DataStore.metrics``, the broker's admission counts);
 - :mod:`repro.monitor.tracing` -- cross-layer distributed tracing:
   spans that follow one operation client -> server across the RPC
   boundary, with Chrome-trace export and critical-path analysis;
-- :class:`ProviderMonitor` -- wraps a Yokan provider's databases to
-  record per-operation counts and latencies transparently;
-- :class:`FabricMonitor` -- samples fabric traffic into a time series;
-- :func:`diagnose` -- the analysis pass: finds hot databases, skewed
-  placements, and chatty (unbatched) clients, and says so.
-
-The collectors are loaded lazily (PEP 562): :mod:`repro.mercury`
-imports :mod:`repro.monitor.tracing` on its hot path, and an eager
-import of :mod:`repro.monitor.collect` here would close an import
-cycle back through the mercury package.
+- :func:`diagnose` -- the analysis pass over the fabric's traffic
+  counters (``fabric.stats``) and one trace (its ``yokan.provider.*``
+  spans): finds chatty (unbatched) clients, fabric drops, hot
+  databases and slow tails, and says so.
 """
 
 from repro.monitor.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricRegistry,
 )
 from repro.monitor import tracing
@@ -38,31 +31,11 @@ from repro.monitor.tracing import (
     trace_session,
     uninstall_tracer,
 )
-
-_LAZY = {
-    "FabricMonitor": "repro.monitor.collect",
-    "ProviderMonitor": "repro.monitor.collect",
-    "monitor_provider": "repro.monitor.collect",
-    "DiagnosticReport": "repro.monitor.diagnose",
-    "diagnose": "repro.monitor.diagnose",
-}
-
-
-def __getattr__(name):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value
-    return value
-
+from repro.monitor.diagnose import DiagnosticReport, diagnose
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricRegistry",
     "Span",
     "SpanContext",
@@ -72,9 +45,6 @@ __all__ = [
     "trace_session",
     "tracing",
     "uninstall_tracer",
-    "FabricMonitor",
-    "ProviderMonitor",
-    "monitor_provider",
     "DiagnosticReport",
     "diagnose",
 ]

@@ -1,11 +1,8 @@
-"""Metric primitives: counters, gauges, histograms, and their registry."""
+"""Metric primitives: counters, gauges, and their registry."""
 
 from __future__ import annotations
 
-import bisect
 import threading
-import time
-from typing import Callable, Iterable, Optional
 
 from repro.errors import ReproError
 
@@ -31,21 +28,16 @@ class Counter:
     def value(self) -> int:
         return self._value
 
-    def snapshot(self) -> dict:
-        return {"kind": self.kind, "value": self._value}
-
 
 class Gauge:
-    """A value that can move in both directions, or be sampled lazily."""
+    """A value that can move in both directions."""
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = "",
-                 sample_fn: Optional[Callable[[], float]] = None):
+    def __init__(self, name: str, help: str = ""):
         self.name = name
         self.help = help
         self._value = 0.0
-        self._sample_fn = sample_fn
         self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
@@ -58,125 +50,22 @@ class Gauge:
 
     @property
     def value(self) -> float:
-        if self._sample_fn is not None:
-            return float(self._sample_fn())
         return self._value
-
-    def snapshot(self) -> dict:
-        return {"kind": self.kind, "value": self.value}
-
-
-class Histogram:
-    """Latency histogram with fixed bucket bounds plus sum/count.
-
-    Default buckets suit RPC latencies (microseconds to seconds).
-    """
-
-    kind = "histogram"
-
-    DEFAULT_BOUNDS = (
-        1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0,
-    )
-
-    def __init__(self, name: str, help: str = "",
-                 bounds: Iterable[float] = DEFAULT_BOUNDS):
-        self.name = name
-        self.help = help
-        self.bounds = tuple(sorted(bounds))
-        if not self.bounds:
-            raise ReproError("histogram needs at least one bucket bound")
-        self._counts = [0] * (len(self.bounds) + 1)
-        self._sum = 0.0
-        self._n = 0
-        self._lock = threading.Lock()
-
-    def observe(self, value: float) -> None:
-        idx = bisect.bisect_left(self.bounds, value)
-        with self._lock:
-            self._counts[idx] += 1
-            self._sum += value
-            self._n += 1
-
-    def time(self):
-        """Context manager observing the elapsed wall time."""
-        return _Timer(self)
-
-    @property
-    def count(self) -> int:
-        return self._n
-
-    @property
-    def sum(self) -> float:
-        return self._sum
-
-    @property
-    def mean(self) -> float:
-        return self._sum / self._n if self._n else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Approximate quantile: the upper bound of the q-th bucket."""
-        if not 0.0 <= q <= 1.0:
-            raise ReproError("quantile must be in [0, 1]")
-        if self._n == 0:
-            return 0.0
-        target = q * self._n
-        running = 0
-        for idx, count in enumerate(self._counts):
-            running += count
-            if running >= target:
-                if idx < len(self.bounds):
-                    return self.bounds[idx]
-                return float("inf")
-        return float("inf")
-
-    def snapshot(self) -> dict:
-        return {
-            "kind": self.kind,
-            "count": self._n,
-            "sum": self._sum,
-            "mean": self.mean,
-            "buckets": dict(zip(list(self.bounds) + ["inf"], self._counts)),
-        }
-
-
-class _Timer:
-    __slots__ = ("_histogram", "_start")
-
-    def __init__(self, histogram: Histogram):
-        self._histogram = histogram
-        self._start = 0.0
-
-    def __enter__(self):
-        self._start = time.monotonic()
-        return self
-
-    def __exit__(self, *exc):
-        self._histogram.observe(time.monotonic() - self._start)
 
 
 class MetricRegistry:
-    """A named collection of metrics with snapshot history."""
+    """A named collection of metrics."""
 
     def __init__(self, name: str = "registry"):
         self.name = name
         self._metrics: dict[str, object] = {}
         self._lock = threading.Lock()
-        self._history: list[tuple[float, dict]] = []
 
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get_or_create(name, lambda: Counter(name, help), Counter)
 
-    def gauge(self, name: str, help: str = "",
-              sample_fn: Optional[Callable[[], float]] = None) -> Gauge:
-        return self._get_or_create(
-            name, lambda: Gauge(name, help, sample_fn), Gauge
-        )
-
-    def histogram(self, name: str, help: str = "",
-                  bounds=Histogram.DEFAULT_BOUNDS) -> Histogram:
-        return self._get_or_create(
-            name, lambda: Histogram(name, help, bounds), Histogram
-        )
+    def gauge(self, name: str, help: str = "") -> Gauge:
+        return self._get_or_create(name, lambda: Gauge(name, help), Gauge)
 
     def _get_or_create(self, name: str, factory, expected_type):
         with self._lock:
@@ -199,29 +88,3 @@ class MetricRegistry:
 
     def names(self) -> list[str]:
         return sorted(self._metrics)
-
-    def snapshot(self, timestamp: Optional[float] = None) -> dict:
-        """Capture all metric values; appended to the history."""
-        stamp = timestamp if timestamp is not None else time.monotonic()
-        data = {name: metric.snapshot()
-                for name, metric in sorted(self._metrics.items())}
-        self._history.append((stamp, data))
-        return data
-
-    @property
-    def history(self) -> list[tuple[float, dict]]:
-        return list(self._history)
-
-    def rate(self, name: str) -> float:
-        """Per-second rate of a counter between the last two snapshots."""
-        samples = [
-            (stamp, data[name]["value"])
-            for stamp, data in self._history
-            if name in data and data[name]["kind"] == "counter"
-        ]
-        if len(samples) < 2:
-            return 0.0
-        (t0, v0), (t1, v1) = samples[-2], samples[-1]
-        if t1 <= t0:
-            return 0.0
-        return (v1 - v0) / (t1 - t0)

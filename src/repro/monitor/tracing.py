@@ -13,10 +13,10 @@ that:
   parent correctly to the client-side span that issued the RPC;
 - :class:`Tracer` -- creates spans with thread-local context nesting
   (each OS thread -- each simulated MPI rank -- has its own stack);
-- :class:`TraceCollector` -- records completed spans, optionally feeds
-  per-span-name latency histograms into a
-  :class:`~repro.monitor.metrics.MetricRegistry`, and exports Chrome
-  trace-event JSON, a text tree, and a critical-path summary.
+- :class:`TraceCollector` -- records completed spans and exports Chrome
+  trace-event JSON, a text tree, and a critical-path summary;
+  :func:`repro.monitor.diagnose` reads one for its per-database
+  findings.
 
 Zero-overhead contract: nothing here runs unless a tracer is installed.
 Instrumented hot paths guard with the module-level :data:`enabled` flag
@@ -268,16 +268,11 @@ class Tracer:
 # -- module-level tracer management ------------------------------------------
 
 
-def install_tracer(tracer: Optional[Tracer] = None,
-                   registry=None) -> Tracer:
-    """Install the process-wide tracer and flip the fast-path flag.
-
-    ``registry`` (a :class:`~repro.monitor.metrics.MetricRegistry`)
-    makes the collector also feed per-span-name latency histograms.
-    """
+def install_tracer(tracer: Optional[Tracer] = None) -> Tracer:
+    """Install the process-wide tracer and flip the fast-path flag."""
     global _active_tracer, enabled
     if tracer is None:
-        tracer = Tracer(TraceCollector(registry=registry))
+        tracer = Tracer()
     _active_tracer = tracer
     enabled = True
     return tracer
@@ -323,12 +318,11 @@ class trace_session:
         tracer.collector.save("trace.json")
     """
 
-    def __init__(self, registry=None):
-        self.registry = registry
+    def __init__(self):
         self.tracer: Optional[Tracer] = None
 
     def __enter__(self) -> Tracer:
-        self.tracer = install_tracer(registry=self.registry)
+        self.tracer = install_tracer()
         return self.tracer
 
     def __exit__(self, *exc) -> None:
@@ -339,26 +333,15 @@ class trace_session:
 
 
 class TraceCollector:
-    """Records completed spans; exports and summarizes them.
+    """Records completed spans; exports and summarizes them."""
 
-    With a ``registry``, every finished span also lands in a
-    ``trace.<name>`` latency histogram, unifying traces with the
-    existing :class:`~repro.monitor.metrics.MetricRegistry` surface
-    (``registry.rate``/``snapshot`` keep working on traced data).
-    """
-
-    def __init__(self, registry=None):
+    def __init__(self):
         self.spans: list[Span] = []
-        self.registry = registry
         self._lock = threading.Lock()
 
     def record(self, span: Span) -> None:
         with self._lock:
             self.spans.append(span)
-        if self.registry is not None:
-            self.registry.histogram(
-                f"trace.{span.name}", "span latency [s]"
-            ).observe(span.duration)
 
     def __len__(self) -> int:
         return len(self.spans)

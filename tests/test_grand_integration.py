@@ -2,7 +2,7 @@
 
 Story (a plausible campaign):
 
-1. deploy a *persistent* (LSM) monitored HEPnOS service;
+1. deploy a *persistent* (LSM) HEPnOS service, traced throughout;
 2. ingest a synthetic NOvA file sample (HDF2HEPnOS);
 3. run an MPI framework pipeline (producer + filter + analyzer) whose
    products persist through a HEPnOSSink;
@@ -38,7 +38,7 @@ from repro.hepnos import (
 )
 from repro.mercury import Fabric
 from repro.minimpi import mpirun
-from repro.monitor import FabricMonitor, diagnose, monitor_provider
+from repro.monitor import diagnose, trace_session
 from repro.nova import GeneratorConfig, generate_file_set, nue_candidate_cut
 from repro.rescale import add_server, migrate_live
 from repro.serial import registered_type, serializable
@@ -69,10 +69,12 @@ def test_full_campaign(tmp_path):
             backend="lsm", storage_root=str(tmp_path / f"store{i}"),
         )))
     fabric.runtime.start()
-    monitors = [
-        monitor_provider(p) for s in servers for p in s.providers.values()
-    ]
-    fabric_monitor = FabricMonitor(fabric)
+    with trace_session() as tracer:
+        _campaign(tmp_path, fabric, servers, tracer.collector)
+    fabric.runtime.shutdown()
+
+
+def _campaign(tmp_path, fabric, servers, trace):
     datastore = DataStore.connect(fabric, servers)
 
     # -- 2. ingest ---------------------------------------------------------
@@ -173,7 +175,7 @@ def test_full_campaign(tmp_path):
     assert [s.class_name for s in schemas] == ["rec.slc"]
 
     # -- 7. health ---------------------------------------------------------
-    report = diagnose(fabric_monitor, monitors)
+    report = diagnose(fabric.stats, trace)
+    assert report.has("balance")
     assert not report.has("fabric-drops")
     assert not report.has("hot-database")
-    fabric.runtime.shutdown()

@@ -12,7 +12,6 @@ from repro.hepnos import (
     vector_of,
 )
 from repro.mercury import Engine, Fabric
-from repro.monitor import MetricRegistry
 from repro.monitor import tracing
 from repro.monitor.tracing import (
     NULL_SPAN,
@@ -351,17 +350,6 @@ def test_render_tree_and_critical_path(small_trace):
     assert path[0]["name"] == "root"
     assert len(path) == 2
     assert path[0]["self_time"] >= 0.0
-
-
-def test_collector_merges_into_metric_registry():
-    registry = MetricRegistry("traced")
-    tracer = install_tracer(registry=registry)
-    with tracer.span("hot.op"):
-        pass
-    with tracer.span("hot.op"):
-        pass
-    assert "trace.hot.op" in registry
-    assert registry["trace.hot.op"].count == 2
 
 
 # -- disabled fast path ------------------------------------------------------
