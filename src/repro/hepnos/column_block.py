@@ -77,8 +77,8 @@ class ColumnBlock:
         """Assemble from whole-scan answer groups.
 
         Each group is ``(event_indices, counts, {field: rows})`` -- the
-        projected slots of one scan answer (or one cache hit) kept as
-        whole arrays, rows ordered to match ``event_indices`` repeated
+        projected slots of one scan answer (or of one cached run) kept
+        as whole arrays, rows ordered to match ``event_indices`` repeated
         by ``counts``.  Nothing is sliced per event: columns
         concatenate once per group and a single stable permutation
         restores event order.

@@ -682,9 +682,8 @@ class DataStore:
             sp.set_tag("shard", smap.shard_id(
                 "products", smap.product_database_for(container_key)))
         if batch is not None:
+            # The flush drops the key from the cache once acknowledged.
             batch.append_placed("products", container_key, key, value)
-            if self._product_cache is not None:
-                self._product_cache.invalidate(key)
         else:
             self._put_forwarded("products", container_key, key, value)
             # Write-through: the bytes in hand are exactly what a

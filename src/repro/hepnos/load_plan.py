@@ -197,9 +197,10 @@ class _ColumnsLane:
     Projected answers are kept whole: per scan, the unanswered slots
     become one group ``(event_indices, counts, columns)`` -- sliced out
     with a single fancy index per field only when a dual-read partner
-    already answered some slot.  Events whose product could not be
-    projected (stored row-wise, or a field degraded) come back raw;
-    absent products occupy zero rows.
+    already answered some slot -- and cached whole, as one run; a cache
+    probe returns one group per stretch of a cached run.  Events whose
+    product could not be projected (stored row-wise, or a field
+    degraded) come back raw; absent products occupy zero rows.
     """
 
     name = "columns"
@@ -211,7 +212,8 @@ class _ColumnsLane:
             raise HEPnOSError("columnar load needs at least one field")
         (ptype, label), = plan.specs
         self.spec = (product_type_name(ptype), label)
-        self.suffix = hkeys.product_key(b"", label, self.spec[0])
+        self.suffix = suffix = hkeys.product_key(b"", label, self.spec[0])
+        self.pkeys = [ckey + suffix for ckey in self.keys]
         self.answered = [False] * len(self.keys)
         self.groups: list = []
         self.raw: dict[int, list] = {}
@@ -220,13 +222,15 @@ class _ColumnsLane:
         self.result = self.block = None
 
     def probe(self, cache) -> int:
-        first = self.fields[0]
-        for i, ckey in enumerate(self.keys):
-            cols = cache.get_columns(ckey + self.suffix, self.fields)
-            if cols is not None:
-                self.groups.append(([i], [len(cols[first])], cols))
-                self.answered[i] = True
-        return len(self.groups)
+        # One lookup for the page: a group per stretch of a cached
+        # answer, not one per event.
+        groups = cache.lookup_columns(self.pkeys, self.fields)
+        answered = self.answered
+        for indices, _counts, _columns in groups:
+            for i in indices.tolist():
+                answered[i] = True
+        self.groups += groups
+        return sum(len(indices) for indices, _, _ in groups)
 
     def unanswered(self) -> list[int]:
         return [i for i, done in enumerate(self.answered) if not done]
@@ -279,9 +283,8 @@ class _ColumnsLane:
             # Columns are small (that is the point of projection), so
             # unlike whole objects they are worth caching: repeated
             # analysis passes skip the wire entirely.
-            keys, suffix = self.keys, self.suffix
-            cache.put_columns([([keys[i] + suffix for i in indices], counts,
-                                columns)
+            pkeys = self.pkeys
+            cache.put_columns([([pkeys[i] for i in indices], counts, columns)
                                for indices, counts, columns in self.fresh])
 
     def event_product(self, i: int, spec: tuple):

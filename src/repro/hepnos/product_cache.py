@@ -1,99 +1,112 @@
 """A client-side LRU cache over serialized product bytes and columns.
 
-HEPnOS products are immutable once written: ``store_product`` never
-overwrites, events are write-once, and analysis reads the same products
-over and over (the same event is often visited by several processing
-stages).  That makes a client-side cache trivially coherent -- there is
-nothing to invalidate -- so the only policy question is capacity.
+Analysis reads the same products over and over, and products are
+immutable once written -- a re-store or an acknowledged batched write
+drops its key (:meth:`ProductCache.invalidate`) -- so the only policy
+question is capacity.  Full product keys (exactly the database key) map
+to serialized value bytes, bounded by entry count and total bytes,
+evicting least-recently-used entries.  Bytes, not objects: decoding is
+cheap on the compiled path, objects are mutable (a caller could corrupt
+a shared instance), and bytes make the memory bound honest.
 
-The cache maps full product keys (container key + label + type name,
-i.e. exactly the database key) to serialized value bytes, bounded both
-by entry count and by total cached bytes, evicting least-recently-used
-entries.  It deliberately stores *serialized* bytes, not deserialized
-objects: deserialization is cheap on the compiled fast path, objects
-are mutable (callers could corrupt a shared cached instance), and bytes
-make the memory bound honest.
+Columnar loads share the LRU and the byte budget, one *run* per
+``scan_columns`` answer, never an entry per product: the answer's
+product keys, int64 row offsets and one private, read-only copy of each
+projected column (never a view pinning a landing buffer), charged the
+sum of its products' bytes.  An answer over the bounds is cut into runs
+that fit; a product over ``max_bytes`` alone is not cached.  An index
+maps each product key to its newest run and position (one int: runs own
+disjoint ranges of positions).  That run alone answers the key, all or
+nothing across the requested fields -- a field it lacks is a miss, and
+the refetch is cached as a new run; fields of two answers never merge.
+An invalidated key leaves the index, a run with no key left leaves the
+LRU, and an evicted run takes its index entries along.  A page lookup
+returns one group per stretch of consecutive positions of a run, so a
+warm page is a few slices, not a dict per event.  Bounds, ``len()`` and
+the ``entries`` gauges count products, not runs.
 
-Columnar loads share the same LRU and the same byte budget through
-``get_columns``/``put_columns``: each entry holds the projected fields
-of one product key as read-only numpy arrays -- slices of one private
-copy per scan answer, never views pinning a landing buffer -- so
-repeated projections of hot events skip the wire entirely.  A columns
-lookup is all-or-nothing across the requested fields.
-
-Metrics (when a registry is attached):
-
-- ``hepnos.product_cache.hits`` / ``.misses`` -- lookup counters
-- ``hepnos.product_cache.hit_bytes`` -- bytes served from cache
-- ``hepnos.product_cache.insertions`` / ``.evictions`` -- churn
-- ``hepnos.product_cache.bytes`` / ``.entries`` -- current size gauges
-- ``hepnos.column_cache.*`` -- the same six for projected columns:
-  lookups count products, insertions and evictions count columns
-  (fields), ``entries`` counts products holding any
+Metrics (in the given registry, else a private one): counters
+``hepnos.product_cache.{hits,misses,hit_bytes,insertions,evictions}``
+and gauges ``.bytes`` / ``.entries``; ``hepnos.column_cache.*`` the
+same in products (insertions and evictions in products x fields).
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import repeat
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.monitor.metrics import MetricRegistry
 
-def _value_size(column) -> int:
-    """Resident size of a cached column charged against the byte budget."""
+
+def _metrics(registry, kind: str) -> list:
+    """The five counters and two gauges of ``hepnos.<kind>``."""
+    return [registry.counter(f"hepnos.{kind}.{name}") for name in
+            ("hits", "misses", "hit_bytes", "insertions", "evictions")] + [
+        registry.gauge(f"hepnos.{kind}.{name}")
+        for name in ("bytes", "entries")]
+
+
+def _own(column, lo: int, hi: int):
+    """A private copy of rows ``lo:hi``, read-only when it is numpy."""
     if isinstance(column, np.ndarray):
-        return column.nbytes
-    return 64 * len(column) + 64
+        column = np.array(column[lo:hi], copy=True)
+        column.setflags(write=False)
+        return column
+    return list(column[lo:hi])
+
+
+@dataclass(slots=True)
+class _Run:
+    """One cached scan answer: product ``p`` (``keys[p]``) owns rows
+    ``offsets[p]:offsets[p + 1]`` of every column and position
+    ``base + p``; ``live`` index entries point into it."""
+
+    keys: list
+    offsets: np.ndarray
+    columns: dict
+    size: int
+    base: int = 0
+    live: int = 0
 
 
 class ProductCache:
-    """Bounded LRU over product bytes and per-product projected columns."""
+    """Bounded LRU over product bytes and cached scan answers (runs)."""
 
     def __init__(self, max_bytes: int, max_entries: int, metrics=None):
         if max_bytes <= 0 or max_entries <= 0:
             raise ValueError("cache bounds must be positive")
         self.max_bytes = max_bytes
         self.max_entries = max_entries
-        #: a bytes key holds the product's serialized value; the 1-tuple
-        #: ``(product key,)`` holds ``(size, {field: column})``.
+        #: product key -> serialized value; a run's ``base`` -> the run
         self._entries: OrderedDict = OrderedDict()
         self._bytes = 0
         self._lock = threading.Lock()
-        self._metrics = metrics
-        if metrics is not None:
-            self._hits = metrics.counter("hepnos.product_cache.hits")
-            self._misses = metrics.counter("hepnos.product_cache.misses")
-            self._hit_bytes = metrics.counter("hepnos.product_cache.hit_bytes")
-            self._insertions = metrics.counter(
-                "hepnos.product_cache.insertions")
-            self._evictions = metrics.counter("hepnos.product_cache.evictions")
-            self._bytes_gauge = metrics.gauge("hepnos.product_cache.bytes")
-            self._entries_gauge = metrics.gauge("hepnos.product_cache.entries")
-            self._col_hits = metrics.counter("hepnos.column_cache.hits")
-            self._col_misses = metrics.counter("hepnos.column_cache.misses")
-            self._col_hit_bytes = metrics.counter(
-                "hepnos.column_cache.hit_bytes")
-            self._col_insertions = metrics.counter(
-                "hepnos.column_cache.insertions")
-            self._col_evictions = metrics.counter(
-                "hepnos.column_cache.evictions")
-            self._col_bytes_gauge = metrics.gauge("hepnos.column_cache.bytes")
-            self._col_entries_gauge = metrics.gauge(
-                "hepnos.column_cache.entries")
-        else:
-            self._hits = self._misses = self._hit_bytes = None
-            self._insertions = self._evictions = None
-            self._bytes_gauge = self._entries_gauge = None
-            self._col_hits = self._col_misses = self._col_hit_bytes = None
-            self._col_insertions = self._col_evictions = None
-            self._col_bytes_gauge = self._col_entries_gauge = None
+        if metrics is None:
+            metrics = MetricRegistry("product_cache")
+        (self._hits, self._misses, self._hit_bytes, self._insertions,
+         self._evictions, self._bytes_gauge, self._entries_gauge) = _metrics(
+            metrics, "product_cache")
+        (self._col_hits, self._col_misses, self._col_hit_bytes,
+         self._col_insertions, self._col_evictions, self._col_bytes_gauge,
+         self._col_entries_gauge) = _metrics(metrics, "column_cache")
+        #: product key -> global position (``run.base + p``) in its newest run
+        self._index: Dict[bytes, int] = {}
+        #: bases of the runs in the LRU, ascending
+        self._bases: List[int] = []
+        #: the next run's base; a gap of one keeps runs' ranges apart
+        self._next_base = 0
         self._col_bytes = 0
-        self._col_entries = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        """Cached products: byte entries plus products held in a run."""
+        return len(self._entries) - len(self._bases) + len(self._index)
 
     @property
     def cached_bytes(self) -> int:
@@ -101,46 +114,59 @@ class ProductCache:
 
     @property
     def cached_column_entries(self) -> int:
-        return self._col_entries
+        return len(self._index)
 
-    def _evict_locked(self) -> tuple:
-        """Pop LRU entries until within bounds; returns eviction counts."""
+    def _settle_locked(self) -> None:
+        """Pop LRU entries until within bounds, then refresh the gauges."""
+        entries, index, bases = self._entries, self._index, self._bases
         evicted = col_evicted = 0
-        while (len(self._entries) > self.max_entries
+        while (len(entries) - len(bases) + len(index) > self.max_entries
                or self._bytes > self.max_bytes):
-            key, dropped = self._entries.popitem(last=False)
-            if isinstance(key, tuple):
-                self._drop_columns_locked(dropped)
-                col_evicted += len(dropped[1])
+            key, dropped = entries.popitem(last=False)
+            if isinstance(key, int):
+                col_evicted += dropped.live * len(dropped.columns)
+                for pos, pkey in enumerate(dropped.keys, key):
+                    if index.get(pkey) == pos:
+                        del index[pkey]
+                self._unlist_locked(dropped)
             else:
                 self._bytes -= len(dropped)
                 evicted += 1
-        return evicted, col_evicted
+        if evicted:
+            self._evictions.inc(evicted)
+        if col_evicted:
+            self._col_evictions.inc(col_evicted)
+        self._bytes_gauge.set(self._bytes)
+        self._entries_gauge.set(len(entries) - len(bases) + len(index))
+        self._col_bytes_gauge.set(self._col_bytes)
+        self._col_entries_gauge.set(len(index))
 
-    def _drop_columns_locked(self, entry: tuple) -> None:
-        self._bytes -= entry[0]
-        self._col_bytes -= entry[0]
-        self._col_entries -= 1
+    def _unlist_locked(self, run: _Run) -> None:
+        """Account for ``run`` having left the LRU."""
+        del self._bases[bisect_left(self._bases, run.base)]
+        self._bytes -= run.size
+        self._col_bytes -= run.size
 
-    def _update_gauges_locked(self) -> None:
-        if self._bytes_gauge is not None:
-            self._bytes_gauge.set(self._bytes)
-            self._entries_gauge.set(len(self._entries))
-            self._col_bytes_gauge.set(self._col_bytes)
-            self._col_entries_gauge.set(self._col_entries)
+    def _release_locked(self, pos: int) -> None:
+        """No key points at ``pos`` any more: its run loses a live key,
+        and leaves the LRU with its last one."""
+        bases = self._bases
+        run = self._entries[bases[bisect_right(bases, pos) - 1]]
+        run.live -= 1
+        if not run.live:
+            del self._entries[run.base]
+            self._unlist_locked(run)
 
     def get(self, key: bytes) -> Optional[bytes]:
         """Serialized value for ``key``, or ``None``; a hit refreshes LRU."""
         with self._lock:
             value = self._entries.get(key)
             if value is None:
-                if self._misses is not None:
-                    self._misses.inc()
+                self._misses.inc()
                 return None
             self._entries.move_to_end(key)
-        if self._hits is not None:
-            self._hits.inc()
-            self._hit_bytes.inc(len(value))
+        self._hits.inc()
+        self._hit_bytes.inc(len(value))
         return value
 
     def put(self, key: bytes, value: bytes) -> None:
@@ -155,131 +181,142 @@ class ProductCache:
                 self._bytes -= len(old)
             self._entries[key] = value
             self._bytes += size
-            evicted, col_evicted = self._evict_locked()
-            self._update_gauges_locked()
-        if self._insertions is not None:
-            self._insertions.inc()
-            if evicted:
-                self._evictions.inc(evicted)
-            if col_evicted:
-                self._col_evictions.inc(col_evicted)
+            self._settle_locked()
+        self._insertions.inc()
 
-    # -- per-product projected columns -------------------------------------
+    # -- projected columns, one run per scan answer ------------------------
 
-    def get_columns(self, pkey: bytes,
-                    fields: Sequence[str]) -> Optional[Dict[str, object]]:
-        """Every requested column of ``pkey``, or ``None`` on any miss.
-
-        All-or-nothing: a partial hit counts as a miss (the caller
-        would go to the wire for the remaining fields anyway, and one
-        ``scan_columns`` round trip serves them all).
-        """
-        key = (pkey,)
+    def lookup_columns(self, pkeys: Sequence[bytes], fields: Sequence[str]
+                       ) -> List[Tuple[np.ndarray, np.ndarray, dict]]:
+        """The cached columns of a page of product keys: groups
+        ``(indices into pkeys, row counts, {field: rows})``, one per
+        stretch of consecutive positions of a run, so one slice per
+        column.  A key whose newest run lacks a requested field is a
+        miss; hits and misses count products, once per call."""
+        groups = []
+        hits = hit_bytes = 0
         with self._lock:
-            entry = self._entries.get(key)
-            cached = entry[1] if entry is not None else {}
-            try:
-                out = {field: cached[field] for field in fields}
-            except KeyError:
-                if self._col_misses is not None:
-                    self._col_misses.inc()
-                return None
-            self._entries.move_to_end(key)
-        if self._col_hits is not None:
-            self._col_hits.inc()
-            self._col_hit_bytes.inc(
-                entry[0] if len(out) == len(cached)
-                else sum(_value_size(col) for col in out.values()))
-        return out
+            at = np.fromiter(map(self._index.get, pkeys, repeat(-1)),
+                             dtype=np.int64, count=len(pkeys))
+            indices = np.flatnonzero(at >= 0)
+            indices = indices[np.argsort(at[indices], kind="stable")]
+            positions = at[indices]
+            starts = np.flatnonzero(np.diff(positions, prepend=-2) != 1)
+            starts = starts.tolist()
+            bases, entries = self._bases, self._entries
+            for lo, hi in zip(starts, starts[1:] + [len(positions)]):
+                first = int(positions[lo])
+                run = entries[bases[bisect_right(bases, first) - 1]]
+                if not all(field in run.columns for field in fields):
+                    continue
+                p = first - run.base
+                offsets = run.offsets[p:p + hi - lo + 1]
+                row_lo, row_hi = int(offsets[0]), int(offsets[-1])
+                rows = {field: run.columns[field][row_lo:row_hi]
+                        for field in fields}
+                groups.append((indices[lo:hi], np.diff(offsets), rows))
+                hits += hi - lo
+                hit_bytes += sum(col.nbytes if isinstance(col, np.ndarray)
+                                 else 64 * len(col) + 64
+                                 for col in rows.values())
+                entries.move_to_end(run.base)
+        if hits:
+            self._col_hits.inc(hits)
+            self._col_hit_bytes.inc(hit_bytes)
+        if hits < len(pkeys):
+            self._col_misses.inc(len(pkeys) - hits)
+        return groups
 
-    def put_columns(self, answers: Sequence[Tuple[Sequence[bytes],
-                                                  Sequence[int],
-                                                  Dict[str, object]]]) -> None:
-        """Insert the projected columns of whole scan answers at once.
+    def _pieces(self, sizes: np.ndarray) -> List[Tuple[int, int]]:
+        """Cut an answer's products (charges ``sizes``) into runs that fit
+        the bounds, leaving out a product too large alone."""
+        if len(sizes) <= self.max_entries and sizes.sum() <= self.max_bytes:
+            return [(0, len(sizes))]
+        pieces, lo, total = [], 0, 0
+        for p, size in enumerate(sizes.tolist()):
+            if size > self.max_bytes or total + size > self.max_bytes \
+                    or p - lo == self.max_entries:
+                if lo < p:
+                    pieces.append((lo, p))
+                lo, total = (p + 1, 0) if size > self.max_bytes else (p, size)
+            else:
+                total += size
+        if lo < len(sizes):
+            pieces.append((lo, len(sizes)))
+        return pieces
 
-        Each answer is ``(product keys, row counts, {field: column})``:
-        the column holds the keys' rows back to back.  Every numpy
-        column is copied once and marked read-only (never cached as a
-        view over a landing buffer; concurrent readers cannot corrupt a
-        shared entry) and each product's entry holds its slices of the
-        copies.  A product whose columns alone exceed the byte bound is
-        skipped; fields already cached for a key are kept beside the
-        new ones.
-        """
+    def put_columns(self, answers: Sequence[tuple]) -> None:
+        """Cache whole scan answers ``(product keys, row counts, {field:
+        column})``, each column holding the keys' rows back to back, as
+        one run each (more past the bounds) with one read-only copy per
+        column, never a view over a landing buffer.  Every key now
+        points at its new run -- or, too large to cache, at none."""
         prepared = []
         for pkeys, counts, columns in answers:
-            own = {}
-            row_bytes = fixed = 0
-            for field, col in columns.items():
-                if isinstance(col, np.ndarray):
-                    col = np.array(col, copy=True)
-                    col.setflags(write=False)
-                    row_bytes += col.itemsize
-                else:
-                    row_bytes += 64
-                    fixed += 64
-                own[field] = col
-            if not own:
+            if not columns or not len(pkeys):
                 continue
-            lo = 0
-            for pkey, count in zip(pkeys, counts):
-                hi = lo + count
-                size = count * row_bytes + fixed
-                if size <= self.max_bytes:
-                    prepared.append(((pkey,), size, {
-                        field: col[lo:hi] for field, col in own.items()}))
-                lo = hi
+            arrays = [c for c in columns.values() if isinstance(c, np.ndarray)]
+            lists = len(columns) - len(arrays)
+            row_bytes = 64 * lists + sum(col.itemsize for col in arrays)
+            sizes = np.asarray(counts, dtype=np.int64) * row_bytes + 64 * lists
+            offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+            runs = [_Run(list(pkeys[lo:hi]), offsets[lo:hi + 1] - offsets[lo],
+                         {field: _own(col, offsets[lo], offsets[hi])
+                          for field, col in columns.items()},
+                         int(sizes[lo:hi].sum()))
+                    for lo, hi in self._pieces(sizes)]
+            too_large = np.flatnonzero(sizes > self.max_bytes).tolist()
+            prepared.append(([pkeys[p] for p in too_large], runs))
         if not prepared:
             return
         inserted = 0
         with self._lock:
-            entries = self._entries
-            for key, size, cols in prepared:
-                inserted += len(cols)
-                old = entries.pop(key, None)
-                if old is not None:
-                    self._drop_columns_locked(old)
-                    for field, col in old[1].items():
-                        if field not in cols:
-                            cols[field] = col
-                            size += _value_size(col)
-                entries[key] = (size, cols)
-                self._bytes += size
-                self._col_bytes += size
-            self._col_entries += len(prepared)
-            evicted, col_evicted = self._evict_locked()
-            self._update_gauges_locked()
-        if self._col_insertions is not None:
-            self._col_insertions.inc(inserted)
-            if evicted:
-                self._evictions.inc(evicted)
-            if col_evicted:
-                self._col_evictions.inc(col_evicted)
+            index, entries = self._index, self._entries
+            for too_large, runs in prepared:
+                for pkey in too_large:  # its older answer is stale now
+                    pos = index.pop(pkey, None)
+                    if pos is not None:
+                        self._release_locked(pos)
+                for run in runs:
+                    keys = run.keys
+                    run.base = base = self._next_base
+                    self._next_base += len(keys) + 1
+                    entries[base] = run
+                    self._bases.append(base)
+                    replaced = set(map(index.get, keys)) - {None}
+                    index.update(zip(keys, range(base, base + len(keys))))
+                    run.live = len(set(keys))
+                    self._bytes += run.size
+                    self._col_bytes += run.size
+                    inserted += len(keys) * len(run.columns)
+                    for pos in replaced:
+                        self._release_locked(pos)
+            self._settle_locked()
+        self._col_insertions.inc(inserted)
 
-    def invalidate(self, pkey: bytes) -> None:
-        """Drop ``pkey``'s whole-product entry and its columns.
-
-        Called on overwrite/erase: products are normally immutable, but
-        a re-store of the same key must not leave a stale projection.
-        """
+    def invalidate(self, *pkeys: bytes) -> None:
+        """Drop each key's whole-product entry and columns, in one pass:
+        a re-store of a key must not leave a stale value or projection."""
+        changed = False
         with self._lock:
-            old = self._entries.pop(pkey, None)
-            columns = self._entries.pop((pkey,), None)
-            if old is None and columns is None:
-                return
-            if old is not None:
-                self._bytes -= len(old)
-            if columns is not None:
-                self._drop_columns_locked(columns)
-            self._update_gauges_locked()
+            for pkey in pkeys:
+                old = self._entries.pop(pkey, None)
+                if old is not None:
+                    self._bytes -= len(old)
+                pos = self._index.pop(pkey, None)
+                if pos is not None:
+                    self._release_locked(pos)
+                changed = changed or old is not None or pos is not None
+            if changed:
+                self._settle_locked()
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._bytes = 0
-            self._col_bytes = 0
-            self._col_entries = 0
-            self._update_gauges_locked()
+            self._index.clear()
+            self._bases.clear()
+            self._bytes = self._col_bytes = 0
+            self._settle_locked()
 
 
 __all__ = ["ProductCache"]

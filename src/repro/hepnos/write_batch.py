@@ -131,7 +131,17 @@ class PendingStore:
             batch.forwarded_writes += forward_moved(
                 self.store, self.smap, self.landed, self.groups)
 
-        self.store._with_shard_retry(attempt)
+        try:
+            self.store._with_shard_retry(attempt)
+        finally:
+            # A load between a pair's append and its acknowledgement may
+            # have cached the value it overwrites: one locked pass drops
+            # every acknowledged product key.
+            cache = self.store._product_cache
+            if cache is not None:
+                cache.invalidate(*[key for group in self.landed
+                                   if group[0] == "products"
+                                   for key, _ in self.groups[group]])
 
 
 class WriteBatch:

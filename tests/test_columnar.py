@@ -237,6 +237,33 @@ class TestServerProjection:
         assert after != before
         assert after[: block.event_rows(0)[1]] == [99.0]
 
+    @pytest.mark.parametrize("reader", ["columns", "object"])
+    def test_batched_overwrite_drops_what_a_load_cached_before_the_flush(
+            self, datastore, reader):
+        """A load between a batched store's append and its flush caches
+        the old value; the acknowledged flush must drop it again."""
+        from repro.hepnos import WriteBatch
+
+        stored = self._populate(datastore, events=3)
+        keys = sorted(stored)
+        event = datastore["columnar/proj"][1][1][0]
+        assert event.key == keys[0]
+
+        def load():
+            if reader == "object":
+                return [hit.e for hit in event.load(vector_of(Hit),
+                                                    label="hits")]
+            block = datastore.load_products_columnar(
+                keys, vector_of(Hit), ["e"], label="hits")
+            return block.event_columns(0)["e"].tolist()
+
+        batch = WriteBatch(datastore)
+        event.store([Hit(e=99.0)], label="hits", batch=batch)
+        assert load() == [0.5]     # v1, cached from the server
+        batch.flush()
+        assert load() == [99.0]
+        assert load() == [99.0]    # and what that load cached is v2
+
     def test_projection_ships_fewer_bytes(self, datastore):
         """A 3-of-8 field projection must ship <= 25% of packed bytes."""
         ds = datastore.create_dataset("columnar/bytes")

@@ -4,7 +4,10 @@ client-side product cache."""
 import gc
 import weakref
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import deploy
 from repro.errors import CorruptionError, ProductNotFound
@@ -263,6 +266,212 @@ class TestProductCache:
             ProductCache(max_bytes=0, max_entries=1)
         with pytest.raises(HEPnOSError):
             ProductCacheOptions(max_entries=0)
+
+
+# -- the column cache against a per-product model ------------------------------
+
+#: product keys answers and pages draw from; kinds of a projected column
+#: (``list`` is a guard-degraded column)
+_POOL = [b"k%d" % i for i in range(8)]
+_KINDS = {"f8": np.float64, "i4": np.int32, "list": None}
+
+
+def _charge_per_row(kinds: dict) -> tuple:
+    """(bytes per row, bytes per product) a product of ``kinds`` costs."""
+    per_row = sum(64 if kind == "list" else np.dtype(_KINDS[kind]).itemsize
+                  for kind in kinds.values())
+    return per_row, 64 * sum(kind == "list" for kind in kinds.values())
+
+
+_answers = st.lists(st.tuples(
+    st.lists(st.sampled_from(_POOL), min_size=1, max_size=6),
+    st.dictionaries(st.sampled_from(_POOL), st.integers(0, 3)),
+    st.dictionaries(st.sampled_from("ab"), st.sampled_from(sorted(_KINDS)),
+                    min_size=1)), min_size=1, max_size=3)
+_steps = st.lists(st.one_of(
+    st.tuples(st.just("put_columns"), _answers),
+    st.tuples(st.just("lookup"),
+              st.lists(st.sampled_from(_POOL), max_size=10),
+              st.lists(st.sampled_from("ab"), min_size=1, max_size=2,
+                       unique=True)),
+    st.tuples(st.just("invalidate"), st.sampled_from(_POOL)),
+    st.tuples(st.just("put"), st.sampled_from(_POOL),
+              st.integers(1, 100)),
+), max_size=25)
+
+
+class TestColumnCacheModel:
+    """Scan answers are cached as runs; every page a lookup assembles
+    must read as a plain ``{product key: {field: rows}}`` model does,
+    with the newest answer of a key winning and no field merging."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=_steps, tight=st.booleans(),
+           max_bytes=st.integers(1, 300), max_entries=st.integers(1, 6))
+    def test_pages_read_as_the_per_product_model(self, steps, tight,
+                                                 max_bytes, max_entries):
+        from repro.hepnos.column_block import PRESENT, ColumnBlock
+        from repro.monitor.metrics import MetricRegistry
+
+        if not tight:
+            max_bytes, max_entries = 1 << 30, 1 << 20
+        metrics = MetricRegistry("test")
+        cache = ProductCache(max_bytes=max_bytes, max_entries=max_entries,
+                             metrics=metrics)
+        model: dict = {}
+        counter = lambda name: metrics.counter(
+            f"hepnos.column_cache.{name}").value
+        for version, step in enumerate(steps):
+            if step[0] == "put_columns":
+                answers = []
+                for keys, counts, kinds in step[1]:
+                    per_row, fixed = _charge_per_row(kinds)
+                    rows = {key: counts.get(key, 1) for key in keys}
+                    columns = {}
+                    for f, (field, kind) in enumerate(sorted(kinds.items())):
+                        values = [version * 10000 + _POOL.index(key) * 100
+                                  + f * 10 + r
+                                  for key in keys for r in range(rows[key])]
+                        columns[field] = (
+                            values if kind == "list"
+                            else np.array(values, dtype=_KINDS[kind]))
+                    answers.append((keys, [rows[key] for key in keys],
+                                    columns))
+                    for key in keys:
+                        if rows[key] * per_row + fixed > max_bytes:
+                            model.pop(key, None)
+                            continue
+                        model[key] = {
+                            field: [version * 10000 + _POOL.index(key) * 100
+                                    + f * 10 + r for r in range(rows[key])]
+                            for f, field in enumerate(sorted(kinds))}
+                cache.put_columns(answers)
+                for keys, counts, columns in answers:
+                    for col in columns.values():
+                        if isinstance(col, np.ndarray):
+                            assert col.flags.writeable  # the caller's own
+            elif step[0] == "lookup":
+                _, page, fields = step
+                hits0, misses0 = counter("hits"), counter("misses")
+                groups = cache.lookup_columns(page, fields)
+                block = ColumnBlock.from_groups(fields, len(page), groups, {})
+                hits = sum(len(indices) for indices, _, _ in groups)
+                assert counter("hits") - hits0 == hits
+                assert counter("misses") - misses0 == len(page) - hits
+                for indices, counts, rows in groups:
+                    for col in rows.values():
+                        if isinstance(col, np.ndarray):
+                            assert not col.flags.writeable
+                for i, key in enumerate(page):
+                    cached = model.get(key)
+                    answerable = (cached is not None
+                                  and set(fields) <= set(cached))
+                    if block.present[i] is PRESENT:
+                        assert answerable
+                        got = block.event_columns(i)
+                        for field in fields:
+                            assert got[field].tolist() == cached[field]
+                    else:
+                        assert tight or not answerable
+            elif step[0] == "invalidate":
+                cache.invalidate(step[1])
+                model.pop(step[1], None)
+            else:
+                cache.put(b"bytes:" + step[1], b"x" * step[2])
+            self._check_state(cache, metrics, model)
+
+    def test_threads_share_one_cache(self):
+        """More threads than cores, switching often: no lookup reads
+        another key's rows, and the bookkeeping survives."""
+        import random
+        import sys
+        import threading
+
+        from repro.monitor.metrics import MetricRegistry
+
+        metrics = MetricRegistry("test")
+        cache = ProductCache(max_bytes=4000, max_entries=24, metrics=metrics)
+        pool = [b"s%d" % i for i in range(32)]
+        torn = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            for _ in range(600):
+                keys = rng.sample(pool, rng.randint(1, 8))
+                op = rng.random()
+                if op < 0.4:
+                    counts = [pool.index(key) % 4 for key in keys]
+                    rows = [pool.index(key) * 100 + r
+                            for key, n in zip(keys, counts) for r in range(n)]
+                    cache.put_columns([(keys, counts, {
+                        "x": np.array(rows, dtype=np.int64)})])
+                elif op < 0.8:
+                    for indices, counts, rows in cache.lookup_columns(
+                            keys, ["x"]):
+                        want = [pool.index(keys[i]) * 100 + r
+                                for i, n in zip(indices, counts)
+                                for r in range(n)]
+                        if rows["x"].tolist() != want:
+                            torn.append((keys, indices, rows))
+                elif op < 0.9:
+                    cache.invalidate(*keys)
+                else:
+                    cache.put(b"bytes:" + keys[0], b"v" * rng.randint(1, 99))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,))
+                       for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not torn
+        self._check_state(cache, metrics, None)
+
+    @staticmethod
+    def _check_state(cache, metrics, model) -> None:
+        gauge = lambda name: metrics.gauge(f"hepnos.{name}").value
+        runs = [entry for key, entry in cache._entries.items()
+                if isinstance(key, int)]
+        for pkey, pos in cache._index.items():
+            run, = [run for run in runs
+                    if run.base <= pos < run.base + len(run.keys)]
+            p = pos - run.base
+            lo, hi = run.offsets[p], run.offsets[p + 1]
+            assert run.keys[p] == pkey
+            if model is not None:
+                assert {field: list(col[lo:hi]) for field, col
+                        in run.columns.items()} == model[pkey]
+        values = [entry for key, entry in cache._entries.items()
+                  if isinstance(key, bytes)]
+        run_bytes = 0
+        for run in runs:
+            live = [p for p in range(len(run.keys))
+                    if cache._index.get(run.keys[p]) == run.base + p]
+            assert run.live == len(live) > 0
+            per_row = sum(64 if isinstance(col, list) else col.itemsize
+                          for col in run.columns.values())
+            fixed = 64 * sum(isinstance(col, list)
+                             for col in run.columns.values())
+            assert run.size == int(run.offsets[-1]) * per_row + (
+                fixed * len(run.keys))
+            run_bytes += run.size
+            for col in run.columns.values():
+                assert isinstance(col, list) or not col.flags.writeable
+        products = len(values) + len(cache._index)
+        assert cache.cached_column_entries == len(cache._index)
+        assert len(cache) == products <= cache.max_entries
+        total = run_bytes + sum(len(value) for value in values)
+        assert cache.cached_bytes == total <= cache.max_bytes
+        assert gauge("column_cache.bytes") == run_bytes
+        assert gauge("column_cache.entries") == len(cache._index)
+        assert gauge("product_cache.bytes") == total
+        assert gauge("product_cache.entries") == products
 
 
 # -- DataStore integration ---------------------------------------------------

@@ -1,6 +1,7 @@
-"""The RPC floor, the reader floor, the consumer floor and the ingest
-floor as counts: Python-level calls per null ``exists``, per event of a
-no-op pass, per slice the candidate cut examines and per event a file
+"""The RPC floor, the reader floor, the column-cache floor, the
+consumer floor and the ingest floor as counts: Python-level calls per
+null ``exists``, per event of a no-op pass, per event of a warm
+columns pass, per slice the candidate cut examines and per event a file
 ingest stores, and RPCs per page pass over many subruns.
 
 A timing gate depends on the machine; this one does not.  On the inline
@@ -17,7 +18,10 @@ event fails here too.  The page floor counts round trips instead, on
 the benchmark's shape (many 64-event subruns, pages of 1024): a page
 that closes at a subrun boundary again, a listing that asks once
 more than it needs, or a framework source that pages apart from the
-PEP's reader fails here.  The consumer floor is the worker's side
+PEP's reader fails here.  The column-cache floor is a warm
+columns-lane page pass served by the client column cache: a cache that
+goes back to an entry, a probe or a group per event -- rather than per
+cached scan answer -- fails here.  The consumer floor is the worker's side
 of a row-wise selection: an object-mode cut that goes back to a call
 per node of its expression fails here.  The ingest floor is the write
 path end to end (file read, product encode, write batch, ``put_multi``
@@ -44,6 +48,7 @@ from repro.hepnos import (
     PEPOptions,
     Prefetcher,
     WriteBatch,
+    vector_of,
 )
 from repro.mercury import Fabric
 from repro.nova import (
@@ -80,6 +85,15 @@ PAGE_BUDGET = {"exact": 21, "packed": 21, "columns": 21, "source": 21}
 #: RPCs of that walk: one runs listing and one subruns listing
 WALK_RPCS = 2
 SUBRUNS, PER_SUBRUN = 16, 64
+#: calls per event a *warm* columns-lane ``Prefetcher.pages`` pass may
+#: make over ``SUBRUNS`` x ``PER_SUBRUN`` events of a 2-row
+#: ``vector_of(Flag)`` product, in pages of 1024.  A column cache of one
+#: entry per product made 38.23 (a dict per event cached, a group per
+#: event probed); one run per cached scan answer leaves 21.37.
+WARM_COLUMNS_BUDGET = 28
+#: groups a warm page of those may probe into: one per cached answer --
+#: one per product database -- not one per event
+WARM_GROUPS = 4
 #: calls per slice ``nue_candidate_cut`` may make in object mode: its
 #: ``__call__`` and the one function the cut compiles to.  A tree of one
 #: closure per node made 18.3 on these slices.
@@ -226,6 +240,56 @@ def page_pass_rpcs(lane: str) -> int:
             server.shutdown()
 
 
+def warm_columns_pass() -> tuple:
+    """Mean calls per event of a warm columns-lane ``Prefetcher.pages``
+    pass over ``SUBRUNS`` x ``PER_SUBRUN`` events of a 2-row
+    ``vector_of(Flag)`` product in pages of 1024, and the groups each
+    page's cache probe returned (4 product databases)."""
+    servers = deploy()
+    session = hepnos.connect(servers=servers)
+    try:
+        datastore = session.datastore
+        run = datastore.create_dataset("floor").create_run(1)
+        with WriteBatch(datastore) as batch:
+            subruns = [run.create_subrun(s, batch=batch)
+                       for s in range(SUBRUNS)]
+            for subrun in subruns:
+                for e in range(PER_SUBRUN):
+                    subrun.create_event(e, batch=batch).store(
+                        [Flag(e), Flag(e + 1)], label="f", batch=batch)
+        reader = Prefetcher(datastore,
+                            options=PEPOptions(input_batch_size=1024),
+                            products=[(vector_of(Flag), "f")], columns=["n"])
+
+        def one_pass() -> int:
+            return sum(len(page) for page in reader.pages(subruns))
+
+        one_pass()  # cold: fills the column cache
+        gc.collect()
+        gc.disable()
+        profile = cProfile.Profile()
+        profile.enable()
+        events = one_pass()
+        profile.disable()
+        gc.enable()
+        assert events == SUBRUNS * PER_SUBRUN
+        cache = datastore._product_cache
+        lookup, groups = cache.lookup_columns, []
+
+        def recording(pkeys, fields):
+            found = lookup(pkeys, fields)
+            groups.append(len(found))
+            return found
+
+        cache.lookup_columns = recording
+        one_pass()
+        return pstats.Stats(profile).total_calls / events, groups
+    finally:
+        session.close()
+        for server in servers:
+            server.shutdown()
+
+
 def cut_calls() -> float:
     """Mean calls per slice of ``nue_candidate_cut`` over ``SLICES``
     generated slices (the generator's default seed)."""
@@ -298,6 +362,17 @@ def test_page_pass_stays_within_its_rpc_budget(lane):
         f"sends {rpcs} RPCs, budget {page_budget(lane)}")
 
 
+def test_warm_column_pass_stays_within_its_call_budget():
+    (first, groups), (second, _) = warm_columns_pass(), warm_columns_pass()
+    assert first == second, "the count must repeat exactly"
+    assert groups and all(0 < n <= WARM_GROUPS for n in groups), (
+        f"a warm page probes into {groups} cached groups, "
+        f"at most {WARM_GROUPS}")
+    assert first <= WARM_COLUMNS_BUDGET, (
+        f"a warm columns pass makes {first:.2f} Python-level calls per "
+        f"event, budget {WARM_COLUMNS_BUDGET}")
+
+
 @pytest.mark.parametrize("reader", sorted(READER_BUDGET))
 def test_noop_pass_stays_within_its_call_budget(reader):
     first, second = reader_calls(reader), reader_calls(reader)
@@ -338,6 +413,11 @@ if __name__ == "__main__":
         print(f"page pass, {SUBRUNS} subruns x {PER_SUBRUN} events, pages "
               f"of 1024, {lane} lane: {page_pass_rpcs(lane)} RPCs "
               f"(budget {page_budget(lane)})")
+    calls, groups = warm_columns_pass()
+    print(f"warm columns pass, {SUBRUNS} subruns x {PER_SUBRUN} events, "
+          f"pages of 1024: {calls:.2f} Python-level calls per event "
+          f"(budget {WARM_COLUMNS_BUDGET}), {max(groups)} cached groups "
+          f"per page (at most {WARM_GROUPS})")
     print(f"nue_candidate_cut, object mode: {cut_calls():.2f} Python-level "
           f"calls per slice (budget {CUT_BUDGET})")
     print(f"DataLoader.ingest_file, inline fabric, {EVENTS} events: "
