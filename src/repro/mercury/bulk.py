@@ -15,6 +15,11 @@ from repro.errors import RPCError
 _REGIONS: "weakref.WeakValueDictionary[int, Bulk]" = weakref.WeakValueDictionary()
 
 
+def lookup_region(bulk_id: int) -> Optional["Bulk"]:
+    """The live region exposed under ``bulk_id``, or ``None``."""
+    return _REGIONS.get(bulk_id)
+
+
 class BulkOp(enum.Enum):
     """Direction of a bulk transfer, from the *origin*'s perspective."""
 

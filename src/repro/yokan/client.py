@@ -1,6 +1,7 @@
 """Client-side access to remote Yokan databases.
 
-Every RPC is sealed with a CRC32 envelope (:mod:`repro.yokan.wire`) and
+Every RPC travels as one flat message of its fields
+(:func:`repro.yokan.wire.encode`) sealed with a CRC32 envelope and
 issued under the client's :class:`~repro.faults.RetryPolicy`: transient
 failures -- fabric drops, provider-crash address errors, per-call
 timeouts, and wire corruption -- are retried with exponential backoff
@@ -25,7 +26,7 @@ from repro.errors import (
 from repro.faults.retry import RetryPolicy
 from repro.mercury import Address, Bulk, Engine
 from repro.monitor import tracing as _tracing
-from repro.serial import dumps, loads
+from repro.serial import loads
 from repro.yokan import packed, wire
 from repro.yokan.nonblocking import OperationFuture, _ResizeNeeded
 
@@ -44,11 +45,12 @@ _ERROR_KINDS = {
 
 
 def _unwrap(response: bytes):
-    decoded = loads(wire.unseal(response))
+    decoded = wire.decode(wire.unseal(response))
     status = decoded[0]
-    if status == "ok":
-        return decoded[1]
-    if status == "retry":
+    if status == wire.OK:
+        # a tuple answer travels as its fields
+        return decoded[1] if len(decoded) == 2 else decoded[1:]
+    if status == wire.RETRY:
         return _Retry(decoded[1])
     kind, message = decoded[1], decoded[2]
     exc_type = _ERROR_KINDS.get(kind)
@@ -132,7 +134,8 @@ class DatabaseHandle:
     def _call_inner(self, rpc: str, payload) -> object:
         policy = self.client.retry_policy
         return policy.call(self._attempt, self._handle(rpc),
-                           self._seal(dumps(payload)), policy.rpc_timeout,
+                           self._seal(wire.encode(payload)),
+                           policy.rpc_timeout,
                            on_retry=self._on_retry, on_giveup=self._on_giveup)
 
     def _attempt(self, handle, encoded: bytes, timeout):
@@ -207,10 +210,10 @@ class DatabaseHandle:
 
     def sync(self, checkpoint: bool = False) -> dict:
         """Drain this provider's replica links and flush its backends."""
-        return self._call("yokan.sync", {"checkpoint": checkpoint})
+        return self._call("yokan.sync", ({"checkpoint": checkpoint},))
 
     def __len__(self) -> int:
-        return self._call("yokan.length", self.name)
+        return self._call("yokan.length", (self.name,))
 
     # -- bulk verbs: each defined once, as its non-blocking form --------------
 
@@ -269,8 +272,8 @@ class DatabaseHandle:
             state["buffer"] = bytearray(state["capacity"])
             state["bulk"] = self._engine.expose(state["buffer"],
                                                 Bulk.READ_WRITE)
-            payload = self._seal(dumps(frame(state["bulk"],
-                                             state["capacity"])))
+            payload = self._seal(wire.encode(frame(state["bulk"],
+                                                   state["capacity"])))
             return handle.iforward(payload, self.provider_id)
 
         def finish(raw):
@@ -321,7 +324,8 @@ class DatabaseHandle:
         """
         key = bytes(key)
         handle = self._handle("yokan.get")
-        payload = self._seal(dumps((self.name, key, self.BULK_THRESHOLD)))
+        payload = self._seal(wire.encode(
+            (self.name, key, self.BULK_THRESHOLD)))
         bulk_arm: list = []  # the get_multi (issue, finish) once "large"
 
         def issue():
@@ -397,12 +401,9 @@ class DatabaseHandle:
             return OperationFuture.completed(
                 ([], [("O", memoryview(b"")) for _ in fields]), description)
         suffix = bytes(suffix)
-        # Flat framing: hundreds of prefix keys travel as two byte
-        # strings instead of one archive value per key.
-        blob, lens = packed.pack_prefixes(prefixes)
         issue, finish = self._landing(
             "yokan.scan_columns",
-            lambda bulk, capacity: (self.name, blob, lens, suffix, fields,
+            lambda bulk, capacity: (self.name, prefixes, suffix, fields,
                                     bulk, capacity),
             lambda view, nprefixes: packed.unpack_column_page(
                 view, nprefixes, len(fields)),
@@ -433,7 +434,7 @@ class DatabaseHandle:
             return OperationFuture.completed(0, description)
         handle = self._handle("yokan.put_multi")
         request = frame_put_multi(self._engine, self.name, pairs)
-        payload = self._seal(dumps(request))
+        payload = self._seal(wire.encode(request))
 
         def issue(_pinned=request):
             # Default arg pins the packed buffer and its (weakly
@@ -463,7 +464,7 @@ class DatabaseHandle:
         if not pairs and not keys:
             return OperationFuture.completed((0, 0), description)
         handle = self._handle("yokan.replicate")
-        payload = self._seal(dumps((self.name, pairs, keys)))
+        payload = self._seal(wire.encode((self.name, pairs, keys)))
 
         def issue():
             return handle.iforward(payload, self.provider_id)
@@ -547,7 +548,7 @@ class YokanClient:
                     payload, provider_id: int):
         address = Address.parse(target) if isinstance(target, str) else target
         handle = self.engine.create_handle(address, rpc_name)
-        encoded = wire.seal(dumps(payload))
+        encoded = wire.seal(wire.encode(payload))
         policy = self.retry_policy
 
         def attempt():
@@ -567,11 +568,11 @@ class YokanClient:
 
     def list_databases(self, target: Union[str, Address],
                        provider_id: int = 0) -> list[str]:
-        return self._admin_call(target, "yokan.list_databases", None,
+        return self._admin_call(target, "yokan.list_databases", (),
                                 provider_id)
 
     def sync(self, target: Union[str, Address], provider_id: int = 0,
              checkpoint: bool = False) -> dict:
         """Drain a provider's replica links and flush its backends."""
         return self._admin_call(target, "yokan.sync",
-                                {"checkpoint": checkpoint}, provider_id)
+                                ({"checkpoint": checkpoint},), provider_id)

@@ -16,7 +16,6 @@ views pin it alive.  Callers that outlive the buffer must copy.
 
 from __future__ import annotations
 
-import struct
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.errors import CorruptionError
@@ -121,37 +120,6 @@ def unpack_groups(buffer, ngroups: int) -> List[List[Tuple[bytes, memoryview]]]:
 
 
 # -- prefix framing: the scan_columns request encoding ------------------------
-
-
-def pack_prefixes(prefixes: Sequence[bytes]) -> Tuple[bytes, bytes]:
-    """Frame many prefixes as ``(blob, lengths)`` -- one joined bytes
-    plus little-endian uint32 lengths.
-
-    A batch scan ships hundreds of prefix keys per request; framing
-    them as two flat byte strings keeps them out of the generic
-    archive (one value each instead of one per key).
-    """
-    blob = b"".join(prefixes)
-    lens = struct.pack(f"<{len(prefixes)}I", *map(len, prefixes))
-    return blob, lens
-
-
-def unpack_prefixes(blob: bytes, lens: bytes) -> List[bytes]:
-    """Invert :func:`pack_prefixes`."""
-    if len(lens) % 4:
-        raise CorruptionError("prefix length table is not uint32-aligned")
-    out: List[bytes] = []
-    pos = 0
-    for i in range(0, len(lens), 4):
-        n = int.from_bytes(lens[i:i + 4], "little")
-        if pos + n > len(blob):
-            raise CorruptionError("prefix blob shorter than its lengths")
-        out.append(bytes(blob[pos:pos + n]))
-        pos += n
-    if pos != len(blob):
-        raise CorruptionError(
-            f"trailing bytes in prefix blob ({len(blob) - pos})")
-    return out
 
 
 # -- column pages: the scan_columns projection framing -----------------------

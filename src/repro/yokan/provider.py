@@ -23,7 +23,7 @@ from repro.errors import (
 )
 from repro.mercury import Bulk, BulkOp, Engine, RPCRequest
 from repro.monitor import tracing as _tracing
-from repro.serial import dumps, loads
+from repro.serial import dumps
 from repro.serial import columnar as _columnar
 from repro.yokan import packed, wire
 from repro.yokan.backend import Backend
@@ -48,8 +48,9 @@ RPC_NAMES = (
 
 
 #: what the serve wrapper converts into a wire error response: the
-#: service's own exception hierarchy plus malformed-payload decode
-#: errors.  Anything else (a genuine server bug) propagates and fails
+#: service's own exception hierarchy (a malformed message is a
+#: ``SerializationError``) plus a request whose fields do not fit its
+#: handler.  Anything else (a genuine server bug) propagates and fails
 #: the RPC.
 _HANDLED_ERRORS = (ReproError, ValueError, TypeError, KeyError)
 
@@ -69,8 +70,8 @@ def _err(exc: BaseException) -> bytes:
     # fourth element.
     retry_after = getattr(exc, "retry_after_s", None)
     if retry_after is not None:
-        return dumps(("err", kind, str(exc), float(retry_after)))
-    return dumps(("err", kind, str(exc)))
+        return wire.encode((wire.ERR, kind, str(exc), float(retry_after)))
+    return wire.encode((wire.ERR, kind, str(exc)))
 
 
 class ReplicaLink:
@@ -159,10 +160,11 @@ class YokanProvider:
         Every request of every verb takes the same four steps, each
         written once: *open* splits off the tenant envelope, *admit*
         (only with a broker attached and a tenant on the request) asks
-        the broker for a service slot, *run* unseals the payload, calls
-        the handler and turns what it returned or raised into a response
-        body, *close* seals that body.  Handlers only decode, work and
-        return a value or raise.
+        the broker for a service slot, *run* unseals and decodes the
+        payload, calls the handler with the request's fields and turns
+        what it returned or raised into a response body, *close* seals
+        that body.  Handlers only work and return a value or raise; a
+        tuple travels as its fields after the status.
 
         With a broker the registered callable is a *generator*: an
         admitted request cooperatively yields until the fair-share
@@ -217,13 +219,14 @@ class YokanProvider:
 
         def run(req: RPCRequest, envelope) -> bytes:
             try:
-                req.payload = wire.unseal(envelope)
-                value = handler(req)
+                value = handler(req, *wire.decode(wire.unseal(envelope)))
             except _HANDLED_ERRORS as exc:
                 return refuse(req, exc)
+            if type(value) is tuple:
+                return wire.encode((wire.OK, *value))
             if type(value) is _Resize:
-                return dumps(("retry", value.needed))
-            return dumps(("ok", value))
+                return wire.encode((wire.RETRY, value.needed))
+            return wire.encode((wire.OK, value))
 
         def serve(req: RPCRequest) -> bytes:
             with span_of(req):
@@ -288,8 +291,8 @@ class YokanProvider:
             link.forward(pairs, erase_keys)
 
     # -- RPC handlers --------------------------------------------------------
-    # Each decodes ``req.payload``, does the work and returns the value
-    # of the ``("ok", value)`` response or raises; `_serve` does the rest.
+    # Each takes the request's fields, does the work and returns the
+    # value of the ``OK`` answer or raises; `_serve` does the rest.
 
     def _push_back(self, req: RPCRequest, bulk, capacity: int, buffer,
                    *head):
@@ -312,13 +315,12 @@ class YokanProvider:
         req.bulk_transfer(BulkOp.PUSH, bulk, local, size=len(buffer))
         return (*head, len(buffer), wire.checksum(buffer))
 
-    def _rpc_put(self, req: RPCRequest) -> None:
-        name, key, value = loads(req.payload)
+    def _rpc_put(self, req: RPCRequest, name, key, value) -> None:
         self._db(req, name).put(key, value)
-        self._forward(name, pairs=[(bytes(key), bytes(value))])
+        self._forward(name, pairs=[(key, value)])
 
-    def _rpc_put_multi(self, req: RPCRequest) -> int:
-        name, bulk, nbytes, crc = loads(req.payload)
+    def _rpc_put_multi(self, req: RPCRequest, name, bulk, nbytes,
+                       crc) -> int:
         buffer = bytearray(nbytes)
         local = self.engine.expose(buffer, Bulk.READ_WRITE)
         req.bulk_transfer(BulkOp.PULL, bulk, local, size=nbytes)
@@ -334,8 +336,7 @@ class YokanProvider:
         self._forward(name, pairs=pairs)
         return count
 
-    def _rpc_get(self, req: RPCRequest):
-        name, key, max_inline = loads(req.payload)
+    def _rpc_get(self, req: RPCRequest, name, key, max_inline):
         value = self._db(req, name).get(key)
         # Values above the client's inline limit are announced rather
         # than shipped, so the client can fetch them with a bulk
@@ -344,14 +345,14 @@ class YokanProvider:
             return "large", len(value)
         return value
 
-    def _rpc_get_multi(self, req: RPCRequest):
-        name, keys, bulk, capacity = loads(req.payload)
+    def _rpc_get_multi(self, req: RPCRequest, name, keys, bulk, capacity):
         if req.trace_span is not None:
             req.trace_span.set_tag("keys", len(keys))
         values = self._db(req, name).get_multi(list(keys))
         return self._push_back(req, bulk, capacity, dumps(values))
 
-    def _rpc_load_prefix_packed(self, req: RPCRequest):
+    def _rpc_load_prefix_packed(self, req: RPCRequest, name, prefixes, bulk,
+                                capacity):
         """Scan every requested prefix and push one packed buffer back.
 
         Where ``get_multi`` needs the client to already know each key,
@@ -362,7 +363,6 @@ class YokanProvider:
         prefix is packed as it is scanned, so the request holds one
         group's pairs at a time besides the buffer it pushes.
         """
-        name, prefixes, bulk, capacity = loads(req.payload)
         db = self._db(req, name)
         if req.trace_span is not None:
             req.trace_span.set_tag("prefixes", len(prefixes))
@@ -424,10 +424,11 @@ class YokanProvider:
         return statuses, [_columnar.pack_field_column(tables, f)
                           for f in fields]
 
-    def _rpc_scan_columns(self, req: RPCRequest):
+    def _rpc_scan_columns(self, req: RPCRequest, name, prefixes, suffix,
+                          fields, bulk, capacity):
         """Materialize requested columns server-side; push one page back.
 
-        The request names a database, a list of container-key prefixes,
+        The request names a database, a key list of container prefixes,
         the product-key suffix (label + type name) and a field list.
         For every prefix whose product is a typed table, or decodes to
         a homogeneous list of planned products, only the requested
@@ -435,12 +436,9 @@ class YokanProvider:
         per-prefix ``raw`` status) so the projection can never change
         what the client reconstructs.
         """
-        name, blob, lens, suffix, fields, bulk, capacity = \
-            loads(req.payload)
         fields = [str(f) for f in fields]
-        statuses, blocks = self._project(
-            self._db(req, name), packed.unpack_prefixes(blob, lens),
-            bytes(suffix), fields)
+        statuses, blocks = self._project(self._db(req, name), prefixes,
+                                         suffix, fields)
         if req.trace_span is not None:
             req.trace_span.set_tag("prefixes", len(statuses))
             req.trace_span.set_tag("fields", len(fields))
@@ -448,37 +446,33 @@ class YokanProvider:
                                packed.pack_column_page(statuses, blocks),
                                len(statuses))
 
-    def _rpc_exists(self, req: RPCRequest) -> bool:
-        name, key = loads(req.payload)
+    def _rpc_exists(self, req: RPCRequest, name, key) -> bool:
         return self._db(req, name).exists(key)
 
-    def _rpc_erase(self, req: RPCRequest) -> None:
-        name, key = loads(req.payload)
+    def _rpc_erase(self, req: RPCRequest, name, key) -> None:
         self._db(req, name).erase(key)
-        self._forward(name, erase_keys=[bytes(key)])
+        self._forward(name, erase_keys=[key])
 
-    def _rpc_erase_multi(self, req: RPCRequest) -> int:
-        name, keys = loads(req.payload)
-        keys = list(keys)
+    def _rpc_erase_multi(self, req: RPCRequest, name, keys) -> int:
         erased = self._db(req, name).erase_multi(keys)
-        self._forward(name, erase_keys=[bytes(k) for k in keys])
+        self._forward(name, erase_keys=keys)
         return erased
 
-    def _rpc_length(self, req: RPCRequest) -> int:
-        return len(self._db(req, loads(req.payload)))
+    def _rpc_length(self, req: RPCRequest, name) -> int:
+        return len(self._db(req, name))
 
-    def _rpc_list_keys(self, req: RPCRequest) -> list:
-        name, prefix, start_after, limit = loads(req.payload)
+    def _rpc_list_keys(self, req: RPCRequest, name, prefix, start_after,
+                       limit) -> list:
         return self._db(req, name).list_keys(prefix, start_after, limit)
 
-    def _rpc_replicate(self, req: RPCRequest) -> tuple:
+    def _rpc_replicate(self, req: RPCRequest, name, pairs,
+                       erase_keys) -> tuple:
         """Apply mutations forwarded by a primary (or a re-sync).
 
         Unlike ``put``/``erase`` this never re-forwards, so replica
         chains cannot loop; erases of absent keys are skipped because a
         forward may arrive after a re-sync already applied it.
         """
-        name, pairs, erase_keys = loads(req.payload)
         db = self._db(req, name)
         pairs = [(bytes(k), bytes(v)) for k, v in pairs]
         erase_keys = [bytes(k) for k in erase_keys]
@@ -488,7 +482,7 @@ class YokanProvider:
             req.trace_span.set_tag("keys", len(pairs) + len(erase_keys))
         return stored, removed
 
-    def _rpc_sync(self, req: RPCRequest) -> dict:
+    def _rpc_sync(self, req: RPCRequest, options) -> dict:
         """Make the provider durable *now*: drain replicas, flush WALs.
 
         Options: ``{"checkpoint": true}`` additionally snapshots every
@@ -496,7 +490,7 @@ class YokanProvider:
         this on epoch swaps so no replicated write is still in flight
         when a migration commits.
         """
-        options = dict(loads(req.payload) or {})
+        options = dict(options)
         drained = self.flush_replication()
         checkpointed = 0
         for backend in self.databases.values():

@@ -19,14 +19,23 @@ header before unsealing -- admission control must not pay for a full
 payload decode on requests it is about to shed -- and anonymous
 (system) traffic skips the wrapper entirely, so the unbrokered path is
 byte-identical to previous releases.
+
+Inside the seal, every request and answer is one *message*, a tuple of
+fields in the flat layout of :func:`encode` / :func:`decode`.  Products
+and landing-buffer bodies keep the archive format of
+:mod:`repro.serial`.
 """
 
 from __future__ import annotations
 
+import struct
 import zlib
+from itertools import accumulate
 from typing import NamedTuple, Optional, Tuple
 
-from repro.errors import ConfigError, CorruptionError
+from repro.errors import ConfigError, CorruptionError, SerializationError
+from repro.mercury.bulk import Bulk, lookup_region
+from repro.serial import dumps, loads
 
 _CRC_SIZE = 4
 
@@ -197,7 +206,179 @@ def unwrap_tenant(payload) -> Tuple[Optional[TenantEnvelope], memoryview]:
     return meta, view[10 + hlen:]
 
 
-__all__ = ["checksum", "seal", "unseal", "verify_bulk",
+# -- messages: one flat layout per kind signature -----------------------------
+#
+# ``u8 field count | a kind byte per field | fixed part | variable part``.
+# The fixed part is one ``struct`` layout per signature: int64, double and
+# bool in place, a bulk descriptor's id, the length of a bytes-like value,
+# a string or an archive *escape* (anything else: a dict, a list that is
+# not all bytes-like, an int outside int64), a key list's count and blob
+# size; ``None`` takes no space.  The variable part holds what those
+# lengths measure, in field order.  Like Mercury's generated ``hg_proc``
+# routines, each signature gets a straight-line encoder and decoder,
+# compiled once; the decoder checks every length against the bytes it
+# has before it allocates, and refuses a malformed message with a
+# ``SerializationError``.
+
+#: status, the first field of every answer
+OK, RETRY, ERR = 0, 1, 2
+
+#: kind code -> its ``struct`` codes in the fixed part
+_FIXED = {"b": "I", "s": "I", "q": "q", "d": "d", "n": "", "?": "?",
+          "k": "II", "u": "Q", "e": "I"}
+#: exact class -> kind; any other class is escaped
+_KIND_OF = {bytes: "b", bytearray: "b", memoryview: "b", str: "s",
+            int: "q", float: "d", type(None): "n", bool: "?", list: "k",
+            Bulk: "u"}
+_MAX_FIELDS = 16
+#: compiled codecs kept before the caches start over (decoding a
+#: request compiles its signature, so a client could otherwise grow them)
+_CACHE_MAX = 256
+#: field classes -> encoder; message head -> ``(encoder, decoder)``
+_ENCODERS: dict = {}
+_CODECS: dict = {}
+
+
+def encode(fields: tuple) -> bytes:
+    """One message holding ``fields``."""
+    encoder = _ENCODERS.get(tuple(map(type, fields)))
+    if encoder is not None:
+        try:
+            return encoder(fields)
+        except (TypeError, struct.error):
+            pass  # a list that is not all keys, an int outside int64
+    return _encode_exactly(fields)
+
+
+def decode(body) -> tuple:
+    """The fields of one message; ``SerializationError`` if malformed."""
+    view = body if body.__class__ is memoryview else memoryview(body)
+    if not view:
+        raise SerializationError("empty message")
+    head = view[:view[0] + 1].tobytes()
+    codec = _CODECS.get(head)
+    if codec is None:
+        if len(head) != head[0] + 1 or head[0] > _MAX_FIELDS or not all(
+                chr(kind) in _FIXED for kind in head[1:]):
+            raise SerializationError(f"malformed message head {head!r}")
+        codec = _compile(head)
+    return codec[1](view)
+
+
+def _kind(value) -> str:
+    kind = _KIND_OF.get(type(value), "e")
+    if kind == "q" and not -1 << 63 <= value < 1 << 63:
+        return "e"
+    if kind == "k" and not all(type(key) in (bytes, bytearray, memoryview)
+                               for key in value):
+        return "e"
+    return kind
+
+
+def _encode_exactly(fields: tuple) -> bytes:
+    signature = "".join(map(_kind, fields))
+    head = bytes([len(fields)]) + signature.encode("ascii")
+    encoder = (_CODECS.get(head) or _compile(head))[0]
+    classes = tuple(map(type, fields))
+    if signature == "".join(_KIND_OF.get(c, "e") for c in classes):
+        if len(_ENCODERS) >= _CACHE_MAX:
+            _ENCODERS.clear()
+        _ENCODERS[classes] = encoder
+    return encoder(fields)
+
+
+def _compile(head: bytes) -> tuple:
+    """The ``(encoder, decoder)`` of one message head, cached."""
+    fixed = "".join(_FIXED[chr(kind)] for kind in head[1:])
+    end = len(head) + struct.calcsize("<" + fixed)  # of the part read so far
+    src = ["def decode(view):", f"    if len(view) < {end}:",
+           "        raise SerializationError(f'short message: {len(view)}B')"]
+    enc, packs, tail, slots, reads, values = [], ["HEAD"], [], [], [], []
+    for i, kind in enumerate(map(chr, head[1:])):
+        v, f = f"v[{i}]", f"f{i}"
+        values.append("None" if kind == "n" else f)
+        if kind in "qd?u":
+            packs.append(f"{v}.bulk_id" if kind == "u" else v)
+            slots.append(f)
+            reads += [f"{f} = bulk({f})"] if kind == "u" else []
+        elif kind == "k":
+            src.append(f"    p{i} = {end}")
+            enc += [f"j{i} = b''.join({v})", f"t{i} = u32s({v})"]
+            packs += [f"len({v})", f"len(j{i})"]
+            tail += [f"t{i}", f"j{i}"]
+            slots += [f"c{i}", f"a{i}"]
+            reads.append(f"{f} = keys(view, p{i}, c{i}, a{i})")
+            end = f"p{i} + 4 * c{i} + a{i}"
+        elif kind != "n":  # a length, then that many bytes
+            src.append(f"    p{i} = {end}")
+            enc.append(f"t{i} = " + {"b": v, "s": f"{v}.encode()",
+                                     "e": f"dumps({v})"}[kind])
+            packs.append(f"len(t{i})")
+            tail.append(f"t{i}")
+            slots.append(f"a{i}")
+            data = f"view[p{i}:p{i} + a{i}]"
+            reads.append(f"{f} = " + {"b": f"{data}.tobytes()",
+                                      "s": f"str({data}, 'utf-8')",
+                                      "e": f"escaped({data})"}[kind])
+            end = f"p{i} + a{i}"
+    if slots:
+        src.insert(3, f"    {', '.join(slots)}, = UNPACK(view, {len(head)})")
+    body = f"PACK({', '.join(packs)})"
+    if tail:
+        body = f"b''.join(({body}, {', '.join(tail)}))"
+    src += [f"    if {end} != len(view):",
+            "        raise SerializationError('message lengths do not add"
+            " up to its size')",
+            "    try:", *[f"        {line}" for line in reads or ["pass"]],
+            "    except UnicodeDecodeError:",
+            "        raise SerializationError('a string is not UTF-8')"
+            " from None",
+            f"    return ({''.join(value + ', ' for value in values)})",
+            "def encode(v):", *[f"    {line}" for line in enc],
+            f"    return {body}"]
+    ns = {"PACK": struct.Struct(f"<{len(head)}s{fixed}").pack,
+          "UNPACK": struct.Struct("<" + fixed).unpack_from, "HEAD": head,
+          "dumps": dumps, "u32s": _u32s, "keys": _keys, "escaped": _escaped,
+          "bulk": _bulk, "SerializationError": SerializationError}
+    exec("\n".join(src), ns)
+    if len(_CODECS) >= _CACHE_MAX:
+        _CODECS.clear()
+    codec = _CODECS[head] = ns["encode"], ns["decode"]
+    return codec
+
+
+def _u32s(keys: list) -> bytes:
+    return struct.pack(f"<{len(keys)}I", *map(len, keys))
+
+
+def _keys(view: memoryview, at: int, count: int, size: int) -> list:
+    """The ``count`` keys of a key list: a length table, then one blob
+    of ``size`` bytes (the caller has checked both fit the message)."""
+    offsets = [0, *accumulate(struct.unpack_from(f"<{count}I", view, at))]
+    if offsets[-1] != size:
+        raise SerializationError("key lengths do not add up to the key blob")
+    blob = view[at + 4 * count:at + 4 * count + size].tobytes()
+    return [blob[a:b] for a, b in zip(offsets, offsets[1:])]
+
+
+def _escaped(view: memoryview):
+    try:
+        return loads(view)
+    except SerializationError:
+        raise
+    except Exception as exc:  # a damaged archive fails in many ways
+        raise SerializationError(f"malformed escaped value: {exc!r}") from None
+
+
+def _bulk(bulk_id: int) -> Bulk:
+    region = lookup_region(bulk_id)
+    if region is None:
+        raise SerializationError(f"bulk region {bulk_id} is not registered")
+    return region
+
+
+__all__ = ["checksum", "seal", "unseal", "verify_bulk", "encode", "decode",
+           "OK", "RETRY", "ERR",
            "TenantEnvelope", "tenant_prefix", "wrap_tenant", "unwrap_tenant",
            "priority_code", "priority_name",
            "PRIORITY_INTERACTIVE", "PRIORITY_BATCH"]

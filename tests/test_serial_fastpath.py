@@ -310,8 +310,10 @@ class TestBuiltinDispatch:
             assert dumps(value) == interpreted_dumps(value)
             assert loads(dumps(value)) == value
 
-    # The point path's request and response heads, as the parent of the
-    # dispatch-table change wrote them: the wire format may not drift.
+    # Tuples of the shapes the point path's requests and answers took
+    # while they travelled as archives, as the parent of the
+    # dispatch-table change wrote them: the archive format may not drift.
+    # (The point path's own layouts are pinned in test_wire_codec.py.)
     GOLDEN = [
         (("products-0", b"ev/0007", 8192),                 # yokan.get
          "0803050a70726f64756374732d30060765762f3030303703808001"),

@@ -18,7 +18,7 @@ from repro.errors import (
 from repro.faults import RETRYABLE_ERRORS, RetryPolicy
 from repro.mercury import Bulk, Engine, Fabric, FaultModel
 from repro.serial import dumps, register_type
-from repro.yokan import MemoryBackend, YokanClient, YokanProvider, packed, wire
+from repro.yokan import MemoryBackend, YokanClient, YokanProvider, wire
 from repro.yokan import client as client_module
 from repro.yokan.client import _unwrap, frame_put_multi
 from repro.yokan.provider import RPC_NAMES
@@ -362,10 +362,10 @@ def deployment(kind: str, **spec_kwargs):
 
 
 def request_body(engine: Engine, rpc_name: str, db: str, pins: list):
-    """A well-formed request of every verb against database ``db``."""
+    """The fields of a well-formed request of every verb against
+    database ``db``."""
     landing = engine.expose(bytearray(1 << 16), Bulk.READ_WRITE)
     pins.append(landing)
-    blob, lens = packed.pack_prefixes(PREFIXES)
     put_multi = frame_put_multi(engine, db, FRESH)
     pins.append(put_multi)
     return {
@@ -374,16 +374,16 @@ def request_body(engine: Engine, rpc_name: str, db: str, pins: list):
         "yokan.get": (db, STORED[0][0], 8192),
         "yokan.get_multi": (db, [STORED[0][0], b"absent"], landing, 1 << 16),
         "yokan.load_prefix_packed": (db, PREFIXES, landing, 1 << 16),
-        "yokan.scan_columns": (db, blob, lens, SUFFIX, ["adc", "n"], landing,
+        "yokan.scan_columns": (db, PREFIXES, SUFFIX, ["adc", "n"], landing,
                                1 << 16),
         "yokan.exists": (db, STORED[0][0]),
         "yokan.erase": (db, STORED[1][0]),
         "yokan.erase_multi": (db, [STORED[2][0], b"absent"]),
-        "yokan.length": db,
+        "yokan.length": (db,),
         "yokan.list_keys": (db, b"ev", b"", 5),
-        "yokan.list_databases": None,
+        "yokan.list_databases": (),
         "yokan.replicate": (db, FRESH[:2], [STORED[3][0]]),
-        "yokan.sync": {},
+        "yokan.sync": ({},),
     }[rpc_name]
 
 
@@ -404,7 +404,8 @@ def outcome(world, rpc_name: str, payload: bytes):
 
 
 @pytest.mark.parametrize(
-    "request_kind", ["valid", "unknown database", "malformed", "flipped"])
+    "request_kind",
+    ["valid", "unknown database", "malformed", "undecodable", "flipped"])
 @pytest.mark.parametrize("rpc_name", RPC_NAMES)
 def test_every_verb_answers_alike_in_every_deployment(rpc_name, request_kind):
     outcomes = {}
@@ -413,9 +414,12 @@ def test_every_verb_answers_alike_in_every_deployment(rpc_name, request_kind):
         pins: list = []
         engine = world[2].engine
         if request_kind == "malformed":
-            body = dumps(42)
+            body = wire.encode((42,))
+        elif request_kind == "undecodable":
+            # CRC-valid, but its head names a kind the codec lacks
+            body = b"\x02s!" + bytes(8)
         else:
-            body = dumps(request_body(
+            body = wire.encode(request_body(
                 engine, rpc_name,
                 "nope" if request_kind == "unknown database" else "events",
                 pins))
@@ -442,7 +446,7 @@ def test_every_verb_answers_alike_in_every_deployment(rpc_name, request_kind):
     elif request_kind == "unknown database":
         assert answer is YokanError or rpc_name in (
             "yokan.list_databases", "yokan.sync")
-    elif rpc_name != "yokan.list_databases":
+    elif request_kind == "undecodable" or rpc_name != "yokan.list_databases":
         # The decode error's name travels; it is not a transport error.
         assert answer is YokanError
 
@@ -450,11 +454,11 @@ def test_every_verb_answers_alike_in_every_deployment(rpc_name, request_kind):
 def test_a_shed_is_answered_before_the_handler_runs():
     world, prefix = deployment("broker, tagged", rate=1.0, burst=1.0)
     backend = world[1].databases["events"]
-    first = prefix + wire.seal(dumps(("events", b"first", b"v")))
+    first = prefix + wire.seal(wire.encode(("events", b"first", b"v")))
     assert outcome(world, "yokan.put", first) == ("ok", None)
     # Shed on the tenant header alone: the payload is not even intact.
     second = prefix + flipped(
-        wire.seal(dumps(("events", b"second", b"v"))), -1)
+        wire.seal(wire.encode(("events", b"second", b"v"))), -1)
     handle = world[2].engine.create_handle("sm://server/0", "yokan.put")
     with pytest.raises(ServiceBusy) as shed:
         _unwrap(handle.forward(second, 1))
@@ -468,7 +472,7 @@ def test_a_shed_is_answered_before_the_handler_runs():
 def test_the_slot_is_released_however_the_handler_ends(monkeypatch):
     world, prefix = deployment("broker, tagged")
     backend = world[1].databases["events"]
-    payload = prefix + wire.seal(dumps(("events", b"absent", 8192)))
+    payload = prefix + wire.seal(wire.encode(("events", b"absent", 8192)))
     assert outcome(world, "yokan.get", payload) == ("raised", KeyNotFound)
 
     def server_bug(key):
@@ -506,6 +510,6 @@ def test_a_removed_verb_is_refused_not_hung(world, rpc_name):
     _, _, client, _ = world
     handle = client.engine.create_handle("sm://server/0", rpc_name)
     with pytest.raises(NoSuchRPCError) as refused:
-        handle.forward(wire.seal(dumps(("events", b"ev", b"", 3))), 1,
+        handle.forward(wire.seal(wire.encode(("events", b"ev", b"", 3))), 1,
                        timeout=5.0)
     assert not isinstance(refused.value, RETRYABLE_ERRORS)
