@@ -656,19 +656,32 @@ class DataStore:
             return self._store_value(sp, container_key, label, tname,
                                      dumps(obj), batch)
 
-    def store_encoded_product(self, container_key: bytes, type_name,
-                              value: bytes, label: str = "",
-                              batch=None) -> bytes:
-        """Store a product whose archive bytes the caller already holds.
+    def store_encoded_products(self, container_keys, type_name, values,
+                               label: str = "", *, batch,
+                               containers=()) -> None:
+        """Queue one run of products whose archive bytes the caller
+        already holds: ``values[i]`` under ``container_keys[i]``.
 
-        ``value`` must be an archive value ``loads`` turns into the
+        Each value must be an archive value ``loads`` turns into the
         product (the loader's typed tables, written without building
-        the objects); everything else is :meth:`store_product`.
+        the objects).  The key suffix is validated once, and the run --
+        after the new ``containers`` it needs, as
+        :meth:`WriteBatch.append_run` takes them -- reaches ``batch`` in
+        one call.
         """
-        with _tracing.span("hepnos.store_product", label=label) as sp:
-            return self._store_value(sp, container_key, label,
-                                     product_type_name(type_name), value,
-                                     batch)
+        tname = product_type_name(type_name)
+        suffix = keys.product_key(b"", label, tname)
+        with _tracing.span("hepnos.store_products", label=label, type=tname,
+                           count=len(container_keys)) as sp:
+            if _tracing.enabled:
+                smap = self.placement
+                sp.set_tag("epoch", smap.epoch)
+                sp.set_tag("shards", sorted(
+                    smap.shard_id("products", target) for target in
+                    set(smap.product_database_for_many(container_keys))))
+            batch.append_run(container_keys,
+                             [(key + suffix, value) for key, value
+                              in zip(container_keys, values)], containers)
 
     def _store_value(self, sp, container_key: bytes, label: str, tname: str,
                      value: bytes, batch) -> bytes:

@@ -350,13 +350,14 @@ class PendingLoad:
         store, lane = self.store, self.lane
         ckeys = lane.keys
         by_target: dict = {}
-        locate = smap.strategy.product_database_for
-        for i in indices:
-            by_target.setdefault(locate(ckeys[i]), []).append(i)
+        asked = [ckeys[i] for i in indices]
+        for i, target in zip(indices,
+                             smap.strategy.product_database_for_many(asked)):
+            by_target.setdefault(target, []).append(i)
         if dual:
             current = len(by_target)
-            for i in indices:
-                prev = smap.previous_product_database_for(ckeys[i])
+            for i, prev in zip(indices,
+                               smap.previous_product_database_for_many(asked)):
                 if prev is not None:
                     by_target.setdefault(prev, []).append(i)
             span.set_tag("fallback_databases", len(by_target) - current)

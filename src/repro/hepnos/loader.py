@@ -45,6 +45,7 @@ from repro.hepnos.product import vector_of
 from repro.hepnos.write_batch import WriteBatch
 from repro.serial import dumps, register_type, registered_type
 from repro.serial.compiled import plan_table
+from repro.utils import encode_u64_be
 
 #: Recognized spellings of the identifier columns.
 _ID_COLUMNS = {
@@ -195,6 +196,14 @@ class IngestStats:
 _CLASS_LOCK = threading.Lock()
 
 
+def _run_starts(sorted_ids: np.ndarray) -> np.ndarray:
+    """Where each run of equal columns of ``sorted_ids`` starts, then
+    the end."""
+    changes = np.any(np.diff(sorted_ids, axis=1) != 0, axis=0)
+    return np.concatenate(([0], np.nonzero(changes)[0] + 1,
+                           [sorted_ids.shape[1]]))
+
+
 class DataLoader:
     """Ingests hdf5lite files into a HEPnOS dataset.
 
@@ -245,9 +254,12 @@ class DataLoader:
     def _ingest_table(self, h5: H5LiteFile, schema: TableSchema,
                       batch: WriteBatch, created: set, stats: IngestStats) -> None:
         group = h5.root.group(schema.group_path)
-        runs = group.read(schema.id_columns["run"]).astype(np.int64)
-        subruns = group.read(schema.id_columns["subrun"]).astype(np.int64)
-        events = group.read(schema.id_columns["event"]).astype(np.int64)
+        ids = [group.read(schema.id_columns[name]).astype(np.int64)
+               for name in ("run", "subrun", "event")]
+        for column in ids:
+            if len(column) and column.min() < 0:
+                encode_u64_be(int(column.min()))  # raises as a key would
+        runs, subruns, events = ids
         columns = {
             _python_field_name(name): group.read(name)
             for name, _ in schema.value_columns
@@ -260,39 +272,38 @@ class DataLoader:
         # Group rows by (run, subrun, event) with one argsort.
         order = np.lexsort((events, subruns, runs))
         sorted_ids = np.stack([runs[order], subruns[order], events[order]])
-        starts = np.concatenate((
-            [0],
-            np.nonzero(np.any(np.diff(sorted_ids, axis=1) != 0, axis=0))[0] + 1,
-            [n],
-        ))
-        event_ids = sorted_ids[:, starts[:-1]].tolist()
+        starts = _run_starts(sorted_ids)
         values = self._event_values(cls, columns, order, starts)
-        datastore, dataset_uuid = self.datastore, self.dataset.uuid
-        label, tname = self.label, vector_of(cls).name
-        # Events arrive sorted, so container keys are derived once per
-        # subrun rather than per event.
-        run = subrun = rkey = skey = None
-        for r, s, e, value in zip(*event_ids, values):
-            if r != run or s != subrun:
-                run, subrun = r, s
-                rkey = hkeys.run_key(dataset_uuid, r)
-                if rkey not in created:
-                    datastore.create_container("runs", dataset_uuid, rkey,
-                                               batch=batch)
-                    created.add(rkey)
-                skey = hkeys.subrun_key(rkey, s)
-                if skey not in created:
-                    datastore.create_container("subruns", rkey, skey,
-                                               batch=batch)
-                    created.add(skey)
-            ekey = hkeys.event_key(skey, e)
-            if ekey not in created:
-                datastore.create_container("events", skey, ekey, batch=batch)
-                created.add(ekey)
-                stats.events_created += 1
-            datastore.store_encoded_product(ekey, tname, value, label=label,
-                                            batch=batch)
-            stats.products_stored += 1
+        # Every event key in one pass: the dataset uuid, then the run,
+        # subrun and event numbers big-endian, cut from one buffer.
+        firsts = sorted_ids[:, starts[:-1]]
+        width, uuid = hkeys.EVENT_KEY_LEN, self.dataset.uuid
+        rows = np.empty((firsts.shape[1], width), np.uint8)
+        rows[:, :hkeys.UUID_LEN] = np.frombuffer(uuid, np.uint8)
+        rows[:, hkeys.UUID_LEN:] = firsts.T.astype(">u8", order="C").view(
+            np.uint8)
+        flat = rows.tobytes()
+        ekeys = [flat[i:i + width] for i in range(0, len(flat), width)]
+        # Events arrive sorted: one write-batch run per subrun.
+        bounds = _run_starts(firsts[:2]).tolist()
+        tname = vector_of(cls).name
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            run_keys = ekeys[lo:hi]
+            skey = run_keys[0][:hkeys.SUBRUN_KEY_LEN]
+            rkey = skey[:hkeys.RUN_KEY_LEN]
+            containers = [((kind, parent), [key]) for kind, parent, key in
+                          (("runs", uuid, rkey), ("subruns", rkey, skey))
+                          if key not in created]
+            fresh = [key for key in run_keys if key not in created]
+            if fresh:
+                containers.append((("events", skey), fresh))
+            for _, new in containers:
+                created.update(new)
+            stats.events_created += len(fresh)
+            self.datastore.store_encoded_products(
+                run_keys, tname, values[lo:hi], label=self.label,
+                batch=batch, containers=containers)
+            stats.products_stored += hi - lo
 
     def _event_values(self, cls: type, columns: dict, order: np.ndarray,
                       starts: np.ndarray):
@@ -306,16 +317,14 @@ class DataLoader:
         layout = plan_table(
             cls, {name: column.dtype for name, column in columns.items()})
         if layout is None:
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                yield dumps([
-                    cls(**{name: column[idx].item()
-                           for name, column in columns.items()})
-                    for idx in order[lo:hi]
-                ])
-            return
+            return [dumps([
+                cls(**{name: column[idx].item()
+                       for name, column in columns.items()})
+                for idx in order[lo:hi]
+            ]) for lo, hi in zip(bounds[:-1], bounds[1:])]
         records = layout.records(columns, order)
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            yield layout.value(records, lo, hi)
+        return [layout.value(records, lo, hi)
+                for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     # -- parallel ingest ---------------------------------------------------------
 

@@ -38,6 +38,10 @@ class ParentHashPlacement:
         """The single database holding all children of ``parent_key``."""
         return self._rings[kind].locate(parent_key)
 
+    def database_for_many(self, kind: str, parent_keys) -> list[DbTarget]:
+        """:meth:`database_for` of each key, hashed as one batch."""
+        return self._rings[kind].locate_many(parent_keys)
+
     def databases_for_listing(self, kind: str, parent_key: bytes
                               ) -> list[DbTarget]:
         """Databases to interrogate when listing children: exactly one."""
@@ -46,6 +50,9 @@ class ParentHashPlacement:
     def product_database_for(self, container_key: bytes) -> DbTarget:
         """Products are placed by their container's key."""
         return self.database_for("products", container_key)
+
+    def product_database_for_many(self, container_keys) -> list[DbTarget]:
+        return self.database_for_many("products", container_keys)
 
 
 class ShardMap:
@@ -105,8 +112,14 @@ class ShardMap:
     def database_for(self, kind: str, parent_key: bytes) -> DbTarget:
         return self.strategy.database_for(kind, parent_key)
 
+    def database_for_many(self, kind: str, parent_keys) -> list[DbTarget]:
+        return self.strategy.database_for_many(kind, parent_keys)
+
     def product_database_for(self, container_key: bytes) -> DbTarget:
         return self.strategy.product_database_for(container_key)
+
+    def product_database_for_many(self, container_keys) -> list[DbTarget]:
+        return self.strategy.product_database_for_many(container_keys)
 
     def databases_for_listing(self, kind: str, parent_key: bytes
                               ) -> list[DbTarget]:
@@ -171,6 +184,14 @@ class ShardMap:
                                       ) -> DbTarget | None:
         return self.previous_database_for("products", container_key)
 
+    def previous_product_database_for_many(self, container_keys) -> list:
+        """:meth:`previous_product_database_for` of each key, batched."""
+        if self.previous is None:
+            return [None] * len(container_keys)
+        now = self.strategy.product_database_for_many(container_keys)
+        old = self.previous.product_database_for_many(container_keys)
+        return [None if o == n else o for o, n in zip(old, now)]
+
     # -- observability ------------------------------------------------------
 
     def shard_id(self, kind: str, target: DbTarget) -> int:
@@ -228,6 +249,9 @@ class FullKeyPlacement:
 
     def database_for_key(self, kind: str, key: bytes) -> DbTarget:
         return self._rings[kind].locate(key)
+
+    def database_for_key_many(self, kind: str, keys) -> list[DbTarget]:
+        return self._rings[kind].locate_many(keys)
 
     def databases_for_listing(self, kind: str, parent_key: bytes
                               ) -> list[DbTarget]:

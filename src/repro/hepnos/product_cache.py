@@ -297,17 +297,16 @@ class ProductCache:
     def invalidate(self, *pkeys: bytes) -> None:
         """Drop each key's whole-product entry and columns, in one pass:
         a re-store of a key must not leave a stale value or projection."""
-        changed = False
         with self._lock:
-            for pkey in pkeys:
-                old = self._entries.pop(pkey, None)
-                if old is not None:
-                    self._bytes -= len(old)
-                pos = self._index.pop(pkey, None)
-                if pos is not None:
-                    self._release_locked(pos)
-                changed = changed or old is not None or pos is not None
-            if changed:
+            # Two set intersections find the few cached keys: a write
+            # batch invalidates every key it stored, cached or not.
+            dropped = self._entries.keys() & pkeys
+            for pkey in dropped:
+                self._bytes -= len(self._entries.pop(pkey))
+            released = self._index.keys() & pkeys
+            for pkey in released:
+                self._release_locked(self._index.pop(pkey))
+            if dropped or released:
                 self._settle_locked()
 
     def clear(self) -> None:

@@ -22,7 +22,7 @@ single-pair point store shares).
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 
 from repro.errors import HEPnOSError, ReproError
 from repro.monitor import tracing as _tracing
@@ -79,16 +79,21 @@ class PendingStore:
 
     def _send(self, groups) -> list:
         """One ``put_multi_nb`` per database ``groups`` resolve to now."""
-        store = self.store
-        locate = store.placement.database_for
-        by_target: dict = {}
+        store, placement = self.store, self.store.placement
+        by_kind: dict = {}
         for group in groups:
-            by_target.setdefault(locate(*group), []).append(group)
+            by_kind.setdefault(group[0], []).append(group)
+        by_target: dict = {}
+        for kind, members in by_kind.items():
+            targets = placement.database_for_many(
+                kind, [parent for _, parent in members])
+            for group, target in zip(members, targets):
+                by_target.setdefault(target, []).append(group)
         engine = store.async_engine
         transfers = []
         for target, members in by_target.items():
             future = store.handle_for_target(target).put_multi_nb(
-                chain.from_iterable(self.groups[g] for g in members),
+                chain.from_iterable(map(self.groups.__getitem__, members)),
                 dispatch=engine is None)
             if engine is not None:
                 engine.submit(future)
@@ -187,6 +192,23 @@ class WriteBatch:
         self._placed.setdefault((kind, bytes(parent_key)), []).append(
             (key, value))
         self.pending += 1
+        if self.flush_threshold and self.pending >= self.flush_threshold:
+            self.flush()
+
+    def append_run(self, parents, pairs, containers=()) -> None:
+        """Queue one run of products, ``pairs[i]`` placed by
+        ``("products", parents[i])``, after the run's new ``containers``
+        (``((kind, parent_key), keys)`` entries stored with empty
+        values).  The flush threshold is checked once, after the run."""
+        if not self._active:
+            raise HEPnOSError("write batch already closed")
+        placed = self._placed
+        for group, keys in containers:
+            placed.setdefault(group, []).extend(zip(keys, repeat(b"")))
+            self.pending += len(keys)
+        for parent, pair in zip(parents, pairs):
+            placed.setdefault(("products", parent), []).append(pair)
+        self.pending += len(parents)
         if self.flush_threshold and self.pending >= self.flush_threshold:
             self.flush()
 

@@ -12,9 +12,13 @@ from __future__ import annotations
 import bisect
 from typing import Sequence
 
+import numpy as np
+
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+#: keys a ring remembers the owner of before it forgets them all
+_MEMO_BOUND = 1 << 16
 
 
 def fnv1a_64(data: bytes, seed: int = _FNV_OFFSET) -> int:
@@ -22,7 +26,10 @@ def fnv1a_64(data: bytes, seed: int = _FNV_OFFSET) -> int:
 
     Deterministic across processes (unlike :func:`hash` on ``bytes``),
     which matters because placement decisions made by writers must be
-    reproducible by readers.
+    reproducible by readers.  Given a ``uint64`` array ``seed`` and the
+    rows of a ``uint64`` array as ``data``, it folds one row per step,
+    elementwise (the constants are non-negative Python ints, which stay
+    ``uint64`` under NumPy 1.x value-based casting and NEP 50 alike).
     """
     h = seed & _MASK64
     for byte in data:
@@ -36,7 +43,7 @@ def mix64(value: int) -> int:
 
     FNV-1a of short, similar inputs differs mostly in the low bits; the
     hash ring needs dispersion across all 64 bits, so it runs raw
-    hashes through this finalizer.
+    hashes through this finalizer.  Elementwise on a ``uint64`` array.
     """
     z = (value + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -58,6 +65,8 @@ class ConsistentHashRing:
         self._vnodes = vnodes
         self._points: list[int] = []
         self._owners: list[object] = []
+        #: ``_points`` as an array, for :meth:`locate_many`
+        self._array = np.empty(0, dtype=np.uint64)
         self._targets: set[object] = set()
         #: key -> owner memo; placement hashes the same container keys
         #: on every batch load, and the ring only changes on membership
@@ -76,23 +85,23 @@ class ConsistentHashRing:
     def __len__(self) -> int:
         return len(self._targets)
 
-    def _vnode_hash(self, target: object, replica: int) -> int:
-        token = f"{target!r}#{replica}".encode()
-        return mix64(fnv1a_64(token))
-
     def add_target(self, target: object) -> None:
         if target in self._targets:
             raise ValueError(f"target {target!r} already on the ring")
         self._targets.add(target)
         self._memo.clear()
+        # A vnode hashes the token ``f"{target!r}#{replica}"``; FNV-1a is
+        # a left fold, so the shared ``f"{target!r}#"`` is hashed once.
+        state = fnv1a_64(f"{target!r}#".encode())
         for replica in range(self._vnodes):
-            point = self._vnode_hash(target, replica)
+            point = mix64(fnv1a_64(str(replica).encode(), state))
             idx = bisect.bisect_left(self._points, point)
             # Break the (astronomically unlikely) tie deterministically.
             while idx < len(self._points) and self._points[idx] == point:
                 idx += 1
             self._points.insert(idx, point)
             self._owners.insert(idx, target)
+        self._array = np.array(self._points, dtype=np.uint64)
 
     def locate(self, key: bytes) -> object:
         """Return the target owning ``key``."""
@@ -109,8 +118,49 @@ class ConsistentHashRing:
         if idx == len(self._points):
             idx = 0
         owner = self._owners[idx]
-        if len(self._memo) >= 1 << 16:
+        if len(self._memo) >= _MEMO_BOUND:
             self._memo.clear()
             self._heads.clear()  # one head per memo miss: bounded alike
         self._memo[bytes(key)] = owner
         return owner
+
+    def locate_many(self, keys: Sequence[bytes]) -> list:
+        """``[self.locate(key) for key in keys]``, the misses hashed at once.
+
+        Memo misses resume FNV-1a from their head's state and run the 8
+        tail bytes, SplitMix64 and the ring search as ``uint64`` arrays
+        -- bit-identical to :meth:`locate`, whose memo they fill under the
+        same bound.  Keys shorter than 8 bytes take :meth:`locate`.
+        """
+        owners = list(map(self._memo.get, keys))
+        missing = [i for i, owner in enumerate(owners) if owner is None]
+        if missing and min(map(len, keys)) < 8:
+            for i in missing:
+                if len(keys[i]) < 8:
+                    owners[i] = self.locate(keys[i])
+            missing = [i for i in missing if owners[i] is None]
+        if not missing:
+            return owners
+        if not self._points:
+            raise ValueError("hash ring has no targets")
+        miss = list(map(bytes, [keys[i] for i in missing]))
+        heads = self._heads
+        prefixes = [key[:-8] for key in miss]
+        for head in set(prefixes).difference(heads):
+            heads[head] = fnv1a_64(head)
+        states = np.array(list(map(heads.__getitem__, prefixes)),
+                          dtype=np.uint64)
+        tails = np.frombuffer(b"".join([key[-8:] for key in miss]), np.uint8)
+        points = mix64(fnv1a_64(tails.reshape(-1, 8).T.astype(np.uint64),
+                                states))
+        idx = np.searchsorted(self._array, points, side="right")
+        owner_at = self._owners
+        found = [owner_at[i] for i in (idx % len(owner_at)).tolist()]
+        for i, owner in zip(missing, found):
+            owners[i] = owner
+        memo = self._memo
+        if len(memo) + len(miss) > _MEMO_BOUND:
+            memo.clear()
+            heads.clear()
+        memo.update(zip(miss[-_MEMO_BOUND:], found[-_MEMO_BOUND:]))
+        return owners

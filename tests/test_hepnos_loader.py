@@ -1,5 +1,6 @@
 """Tests for HDF2HEPnOS: schema discovery, codegen, and bulk ingest."""
 
+import hashlib
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -7,18 +8,25 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from conftest import deploy, shards
+from repro import hepnos
 from repro.errors import HEPnOSError
 from repro.hdf5lite import H5LiteFile
+from repro.hepnos import loader as loader_module
+from repro.hepnos.loader import IngestStats
 from repro.hepnos import (
     DataLoader,
+    WriteBatch,
     build_product_class,
     discover_schema,
     generate_class_code,
     vector_of,
 )
+from repro.mercury import Fabric
 from repro.minimpi import mpirun
-from repro.nova import BEAM, NovaGenerator
+from repro.nova import BEAM, GeneratorConfig, NovaGenerator, generate_file_set
 from repro.serial import registered_type
+from repro.utils import encode_u64_be
 
 
 class TestSchemaDiscovery:
@@ -201,3 +209,75 @@ class TestIngest:
         slc_cls = registered_type("rec.slc")
         event = next(datastore["labeled"].events())
         assert event.load(vector_of(slc_cls), label="caf")
+
+    def test_negative_id_refused_before_any_pair_of_its_table(
+            self, datastore, tmp_path):
+        """A negative number would make a valid-looking big-endian key;
+        the table is refused as ``encode_u64_be`` refuses it, and none
+        of its pairs is queued (the table before it stays queued)."""
+        path = str(tmp_path / "negative.h5l")
+        with H5LiteFile.create(path) as f:
+            # The bad row sorts after a good one of the same table.
+            for name, subruns, evts in (("a_good", [0, 0], [0, 1]),
+                                        ("b_bad", [0, 1], [2, -3])):
+                group = f.create_group(f"neg/{name}")
+                group.create_dataset("run", np.array([5, 5], np.int64))
+                group.create_dataset("subrun", np.array(subruns, np.int64))
+                group.create_dataset("evt", np.array(evts, np.int64))
+                group.create_dataset("x", np.array([1.0, 2.0]))
+        with pytest.raises(ValueError) as refused:
+            encode_u64_be(-3)
+        batch = WriteBatch(datastore, flush_threshold=4096)
+        with pytest.raises(ValueError, match=str(refused.value)):
+            DataLoader(datastore, "negative").ingest_file(path, batch=batch)
+        # run + subrun + 2 events + 2 products of the good table
+        assert batch.pending == 6
+        assert all(key[-8:] != encode_u64_be(2) for pairs in
+                   batch._placed.values() for key, _ in pairs)
+
+
+def ingest_fingerprint(directory: str) -> tuple:
+    """Ingest a seeded file set (3 files of 1,108 / 1,229 / 1,727
+    events, the last past one 4,096-pair flush) on a 2-server ``map``
+    deployment; return the sha256 of every database's sorted pairs,
+    the ``IngestStats`` and each file's ``WriteBatch.flushes``."""
+    summary = generate_file_set(directory, num_files=3,
+                                mean_events_per_file=1100,
+                                config=GeneratorConfig(seed=34), seed=36)
+    servers = deploy(Fabric())
+    session = hepnos.connect(servers=servers)
+    batches = []
+
+    class Recording(WriteBatch):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            batches.append(self)
+
+    real, loader_module.WriteBatch = loader_module.WriteBatch, Recording
+    try:
+        stats = DataLoader(session.datastore, "identity").ingest(
+            summary.paths)
+    finally:
+        loader_module.WriteBatch = real
+        session.close()
+    digest = hashlib.sha256()
+    for (address, name), pairs in sorted(shards(servers).items()):
+        digest.update(f"{address} {name} {len(pairs)}\n".encode())
+        for key, value in sorted(pairs.items()):
+            digest.update(len(key).to_bytes(4, "big") + key
+                          + len(value).to_bytes(4, "big") + value)
+    for server in servers:
+        server.shutdown()
+    return digest.hexdigest(), stats, [batch.flushes for batch in batches]
+
+
+def test_ingest_stores_what_the_per_event_loader_stored(tmp_path):
+    """Run-level appends and batched placement change how ingest
+    queues pairs, not what lands where: digest, stats and flushes are
+    pinned from the loader that stored one product at a time."""
+    digest, stats, flushes = ingest_fingerprint(str(tmp_path))
+    assert digest == ("58f3ff5d17eb470a069a64038555d82d"
+                      "6ce6674dd34793bb1cfb522c7bc59ecd")
+    assert stats == IngestStats(files=3, tables=6, rows=20705,
+                                events_created=4064, products_stored=8128)
+    assert flushes == [16, 17, 26]

@@ -121,8 +121,8 @@ def populate_subruns(datastore, path, sizes):
                 hits = [cls(float(e) + 0.25 * j, e) for j in range(1 + e % 3)]
                 if e % 4 < 2:
                     stored = hits if e % 4 == 0 else [Hit(-7.5, 7)] + hits
-                    datastore.store_encoded_product(
-                        event.key, vector_of(Hit), table_value(stored),
+                    datastore.store_encoded_products(
+                        [event.key], vector_of(Hit), [table_value(stored)],
                         label="hits", batch=batch)
                 if e % 4 == 1:
                     overwrites.append((event, hits))

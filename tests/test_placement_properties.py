@@ -7,6 +7,7 @@ children of one parent colocate.  Unit tests spot-check these; the
 properties here assert them for arbitrary key sets and ring sizes.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from repro.hepnos.placement import (
     ShardMap,
 )
 from repro.utils import ConsistentHashRing
+from repro.utils.hashing import _MEMO_BOUND
 
 
 def make_targets(count: int, kind: str = "events") -> list[DbTarget]:
@@ -174,3 +176,70 @@ def test_full_key_placement_lists_every_database(n, parent):
         listed = placement.databases_for_listing(kind, parent)
         assert sorted(listed) == sorted(connection[kind])
         assert len(listed) == n
+
+
+@st.composite
+def key_lists(draw):
+    """Keys of 0-40 bytes over a few shared heads, with repeats."""
+    heads = draw(st.lists(st.binary(max_size=32), min_size=1, max_size=4))
+    pool = draw(st.lists(st.tuples(st.sampled_from(heads),
+                                   st.binary(max_size=8)),
+                         min_size=1, max_size=30))
+    return draw(st.lists(st.sampled_from([h + t for h, t in pool]),
+                         max_size=60))
+
+
+def batched_placements(n: int) -> dict:
+    """name -> a builder of a fresh placement's (batched, single-key)
+    lookup pairs and the rings they read."""
+    def migrating():
+        smap = ShardMap(make_connection(n)).advance(make_connection(n + 1))
+        lookups = [(smap.product_database_for_many,
+                    smap.product_database_for),
+                   (smap.previous_product_database_for_many,
+                    smap.previous_product_database_for)]
+        return lookups, [smap.strategy._rings["products"],
+                         smap.previous._rings["products"]]
+
+    def parent():
+        placement = ParentHashPlacement(make_connection(n))
+        return [(placement.product_database_for_many,
+                 placement.product_database_for)], [
+            placement._rings["products"]]
+
+    def full():
+        placement = FullKeyPlacement(make_connection(n))
+        return [(lambda keys: placement.database_for_key_many("events", keys),
+                 lambda key: placement.database_for_key("events", key))], [
+            placement._rings["events"]]
+
+    return {"parent-hash": parent, "full-key": full, "migrating": migrating}
+
+
+@pytest.mark.parametrize("memo", ["cold", "warm", "at-bound"])
+@pytest.mark.parametrize("strategy", ["parent-hash", "full-key", "migrating"])
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=1, max_value=5), keys=key_lists(),
+       warm=st.lists(st.integers(min_value=0, max_value=59), max_size=20))
+def test_batched_placement_equals_locate(strategy, memo, n, keys, warm):
+    """Each many-keys lookup equals its single-key lookup on every key,
+    from a cold memo, a partly warm one and one at its bound; it leaves
+    every key memoized and the memo within its bound."""
+    lookups, rings = batched_placements(n)[strategy]()
+    reference, _ = batched_placements(n)[strategy]()
+    if memo == "warm":
+        for i in warm:
+            if i < len(keys):
+                for _, single in lookups:
+                    single(keys[i])
+    elif memo == "at-bound":
+        for ring in rings:
+            owner = ring.locate(b"warm")
+            ring._memo.clear()
+            ring._memo.update(dict.fromkeys(range(_MEMO_BOUND), owner))
+            assert len(ring._memo) == _MEMO_BOUND
+    for (many, _), (_, single) in zip(lookups, reference):
+        assert many(keys) == [single(key) for key in keys]
+    for ring in rings:
+        assert len(ring._memo) <= _MEMO_BOUND
+        assert all(key in ring._memo for key in keys)

@@ -227,17 +227,23 @@ def test_product_spans_tag_shard_and_epoch_only_when_traced(datastore,
     assert lookups == []       # no ring lookup + hash on the untraced path
     with trace_session() as tracer:
         event.store(5.5, label="traced")
-        datastore.store_encoded_product(event.key, "float", b"\x04" + bytes(8),
-                                        label="encoded")
+        with WriteBatch(datastore) as batch:
+            datastore.store_encoded_products([event.key], "float",
+                                             [b"\x04" + bytes(8)],
+                                             label="encoded", batch=batch)
         assert event.load(float, label="batched") == 4.5
     stores = tracer.collector.find("hepnos.store_product")
+    (run,) = tracer.collector.find("hepnos.store_products")
     (load,) = tracer.collector.find("hepnos.load_product")
-    assert len(stores) == 2 and len(lookups) == 3
-    for span in stores + [load]:
+    assert len(stores) == 1 and len(lookups) == 3
+    shard = smap.shard_id("products", smap.product_database_for(event.key))
+    for span in stores + [run, load]:
         assert span.tags["epoch"] == smap.epoch
-        assert span.tags["shard"] == smap.shard_id(
-            "products", smap.product_database_for(event.key))
-    assert [s.tags["type"] for s in stores] == ["float", "float"]
+    for span in stores + [load]:
+        assert span.tags["shard"] == shard
+    assert run.tags["shards"] == [shard]
+    assert [s.tags["type"] for s in stores + [run]] == ["float", "float"]
+    assert (run.tags["count"], run.tags["label"]) == (1, "encoded")
     assert event.load(float, label="encoded") == 0.0
 
 

@@ -1,11 +1,13 @@
 """Tests for hashing and consistent placement utilities."""
 
+import bisect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bedrock import BedrockServer, default_hepnos_config
-from repro.hepnos.connection import connection_from_servers
+from repro.hepnos.connection import DbTarget, connection_from_servers
 from repro.hepnos.keys import event_key, new_dataset_uuid, run_key, subrun_key
 from repro.hepnos.placement import ParentHashPlacement
 from repro.mercury import Fabric
@@ -93,6 +95,33 @@ def test_locate_resumes_the_full_key_hash(key, other_tail):
     ring.locate(sibling)  # warms key[:-8], if the sibling shares it
     ring._memo.clear()
     assert ring.locate(key) == _ring_owner(ring, key)  # warm head
+
+
+def _byte_by_byte_ring(targets, vnodes):
+    """Ring points and owners with every vnode token hashed whole."""
+    points, owners = [], []
+    for target in targets:
+        for replica in range(vnodes):
+            point = mix64(fnv1a_64(f"{target!r}#{replica}".encode()))
+            idx = bisect.bisect_left(points, point)
+            while idx < len(points) and points[idx] == point:
+                idx += 1
+            points.insert(idx, point)
+            owners.insert(idx, target)
+    return points, owners
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(
+    st.integers(), st.text(max_size=12),
+    st.builds(DbTarget, st.text(max_size=20), st.integers(0, 99),
+              st.text(max_size=12))), unique=True, max_size=8),
+    st.integers(min_value=1, max_value=130))
+def test_ring_points_fold_on_the_target_prefix(targets, vnodes):
+    """Vnode points resume FNV-1a from ``f"{target!r}#"`` and fold only
+    the replica digits: the ring equals the whole-token construction."""
+    ring = ConsistentHashRing(targets, vnodes=vnodes)
+    assert (ring._points, ring._owners) == _byte_by_byte_ring(targets, vnodes)
 
 
 #: (kind, container numbers, address, database) pinned on the tree that
