@@ -33,6 +33,8 @@ def prefix_upper_bound(prefix: bytes) -> bytes | None:
     Returns ``None`` when no such bound exists (prefix is empty or all
     0xFF), meaning a scan should run to the end of the keyspace.
     """
+    if prefix and prefix[-1] != 0xFF:
+        return bytes(prefix[:-1]) + bytes((prefix[-1] + 1,))
     data = bytearray(prefix)
     while data:
         if data[-1] != 0xFF:

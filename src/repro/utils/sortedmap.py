@@ -11,7 +11,7 @@ or removed, so a chunk a scan located can only move to a higher index.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 #: keys per chunk before it splits in two
 _CHUNK = 1000
@@ -123,3 +123,26 @@ class SortedMap:
 
     def keys(self) -> Iterator[bytes]:
         return (key for key, _ in self.scan())
+
+    def items_between(self, start: bytes, end: Optional[bytes]) -> list:
+        """The ``(key, value)`` pairs with ``start <= key < end`` (``end``
+        ``None``: to the last key), in key order, as one list.
+
+        A bisect into the chunks, then slices: no writer may run during
+        the call (the caller holds the writers' lock, or the map is no
+        longer written).
+        """
+        chunks, values = self._chunks, self._values
+        out: list = []
+        i = bisect_left(self._maxes, start)
+        first = True
+        while i < len(chunks):
+            chunk = chunks[i]
+            lo = bisect_left(chunk, start) if first else 0
+            hi = len(chunk) if end is None else bisect_left(chunk, end, lo)
+            out += [(key, values[key]) for key in chunk[lo:hi]]
+            if hi < len(chunk):
+                break
+            first = False
+            i += 1
+        return out

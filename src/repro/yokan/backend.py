@@ -205,6 +205,15 @@ class Backend(abc.ABC):
                 return
             yield key, value
 
+    def scan_prefixes(self, prefixes: Iterable[bytes]
+                      ) -> Iterator[Iterable[Tuple[bytes, bytes]]]:
+        """One group of ``(key, value)`` pairs per prefix, in request
+        order, each produced only when the one before it was taken: a
+        reader that stops early scans nothing more.  A backend that can
+        answer a page of prefixes in one pass overrides this;
+        :meth:`scan_prefix` is its one-prefix case."""
+        return (self.scan_prefix(prefix) for prefix in prefixes)
+
     def list_keys(
         self,
         prefix: bytes = b"",

@@ -16,13 +16,20 @@ Production-shaped engine:
   map, decoded once and kept in a bytes-bounded **block LRU cache**
   shared across all tables of the backend;
 - a 10-bits-per-key bloom filter per table skips tables that cannot
-  hold a key;
+  hold a key.  A table is built in one pass: each key's digest is
+  appended as its entry lands in a block, the filter is filled from all
+  of them in one numpy pass, and blocks reach the file through a write
+  buffer of at most 64 KiB;
 - deletes write *tombstones*, dropped when a compaction includes the
   oldest table;
 - compaction is **size-tiered**: contiguous age-runs of similarly
   sized tables merge into one (never everything at once), on the same
   background worker, with a backlog gauge and a write
-  throttle when the backlog grows.
+  throttle when the backlog grows;
+- a page of prefix scans (:meth:`LSMBackend.scan_prefixes`) reads one
+  snapshot of the sources: per prefix, one bounded bisect into each
+  source's sorted run, and a heap merge only where two sources hold
+  keys of that prefix.
 
 Crash-safety contract (the engine is ``durable``: ``open_backend``
 never wraps it in a second log, and ``BedrockServer.crash(
@@ -51,6 +58,8 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigError, CorruptionError, KeyNotFound
 from repro.monitor import tracing as _tracing
@@ -81,6 +90,8 @@ _TIER_RATIO = 4
 _BLOCK_BYTES = 4096
 #: Bloom filter budget per table.
 _BITS_PER_KEY = 10
+#: Most bytes a table build holds before writing them to its file.
+_WRITE_BUFFER_BYTES = 64 * 1024
 #: Soft write throttle: once the flush + compaction backlog passes
 #: ``_THROTTLE_BACKLOG``, a write sleeps ``_THROTTLE_SLEEP_S`` per excess
 #: task (at most four).
@@ -128,6 +139,23 @@ class BloomFilter:
     def add(self, key: bytes) -> None:
         for pos in self._positions(key):
             self._bits[pos >> 3] |= 1 << (pos & 7)
+
+    def add_digests(self, digests) -> None:
+        """Add every key whose 16-byte ``blake2b`` digest is in
+        ``digests`` (concatenated, one per key): the bits :meth:`add`
+        sets, in one numpy pass.  Both halves are reduced mod
+        ``num_bits`` before the probes are formed, so no sum exceeds
+        ``num_hashes * num_bits`` and nothing wraps in ``uint64``."""
+        halves = np.frombuffer(digests, dtype="<u8").reshape(-1, 2)
+        m = np.uint64(self.num_bits)
+        h1 = halves[:, 0] % m
+        h2 = (halves[:, 1] | np.uint64(1)) % m
+        flags = np.unpackbits(np.frombuffer(self._bits, dtype=np.uint8),
+                              count=self.num_bits, bitorder="little")
+        flags = flags.view(bool)
+        for i in range(self.num_hashes):
+            flags[(h1 + np.uint64(i) * h2) % m] = True
+        self._bits[:] = np.packbits(flags, bitorder="little").tobytes()
 
     def __contains__(self, key: bytes) -> bool:
         return all(
@@ -268,24 +296,28 @@ class BlockCache:
 def _parse_block(buf) -> Tuple[list, list]:
     """Decode one block's entries into parallel (keys, values) lists.
 
-    ``values`` holds ``None`` for tombstones.  Entries are copied out
-    of the (possibly mmap-backed) buffer so cached blocks never pin a
-    dead table's mapping.
+    ``values`` holds ``None`` for tombstones.  The block is copied out
+    of the (possibly mmap-backed) buffer once, and every key and value
+    is a slice of that copy, so cached blocks never pin a dead table's
+    mapping.
     """
+    data = bytes(buf)
+    unpack = _ENTRY.unpack_from
     keys: list = []
     values: list = []
     offset = 0
-    end = len(buf)
+    end = len(data)
     while offset < end:
-        klen, vlen = _ENTRY.unpack_from(buf, offset)
+        klen, vlen = unpack(data, offset)
         offset += 8
-        keys.append(bytes(buf[offset:offset + klen]))
-        offset += klen
+        key_end = offset + klen
+        keys.append(data[offset:key_end])
         if vlen == _TOMBSTONE_LEN:
             values.append(None)
+            offset = key_end
         else:
-            values.append(bytes(buf[offset:offset + vlen]))
-            offset += vlen
+            offset = key_end + vlen
+            values.append(data[key_end:offset])
     return keys, values
 
 
@@ -353,35 +385,45 @@ class SSTable:
               on_block: Optional[Callable[[int], None]] = None) -> int:
         """Write sorted ``entries`` (value ``None`` = tombstone) to ``path``.
 
-        Entries are grouped into blocks of ~``_BLOCK_BYTES``.
+        Entries are grouped into blocks of ~``_BLOCK_BYTES``, and blocks
+        reach the file through a buffer of at most
+        ``_WRITE_BUFFER_BYTES`` (or one block, if larger), their offsets
+        counted as they are queued.  The bloom filter is filled from
+        every key's digest in one pass after the last block.
         ``should_abort`` is polled at every block boundary so a
         simulated crash can abandon a half-written table (the ``.tmp``
         never becomes visible).  ``on_block`` is a test hook invoked
-        with the block ordinal after each block lands.
+        with the block ordinal after each block is queued.
 
         Returns the number of data bytes written.
         """
-        bloom = BloomFilter.for_capacity(max(expected_count, 1))
         blocks: list[tuple[str, int, int, int]] = []
         n = 0
         min_key = max_key = None
         tmp = path + ".tmp"
         buf = bytearray()
         first_key: Optional[bytes] = None
+        digests = bytearray()
+        blake2b = hashlib.blake2b
         try:
             with open(tmp, "wb") as f:
-                f.write(_SST_MAGIC)
+                pending = bytearray(_SST_MAGIC)
+                offset = len(_SST_MAGIC)
 
                 def emit_block() -> None:
-                    nonlocal buf, first_key
+                    nonlocal buf, first_key, pending, offset
                     if not buf:
                         return
                     if should_abort is not None and should_abort():
                         raise _FlushAborted(path)
-                    offset = f.tell()
-                    f.write(buf)
                     # The trailing 0 is the format's "not compressed" flag.
                     blocks.append((first_key.hex(), offset, len(buf), 0))
+                    offset += len(buf)
+                    if len(pending) + len(buf) > _WRITE_BUFFER_BYTES:
+                        f.write(pending)
+                        pending = buf
+                    else:
+                        pending += buf
                     if on_block is not None:
                         on_block(len(blocks) - 1)
                     buf = bytearray()
@@ -390,7 +432,7 @@ class SSTable:
                 for key, value in entries:
                     if first_key is None:
                         first_key = key
-                    bloom.add(key)
+                    digests += blake2b(key, digest_size=16).digest()
                     if min_key is None:
                         min_key = key
                     max_key = key
@@ -405,7 +447,10 @@ class SSTable:
                     if len(buf) >= _BLOCK_BYTES:
                         emit_block()
                 emit_block()
-                data_end = f.tell()
+                f.write(pending)
+                data_end = offset
+                bloom = BloomFilter.for_capacity(max(expected_count, 1))
+                bloom.add_digests(digests)
                 footer = json.dumps({
                     "n": n,
                     "data_end": data_end,
@@ -443,10 +488,9 @@ class SSTable:
             self.stats.blocks_read += 1
             self.stats.lookup_blocks_read += lookup
         if self.cache is not None:
-            keys, values = block
-            nbytes = 64 + sum(len(k) for k in keys) + sum(
-                len(v) for v in values if v is not None) + 16 * len(keys)
-            self.cache.put(cache_key, block, nbytes)
+            # 64 + the keys' and values' bytes + 16 per entry: the block
+            # holds those bytes and an 8-byte header per entry
+            self.cache.put(cache_key, block, 64 + stored + 8 * len(block[0]))
         return block
 
     def get(self, key: bytes,
@@ -476,23 +520,24 @@ class SSTable:
 
         With ``end``, iteration (and the underlying block decodes) stop
         at the first key ``>= end`` -- prefix-bounded scans never pay
-        for the rest of the sorted run.
+        for the rest of the sorted run.  A bisect finds the first block;
+        each block then yields one slice of its entries.
         """
         if self.num_entries == 0 or self.max_key < start:
             return
         if end is not None and self.min_key >= end:
             return
-        index = max(0, bisect.bisect_right(self.block_firsts, start) - 1)
-        for b in range(index, len(self.blocks)):
-            if end is not None and self.block_firsts[b] >= end:
-                return
+        firsts = self.block_firsts
+        first = b = max(0, bisect.bisect_right(firsts, start) - 1)
+        while b < len(firsts) and (end is None or firsts[b] < end):
             keys, values = self._block_entries(b)
-            i = bisect.bisect_left(keys, start) if b == index else 0
-            for j in range(i, len(keys)):
-                key = keys[j]
-                if end is not None and key >= end:
-                    return
-                yield key, values[j]
+            lo = bisect.bisect_left(keys, start) if b == first else 0
+            hi = len(keys) if end is None else bisect.bisect_left(keys, end,
+                                                                  lo)
+            yield from zip(keys[lo:hi], values[lo:hi])
+            if hi < len(keys):
+                return
+            b += 1
 
 
 class _Immutable:
@@ -735,11 +780,12 @@ class LSMBackend(Backend):
         and only then are the memtable's WAL segments deleted.
         """
         t0 = time.perf_counter()
-        name = f"sst-{self._next_table_id:06d}.tbl"
-        self._next_table_id += 1
+        with self._lock:
+            name = f"sst-{self._next_table_id:06d}.tbl"
+            self._next_table_id += 1
         entries = (
             (k, None if v is _TOMBSTONE else v)
-            for k, v in imm.memtable.scan()
+            for k, v in imm.memtable.items_between(b"", None)
         )
         span = (_tracing.span("lsm.flush", parent=_tracing.NO_PARENT,
                               path=os.path.basename(self.path),
@@ -1194,6 +1240,59 @@ class LSMBackend(Backend):
             if end is None and not key.startswith(prefix):
                 return
             yield key, value
+
+    def scan_prefixes(self, prefixes: Iterable[bytes]
+                      ) -> Iterator[list[Tuple[bytes, bytes]]]:
+        """One group per prefix, in order, from one snapshot of the
+        sources.
+
+        The tables and sealed memtables are taken once, under the lock;
+        each group then takes one bounded bisect into every table and
+        sealed memtable, and reads the active memtable under the lock.
+        A prefix held by one source is that source's slice without its
+        tombstones; only a prefix two sources hold is heap-merged,
+        newest first.  Groups are built as they are asked for.
+        """
+        self._check_open()
+        with self._lock:
+            tables = tuple(self._sstables)
+            sealed = tuple(imm.memtable for imm in self._immutables)
+            active = self._memtable
+        return self._groups(prefixes, tables, sealed, active)
+
+    def _groups(self, prefixes, tables, sealed, active
+                ) -> Iterator[list[Tuple[bytes, bytes]]]:
+        lock, stats = self._lock, self.stats
+        for prefix in prefixes:
+            end = prefix_upper_bound(prefix)
+            # the sources' slices, oldest first, the empty ones left out
+            held = [run for run in (list(table.scan(prefix, end))
+                                    for table in tables) if run]
+            held += [run for run in (memtable.items_between(prefix, end)
+                                     for memtable in sealed) if run]
+            if active:
+                with lock:
+                    run = active.items_between(prefix, end)
+                if run:
+                    held.append(run)
+            if len(held) == 1:
+                (run,) = held
+                stats.scan_entries += len(run)
+                yield [(key, value) for key, value in run
+                       if value is not None and value is not _TOMBSTONE]
+                continue
+            stats.scan_entries += sum(map(len, held))
+            group: list = []
+            last = None
+            for key, _neg_age, value in heapq.merge(
+                    *([(key, -age, value) for key, value in run]
+                      for age, run in enumerate(held))):
+                if key == last:
+                    continue  # an older source's entry for this key
+                last = key
+                if value is not None and value is not _TOMBSTONE:
+                    group.append((key, value))
+            yield group
 
     def list_keys(self, prefix: bytes = b"", start_after: bytes = b"",
                   limit: int = 0) -> list[bytes]:

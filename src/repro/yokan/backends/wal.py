@@ -392,6 +392,11 @@ class DurableBackend(Backend):
         self._check_open()
         return self.inner.scan_prefix(prefix)
 
+    def scan_prefixes(self, prefixes: Iterable[bytes]
+                      ) -> Iterator[Iterable[Tuple[bytes, bytes]]]:
+        self._check_open()
+        return self.inner.scan_prefixes(prefixes)
+
     def list_keys(
         self,
         prefix: bytes = b"",

@@ -26,7 +26,7 @@ from repro.errors import (
 from repro.faults.retry import RetryPolicy
 from repro.mercury import Address, Bulk, Engine
 from repro.monitor import tracing as _tracing
-from repro.serial import loads
+from repro.serial import columnar as _columnar
 from repro.yokan import packed, wire
 from repro.yokan.nonblocking import OperationFuture, _ResizeNeeded
 
@@ -50,8 +50,6 @@ def _unwrap(response: bytes):
     if status == wire.OK:
         # a tuple answer travels as its fields
         return decoded[1] if len(decoded) == 2 else decoded[1:]
-    if status == wire.RETRY:
-        return _Retry(decoded[1])
     kind, message = decoded[1], decoded[2]
     exc_type = _ERROR_KINDS.get(kind)
     if exc_type is not None:
@@ -64,11 +62,24 @@ def _unwrap(response: bytes):
     raise YokanError(f"{kind}: {message}")
 
 
-class _Retry:
-    __slots__ = ("needed",)
+def _concat(parts: list) -> list:
+    """The answers of a list verb's requests, in item order."""
+    return [item for part in parts for item in part]
 
-    def __init__(self, needed: int):
-        self.needed = needed
+
+def _merge_column_pages(parts: list) -> tuple:
+    """The ``(statuses, blocks)`` of one column page from those of the
+    requests that answered its items, in item order: each field's
+    blocks are decoded at their row counts and packed again as one."""
+    statuses = [s for part, _blocks in parts for s in part]
+    rows = [sum(s for s in part if type(s) is int) for part, _blocks in parts]
+    blocks = []
+    for f, block in enumerate(parts[0][1]):
+        columns = [{f: _columnar.column_from_block(*part_blocks[f], n)}
+                   for (_part, part_blocks), n in zip(parts, rows) if n]
+        blocks.append(_columnar.pack_field_column(columns, f) if columns
+                      else block)
+    return statuses, blocks
 
 
 def frame_put_multi(engine: Engine, name: str,
@@ -250,49 +261,59 @@ class DatabaseHandle:
                 if future.retries:
                     sp.set_tag("retries", future.retries)
 
-    def _landing(self, rpc: str, frame, decode, capacity: int):
+    def _landing(self, rpc: str, items: list, frame, decode, merge,
+                 capacity: int):
         """The landing-buffer protocol every bulk read shares.
 
         Returns the ``(issue, finish)`` pair of an
         :class:`OperationFuture`.  Each issue allocates a buffer of the
-        current capacity, exposes it, and sends ``frame(bulk,
-        capacity)``; the buffer and its ``Bulk`` (regions are tracked
-        weakly, and the provider's RDMA push may land long after issue)
-        stay pinned in the closure.  An undersized buffer re-issues at
-        the provider's requested size, outside the retry budget; the
-        pushed bytes are CRC-verified before ``decode(view, *head)``
-        sees them, inside the retirement loop, so a corrupted push
-        re-issues the RPC.  The decoded values are zero-copy views that
-        keep the buffer alive.
+        current capacity, exposes it, and sends ``frame(asked, bulk,
+        capacity)`` for the items not answered yet; the buffer and its
+        ``Bulk`` (regions are tracked weakly, and the provider's RDMA
+        push may land long after issue) stay pinned in the closure.  The
+        provider answers the leading items that fit, their count and
+        the size a request for the rest needs; the rest is re-issued at
+        that size, outside the retry budget, and ``merge`` joins the
+        answers of all the requests in item order.  The pushed bytes are
+        CRC-verified before ``decode(view, count)`` sees them, inside
+        the retirement loop, so a corrupted push re-issues the RPC.  The
+        decoded values are zero-copy views that keep their buffer
+        alive.
         """
         handle = self._handle(rpc)
-        state = {"capacity": capacity, "buffer": None, "bulk": None}
+        state = {"capacity": capacity, "start": 0, "buffer": None,
+                 "bulk": None}
+        parts: list = []
 
         def issue():
             state["buffer"] = bytearray(state["capacity"])
             state["bulk"] = self._engine.expose(state["buffer"],
                                                 Bulk.READ_WRITE)
-            payload = self._seal(wire.encode(frame(state["bulk"],
-                                                   state["capacity"])))
+            payload = self._seal(wire.encode(frame(
+                items[state["start"]:], state["bulk"], state["capacity"])))
             return handle.iforward(payload, self.provider_id)
 
         def finish(raw):
-            result = _unwrap(raw)
-            if isinstance(result, _Retry):
-                state["capacity"] = result.needed
-                raise _ResizeNeeded()
-            *head, nbytes, crc = result
-            view = memoryview(state["buffer"])[:nbytes]
-            wire.verify_bulk(view, crc, f"{rpc} landing buffer")
-            return decode(view, *head)
+            count, needed, nbytes, crc = _unwrap(raw)
+            if count:
+                view = memoryview(state["buffer"])[:nbytes]
+                wire.verify_bulk(view, crc, f"{rpc} landing buffer")
+                part = decode(view, count)
+                if state["start"] + count == len(items):
+                    return merge(parts + [part]) if parts else part
+                parts.append(part)
+                state["start"] += count
+            state["capacity"] = needed
+            raise _ResizeNeeded()
 
         return issue, finish
 
     def _get_multi_ops(self, keys: list, size_hint: int):
         return self._landing(
-            "yokan.get_multi",
-            lambda bulk, capacity: (self.name, keys, bulk, capacity),
-            loads, size_hint or (64 * len(keys) + 1024))
+            "yokan.get_multi", keys,
+            lambda asked, bulk, capacity: (self.name, asked, bulk, capacity),
+            packed.unpack_values, _concat,
+            size_hint or (64 * len(keys) + 1024))
 
     def get_multi_nb(self, keys: Sequence[bytes], size_hint: int = 0,
                      *, dispatch: bool = True) -> OperationFuture:
@@ -359,17 +380,19 @@ class DatabaseHandle:
         datastore issues one of these per involved shard so packed scans
         fan out concurrently.  Without a ``size_hint`` the buffer starts
         at a small per-prefix floor: a first, cold request is answered
-        with the size it needs and re-issued once, instead of every cold
-        request zero-filling a buffer many times its payload.
+        with the groups that fit and the size the rest needs, and only
+        the rest is asked again, instead of every cold request
+        zero-filling a buffer many times its payload.  A prefix is
+        scanned twice only when its group straddles a buffer's end.
         """
         prefixes = [bytes(p) for p in prefixes]
         description = f"load_prefix_packed[{len(prefixes)}]@{self.name}"
         if not prefixes:
             return OperationFuture.completed([], description)
         issue, finish = self._landing(
-            "yokan.load_prefix_packed",
-            lambda bulk, capacity: (self.name, prefixes, bulk, capacity),
-            packed.unpack_groups, size_hint or (256 * len(prefixes)))
+            "yokan.load_prefix_packed", prefixes,
+            lambda asked, bulk, capacity: (self.name, asked, bulk, capacity),
+            packed.unpack_groups, _concat, size_hint or (256 * len(prefixes)))
         return self._future(issue, finish, description, dispatch=dispatch)
 
     def load_prefix_packed(self, prefixes: Sequence[bytes],
@@ -402,11 +425,12 @@ class DatabaseHandle:
                 ([], [("O", memoryview(b"")) for _ in fields]), description)
         suffix = bytes(suffix)
         issue, finish = self._landing(
-            "yokan.scan_columns",
-            lambda bulk, capacity: (self.name, prefixes, suffix, fields,
-                                    bulk, capacity),
-            lambda view, nprefixes: packed.unpack_column_page(
-                view, nprefixes, len(fields)),
+            "yokan.scan_columns", prefixes,
+            lambda asked, bulk, capacity: (self.name, asked, suffix, fields,
+                                           bulk, capacity),
+            lambda view, count: packed.unpack_column_page(
+                view, count, len(fields)),
+            _merge_column_pages,
             size_hint or (64 * len(prefixes) * max(1, len(fields))))
         return self._future(issue, finish, description, dispatch=dispatch)
 

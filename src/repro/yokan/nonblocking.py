@@ -14,8 +14,9 @@ for at once.
 Retirement is the one fault-handling path those verbs have: the
 client's :class:`~repro.faults.RetryPolicy` governs re-issues after
 transient transport failures (drops, provider crashes, timeouts, wire
-corruption), landing-buffer resizes re-issue transparently, and retry /
-give-up metrics land in the same counters as the single-item verbs'.
+corruption), a landing buffer answered in part re-issues for the rest
+transparently, and retry / give-up metrics land in the same counters
+as the single-item verbs'.
 A future is therefore exactly as fault-tolerant as a blocking call --
 it just lets the latency hide behind computation (the paper's core
 speedup mechanism, section II-D).
@@ -33,10 +34,12 @@ from repro.monitor import tracing as _tracing
 
 
 class _ResizeNeeded(Exception):
-    """Internal: the provider asked for a bigger landing buffer.
+    """Internal: the provider answered only some of the items asked (or
+    none), and named the landing buffer the rest needs.
 
     Not a failure -- the finish callback mutates its closure state and
-    the operation re-issues immediately, outside the retry budget.
+    the operation re-issues for the rest immediately, outside the retry
+    budget.
     """
 
 

@@ -9,6 +9,11 @@ stream it without object overhead:
 - each group is ``uvarint(npairs)`` followed by ``npairs`` entries of
   ``uvarint(klen) + key + uvarint(vlen) + value``.
 
+A ``get_multi`` answer is one ``uvarint(len + 1) + value`` item per key
+(``0`` for an absent key).  Both are packed one item at a time by
+:func:`pack_leading`, which stops at the first item that does not fit
+the client's landing buffer.
+
 :func:`unpack_groups` returns values as ``memoryview`` slices over the
 caller's buffer -- the landing buffer is decoded zero-copy and the
 views pin it alive.  Callers that outlive the buffer must copy.
@@ -16,7 +21,7 @@ views pin it alive.  Callers that outlive the buffer must copy.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import CorruptionError
 
@@ -32,6 +37,25 @@ def _append_uvarint(out: bytearray, value: int) -> None:
             return
 
 
+def append_group(out: bytearray, pairs: Iterable[Tuple[bytes, bytes]]
+                 ) -> None:
+    """Append one packed pair group to ``out``."""
+    pairs = list(pairs)
+    append = out.append
+    _append_uvarint(out, len(pairs))
+    for key, value in pairs:
+        for part in (key, value):  # lengths under 2**14 inline
+            n = len(part)
+            if n < 0x80:
+                append(n)
+            elif n < 0x4000:
+                append(n & 0x7F | 0x80)
+                append(n >> 7)
+            else:
+                _append_uvarint(out, n)
+            out += part
+
+
 def pack_groups(groups: Iterable[Iterable[Tuple[bytes, bytes]]]
                 ) -> bytearray:
     """Pack per-prefix ``(key, value)`` pair groups into one buffer.
@@ -41,22 +65,57 @@ def pack_groups(groups: Iterable[Iterable[Tuple[bytes, bytes]]]
     back as built (a ``bytearray``, ready to expose for bulk transfer).
     """
     out = bytearray()
-    append = out.append
     for pairs in groups:
-        pairs = list(pairs)
-        _append_uvarint(out, len(pairs))
-        for key, value in pairs:
-            for part in (key, value):  # lengths under 2**14 inline
-                n = len(part)
-                if n < 0x80:
-                    append(n)
-                elif n < 0x4000:
-                    append(n & 0x7F | 0x80)
-                    append(n >> 7)
-                else:
-                    _append_uvarint(out, n)
-                out += part
+        append_group(out, pairs)
     return out
+
+
+def append_value(out: bytearray, value: Optional[bytes]) -> None:
+    """Append one ``get_multi`` answer item: ``uvarint(len + 1) + value``,
+    or a single 0 byte for an absent key."""
+    if value is None:
+        out.append(0)
+    else:
+        _append_uvarint(out, len(value) + 1)
+        out += value
+
+
+def pack_leading(items: Iterable, total: int, capacity: int,
+                 append: Callable[[bytearray, object], None]
+                 ) -> Tuple[bytearray, int, int]:
+    """Pack the leading whole items of ``items`` that fit in ``capacity``.
+
+    ``append(out, item)`` packs one item; ``total`` is how many items
+    were asked.  Returns ``(buffer, count, needed)``: the packed first
+    ``count`` items and what a request for the rest should offer --
+    0 when every item fit.  When the first item that does not fit would
+    fit the buffer by itself, the items after it are never pulled:
+    ``needed`` is its size plus the mean item size so far for each one
+    after it, an eighth to spare.  Otherwise the buffer is too small
+    for the items asked, and the rest are packed to measure them:
+    ``needed`` is their exact size (everything asked, when not one item
+    fits).
+    """
+    items = iter(items)
+    out = bytearray()
+    count = 0
+    for item in items:
+        mark = len(out)
+        append(out, item)
+        if len(out) <= capacity:
+            count += 1
+            continue
+        size = len(out) - mark
+        if count and size <= capacity:
+            del out[mark:]
+            mean = (mark + size) / (count + 1)
+            return out, count, size + int(mean * (total - count - 1) * 1.125)
+        for item in items:
+            append(out, item)
+        needed = len(out) - mark
+        del out[mark:]
+        return out, count, needed
+    return out, count, 0
 
 
 def _read_uvarint(data, pos: int, end: int) -> Tuple[int, int]:
@@ -119,7 +178,27 @@ def unpack_groups(buffer, ngroups: int) -> List[List[Tuple[bytes, memoryview]]]:
     return groups
 
 
-# -- prefix framing: the scan_columns request encoding ------------------------
+def unpack_values(buffer, count: int) -> List[Optional[bytes]]:
+    """Decode ``count`` :func:`append_value` items out of ``buffer``."""
+    view = buffer if isinstance(buffer, memoryview) else memoryview(buffer)
+    end = len(view)
+    pos = 0
+    values: List[Optional[bytes]] = []
+    for _ in range(count):
+        size, pos = _read_uvarint(view, pos, end)
+        if not size:
+            values.append(None)
+            continue
+        size -= 1
+        if pos + size > end:
+            raise CorruptionError("truncated value in packed buffer")
+        values.append(bytes(view[pos:pos + size]))
+        pos += size
+    if pos != end:
+        raise CorruptionError(
+            f"trailing bytes in packed buffer ({end - pos} after "
+            f"{count} values)")
+    return values
 
 
 # -- column pages: the scan_columns projection framing -----------------------
@@ -128,6 +207,19 @@ def unpack_groups(buffer, ngroups: int) -> List[List[Tuple[bytes, memoryview]]]:
 COL_ABSENT = 0    # no product under the key
 COL_ROWS = 1      # columnar: followed by uvarint(row count)
 COL_RAW = 2       # row-wise fallback: followed by uvarint(len) + value
+
+
+def _uvarint_size(value: int) -> int:
+    return max(1, (value.bit_length() + 6) // 7)
+
+
+def column_status_size(status) -> int:
+    """Bytes one status takes in a column page."""
+    if status is None:
+        return 1
+    if isinstance(status, int):
+        return 1 + _uvarint_size(status)
+    return 1 + _uvarint_size(len(status)) + len(status)
 
 
 def pack_column_page(statuses: Sequence, blocks: Sequence[Tuple[str, bytes]]
@@ -210,7 +302,7 @@ def unpack_column_page(buffer, nprefixes: int, nfields: int
     return statuses, blocks
 
 
-__all__ = ["pack_groups", "unpack_groups",
-           "pack_prefixes", "unpack_prefixes",
-           "pack_column_page", "unpack_column_page",
+__all__ = ["append_group", "pack_groups", "unpack_groups",
+           "append_value", "unpack_values", "pack_leading",
+           "column_status_size", "pack_column_page", "unpack_column_page",
            "COL_ABSENT", "COL_RAW", "COL_ROWS"]

@@ -10,7 +10,9 @@ their data with RDMA-style bulk transfers, matching the paper's
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from collections import deque
+from itertools import accumulate
 from typing import Optional
 
 from repro.argobots import Pool, ult_yield
@@ -23,7 +25,6 @@ from repro.errors import (
 )
 from repro.mercury import Bulk, BulkOp, Engine, RPCRequest
 from repro.monitor import tracing as _tracing
-from repro.serial import dumps
 from repro.serial import columnar as _columnar
 from repro.yokan import packed, wire
 from repro.yokan.backend import Backend
@@ -53,15 +54,6 @@ RPC_NAMES = (
 #: handler.  Anything else (a genuine server bug) propagates and fails
 #: the RPC.
 _HANDLED_ERRORS = (ReproError, ValueError, TypeError, KeyError)
-
-
-class _Resize:
-    """What a push-back returns when the landing buffer is too small."""
-
-    __slots__ = ("needed",)
-
-    def __init__(self, needed: int):
-        self.needed = needed
 
 
 def _err(exc: BaseException) -> bytes:
@@ -224,8 +216,6 @@ class YokanProvider:
                 return refuse(req, exc)
             if type(value) is tuple:
                 return wire.encode((wire.OK, *value))
-            if type(value) is _Resize:
-                return wire.encode((wire.RETRY, value.needed))
             return wire.encode((wire.OK, value))
 
         def serve(req: RPCRequest) -> bytes:
@@ -294,26 +284,31 @@ class YokanProvider:
     # Each takes the request's fields, does the work and returns the
     # value of the ``OK`` answer or raises; `_serve` does the rest.
 
-    def _push_back(self, req: RPCRequest, bulk, capacity: int, buffer,
-                   *head):
-        """Move a packed answer into the client's landing buffer.
+    def _push_back(self, req: RPCRequest, bulk, buffer, count: int,
+                   needed: int) -> tuple:
+        """Move a landing verb's answer into the client's landing buffer.
 
-        The server half of the client's ``_landing`` protocol: a buffer
-        that does not fit is answered with the size it needs (the
-        client re-issues at that size); otherwise one RDMA push, and
-        ``(*head, length, crc)`` -- the client verifies its landing
-        buffer against the CRC before decoding, retrying the RPC on a
-        corrupted push.  A ``bytearray`` answer is exposed as it is.
+        The server half of the client's ``_landing`` protocol.  A
+        landing verb answers the leading ``count`` items it was asked
+        that fit the client's buffer, packed in ``buffer``, and
+        ``needed``: 0 when that is every item, else the buffer size a
+        request for the rest should offer.  An answer of no item pushes
+        nothing; otherwise one RDMA push.  Either way the answer is
+        ``(count, needed, length, crc)`` -- the client verifies its
+        landing buffer against the CRC before decoding, retrying the
+        RPC on a corrupted push, and re-issues only the items not
+        answered.  A ``bytearray`` answer is exposed as it is.
         """
         if req.trace_span is not None:
+            req.trace_span.set_tag("answered", count)
             req.trace_span.set_tag("bytes", len(buffer))
-        if len(buffer) > capacity:
-            return _Resize(len(buffer))
+        if not count:
+            return 0, needed, 0, 0
         if buffer.__class__ is not bytearray:
             buffer = bytearray(buffer)
         local = self.engine.expose(buffer, Bulk.READ_ONLY)
         req.bulk_transfer(BulkOp.PUSH, bulk, local, size=len(buffer))
-        return (*head, len(buffer), wire.checksum(buffer))
+        return count, needed, len(buffer), wire.checksum(buffer)
 
     def _rpc_put(self, req: RPCRequest, name, key, value) -> None:
         self._db(req, name).put(key, value)
@@ -349,38 +344,40 @@ class YokanProvider:
         if req.trace_span is not None:
             req.trace_span.set_tag("keys", len(keys))
         values = self._db(req, name).get_multi(list(keys))
-        return self._push_back(req, bulk, capacity, dumps(values))
+        return self._push_back(req, bulk, *packed.pack_leading(
+            values, len(values), capacity, packed.append_value))
 
     def _rpc_load_prefix_packed(self, req: RPCRequest, name, prefixes, bulk,
                                 capacity):
-        """Scan every requested prefix and push one packed buffer back.
+        """Scan the requested prefixes and push one packed buffer back.
 
         Where ``get_multi`` needs the client to already know each key,
-        this serves *whole events*: one server-side ordered scan per
-        prefix, all pairs length-prefix packed (:mod:`repro.yokan.packed`)
-        and moved in a single RDMA push.  The response carries the group
-        count, packed size, and CRC for client-side verification.  Each
-        prefix is packed as it is scanned, so the request holds one
-        group's pairs at a time besides the buffer it pushes.
+        this serves *whole events*: the backend's page of ordered
+        prefix scans (:meth:`~repro.yokan.backend.Backend.scan_prefixes`),
+        their pairs length-prefix packed (:mod:`repro.yokan.packed`) and
+        moved in a single RDMA push.  Each group is packed as it is
+        scanned, and the first that does not fit the landing buffer ends
+        the answer: the groups after it are never scanned, so a prefix
+        is scanned once more only when it straddles a buffer's end.
         """
         db = self._db(req, name)
         if req.trace_span is not None:
             req.trace_span.set_tag("prefixes", len(prefixes))
-        buffer = packed.pack_groups(db.scan_prefix(bytes(p)) for p in prefixes)
-        return self._push_back(req, bulk, capacity, buffer, len(prefixes))
+        groups = db.scan_prefixes([bytes(p) for p in prefixes])
+        return self._push_back(req, bulk, *packed.pack_leading(
+            groups, len(prefixes), capacity, packed.append_group))
 
     # -- server-side columnar projection -------------------------------------
 
-    def _project(self, db: Backend, prefixes, suffix: bytes,
-                 fields: list) -> tuple:
-        """Per-prefix statuses and one wire block per field of a page.
+    @staticmethod
+    def _project(values: list, fields: list) -> tuple:
+        """Per-item statuses and one wire block per field of a page of
+        stored ``values`` (``None``: absent).
 
-        Always from what the backend holds now (a projection that keeps
-        no state cannot be stale).  Typed table values (what ingest
-        stores) are never decoded: consecutive ones of one layout have
-        their record bytes joined and each requested field copied out
-        of the join in one strided pass.  Row-encoded values are
-        decoded to their column table.
+        Typed table values (what ingest stores) are never decoded:
+        consecutive ones of one layout have their record bytes joined
+        and each requested field copied out of the join in one strided
+        pass.  Row-encoded values are decoded to their column table.
         """
         statuses: list = []
         tables: list = []
@@ -395,10 +392,8 @@ class YokanProvider:
         # A value that cannot give every field travels row-wise (its
         # bytes are the status): the client then evaluates per object
         # and surfaces the same error the object path would.
-        for p in prefixes:
-            try:
-                value = db.get(p + suffix)
-            except KeyNotFound:
+        for value in values:
+            if value is None:
                 statuses.append(None)
                 continue
             stored = _columnar.table_records(value)
@@ -434,17 +429,48 @@ class YokanProvider:
         a homogeneous list of planned products, only the requested
         columns travel; anything else travels row-wise in place (a
         per-prefix ``raw`` status) so the projection can never change
-        what the client reconstructs.
+        what the client reconstructs.  Always from what the backend
+        holds now (a projection that keeps no state cannot be stale).
         """
         fields = [str(f) for f in fields]
-        statuses, blocks = self._project(self._db(req, name), prefixes,
-                                         suffix, fields)
+        suffix = bytes(suffix)
+        values = self._db(req, name).get_multi(
+            [bytes(p) + suffix for p in prefixes])
+        statuses, blocks = self._project(values, fields)
+        page = packed.pack_column_page(statuses, blocks)
+        count, needed = len(values), 0
+        if len(page) > capacity and values:
+            page, count, needed = self._leading_columns(
+                values, fields, statuses, blocks, len(page), capacity)
         if req.trace_span is not None:
-            req.trace_span.set_tag("prefixes", len(statuses))
+            req.trace_span.set_tag("prefixes", len(values))
             req.trace_span.set_tag("fields", len(fields))
-        return self._push_back(req, bulk, capacity,
-                               packed.pack_column_page(statuses, blocks),
-                               len(statuses))
+        return self._push_back(req, bulk, page, count, needed)
+
+    def _leading_columns(self, values: list, fields: list, statuses: list,
+                         blocks: list, size: int, capacity: int) -> tuple:
+        """``(page, count, needed)`` for a column page of ``size`` bytes
+        that outgrew ``capacity``: the page of the leading whole items
+        that fit, as :func:`~repro.yokan.packed.pack_leading` answers.
+
+        Each item costs its status plus its rows at the page's mean
+        bytes per row -- exact for numeric blocks, whose first guess
+        therefore fits; a guess that does not is shrunk and projected
+        again.
+        """
+        rows = [s if type(s) is int else 0 for s in statuses]
+        row_bytes = sum(len(p) for _, p in blocks) / max(1, sum(rows))
+        costs = list(accumulate(packed.column_status_size(s) + n * row_bytes
+                                for s, n in zip(statuses, rows)))
+        count = bisect_right(costs, capacity - (size - costs[-1]))
+        while count:
+            page = packed.pack_column_page(
+                *self._project(values[:count], fields))
+            if len(page) <= capacity:
+                # the rest: what this page left out, its blocks' headers
+                return page, count, size - len(page) + 32 * (len(fields) + 1)
+            count -= max(1, count // 8)
+        return b"", 0, size
 
     def _rpc_exists(self, req: RPCRequest, name, key) -> bool:
         return self._db(req, name).exists(key)

@@ -220,7 +220,9 @@ def unwrap_tenant(payload) -> Tuple[Optional[TenantEnvelope], memoryview]:
 # has before it allocates, and refuses a malformed message with a
 # ``SerializationError``.
 
-#: status, the first field of every answer
+#: status, the first field of every answer.  No answer carries
+#: ``RETRY`` any more (an undersized landing buffer is an ``OK`` answer
+#: of the items that fit); the code stays reserved.
 OK, RETRY, ERR = 0, 1, 2
 
 #: kind code -> its ``struct`` codes in the fixed part

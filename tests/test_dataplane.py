@@ -140,29 +140,51 @@ class TestLoadPrefixPacked:
         db = datastore._handle(datastore.target_for("products", b"x"))
         assert db.load_prefix_packed([]) == []
 
-    def test_pushed_bytes_are_the_packed_groups(self, datastore,
+    def test_pushed_bytes_are_the_packed_groups(self, tmp_path,
                                                 monkeypatch):
         """The provider packs each prefix as it scans it and pushes the
         buffer it built; the bytes are those of packing the groups
-        materialised first."""
-        db = datastore._handle(datastore.target_for("products", b"x"))
+        materialised first -- on the ``map`` backend and on an ``lsm``
+        one whose prefixes are spread over a table and the memtable."""
         stored = {b"ev1#a": b"alpha", b"ev1#b": b"beta" * 300,
                   b"ev2#c": b"gamma", b"ev3#d": b""}
-        for key, value in stored.items():
-            db.put(key, value)
         prefixes = [b"ev1", b"none", b"ev2", b"ev3"]
         pushed = []
         real = YokanProvider._push_back
 
-        def spy(self, req, bulk, capacity, buffer, *head):
+        def spy(self, req, bulk, buffer, count, needed):
             pushed.append(bytes(buffer))
-            return real(self, req, bulk, capacity, buffer, *head)
+            return real(self, req, bulk, buffer, count, needed)
 
         monkeypatch.setattr(YokanProvider, "_push_back", spy)
-        db.load_prefix_packed(prefixes, size_hint=4096)
-        assert pushed == [bytes(packed.pack_groups(
-            [sorted((k, v) for k, v in stored.items() if k.startswith(p))
-             for p in prefixes]))]
+        for backend in ("map", "lsm"):
+            fabric = Fabric()
+            servers = deploy(fabric, backend=backend,
+                             storage_root=str(tmp_path / backend))
+            try:
+                datastore = DataStore.connect(fabric, servers)
+                target = datastore.target_for("products", b"x")
+                db = datastore._handle(target)
+                if backend == "lsm":
+                    # An older value and a tombstone in a table, under
+                    # what the memtable then takes.
+                    db.put(b"ev1#b", b"stale")
+                    db.put(b"ev2#gone", b"x")
+                    db.erase(b"ev2#gone")
+                    for server in servers:
+                        for provider in server.providers.values():
+                            for lsm in provider.databases.values():
+                                lsm.flush_memtable()
+                for key, value in stored.items():
+                    db.put(key, value)
+                pushed.clear()
+                db.load_prefix_packed(prefixes, size_hint=4096)
+                assert pushed == [bytes(packed.pack_groups(
+                    [sorted((k, v) for k, v in stored.items()
+                            if k.startswith(p)) for p in prefixes]))]
+            finally:
+                for server in servers:
+                    server.shutdown()
 
     def test_waited_future_leaves_no_reference_cycle(self):
         """Regression: the retry loop of ``OperationFuture.wait`` was a

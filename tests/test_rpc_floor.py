@@ -1,8 +1,9 @@
 """The RPC floor, the reader floor, the column-cache floor, the
-consumer floor and the ingest floor as counts: Python-level calls per
-null ``exists``, per event of a no-op pass, per event of a warm
-columns pass, per slice the candidate cut examines and per event a file
-ingest stores, and RPCs per page pass over many subruns.
+consumer floor, the ingest floor and the scan floor as counts:
+Python-level calls per null ``exists``, per event of a no-op pass, per
+event of a warm columns pass, per slice the candidate cut examines and
+per event a file ingest stores, RPCs per page pass over many subruns,
+and server-side prefix scans per prefix a cold packed pass asks.
 
 A timing gate depends on the machine; this one does not.  On the inline
 fabric one ``DatabaseHandle.exists`` of an absent key walks the whole
@@ -26,8 +27,12 @@ of a row-wise selection: an object-mode cut that goes back to a call
 per node of its expression fails here.  The ingest floor is the write
 path end to end (file read, product encode, write batch, ``put_multi``
 RPC, the ``map`` backend's index): a per-pair call back in the storage
-engine fails here.  ``python tests/test_rpc_floor.py`` prints the
-counts (CI puts them in the job summary).
+engine fails here.  The scan floor is the landing protocol seen from
+the storage engine: a cold packed pass whose products outgrow the first
+landing buffer must scan each prefix once, plus one straddling prefix
+per extra round trip -- an undersized buffer answered by scanning the
+whole page again fails here.  ``python tests/test_rpc_floor.py``
+prints the counts (CI puts them in the job summary).
 """
 
 import cProfile
@@ -60,6 +65,8 @@ from repro.nova import (
 )
 from repro.nova.generator import table_to_slices
 from repro.serial import register_type
+from repro.yokan import MemoryBackend, YokanProvider
+from repro.yokan.client import DatabaseHandle
 
 #: calls per null exists the path may make: (untagged, tenant + broker).
 #: The tree before the hand-off rewrite made 268 and 321 on this
@@ -113,6 +120,9 @@ SLICES = 4000
 #: Queuing a subrun at a time, placed as one batch per flush, leaves
 #: 59.9; the budget keeps the same margin.
 INGEST_BUDGET = 68.4
+#: flags per event of the scan floor's product: about 300 stored bytes,
+#: past the 256 bytes per prefix a cold ``load_prefix_packed`` offers
+SCAN_FLAGS = 64
 
 
 @dataclasses.dataclass
@@ -354,6 +364,77 @@ def ingest_calls() -> float:
             server.shutdown()
 
 
+def cold_packed_scans() -> tuple:
+    """``(scanned, extra, asked)`` of one cold packed ``Prefetcher.pages``
+    pass over ``SUBRUNS`` x ``PER_SUBRUN`` events of a ``SCAN_FLAGS``-flag
+    product in pages of 1024 (4 product databases): prefixes the
+    servers scanned, ``load_prefix_packed`` round trips beyond one per
+    request, and prefixes the pass asked."""
+    counts = {"scanned": 0, "asked": 0, "requests": 0, "served": 0}
+    scan_prefix = MemoryBackend.scan_prefix
+    serve = YokanProvider._rpc_load_prefix_packed
+    issue = DatabaseHandle.load_prefix_packed_nb
+
+    def counted_scan(self, prefix):
+        counts["scanned"] += 1
+        return scan_prefix(self, prefix)
+
+    def counted_serve(self, *args):
+        counts["served"] += 1
+        return serve(self, *args)
+
+    def counted_issue(self, prefixes, *args, **kwargs):
+        counts["requests"] += 1
+        counts["asked"] += len(prefixes)
+        return issue(self, prefixes, *args, **kwargs)
+
+    # Providers bind their handlers when they register them: count from
+    # before the deployment stands up.
+    MemoryBackend.scan_prefix = counted_scan
+    YokanProvider._rpc_load_prefix_packed = counted_serve
+    DatabaseHandle.load_prefix_packed_nb = counted_issue
+    try:
+        servers = deploy()
+        session = hepnos.connect(servers=servers)
+        try:
+            datastore = session.datastore
+            run = datastore.create_dataset("floor").create_run(1)
+            with WriteBatch(datastore) as batch:
+                subruns = [run.create_subrun(s, batch=batch)
+                           for s in range(SUBRUNS)]
+                for subrun in subruns:
+                    for e in range(PER_SUBRUN):
+                        subrun.create_event(e, batch=batch).store(
+                            [Flag(e + i) for i in range(SCAN_FLAGS)],
+                            label="f", batch=batch)
+            reader = Prefetcher(datastore,
+                                options=PEPOptions(input_batch_size=1024),
+                                products=[(vector_of(Flag), "f")])
+            events = sum(len(page) for page in reader.pages(subruns))
+        finally:
+            session.close()
+            for server in servers:
+                server.shutdown()
+    finally:
+        MemoryBackend.scan_prefix = scan_prefix
+        YokanProvider._rpc_load_prefix_packed = serve
+        DatabaseHandle.load_prefix_packed_nb = issue
+    assert events == SUBRUNS * PER_SUBRUN
+    return (counts["scanned"], counts["served"] - counts["requests"],
+            counts["asked"])
+
+
+def test_cold_packed_pass_scans_each_prefix_once():
+    first = cold_packed_scans()
+    assert first == cold_packed_scans(), "the count must repeat exactly"
+    scanned, extra, asked = first
+    assert asked == SUBRUNS * PER_SUBRUN and extra > 0, (
+        "the products must outgrow the first landing buffer")
+    assert scanned / asked <= 1 + extra / asked, (
+        f"a cold packed pass scans {scanned} prefixes for {asked} asked, "
+        f"{extra} extra round trips: at most one straddling prefix each")
+
+
 def test_ingest_stays_within_its_call_budget():
     first, second = ingest_calls(), ingest_calls()
     # Process-wide bulk and engine ids keep counting across deployments,
@@ -437,3 +518,8 @@ if __name__ == "__main__":
     print(f"DataLoader.ingest_file, inline fabric, {EVENTS} events: "
           f"{ingest_calls():.2f} Python-level calls per event "
           f"(budget {INGEST_BUDGET})")
+    scanned, extra, asked = cold_packed_scans()
+    print(f"cold packed pass, {SUBRUNS} subruns x {PER_SUBRUN} events of "
+          f"{SCAN_FLAGS} flags, pages of 1024: {scanned / asked:.4f} "
+          f"prefixes scanned per prefix asked (at most "
+          f"{1 + extra / asked:.4f}: {extra} extra round trips)")

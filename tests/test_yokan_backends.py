@@ -1,5 +1,10 @@
 """Backend conformance tests, run against every Yokan backend kind."""
 
+import hashlib
+import os
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -571,3 +576,245 @@ class TestLSMProductionEngine:
         assert stats["flushes"] > 0
         assert db.stats.write_amplification >= 1.0
         db.close()
+
+
+# -- page scans, table ids, table bytes ---------------------------------------
+
+
+class _ManualLSM(LSMBackend):
+    """An engine without its background worker: the test lands every
+    flush and compaction itself, at the point it chooses."""
+
+    def _worker_loop(self) -> None:
+        return
+
+
+_KEY_BYTES = st.lists(st.sampled_from([0x00, 0x01, 0x61, 0xFE, 0xFF]),
+                      min_size=1, max_size=4).map(bytes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ops=st.lists(st.tuples(
+        st.sampled_from(["put", "put", "put", "erase", "erase", "seal",
+                         "flush", "compact"]),
+        _KEY_BYTES, st.binary(max_size=24), st.integers(0, 7)),
+        max_size=70),
+    page=st.lists(st.one_of(
+        _KEY_BYTES.map(lambda key: key[:2]), _KEY_BYTES,
+        st.sampled_from([b"", b"\xff", b"\xff\xff", b"\xff\xff\xff\xff\xff",
+                         b"absent"])), min_size=1, max_size=12),
+    landing=st.tuples(st.integers(0, 11), st.sampled_from(["flush",
+                                                           "compact"])),
+)
+def test_scan_prefixes_equals_the_merged_scan(tmp_path_factory, ops, page,
+                                              landing):
+    """A page of prefix scans from one snapshot equals one merged
+    ``scan_prefix`` per prefix -- what the model holds -- whatever mix of
+    active memtable, sealed memtables and overlapping tables (with
+    tombstones) holds the keys, and when a flush or a compaction lands
+    between two groups of the page; ``scan_entries`` counts the same
+    entries either way."""
+    tmp = tmp_path_factory.mktemp("lsm-pages")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lsm_module, "_BLOCK_BYTES", 64)
+        db = _ManualLSM(str(tmp / "db"), memtable_bytes=1 << 20,
+                        compaction_trigger=2, max_immutables=1000,
+                        block_cache_bytes=512)
+        model: dict = {}
+
+        def land(kind: str, at: int) -> None:
+            if kind == "flush" and db._immutables:
+                db._flush_immutable(db._immutables[0])
+            elif kind == "compact" and len(db._sstables) >= 2:
+                start = at % (len(db._sstables) - 1)
+                db._compact_run(start, len(db._sstables))
+
+        try:
+            for op, key, value, at in ops:
+                if op == "put":
+                    db.put(key, value)
+                    model[key] = value
+                elif op == "erase":
+                    if key in model:
+                        db.erase(key)
+                        del model[key]
+                elif op == "seal":
+                    with db._lock:
+                        db._seal_memtable_locked()
+                else:
+                    land(op, at)
+            before = db.stats.scan_entries
+            reference = [list(db.scan_prefix(p)) for p in page]
+            pulled = db.stats.scan_entries - before
+            assert reference == [
+                sorted((k, v) for k, v in model.items() if k.startswith(p))
+                for p in page]
+            before = db.stats.scan_entries
+            groups = []
+            for i, group in enumerate(db.scan_prefixes(page)):
+                groups.append(list(group))
+                if i == landing[0]:
+                    with db._lock:
+                        db._seal_memtable_locked()
+                    land(landing[1], i)
+            assert groups == reference
+            assert db.stats.scan_entries - before == pulled
+        finally:
+            db.close()
+
+
+def test_scan_prefixes_is_lazy_and_delegated(tmp_path):
+    """Groups are built as they are taken, and the log wrapper hands
+    the page to the backend it wraps."""
+    db = open_backend("map", wal_path=str(tmp_path / "wal.log"))
+    for key in (b"a1", b"a2", b"b1"):
+        db.put(key, b"v")
+    calls = []
+    real = db.inner.scan_prefix
+    db.inner.scan_prefix = lambda p: calls.append(p) or real(p)
+    groups = db.scan_prefixes([b"a", b"b", b"c"])
+    assert calls == []
+    assert list(next(groups)) == [(b"a1", b"v"), (b"a2", b"v")]
+    assert calls == [b"a"]
+    assert [list(g) for g in groups] == [[(b"b1", b"v")], []]
+    db.close()
+
+
+class _LockCheckedIds(LSMBackend):
+    """``_next_table_id`` may be read or written only under ``_lock``
+    once the engine is up."""
+
+    checking = False
+
+    @property
+    def _next_table_id(self):
+        assert not self.checking or self._lock._is_owned(), (
+            "table id read outside the engine lock")
+        return self._table_id
+
+    @_next_table_id.setter
+    def _next_table_id(self, value):
+        assert not self.checking or self._lock._is_owned(), (
+            "table id written outside the engine lock")
+        self._table_id = value
+
+
+def test_table_ids_are_allocated_under_the_engine_lock(tmp_path):
+    """A flush (on the worker) and a manual compaction (on the caller's
+    thread) both take their table names under the lock, so they can
+    never be handed one name."""
+    db = _LockCheckedIds(str(tmp_path / "db"), compaction_trigger=8)
+    db.checking = True
+    try:
+        for round_ in range(3):
+            db.put_multi([(b"k%d-%d" % (round_, i), b"v") for i in range(20)])
+            db.flush_memtable()
+        db.compact()
+        db.drain()
+        names = [os.path.basename(t.path) for t in db._sstables]
+        assert names == ["sst-000003.tbl"]
+        assert len(db) == 60
+    finally:
+        db.close()
+
+
+def table_entries(seed: int, n: int) -> list:
+    """``n`` sorted table entries drawn from ``seed``: tombstones, empty
+    values, values larger than a block, and keys up to 700 bytes, so
+    entries straddle block boundaries."""
+    rng = random.Random(seed)
+    entries: dict = {}
+    while len(entries) < n:
+        key = b"ev%08d#" % rng.randrange(10 ** 8) + rng.randbytes(
+            rng.choice([0, 3, 40, 700]))
+        kind = rng.random()
+        if kind < 0.15:
+            value = None
+        elif kind < 0.25:
+            value = b""
+        elif kind < 0.3:
+            value = rng.randbytes(rng.randrange(4097, 9000))
+        else:
+            value = rng.randbytes(rng.randrange(1, 300))
+        entries[key] = value
+    return sorted(entries.items())
+
+
+#: (seed, entries) -> sha256 of the table file, pinned from the writer
+#: that hashed each key into the filter as it went and asked the file
+#: for every block's offset
+TABLE_SHA256 = {
+    (1, 0): "dcb301deaa3766ef7489ef2962b0197ea222ce0a6095a7043695c8bd21787f95",
+    (2, 1): "b939813c496a09138c7dca27d877eacafdada208e31d4f52114b4321cb9e56ef",
+    (3, 57): "d1602c53db73a24dedb541270c54b12bf9848de28b457cb312f1519404fed790",
+    (4, 900): "2aca7fcb4da1abf370bb83fd823450be4178d5b35fd6112f9e0185a653df7442",
+}
+
+
+@pytest.mark.parametrize("seed,n", sorted(TABLE_SHA256))
+def test_table_bytes_are_pinned(tmp_path, seed, n):
+    entries = table_entries(seed, n)
+    path = str(tmp_path / "t.tbl")
+    blocks: list = []
+    written = lsm_module.SSTable.write(path, iter(entries), n,
+                                       should_abort=lambda: False,
+                                       on_block=blocks.append)
+    with open(path, "rb") as f:
+        data = f.read()
+    assert hashlib.sha256(data).hexdigest() == TABLE_SHA256[seed, n]
+    table = lsm_module.SSTable(path)
+    try:
+        assert blocks == list(range(len(table.blocks)))
+        assert written == table.size_bytes
+        assert list(table.scan()) == entries
+        for key, value in entries[::7]:
+            assert table.get(key) == (True, value)
+    finally:
+        table.close()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 100, 1000, 10 ** 4])
+def test_bloom_fill_equals_adding_key_by_key(n):
+    from repro.yokan.backends.lsm import BloomFilter
+
+    rng = random.Random(n)
+    keys = [rng.randbytes(rng.randrange(0, 40)) for _ in range(n)]
+    reference = BloomFilter.for_capacity(n)
+    for key in keys:
+        reference.add(key)
+    filled = BloomFilter.for_capacity(n)
+    filled.add_digests(b"".join(
+        hashlib.blake2b(key, digest_size=16).digest() for key in keys))
+    assert filled.num_bits == reference.num_bits
+    assert filled.to_bytes() == reference.to_bytes()
+
+
+@pytest.mark.parametrize("num_bits,num_hashes", [(64, 4), (1009, 7),
+                                                 (10 ** 6 + 3, 4)])
+def test_bloom_fill_reduces_before_it_sums(num_bits, num_hashes):
+    """Digest halves near 2**64 would wrap a ``uint64`` sum; reduced mod
+    ``num_bits`` first they set the bits exact integer arithmetic does."""
+    from repro.yokan.backends.lsm import BloomFilter
+
+    halves = [(2 ** 64 - 1, 2 ** 64 - 1), (2 ** 64 - 2, 2 ** 63 + 5),
+              (0, 0), (2 ** 63, 2 ** 64 - 3)]
+    digests = b"".join(h1.to_bytes(8, "little") + h2.to_bytes(8, "little")
+                       for h1, h2 in halves)
+    filled = BloomFilter(num_bits, num_hashes)
+    filled.add_digests(digests)
+    expected = bytearray((num_bits + 7) // 8)
+    for h1, h2 in halves:
+        h2 |= 1
+        for i in range(num_hashes):
+            pos = (h1 + i * h2) % num_bits
+            expected[pos >> 3] |= 1 << (pos & 7)
+    assert bytes(filled._bits) == bytes(expected)
+    for h1, h2 in halves:
+        assert filled.contains_hashed(h1, h2 | 1)
+    probes = np.frombuffer(digests, dtype="<u8").reshape(-1, 2)
+    m = np.uint64(num_bits)
+    assert probes.dtype == np.uint64
+    assert ((probes[:, 0] % m + np.uint64(num_hashes - 1)
+             * ((probes[:, 1] | np.uint64(1)) % m)) // m
+            < np.uint64(num_hashes)).all()

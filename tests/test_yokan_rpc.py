@@ -341,6 +341,44 @@ def test_bulk_verb_blocking_equals_nonblocking(verb, condition):
         assert stored.items() >= dict(FRESH).items()
 
 
+@pytest.mark.parametrize("verb", ["get_multi", "load_prefix_packed",
+                                  "scan_columns"])
+def test_an_undersized_landing_is_answered_in_part(verb, monkeypatch):
+    """A landing buffer that holds some of the items asked gets those
+    and the size the rest needs; the client asks again for the rest
+    only, and the answer is the one a large enough buffer gets."""
+    args, _sized, _empty = BULK_VERBS[verb]
+    asked = len(args[0])
+    pushed = []
+    real = YokanProvider._push_back
+
+    def spy(self, req, bulk, buffer, count, needed):
+        pushed.append((len(buffer), count, needed))
+        return real(self, req, bulk, buffer, count, needed)
+
+    monkeypatch.setattr(YokanProvider, "_push_back", spy)
+
+    def run(size_hint):
+        fabric, _provider, _client, db = make_world()
+        db.put_multi(STORED)
+        pushed.clear()
+        fabric.stats.reset()
+        answer = plain(getattr(db, verb)(*args, size_hint))
+        return answer, fabric.stats.rpc_count, list(pushed)
+
+    whole, rpcs, answers = run(1 << 16)
+    assert (rpcs, [count for _, count, _ in answers]) == (1, [asked])
+    (size, _count, needed), = answers
+    assert needed == 0
+    part, rpcs, answers = run(size // 2)
+    assert part == whole
+    assert rpcs == len(answers) >= 2
+    assert 0 < answers[0][1] < asked and answers[0][0] <= size // 2
+    assert sum(count for _, count, _ in answers) == asked, (
+        "an answered item was asked again")
+    assert answers[-1][2] == 0
+
+
 # -- the request path as a table ----------------------------------------------
 # Every verb is served by one wrapper (open -> admit -> run -> close), so
 # what a request comes back as may depend on the verb and on the request,
