@@ -1,12 +1,13 @@
 """Client-side access to remote Yokan databases.
 
 Every RPC travels as one flat message of its fields
-(:func:`repro.yokan.wire.encode`) sealed with a CRC32 envelope and
-issued under the client's :class:`~repro.faults.RetryPolicy`: transient
-failures -- fabric drops, provider-crash address errors, per-call
-timeouts, and wire corruption -- are retried with exponential backoff
-until the policy's attempt or deadline budget runs out.  All Yokan
-operations are idempotent, so retrying is always safe.
+(:func:`repro.yokan.wire.encode`), never an archive, sealed with a
+CRC32 envelope and issued under the client's
+:class:`~repro.faults.RetryPolicy`: transient failures -- fabric
+drops, provider-crash address errors, per-call timeouts, and wire
+corruption -- are retried with exponential backoff until the policy's
+attempt or deadline budget runs out.  All Yokan operations are
+idempotent, so retrying is always safe.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.errors import (
 from repro.faults.retry import RetryPolicy
 from repro.mercury import Address, Bulk, Engine
 from repro.monitor import tracing as _tracing
-from repro.serial import columnar as _columnar
 from repro.yokan import packed, wire
 from repro.yokan.nonblocking import OperationFuture, _ResizeNeeded
 
@@ -60,26 +60,6 @@ def _unwrap(response: bytes):
             exc.retry_after_s = float(decoded[3])
         raise exc
     raise YokanError(f"{kind}: {message}")
-
-
-def _concat(parts: list) -> list:
-    """The answers of a list verb's requests, in item order."""
-    return [item for part in parts for item in part]
-
-
-def _merge_column_pages(parts: list) -> tuple:
-    """The ``(statuses, blocks)`` of one column page from those of the
-    requests that answered its items, in item order: each field's
-    blocks are decoded at their row counts and packed again as one."""
-    statuses = [s for part, _blocks in parts for s in part]
-    rows = [sum(s for s in part if type(s) is int) for part, _blocks in parts]
-    blocks = []
-    for f, block in enumerate(parts[0][1]):
-        columns = [{f: _columnar.column_from_block(*part_blocks[f], n)}
-                   for (_part, part_blocks), n in zip(parts, rows) if n]
-        blocks.append(_columnar.pack_field_column(columns, f) if columns
-                      else block)
-    return statuses, blocks
 
 
 def frame_put_multi(engine: Engine, name: str,
@@ -219,10 +199,6 @@ class DatabaseHandle:
         return self._call("yokan.erase_multi", (self.name, keys),
                           keys=len(keys))
 
-    def sync(self, checkpoint: bool = False) -> dict:
-        """Drain this provider's replica links and flush its backends."""
-        return self._call("yokan.sync", ({"checkpoint": checkpoint},))
-
     def __len__(self) -> int:
         return self._call("yokan.length", (self.name,))
 
@@ -261,8 +237,7 @@ class DatabaseHandle:
                 if future.retries:
                     sp.set_tag("retries", future.retries)
 
-    def _landing(self, rpc: str, items: list, frame, decode, merge,
-                 capacity: int):
+    def _landing(self, rpc: str, items: list, frame, decode, capacity: int):
         """The landing-buffer protocol every bulk read shares.
 
         Returns the ``(issue, finish)`` pair of an
@@ -273,8 +248,9 @@ class DatabaseHandle:
         push may land long after issue) stay pinned in the closure.  The
         provider answers the leading items that fit, their count and
         the size a request for the rest needs; the rest is re-issued at
-        that size, outside the retry budget, and ``merge`` joins the
-        answers of all the requests in item order.  The pushed bytes are
+        that size, outside the retry budget, and the answers of all the
+        requests are joined in item order (a column page is answered all
+        or none, so it never joins).  The pushed bytes are
         CRC-verified before ``decode(view, count)`` sees them, inside
         the retirement loop, so a corrupted push re-issues the RPC.  The
         decoded values are zero-copy views that keep their buffer
@@ -300,20 +276,14 @@ class DatabaseHandle:
                 wire.verify_bulk(view, crc, f"{rpc} landing buffer")
                 part = decode(view, count)
                 if state["start"] + count == len(items):
-                    return merge(parts + [part]) if parts else part
+                    return ([item for done in parts for item in done] + part
+                            if parts else part)
                 parts.append(part)
                 state["start"] += count
             state["capacity"] = needed
             raise _ResizeNeeded()
 
         return issue, finish
-
-    def _get_multi_ops(self, keys: list, size_hint: int):
-        return self._landing(
-            "yokan.get_multi", keys,
-            lambda asked, bulk, capacity: (self.name, asked, bulk, capacity),
-            packed.unpack_values, _concat,
-            size_hint or (64 * len(keys) + 1024))
 
     def get_multi_nb(self, keys: Sequence[bytes], size_hint: int = 0,
                      *, dispatch: bool = True) -> OperationFuture:
@@ -326,48 +296,16 @@ class DatabaseHandle:
         description = f"get_multi[{len(keys)}]@{self.name}"
         if not keys:
             return OperationFuture.completed([], description)
-        return self._future(*self._get_multi_ops(keys, size_hint),
-                            description, dispatch=dispatch)
+        issue, finish = self._landing(
+            "yokan.get_multi", keys,
+            lambda asked, bulk, capacity: (self.name, asked, bulk, capacity),
+            packed.unpack_values, size_hint or (64 * len(keys) + 1024))
+        return self._future(issue, finish, description, dispatch=dispatch)
 
     def get_multi(self, keys: Sequence[bytes],
                   size_hint: int = 0) -> list[Optional[bytes]]:
         return self._wait("get_multi", self.get_multi_nb(
             keys, size_hint, dispatch=False))
-
-    def get_nb(self, key: bytes, *, dispatch: bool = True
-               ) -> OperationFuture:
-        """Non-blocking :meth:`get`: forward now, retire later.
-
-        Resolves to the value bytes.  A value above
-        :attr:`BULK_THRESHOLD` switches to the ``get_multi`` bulk
-        protocol on re-issue, exactly like the blocking two-phase
-        ``get``; retirement runs under the client's retry policy.
-        """
-        key = bytes(key)
-        handle = self._handle("yokan.get")
-        payload = self._seal(wire.encode(
-            (self.name, key, self.BULK_THRESHOLD)))
-        bulk_arm: list = []  # the get_multi (issue, finish) once "large"
-
-        def issue():
-            if bulk_arm:
-                return bulk_arm[0][0]()
-            return handle.iforward(payload, self.provider_id)
-
-        def finish(raw):
-            if bulk_arm:
-                (value,) = bulk_arm[0][1](raw)
-                if value is None:
-                    raise KeyNotFound(repr(key))
-                return value
-            result = _unwrap(raw)
-            if isinstance(result, tuple) and result and result[0] == "large":
-                bulk_arm.append(self._get_multi_ops([key], result[1] + 64))
-                raise _ResizeNeeded()
-            return result
-
-        return self._future(issue, finish, f"get@{self.name}",
-                            dispatch=dispatch)
 
     def load_prefix_packed_nb(self, prefixes: Sequence[bytes],
                               size_hint: int = 0, *, dispatch: bool = True
@@ -392,7 +330,7 @@ class DatabaseHandle:
         issue, finish = self._landing(
             "yokan.load_prefix_packed", prefixes,
             lambda asked, bulk, capacity: (self.name, asked, bulk, capacity),
-            packed.unpack_groups, _concat, size_hint or (256 * len(prefixes)))
+            packed.unpack_groups, size_hint or (256 * len(prefixes)))
         return self._future(issue, finish, description, dispatch=dispatch)
 
     def load_prefix_packed(self, prefixes: Sequence[bytes],
@@ -414,11 +352,14 @@ class DatabaseHandle:
         row count when columnar, raw value ``memoryview`` fallback) and
         one ``(dtype_str, payload)`` block per field.  Values without a
         column plan travel row-wise, so projection narrows the data but
-        never changes it.  The datastore issues one of these per
+        never changes it.  The field names travel as a key list of their
+        UTF-8 bytes.  A page is answered all or none: one that outgrows
+        the buffer comes back with no item and its exact size, and is
+        asked again whole.  The datastore issues one of these per
         involved shard so projections fan out concurrently.
         """
         prefixes = [bytes(p) for p in prefixes]
-        fields = [str(f) for f in fields]
+        fields = [str(f).encode() for f in fields]
         description = f"scan_columns[{len(prefixes)}]@{self.name}"
         if not prefixes:
             return OperationFuture.completed(
@@ -430,7 +371,6 @@ class DatabaseHandle:
                                            bulk, capacity),
             lambda view, count: packed.unpack_column_page(
                 view, count, len(fields)),
-            _merge_column_pages,
             size_hint or (64 * len(prefixes) * max(1, len(fields))))
         return self._future(issue, finish, description, dispatch=dispatch)
 
@@ -488,7 +428,8 @@ class DatabaseHandle:
         if not pairs and not keys:
             return OperationFuture.completed((0, 0), description)
         handle = self._handle("yokan.replicate")
-        payload = self._seal(wire.encode((self.name, pairs, keys)))
+        payload = self._seal(wire.encode((
+            self.name, [k for k, _ in pairs], [v for _, v in pairs], keys)))
 
         def issue():
             return handle.iforward(payload, self.provider_id)
@@ -592,11 +533,14 @@ class YokanClient:
 
     def list_databases(self, target: Union[str, Address],
                        provider_id: int = 0) -> list[str]:
-        return self._admin_call(target, "yokan.list_databases", (),
-                                provider_id)
+        names = self._admin_call(target, "yokan.list_databases", (),
+                                 provider_id)
+        return [name.decode() for name in names]
 
     def sync(self, target: Union[str, Address], provider_id: int = 0,
              checkpoint: bool = False) -> dict:
-        """Drain a provider's replica links and flush its backends."""
-        return self._admin_call(target, "yokan.sync",
-                                ({"checkpoint": checkpoint},), provider_id)
+        """Drain a provider's replica links and flush its backends;
+        ``checkpoint`` snapshots each durable backend instead."""
+        drained, checkpointed = self._admin_call(
+            target, "yokan.sync", (bool(checkpoint),), provider_id)
+        return {"drained": drained, "checkpointed": checkpointed}

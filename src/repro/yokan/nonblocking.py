@@ -4,7 +4,7 @@ The single-item verbs of :class:`~repro.yokan.client.DatabaseHandle`
 (``get`` / ``put`` / ``exists`` / ``erase`` / ``list_keys``) forward an
 RPC and drive the fabric until the response arrives.  Every *bulk* verb
 (``get_multi`` / ``load_prefix_packed`` / ``scan_columns`` /
-``put_multi`` / ``replicate``, plus ``get_nb``) is instead defined once,
+``put_multi`` / ``replicate``) is instead defined once,
 as its ``_nb`` form: it issues the Mercury forward immediately and
 hands back an :class:`OperationFuture`; the caller overlaps its own
 work with the in-flight request and *retires* the future later with
@@ -14,8 +14,8 @@ for at once.
 Retirement is the one fault-handling path those verbs have: the
 client's :class:`~repro.faults.RetryPolicy` governs re-issues after
 transient transport failures (drops, provider crashes, timeouts, wire
-corruption), a landing buffer answered in part re-issues for the rest
-transparently, and retry / give-up metrics land in the same counters
+corruption), a landing buffer too small for its answer re-issues for
+what is left transparently, and retry / give-up metrics land in the same counters
 as the single-item verbs'.
 A future is therefore exactly as fault-tolerant as a blocking call --
 it just lets the latency hide behind computation (the paper's core

@@ -12,7 +12,8 @@ stream it without object overhead:
 A ``get_multi`` answer is one ``uvarint(len + 1) + value`` item per key
 (``0`` for an absent key).  Both are packed one item at a time by
 :func:`pack_leading`, which stops at the first item that does not fit
-the client's landing buffer.
+the client's landing buffer.  A ``scan_columns`` answer is one column
+page (:func:`pack_column_page`), answered whole or not at all.
 
 :func:`unpack_groups` returns values as ``memoryview`` slices over the
 caller's buffer -- the landing buffer is decoded zero-copy and the
@@ -209,19 +210,6 @@ COL_ROWS = 1      # columnar: followed by uvarint(row count)
 COL_RAW = 2       # row-wise fallback: followed by uvarint(len) + value
 
 
-def _uvarint_size(value: int) -> int:
-    return max(1, (value.bit_length() + 6) // 7)
-
-
-def column_status_size(status) -> int:
-    """Bytes one status takes in a column page."""
-    if status is None:
-        return 1
-    if isinstance(status, int):
-        return 1 + _uvarint_size(status)
-    return 1 + _uvarint_size(len(status)) + len(status)
-
-
 def pack_column_page(statuses: Sequence, blocks: Sequence[Tuple[str, bytes]]
                      ) -> bytearray:
     """Pack one ``scan_columns`` response page.
@@ -304,5 +292,5 @@ def unpack_column_page(buffer, nprefixes: int, nfields: int
 
 __all__ = ["append_group", "pack_groups", "unpack_groups",
            "append_value", "unpack_values", "pack_leading",
-           "column_status_size", "pack_column_page", "unpack_column_page",
+           "pack_column_page", "unpack_column_page",
            "COL_ABSENT", "COL_RAW", "COL_ROWS"]

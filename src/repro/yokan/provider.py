@@ -5,14 +5,16 @@ One provider manages any number of named databases and is addressed by
 RPC payloads; batched operations (``put_multi``, ``get_multi``) move
 their data with RDMA-style bulk transfers, matching the paper's
 "RPC for single small objects, RDMA for large objects or batches".
+Every request and answer is one flat :mod:`repro.yokan.wire` message,
+so a request off the network never reaches the product archive's
+decoder; a landing read answers what fits its client's buffer, and a
+column page all or none.
 """
 
 from __future__ import annotations
 
 import threading
-from bisect import bisect_right
 from collections import deque
-from itertools import accumulate
 from typing import Optional
 
 from repro.argobots import Pool, ult_yield
@@ -290,9 +292,10 @@ class YokanProvider:
 
         The server half of the client's ``_landing`` protocol.  A
         landing verb answers the leading ``count`` items it was asked
-        that fit the client's buffer, packed in ``buffer``, and
-        ``needed``: 0 when that is every item, else the buffer size a
-        request for the rest should offer.  An answer of no item pushes
+        that fit the client's buffer (a column page: all of them or
+        none), packed in ``buffer``, and ``needed``: 0 when that is
+        every item, else the buffer size a request for the rest should
+        offer.  An answer of no item pushes
         nothing; otherwise one RDMA push.  Either way the answer is
         ``(count, needed, length, crc)`` -- the client verifies its
         landing buffer against the CRC before decoding, retrying the
@@ -424,7 +427,8 @@ class YokanProvider:
         """Materialize requested columns server-side; push one page back.
 
         The request names a database, a key list of container prefixes,
-        the product-key suffix (label + type name) and a field list.
+        the product-key suffix (label + type name) and a key list of
+        UTF-8 field names (one that is not UTF-8 is refused).
         For every prefix whose product is a typed table, or decodes to
         a homogeneous list of planned products, only the requested
         columns travel; anything else travels row-wise in place (a
@@ -432,45 +436,18 @@ class YokanProvider:
         what the client reconstructs.  Always from what the backend
         holds now (a projection that keeps no state cannot be stale).
         """
-        fields = [str(f) for f in fields]
-        suffix = bytes(suffix)
+        fields = [str(field, "utf-8") for field in fields]
         values = self._db(req, name).get_multi(
-            [bytes(p) + suffix for p in prefixes])
-        statuses, blocks = self._project(values, fields)
-        page = packed.pack_column_page(statuses, blocks)
-        count, needed = len(values), 0
-        if len(page) > capacity and values:
-            page, count, needed = self._leading_columns(
-                values, fields, statuses, blocks, len(page), capacity)
+            [prefix + suffix for prefix in prefixes])
+        page = packed.pack_column_page(*self._project(values, fields))
         if req.trace_span is not None:
             req.trace_span.set_tag("prefixes", len(values))
             req.trace_span.set_tag("fields", len(fields))
-        return self._push_back(req, bulk, page, count, needed)
-
-    def _leading_columns(self, values: list, fields: list, statuses: list,
-                         blocks: list, size: int, capacity: int) -> tuple:
-        """``(page, count, needed)`` for a column page of ``size`` bytes
-        that outgrew ``capacity``: the page of the leading whole items
-        that fit, as :func:`~repro.yokan.packed.pack_leading` answers.
-
-        Each item costs its status plus its rows at the page's mean
-        bytes per row -- exact for numeric blocks, whose first guess
-        therefore fits; a guess that does not is shrunk and projected
-        again.
-        """
-        rows = [s if type(s) is int else 0 for s in statuses]
-        row_bytes = sum(len(p) for _, p in blocks) / max(1, sum(rows))
-        costs = list(accumulate(packed.column_status_size(s) + n * row_bytes
-                                for s, n in zip(statuses, rows)))
-        count = bisect_right(costs, capacity - (size - costs[-1]))
-        while count:
-            page = packed.pack_column_page(
-                *self._project(values[:count], fields))
-            if len(page) <= capacity:
-                # the rest: what this page left out, its blocks' headers
-                return page, count, size - len(page) + 32 * (len(fields) + 1)
-            count -= max(1, count // 8)
-        return b"", 0, size
+        # All or none: the page is projected whole before its size is
+        # known, so answering part of it would save no work.
+        if len(page) > capacity:
+            return self._push_back(req, bulk, b"", 0, len(page))
+        return self._push_back(req, bulk, page, len(values), 0)
 
     def _rpc_exists(self, req: RPCRequest, name, key) -> bool:
         return self._db(req, name).exists(key)
@@ -491,41 +468,43 @@ class YokanProvider:
                        limit) -> list:
         return self._db(req, name).list_keys(prefix, start_after, limit)
 
-    def _rpc_replicate(self, req: RPCRequest, name, pairs,
+    def _rpc_replicate(self, req: RPCRequest, name, keys, values,
                        erase_keys) -> tuple:
         """Apply mutations forwarded by a primary (or a re-sync).
 
         Unlike ``put``/``erase`` this never re-forwards, so replica
         chains cannot loop; erases of absent keys are skipped because a
-        forward may arrive after a re-sync already applied it.
+        forward may arrive after a re-sync already applied it.  Key and
+        value lists of different lengths are refused, not paired short.
         """
         db = self._db(req, name)
-        pairs = [(bytes(k), bytes(v)) for k, v in pairs]
-        erase_keys = [bytes(k) for k in erase_keys]
+        pairs = list(zip(keys, values, strict=True))
         stored = db.put_multi(pairs) if pairs else 0
         removed = db.erase_multi(erase_keys) if erase_keys else 0
         if req.trace_span is not None:
             req.trace_span.set_tag("keys", len(pairs) + len(erase_keys))
         return stored, removed
 
-    def _rpc_sync(self, req: RPCRequest, options) -> dict:
+    def _rpc_sync(self, req: RPCRequest, checkpoint) -> tuple:
         """Make the provider durable *now*: drain replicas, flush WALs.
 
-        Options: ``{"checkpoint": true}`` additionally snapshots every
-        durable backend (truncating its WAL).  The datastore broadcasts
-        this on epoch swaps so no replicated write is still in flight
-        when a migration commits.
+        ``checkpoint`` snapshots every durable backend instead of
+        flushing it (truncating its WAL).  Answers ``(drained,
+        checkpointed)``.  The datastore broadcasts this on epoch swaps
+        so no replicated write is still in flight when a migration
+        commits.
         """
-        options = dict(options)
+        if checkpoint.__class__ is not bool:
+            raise YokanError(f"sync takes a bool, not {checkpoint!r}")
         drained = self.flush_replication()
         checkpointed = 0
         for backend in self.databases.values():
-            if options.get("checkpoint") and backend.durable:
+            if checkpoint and backend.durable:
                 backend.checkpoint()
                 checkpointed += 1
             else:
                 backend.flush()
-        return {"drained": drained, "checkpointed": checkpointed}
+        return drained, checkpointed
 
     def _rpc_list_databases(self, req: RPCRequest) -> list:
-        return sorted(self.databases)
+        return [name.encode() for name in sorted(self.databases)]

@@ -21,9 +21,11 @@ payload decode on requests it is about to shed -- and anonymous
 byte-identical to previous releases.
 
 Inside the seal, every request and answer is one *message*, a tuple of
-fields in the flat layout of :func:`encode` / :func:`decode`.  Products
-and landing-buffer bodies keep the archive format of
-:mod:`repro.serial`.
+fields in the flat layout of :func:`encode` / :func:`decode`; a field
+of no kind the layout has is refused at encode.  Only products keep the
+archive format of :mod:`repro.serial`, and landing-buffer bodies the
+framing of :mod:`repro.yokan.packed`: nothing off the network reaches
+the archive decoder through this module.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from typing import NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigError, CorruptionError, SerializationError
 from repro.mercury.bulk import Bulk, lookup_region
-from repro.serial import dumps, loads
 
 _CRC_SIZE = 4
 
@@ -94,7 +95,7 @@ def unseal(envelope) -> memoryview:
 
     Returns a ``memoryview`` over the envelope's body -- no copy.  The
     view keeps the envelope's buffer alive, and feeds straight into the
-    positional decoder (:func:`repro.serial.loads`).
+    message decoder (:func:`decode`).
     """
     view = (envelope if envelope.__class__ is memoryview
             else memoryview(envelope))
@@ -210,25 +211,24 @@ def unwrap_tenant(payload) -> Tuple[Optional[TenantEnvelope], memoryview]:
 #
 # ``u8 field count | a kind byte per field | fixed part | variable part``.
 # The fixed part is one ``struct`` layout per signature: int64, double and
-# bool in place, a bulk descriptor's id, the length of a bytes-like value,
-# a string or an archive *escape* (anything else: a dict, a list that is
-# not all bytes-like, an int outside int64), a key list's count and blob
-# size; ``None`` takes no space.  The variable part holds what those
-# lengths measure, in field order.  Like Mercury's generated ``hg_proc``
-# routines, each signature gets a straight-line encoder and decoder,
-# compiled once; the decoder checks every length against the bytes it
-# has before it allocates, and refuses a malformed message with a
-# ``SerializationError``.
+# bool in place, a bulk descriptor's id, the length of a bytes-like value
+# or a string, a key list's count and blob size; ``None`` takes no space.
+# The variable part holds what those lengths measure, in field order.
+# Nothing else has a kind: a dict, a tuple, a list that is not all
+# bytes-like or an int outside int64 is a ``SerializationError`` at
+# encode.  Like Mercury's generated ``hg_proc`` routines, each signature
+# gets a straight-line encoder and decoder, compiled once; the decoder
+# checks every length against the bytes it has before it allocates, and
+# refuses a malformed message with a ``SerializationError``.
 
-#: status, the first field of every answer.  No answer carries
-#: ``RETRY`` any more (an undersized landing buffer is an ``OK`` answer
-#: of the items that fit); the code stays reserved.
-OK, RETRY, ERR = 0, 1, 2
+#: status, the first field of every answer
+OK, ERR = 0, 2
 
 #: kind code -> its ``struct`` codes in the fixed part
 _FIXED = {"b": "I", "s": "I", "q": "q", "d": "d", "n": "", "?": "?",
-          "k": "II", "u": "Q", "e": "I"}
-#: exact class -> kind; any other class is escaped
+          "k": "II", "u": "Q"}
+_BYTES_LIKE = (bytes, bytearray, memoryview)
+#: exact class -> kind
 _KIND_OF = {bytes: "b", bytearray: "b", memoryview: "b", str: "s",
             int: "q", float: "d", type(None): "n", bool: "?", list: "k",
             Bulk: "u"}
@@ -268,24 +268,21 @@ def decode(body) -> tuple:
 
 
 def _kind(value) -> str:
-    kind = _KIND_OF.get(type(value), "e")
-    if kind == "q" and not -1 << 63 <= value < 1 << 63:
-        return "e"
-    if kind == "k" and not all(type(key) in (bytes, bytearray, memoryview)
-                               for key in value):
-        return "e"
+    kind = _KIND_OF.get(type(value))
+    if kind is None or (kind == "q" and not -1 << 63 <= value < 1 << 63) or (
+            kind == "k" and not all(type(key) in _BYTES_LIKE
+                                    for key in value)):
+        raise SerializationError(
+            f"no message field holds {type(value).__name__} {value!r:.60}")
     return kind
 
 
 def _encode_exactly(fields: tuple) -> bytes:
-    signature = "".join(map(_kind, fields))
-    head = bytes([len(fields)]) + signature.encode("ascii")
+    head = bytes([len(fields)]) + "".join(map(_kind, fields)).encode("ascii")
     encoder = (_CODECS.get(head) or _compile(head))[0]
-    classes = tuple(map(type, fields))
-    if signature == "".join(_KIND_OF.get(c, "e") for c in classes):
-        if len(_ENCODERS) >= _CACHE_MAX:
-            _ENCODERS.clear()
-        _ENCODERS[classes] = encoder
+    if len(_ENCODERS) >= _CACHE_MAX:
+        _ENCODERS.clear()
+    _ENCODERS[tuple(map(type, fields))] = encoder
     return encoder(fields)
 
 
@@ -313,15 +310,13 @@ def _compile(head: bytes) -> tuple:
             end = f"p{i} + 4 * c{i} + a{i}"
         elif kind != "n":  # a length, then that many bytes
             src.append(f"    p{i} = {end}")
-            enc.append(f"t{i} = " + {"b": v, "s": f"{v}.encode()",
-                                     "e": f"dumps({v})"}[kind])
+            enc.append(f"t{i} = " + (f"{v}.encode()" if kind == "s" else v))
             packs.append(f"len(t{i})")
             tail.append(f"t{i}")
             slots.append(f"a{i}")
             data = f"view[p{i}:p{i} + a{i}]"
-            reads.append(f"{f} = " + {"b": f"{data}.tobytes()",
-                                      "s": f"str({data}, 'utf-8')",
-                                      "e": f"escaped({data})"}[kind])
+            reads.append(f"{f} = " + (f"str({data}, 'utf-8')" if kind == "s"
+                                      else f"{data}.tobytes()"))
             end = f"p{i} + a{i}"
     if slots:
         src.insert(3, f"    {', '.join(slots)}, = UNPACK(view, {len(head)})")
@@ -340,8 +335,8 @@ def _compile(head: bytes) -> tuple:
             f"    return {body}"]
     ns = {"PACK": struct.Struct(f"<{len(head)}s{fixed}").pack,
           "UNPACK": struct.Struct("<" + fixed).unpack_from, "HEAD": head,
-          "dumps": dumps, "u32s": _u32s, "keys": _keys, "escaped": _escaped,
-          "bulk": _bulk, "SerializationError": SerializationError}
+          "u32s": _u32s, "keys": _keys, "bulk": _bulk,
+          "SerializationError": SerializationError}
     exec("\n".join(src), ns)
     if len(_CODECS) >= _CACHE_MAX:
         _CODECS.clear()
@@ -363,15 +358,6 @@ def _keys(view: memoryview, at: int, count: int, size: int) -> list:
     return [blob[a:b] for a, b in zip(offsets, offsets[1:])]
 
 
-def _escaped(view: memoryview):
-    try:
-        return loads(view)
-    except SerializationError:
-        raise
-    except Exception as exc:  # a damaged archive fails in many ways
-        raise SerializationError(f"malformed escaped value: {exc!r}") from None
-
-
 def _bulk(bulk_id: int) -> Bulk:
     region = lookup_region(bulk_id)
     if region is None:
@@ -380,7 +366,7 @@ def _bulk(bulk_id: int) -> Bulk:
 
 
 __all__ = ["checksum", "seal", "unseal", "verify_bulk", "encode", "decode",
-           "OK", "RETRY", "ERR",
+           "OK", "ERR",
            "TenantEnvelope", "tenant_prefix", "wrap_tenant", "unwrap_tenant",
            "priority_code", "priority_name",
            "PRIORITY_INTERACTIVE", "PRIORITY_BATCH"]

@@ -12,7 +12,7 @@ import weakref
 import pytest
 
 from repro.bedrock import BedrockServer, default_hepnos_config
-from repro.errors import KeyNotFound, OperationCancelled
+from repro.errors import OperationCancelled, YokanError
 from repro.faults import FaultModel, FaultSchedule, RetryPolicy
 from repro.hepnos import (
     AsyncEngine,
@@ -65,8 +65,8 @@ class TestOperationFuture:
         _, _, _, db = world
         put = db.put_multi_nb([(b"k1", b"v1"), (b"k2", b"v2")])
         assert put.wait() == 2
-        get = db.get_nb(b"k1")
-        assert get.wait() == b"v1"
+        get = db.get_multi_nb([b"k1"])
+        assert get.wait() == [b"v1"]
 
     def test_get_multi_nb_alignment(self, world):
         _, _, _, db = world
@@ -74,30 +74,25 @@ class TestOperationFuture:
         future = db.get_multi_nb([b"k3", b"missing", b"k5"])
         assert future.wait() == [b"v3", None, b"v5"]
 
-    def test_large_value_switches_to_bulk(self, world):
-        _, _, _, db = world
-        big = b"x" * 100_000  # far past the inline threshold
-        db.put(b"big", big)
-        assert db.get_nb(b"big").wait() == big
-
-    def test_missing_key_raises_on_wait(self, world):
-        _, _, _, db = world
-        future = db.get_nb(b"nope")
-        with pytest.raises(KeyNotFound):
+    def test_unknown_database_raises_on_wait(self, world):
+        _, _, client, _ = world
+        future = client.database_handle(
+            "sm://server/0", 1, "nope").get_multi_nb([b"k"])
+        with pytest.raises(YokanError, match="no database"):
             future.wait()
         assert future.done
-        assert isinstance(future.exception, KeyNotFound)
+        assert isinstance(future.exception, YokanError)
 
     def test_test_polls_to_completion(self, world):
         _, _, _, db = world
         db.put(b"k", b"v")
-        future = db.get_nb(b"k")
+        future = db.get_multi_nb([b"k"])
         for _ in range(10_000):
             if future.test():
                 break
         else:
             pytest.fail("future never settled under test() polling")
-        assert future.result == b"v"
+        assert future.result == [b"v"]
 
     def test_then_fires_on_settle_and_immediately_when_done(self, world):
         _, _, _, db = world
@@ -143,9 +138,9 @@ class TestOperationFuture:
                 return True
 
         fabric.fault_model = DropAll()
-        future = db.get_nb(b"k")
+        future = db.get_multi_nb([b"k"])
         fabric.fault_model = FaultModel()  # outage ends before the wait
-        assert future.wait() == b"v"
+        assert future.wait() == [b"v"]
 
 
 class TestAsyncEngineWindow:

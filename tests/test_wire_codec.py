@@ -1,6 +1,9 @@
 """The Yokan message codec (``repro.yokan.wire.encode`` / ``decode``):
-every kind round-trips, and damaged bytes fail one way."""
+every kind round-trips, a field of no kind is refused, damaged bytes
+fail one way, and every verb's layouts are pinned."""
 
+import dataclasses
+import itertools
 import struct
 import tracemalloc
 
@@ -10,8 +13,9 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.errors import SerializationError
-from repro.mercury import Engine, Fabric
-from repro.yokan import wire
+from repro.mercury import Bulk, Engine, Fabric, FaultModel
+from repro.serial import dumps, register_type
+from repro.yokan import MemoryBackend, YokanClient, YokanProvider, wire
 
 ENGINE = Engine(Fabric(), "sm://codec/0")
 BULKS = [ENGINE.expose(bytearray(8)) for _ in range(2)]
@@ -19,15 +23,6 @@ BULKS = [ENGINE.expose(bytearray(8)) for _ in range(2)]
 bytes_like = st.one_of(st.binary(max_size=64),
                        st.binary(max_size=64).map(bytearray),
                        st.binary(max_size=64).map(memoryview))
-#: what the archive escape carries: anything without a kind of its own
-escaped = st.one_of(
-    st.dictionaries(st.text(max_size=8), st.integers(), max_size=4),
-    st.lists(st.tuples(st.binary(max_size=8), st.binary(max_size=8)),
-             min_size=1, max_size=4),
-    st.lists(st.text(max_size=8), min_size=1, max_size=4),
-    st.integers(min_value=1 << 63) | st.integers(max_value=-(1 << 63) - 1),
-    st.tuples(st.integers(), st.text(max_size=8)),
-)
 field = st.one_of(
     bytes_like,
     st.text(max_size=32),
@@ -37,7 +32,6 @@ field = st.one_of(
     st.booleans(),
     st.lists(bytes_like, max_size=8),
     st.sampled_from(BULKS),
-    escaped,
 )
 messages = st.lists(field, max_size=16).map(tuple)
 
@@ -46,8 +40,7 @@ def expected(value):
     """What a field decodes as: every bytes-like value is ``bytes``."""
     if isinstance(value, (bytearray, memoryview)):
         return bytes(value)
-    if type(value) is list and all(
-            isinstance(k, (bytes, bytearray, memoryview)) for k in value):
+    if type(value) is list:
         return [bytes(k) for k in value]
     return value
 
@@ -65,6 +58,25 @@ def test_every_kind_round_trips(fields):
             assert type(a) is type(b)
     for bulk in (f for f in fields if any(f is b for b in BULKS)):
         assert any(g is bulk for g in wire.decode(message))
+
+
+#: values no field kind holds, each with a value of the same class that
+#: has one (``None``: no such value)
+REFUSED = {
+    "a dict": ({"checkpoint": True}, None),
+    "a list of str": (["adc", "n"], [b"adc", b"n"]),
+    "a tuple": ((b"k", b"v"), None),
+    "an int past int64": (1 << 63, 1),
+}
+
+
+@pytest.mark.parametrize("value,alike", REFUSED.values(), ids=REFUSED.keys())
+def test_a_field_of_no_kind_is_refused_at_encode(value, alike):
+    if alike is not None:
+        # the encoder compiled for the same classes is tried first
+        wire.encode(("events", alike))
+    with pytest.raises(SerializationError):
+        wire.encode(("events", value))
 
 
 def decodes_or_refuses(body) -> None:
@@ -135,8 +147,37 @@ def test_malformed_messages_are_serialization_errors(body):
         wire.decode(body)
 
 
-# The point path's request and answer layouts: the wire format may not
-# drift unless this table changes with it.
+# Every verb's request and answer layouts: the wire format may not drift
+# unless this table changes with it.  ``{bulk}`` stands for the id of
+# the message's bulk descriptor.
+BULK = BULKS[0]
+GET_MULTI = (("events", [b"ev/1", b"absent"], BULK, 4096),
+             "04736b757106000000020000000a000000{bulk}0010000000000000"
+             "6576656e7473040000000600000065762f31616273656e74")
+LOAD_PREFIX_PACKED = (
+    ("events", [b"ev/1", b"ev/9"], BULK, 4096),
+    "04736b7571060000000200000008000000{bulk}00100000000000006576656e7473"
+    "040000000400000065762f3165762f39")
+SCAN_COLUMNS = (
+    ("events", [b"ev/1", b"ev/9"], b"#hits", [b"adc", b"n"], BULK, 4096),
+    "06736b626b7571060000000200000008000000050000000200000004000000{bulk}"
+    "00100000000000006576656e7473040000000400000065762f3165762f3923686974"
+    "7303000000010000006164636e")
+PUT_MULTI = (("events", BULK, 12, 0x8D29FD87),
+             "047375717106000000{bulk}0c0000000000000087fd298d00000000"
+             "6576656e7473")
+ERASE_MULTI = (("events", [b"ev/1", b"absent"]),
+               "02736b06000000020000000a0000006576656e74730400000006000000"
+               "65762f31616273656e74")
+LENGTH = (("events",), "0173060000006576656e7473")
+REPLICATE = (
+    ("events", [b"ev/3"], [b"three"], [b"ev/1"]),
+    "04736b6b6b06000000010000000400000001000000050000000100000004000000"
+    "6576656e74730400000065762f330500000074687265650400000065762f31")
+SYNC = ((True,), "013f01")
+LIST_DATABASES = ((), "00")
+
+
 GOLDEN = [
     (("products-0", b"ev/0007", 8192),                     # yokan.get
      "037362710a00000007000000002000000000000070726f64756374732d3065762f"
@@ -155,14 +196,127 @@ GOLDEN = [
     ((wire.OK, b"value"), "02716200000000000000000500000076616c7565"),
     ((wire.OK, False), "02713f000000000000000000"),
     ((wire.OK, None), "02716e0000000000000000"),
-    ((wire.RETRY, 70000), "02717101000000000000007011010000000000"),
+    # a landing answer of no item, naming the buffer the items need
+    ((wire.OK, 0, 70000, 0, 0),
+     "057171717171000000000000000000000000000000007011010000000000000000"
+     "00000000000000000000000000"),
     ((wire.ERR, "KeyNotFound", "b'k'"),
      "0371737302000000000000000b000000040000004b65794e6f74466f756e646227"
      "6b27"),
+    GET_MULTI,
+    # a landing answer: (OK, count, needed, length, crc)
+    ((wire.OK, 2, 0, 5, 0x0A24CF40),
+     "057171717171000000000000000002000000000000000000000000000000050000"
+     "000000000040cf240a00000000"),
+    LOAD_PREFIX_PACKED,
+    ((wire.OK, 2, 0, 70, 0x3E728883),
+     "057171717171000000000000000002000000000000000000000000000000460000"
+     "00000000008388723e00000000"),
+    SCAN_COLUMNS,
+    ((wire.OK, 2, 0, 45, 0x53F56B45),
+     "0571717171710000000000000000020000000000000000000000000000002d0000"
+     "0000000000456bf55300000000"),
+    PUT_MULTI,
+    ((wire.OK, 1), "02717100000000000000000100000000000000"),
+    ERASE_MULTI,
+    ((wire.OK, 1), "02717100000000000000000100000000000000"),
+    LENGTH,
+    ((wire.OK, 2), "02717100000000000000000200000000000000"),
+    REPLICATE,
+    ((wire.OK, 1, 1),
+     "03717171000000000000000001000000000000000100000000000000"),
+    SYNC,
+    ((wire.OK, 0, 0),
+     "03717171000000000000000000000000000000000000000000000000"),
+    LIST_DATABASES,
+    ((wire.OK, [b"events"]),
+     "02716b00000000000000000100000006000000060000006576656e7473"),
 ]
+
+
+def filled(golden: str, bulk_id: int) -> str:
+    return golden.format(bulk=bulk_id.to_bytes(8, "little").hex())
 
 
 @pytest.mark.parametrize("fields,golden", GOLDEN)
 def test_point_path_layouts_are_pinned(fields, golden):
+    golden = filled(golden, BULK.bulk_id)
     assert wire.encode(fields).hex() == golden
     assert wire.decode(bytes.fromhex(golden)) == fields
+
+
+# -- what each verb actually sends ---------------------------------------------
+
+
+@dataclasses.dataclass
+class Hit:
+    adc: float = 0.0
+    n: int = 0
+
+
+register_type(Hit, "codec.Hit")
+STORED = [(b"ev/1", b"one"),
+          (b"ev/1#hits", dumps([Hit(0.5, 1), Hit(2.0, 3)]))]
+
+#: verb -> (a call of it, its request's GOLDEN row)
+SENT = {
+    "yokan.get_multi": (
+        lambda client, db: db.get_multi([b"ev/1", b"absent"], 4096),
+        GET_MULTI),
+    "yokan.load_prefix_packed": (
+        lambda client, db: db.load_prefix_packed([b"ev/1", b"ev/9"], 4096),
+        LOAD_PREFIX_PACKED),
+    "yokan.scan_columns": (
+        lambda client, db: db.scan_columns([b"ev/1", b"ev/9"], b"#hits",
+                                           ["adc", "n"], 4096),
+        SCAN_COLUMNS),
+    "yokan.put_multi": (
+        lambda client, db: db.put_multi([(b"ev/3", b"three")]), PUT_MULTI),
+    "yokan.erase_multi": (
+        lambda client, db: db.erase_multi([b"ev/1", b"absent"]),
+        ERASE_MULTI),
+    "yokan.length": (lambda client, db: len(db), LENGTH),
+    "yokan.replicate": (
+        lambda client, db: db.replicate([(b"ev/3", b"three")], [b"ev/1"]),
+        REPLICATE),
+    "yokan.sync": (
+        lambda client, db: client.sync("sm://server/0", 1, checkpoint=True),
+        SYNC),
+    "yokan.list_databases": (
+        lambda client, db: client.list_databases("sm://server/0", 1),
+        LIST_DATABASES),
+}
+
+
+class Tap(FaultModel):
+    """Records every payload the fabric carries, damaging none."""
+
+    def __init__(self):
+        self.payloads = []
+
+    def corrupt(self, src, dst, payload):
+        self.payloads.append(bytes(payload))
+
+
+@pytest.mark.parametrize("rpc_name", SENT)
+def test_each_verb_sends_its_pinned_layouts(rpc_name, monkeypatch):
+    """The request a verb sends and the answer it gets are the GOLDEN
+    rows that follow each other in the table."""
+    call, request = SENT[rpc_name]
+    fabric = Fabric()
+    YokanProvider(Engine(fabric, "sm://server/0"), provider_id=1,
+                  databases={"events": MemoryBackend()})
+    client = YokanClient(Engine(fabric, "sm://client/0"))
+    db = client.database_handle("sm://server/0", 1, "events")
+    db.put_multi(STORED)
+    fabric.stats.reset()
+    fabric.fault_model = tap = Tap()
+    # the call's first bulk region is its request's descriptor
+    monkeypatch.setattr(Bulk, "_ids", itertools.count(1 << 40))
+    call(client, db)
+    assert fabric.stats.rpc_count == 1
+    sent, got = (bytes(wire.unseal(p)).hex()
+                 for p in (tap.payloads[0], tap.payloads[-1]))
+    row = GOLDEN.index(request)
+    assert sent == filled(request[1], 1 << 40)
+    assert got == GOLDEN[row + 1][1]

@@ -113,8 +113,8 @@ class TestBatchOps:
         fabric, _, _, db = world
         big = bytes(50_000)
         db.put(b"big", big)
-        # Force an undersized landing buffer: the server replies "retry"
-        # with the needed capacity and the second round trip succeeds.
+        # Force an undersized landing buffer: the server answers no item
+        # and the capacity needed, and the second round trip succeeds.
         values = db.get_multi([b"big"], size_hint=16)
         assert values == [big]
 
@@ -346,7 +346,9 @@ def test_bulk_verb_blocking_equals_nonblocking(verb, condition):
 def test_an_undersized_landing_is_answered_in_part(verb, monkeypatch):
     """A landing buffer that holds some of the items asked gets those
     and the size the rest needs; the client asks again for the rest
-    only, and the answer is the one a large enough buffer gets."""
+    only, and the answer is the one a large enough buffer gets.  A
+    column page is answered all or none: an undersized buffer gets no
+    item and the whole page's exact size."""
     args, _sized, _empty = BULK_VERBS[verb]
     asked = len(args[0])
     pushed = []
@@ -372,6 +374,9 @@ def test_an_undersized_landing_is_answered_in_part(verb, monkeypatch):
     assert needed == 0
     part, rpcs, answers = run(size // 2)
     assert part == whole
+    if verb == "scan_columns":
+        assert (rpcs, answers) == (2, [(0, 0, size), (size, asked, 0)])
+        return
     assert rpcs == len(answers) >= 2
     assert 0 < answers[0][1] < asked and answers[0][0] <= size // 2
     assert sum(count for _, count, _ in answers) == asked, (
@@ -412,7 +417,7 @@ def request_body(engine: Engine, rpc_name: str, db: str, pins: list):
         "yokan.get": (db, STORED[0][0], 8192),
         "yokan.get_multi": (db, [STORED[0][0], b"absent"], landing, 1 << 16),
         "yokan.load_prefix_packed": (db, PREFIXES, landing, 1 << 16),
-        "yokan.scan_columns": (db, PREFIXES, SUFFIX, ["adc", "n"], landing,
+        "yokan.scan_columns": (db, PREFIXES, SUFFIX, [b"adc", b"n"], landing,
                                1 << 16),
         "yokan.exists": (db, STORED[0][0]),
         "yokan.erase": (db, STORED[1][0]),
@@ -420,9 +425,21 @@ def request_body(engine: Engine, rpc_name: str, db: str, pins: list):
         "yokan.length": (db,),
         "yokan.list_keys": (db, b"ev", b"", 5),
         "yokan.list_databases": (),
-        "yokan.replicate": (db, FRESH[:2], [STORED[3][0]]),
-        "yokan.sync": ({},),
+        "yokan.replicate": (db, [k for k, _ in FRESH[:2]],
+                            [v for _, v in FRESH[:2]], [STORED[3][0]]),
+        "yokan.sync": (False,),
     }[rpc_name]
+
+
+#: requests malformed in a way only their verb's layout allows, each
+#: made from its verb's well-formed request
+MISFITS = {
+    # one key more than values: refused, not paired short
+    ("yokan.replicate", "unpaired"):
+        lambda body: (body[0], body[1] + [b"one too many"], *body[2:]),
+    ("yokan.scan_columns", "field not UTF-8"):
+        lambda body: (*body[:3], [b"adc", b"\xff"], *body[4:]),
+}
 
 
 def flipped(data: bytes, at: int) -> bytes:
@@ -441,10 +458,13 @@ def outcome(world, rpc_name: str, payload: bytes):
         return "raised", type(exc)
 
 
-@pytest.mark.parametrize(
-    "request_kind",
-    ["valid", "unknown database", "malformed", "undecodable", "flipped"])
-@pytest.mark.parametrize("rpc_name", RPC_NAMES)
+REQUESTS = [(rpc_name, kind) for rpc_name in RPC_NAMES
+            for kind in ("valid", "unknown database", "malformed",
+                         "undecodable", "flipped")] + list(MISFITS)
+
+
+@pytest.mark.parametrize("rpc_name,request_kind", REQUESTS,
+                         ids=["-".join(request) for request in REQUESTS])
 def test_every_verb_answers_alike_in_every_deployment(rpc_name, request_kind):
     outcomes = {}
     for kind in DEPLOYMENTS:
@@ -456,6 +476,9 @@ def test_every_verb_answers_alike_in_every_deployment(rpc_name, request_kind):
         elif request_kind == "undecodable":
             # CRC-valid, but its head names a kind the codec lacks
             body = b"\x02s!" + bytes(8)
+        elif (rpc_name, request_kind) in MISFITS:
+            body = wire.encode(MISFITS[rpc_name, request_kind](
+                request_body(engine, rpc_name, "events", pins)))
         else:
             body = wire.encode(request_body(
                 engine, rpc_name,
@@ -468,9 +491,11 @@ def test_every_verb_answers_alike_in_every_deployment(rpc_name, request_kind):
                     "raised", CorruptionError)
             payload = flipped(payload, -1)
         outcomes[kind] = outcome(world, rpc_name, payload)
-        if request_kind == "flipped":
-            assert world[1].databases["events"].get_multi(
+        if request_kind in ("flipped", "unpaired"):
+            events = world[1].databases["events"]
+            assert events.get_multi(
                 [k for k, _ in STORED]) == [v for _, v in STORED]
+            assert not any(events.exists(k) for k, _ in FRESH)
         if kind == "broker, tagged":
             counters = world[1].broker.tenant_stats()["tenants"]["t"]
             assert counters["admitted"] == counters["completed"] > 0
