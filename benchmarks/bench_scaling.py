@@ -12,9 +12,10 @@ measure the client's ability to keep N shards busy:
 
 - **ingest**: :class:`AsynchronousWriteBatch` fan-out -- one in-flight
   ``put_multi`` per shard;
-- **read**: a :class:`ParallelEventProcessor` pass with packed loads --
-  the datastore fans one ``load_prefix_packed`` per shard out of every
-  event page (products place by event key, so a page spans shards).
+- **read**: a :class:`ParallelEventProcessor` pass -- the datastore
+  fans one ``get_multi`` of the page's product keys per shard out of
+  every event page (products place by event key, so a page spans
+  shards).
 
 Both phases also verify content: the read pass must see every ingested
 event with identical payload digests across all provider counts.
@@ -130,8 +131,7 @@ def _read_pass(datastore: DataStore) -> tuple[float, bytes]:
     content digest) so runs are comparable across shard counts."""
     pep = ParallelEventProcessor(
         datastore,
-        options=PEPOptions(input_batch_size=64, dispatch_batch_size=8,
-                           packed_loads=True),
+        options=PEPOptions(input_batch_size=64, dispatch_batch_size=8),
         products=[(vector_of(SliceData), "s"), (EventHeader, "h")],
     )
     seen: list = []

@@ -753,14 +753,14 @@ class DataStore:
         return PendingLoad(self, plan, blocking=True).lane.result
 
     def load_products_packed(self, container_keys, specs):
-        """Load several ``(product_type, label)`` specs of many *event*
-        containers: one ``load_prefix_packed`` scan per database.
+        """Load several ``(product_type, label)`` specs of many
+        containers: one ``get_multi`` of exactly their product keys per
+        database, as :meth:`load_products` does.
 
         Returns ``{(type_name, label): [obj or None, ...]}``, each list
         aligned with ``container_keys``.
         """
-        return self.load_products(
-            LoadPlan(container_keys, specs, whole_events=True))
+        return self.load_products(LoadPlan(container_keys, specs))
 
     def load_products_columnar(self, container_keys, product_type, fields,
                                label: str = "") -> ColumnBlock:

@@ -1,18 +1,21 @@
-"""The product read path: a load plan, three lanes, one sharded executor.
+"""The product read path: a load plan, two lanes, one sharded executor.
 
 A reader states *what* it wants -- a page of container keys, the
 product specs, optionally a column projection -- as a
 :class:`LoadPlan`; how that is cut into few, large, per-database
 requests (paper section II-D) is decided here, once.  The plan's *lane*
-supplies only what differs between the three wire verbs:
+supplies only what differs between the two wire verbs:
 
 ========  =========================  ===================================
 lane      one request per shard      ``result``
 ========  =========================  ===================================
 exact     ``get_multi``              ``{spec: [object or None, ...]}``
-packed    ``load_prefix_packed``     the same, every spec in one scan
 columns   ``scan_columns``           a :class:`ColumnBlock`
 ========  =========================  ===================================
+
+An object load reads exactly the product keys it names, every spec of
+the page in one request per database: no product it did not name
+travels.
 
 Everything else lives in :class:`PendingLoad`, the executor (the
 datastore's read half in its own file: it uses the datastore's handle
@@ -23,14 +26,13 @@ A retired load is its lane: ``result`` as in the table, ``block`` (the
 :class:`ColumnBlock`, columns lane only), and the per-event walk
 ``event_product(i, spec)`` / ``event_columns(i)`` that the reader's
 event view (:class:`~repro.hepnos.PrefetchedEvent`) asks on demand.
-The two object lanes keep stored values as they arrived and decode a
+The exact lane keeps stored values as they arrived and decodes a
 product only when a consumer loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,27 +56,20 @@ class LoadPlan:
 
     ``specs`` are ``(product type or type name, label)`` pairs.  With
     ``columns`` the single spec is projected server-side to those
-    fields.  ``whole_events`` reads every product under each container
-    key in one ordered scan -- correct only for *event* containers,
-    whose fixed-width keys cannot prefix a sibling's; the default
-    fetches exactly the named product keys and is right for any
-    container.
+    fields; without, exactly the named product keys are fetched.
     """
 
     container_keys: Sequence[bytes]
     specs: Sequence[Tuple[object, str]]
     columns: Optional[Sequence[str]] = None
-    whole_events: bool = False
 
     @property
     def lane(self) -> str:
-        if self.columns is not None:
-            return "columns"
-        return "packed" if self.whole_events else "exact"
+        return "exact" if self.columns is None else "columns"
 
 
-class _ObjectLane:
-    """Slot table shared by the two lanes that return whole objects.
+class _ExactLane:
+    """Exactly the still-missing product keys: one ``get_multi`` per shard.
 
     A slot holds the product's stored value as it arrived -- a cache
     entry, or a zero-copy view of the landing buffer -- and is decoded
@@ -84,6 +79,7 @@ class _ObjectLane:
     ``result`` decodes them all.
     """
 
+    name = "exact"
     block = None
 
     def __init__(self, plan: LoadPlan):
@@ -132,20 +128,25 @@ class _ObjectLane:
         return [i for i in range(len(self.keys))
                 if any(values[i] is None for values in lists)]
 
-    def absorb(self, token, answer) -> int:
+    def request(self, handle, indices, size_hint: int, dispatch: bool):
+        asked = [self.keys[i] + suffix for i in indices
+                 for suffix, values in self.slots if values[i] is None]
+        return asked, handle.get_multi_nb(asked, size_hint=size_hint,
+                                          dispatch=dispatch)
+
+    def absorb(self, asked, answer) -> int:
         nbytes = 0
         want = self.want
-        for pkey, value in self.pairs(token, answer):
+        for pkey, value in zip(asked, answer):
             if value is None:
                 continue
-            # Wire footprint of the pair, not just the value: the size
-            # hint presizes whole landing buffers.
-            nbytes += len(pkey) + len(value) + 10
-            slots = want.get(pkey)  # a scan may surface unrequested pairs
-            if slots is not None:
-                values, i = slots[0]
-                if values[i] is None:  # else a cache hit or a dual-read
-                    self._fill(slots, value)  # partner answered first
+            # Wire footprint of the value: the size hint presizes whole
+            # landing buffers.
+            nbytes += len(value) + 2
+            slots = want[pkey]
+            values, i = slots[0]
+            if values[i] is None:  # else a cache hit or a dual-read
+                self._fill(slots, value)  # partner answered first
         return nbytes
 
     def finish(self, cache) -> None:
@@ -160,35 +161,6 @@ class _ObjectLane:
 
     def event_columns(self, i: int) -> None:
         return None
-
-
-class _ExactLane(_ObjectLane):
-    """Exactly the still-missing product keys: one ``get_multi`` per shard."""
-
-    name = "exact"
-    pairs = staticmethod(zip)
-
-    def request(self, handle, indices, size_hint: int, dispatch: bool):
-        asked = [self.keys[i] + suffix for i in indices
-                 for suffix, values in self.slots if values[i] is None]
-        return asked, handle.get_multi_nb(asked, size_hint=size_hint,
-                                          dispatch=dispatch)
-
-
-class _PackedLane(_ObjectLane):
-    """Whole events: one ``load_prefix_packed`` scan per shard (per-event
-    granularity -- one missing spec refetches the event)."""
-
-    name = "packed"
-
-    @staticmethod
-    def pairs(_token, groups):
-        return chain.from_iterable(groups)
-
-    def request(self, handle, indices, size_hint: int, dispatch: bool):
-        return None, handle.load_prefix_packed_nb(
-            [self.keys[i] for i in indices], size_hint=size_hint,
-            dispatch=dispatch)
 
 
 class _ColumnsLane:
@@ -299,7 +271,7 @@ class _ColumnsLane:
         return None
 
 
-_LANES = {lane.name: lane for lane in (_ExactLane, _PackedLane, _ColumnsLane)}
+_LANES = {lane.name: lane for lane in (_ExactLane, _ColumnsLane)}
 
 
 class PendingLoad:

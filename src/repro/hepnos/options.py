@@ -52,8 +52,8 @@ class PEPOptions:
     input_batch_size: int = 16384
     #: events handed to a worker per pull (paper default 64)
     dispatch_batch_size: int = 64
-    #: load whole events with one packed prefix-scan RPC per database
-    #: instead of one ``get_multi`` of the exact product keys
+    #: selects nothing: object loads always fetch exactly the product
+    #: keys they name, one ``get_multi`` per database per page
     packed_loads: bool = True
     #: fetch only the columns a vectorized ``process_batches`` handler
     #: declared, via the server-side ``scan_columns`` projection, and

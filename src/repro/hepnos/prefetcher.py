@@ -39,7 +39,7 @@ class Prefetcher:
     ``products`` lists (type, label) pairs to prefetch for every event;
     with ``columns`` the single spec is projected server-side to those
     fields instead.  Of ``options`` the reader uses the page size
-    (``input_batch_size``) and the lane (``packed_loads``).
+    (``input_batch_size``).
     """
 
     def __init__(self, datastore, *,
@@ -88,8 +88,7 @@ class Prefetcher:
             for runs in self._key_pages(subruns):
                 keys = [key for _subrun, part in runs for key in part]
                 # The one place a lane is named.
-                plan = LoadPlan(keys, self.products, columns=self.columns,
-                                whole_events=self.options.packed_loads)
+                plan = LoadPlan(keys, self.products, columns=self.columns)
                 window.append((runs, self.datastore.issue_load(plan)))
                 self.pages_prefetched += ahead
                 if len(window) > ahead:

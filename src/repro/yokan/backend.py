@@ -183,9 +183,17 @@ class Backend(abc.ABC):
         except KeyNotFound:
             return None
 
+    def get_each(self, keys: Iterable[bytes]) -> Iterator[Optional[bytes]]:
+        """The value of each key, in order, ``None`` for a missing key,
+        each looked up only when it is taken: a reader that stops early
+        looks up nothing more.  A backend that can answer a page of
+        keys from one snapshot overrides this."""
+        return map(self.get_or_none, keys)
+
     def get_multi(self, keys: Sequence[bytes]) -> list[Optional[bytes]]:
-        """Fetch many keys; missing keys yield ``None``."""
-        return [self.get_or_none(key) for key in keys]
+        """Fetch many keys; missing keys yield ``None`` (the list form
+        of :meth:`get_each`)."""
+        return list(self.get_each(keys))
 
     def erase_multi(self, keys: Sequence[bytes]) -> int:
         """Remove many keys; missing keys are skipped. Returns the count

@@ -26,10 +26,12 @@ Production-shaped engine:
   sized tables merge into one (never everything at once), on the same
   background worker, with a backlog gauge and a write
   throttle when the backlog grows;
-- a page of prefix scans (:meth:`LSMBackend.scan_prefixes`) reads one
-  snapshot of the sources: per prefix, one bounded bisect into each
-  source's sorted run, and a heap merge only where two sources hold
-  keys of that prefix.
+- a page of point lookups (:meth:`LSMBackend.get_each`) reads one
+  snapshot of the sources, and each key skips a table whose key range
+  misses it before its bloom digest is computed; a page of prefix scans
+  (:meth:`LSMBackend.scan_prefixes`) reads one snapshot too: per
+  prefix, one bounded bisect into each source's sorted run, and a heap
+  merge only where two sources hold keys of that prefix.
 
 Crash-safety contract (the engine is ``durable``: ``open_backend``
 never wraps it in a second log, and ``BedrockServer.crash(
@@ -202,6 +204,7 @@ class LSMStats(DurabilityStats):
     immutable_hits: int = 0
     #: SSTable probes that passed the bloom filter (point lookups)
     sstable_reads: int = 0
+    #: SSTable probes ruled out by the table's key range or bloom filter
     bloom_skips: int = 0
     #: data blocks decoded from disk (block-cache misses), whoever asked:
     #: lookups, scans, ``list_keys``, compaction inputs
@@ -493,18 +496,18 @@ class SSTable:
             self.cache.put(cache_key, block, 64 + stored + 8 * len(block[0]))
         return block
 
-    def get(self, key: bytes,
-            hashes: Optional[Tuple[int, int]] = None, record: bool = False
-            ) -> Tuple[bool, Optional[bytes]]:
-        """(found, value) -- value ``None`` with found=True is a tombstone.
-        ``record`` counts a block decode towards read amplification."""
-        if self.num_entries == 0 or not self.min_key <= key <= self.max_key:
+    def get(self, key: bytes) -> Tuple[bool, Optional[bytes]]:
+        """(found, value) -- value ``None`` with found=True is a tombstone."""
+        if self.num_entries == 0 or not self.min_key <= key <= self.max_key \
+                or key not in self.bloom:
             return False, None
-        if hashes is not None:
-            if not self.bloom.contains_hashed(*hashes):
-                return False, None
-        elif key not in self.bloom:
-            return False, None
+        return self.find(key)
+
+    def find(self, key: bytes, record: bool = False
+             ) -> Tuple[bool, Optional[bytes]]:
+        """:meth:`get` past the key range and bloom filter: the one block
+        that may hold ``key``.  ``record`` counts a block decode towards
+        read amplification."""
         index = bisect.bisect_right(self.block_firsts, key) - 1
         if index < 0:
             return False, None
@@ -1042,48 +1045,61 @@ class LSMBackend(Backend):
 
     # -- unified lookup path -------------------------------------------------
 
-    def _lookup(self, key: bytes, record: bool = True
-                ) -> Tuple[bool, Optional[bytes]]:
-        """(present, value) through active -> immutables -> SSTables.
+    def _lookups(self, keys: Iterable[bytes], record: bool = True
+                 ) -> Iterator[Optional[bytes]]:
+        """Each key's value, in order (``None``: missing or a tombstone),
+        through active -> sealed memtables -> SSTables, newest first.
 
-        ``present`` is False for both missing keys and tombstones.
-        ``record=False`` skips the read-amplification counters -- used
-        by internal pre-image probes (live-key accounting, erase
-        checks) so the benchmark's read-path stats only count client
-        lookups.
+        The sources are taken once, under the lock, and each key is
+        looked up only when it is taken; the active memtable is read
+        under the lock.  A table whose key range misses the key is
+        passed over before the key's bloom digest is computed, and the
+        digest is computed once for all the tables.  ``record=False``
+        skips the read-amplification counters -- used by internal
+        pre-image probes (live-key accounting, erase checks) so the
+        benchmark's read-path stats only count client lookups.
         """
-        stats = self.stats
-        if record:
-            stats.gets += 1
         with self._lock:
-            value = self._memtable.get(key)
+            sealed = [imm.memtable for imm in reversed(self._immutables)]
+            tables = self._sstables[::-1]
+            return self._values(keys, self._memtable, sealed, tables, record)
+
+    def _values(self, keys, active, sealed, tables, record):
+        lock, stats = self._lock, self.stats
+        for key in keys:
+            stats.gets += record
+            with lock:
+                value = active.get(key)
             if value is not None:
-                if record:
-                    stats.memtable_hits += 1
-                return value is not _TOMBSTONE, \
-                    None if value is _TOMBSTONE else value
-            for imm in reversed(self._immutables):
-                value = imm.memtable.get(key)
-                if value is not None:
-                    if record:
-                        stats.immutable_hits += 1
-                    return value is not _TOMBSTONE, \
-                        None if value is _TOMBSTONE else value
-            tables = tuple(self._sstables)
-        hashes = None
-        for table in reversed(tables):
-            if hashes is None:
-                hashes = BloomFilter.hash_pair(key)
-            if not table.bloom.contains_hashed(*hashes):
-                if record:
-                    stats.bloom_skips += 1
-                continue
-            if record:
-                stats.sstable_reads += 1
-            found, tvalue = table.get(key, hashes, record)
-            if found:
-                return tvalue is not None, tvalue
-        return False, None
+                stats.memtable_hits += record
+            else:
+                for memtable in sealed:
+                    value = memtable.get(key)
+                    if value is not None:
+                        stats.immutable_hits += record
+                        break
+                else:
+                    value = self._table_value(key, tables, record)
+            yield None if value is _TOMBSTONE else value
+
+    def _table_value(self, key: bytes, tables, record: bool):
+        stats, hashes = self.stats, None
+        for table in tables:
+            if table.min_key <= key <= table.max_key:
+                hashes = hashes or BloomFilter.hash_pair(key)
+                if table.bloom.contains_hashed(*hashes):
+                    stats.sstable_reads += record
+                    found, value = table.find(key, record)
+                    if found:
+                        return value
+                    continue
+            stats.bloom_skips += record
+        return None
+
+    def get_each(self, keys: Iterable[bytes]) -> Iterator[Optional[bytes]]:
+        """A page of lookups from one snapshot (see :meth:`_lookups`)."""
+        self._check_open()
+        return self._lookups(keys)
 
     # -- Backend API --------------------------------------------------------
 
@@ -1139,26 +1155,21 @@ class LSMBackend(Backend):
             if value is _TOMBSTONE:
                 self._live_keys += 1
             return
-        present, _ = self._lookup(key, record=False)
-        if not present:
+        if next(self._lookups((key,), record=False)) is None:
             self._live_keys += 1
 
     def get(self, key: bytes) -> bytes:
-        self._check_open()
-        present, value = self._lookup(bytes(key))
-        if not present:
+        value = next(self.get_each((bytes(key),)))
+        if value is None:
             raise KeyNotFound(repr(key))
         return value
 
     def exists(self, key: bytes) -> bool:
-        self._check_open()
-        present, _ = self._lookup(bytes(key))
-        return present
+        return next(self.get_each((bytes(key),))) is not None
 
     def _exists_internal(self, key: bytes) -> bool:
         """Unrecorded presence probe (write-path bookkeeping only)."""
-        present, _ = self._lookup(key, record=False)
-        return present
+        return next(self._lookups((key,), record=False)) is not None
 
     def erase(self, key: bytes) -> None:
         self._check_open()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from repro.errors import ConfigError, KeyNotFound
 from repro.utils import SortedMap
@@ -41,6 +41,10 @@ class MemoryBackend(Backend):
         if value is None:
             raise KeyNotFound(repr(key))
         return value
+
+    def get_each(self, keys: Iterable[bytes]) -> Iterator[Optional[bytes]]:
+        self._check_open()
+        return map(self._map.get, keys)
 
     def exists(self, key: bytes) -> bool:
         self._check_open()

@@ -384,9 +384,9 @@ class DurableBackend(Backend):
         self._check_open()
         return self.inner.scan(start, inclusive=inclusive)
 
-    def get_multi(self, keys: Sequence[bytes]) -> list[Optional[bytes]]:
+    def get_each(self, keys: Iterable[bytes]) -> Iterator[Optional[bytes]]:
         self._check_open()
-        return self.inner.get_multi(keys)
+        return self.inner.get_each(keys)
 
     def scan_prefix(self, prefix: bytes) -> Iterator[Tuple[bytes, bytes]]:
         self._check_open()

@@ -182,7 +182,7 @@ class DatabaseHandle:
             (value,) = self.get_multi([key], size_hint=result[1] + 64)
             if value is None:
                 raise KeyNotFound(repr(key))
-            return value
+            return bytes(value)  # not a view pinning the landing buffer
         return result
 
     def exists(self, key: bytes) -> bool:
@@ -290,7 +290,9 @@ class DatabaseHandle:
         """Fetch many keys with one RPC + one RDMA push-back.
 
         Resolves to the values in request order, ``None`` for a missing
-        key.  ``size_hint`` presizes the landing buffer.
+        key; values are zero-copy ``memoryview`` slices of the landing
+        buffer (copy one that must outlive it).  ``size_hint`` presizes
+        the landing buffer.
         """
         keys = [bytes(k) for k in keys]
         description = f"get_multi[{len(keys)}]@{self.name}"
@@ -314,10 +316,11 @@ class DatabaseHandle:
 
         Resolves to one group per prefix, in request order; values are
         zero-copy ``memoryview`` slices of the landing buffer (the views
-        pin it, copy if you need the bytes to outlive the result).  The
-        datastore issues one of these per involved shard so packed scans
-        fan out concurrently.  Without a ``size_hint`` the buffer starts
-        at a small per-prefix floor: a first, cold request is answered
+        pin it, copy if you need the bytes to outlive the result).  No
+        reader issues it: it serves whole-event scans to tools and
+        benchmarks that ask for them.  Without a ``size_hint`` the
+        buffer starts at a small per-prefix floor: a first, cold
+        request is answered
         with the groups that fit and the size the rest needs, and only
         the rest is asked again, instead of every cold request
         zero-filling a buffer many times its payload.  A prefix is

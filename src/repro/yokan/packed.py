@@ -15,9 +15,10 @@ A ``get_multi`` answer is one ``uvarint(len + 1) + value`` item per key
 the client's landing buffer.  A ``scan_columns`` answer is one column
 page (:func:`pack_column_page`), answered whole or not at all.
 
-:func:`unpack_groups` returns values as ``memoryview`` slices over the
-caller's buffer -- the landing buffer is decoded zero-copy and the
-views pin it alive.  Callers that outlive the buffer must copy.
+:func:`unpack_groups` and :func:`unpack_values` return values as
+``memoryview`` slices over the caller's buffer -- the landing buffer is
+decoded zero-copy and the views pin it alive.  Callers that outlive the
+buffer must copy.
 """
 
 from __future__ import annotations
@@ -179,8 +180,9 @@ def unpack_groups(buffer, ngroups: int) -> List[List[Tuple[bytes, memoryview]]]:
     return groups
 
 
-def unpack_values(buffer, count: int) -> List[Optional[bytes]]:
-    """Decode ``count`` :func:`append_value` items out of ``buffer``."""
+def unpack_values(buffer, count: int) -> List[Optional[memoryview]]:
+    """Decode ``count`` :func:`append_value` items out of ``buffer``;
+    values are zero-copy ``memoryview`` slices of ``buffer``."""
     view = buffer if isinstance(buffer, memoryview) else memoryview(buffer)
     end = len(view)
     pos = 0
@@ -193,7 +195,7 @@ def unpack_values(buffer, count: int) -> List[Optional[bytes]]:
         size -= 1
         if pos + size > end:
             raise CorruptionError("truncated value in packed buffer")
-        values.append(bytes(view[pos:pos + size]))
+        values.append(view[pos:pos + size])
         pos += size
     if pos != end:
         raise CorruptionError(

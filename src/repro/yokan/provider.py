@@ -344,11 +344,14 @@ class YokanProvider:
         return value
 
     def _rpc_get_multi(self, req: RPCRequest, name, keys, bulk, capacity):
+        """Look the keys up one at a time, as they are packed: the
+        first value that does not fit the landing buffer ends the
+        answer, and the keys after it are never looked up."""
         if req.trace_span is not None:
             req.trace_span.set_tag("keys", len(keys))
-        values = self._db(req, name).get_multi(list(keys))
+        values = self._db(req, name).get_each(keys)
         return self._push_back(req, bulk, *packed.pack_leading(
-            values, len(values), capacity, packed.append_value))
+            values, len(keys), capacity, packed.append_value))
 
     def _rpc_load_prefix_packed(self, req: RPCRequest, name, prefixes, bulk,
                                 capacity):

@@ -1,5 +1,9 @@
 """The product read path: every lane x mode x shard-map state against
 a plain dict model, plus the ways the lanes compose with an AsyncEngine.
+The ``packed`` rows are the object loads that ask for the whole-event
+lane -- a ``packed_loads=True`` reader (the default), and
+``DataStore.load_products_packed`` -- which since that lane went are
+the exact lane's plan: they hold those loads to the exact answers.
 
 ``LoadPlan`` -> ``PendingLoad`` is the only multi-container read path,
 so one differential covers what used to be per-lane tests: absent
@@ -42,8 +46,9 @@ from repro.hepnos.load_plan import _LANES
 from repro.mercury import Fabric
 from repro.minimpi import mpirun
 from repro.rescale import LiveRescaler, add_server, migrate_live
-from repro.serial import register_type, serializable
+from repro.serial import dumps, register_type, serializable
 from repro.serial.compiled import plan_table
+from repro.yokan.client import DatabaseHandle
 
 N_EVENTS = 24
 LANES = ("exact", "packed", "columns")
@@ -145,8 +150,7 @@ def populate_subruns(datastore, path, sizes):
 def plan_for(lane, keys):
     if lane == "columns":
         return LoadPlan(keys, [(vector_of(Hit), "hits")], columns=["adc", "n"])
-    return LoadPlan(keys, [(vector_of(Hit), "hits"), (Hit, "flag")],
-                    whole_events=lane == "packed")
+    return LoadPlan(keys, [(vector_of(Hit), "hits"), (Hit, "flag")])
 
 
 def check(lane, keys, model, result):
@@ -276,7 +280,7 @@ def test_plan_matches_model(world, monkeypatch, lane, mode, state):
         assert moving(datastore, keys)
         smap = datastore.placement
         current = {smap.product_database_for(k) for k in keys}
-        lane_cls, issued, fired = _LANES[lane], [], []
+        lane_cls, issued, fired = _LANES[plan_for(lane, keys).lane], [], []
         real_request = lane_cls.request
 
         def racing_request(self, handle, indices, size_hint, dispatch):
@@ -499,16 +503,23 @@ def prefetch_pass(datastore, subrun):
     return events, prefetcher
 
 
-def test_engine_passes_equal_blocking_and_stay_packed(fabric, datastore):
+def test_engine_passes_equal_blocking_and_stay_packed(fabric, datastore,
+                                                      monkeypatch):
     subrun, keys, _ = populate(datastore)
     dataset = datastore["lp"]
     smap = datastore.placement
     pages = [keys[i:i + 8] for i in range(0, len(keys), 8)]
-    # One load_prefix_packed per shard per page -- not one get_multi
-    # per spec per shard per page, which is what attaching an engine
-    # used to downgrade both readers to.
+    # One get_multi of every spec per shard per page -- not one per spec,
+    # which is what attaching an engine used to downgrade both readers
+    # to -- and no whole-event scan.
     load_rpcs = sum(len({smap.product_database_for(k) for k in page})
                     for page in pages)
+    issued = []
+    for verb in ("get_multi_nb", "load_prefix_packed_nb"):
+        real = getattr(DatabaseHandle, verb)
+        monkeypatch.setattr(DatabaseHandle, verb,
+                            lambda self, *a, _real=real, _verb=verb, **k:
+                            issued.append(_verb) or _real(self, *a, **k))
 
     def counted(fn):
         fabric.stats.reset()
@@ -525,6 +536,7 @@ def test_engine_passes_equal_blocking_and_stay_packed(fabric, datastore):
     (blocking_pf, _), pf_rpcs = counted(
         lambda: prefetch_pass(datastore, subrun))
     assert pep_rpcs - pep_listing == pf_rpcs - pf_listing == load_rpcs
+    assert issued == ["get_multi_nb"] * 2 * load_rpcs
 
     engine = AsyncEngine(datastore, max_inflight=4)
     piped_pep, piped_pep_rpcs = counted(
@@ -535,6 +547,62 @@ def test_engine_passes_equal_blocking_and_stay_packed(fabric, datastore):
     assert (piped_pep_rpcs, piped_pf_rpcs) == (pep_rpcs, pf_rpcs)
     assert engine.stats.submitted == 2 * load_rpcs
     assert prefetcher.pages_prefetched > 0
+
+
+def test_packed_loads_builds_the_exact_plan(datastore, monkeypatch):
+    """``packed_loads`` selects nothing: both settings issue the same
+    plans, and no plan can ask for whole events."""
+    subrun, _, _ = populate(datastore)
+    plans = []
+    issue = DataStore.issue_load
+    monkeypatch.setattr(DataStore, "issue_load", lambda self, plan:
+                        plans.append(plan) or issue(self, plan))
+    for packed in (True, False):
+        reader = Prefetcher(datastore, products=SPECS,
+                            options=PEPOptions(input_batch_size=8,
+                                               packed_loads=packed))
+        assert len(list(reader.events(subrun))) == N_EVENTS
+    half = len(plans) // 2
+    assert half == N_EVENTS // 8 and plans[:half] == plans[half:]
+    assert {plan.lane for plan in plans} == {"exact"}
+    assert [f.name for f in dataclasses.fields(LoadPlan)] == [
+        "container_keys", "specs", "columns"]
+    assert set(_LANES) == {"exact", "columns"}
+
+
+#: bulk bytes a page may move per event beyond the named products'
+#: stored bytes: a ``get_multi`` answer frames each value in 1-2 bytes
+FRAMING = 4
+
+
+def test_readers_move_only_the_products_they_name(fabric, datastore):
+    """Beside each event's small named product sits a large one no
+    reader names: a reader pass moves the named products' bytes and a
+    few bytes of framing per event, nothing of the large ones."""
+    ds = datastore.create_dataset("named")
+    with WriteBatch(datastore) as batch:
+        subrun = ds.create_run(1, batch=batch).create_subrun(1, batch=batch)
+        for e in range(N_EVENTS):
+            event = subrun.create_event(e, batch=batch)
+            event.store(Hit(float(e), e), label="flag", batch=batch)
+            event.store([Hit(float(j), e) for j in range(64)], label="hits",
+                        batch=batch)
+    named = sum(len(dumps(Hit(float(e), e))) for e in range(N_EVENTS))
+    options = PEPOptions(input_batch_size=8)
+    specs = [(Hit, "flag")]
+    passes = {
+        "prefetcher": lambda: list(Prefetcher(
+            datastore, options=options, products=specs).events(subrun)),
+        "pep": lambda: ParallelEventProcessor(
+            datastore, options=options, products=specs).process(
+                ds, lambda event: event.load(Hit, label="flag")),
+    }
+    for reader, one_pass in passes.items():
+        fabric.stats.reset()
+        one_pass()
+        assert 0 < fabric.stats.bulk_bytes <= named + FRAMING * N_EVENTS, (
+            f"a {reader} pass moves {fabric.stats.bulk_bytes} bulk bytes "
+            f"for {named} named")
 
 
 def test_columnar_batches_pipeline_through_the_engine(datastore):

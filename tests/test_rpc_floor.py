@@ -1,9 +1,9 @@
 """The RPC floor, the reader floor, the column-cache floor, the
-consumer floor, the ingest floor and the scan floor as counts:
+consumer floor, the ingest floor and the lookup floor as counts:
 Python-level calls per null ``exists``, per event of a no-op pass, per
 event of a warm columns pass, per slice the candidate cut examines and
 per event a file ingest stores, RPCs per page pass over many subruns,
-and server-side prefix scans per prefix a cold packed pass asks.
+and server-side key lookups per key a cold exact pass asks.
 
 A timing gate depends on the machine; this one does not.  On the inline
 fabric one ``DatabaseHandle.exists`` of an absent key walks the whole
@@ -27,11 +27,11 @@ of a row-wise selection: an object-mode cut that goes back to a call
 per node of its expression fails here.  The ingest floor is the write
 path end to end (file read, product encode, write batch, ``put_multi``
 RPC, the ``map`` backend's index): a per-pair call back in the storage
-engine fails here.  The scan floor is the landing protocol seen from
-the storage engine: a cold packed pass whose products outgrow the first
-landing buffer must scan each prefix once, plus one straddling prefix
-per extra round trip -- an undersized buffer answered by scanning the
-whole page again fails here.  ``python tests/test_rpc_floor.py``
+engine fails here.  The lookup floor is the landing protocol seen from
+the storage engine: a cold exact pass whose products outgrow the first
+landing buffer must look each key up once, plus one straddling key per
+extra round trip -- an undersized buffer answered by looking the whole
+page up again fails here.  ``python tests/test_rpc_floor.py``
 prints the counts (CI puts them in the job summary).
 """
 
@@ -47,6 +47,7 @@ import pytest
 from repro import hepnos
 from repro.bedrock import BedrockServer, default_hepnos_config
 from repro.framework.io import HEPnOSSource
+from repro.hepnos import keys as hkeys
 from repro.hepnos import (
     DataLoader,
     ParallelEventProcessor,
@@ -65,7 +66,8 @@ from repro.nova import (
 )
 from repro.nova.generator import table_to_slices
 from repro.serial import register_type
-from repro.yokan import MemoryBackend, YokanProvider
+from repro.utils import SortedMap
+from repro.yokan import YokanProvider
 from repro.yokan.client import DatabaseHandle
 
 #: calls per null exists the path may make: (untagged, tenant + broker).
@@ -80,17 +82,21 @@ CALLS = 1000
 #: page arrived (the two copies it replaced made 125.30 / 126.31); a
 #: page that decodes only what its consumer loads leaves 102.8 and 101.8.
 #: That loop made 107.0 and 106.0 (budgets 117.3 and 115.5) until key
-#: listings and RPC fields left the product archive: 76.3 and 75.5 now,
-#: under budgets with the same margins.
-READER_BUDGET = {"pep": 83.6, "prefetcher": 82.3}
+#: listings and RPC fields left the product archive: 76.3 and 75.5
+#: (budgets 83.6 and 82.3).  Loading exactly the named product keys,
+#: not whole events, leaves 52.3 and 51.6, under budgets with the same
+#: margins.
+READER_BUDGET = {"pep": 57.9, "prefetcher": 56.8}
 EVENTS = 512
 #: RPCs one ``Prefetcher.pages`` pass may send over ``SUBRUNS`` subruns
 #: of ``PER_SUBRUN`` events, one product each, in pages of 1024, per
 #: lane.  Pages that closed at every subrun boundary made it 96 in both
 #: object lanes (16 x (2 listings + 4 loads)); one page of 1024 events
 #: is 17 listings (the last finds the 16th subrun dry) + 4 loads.  The
-#: ``source`` input is a sequential ``HEPnOSSource`` pass (packed lane):
-#: the same pages after a walk of the dataset to its subruns, which a
+#: ``packed`` row is a ``packed_loads=True`` reader, which loads the
+#: exact product keys as the ``exact`` row does.  The ``source`` input
+#: is a sequential ``HEPnOSSource`` pass: the same pages after a walk
+#: of the dataset to its subruns, which a
 #: ``ParallelEventProcessor(comm=None)`` pass makes too.  Paging one
 #: subrun at a time, it sent 82.
 PAGE_BUDGET = {"exact": 21, "packed": 21, "columns": 21, "source": 21}
@@ -120,8 +126,8 @@ SLICES = 4000
 #: Queuing a subrun at a time, placed as one batch per flush, leaves
 #: 59.9; the budget keeps the same margin.
 INGEST_BUDGET = 68.4
-#: flags per event of the scan floor's product: about 300 stored bytes,
-#: past the 256 bytes per prefix a cold ``load_prefix_packed`` offers
+#: flags per event of the lookup floor's product: about 300 stored
+#: bytes, past the 64 bytes per key a cold ``get_multi`` offers
 SCAN_FLAGS = 64
 
 
@@ -364,35 +370,36 @@ def ingest_calls() -> float:
             server.shutdown()
 
 
-def cold_packed_scans() -> tuple:
-    """``(scanned, extra, asked)`` of one cold packed ``Prefetcher.pages``
-    pass over ``SUBRUNS`` x ``PER_SUBRUN`` events of a ``SCAN_FLAGS``-flag
-    product in pages of 1024 (4 product databases): prefixes the
-    servers scanned, ``load_prefix_packed`` round trips beyond one per
-    request, and prefixes the pass asked."""
-    counts = {"scanned": 0, "asked": 0, "requests": 0, "served": 0}
-    scan_prefix = MemoryBackend.scan_prefix
-    serve = YokanProvider._rpc_load_prefix_packed
-    issue = DatabaseHandle.load_prefix_packed_nb
+def cold_exact_lookups() -> tuple:
+    """``(looked_up, extra, asked)`` of one cold ``Prefetcher.pages`` pass
+    over ``SUBRUNS`` x ``PER_SUBRUN`` events of a ``SCAN_FLAGS``-flag
+    product in pages of 1024 (4 product databases): product keys the
+    servers' ``map`` indexes looked up, ``get_multi`` round trips beyond
+    one per request, and product keys the pass asked."""
+    counts = {"looked_up": 0, "asked": 0, "requests": 0, "served": 0}
+    suffix = hkeys.product_key(b"", "f", vector_of(Flag).name)
+    lookup = SortedMap.get
+    serve = YokanProvider._rpc_get_multi
+    issue = DatabaseHandle.get_multi_nb
 
-    def counted_scan(self, prefix):
-        counts["scanned"] += 1
-        return scan_prefix(self, prefix)
+    def counted_lookup(self, key, default=None):
+        counts["looked_up"] += key.endswith(suffix)
+        return lookup(self, key, default)
 
     def counted_serve(self, *args):
         counts["served"] += 1
         return serve(self, *args)
 
-    def counted_issue(self, prefixes, *args, **kwargs):
+    def counted_issue(self, keys, *args, **kwargs):
         counts["requests"] += 1
-        counts["asked"] += len(prefixes)
-        return issue(self, prefixes, *args, **kwargs)
+        counts["asked"] += len(keys)
+        return issue(self, keys, *args, **kwargs)
 
     # Providers bind their handlers when they register them: count from
     # before the deployment stands up.
-    MemoryBackend.scan_prefix = counted_scan
-    YokanProvider._rpc_load_prefix_packed = counted_serve
-    DatabaseHandle.load_prefix_packed_nb = counted_issue
+    SortedMap.get = counted_lookup
+    YokanProvider._rpc_get_multi = counted_serve
+    DatabaseHandle.get_multi_nb = counted_issue
     try:
         servers = deploy()
         session = hepnos.connect(servers=servers)
@@ -410,29 +417,30 @@ def cold_packed_scans() -> tuple:
             reader = Prefetcher(datastore,
                                 options=PEPOptions(input_batch_size=1024),
                                 products=[(vector_of(Flag), "f")])
+            counts.update(looked_up=0, asked=0, requests=0, served=0)
             events = sum(len(page) for page in reader.pages(subruns))
         finally:
             session.close()
             for server in servers:
                 server.shutdown()
     finally:
-        MemoryBackend.scan_prefix = scan_prefix
-        YokanProvider._rpc_load_prefix_packed = serve
-        DatabaseHandle.load_prefix_packed_nb = issue
+        SortedMap.get = lookup
+        YokanProvider._rpc_get_multi = serve
+        DatabaseHandle.get_multi_nb = issue
     assert events == SUBRUNS * PER_SUBRUN
-    return (counts["scanned"], counts["served"] - counts["requests"],
+    return (counts["looked_up"], counts["served"] - counts["requests"],
             counts["asked"])
 
 
-def test_cold_packed_pass_scans_each_prefix_once():
-    first = cold_packed_scans()
-    assert first == cold_packed_scans(), "the count must repeat exactly"
-    scanned, extra, asked = first
-    assert asked == SUBRUNS * PER_SUBRUN and extra > 0, (
+def test_cold_exact_pass_looks_up_each_key_once():
+    first = cold_exact_lookups()
+    assert first == cold_exact_lookups(), "the count must repeat exactly"
+    looked_up, extra, asked = first
+    assert asked > 0 and extra > 0, (
         "the products must outgrow the first landing buffer")
-    assert scanned / asked <= 1 + extra / asked, (
-        f"a cold packed pass scans {scanned} prefixes for {asked} asked, "
-        f"{extra} extra round trips: at most one straddling prefix each")
+    assert looked_up / asked <= 1 + extra / asked, (
+        f"a cold exact pass looks up {looked_up} keys for {asked} asked, "
+        f"{extra} extra round trips: at most one straddling key each")
 
 
 def test_ingest_stays_within_its_call_budget():
@@ -518,8 +526,8 @@ if __name__ == "__main__":
     print(f"DataLoader.ingest_file, inline fabric, {EVENTS} events: "
           f"{ingest_calls():.2f} Python-level calls per event "
           f"(budget {INGEST_BUDGET})")
-    scanned, extra, asked = cold_packed_scans()
-    print(f"cold packed pass, {SUBRUNS} subruns x {PER_SUBRUN} events of "
-          f"{SCAN_FLAGS} flags, pages of 1024: {scanned / asked:.4f} "
-          f"prefixes scanned per prefix asked (at most "
+    looked_up, extra, asked = cold_exact_lookups()
+    print(f"cold exact pass, {SUBRUNS} subruns x {PER_SUBRUN} events of "
+          f"{SCAN_FLAGS} flags, pages of 1024: {looked_up / asked:.4f} "
+          f"keys looked up per key asked (at most "
           f"{1 + extra / asked:.4f}: {extra} extra round trips)")

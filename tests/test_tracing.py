@@ -280,18 +280,18 @@ def test_pep_emits_batch_and_event_spans(datastore):
                            for e in events)
     pages = collector.find("hepnos.prefetch.page")
     assert pages
-    # One load span per page, issued before the page is retired (the
-    # default PEP configuration prefetches with packed prefix loads).
+    # One load span per page, issued before the page is retired: the
+    # exact product keys the reader names, one get_multi per database.
     loads = collector.find("hepnos.load_products")
     assert len(loads) == len(pages) == 2
     for span in loads:
-        assert span.tags["lane"] == "packed"
+        assert span.tags["lane"] == "exact"
         assert {"containers", "specs", "databases", "epoch",
                 "cache_hits"} <= set(span.tags)
     assert sum(s.tags["containers"] for s in loads) == 12
     # The chain continues below the reader, across the RPC boundary.
     for name in ("yokan.client.list_keys", "mercury.forward",
-                 "yokan.provider.load_prefix_packed"):
+                 "yokan.provider.get_multi"):
         assert collector.find(name), f"missing {name} spans"
 
 

@@ -592,14 +592,51 @@ class _ManualLSM(LSMBackend):
 _KEY_BYTES = st.lists(st.sampled_from([0x00, 0x01, 0x61, 0xFE, 0xFF]),
                       min_size=1, max_size=4).map(bytes)
 
+_OPS = st.lists(st.tuples(
+    st.sampled_from(["put", "put", "put", "erase", "erase", "seal", "flush",
+                     "compact"]),
+    _KEY_BYTES, st.binary(max_size=24), st.integers(0, 7)), max_size=70)
+
+
+def _manual_lsm(tmp):
+    """A 512-byte block cache: with 64-byte blocks, few keys span many
+    blocks and tables."""
+    return _ManualLSM(str(tmp / "db"), memtable_bytes=1 << 20,
+                      compaction_trigger=2, max_immutables=1000,
+                      block_cache_bytes=512)
+
+
+def _land(db, kind: str, at: int) -> None:
+    """Land the oldest sealed memtable's flush, or a compaction."""
+    if kind == "flush" and db._immutables:
+        db._flush_immutable(db._immutables[0])
+    elif kind == "compact" and len(db._sstables) >= 2:
+        start = at % (len(db._sstables) - 1)
+        db._compact_run(start, len(db._sstables))
+
+
+def _apply(db, ops) -> dict:
+    """Run ``ops`` on ``db``; returns the dict model of what it holds."""
+    model: dict = {}
+    for op, key, value, at in ops:
+        if op == "put":
+            db.put(key, value)
+            model[key] = value
+        elif op == "erase":
+            if key in model:
+                db.erase(key)
+                del model[key]
+        elif op == "seal":
+            with db._lock:
+                db._seal_memtable_locked()
+        else:
+            _land(db, op, at)
+    return model
+
 
 @settings(max_examples=40, deadline=None)
 @given(
-    ops=st.lists(st.tuples(
-        st.sampled_from(["put", "put", "put", "erase", "erase", "seal",
-                         "flush", "compact"]),
-        _KEY_BYTES, st.binary(max_size=24), st.integers(0, 7)),
-        max_size=70),
+    ops=_OPS,
     page=st.lists(st.one_of(
         _KEY_BYTES.map(lambda key: key[:2]), _KEY_BYTES,
         st.sampled_from([b"", b"\xff", b"\xff\xff", b"\xff\xff\xff\xff\xff",
@@ -618,32 +655,9 @@ def test_scan_prefixes_equals_the_merged_scan(tmp_path_factory, ops, page,
     tmp = tmp_path_factory.mktemp("lsm-pages")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lsm_module, "_BLOCK_BYTES", 64)
-        db = _ManualLSM(str(tmp / "db"), memtable_bytes=1 << 20,
-                        compaction_trigger=2, max_immutables=1000,
-                        block_cache_bytes=512)
-        model: dict = {}
-
-        def land(kind: str, at: int) -> None:
-            if kind == "flush" and db._immutables:
-                db._flush_immutable(db._immutables[0])
-            elif kind == "compact" and len(db._sstables) >= 2:
-                start = at % (len(db._sstables) - 1)
-                db._compact_run(start, len(db._sstables))
-
+        db = _manual_lsm(tmp)
         try:
-            for op, key, value, at in ops:
-                if op == "put":
-                    db.put(key, value)
-                    model[key] = value
-                elif op == "erase":
-                    if key in model:
-                        db.erase(key)
-                        del model[key]
-                elif op == "seal":
-                    with db._lock:
-                        db._seal_memtable_locked()
-                else:
-                    land(op, at)
+            model = _apply(db, ops)
             before = db.stats.scan_entries
             reference = [list(db.scan_prefix(p)) for p in page]
             pulled = db.stats.scan_entries - before
@@ -657,9 +671,42 @@ def test_scan_prefixes_equals_the_merged_scan(tmp_path_factory, ops, page,
                 if i == landing[0]:
                     with db._lock:
                         db._seal_memtable_locked()
-                    land(landing[1], i)
+                    _land(db, landing[1], i)
             assert groups == reference
             assert db.stats.scan_entries - before == pulled
+        finally:
+            db.close()
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=_OPS, page=st.lists(_KEY_BYTES, min_size=1, max_size=12),
+       landing=st.tuples(st.integers(0, 11),
+                         st.sampled_from(["flush", "compact"])))
+def test_get_each_equals_the_model(tmp_path_factory, ops, page, landing):
+    """A page of lookups from one snapshot answers what the model holds
+    -- whatever mix of active memtable, sealed memtables and
+    overlapping tables (with tombstones) holds the keys, and when a
+    flush or a compaction lands between two lookups -- and counts one
+    lookup per key taken, none past the last."""
+    tmp = tmp_path_factory.mktemp("lsm-lookups")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lsm_module, "_BLOCK_BYTES", 64)
+        db = _manual_lsm(tmp)
+        try:
+            model = _apply(db, ops)
+            expected = [model.get(key) for key in page]
+            assert db.get_multi(page) == expected
+            before = db.stats.gets
+            next(db.get_each(page))
+            assert db.stats.gets - before == 1
+            values = []
+            for i, value in enumerate(db.get_each(page)):
+                values.append(value)
+                if i == landing[0]:
+                    with db._lock:
+                        db._seal_memtable_locked()
+                    _land(db, landing[1], i)
+            assert values == expected
         finally:
             db.close()
 
