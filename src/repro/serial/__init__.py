@@ -11,6 +11,11 @@ This package reproduces that contract for Python:
   ``None`` and NumPy arrays serialize natively;
 - :func:`register_type` names a class so values can be decoded in a
   process that did not encode them (the analogue of C++ type names).
+
+One codec (:mod:`repro.serial.archive`) writes and reads every value.
+A registered class's field plan (:func:`column_plan`) gives its columns
+(:mod:`repro.serial.columnar`) and, for a plain dataclass, the typed
+table its rows are stored as (:mod:`repro.serial.compiled`).
 """
 
 from repro.serial.archive import (
@@ -23,10 +28,6 @@ from repro.serial.archive import (
     type_name,
     class_version,
     serializable,
-    compiled_for,
-    fast_path,
-    fast_path_enabled,
-    set_fast_path,
 )
 from repro.serial.columnar import (
     column_fields,
@@ -44,10 +45,6 @@ __all__ = [
     "type_name",
     "class_version",
     "serializable",
-    "compiled_for",
-    "fast_path",
-    "fast_path_enabled",
-    "set_fast_path",
     "column_fields",
     "column_plan",
     "to_columns",

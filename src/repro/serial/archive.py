@@ -29,16 +29,12 @@ typical implementation is::
 Plain ``@dataclass`` types need no ``serialize`` method: their fields
 are visited in declaration order.
 
-Two implementations produce this format.  The *interpreted* path in
-this module handles every serializable value and is the reference
-semantics.  Registration additionally tries to build a *compiled*
-per-class encoder/decoder pair (:mod:`repro.serial.compiled`) that
-emits byte-identical output with the per-field dispatch specialized
-away; the archives consult the compiled tables first and fall back to
-the interpreted path for anything the compiler declined.  The fast
-path can be pinned off (e.g. to use the interpreted path as a
-differential-test oracle) with :func:`set_fast_path` or the
-:class:`fast_path` context manager.
+One codec writes this format.  :meth:`OutputArchive._write_value`
+looks a value's exact class up in a table of writers for the built-in
+types and otherwise takes the ``isinstance`` chain of
+:meth:`OutputArchive._write_interpreted`, which is the reference: every
+table writer gives the bytes its branch of the chain gives.  Objects
+always take the chain and visit their fields through ``serialize``.
 
 Decoding is zero-copy friendly: :class:`InputArchive` (and
 :func:`loads`) accept ``bytes``, ``bytearray`` or ``memoryview`` and
@@ -113,73 +109,6 @@ _BY_TYPE: dict[type, str] = {}
 _VERSIONS: dict[type, int] = {}
 _TAKES_VERSION: dict[type, bool] = {}
 
-# -- compiled serializer tables ----------------------------------------------
-#
-# ``_ALL_*`` hold every compiled function ever built; ``_ENCODERS`` /
-# ``_DECODERS`` are the tables the hot path actually consults.  When
-# the fast path is enabled they alias the ``_ALL_*`` tables; disabling
-# rebinds them to empty dicts, so the interpreted path runs with no
-# per-value flag check.  ``_ALL_ENCODERS`` is the one exact-class
-# dispatch table of ``_write_value``: it also holds the writers of the
-# built-in types, each byte-identical to its branch of the interpreted
-# chain.
-
-_ALL_ENCODERS: dict[type, Callable] = {}
-_ALL_DECODERS: dict[type, tuple[int, Callable]] = {}
-_ENCODERS: dict[type, Callable] = _ALL_ENCODERS
-_DECODERS: dict[type, tuple[int, Callable]] = _ALL_DECODERS
-#: (name, version) each class was last compiled (or found uncompilable)
-#: against, so re-registration is a no-op and version bumps recompile.
-_COMPILE_KEY: dict[type, tuple[str, int]] = {}
-
-_FAST_PATH = True
-
-
-def fast_path_enabled() -> bool:
-    """Whether compiled serializers are currently dispatched."""
-    return _FAST_PATH
-
-
-def set_fast_path(enabled: bool) -> bool:
-    """Enable/disable the compiled fast path; returns the previous state.
-
-    Disabling routes every encode/decode through the interpreted
-    reference implementation (the differential-test oracle).  The wire
-    format is identical either way.
-    """
-    global _FAST_PATH, _ENCODERS, _DECODERS
-    previous = _FAST_PATH
-    _FAST_PATH = bool(enabled)
-    if _FAST_PATH:
-        _ENCODERS = _ALL_ENCODERS
-        _DECODERS = _ALL_DECODERS
-    else:
-        _ENCODERS = {}
-        _DECODERS = {}
-    return previous
-
-
-class fast_path:
-    """Context manager pinning the compiled fast path on or off."""
-
-    def __init__(self, enabled: bool):
-        self._enabled = enabled
-        self._previous: Optional[bool] = None
-
-    def __enter__(self) -> "fast_path":
-        self._previous = set_fast_path(self._enabled)
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        set_fast_path(self._previous)
-        return False
-
-
-def compiled_for(cls: type) -> tuple[bool, bool]:
-    """(has compiled encoder, has compiled decoder) for ``cls``."""
-    return cls in _ALL_ENCODERS, cls in _ALL_DECODERS
-
-
 def register_type(cls: type, name: Optional[str] = None,
                   version: int = 0) -> type:
     """Register ``cls`` under ``name`` (default: the class qualname).
@@ -195,10 +124,8 @@ def register_type(cls: type, name: Optional[str] = None,
     input (and the current version on output), so newer code can read
     older data.
 
-    Registration is also when the fast path is set up: the signature of
-    ``serialize`` is inspected once (not lazily on first encode), and a
-    compiled encoder/decoder pair is generated when the class is
-    eligible (see :mod:`repro.serial.compiled`).
+    The signature of ``serialize`` is inspected once, here, not on
+    every encode.
     """
     label = name if name is not None else cls.__qualname__
     existing = _BY_NAME.get(label)
@@ -213,31 +140,7 @@ def register_type(cls: type, name: Optional[str] = None,
     _VERSIONS[cls] = version
     if cls not in _TAKES_VERSION:
         _TAKES_VERSION[cls] = _compute_takes_version(cls)
-    _maybe_compile(cls, label, version)
     return cls
-
-
-def _maybe_compile(cls: type, label: str, version: int) -> None:
-    key = (label, version)
-    if _COMPILE_KEY.get(cls) == key:
-        return
-    _COMPILE_KEY[cls] = key
-    _ALL_ENCODERS.pop(cls, None)
-    _ALL_DECODERS.pop(cls, None)
-    # Late import: the compiler needs this module's constants.
-    from repro.serial import compiled as _compiled
-
-    try:
-        plan = _compiled.compile_class(cls, label, version)
-    except Exception:  # pragma: no cover - compilation is best-effort
-        plan = None
-    if plan is None:
-        return
-    encoder, decoder = plan
-    if encoder is not None:
-        _ALL_ENCODERS[cls] = encoder
-    if decoder is not None:
-        _ALL_DECODERS[cls] = (version, decoder)
 
 
 def class_version(cls: type) -> int:
@@ -345,9 +248,8 @@ class OutputArchive:
 
     def _write_interpreted(self, value: Any) -> None:
         """The reference encoder: every serializable value, by
-        ``isinstance``.  Serves what has no exact-class entry (subclasses
-        of the built-ins, NumPy scalars, arrays, sets, uncompiled
-        objects) and, with the fast path off, everything."""
+        ``isinstance``.  Serves what has no exact-class entry: subclasses
+        of the built-ins, NumPy scalars, arrays, sets and objects."""
         buf = self._buf
         if value is None:
             buf.write(_TAG_NONE)
@@ -439,25 +341,26 @@ class OutputArchive:
     def _write_object(self, value: Any) -> None:
         buf = self._buf
         buf.write(_TAG_OBJECT)
-        name = type_name(value)
-        if name not in _BY_NAME:
+        cls = type(value)
+        if cls not in _BY_TYPE:
             # Auto-register so round-trips within one process always
-            # work (later encodes of this class may then dispatch to
-            # the just-compiled encoder -- same bytes either way).
-            register_type(type(value), name)
-        encoded = name.encode("utf-8")
+            # work; a name another class holds raises here rather than
+            # being written for this one.
+            register_type(cls)
+        encoded = _BY_TYPE[cls].encode("utf-8")
         _write_uvarint(buf, len(encoded))
         buf.write(encoded)
-        version = _VERSIONS.get(type(value), 0)
+        version = _VERSIONS[cls]
         _write_uvarint(buf, version)
         _visit_fields(value, self, version)
 
 
 # -- exact-class writers of the built-in types ---------------------------------
 #
-# ``write(value, ar)`` like a compiled encoder.  A head under 128 is one
-# write from ``_HEADS``; containers dispatch their items themselves, so
-# an element costs one ``dict.get`` and one call.
+# ``write(value, ar)``, each byte-identical to its branch of
+# ``_write_interpreted``.  A head under 128 is one write from ``_HEADS``;
+# containers dispatch their items themselves, so an element costs one
+# ``dict.get`` and one call.
 
 
 def _write_sized(tag: int, n: int, buf: io.BytesIO, data: bytes = b"") -> None:
@@ -508,13 +411,14 @@ def _write_items(tag: int, value, ar) -> None:
             ar._write_interpreted(item)
 
 
-_ALL_ENCODERS.update({
+#: the exact-class dispatch table of ``_write_value``.
+_ENCODERS: dict[type, Callable] = {
     type(None): _write_none, bool: _write_bool, int: _write_int,
     float: _write_float, str: _write_str, bytes: _write_bytes,
     list: partial(_write_items, _T_LIST),
     tuple: partial(_write_items, _T_TUPLE),
     dict: partial(_write_items, _T_DICT),
-})
+}
 
 
 class InputArchive:
@@ -665,12 +569,6 @@ def _read_object(ar: InputArchive) -> Any:
     name = str(ar._read_exact(n), "utf-8")
     cls = registered_type(name)
     stored_version = ar._read_uvarint()
-    entry = _DECODERS.get(cls)
-    if entry is not None and entry[0] == stored_version:
-        # A compiled decoder only exists for the version it was built
-        # against; any other stored version (schema evolution) takes
-        # the interpreted path below.
-        return entry[1](ar)
     # Like Boost, deserialization prefers default construction so the
     # object's serialize method can read its own (default) members;
     # fall back to allocation-only for types without a no-arg init.

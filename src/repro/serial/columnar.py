@@ -4,15 +4,14 @@ HEP selection is embarrassingly columnar: a Cut touches two or three
 fields of every slice, yet the row-wise archive ships and decodes whole
 objects.  This module provides the transposed view:
 
-- :func:`column_plan` derives a per-class column schema from the same
-  machinery the compiled serializers use (the dataclass field list or
-  the ``serialize`` sentinel probe), so exactly the classes that
-  compile also columnarize;
+- :func:`column_plan` (from :mod:`repro.serial.compiled`) is a class's
+  column schema: its field plan, from the dataclass field list or the
+  ``serialize`` sentinel probe;
 - :func:`to_columns` transposes a homogeneous object list into numpy
   arrays (``float``/``int``/``bool`` fields) or plain value lists
-  (everything else), with the same strict ``type(v) is`` guards the
-  compiled encoders use -- a value that fails its guard degrades that
-  column to an archive-encoded list, never to a lossy cast;
+  (everything else), with strict ``type(v) is`` guards -- a value that
+  fails its guard degrades that column to an archive-encoded list,
+  never to a lossy cast;
 - :func:`table_records` / :func:`project_records` give the same
   columns for a stored *typed table value* (what ingest writes) straight
   from its record bytes, without building a row;
@@ -27,14 +26,13 @@ data but never change it.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import CorruptionError, SerializationError
 from repro.serial import archive as _A
-from repro.serial.compiled import _plan_dataclass, _probe_serialize_class
+from repro.serial.compiled import column_plan
 
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
@@ -46,54 +44,13 @@ _DTYPE_KINDS = {float: "f", int: "iu", bool: "b"}
 #: dtype marker for a column shipped as an archive-encoded value list.
 OBJECT_DTYPE = "O"
 
-#: class -> (plan, maker) | None, computed once per class.
-_PLANS: Dict[type, Optional[tuple]] = {}
-
-
-def _compute_plan(cls: type) -> Optional[tuple]:
-    if cls not in _A._BY_TYPE:
-        # The wire format names the class; unregistered classes could
-        # not be reconstructed on the other side anyway.
-        return None
-    if _A._serialize_takes_version(cls):
-        return None  # field layout may be version-dependent
-    if getattr(cls, "__setattr__", None) is not object.__setattr__:
-        return None
-    if callable(getattr(cls, "serialize", None)):
-        plan = _probe_serialize_class(cls)
-        maker: Any = cls
-    elif dataclasses.is_dataclass(cls):
-        planned = _plan_dataclass(cls)
-        if planned is None:
-            return None
-        plan, maker = planned
-    else:
-        return None
-    if not plan:
-        return None
-    return list(plan), maker
-
-
-def column_plan(cls: type) -> Optional[tuple]:
-    """``([(field, kind), ...], maker)`` for ``cls``, or ``None``.
-
-    ``kind`` is one of ``float``/``int``/``bool``/``str``/``bytes`` or
-    ``None`` (generic).  The result is cached per class.
-    """
-    try:
-        return _PLANS[cls]
-    except KeyError:
-        planned = _compute_plan(cls)
-        _PLANS[cls] = planned
-        return planned
-
 
 def column_fields(cls: type) -> Optional[List[str]]:
     """The ordered column names of ``cls``, or ``None`` if unplanned."""
-    planned = column_plan(cls)
-    if planned is None:
+    plan = column_plan(cls)
+    if plan is None:
         return None
-    return [name for name, _kind in planned[0]]
+    return [name for name, _kind in plan]
 
 
 def _column_for(objs: Sequence[Any], name: str, kind) -> Any:
@@ -131,10 +88,9 @@ def to_columns(objs: Sequence[Any]) -> Optional[Tuple[int, Dict[str, Any]]]:
     for o in objs:
         if type(o) is not cls:
             return None
-    planned = column_plan(cls)
-    if planned is None:
+    plan = column_plan(cls)
+    if plan is None:
         return None
-    plan, _maker = planned
     return len(objs), {name: _column_for(objs, name, kind)
                        for name, kind in plan}
 
@@ -186,7 +142,7 @@ def project_records(layout, records, fields: Sequence[str]) -> Dict[str, Any]:
     them for the decoded rows: widened to the class plan's column dtype
     where every value passes that kind's guard, else the value list."""
     table = np.frombuffer(records, dtype=layout.dtype)
-    kinds = dict(column_plan(layout.cls)[0])
+    kinds = dict(column_plan(layout.cls))
     columns = {}
     for name in fields:
         col = table[name]

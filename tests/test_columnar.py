@@ -28,6 +28,7 @@ from repro.hepnos.keys import product_key
 from repro.nova import GeneratorConfig, generate_file_set, nue_candidate_cut
 from repro.nova.cafana import Cut
 from repro.serial import dumps, register_type, serializable
+from repro.serial.compiled import plan_table
 from repro.serial.columnar import (
     column_fields,
     column_from_block,
@@ -140,6 +141,21 @@ class TestColumnarRoundTrip:
         spec = (("a", "float"), ("b", "int"), ("c", "str"))
         cls = schema_class(spec)
         assert column_fields(cls) == ["a", "b", "c"]
+
+    def test_a_plan_asked_before_registration_counts_after(self):
+        """Asking before ``register_type`` is a refusal for now, not for
+        good: the class is planned, columnarizes and is written as a
+        typed table once it is registered."""
+        cls = dataclasses.make_dataclass(
+            "LateRegistered", [("a", float, dataclasses.field(default=0.0)),
+                               ("b", int, dataclasses.field(default=0))])
+        assert column_fields(cls) is None
+        assert to_columns([cls(1.0, 2)]) is None
+        register_type(cls, "test.columnar.LateRegistered")
+        assert column_fields(cls) == ["a", "b"]
+        assert to_columns([cls(1.0, 2)])[0] == 1
+        assert plan_table(cls, {"a": np.dtype("<f8"),
+                                "b": np.dtype("<i8")}) is not None
 
     def test_unplanned_list_returns_none(self):
         assert to_columns([]) is None

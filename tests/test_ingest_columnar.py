@@ -33,7 +33,7 @@ from repro.hepnos import (
 from repro.hepnos.keys import product_key
 from repro.hepnos.loader import _python_field_name
 from repro.mercury import Engine, Fabric
-from repro.serial import columnar, dumps, fast_path, loads, register_type
+from repro.serial import columnar, dumps, loads, register_type
 from repro.serial import archive as _archive
 from repro.serial.compiled import TABLE_DTYPES, _uvarint, plan_table
 from repro.yokan import MemoryBackend, YokanClient, YokanProvider, packed, wire
@@ -148,8 +148,6 @@ class TestTableEncoder:
             assert type(decoded) is list and len(decoded) == hi - lo
             assert all(type(row) is cls for row in decoded)
             assert dumps(decoded) == dumps(rows[lo:hi])
-            with fast_path(False):      # the interpreted archive reads it too
-                assert dumps(loads(value)) == dumps(rows[lo:hi])
             stored = columnar.table_records(value)
             if hi == lo:
                 assert stored is None       # like an empty list: not columnar
@@ -220,8 +218,8 @@ class TestTableEncoder:
         assert loads(value) == rows and dumps(loads(value)) == dumps(rows)
 
     def test_a_field_kind_that_differs_from_the_column_kind(self):
-        # The compiled encoder guards on the value's type, not the
-        # annotation; the table follows the column's dtype likewise, and
+        # The row encoding writes the value's type, not the
+        # annotation's; the table follows the column's dtype likewise, and
         # a projection degrades the field exactly as to_columns does.
         @dataclasses.dataclass
         class Mistyped:
@@ -312,9 +310,6 @@ class TestTableEncoder:
         # a column whose dtype a table record cannot hold
         for odd in ("<c16", "S4", "<M8[s]", np.longdouble):
             assert plan_table(Plain, {"x": f8, "y": np.dtype(odd)}) is None
-        # the interpreted oracle, when pinned, is what runs
-        with fast_path(False):
-            assert plan_table(Plain, {"x": f8, "y": f8}) is None
 
     def test_registered_version_is_in_the_header(self):
         @dataclasses.dataclass
@@ -475,9 +470,8 @@ class TestDamagedTables:
     @pytest.mark.parametrize("damage", sorted(DAMAGED))
     def test_row_lanes_raise_and_the_projection_declines(self, damage):
         value = DAMAGED[damage]
-        for pinned in (True, False):
-            with fast_path(pinned), pytest.raises(SerializationError):
-                loads(value)
+        with pytest.raises(SerializationError):
+            loads(value)
         assert columnar.table_records(value) is None
         assert columnar.value_to_table(value) is None
 
@@ -661,16 +655,6 @@ class TestStoreIdentity:
         assert doubled and all(
             v[0] == _archive._T_LIST and isinstance(loads(v)[0], Doubling)
             for v in doubled)
-
-    def test_pinned_interpreted_path_ingests_row_encoded(self, nova_file):
-        path, triples = nova_file
-        pinned, reference = Service(), Service()
-        with fast_path(False):
-            DataLoader(pinned.datastore, "identity/ds").ingest_file(path)
-        reference_ingest(reference.datastore, "identity/ds", path)
-        assert pinned.stored() == reference.stored()
-        assert {v[0] for v in products_of(pinned.stored())} == {
-            _archive._T_LIST}
 
     def test_uneven_shuffled_events_stay_whole(self, tmp_path):
         rng = np.random.default_rng(3)

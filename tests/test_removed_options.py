@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import hepnos
+from repro import hepnos, serial
+from repro.serial import archive
 from repro.hepnos import DataLoader, DataStore, PEPOptions
 from repro.hepnos.failover import enable_replication
 from repro.monitor import diagnose
@@ -28,3 +29,11 @@ from repro.monitor import diagnose
 def test_removed_keyword_is_type_error(call):
     with pytest.raises(TypeError, match="unexpected keyword"):
         call()
+
+
+@pytest.mark.parametrize("name", ["compiled_for", "fast_path",
+                                  "fast_path_enabled", "set_fast_path"])
+def test_removed_serial_switch_is_gone(name):
+    # one row codec: there is no compiled path to switch to or ask about
+    assert not hasattr(serial, name)
+    assert not hasattr(archive, name)

@@ -170,6 +170,19 @@ class TestObjects:
         with pytest.raises(SerializationError):
             register_type(Other, "test.Particle")
 
+    def test_unregistered_namesake_is_refused(self):
+        """An unregistered class whose default name another class holds
+        is refused, never written under the other class's name (which
+        ``loads`` would then rebuild as the other class)."""
+        energy = dataclasses.make_dataclass(
+            "NamesakeHit", [("energy", float, dataclasses.field(default=0.0))])
+        charge = dataclasses.make_dataclass(
+            "NamesakeHit", [("charge", float, dataclasses.field(default=0.0))])
+        register_type(energy)
+        assert loads(dumps(energy(1.5))) == energy(1.5)
+        with pytest.raises(SerializationError, match="already registered"):
+            dumps(charge(2.5))
+
     def test_reregistration_is_noop(self):
         register_type(Particle, "test.Particle")
 

@@ -1,13 +1,15 @@
-"""Differential tests: compiled serializers vs the interpreted archive.
+"""Round trips of the row codec, and its two writers against each other.
 
-The compiled fast path must be byte-compatible with the interpreted
-encoder/decoder in both directions -- same bytes out, same objects back,
-regardless of which side wrote the data.  The interpreted path is the
-oracle throughout.
+Every value the archive writes must decode to an equal value, and
+re-encoding that value must give the same bytes.  ``dumps`` writes a
+built-in value through an exact-class writer table; the ``isinstance``
+chain of ``OutputArchive._write_interpreted`` is the reference, and the
+table must give the bytes it gives (:class:`TestBuiltinDispatch`).
 """
 
 import dataclasses
 import enum
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,15 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serial import (
-    compiled_for,
+    archive as _archive,
+    column_plan,
     dumps,
-    fast_path,
-    fast_path_enabled,
     loads,
     register_type,
     serializable,
-    set_fast_path,
 )
+from repro.serial.compiled import plan_table
 from repro.errors import SerializationError
 
 
@@ -70,13 +71,24 @@ class Mixed:
 
 
 def interpreted_dumps(value):
-    with fast_path(False):
+    """``dumps`` through the ``isinstance`` chain alone (the exact-class
+    writer table emptied)."""
+    with mock.patch.object(_archive, "_ENCODERS", {}):
         return dumps(value)
 
 
-def interpreted_loads(data):
-    with fast_path(False):
-        return loads(data)
+#: the archive has one decoder.
+interpreted_loads = loads
+
+
+def assert_round_trips(value):
+    """``value`` decodes back equal, its decode re-encodes to the same
+    bytes, and the ``isinstance`` chain writes those bytes too."""
+    blob = dumps(value)
+    back = loads(blob)
+    assert back == value
+    assert dumps(back) == blob == interpreted_dumps(value)
+    return back
 
 
 floats = st.floats(allow_nan=False)
@@ -86,26 +98,40 @@ ints = st.integers(min_value=-(2 ** 70), max_value=2 ** 70)
 
 
 class TestEligibility:
-    def test_fixture_classes_are_compiled(self):
-        assert compiled_for(Scalar) == (True, True)
-        assert compiled_for(Point) == (True, True)
-        assert compiled_for(Mixed) == (True, True)
+    """Which classes have a field plan (the column schema and the
+    typed-table rule); every class round-trips either way."""
 
-    def test_nova_classes_are_compiled(self):
+    def test_fixture_classes_are_planned(self):
+        assert column_plan(Scalar) == [
+            ("x", float), ("y", float), ("n", int), ("flag", bool),
+            ("name", str), ("blob", bytes)]
+        assert column_plan(Point) == [
+            ("x", float), ("y", float), ("z", float), ("detector", int)]
+        assert column_plan(Mixed) == [
+            ("label", str), ("values", None), ("weight", float),
+            ("meta", None)]
+
+    def test_nova_classes_are_planned(self):
         from repro.nova.datamodel import EventHeader, SliceData
 
-        assert compiled_for(SliceData) == (True, True)
-        assert compiled_for(EventHeader) == (True, True)
+        for cls in (SliceData, EventHeader):
+            plan = column_plan(cls)
+            assert [name for name, _kind in plan] == [
+                f.name for f in dataclasses.fields(cls)]
+            assert {kind for _name, kind in plan} <= {int, float}
 
-    def test_frozen_dataclass_not_compiled_still_roundtrips(self):
+    def test_frozen_dataclass_has_no_plan(self):
         @serializable("fp.Frozen")
         @dataclasses.dataclass(frozen=True)
         class Frozen:
             a: int = 0
 
-        assert compiled_for(Frozen) == (False, False)
+        # the row encoding assigns each field back, which a frozen
+        # dataclass refuses, so no plan may vouch for one
+        assert column_plan(Frozen) is None
+        assert plan_table(Frozen, {"a": np.dtype("<i8")}) is None
 
-    def test_versioned_serialize_not_compiled(self):
+    def test_versioned_serialize_round_trips_unplanned(self):
         @serializable("fp.Versioned", version=3)
         class Versioned:
             def __init__(self, v=1):
@@ -114,11 +140,11 @@ class TestEligibility:
             def serialize(self, ar, version=0):
                 self.v = ar.io(self.v)
 
-        assert compiled_for(Versioned) == (False, False)
+        assert column_plan(Versioned) is None
         obj = Versioned(41)
         assert loads(dumps(obj)).v == 41
 
-    def test_variable_field_class_not_compiled(self):
+    def test_variable_field_class_round_trips_unplanned(self):
         @serializable("fp.Variable")
         class Variable:
             def __init__(self, items=()):
@@ -133,80 +159,54 @@ class TestEligibility:
                     self.items = [ar.io(None) for _ in range(n)]
 
         # Field count depends on the value: the probe must reject it.
-        enc, _dec = compiled_for(Variable)
-        assert not enc
+        assert column_plan(Variable) is None
         obj = Variable([1, 2, 3])
         assert loads(dumps(obj)).items == [1, 2, 3]
-
-
-class TestToggle:
-    def test_set_fast_path_returns_previous(self):
-        assert fast_path_enabled()
-        prev = set_fast_path(False)
-        assert prev is True
-        assert not fast_path_enabled()
-        set_fast_path(True)
-        assert fast_path_enabled()
-
-    def test_context_manager_restores(self):
-        with fast_path(False):
-            assert not fast_path_enabled()
-            with fast_path(True):
-                assert fast_path_enabled()
-            assert not fast_path_enabled()
-        assert fast_path_enabled()
 
 
 class TestDifferential:
     @settings(max_examples=200, deadline=None)
     @given(floats, floats, ints, st.booleans(), texts, blobs)
     def test_serialize_class_bytes_identical(self, x, y, n, flag, name, blob):
-        obj = Scalar(x, y, n, flag, name, blob)
-        assert dumps(obj) == interpreted_dumps(obj)
+        assert_round_trips(Scalar(x, y, n, flag, name, blob))
 
     @settings(max_examples=200, deadline=None)
     @given(floats, floats, floats, ints)
     def test_dataclass_bytes_identical(self, x, y, z, det):
-        obj = Point(x, y, z, det)
-        assert dumps(obj) == interpreted_dumps(obj)
+        assert_round_trips(Point(x, y, z, det))
 
     @settings(max_examples=100, deadline=None)
     @given(texts, st.lists(floats, max_size=8), floats,
            st.dictionaries(texts, ints, max_size=4))
     def test_mixed_container_fields_identical(self, label, values, w, meta):
-        obj = Mixed(label, values, w, meta)
-        assert dumps(obj) == interpreted_dumps(obj)
+        assert_round_trips(Mixed(label, values, w, meta))
 
     @settings(max_examples=200, deadline=None)
     @given(floats, floats, ints, st.booleans(), texts, blobs)
     def test_cross_decode_both_directions(self, x, y, n, flag, name, blob):
         obj = Scalar(x, y, n, flag, name, blob)
-        fast_bytes = dumps(obj)
-        slow_bytes = interpreted_dumps(obj)
-        # fast-encoded decodes interpreted; slow-encoded decodes fast.
-        assert interpreted_loads(fast_bytes) == obj
-        assert loads(slow_bytes) == obj
+        table_bytes = dumps(obj)
+        chain_bytes = interpreted_dumps(obj)
+        # what either writer wrote, the one decoder reads back.
+        assert interpreted_loads(table_bytes) == obj
+        assert loads(chain_bytes) == obj
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(floats, floats, floats, ints), max_size=16))
-    def test_vectors_of_compiled_objects(self, rows):
-        objs = [Point(*row) for row in rows]
-        blob = dumps(objs)
-        assert blob == interpreted_dumps(objs)
-        assert loads(blob) == interpreted_loads(blob) == objs
+    def test_vectors_of_objects(self, rows):
+        assert_round_trips([Point(*row) for row in rows])
 
-    def test_type_guard_falls_back_per_field(self):
-        # A wrong-typed field value must not corrupt the stream: the
-        # compiled encoder's guards defer to the generic writer.
+    def test_wrong_typed_fields_round_trip(self):
+        # A field holds whatever value it is given: each is written by
+        # its own type's writer, whatever the field default's type.
         obj = Scalar(x=1, y="not a float", n=2.5, flag="yes",
                      name=7, blob=[1, 2])
-        assert dumps(obj) == interpreted_dumps(obj)
-        back = loads(dumps(obj))
+        back = assert_round_trips(obj)
         assert vars(back) == vars(obj)
 
 
 class TestVersioning:
-    def test_version_bump_recompiles(self):
+    def test_version_bump_reads_old_data(self):
         @dataclasses.dataclass
         class Evolving:
             a: float = 0.0
@@ -214,10 +214,9 @@ class TestVersioning:
         register_type(Evolving, "fp.Evolving", version=1)
         v1_bytes = dumps(Evolving(1.5))
         register_type(Evolving, "fp.Evolving", version=2)
-        assert compiled_for(Evolving) == (True, True)
         v2_bytes = dumps(Evolving(1.5))
         assert v1_bytes != v2_bytes  # version is in the header
-        # Old-version data still decodes (interpreted fallback path).
+        # Data written at the old version still decodes.
         assert loads(v1_bytes).a == 1.5
         assert loads(v2_bytes).a == 1.5
 
