@@ -6,6 +6,9 @@ interfaces to benefit from a distributed data store.  This example
 shows what that looks like: the physics modules below are written once
 and know nothing about storage; swapping ``FileSource`` for
 ``HEPnOSSource`` (and adding ``HEPnOSSink``) is the entire migration.
+The example checks that claim: it runs the same modules over
+``FileSource`` on the same files and exits non-zero unless they keep
+the same events and fill the same spectrum.
 
 Pipeline: NueCandidateFilter -> CalibProducer -> SpectrumAnalyzer.
 
@@ -26,6 +29,7 @@ from repro.bedrock import BedrockServer, default_hepnos_config
 from repro.framework import (
     Analyzer,
     CutFilter,
+    FileSource,
     HEPnOSSink,
     HEPnOSSource,
     Pipeline,
@@ -34,7 +38,12 @@ from repro.framework import (
 from repro.hepnos import DataLoader, DataStore, vector_of
 from repro.mercury import Fabric
 from repro.minimpi import mpirun
-from repro.nova import GeneratorConfig, generate_file_set, nue_candidate_cut
+from repro.nova import (
+    GeneratorConfig,
+    SliceData,
+    generate_file_set,
+    nue_candidate_cut,
+)
 from repro.serial import registered_type, serializable
 
 
@@ -126,6 +135,19 @@ def main(workdir):
         if count:
             print(f"  {left:5.1f}-{left + 1:5.1f} GeV "
                   f"{'#' * int(30 * count / peak)} {int(count)}")
+
+    # The migration claim, checked: the same three modules, run
+    # sequentially over the files themselves (the grid paradigm), keep
+    # the same events and fill the same spectrum.
+    file_modules = build_modules(SliceData)
+    file_report = Pipeline(list(file_modules)).run(FileSource(sample.paths))
+    if (file_report.events_completed != total_kept
+            or not np.array_equal(file_modules[2].counts, spectrum.counts)):
+        raise SystemExit(
+            f"FileSource kept {file_report.events_completed} events, "
+            f"HEPnOSSource {total_kept}, or their spectra differ")
+    print(f"\nFileSource over the same files: {file_report.events_read} "
+          f"events read, {file_report.events_completed} kept, same spectrum")
 
     # The producer's summaries are persisted (for surviving events):
     # load one back through the plain HEPnOS API.

@@ -97,7 +97,7 @@ def main(workdir):
     print(f"  total bytes written: {report.total_bytes_written} "
           "(every byte is NEW data; step 3 read raw slices in place)")
 
-    # -- file-based chain ----------------------------------------------------
+    # -- file-based chain (its file I/O modelled from the arrays' bytes) -----
     n = 64
     tables = {"slices": np.random.default_rng(0).random((n, 40))}
     fb_steps = [
@@ -110,7 +110,7 @@ def main(workdir):
                  out_label="summary"),
     ]
     needs = {0: {"slices"}, 1: {"calib"}, 2: {"cluster", "slices"}}
-    _, fb_report = FileBasedPipeline(workdir).run(tables, fb_steps, needs)
+    _, fb_report = FileBasedPipeline().run(tables, fb_steps, needs)
     print("\nfile-based chain:")
     copied_total = 0
     for step in fb_report.steps:

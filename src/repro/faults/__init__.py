@@ -21,7 +21,6 @@ package generalizes that one failure mode into a catalog:
 """
 
 from repro.faults.models import (
-    ComposedFaultModel,
     CorruptionFault,
     DropFault,
     FaultModel,
@@ -57,7 +56,6 @@ def __getattr__(name):
 
 
 __all__ = [
-    "ComposedFaultModel",
     "CorruptionFault",
     "DropFault",
     "FaultModel",

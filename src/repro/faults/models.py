@@ -134,30 +134,7 @@ class PartitionFault(FaultModel):
                 or (a in self.group_b and b in self.group_a))
 
 
-class ComposedFaultModel(FaultModel):
-    """Combine several models: any drop drops, latencies add, the first
-    model that corrupts wins."""
-
-    def __init__(self, *models: FaultModel):
-        self.models = list(models)
-
-    def should_drop(self, src: Address, dst: Address, nbytes: int) -> bool:
-        return any(m.should_drop(src, dst, nbytes) for m in self.models)
-
-    def latency(self, src: Address, dst: Address, nbytes: int) -> float:
-        return sum(m.latency(src, dst, nbytes) for m in self.models)
-
-    def corrupt(self, src: Address, dst: Address,
-                payload: bytes) -> Optional[bytes]:
-        for model in self.models:
-            mutated = model.corrupt(src, dst, payload)
-            if mutated is not None:
-                return mutated
-        return None
-
-
 __all__ = [
-    "ComposedFaultModel",
     "CorruptionFault",
     "DropFault",
     "FaultModel",

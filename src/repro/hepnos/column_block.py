@@ -2,12 +2,13 @@
 
 A ``scan_columns`` fan-out returns, per event, either projected columns
 (the product was stored list-of-records and the server materialized the
-requested fields), a raw serialized value (stored row-wise, or a field
-was not projectable), or nothing (no such product).  This module merges
-those per-event answers into one :class:`ColumnBlock`: each requested
-field becomes a single array concatenated over every columnar event,
-with an ``offsets`` vector mapping events to row ranges -- exactly the
-shape a vectorized Cut/Var evaluates in one numpy pass.
+requested fields as numeric arrays), a raw serialized value (stored
+row-wise, or a field was not a numeric column), or nothing (no such
+product).  This module merges those per-event answers into one
+:class:`ColumnBlock`: each requested field becomes a single numeric
+array concatenated over every columnar event, with an ``offsets``
+vector mapping events to row ranges -- exactly the shape a vectorized
+Cut/Var evaluates in one numpy pass.
 
 Events that could not be projected stay available row-wise (``raw``)
 and are handled by the caller's per-event fallback; events with no
@@ -28,28 +29,6 @@ import numpy as np
 PRESENT = True       #: projected into the arrays
 RAW = "raw"          #: present but only as a row-wise object list
 ABSENT = False       #: no such product in the event
-
-
-def _concat_column(pieces: Sequence[object]) -> np.ndarray:
-    """One array over all columnar events' pieces of a field.
-
-    Uniform numeric pieces concatenate zero-copy-ish; anything mixed or
-    list-typed (a guard-degraded column) falls back to an object array,
-    which still evaluates element-wise under Cut/Var at python speed.
-    """
-    if not pieces:
-        return np.empty(0, dtype=np.float64)
-    if all(isinstance(p, np.ndarray) for p in pieces):
-        dtypes = {p.dtype for p in pieces}
-        if len(dtypes) == 1:
-            return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
-    flat: List[object] = []
-    for piece in pieces:
-        flat.extend(piece.tolist() if isinstance(piece, np.ndarray)
-                    else piece)
-    out = np.empty(len(flat), dtype=object)
-    out[:] = flat
-    return out
 
 
 class ColumnBlock:
@@ -111,7 +90,8 @@ class ColumnBlock:
             perm = np.argsort(row_event, kind="stable")
         arrays = {}
         for f in fields:
-            col = _concat_column([g[2][f] for g in groups])
+            pieces = [g[2][f] for g in groups]
+            col = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
             arrays[f] = col if perm is None else col[perm]
         return cls(fields, arrays, offsets, present, dict(raw))
 

@@ -171,8 +171,8 @@ class _ColumnsLane:
     with a single fancy index per field only when a dual-read partner
     already answered some slot -- and cached whole, as one run; a cache
     probe returns one group per stretch of a cached run.  Events whose
-    product could not be projected (stored row-wise, or a field
-    degraded) come back raw; absent products occupy zero rows.
+    product could not be projected (no plan, or a non-numeric field)
+    come back raw; absent products occupy zero rows.
     """
 
     name = "columns"

@@ -5,18 +5,19 @@ immutable once written -- a re-store or an acknowledged batched write
 drops its key (:meth:`ProductCache.invalidate`) -- so the only policy
 question is capacity.  Full product keys (exactly the database key) map
 to serialized value bytes, bounded by entry count and total bytes,
-evicting least-recently-used entries.  Bytes, not objects: decoding is
-cheap on the compiled path, objects are mutable (a caller could corrupt
-a shared instance), and bytes make the memory bound honest.
+evicting least-recently-used entries.  Bytes, not objects: objects are
+mutable (a caller could corrupt a shared instance), and bytes make the
+memory bound honest.
 
 Columnar loads share the LRU and the byte budget, one *run* per
 ``scan_columns`` answer, never an entry per product: the answer's
 product keys, int64 row offsets and one private, read-only copy of each
-projected column (never a view pinning a landing buffer), charged the
-sum of its products' bytes.  An answer over the bounds is cut into runs
-that fit; a product over ``max_bytes`` alone is not cached.  An index
-maps each product key to its newest run and position (one int: runs own
-disjoint ranges of positions).  That run alone answers the key, all or
+projected column -- a numeric array, never a view pinning a landing
+buffer -- charged its rows' array bytes.  An answer over the bounds is
+cut into runs that fit; a product over ``max_bytes`` alone is not
+cached.  An index maps each product key to its newest run and position
+(one int: runs own disjoint ranges of positions).  That run alone
+answers the key, all or
 nothing across the requested fields -- a field it lacks is a miss, and
 the refetch is cached as a new run; fields of two answers never merge.
 An invalidated key leaves the index, a run with no key left leaves the
@@ -53,13 +54,11 @@ def _metrics(registry, kind: str) -> list:
         for name in ("bytes", "entries")]
 
 
-def _own(column, lo: int, hi: int):
-    """A private copy of rows ``lo:hi``, read-only when it is numpy."""
-    if isinstance(column, np.ndarray):
-        column = np.array(column[lo:hi], copy=True)
-        column.setflags(write=False)
-        return column
-    return list(column[lo:hi])
+def _own(column: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """A private, read-only copy of rows ``lo:hi``."""
+    column = np.array(column[lo:hi], copy=True)
+    column.setflags(write=False)
+    return column
 
 
 @dataclass(slots=True)
@@ -216,9 +215,7 @@ class ProductCache:
                         for field in fields}
                 groups.append((indices[lo:hi], np.diff(offsets), rows))
                 hits += hi - lo
-                hit_bytes += sum(col.nbytes if isinstance(col, np.ndarray)
-                                 else 64 * len(col) + 64
-                                 for col in rows.values())
+                hit_bytes += sum(col.nbytes for col in rows.values())
                 entries.move_to_end(run.base)
         if hits:
             self._col_hits.inc(hits)
@@ -247,7 +244,7 @@ class ProductCache:
 
     def put_columns(self, answers: Sequence[tuple]) -> None:
         """Cache whole scan answers ``(product keys, row counts, {field:
-        column})``, each column holding the keys' rows back to back, as
+        array})``, each array holding the keys' rows back to back, as
         one run each (more past the bounds) with one read-only copy per
         column, never a view over a landing buffer.  Every key now
         points at its new run -- or, too large to cache, at none."""
@@ -255,10 +252,8 @@ class ProductCache:
         for pkeys, counts, columns in answers:
             if not columns or not len(pkeys):
                 continue
-            arrays = [c for c in columns.values() if isinstance(c, np.ndarray)]
-            lists = len(columns) - len(arrays)
-            row_bytes = 64 * lists + sum(col.itemsize for col in arrays)
-            sizes = np.asarray(counts, dtype=np.int64) * row_bytes + 64 * lists
+            row_bytes = sum(col.itemsize for col in columns.values())
+            sizes = np.asarray(counts, dtype=np.int64) * row_bytes
             offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
             runs = [_Run(list(pkeys[lo:hi]), offsets[lo:hi + 1] - offsets[lo],
                          {field: _own(col, offsets[lo], offsets[hi])

@@ -9,7 +9,7 @@ plus a truth label used only for validating the synthetic generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.serial import register_type
 
@@ -52,10 +52,6 @@ class SliceData:
     #: truth label (synthetic-data only): 12 = nu_e signal, 0 = background
     true_pdg: int = 0
 
-    def serialize(self, ar) -> None:
-        for f in fields(self):
-            setattr(self, f.name, ar.io(getattr(self, f.name)))
-
 
 @dataclass
 class EventHeader:
@@ -70,10 +66,6 @@ class EventHeader:
     trigger: int = 0
     #: number of slices in the readout
     nslices: int = 0
-
-    def serialize(self, ar) -> None:
-        for f in fields(self):
-            setattr(self, f.name, ar.io(getattr(self, f.name)))
 
 
 register_type(SliceData, "nova.SliceData")

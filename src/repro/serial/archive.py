@@ -108,6 +108,8 @@ _BY_NAME: dict[str, type] = {}
 _BY_TYPE: dict[type, str] = {}
 _VERSIONS: dict[type, int] = {}
 _TAKES_VERSION: dict[type, bool] = {}
+#: registered frozen dataclasses: their fields decode by ``object.__setattr__``
+_FROZEN: set = set()
 
 def register_type(cls: type, name: Optional[str] = None,
                   version: int = 0) -> type:
@@ -140,6 +142,9 @@ def register_type(cls: type, name: Optional[str] = None,
     _VERSIONS[cls] = version
     if cls not in _TAKES_VERSION:
         _TAKES_VERSION[cls] = _compute_takes_version(cls)
+    params = getattr(cls, "__dataclass_params__", None)
+    if params is not None and params.frozen:
+        _FROZEN.add(cls)
     return cls
 
 
@@ -158,14 +163,6 @@ def _compute_takes_version(cls: type) -> bool:
         return len(parameters) >= 3
     except (TypeError, ValueError):  # pragma: no cover - builtins
         return False
-
-
-def _serialize_takes_version(cls: type) -> bool:
-    cached = _TAKES_VERSION.get(cls)
-    if cached is None:
-        cached = _compute_takes_version(cls)
-        _TAKES_VERSION[cls] = cached
-    return cached
 
 
 def serializable(name: Optional[str] = None,
@@ -653,15 +650,20 @@ def _visit_fields(obj: Any, ar, version: int = 0) -> None:
     """
     serialize = getattr(obj, "serialize", None)
     if callable(serialize):
-        if _serialize_takes_version(type(obj)):
+        if _TAKES_VERSION[type(obj)]:  # filled by register_type
             serialize(ar, version)
         else:
             serialize(ar)
         return
     if dataclasses.is_dataclass(obj):
-        for field in dataclasses.fields(obj):
-            current = getattr(obj, field.name, None)
-            setattr(obj, field.name, ar.io(current))
+        fields = dataclasses.fields(obj)
+        if ar.is_output:
+            for field in fields:
+                ar.io(getattr(obj, field.name, None))
+        else:
+            assign = object.__setattr__ if type(obj) in _FROZEN else setattr
+            for field in fields:
+                assign(obj, field.name, ar.io())
         return
     raise SerializationError(
         f"{type(obj).__qualname__} has neither a serialize method nor "

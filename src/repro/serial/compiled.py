@@ -1,23 +1,17 @@
 """Field plans and typed table values.
 
-A *field plan* lists a registered class's fields in the order its row
-encoding visits them, each with the scalar kind its default value has
-(:func:`column_plan`).  Plain dataclasses are planned from their field
-list; fixed-field ``serialize(self, ar)`` classes by a *sentinel
-probe*: a default instance's attributes are replaced with unique
-sentinels and ``serialize`` is run against recording/replaying
-archives.  A class is planned only if the visit sequence maps
-one-to-one onto its attributes in a fixed order and ``ar.io`` return
-values are assigned straight back -- i.e. the method is equivalent to a
-field list.  Classes whose ``serialize`` takes the schema ``version``
-argument (their layout may be version-dependent), frozen dataclasses
-and classes that intercept attribute assignment have no plan.
+A *field plan* lists a registered dataclass's fields in the order its
+row encoding visits them, each with the scalar kind its default value
+has (:func:`column_plan`).  It comes from the dataclass field list
+alone: a class with a ``serialize`` method (whatever it does), one that
+intercepts attribute assignment (a frozen dataclass among them) or one
+that is not a dataclass has no plan.
 
-A class table held as numpy columns is written from its plan: for plain
-dataclasses :func:`plan_table` gives the :class:`TableLayout` that
-writes its rows as a *typed table value* -- packed records in the
-columns' own dtypes -- which decodes to the same objects as the row
-encoding (the ingest path of :mod:`repro.hepnos.loader`).
+A class table held as numpy columns is written from its plan:
+:func:`plan_table` gives the :class:`TableLayout` that writes its rows
+as a *typed table value* -- packed records in the columns' own dtypes
+-- which decodes to the same objects as the row encoding (the ingest
+path of :mod:`repro.hepnos.loader`).
 """
 
 from __future__ import annotations
@@ -32,8 +26,10 @@ import numpy as np
 from repro.errors import SerializationError
 from repro.serial import archive as _A
 
-#: field kinds a plan names; anything else is "generic" (``None``).
-_SCALARS = (float, int, bool, str, bytes)
+#: a default's type, or a field annotation (the type or its name) -> the
+#: kind a plan names; anything else is "generic" (``None``).
+_KINDS = {**{t: t for t in (float, int, bool, str, bytes)},
+          **{t.__name__: t for t in (float, int, bool, str, bytes)}}
 
 
 def _uvarint(value: int) -> bytes:
@@ -43,123 +39,6 @@ def _uvarint(value: int) -> bytes:
         value >>= 7
     out.append(value)
     return bytes(out)
-
-
-# -- probing -----------------------------------------------------------------
-
-
-class _ProbeFailure(Exception):
-    pass
-
-
-class _RecordingArchive:
-    """Output-archive stand-in that records the exact objects visited."""
-
-    is_output = True
-    is_input = False
-
-    def __init__(self, record: list):
-        self._record = record
-
-    def io(self, value):
-        self._record.append(value)
-        return value
-
-    __call__ = io
-
-
-class _ReplayArchive:
-    """Input-archive stand-in that hands out a fixed value sequence."""
-
-    is_output = False
-    is_input = True
-
-    def __init__(self, values: list):
-        self._values = values
-        self.consumed = 0
-
-    def io(self, _ignored=None):
-        if self.consumed >= len(self._values):
-            raise _ProbeFailure("serialize read more fields than probed")
-        value = self._values[self.consumed]
-        self.consumed += 1
-        return value
-
-    __call__ = io
-
-
-class _Opaque:
-    __slots__ = ()
-
-
-def _sentinel(kind: type, i: int):
-    """A fresh, identity-unique value, scalar-typed where possible."""
-    if kind is float:
-        return 1.0e6 + i + 0.5
-    if kind is int or kind is bool:
-        # bool has only two identities; a unique int still flows through
-        # ``ar.io`` untouched, which is all the probe needs.
-        return 10**6 + i
-    if kind is str:
-        return "\x00sentinel-%d\x00" % i
-    if kind is bytes:
-        return b"\x00sentinel-%d\x00" % i
-    return _Opaque()
-
-
-def _probe_serialize_class(cls: type) -> Optional[list]:
-    """Field plan for a fixed-field ``serialize`` class, or ``None``."""
-    try:
-        obj = cls()
-    except Exception:
-        return None
-    names = list(vars(obj))
-    if not names:
-        return None
-    originals = {n: getattr(obj, n) for n in names}
-    sentinels = []
-    by_id = {}
-    for i, n in enumerate(names):
-        s = _sentinel(type(originals[n]), i)
-        sentinels.append(s)
-        by_id[id(s)] = n
-        setattr(obj, n, s)
-    record: list = []
-    try:
-        obj.serialize(_RecordingArchive(record))
-    except Exception:
-        return None
-    visited = []
-    for value in record:
-        attr = by_id.get(id(value))
-        if attr is None:
-            return None  # serialize visits derived/transformed values
-        visited.append(attr)
-    if len(visited) != len(names) or set(visited) != set(names):
-        return None
-    # Input direction: serialize must assign each ar.io() result to the
-    # same attribute, in the same order, and create no new attributes.
-    try:
-        obj2 = cls()
-    except Exception:
-        return None
-    replay = [_sentinel(type(originals[n]), 10**4 + j)
-              for j, n in enumerate(visited)]
-    ar = _ReplayArchive(replay)
-    try:
-        obj2.serialize(ar)
-    except Exception:
-        return None
-    if ar.consumed != len(replay) or set(vars(obj2)) != set(names):
-        return None
-    for j, n in enumerate(visited):
-        if getattr(obj2, n, None) is not replay[j]:
-            return None
-    return [(n, _kind_of(type(originals[n]))) for n in visited]
-
-
-def _kind_of(t) -> Optional[type]:
-    return t if t in _SCALARS else None
 
 
 def _is_generated_init(cls: type) -> bool:
@@ -175,15 +54,7 @@ def _is_generated_init(cls: type) -> bool:
 
 
 def _plan_dataclass(cls: type) -> Optional[list]:
-    params = getattr(cls, "__dataclass_params__", None)
-    if params is not None and params.frozen:
-        # The row encoding assigns fields via setattr in both
-        # directions, so frozen dataclasses cannot round-trip at all.
-        return None
-    try:
-        fields = dataclasses.fields(cls)
-    except TypeError:
-        return None
+    fields = dataclasses.fields(cls)
     if not fields:
         return None
     try:
@@ -192,15 +63,12 @@ def _plan_dataclass(cls: type) -> Optional[list]:
         instance = None  # the row decode uses __new__ here too
     except Exception:
         return None
-    _ANNOTATED = {"float": float, "int": int, "bool": bool, "str": str,
-                  "bytes": bytes, float: float, int: int, bool: bool,
-                  str: str, bytes: bytes}
     plan = []
     for f in fields:
         if instance is not None and hasattr(instance, f.name):
-            kind = _kind_of(type(getattr(instance, f.name)))
+            kind = _KINDS.get(type(getattr(instance, f.name)))
         else:
-            kind = _ANNOTATED.get(f.type)
+            kind = _KINDS.get(f.type)
         plan.append((f.name, kind))
     return plan
 
@@ -210,15 +78,13 @@ _PLANS: Dict[type, Optional[list]] = {}
 
 
 def _compute_plan(cls: type) -> Optional[list]:
-    if _A._serialize_takes_version(cls):
-        return None  # field layout may be version-dependent
-    if getattr(cls, "__setattr__", None) is not object.__setattr__:
+    # A serialize method decides the row encoding itself, and a class
+    # that intercepts assignment may not hold what it was given.
+    if (callable(getattr(cls, "serialize", None))
+            or getattr(cls, "__setattr__", None) is not object.__setattr__
+            or not dataclasses.is_dataclass(cls)):
         return None
-    if callable(getattr(cls, "serialize", None)):
-        return _probe_serialize_class(cls)
-    if dataclasses.is_dataclass(cls):
-        return _plan_dataclass(cls)
-    return None
+    return _plan_dataclass(cls)
 
 
 def column_plan(cls: type) -> Optional[list]:
@@ -257,7 +123,7 @@ def _table_fields(cls: type) -> Optional[list]:
     ``__init__`` takes its fields positionally, in order, and only
     assigns them -- else ``None``."""
     plan = column_plan(cls)
-    if plan is None or callable(getattr(cls, "serialize", None)):
+    if plan is None:
         return None
     if not _is_generated_init(cls) or hasattr(cls, "__post_init__"):
         return None

@@ -143,8 +143,8 @@ class HEPnOSWorkflow:
                 counters["events"] += len(batch)
                 counters["slices"] += batch.block.rows
                 accepted.extend(int(x) for x in table["slice_id"][mask])
-                # Events the server could not project (stored row-wise
-                # or a degraded column) evaluate object-by-object.
+                # Events the server could not project (no plan, or a
+                # non-numeric field) evaluate object-by-object.
                 for _event, slices in batch.fallback_items():
                     counters["slices"] += len(slices)
                     accepted.extend(

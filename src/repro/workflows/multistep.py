@@ -11,9 +11,10 @@ This module implements both paradigms for an N-step analysis chain:
 
 - :class:`HEPnOSPipeline` -- steps are product transformations; step
   *k* reads any earlier step's products directly from the store;
-- :class:`FileBasedPipeline` -- steps read an input file set and write
-  an output file set; every column a later step needs must be carried
-  through (the copy-forward set), and the bytes written are accounted.
+- :class:`FileBasedPipeline` -- each step stands for reading an input
+  file set and writing an output file set; every column a later step
+  needs must be carried through (the copy-forward set).  No file is
+  written: the file I/O is modelled from the arrays' bytes.
 
 The measurable claim: file-based I/O grows with (steps x carried data)
 while HEPnOS writes each product once.
@@ -136,13 +137,11 @@ class FileBasedPipeline:
     """The grid paradigm: each step reads files, writes files.
 
     Columns a later step needs must travel through every intermediate
-    file.  We model the data as per-event column dictionaries in
-    hdf5lite files; ``carry`` computation makes the copy-forward cost
-    explicit and measurable.
+    file.  The data are in-memory column dictionaries and no file is
+    written: each step's output file is modelled as the bytes of the
+    arrays it would hold, so the ``carry`` computation makes the
+    copy-forward cost explicit and measurable.
     """
-
-    def __init__(self, workdir: str):
-        self.workdir = workdir
 
     def run(self, input_tables: dict, steps: Sequence[StepSpec],
             needed_by_step: dict) -> tuple[dict, PipelineReport]:

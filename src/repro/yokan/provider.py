@@ -17,6 +17,8 @@ import threading
 from collections import deque
 from typing import Optional
 
+import numpy as np
+
 from repro.argobots import Pool, ult_yield
 from repro.errors import (
     CorruptionError,
@@ -387,7 +389,7 @@ class YokanProvider:
         """
         statuses: list = []
         tables: list = []
-        layout, known, run = None, False, []
+        layout, wide, run = None, None, []
 
         def close_run() -> None:
             if run:
@@ -395,9 +397,11 @@ class YokanProvider:
                     layout, b"".join(run), fields))
                 run.clear()
 
-        # A value that cannot give every field travels row-wise (its
-        # bytes are the status): the client then evaluates per object
-        # and surfaces the same error the object path would.
+        # A value that cannot give every field as a numeric column of
+        # its plan kind travels row-wise (its bytes are the status): the
+        # client then evaluates per object and surfaces the same error
+        # the object path would.  For a table that is decided once per
+        # layout (``wide``), but for the int64 range of ``<u8`` fields.
         for value in values:
             if value is None:
                 statuses.append(None)
@@ -405,7 +409,9 @@ class YokanProvider:
             stored = _columnar.table_records(value)
             if stored is None:
                 table = _columnar.value_to_table(value)
-                if table is None or any(f not in table[2] for f in fields):
+                if table is None or not all(
+                        isinstance(table[2].get(f), np.ndarray)
+                        for f in fields):
                     statuses.append(value)
                     continue
                 close_run()
@@ -415,8 +421,9 @@ class YokanProvider:
             if stored[0] is not layout:
                 close_run()
                 layout = stored[0]
-                known = all(f in layout.fields for f in fields)
-            if known:
+                wide = _columnar.table_projection(layout, fields)
+            if wide is not None and (
+                    not wide or _columnar.records_fit(layout, stored[1], wide)):
                 run.append(stored[1])
                 statuses.append(len(stored[1]) // layout.dtype.itemsize)
             else:
@@ -433,8 +440,9 @@ class YokanProvider:
         the product-key suffix (label + type name) and a key list of
         UTF-8 field names (one that is not UTF-8 is refused).
         For every prefix whose product is a typed table, or decodes to
-        a homogeneous list of planned products, only the requested
-        columns travel; anything else travels row-wise in place (a
+        a homogeneous list of planned products, and gives every
+        requested field as a numeric column, only those columns travel;
+        anything else travels row-wise in place (a
         per-prefix ``raw`` status) so the projection can never change
         what the client reconstructs.  Always from what the backend
         holds now (a projection that keeps no state cannot be stale).

@@ -9,6 +9,7 @@ and across a live 1 -> 4 shard rescale.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,12 +23,26 @@ from repro.faults.chaos import (
     build_schedule,
     chaos_client_policy,
 )
-from repro.hepnos import PEPOptions, product_type_name, vector_of
+from repro.errors import ProductNotFound
+from repro.hepnos import (
+    DataLoader,
+    PEPOptions,
+    WriteBatch,
+    product_type_name,
+    vector_of,
+)
 from repro.hepnos.column_block import ABSENT
 from repro.hepnos.keys import product_key
 from repro.nova import GeneratorConfig, generate_file_set, nue_candidate_cut
 from repro.nova.cafana import Cut
-from repro.serial import dumps, register_type, serializable
+from repro.serial import (
+    columnar,
+    dumps,
+    loads,
+    register_type,
+    registered_type,
+    serializable,
+)
 from repro.serial.compiled import plan_table
 from repro.serial.columnar import (
     column_fields,
@@ -36,6 +51,7 @@ from repro.serial.columnar import (
     to_columns,
 )
 from repro.workflows import HEPnOSWorkflow
+from repro.yokan import YokanProvider
 
 
 # -- random schemas -----------------------------------------------------------
@@ -68,7 +84,7 @@ def schema_class(spec):
 
 def _values(kind):
     # Off-kind values (an int in a float column, a bool in an int
-    # column) exercise the guard degradation to archive-encoded lists.
+    # column) exercise the guard degradation to value lists.
     if kind == "float":
         return st.one_of(st.floats(width=64), st.integers(-3, 3))
     if kind == "int":
@@ -117,25 +133,32 @@ class TestColumnarRoundTrip:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(schema_and_objects(), min_size=1, max_size=4))
     def test_wire_blocks_round_trip(self, cases):
-        """pack_field_column + column_from_block over mixed tables."""
+        """pack_field_column + column_from_block over mixed tables; a
+        list whose field is not a numeric column travels raw instead and
+        decodes to the same objects."""
         # Force one shared schema so the tables concatenate.
         spec, _ = cases[0]
         cls = schema_class(spec)
-        tables = []
-        expected = {name: [] for name, _ in spec}
-        for _spec, objs in cases:
-            objs = [cls(**{n: getattr(o, n, KIND_DEFAULTS[k])
-                           for n, k in spec}) for o in objs]
-            _count, columns = to_columns(objs)
-            tables.append(columns)
-            for name, _kind in spec:
-                expected[name].extend(getattr(o, name) for o in objs)
-        total = sum(len(next(iter(t.values()))) if t else 0 for t in tables)
+        lists = [[cls(**{n: getattr(o, n, KIND_DEFAULTS[k]) for n, k in spec})
+                  for o in objs] for _spec, objs in cases]
+        tables = [to_columns(objs)[1] for objs in lists]
+        values = [dumps(objs) for objs in lists]
         for name, _kind in spec:
-            dtype_str, payload = pack_field_column(tables, name)
-            col = column_from_block(dtype_str, payload, total)
-            vals = col.tolist() if isinstance(col, np.ndarray) else col
-            assert dumps(vals) == dumps(expected[name])
+            numeric = [isinstance(t[name], np.ndarray) for t in tables]
+            statuses, (block,) = YokanProvider._project(values, [name])
+            assert statuses == [len(objs) if ok else value for objs, value, ok
+                                in zip(lists, values, numeric)]
+            expected = [getattr(o, name) for objs, ok in zip(lists, numeric)
+                        if ok for o in objs]
+            assert block == pack_field_column(
+                [t for t, ok in zip(tables, numeric) if ok], name)
+            col = column_from_block(*block, len(expected))
+            assert col.dtype.kind in "biuf"
+            # dumps-compare: NaN-safe, and catches int/float confusion.
+            assert dumps(col.tolist()) == dumps(expected)
+            for objs, status, ok in zip(lists, statuses, numeric):
+                if not ok:
+                    assert dumps(loads(status)) == dumps(objs)
 
     def test_column_fields_matches_plan_order(self):
         spec = (("a", "float"), ("b", "int"), ("c", "str"))
@@ -169,18 +192,12 @@ class TestColumnarRoundTrip:
 
 
 @serializable("test.columnar.Hit")
+@dataclasses.dataclass
 class Hit:
-    def __init__(self, e=0.0, n=0, good=False, tag=""):
-        self.e = e
-        self.n = n
-        self.good = good
-        self.tag = tag
-
-    def serialize(self, ar):
-        self.e = ar.io(self.e)
-        self.n = ar.io(self.n)
-        self.good = ar.io(self.good)
-        self.tag = ar.io(self.tag)
+    e: float = 0.0
+    n: int = 0
+    good: bool = False
+    tag: str = ""
 
 
 class TestServerProjection:
@@ -305,6 +322,136 @@ class TestServerProjection:
             block.column(f).nbytes for f in ["nhit", "cal_e", "cvn_e"])
         assert not block.raw
         assert projected <= 0.25 * packed_bytes, (projected, packed_bytes)
+
+
+# -- one column form ----------------------------------------------------------
+
+
+@serializable("test.columnar.Wide")
+@dataclasses.dataclass
+class Wide:
+    e: float = 0.0
+    n: int = 0
+    big: int = 0
+
+
+@serializable("test.columnar.Tagged")
+@dataclasses.dataclass
+class Tagged:
+    e: float = 0.0
+    tag: str = ""
+
+
+@serializable("test.columnar.Blip")
+class Blip:
+    """Row-encoded by its own ``serialize``: it has no field plan."""
+
+    def __init__(self, e=0.0, n=0):
+        self.e = e
+        self.n = n
+
+    def serialize(self, ar):
+        self.e = ar.io(self.e)
+        self.n = ar.io(self.n)
+
+
+def _wide_table(rows) -> bytes:
+    """The typed table value of ``Wide`` rows, ``big`` stored ``<u8``."""
+    columns = {name: np.array([row[i] for row in rows], dtype=dtype)
+               for i, (name, dtype) in enumerate(
+                   (("e", "<f4"), ("n", "<i4"), ("big", "<u8")))}
+    layout = plan_table(Wide, {k: v.dtype for k, v in columns.items()})
+    return layout.value(layout.records(columns, np.arange(len(rows))),
+                        0, len(rows))
+
+
+def _block_result(block, cut) -> list:
+    """Per event: does any record pass ``cut``, from a column block."""
+    passed = (block.event_any(cut.mask(block.table)) if block.rows
+              else np.zeros(len(block), dtype=bool))
+    return [bool(passed[i]) or any(cut(o) for o in block.raw.get(i, ()))
+            for i in range(len(block))]
+
+
+def _object_result(event, cls, cut) -> bool:
+    try:
+        return any(cut(o) for o in event.load(vector_of(cls)))
+    except ProductNotFound:
+        return False
+
+
+class TestOneColumnForm:
+    """A projected column is a numeric array, on the wire, in the column
+    cache and in the block; whatever cannot give one travels raw, and a
+    declared cut's per-event result is the object path's."""
+
+    def test_mixed_page_projects_numeric_columns_only(self, datastore,
+                                                      sample):
+        DataLoader(datastore, "columnar/oneform").ingest(sample.paths)
+        ds = datastore["columnar/oneform"]
+        empty = ds.create_run(10**6).create_subrun(0)
+        events = list(ds.events()) + [empty.create_event(i) for i in range(3)]
+        ingested = len(events) - 3
+        with WriteBatch(datastore) as batch:
+            for i, event in enumerate(events[:ingested]):
+                rows = [(0.5 * j + i % 4, i + j, j) for j in range(1 + i % 3)]
+                if i % 5 == 0:
+                    rows[-1] = rows[-1][:2] + (2**63 + i,)  # past int64
+                if i % 5 < 2:       # typed tables, as ingest writes them
+                    datastore.store_encoded_products(
+                        [event.key], vector_of(Wide), [_wide_table(rows)],
+                        batch=batch)
+                elif i % 5 == 2:    # a row-stored dataclass list
+                    event.store([Wide(*row) for row in rows], batch=batch)
+                elif i % 5 == 3:    # an off-kind n fails its guard
+                    event.store([Wide(e, True, big) for e, _, big in rows],
+                                batch=batch)
+                if i % 2:
+                    event.store([Blip(float(i), i)], batch=batch)
+                if i % 3:
+                    event.store([Tagged(float(i), "keep" if i % 2 else "no")],
+                                batch=batch)
+        keys = [event.key for event in events]
+        e_cut = Cut("e>1", lambda s: s.e > 1.0,
+                    lambda t: t["e"] > 1.0, columns=["e"])
+        big_cut = Cut("odd big or n>3", lambda s: s.big % 2 == 1 or s.n > 3,
+                      lambda t: (t["big"] % 2 == 1) | (t["n"] > 3),
+                      columns=["big", "n"])
+        tag_cut = Cut("keep", lambda s: s.tag == "keep",
+                      lambda t: t["tag"] == "keep", columns=["tag", "e"])
+        cases = [
+            (registered_type("rec.slc"), nue_candidate_cut, set()),
+            (Wide, e_cut, set()),
+            (Wide, big_cut, {i for i in range(ingested) if i % 5 in (0, 3)}),
+            (Tagged, e_cut, set()),
+            (Tagged, tag_cut, {i for i in range(ingested) if i % 3}),
+            (Blip, e_cut, {i for i in range(ingested) if i % 2}),
+        ]
+        blocks = []
+        unpack = column_from_block
+
+        def spy(dtype_str, payload, total_rows):
+            blocks.append(dtype_str)
+            return unpack(dtype_str, payload, total_rows)
+
+        with mock.patch.object(columnar, "column_from_block", spy):
+            for cls, cut, raw in cases:
+                expected = [_object_result(event, cls, cut)
+                            for event in events]
+                assert any(expected) and not all(expected)
+                # from the service, then from the column cache
+                for _load in range(2):
+                    block = datastore.load_products_columnar(
+                        keys, vector_of(cls), sorted(cut.columns))
+                    assert set(block.raw) == raw, (cls, cut)
+                    assert _block_result(block, cut) == expected, (cls, cut)
+                    assert all(array.dtype.kind in "biuf"
+                               for array in block.arrays.values())
+        assert blocks and all(np.dtype(d).kind in "biuf" for d in blocks)
+        runs = [entry for key, entry in datastore._product_cache._entries
+                .items() if isinstance(key, int)]
+        assert runs and all(col.dtype.kind in "biuf" for run in runs
+                            for col in run.columns.values())
 
 
 # -- selection identity -------------------------------------------------------

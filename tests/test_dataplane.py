@@ -267,7 +267,7 @@ class TestProductCache:
         metrics = MetricRegistry("test")
         cache = ProductCache(max_bytes=1 << 20, max_entries=8, metrics=metrics)
         cache.put(b"a", b"12345")
-        cache.put_columns([([b"b"], [2], {"x": [1, 2]})])
+        cache.put_columns([([b"b"], [2], {"x": np.array([1, 2])})])
         writes = []
         for name in ("product_cache.bytes", "product_cache.entries",
                      "column_cache.bytes", "column_cache.entries"):
@@ -292,17 +292,14 @@ class TestProductCache:
 
 # -- the column cache against a per-product model ------------------------------
 
-#: product keys answers and pages draw from; kinds of a projected column
-#: (``list`` is a guard-degraded column)
+#: product keys answers and pages draw from; dtypes of a projected column
 _POOL = [b"k%d" % i for i in range(8)]
-_KINDS = {"f8": np.float64, "i4": np.int32, "list": None}
+_KINDS = {"f8": np.float64, "i4": np.int32}
 
 
-def _charge_per_row(kinds: dict) -> tuple:
-    """(bytes per row, bytes per product) a product of ``kinds`` costs."""
-    per_row = sum(64 if kind == "list" else np.dtype(_KINDS[kind]).itemsize
-                  for kind in kinds.values())
-    return per_row, 64 * sum(kind == "list" for kind in kinds.values())
+def _charge_per_row(kinds: dict) -> int:
+    """The bytes one row of a product of ``kinds`` costs."""
+    return sum(np.dtype(_KINDS[kind]).itemsize for kind in kinds.values())
 
 
 _answers = st.lists(st.tuples(
@@ -347,20 +344,18 @@ class TestColumnCacheModel:
             if step[0] == "put_columns":
                 answers = []
                 for keys, counts, kinds in step[1]:
-                    per_row, fixed = _charge_per_row(kinds)
+                    per_row = _charge_per_row(kinds)
                     rows = {key: counts.get(key, 1) for key in keys}
                     columns = {}
                     for f, (field, kind) in enumerate(sorted(kinds.items())):
                         values = [version * 10000 + _POOL.index(key) * 100
                                   + f * 10 + r
                                   for key in keys for r in range(rows[key])]
-                        columns[field] = (
-                            values if kind == "list"
-                            else np.array(values, dtype=_KINDS[kind]))
+                        columns[field] = np.array(values, dtype=_KINDS[kind])
                     answers.append((keys, [rows[key] for key in keys],
                                     columns))
                     for key in keys:
-                        if rows[key] * per_row + fixed > max_bytes:
+                        if rows[key] * per_row > max_bytes:
                             model.pop(key, None)
                             continue
                         model[key] = {
@@ -370,8 +365,7 @@ class TestColumnCacheModel:
                 cache.put_columns(answers)
                 for keys, counts, columns in answers:
                     for col in columns.values():
-                        if isinstance(col, np.ndarray):
-                            assert col.flags.writeable  # the caller's own
+                        assert col.flags.writeable  # the caller's own
             elif step[0] == "lookup":
                 _, page, fields = step
                 hits0, misses0 = counter("hits"), counter("misses")
@@ -382,8 +376,7 @@ class TestColumnCacheModel:
                 assert counter("misses") - misses0 == len(page) - hits
                 for indices, counts, rows in groups:
                     for col in rows.values():
-                        if isinstance(col, np.ndarray):
-                            assert not col.flags.writeable
+                        assert not col.flags.writeable
                 for i, key in enumerate(page):
                     cached = model.get(key)
                     answerable = (cached is not None
@@ -476,15 +469,11 @@ class TestColumnCacheModel:
             live = [p for p in range(len(run.keys))
                     if cache._index.get(run.keys[p]) == run.base + p]
             assert run.live == len(live) > 0
-            per_row = sum(64 if isinstance(col, list) else col.itemsize
-                          for col in run.columns.values())
-            fixed = 64 * sum(isinstance(col, list)
-                             for col in run.columns.values())
-            assert run.size == int(run.offsets[-1]) * per_row + (
-                fixed * len(run.keys))
+            per_row = sum(col.itemsize for col in run.columns.values())
+            assert run.size == int(run.offsets[-1]) * per_row
             run_bytes += run.size
             for col in run.columns.values():
-                assert isinstance(col, list) or not col.flags.writeable
+                assert col.dtype.kind in "biuf" and not col.flags.writeable
         products = len(values) + len(cache._index)
         assert cache.cached_column_entries == len(cache._index)
         assert len(cache) == products <= cache.max_entries

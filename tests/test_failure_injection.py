@@ -18,9 +18,9 @@ from repro.argobots import Eventual
 from repro.bedrock import BedrockServer, default_hepnos_config
 from repro.errors import AddressError, NetworkFailure, RPCTimeout
 from repro.faults import (
-    ComposedFaultModel,
     CorruptionFault,
     DropFault,
+    FaultSchedule,
     LatencyFault,
     PartitionFault,
     RetryPolicy,
@@ -196,11 +196,13 @@ class TestFaultModels:
             PartitionFault()
 
     def test_composed_model_combines(self):
-        model = ComposedFaultModel(
-            DropFault(0.0), PartitionFault(links=[("a", "b")]),
-            LatencyFault(0.01), LatencyFault(0.02),
-            CorruptionFault(1.0, seed=1),
-        )
+        # A schedule of models with no window composes them: any drop
+        # drops, latencies add, the first model that corrupts wins.
+        model = FaultSchedule()
+        for part in (DropFault(0.0), PartitionFault(links=[("a", "b")]),
+                     LatencyFault(0.01), LatencyFault(0.02),
+                     CorruptionFault(1.0, seed=1)):
+            model.add(part)
         assert model.should_drop(_addr("a"), _addr("b"), 1)
         assert not model.should_drop(_addr("a"), _addr("c"), 1)
         assert model.latency(_addr("a"), _addr("c"), 1) == pytest.approx(0.03)

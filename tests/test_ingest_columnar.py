@@ -129,9 +129,10 @@ class TestTableEncoder:
     def test_matches_dumps_of_row_objects(self, table, data):
         """Decoding gives the row objects; re-encoding them gives the
         row encoding (the oracle) byte for byte; projecting the records
-        gives what transposing the objects gives, degraded columns (a
-        u8 at or above 2**63, a kind the field default disagrees with)
-        included -- a value list, never a wrapped integer."""
+        gives the arrays transposing the objects gives.  A field that
+        transposes to a value list (a u8 at or above 2**63, a kind the
+        field default disagrees with) is not projectable: the value
+        travels raw and decodes to the same objects."""
         dtypes, columns = table
         cls = row_class(dtypes)
         names = [f"c{i}" for i in range(len(dtypes))]
@@ -153,12 +154,22 @@ class TestTableEncoder:
                 assert stored is None       # like an empty list: not columnar
                 continue
             assert (stored[0].cls, stored[0].dtype) == (cls, layout.dtype)
-            projected = columnar.project_records(layout, stored[1], names)
             _count, transposed = columnar.to_columns(rows[lo:hi])
-            for name in names:
+            numeric = [name for name in names
+                       if isinstance(transposed[name], np.ndarray)]
+            projected = columnar.project_records(layout, stored[1], numeric)
+            for name in numeric:
                 assert same_column(projected[name], transposed[name]), name
                 assert (columnar.pack_field_column([projected], name)
                         == columnar.pack_field_column([transposed], name))
+            statuses, _blocks = YokanProvider._project([value], names)
+            if numeric == names:
+                assert statuses == [hi - lo]
+                continue
+            assert statuses == [value]
+            assert dumps(loads(statuses[0])) == dumps(rows[lo:hi])
+            with pytest.raises(SerializationError):
+                columnar.project_records(layout, stored[1], names)
 
     def test_every_integer_width_at_its_extremes(self):
         for dtype in DTYPES:
@@ -178,21 +189,31 @@ class TestTableEncoder:
                 cls(v) for v in values]
 
     def test_u8_past_int64_degrades_the_projected_field_only(self):
+        """A ``<u8`` value past int64 sends its own value raw when its
+        field is asked for; its neighbours and its other fields still
+        project."""
         @dataclasses.dataclass
         class Wide:
             big: int = 0
             small: int = 0
 
         register_type(Wide, "test.ingest.Wide")
-        columns = [np.array([1, 2**63, 2**64 - 1], dtype="<u8"),
-                   np.array([1, 2, 3], dtype="<u8")]
+        columns = [np.array([1, 2, 2**63, 2**64 - 1], dtype="<u8"),
+                   np.array([1, 2, 3, 4], dtype="<u8")]
         layout, records = table_of(Wide, ["big", "small"], columns)
+        values = [layout.value(records, 0, 2), layout.value(records, 2, 4)]
         projected = columnar.project_records(layout, bytes(records),
-                                             ["big", "small"])
-        assert projected["big"] == [1, 2**63, 2**64 - 1]
+                                             ["small"])
         assert projected["small"].dtype == np.dtype("<i8")
-        assert columnar.pack_field_column([projected], "big")[0] == \
-            columnar.OBJECT_DTYPE
+        with pytest.raises(SerializationError, match="not projectable"):
+            columnar.project_records(layout, bytes(records), ["big"])
+        statuses, blocks = YokanProvider._project(values, ["big", "small"])
+        assert statuses == [2, values[1]]
+        assert [columnar.column_from_block(*block, 2).tolist()
+                for block in blocks] == [[1, 2], [1, 2]]
+        assert loads(statuses[1]) == [Wide(2**63, 3), Wide(2**64 - 1, 4)]
+        statuses, _blocks = YokanProvider._project(values, ["small"])
+        assert statuses == [2, 2]
 
     def test_more_than_127_rows_in_one_event(self):
         column = np.arange(300, dtype="<i4")
@@ -219,8 +240,10 @@ class TestTableEncoder:
 
     def test_a_field_kind_that_differs_from_the_column_kind(self):
         # The row encoding writes the value's type, not the
-        # annotation's; the table follows the column's dtype likewise, and
-        # a projection degrades the field exactly as to_columns does.
+        # annotation's; the table follows the column's dtype likewise.
+        # A field whose column kind is not its plan kind does not
+        # project (to_columns gives it as a value list), so the value
+        # travels raw and decodes to the row objects.
         @dataclasses.dataclass
         class Mistyped:
             x: int = 0
@@ -230,11 +253,16 @@ class TestTableEncoder:
         columns = [np.array([0.25, np.nan]), np.array([True, False])]
         rows = reference_rows(Mistyped, ["x", "flag"], columns)
         layout, records = table_of(Mistyped, ["x", "flag"], columns)
-        assert dumps(loads(layout.value(records, 0, 2))) == dumps(rows)
-        projected = columnar.project_records(layout, bytes(records),
-                                             ["x", "flag"])
-        assert type(projected["x"]) is list and projected["flag"] == [
-            True, False]
+        value = layout.value(records, 0, 2)
+        assert dumps(loads(value)) == dumps(rows)
+        _count, transposed = columnar.to_columns(rows)
+        for field in ("x", "flag"):
+            assert type(transposed[field]) is list
+            with pytest.raises(SerializationError, match="not projectable"):
+                columnar.project_records(layout, bytes(records), [field])
+            statuses, _blocks = YokanProvider._project([value], [field])
+            assert statuses == [value]
+            assert dumps(loads(statuses[0])) == dumps(rows)
 
     def test_declines_what_it_cannot_vouch_for(self):
         f8 = np.dtype("<f8")

@@ -166,8 +166,8 @@ class TestFileBasedPipeline:
     def _needs(self):
         return {0: {"daq"}, 1: {"calib"}, 2: {"cluster", "daq"}}
 
-    def test_copy_forward_accounted(self, tmp_path):
-        pipeline = FileBasedPipeline(str(tmp_path))
+    def test_copy_forward_accounted(self):
+        pipeline = FileBasedPipeline()
         final, report = pipeline.run(self._tables(), self._steps(),
                                      self._needs())
         # Step 1 must copy 'daq' forward although it does not use it.
@@ -175,18 +175,18 @@ class TestFileBasedPipeline:
         assert step1.bytes_copied_forward > 0
         assert "summary" in final
 
-    def test_results_match_hepnos_semantics(self, tmp_path):
-        final, _ = FileBasedPipeline(str(tmp_path)).run(
+    def test_results_match_hepnos_semantics(self):
+        final, _ = FileBasedPipeline().run(
             self._tables(), self._steps(), self._needs()
         )
         daq = self._tables()["daq"]
         expected = (daq * 0.01).sum(axis=1) + 3
         assert np.allclose(final["summary"], expected)
 
-    def test_io_grows_with_copy_forward(self, tmp_path):
+    def test_io_grows_with_copy_forward(self):
         """The headline: carrying 'daq' through the chain inflates I/O
         over the sum of actually-new data."""
-        _, report = FileBasedPipeline(str(tmp_path)).run(
+        _, report = FileBasedPipeline().run(
             self._tables(), self._steps(), self._needs()
         )
         new_data = sum(
@@ -194,14 +194,13 @@ class TestFileBasedPipeline:
         )
         assert report.total_bytes_written > 1.5 * new_data
 
-    def test_empty_pipeline_rejected(self, tmp_path):
+    def test_empty_pipeline_rejected(self):
         with pytest.raises(HEPnOSError):
-            FileBasedPipeline(str(tmp_path)).run({}, [], {})
+            FileBasedPipeline().run({}, [], {})
 
 
 class TestCopyForwardElimination:
-    def test_hepnos_writes_each_product_once(self, datastore, raw_dataset,
-                                             tmp_path):
+    def test_hepnos_writes_each_product_once(self, datastore, raw_dataset):
         """The cross-paradigm comparison: same 3-step chain, HEPnOS
         writes only new products; the file chain re-writes carried data."""
         pipeline = HEPnOSPipeline(datastore, "ms/raw", input_batch_size=8)
@@ -215,8 +214,6 @@ class TestCopyForwardElimination:
         tables = {"daq": np.arange(n * 3, dtype=np.float64).reshape(n, 3)}
         steps = TestFileBasedPipeline()._steps()
         needs = TestFileBasedPipeline()._needs()
-        _, file_report = FileBasedPipeline(str(tmp_path)).run(
-            tables, steps, needs
-        )
+        _, file_report = FileBasedPipeline().run(tables, steps, needs)
         copied = sum(s.bytes_copied_forward for s in file_report.steps)
         assert copied > 0

@@ -9,6 +9,7 @@ table must give the bytes it gives (:class:`TestBuiltinDispatch`).
 
 import dataclasses
 import enum
+import struct
 from unittest import mock
 
 import numpy as np
@@ -50,6 +51,19 @@ class Scalar:
 
     def __eq__(self, other):
         return vars(self) == vars(other)
+
+
+@serializable("fp.Scalars")
+@dataclasses.dataclass
+class Scalars:
+    """:class:`Scalar`'s fields as a dataclass field list."""
+
+    x: float = 0.0
+    y: float = 0.0
+    n: int = 0
+    flag: bool = False
+    name: str = ""
+    blob: bytes = b""
 
 
 @serializable("fp.Point")
@@ -102,7 +116,9 @@ class TestEligibility:
     typed-table rule); every class round-trips either way."""
 
     def test_fixture_classes_are_planned(self):
-        assert column_plan(Scalar) == [
+        # a serialize method decides its own encoding: no plan
+        assert column_plan(Scalar) is None
+        assert column_plan(Scalars) == [
             ("x", float), ("y", float), ("n", int), ("flag", bool),
             ("name", str), ("blob", bytes)]
         assert column_plan(Point) == [
@@ -120,16 +136,60 @@ class TestEligibility:
                 f.name for f in dataclasses.fields(cls)]
             assert {kind for _name, kind in plan} <= {int, float}
 
+    def test_nova_row_bytes_are_pinned(self):
+        """The NOvA classes encode by their dataclass field list, to the
+        bytes their hand-written ``serialize`` methods once wrote."""
+        from repro.nova.datamodel import EventHeader, SliceData
+
+        slc = SliceData(
+            slice_id=2**40 + 7, nhit=-3, ncontplanes=130, cal_e=1.5,
+            shower_e=-0.25, shower_len=1e300, cvn_e=0.1,
+            cvn_mu=float("inf"), remid=-0.0, cosrej=2.0**-1074, vtx_x=3.0,
+            vtx_y=-4.0, vtx_z=5.5, dist_to_edge=6.0, time=7.25, true_pdg=12)
+        hdr = EventHeader(run=1, subrun=200, event=70000, pot=3.5e13,
+                          trigger=1, nslices=4)
+        name = b"\x0c\x0enova.SliceData\x00"
+        floats = b"".join(b"\x04" + struct.pack("<d", v) for v in (
+            1.5, -0.25, 1e300, 0.1, float("inf"), -0.0, 2.0**-1074, 3.0,
+            -4.0, 5.5, 6.0, 7.25))
+        assert dumps([slc, SliceData()]) == b"".join((
+            b"\x07\x02", name, b"\x03\x8e\x80\x80\x80\x80\x40\x03\x05",
+            b"\x03\x84\x02", floats, b"\x03\x18",
+            name, b"\x03\x00" * 3, (b"\x04" + bytes(8)) * 12, b"\x03\x00"))
+        assert dumps(hdr).hex() == (
+            "0c106e6f76612e4576656e7448656164657200030203900303e0c508"
+            "040000309112d5bf4203020308")
+        assert loads(dumps(hdr)) == hdr
+
     def test_frozen_dataclass_has_no_plan(self):
         @serializable("fp.Frozen")
         @dataclasses.dataclass(frozen=True)
         class Frozen:
             a: int = 0
 
-        # the row encoding assigns each field back, which a frozen
-        # dataclass refuses, so no plan may vouch for one
+        # a frozen dataclass intercepts assignment, so no plan may
+        # vouch for one
         assert column_plan(Frozen) is None
         assert plan_table(Frozen, {"a": np.dtype("<i8")}) is None
+
+    def test_frozen_dataclass_round_trips_unplanned(self):
+        @serializable("fp.FrozenPair")
+        @dataclasses.dataclass(frozen=True)
+        class FrozenPair:
+            a: int = 0
+            b: float = 0.0
+
+        @serializable("fp.FrozenRequired")
+        @dataclasses.dataclass(frozen=True)
+        class FrozenRequired:
+            a: int
+            tags: tuple
+
+        assert_round_trips(FrozenPair(1, 2.0))
+        assert_round_trips([FrozenPair(-3, 0.5), FrozenPair()])
+        assert_round_trips(FrozenRequired(7, ("x", 2)))
+        assert column_plan(FrozenPair) is None
+        assert column_plan(FrozenRequired) is None
 
     def test_versioned_serialize_round_trips_unplanned(self):
         @serializable("fp.Versioned", version=3)
@@ -158,7 +218,8 @@ class TestEligibility:
                 else:
                     self.items = [ar.io(None) for _ in range(n)]
 
-        # Field count depends on the value: the probe must reject it.
+        # A serialize method (here a value-dependent field count)
+        # has no plan.
         assert column_plan(Variable) is None
         obj = Variable([1, 2, 3])
         assert loads(dumps(obj)).items == [1, 2, 3]

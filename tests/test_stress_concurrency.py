@@ -11,9 +11,9 @@ import pytest
 
 from repro.errors import KeyNotFound
 from repro.faults import (
-    ComposedFaultModel,
     CorruptionFault,
     DropFault,
+    FaultSchedule,
     LatencyFault,
     RetryPolicy,
 )
@@ -146,14 +146,15 @@ class TestConcurrentClients:
             assert blob == bytes([rank]) * 60_000
 
 
-class CountingFaults(ComposedFaultModel):
+class CountingFaults(FaultSchedule):
     """A seeded drop + corrupt + delay mix that tallies what it injects
     (under a lock: four clients and two xstreams call it at once)."""
 
     def __init__(self, seed: int):
-        super().__init__(DropFault(0.03, seed=seed),
-                         CorruptionFault(0.03, seed=seed + 1),
-                         LatencyFault(0.00002, dst="server0"))
+        super().__init__(seed)
+        self.add(DropFault(0.03, seed=seed))
+        self.add(CorruptionFault(0.03, seed=seed + 1))
+        self.add(LatencyFault(0.00002, dst="server0"))
         self._tally_lock = threading.Lock()
         self.tally = {"drop": 0, "request_drop": 0, "corrupt": 0, "delay": 0}
 
