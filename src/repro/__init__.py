@@ -11,7 +11,7 @@ package reimplements the full stack in Python:
 - :mod:`repro.margo`     -- glue binding RPC handlers to ULT pools.
 - :mod:`repro.bedrock`    -- JSON-configured service bootstrapping.
 - :mod:`repro.yokan`      -- key-value store component with multiple backends.
-- :mod:`repro.broker`     -- multi-tenant admission control and fair share.
+- :mod:`repro.broker`     -- multi-tenant admission control.
 - :mod:`repro.hepnos`     -- the HEPnOS data model and client library.
 - :mod:`repro.minimpi`    -- an in-process MPI used by the client workflows.
 - :mod:`repro.hdf5lite`   -- hierarchical columnar files (HDF5 stand-in).

@@ -225,8 +225,8 @@ def default_hepnos_config(
     (:class:`~repro.broker.RequestBroker`): a dict with optional
     ``slots`` (default 8), ``interactive_reserve`` (in ``[0, slots)``;
     default ``min(2, slots - 1)``) and ``slow_query_s`` settings, a
-    ``registry`` mapping tenant ids to their service terms (rate,
-    burst, weight, priority, quotas, token), and a ``default`` spec
+    ``registry`` mapping tenant ids to their service terms (priority,
+    rate, burst, bytes-in-flight quota, token), and a ``default`` spec
     for unregistered tenants (an explicit ``None`` closes the
     registry to registered tenants only).
     """

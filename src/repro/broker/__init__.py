@@ -5,11 +5,10 @@ same providers.  This package is the tier that makes that safe --
 clients open a tenant session (:func:`repro.hepnos.connect`) and every
 RPC carries a tenant envelope that the server-side
 :class:`RequestBroker` runs through admission control (per-tenant
-token-bucket rate limits, bytes-in-flight quotas) and weighted
-fair-share scheduling (deficit round-robin across tenants, strict
-priority with a reserved slice for interactive classes) before any
-payload is decoded.  Load is shed with retryable 429-style errors
-(:class:`~repro.errors.ServiceBusy`) carrying server-supplied
+token-bucket rate limits, bytes-in-flight quotas, and a bound on the
+requests in service with a reserved slice for interactive classes)
+before any payload is decoded.  Load is shed with retryable 429-style
+errors (:class:`~repro.errors.ServiceBusy`) carrying server-supplied
 ``retry_after_s`` hints that :class:`~repro.faults.RetryPolicy` honors.
 
 Wiring: :class:`~repro.bedrock.BedrockServer` builds one broker per
@@ -24,16 +23,13 @@ from repro.broker.core import (
     SlowQueryLog,
     TokenBucket,
 )
-from repro.broker.scheduler import FairShareScheduler, Ticket
 from repro.broker.tenants import TenantRegistry, TenantSpec
 
 __all__ = [
     "Admission",
-    "FairShareScheduler",
     "RequestBroker",
     "SlowQueryLog",
     "TenantRegistry",
     "TenantSpec",
-    "Ticket",
     "TokenBucket",
 ]

@@ -1,4 +1,4 @@
-"""The request broker: admission control + fair-share + ops surface.
+"""The request broker: admission control and the ops surface.
 
 One :class:`RequestBroker` fronts all the Yokan providers of a Bedrock
 server.  For every tenant-tagged RPC the provider asks the broker to
@@ -10,17 +10,22 @@ payload:
 2. the tenant's **token bucket** must cover the request
    (:class:`ServiceBusy` with a ``retry_after_s`` hint equal to the
    bucket's refill time otherwise);
-3. the tenant's **bytes-in-flight quota** and **queue bound** must have
-   room (:class:`QuotaExceeded` / :class:`ServiceBusy` otherwise);
-4. the admitted request is submitted to the
-   :class:`~repro.broker.scheduler.FairShareScheduler` and the handler
-   ULT yields until its ticket is granted.
+3. the tenant's **bytes-in-flight quota** must have room
+   (:class:`QuotaExceeded` otherwise);
+4. the server's **in-service count** must be under its priority
+   class's bound: ``slots`` for interactive requests, ``slots -
+   interactive_reserve`` for batch ones (:class:`ServiceBusy`
+   otherwise).
 
-Shedding happens before any payload decode or database work, so an
-overloaded server spends O(1) per rejected request.  Completions feed
-per-tenant metrics (admitted / shed / queued / completed gauges and
-counters in a :class:`~repro.monitor.MetricRegistry`) and a bounded
-**slow-query log** for the ops surface (``repro-hepnos tenants``).
+There is no queue behind admission: the provider's Argobots pool is
+the queue, and its execution streams already bound how many handlers
+run at once.  An admitted handler runs straight through and
+:meth:`~RequestBroker.finish` releases its slot and quota.  Shedding
+happens before any payload decode or database work, so an overloaded
+server spends O(1) per rejected request.  Completions feed per-tenant
+metrics (admitted / shed / completed counters in a
+:class:`~repro.monitor.MetricRegistry`) and a bounded **slow-query
+log** for the ops surface (``repro-hepnos tenants``).
 """
 
 from __future__ import annotations
@@ -31,14 +36,12 @@ import time
 from collections import deque
 from typing import Callable, Dict, Optional
 
-from repro.broker.scheduler import FairShareScheduler, Ticket
 from repro.broker.tenants import TenantRegistry, TenantSpec
 from repro.errors import ConfigError, QuotaExceeded, ServiceBusy
 from repro.monitor.metrics import MetricRegistry
 from repro.yokan import wire
 
-#: ``retry_after_s`` hint for quota and queue-full sheds (a queue-full
-#: hint grows with the queue's depth).
+#: ``retry_after_s`` hint for quota and service-bound sheds.
 SHED_RETRY_HINT_S = 0.002
 
 
@@ -72,16 +75,15 @@ class TokenBucket:
 
 
 class Admission:
-    """One admitted request: quota accounting + its scheduler ticket."""
+    """One admitted request: what :meth:`RequestBroker.finish` releases."""
 
-    __slots__ = ("spec", "op", "nbytes", "ticket", "admitted_at")
+    __slots__ = ("spec", "op", "nbytes", "admitted_at")
 
     def __init__(self, spec: TenantSpec, op: str, nbytes: int,
-                 ticket: Ticket, admitted_at: float):
+                 admitted_at: float):
         self.spec = spec
         self.op = op
         self.nbytes = nbytes
-        self.ticket = ticket
         self.admitted_at = admitted_at
 
     @property
@@ -115,14 +117,17 @@ class SlowQueryLog:
 
 
 class _TenantState:
-    __slots__ = ("bucket", "bytes_in_flight", "counters", "metric_pairs")
+    __slots__ = ("bucket", "limit", "bytes_in_flight", "counters",
+                 "metric_pairs")
 
-    def __init__(self, spec: TenantSpec,
+    def __init__(self, spec: TenantSpec, limit: int,
                  clock: Callable[[], float]) -> None:
         self.bucket = TokenBucket(spec.rate, spec.burst_size, clock=clock)
+        #: in-service count below which this tenant's class is admitted
+        self.limit = limit
         self.bytes_in_flight = 0
         self.counters = {"admitted": 0, "shed": 0, "completed": 0,
-                         "shed_rate": 0, "shed_quota": 0, "shed_queue": 0,
+                         "shed_rate": 0, "shed_quota": 0, "shed_slots": 0,
                          "bytes_served": 0}
         #: event name -> (global counter, per-tenant counter); built
         #: lazily so the registry lookup and name formatting happen
@@ -131,21 +136,27 @@ class _TenantState:
 
 
 class RequestBroker:
-    """Admission control and fair-share scheduling for one server."""
+    """Admission control for one server: rate, quota and service bound."""
 
     def __init__(self, registry: Optional[TenantRegistry] = None,
                  slots: int = 8, interactive_reserve: Optional[int] = None,
                  slow_query_s: float = 0.05,
                  metrics: Optional[MetricRegistry] = None,
                  clock: Callable[[], float] = time.monotonic):
-        self.registry = registry if registry is not None else TenantRegistry(
-            default=TenantSpec(tenant=""))
         if interactive_reserve is None:
             interactive_reserve = min(2, slots - 1)
-        # An explicit reserve outside [0, slots) is the scheduler's
-        # ValueError (a ConfigError from validate_config).
-        self.scheduler = FairShareScheduler(
-            slots=slots, interactive_reserve=interactive_reserve)
+        # Out of range is a ValueError here, a ConfigError from
+        # validate_config.
+        if slots < 1:
+            raise ValueError("slots must be >= 1")
+        if not 0 <= interactive_reserve < slots:
+            raise ValueError("interactive_reserve must be in [0, slots)")
+        self.registry = registry if registry is not None else TenantRegistry(
+            default=TenantSpec(tenant=""))
+        self.slots = slots
+        self.interactive_reserve = interactive_reserve
+        #: requests admitted and not yet finished, over every tenant
+        self.in_service = 0
         self.slow_queries = SlowQueryLog(threshold_s=slow_query_s)
         self.metrics = metrics if metrics is not None else MetricRegistry(
             "broker")
@@ -161,7 +172,10 @@ class RequestBroker:
             with self._lock:
                 state = self._states.get(spec.tenant)
                 if state is None:
-                    state = _TenantState(spec, self._clock)
+                    limit = self.slots
+                    if spec.priority_code != wire.PRIORITY_INTERACTIVE:
+                        limit -= self.interactive_reserve
+                    state = _TenantState(spec, limit, self._clock)
                     self._states[spec.tenant] = state
         return state
 
@@ -183,8 +197,10 @@ class RequestBroker:
 
         Raises :class:`QuotaExceeded` for unknown tenants, bad quota
         tokens, and bytes-in-flight overruns; :class:`ServiceBusy` with
-        a ``retry_after_s`` refill hint for token-bucket shedding and
-        full queues.  Never touches the sealed payload.
+        a ``retry_after_s`` hint for token-bucket shedding (the refill
+        time) and a full service bound.  Never touches the sealed
+        payload.  Every admission must be paired with one
+        :meth:`finish`.
         """
         try:
             spec = self.registry.resolve(meta)
@@ -201,48 +217,46 @@ class RequestBroker:
             raise ServiceBusy(
                 f"tenant {spec.tenant!r} over its rate limit "
                 f"({spec.rate:g} req/s)", retry_after_s=wait)
-        if (state.bytes_in_flight > 0
-                and state.bytes_in_flight + nbytes > spec.max_bytes_in_flight):
-            self._count(state, spec.tenant, "shed")
-            state.counters["shed_quota"] += 1
-            raise QuotaExceeded(
-                f"tenant {spec.tenant!r} has {state.bytes_in_flight}B in "
-                f"flight; admitting {nbytes}B would exceed its "
-                f"{spec.max_bytes_in_flight}B quota",
-                retry_after_s=SHED_RETRY_HINT_S)
-        ticket = self.scheduler.submit(spec.tenant, spec.priority_code,
-                                       nbytes, weight=spec.weight,
-                                       max_queue=spec.max_queue)
-        if ticket is None:
-            self._count(state, spec.tenant, "shed")
-            state.counters["shed_queue"] += 1
-            depth = self.scheduler.queue_depth(spec.tenant,
-                                               spec.priority_code)
-            raise ServiceBusy(
-                f"tenant {spec.tenant!r} queue is full ({depth} waiting)",
-                retry_after_s=SHED_RETRY_HINT_S * (1 + depth / 8))
         with self._lock:
-            state.bytes_in_flight += nbytes
+            in_flight = state.bytes_in_flight
+            over_quota = (in_flight > 0
+                          and in_flight + nbytes > spec.max_bytes_in_flight)
+            in_service = self.in_service
+            admitted = not over_quota and in_service < state.limit
+            if admitted:
+                self.in_service = in_service + 1
+                state.bytes_in_flight = in_flight + nbytes
+        if not admitted:
+            self._count(state, spec.tenant, "shed")
+            if over_quota:
+                state.counters["shed_quota"] += 1
+                raise QuotaExceeded(
+                    f"tenant {spec.tenant!r} has {in_flight}B in flight; "
+                    f"admitting {nbytes}B would exceed its "
+                    f"{spec.max_bytes_in_flight}B quota",
+                    retry_after_s=SHED_RETRY_HINT_S)
+            state.counters["shed_slots"] += 1
+            raise ServiceBusy(
+                f"{in_service} requests in service; tenant "
+                f"{spec.tenant!r}'s class is bounded at {state.limit}",
+                retry_after_s=SHED_RETRY_HINT_S)
         self._count(state, spec.tenant, "admitted")
-        return Admission(spec, op, nbytes, ticket, self._clock())
+        return Admission(spec, op, nbytes, self._clock())
 
     def begin(self, admission: Admission) -> float:
-        """Mark service start; returns queue wait for the slow-query log."""
+        """Seconds since ``admission``; a slow-query entry's ``queued_s``."""
         return self._clock() - admission.admitted_at
 
     def finish(self, admission: Admission, response_bytes: int = 0,
                queued_s: float = 0.0) -> None:
-        """Release the slot and quota of a completed request."""
-        self.scheduler.release(admission.ticket)
-        state = self._states.get(admission.tenant)
+        """Release the service slot and quota of a completed request."""
+        state = self._states[admission.tenant]
         elapsed = self._clock() - admission.admitted_at
-        if state is not None:
-            with self._lock:
-                state.bytes_in_flight = max(
-                    0, state.bytes_in_flight - admission.nbytes)
-            self._count(state, admission.tenant, "completed")
-            state.counters["bytes_served"] += (admission.nbytes
-                                               + response_bytes)
+        with self._lock:
+            self.in_service -= 1
+            state.bytes_in_flight -= admission.nbytes
+        self._count(state, admission.tenant, "completed")
+        state.counters["bytes_served"] += admission.nbytes + response_bytes
         self.slow_queries.record(admission.tenant, admission.op,
                                  elapsed, queued_s,
                                  admission.nbytes + response_bytes)
@@ -250,23 +264,15 @@ class RequestBroker:
     # -- the ops surface ---------------------------------------------------
 
     def tenant_stats(self) -> dict:
-        """Per-tenant admitted/shed/queued/in-flight snapshot."""
-        sched = self.scheduler.stats()
-        queued_by_tenant: Dict[str, int] = {}
-        for per_class in sched["queued"].values():
-            for tenant, depth in per_class.items():
-                queued_by_tenant[tenant] = (
-                    queued_by_tenant.get(tenant, 0) + depth)
+        """Per-tenant counters and bytes in flight, and the slow queries."""
         with self._lock:
             tenants = {
                 tenant: dict(state.counters,
-                             bytes_in_flight=state.bytes_in_flight,
-                             queued=queued_by_tenant.get(tenant, 0))
+                             bytes_in_flight=state.bytes_in_flight)
                 for tenant, state in sorted(self._states.items())
             }
         return {
             "tenants": tenants,
-            "scheduler": sched,
             "slow_queries": self.slow_queries.entries(),
         }
 

@@ -1,13 +1,12 @@
 """Tenant registry: who may talk to the service, and on what terms.
 
 A :class:`TenantSpec` is the server-side contract for one tenant --
-priority class, fair-share weight, token-bucket rate limit, bytes-in-
-flight quota, queue bound, and an optional quota token the client must
-present.  The :class:`TenantRegistry` resolves the tenant header of an
-incoming request (:class:`repro.yokan.wire.TenantEnvelope`) to a spec,
-falling back to a configurable ``default`` spec for tenants that were
-never registered (or rejecting them outright when no default is
-configured).
+priority class, token-bucket rate limit, bytes-in-flight quota, and an
+optional quota token the client must present.  The
+:class:`TenantRegistry` resolves the tenant header of an incoming
+request (:class:`repro.yokan.wire.TenantEnvelope`) to a spec, falling
+back to a configurable ``default`` spec for tenants that were never
+registered (or rejecting them outright when no default is configured).
 """
 
 from __future__ import annotations
@@ -21,34 +20,29 @@ from repro.yokan import wire
 
 #: spec fields an operator may set in the bedrock ``tenants.registry``
 #: (and ``tenants.default``) config sections.
-_SPEC_KEYS = {"id", "priority", "weight", "rate", "burst",
-              "max_bytes_in_flight", "max_queue", "token"}
+_SPEC_KEYS = {"id", "priority", "rate", "burst", "max_bytes_in_flight",
+              "token"}
 
 
 @dataclass(frozen=True)
 class TenantSpec:
-    """Admission and scheduling parameters for one tenant."""
+    """Admission parameters for one tenant."""
 
     tenant: str
-    #: ``"interactive"`` requests preempt ``"batch"`` ones
+    #: ``"interactive"`` requests may take the broker's interactive
+    #: reserve; ``"batch"`` ones may not
     priority: str = "batch"
-    #: fair-share weight within the priority class (DRR quantum scale)
-    weight: float = 1.0
     #: token-bucket refill rate, requests per second (inf = unlimited)
     rate: float = math.inf
     #: token-bucket capacity; defaults to one second of ``rate``
     burst: Optional[float] = None
     #: request payload + response bytes this tenant may have in flight
     max_bytes_in_flight: int = 64 * 1024 * 1024
-    #: admitted-but-not-yet-scheduled requests the broker will queue
-    max_queue: int = 256
     #: expected quota token; empty = no token check
     token: str = ""
 
     def __post_init__(self) -> None:
         wire.priority_code(self.priority)  # validates the class name
-        if self.weight <= 0:
-            raise ConfigError(f"tenant {self.tenant!r}: weight must be > 0")
         if self.rate <= 0:
             raise ConfigError(f"tenant {self.tenant!r}: rate must be > 0")
         if self.burst is not None and self.burst <= 0:
@@ -56,9 +50,6 @@ class TenantSpec:
         if self.max_bytes_in_flight <= 0:
             raise ConfigError(
                 f"tenant {self.tenant!r}: max_bytes_in_flight must be > 0")
-        if self.max_queue < 1:
-            raise ConfigError(
-                f"tenant {self.tenant!r}: max_queue must be >= 1")
 
     @property
     def burst_size(self) -> float:
@@ -109,18 +100,6 @@ class TenantRegistry:
         #: on every request's admission path and dataclasses.replace
         #: re-runs the frozen-spec validation each time.
         self._default_cache: Dict[str, TenantSpec] = {}
-
-    def __len__(self) -> int:
-        return len(self._specs)
-
-    def __contains__(self, tenant: str) -> bool:
-        return tenant in self._specs
-
-    def tenants(self) -> list[str]:
-        return sorted(self._specs)
-
-    def get(self, tenant: str) -> Optional[TenantSpec]:
-        return self._specs.get(tenant)
 
     def resolve(self, meta: wire.TenantEnvelope) -> TenantSpec:
         """The spec governing one request; raises on unknown/bad-token.

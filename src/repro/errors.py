@@ -108,8 +108,9 @@ class ServiceBusy(ReproError):
     """The service shed this request under load (429-style).
 
     Raised by the request broker when a tenant exceeds its token-bucket
-    rate limit or the fair-share queues are full.  Retryable: the
-    request was rejected *before* any state changed.  ``retry_after_s``
+    rate limit or the server already has as many requests in service as
+    the tenant's priority class may use.  Retryable: the request was
+    rejected *before* any state changed.  ``retry_after_s``
     is the server-supplied backoff hint; :class:`~repro.faults.RetryPolicy`
     honors it instead of its own exponential schedule when present.
     """
@@ -121,12 +122,13 @@ class ServiceBusy(ReproError):
 
 
 class QuotaExceeded(ServiceBusy):
-    """A tenant hit its quota (bytes in flight, queue depth, or token).
+    """A tenant is unknown, has a bad token or is over its bytes quota.
 
     A :class:`ServiceBusy` specialization: the broker refused the
-    request because admitting it would put the tenant over one of its
-    configured quotas.  Retryable -- earlier requests completing free
-    the quota -- with the same ``retry_after_s`` hint semantics.
+    request because its tenant is not in a closed registry, presented
+    a bad quota token, or would go over its bytes-in-flight quota.
+    Retryable -- earlier requests completing free the quota -- with the
+    same ``retry_after_s`` hint semantics.
     """
 
 

@@ -100,20 +100,6 @@ class RetryPolicy:
             raise ValueError(f"unknown retry settings: {sorted(unknown)}")
         return cls(**{k: config[k] for k in known if k in config})
 
-    def to_config(self) -> dict:
-        config = {
-            "max_attempts": self.max_attempts,
-            "base_delay": self.base_delay,
-            "max_delay": self.max_delay,
-            "multiplier": self.multiplier,
-            "jitter": self.jitter,
-        }
-        if self.deadline is not None:
-            config["deadline"] = self.deadline
-        if self.rpc_timeout is not None:
-            config["rpc_timeout"] = self.rpc_timeout
-        return config
-
     # -- behaviour ---------------------------------------------------------
 
     def retryable(self, exc: BaseException) -> bool:

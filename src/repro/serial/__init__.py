@@ -30,7 +30,6 @@ from repro.serial.archive import (
     serializable,
 )
 from repro.serial.columnar import (
-    column_fields,
     column_plan,
     to_columns,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "type_name",
     "class_version",
     "serializable",
-    "column_fields",
     "column_plan",
     "to_columns",
 ]

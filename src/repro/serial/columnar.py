@@ -28,7 +28,7 @@ data but never change it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,14 +45,6 @@ COLUMN_DTYPES = {float: "<f8", int: "<i8", bool: "|b1"}
 _DTYPE_KINDS = {float: "f", int: "iu", bool: "b"}
 #: dtype kinds a projected column may have.
 _NUMERIC = "biuf"
-
-
-def column_fields(cls: type) -> Optional[List[str]]:
-    """The ordered column names of ``cls``, or ``None`` if unplanned."""
-    plan = column_plan(cls)
-    if plan is None:
-        return None
-    return [name for name, _kind in plan]
 
 
 def _column_for(objs: Sequence[Any], name: str, kind) -> Any:
@@ -223,7 +215,6 @@ def column_from_block(dtype_str: str, payload, total_rows: int) -> np.ndarray:
 
 __all__ = [
     "COLUMN_DTYPES",
-    "column_fields",
     "column_plan",
     "column_from_block",
     "pack_field_column",

@@ -236,8 +236,7 @@ def _cmd_tenants(args) -> int:
             "interactive_reserve": 1,
             "slow_query_s": 0.0,  # log everything for the demo
             "registry": [
-                {"id": "nova-interactive", "priority": "interactive",
-                 "weight": 2.0},
+                {"id": "nova-interactive", "priority": "interactive"},
                 {"id": "dune-batch", "priority": "batch"},
                 {"id": "abusive-batch", "priority": "batch",
                  "rate": args.rate, "burst": 2},
@@ -276,11 +275,12 @@ def _cmd_tenants(args) -> int:
 
     stats = server.tenant_stats()
     server.shutdown()
+    fabric.runtime.shutdown()
     if args.json:
         emit_report(stats, True)
         return 0
-    columns = ("admitted", "shed", "completed", "queued",
-               "bytes_in_flight", "bytes_served")
+    columns = ("admitted", "shed", "completed", "bytes_in_flight",
+               "bytes_served")
     width = max(len(t) for t in stats["tenants"]) + 2
     header = "tenant".ljust(width) + "".join(
         c.rjust(len(c) + 3) for c in columns)
@@ -290,16 +290,10 @@ def _cmd_tenants(args) -> int:
         row = tenant.ljust(width) + "".join(
             str(counters.get(c, 0)).rjust(len(c) + 3) for c in columns)
         print(row)
-    sched = stats["scheduler"]
-    print(f"\nscheduler: granted={sched['granted_total']} "
-          f"preemptions={sched['preemptions']} "
-          f"max_queued={sched['max_queued']} slots={sched['slots']} "
-          f"(interactive reserve {sched['interactive_reserve']})")
     slow = stats["slow_queries"]
     print(f"\nslow queries ({len(slow)} logged, slowest last):")
     for entry in slow[-args.slow:]:
         print(f"  {entry['elapsed_s'] * 1e3:8.2f}ms "
-              f"(queued {entry['queued_s'] * 1e3:6.2f}ms) "
               f"{entry['tenant']:<18} {entry['op']:<22} "
               f"{entry['bytes']}B")
     return 0

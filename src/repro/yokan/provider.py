@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.argobots import Pool, ult_yield
+from repro.argobots import Pool
 from repro.errors import (
     CorruptionError,
     KeyNotFound,
@@ -140,7 +140,7 @@ class YokanProvider:
         self.provider_id = provider_id
         self.pool = pool if pool is not None else engine.pool
         #: optional :class:`repro.broker.RequestBroker` interposing
-        #: admission control + fair-share on tenant-tagged requests.
+        #: admission control on tenant-tagged requests.
         self.broker = broker
         self.databases: dict[str, Backend] = dict(databases or {})
         #: db name -> ReplicaLink forwarding acknowledged writes.
@@ -160,13 +160,9 @@ class YokanProvider:
         payload, calls the handler with the request's fields and turns
         what it returned or raised into a response body, *close* seals
         that body.  Handlers only work and return a value or raise; a
-        tuple travels as its fields after the status.
-
-        With a broker the registered callable is a *generator*: an
-        admitted request cooperatively yields until the fair-share
-        scheduler grants its ticket, so queued requests occupy no
-        execution stream.  Without one it is a plain function; which of
-        the two is decided here, once.
+        tuple travels as its fields after the status.  An admitted
+        request runs straight through, and its slot is returned in a
+        ``finally``, however *run* ends.
         """
         op = rpc_name.split(".", 1)[1]
         span_name = f"yokan.provider.{op}"
@@ -224,30 +220,16 @@ class YokanProvider:
 
         def serve(req: RPCRequest) -> bytes:
             with span_of(req):
-                envelope, _admission, body = enter(req)
-                if body is None:
-                    body = run(req, envelope)
-                return wire.seal(body)
-
-        def serve_fair(req: RPCRequest):
-            with span_of(req):
                 envelope, admission, body = enter(req)
-                if admission is not None:
-                    queued = 0.0
+                if body is None:
                     try:
-                        while not admission.ticket.granted:
-                            yield ult_yield()
-                        queued = broker.begin(admission)
                         body = run(req, envelope)
                     finally:
-                        broker.finish(admission,
-                                      response_bytes=len(body or b""),
-                                      queued_s=queued)
-                elif body is None:
-                    body = run(req, envelope)
+                        if admission is not None:
+                            broker.finish(admission, len(body or b""))
                 return wire.seal(body)
 
-        return serve if broker is None else serve_fair
+        return serve
 
     # -- database management -----------------------------------------------
 

@@ -4,17 +4,15 @@ import math
 import threading
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.bedrock import BedrockServer, default_hepnos_config
 from repro.broker import (
-    FairShareScheduler,
     RequestBroker,
     TenantRegistry,
     TenantSpec,
     TokenBucket,
 )
+from repro.broker.core import SHED_RETRY_HINT_S
 from repro.errors import ConfigError, HEPnOSError, QuotaExceeded, ServiceBusy
 from repro.faults.retry import RETRYABLE_ERRORS, RetryPolicy
 from repro.mercury import Fabric
@@ -100,6 +98,17 @@ class TestTenantRegistry:
             TenantRegistry.from_config(
                 {"registry": [{"id": "a", "speed": 9}]})
 
+    @pytest.mark.parametrize("key", ["weight", "max_queue"])
+    def test_removed_spec_settings_refused(self, key):
+        """Settings of a queue the broker does not have are refused by
+        name, not silently ignored."""
+        with pytest.raises(ConfigError, match=key):
+            TenantRegistry.from_config(
+                {"registry": [{"id": "a", key: 2}]})
+        with pytest.raises(ConfigError, match=key):
+            default_hepnos_config("sm://r/hepnos", tenants={
+                "default": {key: 2}})
+
     def test_explicit_null_default_closes(self):
         registry = TenantRegistry.from_config(
             {"registry": [{"id": "a"}], "default": None})
@@ -144,14 +153,22 @@ class TestAdmission:
         broker.finish(adm)
 
     def test_queue_bound_sheds(self):
-        broker = self._broker(max_queue=2)
+        """Past the bound a request is shed with the retry hint; nothing
+        waits behind admission."""
+        broker = self._broker()
         meta = wire.TenantEnvelope("t")
-        held = [broker.admit(meta, "get", 1) for _ in range(4)]
-        # 2 granted (slots), 2 queued = max_queue; the next is shed.
-        with pytest.raises(ServiceBusy):
+        held = [broker.admit(meta, "get", 1) for _ in range(2)]
+        assert broker.in_service == 2
+        with pytest.raises(ServiceBusy) as shed:
             broker.admit(meta, "get", 1)
+        assert shed.value.retry_after_s == SHED_RETRY_HINT_S
+        assert not isinstance(shed.value, QuotaExceeded)
+        counters = broker.tenant_stats()["tenants"]["t"]
+        assert (counters["shed"], counters["shed_slots"]) == (1, 1)
         for adm in held:
             broker.finish(adm)
+        assert broker.in_service == 0
+        broker.finish(broker.admit(meta, "get", 1))
 
     def test_counters_and_stats_surface(self):
         broker = self._broker(rate=1.0, burst=1.0)
@@ -172,8 +189,8 @@ class TestAdmission:
             RequestBroker.from_config({"slotz": 3})
         broker = RequestBroker.from_config(
             {"slots": 2, "registry": [{"id": "a", "rate": 3}]})
-        assert broker.scheduler.slots == 2
-        assert broker.scheduler.interactive_reserve == 1  # min(2, slots - 1)
+        assert broker.slots == 2
+        assert broker.interactive_reserve == 1  # min(2, slots - 1)
 
     @pytest.mark.parametrize("reserve", [9, 4, -3])
     def test_out_of_range_reserve_refused(self, reserve):
@@ -228,124 +245,79 @@ class TestRetryAfterHint:
         assert attempts["n"] == 3
 
 
-# -- DRR fairness (property-based) -------------------------------------------
-
-
-def _drain(sched, ledger):
-    """Release every granted ticket until nothing is queued or running.
-
-    Returns the grant order.  ``ledger`` is the list of all submitted
-    tickets; grants flip ``granted`` under the scheduler lock.
-    """
-    order = []
-    seen = set()
-    for _ in range(10 * len(ledger) + 10):
-        progressed = False
-        for ticket in ledger:
-            if ticket.granted and ticket.seq not in seen:
-                seen.add(ticket.seq)
-                order.append(ticket)
-                sched.release(ticket)
-                progressed = True
-        if len(seen) == len(ledger):
-            break
-        assert progressed, "scheduler stalled with queued work"
-    return order
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 4),          # tenant id
-                  st.integers(1, 8192),       # cost (bytes)
-                  st.sampled_from([0.5, 1.0, 2.0, 4.0])),  # weight
-        min_size=1, max_size=60,
-    ),
-    st.integers(1, 4),  # slots
-)
-def test_drr_never_starves_a_nonempty_queue(requests, slots):
-    """Every submitted request is eventually granted, regardless of mix.
-
-    The DRR bound: a visit earns ``quantum * weight`` credit, so any
-    head-of-line request is granted within
-    ``ceil(cost / (quantum * weight))`` visits of its queue -- never
-    starved by heavier or more numerous neighbours.
-    """
-    sched = FairShareScheduler(slots=slots, interactive_reserve=0,
-                               quantum=1024)
-    ledger = [
-        sched.submit(f"tenant-{tid}", wire.PRIORITY_BATCH, cost,
-                     weight=weight)
-        for tid, cost, weight in requests
-    ]
-    order = _drain(sched, ledger)
-    assert len(order) == len(ledger)
-    assert {t.seq for t in order} == {t.seq for t in ledger}
-    assert sched.queued_total() == 0
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(1, 4096), min_size=2, max_size=40),
-       st.lists(st.integers(1, 4096), min_size=2, max_size=40))
-def test_drr_per_tenant_fifo_preserved(costs_a, costs_b):
-    """Within one tenant, grants follow submission order (FIFO)."""
-    sched = FairShareScheduler(slots=1, interactive_reserve=0, quantum=512)
-    ledger = []
-    for i in range(max(len(costs_a), len(costs_b))):
-        if i < len(costs_a):
-            ledger.append(sched.submit("a", wire.PRIORITY_BATCH, costs_a[i]))
-        if i < len(costs_b):
-            ledger.append(sched.submit("b", wire.PRIORITY_BATCH, costs_b[i]))
-    order = _drain(sched, ledger)
-    for tenant in ("a", "b"):
-        seqs = [t.seq for t in order if t.tenant == tenant]
-        assert seqs == sorted(seqs)
-
-
-def test_weights_shape_long_run_shares():
-    """A weight-4 tenant is granted ~4x the bytes of a weight-1 tenant
-    over any long contended window (DRR's defining property)."""
-    sched = FairShareScheduler(slots=1, interactive_reserve=0, quantum=100)
-    ledger = []
-    for _ in range(200):
-        ledger.append(sched.submit("heavy", wire.PRIORITY_BATCH, 100,
-                                   weight=4.0))
-        ledger.append(sched.submit("light", wire.PRIORITY_BATCH, 100,
-                                   weight=1.0))
-    order = _drain(sched, ledger)
-    # Inspect the first half of the grant sequence (steady contention).
-    window = order[: len(order) // 2]
-    heavy = sum(1 for t in window if t.tenant == "heavy")
-    light = sum(1 for t in window if t.tenant == "light")
-    assert light > 0
-    assert heavy / light == pytest.approx(4.0, rel=0.25)
+# -- the service bound -------------------------------------------------------
 
 
 def test_interactive_reserve_blocks_batch():
-    sched = FairShareScheduler(slots=2, interactive_reserve=1, quantum=1024)
-    b1 = sched.submit("b", wire.PRIORITY_BATCH, 1)
-    b2 = sched.submit("b", wire.PRIORITY_BATCH, 1)
-    assert b1.granted
-    assert not b2.granted  # the reserved slot is off-limits to batch
-    i1 = sched.submit("i", wire.PRIORITY_INTERACTIVE, 1)
-    assert i1.granted  # interactive takes the reserved slot immediately
-    sched.release(i1)
-    sched.release(b1)
-    assert b2.granted
-    sched.release(b2)
+    """At ``slots=2, interactive_reserve=1`` one batch request fills the
+    batch share; an interactive one still takes the reserved slot, and
+    batch work is admitted again once the count is back under the
+    batch share."""
+    broker = RequestBroker(
+        registry=TenantRegistry([TenantSpec("b"),
+                                 TenantSpec("i", priority="interactive")]),
+        slots=2, interactive_reserve=1)
+    batch = wire.TenantEnvelope("b", wire.PRIORITY_BATCH)
+    inter = wire.TenantEnvelope("i", wire.PRIORITY_INTERACTIVE)
+    b1 = broker.admit(batch, "get", 1)
+    with pytest.raises(ServiceBusy) as shed:
+        broker.admit(batch, "get", 1)  # the reserved slot is not batch's
+    assert shed.value.retry_after_s == SHED_RETRY_HINT_S
+    i1 = broker.admit(inter, "get", 1)
+    assert broker.in_service == 2
+    with pytest.raises(ServiceBusy):
+        broker.admit(inter, "get", 1)  # every slot is in service
+    broker.finish(i1)
+    with pytest.raises(ServiceBusy):
+        broker.admit(batch, "get", 1)  # b1 still fills the batch share
+    broker.finish(b1)
+    broker.finish(broker.admit(batch, "get", 1))
+    assert broker.in_service == 0
+    counters = broker.tenant_stats()["tenants"]
+    assert (counters["b"]["admitted"], counters["b"]["shed"]) == (2, 2)
+    assert (counters["i"]["admitted"], counters["i"]["shed"]) == (1, 1)
 
 
-def test_strict_priority_order():
-    sched = FairShareScheduler(slots=1, interactive_reserve=0, quantum=1024)
-    running = sched.submit("x", wire.PRIORITY_BATCH, 1)
-    queued_batch = sched.submit("x", wire.PRIORITY_BATCH, 1)
-    queued_inter = sched.submit("y", wire.PRIORITY_INTERACTIVE, 1)
-    sched.release(running)
-    assert queued_inter.granted  # jumped the earlier-submitted batch
-    assert not queued_batch.granted
-    assert sched.stats()["preemptions"] >= 1
-    sched.release(queued_inter)
-    sched.release(queued_batch)
+def test_the_bound_holds_under_thread_contention():
+    """More threads than slots hammer one broker with a tiny switch
+    interval: the in-service count never passes ``slots`` and returns,
+    with every tenant's bytes in flight, to 0 -- a lost update to either
+    would show."""
+    import sys
+
+    broker = RequestBroker(slots=3, interactive_reserve=0)
+    over, errors = [], []
+
+    def worker(tenant):
+        meta = wire.TenantEnvelope(tenant)
+        try:
+            for _ in range(400):
+                try:
+                    admission = broker.admit(meta, "get", 7)
+                except ServiceBusy:
+                    continue
+                if broker.in_service > broker.slots:
+                    over.append(broker.in_service)
+                broker.finish(admission, 1)
+        except Exception as exc:  # pragma: no cover - surfaced below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(f"t{i % 3}",))
+                   for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and not over
+    assert broker.in_service == 0
+    tenants = broker.tenant_stats()["tenants"]
+    assert all(c["bytes_in_flight"] == 0 for c in tenants.values())
 
 
 # -- end-to-end through a live service ---------------------------------------
@@ -436,7 +408,7 @@ class TestEndToEnd:
         server = _deploy(fabric, {
             "slots": 4, "interactive_reserve": 1,
             "registry": [
-                {"id": "inter", "priority": "interactive", "weight": 2.0},
+                {"id": "inter", "priority": "interactive"},
                 {"id": "batch-1"},
                 {"id": "batch-2"},
             ],

@@ -43,9 +43,8 @@ from repro.serial import (
     registered_type,
     serializable,
 )
-from repro.serial.compiled import plan_table
+from repro.serial.compiled import column_plan, plan_table
 from repro.serial.columnar import (
-    column_fields,
     column_from_block,
     pack_field_column,
     to_columns,
@@ -163,7 +162,7 @@ class TestColumnarRoundTrip:
     def test_column_fields_matches_plan_order(self):
         spec = (("a", "float"), ("b", "int"), ("c", "str"))
         cls = schema_class(spec)
-        assert column_fields(cls) == ["a", "b", "c"]
+        assert [name for name, _kind in column_plan(cls)] == ["a", "b", "c"]
 
     def test_a_plan_asked_before_registration_counts_after(self):
         """Asking before ``register_type`` is a refusal for now, not for
@@ -172,10 +171,10 @@ class TestColumnarRoundTrip:
         cls = dataclasses.make_dataclass(
             "LateRegistered", [("a", float, dataclasses.field(default=0.0)),
                                ("b", int, dataclasses.field(default=0))])
-        assert column_fields(cls) is None
+        assert column_plan(cls) is None
         assert to_columns([cls(1.0, 2)]) is None
         register_type(cls, "test.columnar.LateRegistered")
-        assert column_fields(cls) == ["a", "b"]
+        assert [name for name, _kind in column_plan(cls)] == ["a", "b"]
         assert to_columns([cls(1.0, 2)])[0] == 1
         assert plan_table(cls, {"a": np.dtype("<f8"),
                                 "b": np.dtype("<i8")}) is not None

@@ -255,12 +255,18 @@ class TestRetryPolicy:
         assert policy.delay(0) == 0.0
 
     def test_config_round_trip(self):
-        policy = RetryPolicy(max_attempts=7, base_delay=0.002, deadline=5.0,
-                             rpc_timeout=0.5)
-        rebuilt = RetryPolicy.from_config(policy.to_config())
+        rebuilt = RetryPolicy.from_config({
+            "max_attempts": 7, "base_delay": 0.002, "deadline": 5.0,
+            "rpc_timeout": 0.5, "seed": 11})
         assert rebuilt.max_attempts == 7
+        assert rebuilt.base_delay == 0.002
         assert rebuilt.deadline == 5.0
         assert rebuilt.rpc_timeout == 0.5
+        again = RetryPolicy(max_attempts=7, base_delay=0.002, deadline=5.0,
+                            rpc_timeout=0.5, seed=11)
+        # ``seed`` survives: the jittered backoff replays exactly.
+        assert [rebuilt.delay(n) for n in range(4)] == [
+            again.delay(n) for n in range(4)]
 
     def test_from_config_rejects_unknown_keys(self):
         with pytest.raises(ValueError):

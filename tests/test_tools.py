@@ -106,6 +106,27 @@ class TestCLI:
         assert "Figure 2" in out and "Figure 3" in out
 
 
+class TestTenantsCommand:
+    def test_tenants_json(self, capsys):
+        """Three tenants against one brokered server: every admitted
+        request completes, the rate-limited tenant is shed, and the
+        command leaves no execution stream running."""
+        import json
+        import threading
+
+        before = threading.active_count()
+        assert main(["tenants", "--quick", "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        tenants = stats["tenants"]
+        assert set(tenants) == {"nova-interactive", "dune-batch",
+                                "abusive-batch"}
+        assert tenants["abusive-batch"]["shed"] > 0
+        for counters in tenants.values():
+            assert counters["admitted"] == counters["completed"]
+            assert counters["bytes_in_flight"] == 0
+        assert threading.active_count() == before
+
+
 class TestExportCommand:
     def test_export_cycle(self, tmp_path, capsys):
         out = str(tmp_path / "export.h5l")

@@ -546,7 +546,7 @@ def test_the_slot_is_released_however_the_handler_ends(monkeypatch):
     assert outcome(world, "yokan.get", payload) == ("raised", RPCError)
     counters = world[1].broker.tenant_stats()["tenants"]["t"]
     assert counters["admitted"] == counters["completed"] == 2
-    assert world[1].broker.scheduler.stats()["running"] == 0
+    assert world[1].broker.in_service == 0
 
 
 # -- verbs cannot rot: handler <-> RPC_NAMES <-> sender ------------------------
