@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from repro.errors import (
     AddressError,
@@ -603,46 +603,71 @@ class DataStore:
 
     def list_child_keys(self, kind: str, parent_key: bytes,
                         start_after: bytes = b"", limit: int = 0,
-                        page: int = 4096) -> Iterator[bytes]:
-        """Ordered child keys of ``parent_key``.
+                        page: int = 4096,
+                        following: Sequence[bytes] = ()) -> Iterator[bytes]:
+        """Ordered child keys of ``parent_key`` after ``start_after``,
+        then of each ``following`` parent from its first child, in order.
 
-        Normally served by one database (all children of a parent
-        colocate); while a migration is in flight, each page merges the
-        old and new shards so children split across them are not missed.
-        A page shorter than asked for is the last: a shard holding more
-        would have filled it, so every shard the page merged ran dry.
+        All children of a parent colocate, so one request lists as many
+        parents as share a database; while a migration is in flight,
+        each page merges the old and new shards so children split across
+        them are not missed.  A page shorter than asked for ends the
+        parents it covered: a shard holding more would have filled it.
         """
-        produced = 0
-        cursor = start_after
-        while True:
-            want = page if not limit else min(page, limit - produced)
-            keys_page = self._with_shard_retry(
-                lambda: self._list_page(kind, parent_key, cursor, want))
-            for key in keys_page:
-                yield key
-                produced += 1
-                if limit and produced >= limit:
-                    return
-            if len(keys_page) < want:
-                return
-            cursor = keys_page[-1]
+        return itertools.chain.from_iterable(self._child_pages(
+            kind, [parent_key, *following], start_after, limit, page))
 
-    def _list_page(self, kind: str, parent_key: bytes, cursor: bytes,
-                   want: int) -> list[bytes]:
-        """One dual-read listing page, checked against epoch swaps."""
+    def _child_pages(self, kind: str, parents: list, cursor: bytes,
+                     limit: int, page: int) -> Iterator[list]:
+        """The pages :meth:`list_child_keys` flattens, fetched lazily."""
+        produced = 0
+        while parents:
+            want = page if not limit else min(page, limit - produced)
+            keys_page, covered = self._with_shard_retry(
+                lambda: self._list_page(kind, parents, cursor, want))
+            yield keys_page
+            produced += len(keys_page)
+            if len(keys_page) < want:
+                parents, cursor = parents[covered:], b""
+            elif limit and produced >= limit:
+                return
+            else:
+                runs = keys.split_children(parents, cursor, keys_page)
+                parents, cursor = parents[len(runs) - 1:], keys_page[-1]
+
+    def _list_page(self, kind: str, parents: list, cursor: bytes,
+                   want: int) -> tuple:
+        """One dual-read listing request over the leading ``parents``
+        that share the first one's databases, checked against epoch
+        swaps: ``(keys, how many parents it covered)``."""
         smap = self.placement
-        pages = [handle.list_keys(prefix=parent_key, start_after=cursor,
-                                  limit=want)
-                 for handle in self._dual_handles(smap, kind, parent_key)]
+        asked, covered = parents, 1
+        if len(parents) > 1:
+            first = (smap.database_for(kind, parents[0]),
+                     smap.previous_database_for(kind, parents[0]))
+            while covered < len(parents) and first == (
+                    smap.database_for(kind, parents[covered]),
+                    smap.previous_database_for(kind, parents[covered])):
+                covered += 1
+            asked = parents[:covered]
+        pages = [handle.list_keys_multi(asked, cursor, want)
+                 for handle in self._dual_handles(smap, kind, parents[0])]
         merged = pages[0]
         if len(pages) > 1:
-            merged = sorted(set().union(*pages))[:want]
+            # Per parent, in request order: a parent's children sort
+            # together, but the parents need not be in key order.
+            runs = [keys.split_children(asked, cursor, page)
+                    for page in pages]
+            merged = [key for j in range(max(map(len, runs)))
+                      for key in sorted(set().union(
+                          *(run[j] for run in runs if j < len(run))))]
+            merged = merged[:want]
         if self.placement is not smap:
             raise ShardMapStale(
                 f"shard map advanced to epoch {self.placement.epoch} "
                 f"during a {kind} listing page"
             )
-        return merged
+        return merged, covered
 
     # -- products ---------------------------------------------------------
 

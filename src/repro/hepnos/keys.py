@@ -96,6 +96,34 @@ def child_number(key: bytes) -> int:
     return decode_u64_be(key[-8:])
 
 
+def split_children(parents, start_after: bytes, children: list) -> list:
+    """Cut one multi-parent listing answer into a run per parent.
+
+    ``children`` answers "the children of ``parents[0]`` after
+    ``start_after``, then of each following parent, in order"; the
+    result holds one list per parent up to the one the last child
+    belongs to.  A run ends at the first child outside its parent or
+    not above the run's last child, so a parent named twice gets two
+    runs.
+    """
+    runs: list = []
+    if not children:
+        return runs
+    start, parent, last = 0, parents[0], start_after
+    width = len(parent)
+    for i, key in enumerate(children):
+        while key[:width] != parent or key <= last:
+            runs.append(children[start:i])
+            if len(runs) == len(parents):
+                raise HEPnOSError(
+                    f"listing answered {key!r} under none of its parents")
+            start, parent, last = i, parents[len(runs)], b""
+            width = len(parent)
+        last = key
+    runs.append(children[start:])
+    return runs
+
+
 def _check_uuid(dataset_uuid: bytes) -> None:
     if len(dataset_uuid) != UUID_LEN:
         raise HEPnOSError(

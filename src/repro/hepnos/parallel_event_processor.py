@@ -188,20 +188,37 @@ class ParallelEventProcessor:
     def _all_subruns(self, dataset):
         return [subrun for run in dataset for subrun in run]
 
-    def _subruns_by_event_db(self, dataset) -> dict[DbTarget, list]:
-        """Group the dataset's subruns by the event database holding
-        their events (placement hashes the subrun key)."""
-        groups: dict[DbTarget, list] = {}
-        for subrun in self._all_subruns(dataset):
-            target = self.datastore.target_for("events", subrun.key)
-            groups.setdefault(target, []).append(subrun)
-        return groups
+    def _walk_once(self, dataset) -> list:
+        """The dataset's subruns, walked by rank 0 alone and broadcast
+        as ``(run, subrun)`` numbers; every rank rebuilds its own
+        handles.  A walk that raises is broadcast too, so that every
+        rank raises instead of waiting on the broadcast."""
+        comm = self.comm
+        numbers = error = None
+        if comm.rank == 0:
+            try:
+                numbers = [(subrun.run.number, subrun.number)
+                           for subrun in self._all_subruns(dataset)]
+            except Exception as exc:  # noqa: BLE001 - re-raised below
+                error = exc
+            comm.bcast((numbers, repr(error) if error else None))
+            if error is not None:
+                raise error
+        else:
+            numbers, failed = comm.bcast()
+            if failed is not None:
+                raise HEPnOSError(f"PEP walk failed on rank 0: {failed}")
+        return [dataset.run(run).subrun(subrun) for run, subrun in numbers]
 
     # -- parallel mode ---------------------------------------------------------
 
-    def _roles(self, dataset):
+    def _roles(self, subruns):
         """Decide reader ranks and the per-reader subrun assignment."""
-        groups = self._subruns_by_event_db(dataset)
+        groups: dict[DbTarget, list] = {}
+        for subrun in subruns:
+            # placement hashes the subrun key to its event database
+            target = self.datastore.target_for("events", subrun.key)
+            groups.setdefault(target, []).append(subrun)
         size = self.comm.size
         # Paper default: one reader per event database -- but never
         # starve the workers when the rank count is small.
@@ -215,9 +232,9 @@ class ParallelEventProcessor:
 
     def _process_parallel(self, dataset, fn: Callable) -> PEPStatistics:
         comm = self.comm
-        num_readers, assignments = self._roles(dataset)
         rank = comm.rank
         try:
+            num_readers, assignments = self._roles(self._walk_once(dataset))
             if rank < num_readers:
                 stats = self._run_reader(assignments[rank],
                                          num_workers=comm.size - num_readers)

@@ -2,11 +2,15 @@
 
 Plain container iteration issues one ``list_keys`` page at a time and
 one ``get`` per product.  The Prefetcher gathers a page of
-``input_batch_size`` event keys -- across subrun boundaries: it lists
-one subrun after another until the page is full or the subruns run
-out -- issues the page's one load plan -- one request per product
-database, few RPCs and large payloads -- and retires the oldest page
-once its look-ahead window is full.  The window is 0 pages without an
+``input_batch_size`` event keys -- across subrun boundaries, in the
+given subrun order -- issues the page's one load plan -- one request per
+product database, few RPCs and large payloads -- and retires the oldest
+page once its look-ahead window is full.  Listing is as coarse as
+loading: the subruns are grouped by the event database holding their
+events, and each database answers one request for up to a page of keys
+across the rest of its group; keys listed past a page's end carry into
+the next page, so a pass sends about one listing per database per
+page, not one per subrun.  The window is 0 pages without an
 :class:`~repro.hepnos.AsyncEngine` (issue, then wait) and 1 with one:
 page N+1's products are on the wire while page N's events are being
 consumed, so the store's latency hides behind the analysis compute.
@@ -115,29 +119,25 @@ class Prefetcher:
         """Pages of up to ``input_batch_size`` event keys, in order, each
         a list of ``(subrun, keys)`` runs -- one per subrun it covers.
 
-        Subruns are listed one at a time (a subrun's events colocate),
-        each listing asking for the room left in the page, so a page
-        closes when it is full or the subruns run out.
+        The subruns' keys come from one listing cursor per event
+        database (:class:`_Listings`), so a page closes when it is full
+        or the subruns run out, whichever database each subrun lives in.
         """
         size = self.options.input_batch_size
+        subruns = list(subruns)
+        listings = _Listings(self.datastore, subruns, size)
         page, room = [], size
-        for subrun in subruns:
-            cursor = b""
-            while True:
-                asked = room
-                with _tracing.span("hepnos.prefetch.list", limit=room) as sp:
-                    keys = list(self.datastore.list_child_keys(
-                        "events", subrun.key, start_after=cursor, limit=room))
-                    sp.set_tag("events", len(keys))
+        for i, subrun in enumerate(subruns):
+            after, more = b"", True
+            while more:
+                keys, more = listings.take(i, room, after)
                 if keys:
                     page.append((subrun, keys))
-                    cursor = keys[-1]
+                    after = keys[-1]
                     room -= len(keys)
                 if not room:
                     yield page
                     page, room = [], size
-                if len(keys) < asked:
-                    break  # the subrun ran dry
         if page:
             yield page
 
@@ -163,6 +163,108 @@ class Prefetcher:
         if loaded.block is None:
             return events
         return EventBatch(events, loaded.block)
+
+
+class _Cursor:
+    """One event database's listing position over its group of subruns:
+    ``members[pos]`` is the first not listed to its end, listed up to
+    ``after``."""
+
+    __slots__ = ("members", "pos", "after")
+
+    def __init__(self, members: list, after: bytes):
+        self.members = members
+        self.pos = 0
+        self.after = after
+
+
+class _Listings:
+    """Listed-but-unconsumed event keys of a pass's subruns, refilled
+    with one request per event database.
+
+    Subruns are grouped by the databases holding their events (the
+    (current, previous) pair while a migration is in flight), each group
+    in the given order under one :class:`_Cursor`.  When a subrun's keys
+    run out, its database gets one ``list_child_keys`` request for up to
+    ``size`` more keys covering the rest of its group; a short answer
+    means the group is dry.  A database is only asked again once the
+    keys it answered are consumed, so at most databases x ``size`` keys
+    are carried.  When the shard map has moved since the groups were
+    made, the cursors are rebuilt from the last consumed key.
+    """
+
+    def __init__(self, datastore, subruns: list, size: int):
+        self.datastore = datastore
+        self.subruns = subruns
+        self.size = size
+        #: subrun index -> its listed keys not yet taken
+        self._listed: dict = {}
+        self._regroup(0, b"")
+
+    def _regroup(self, first: int, after: bytes) -> None:
+        """Cursors over ``subruns[first:]`` under the current map; the
+        one holding ``subruns[first]`` resumes after ``after``."""
+        smap = self._smap = self.datastore.placement
+        groups: dict = {}
+        for i in range(first, len(self.subruns)):
+            key = self.subruns[i].key
+            groups.setdefault((smap.database_for("events", key),
+                               smap.previous_database_for("events", key)),
+                              []).append(i)
+        self._cursor_of = {}
+        for members in groups.values():
+            cursor = _Cursor(members, after if members[0] == first else b"")
+            for i in members:
+                self._cursor_of[i] = cursor
+        #: indices of the subruns whose databases have more to answer
+        self._open = set(range(first, len(self.subruns)))
+        self._listed.clear()
+
+    def take(self, i: int, room: int, after: bytes):
+        """Up to ``room`` keys of subrun ``i`` consumed after ``after``,
+        and whether it has more: fewer than ``room`` only when it has
+        none."""
+        listed = self._listed
+        keys = listed.pop(i, [])
+        got = len(keys)
+        while got < room and i in self._open:
+            self._fill(i, keys[-1] if keys else after)
+            keys += listed.pop(i, [])
+            got = len(keys)
+        if got > room:
+            listed[i] = keys[room:]
+            return keys[:room], True
+        return keys, i in self._open
+
+    def _fill(self, i: int, after: bytes) -> None:
+        """One request to subrun ``i``'s database for the rest of its
+        group; ``after`` is the last key of ``i`` consumed."""
+        if self.datastore.placement is not self._smap:
+            self._regroup(i, after)
+        cursor = self._cursor_of[i]
+        members = cursor.members[cursor.pos:]
+        parents = [self.subruns[m].key for m in members]
+        size, asked = self.size, len(members)
+        with _tracing.span("hepnos.prefetch.list", limit=size,
+                           subruns=asked) as sp:
+            keys = list(self.datastore.list_child_keys(
+                "events", parents[0], start_after=cursor.after, limit=size,
+                page=size, following=parents[1:]))
+            got = len(keys)
+            sp.set_tag("events", got)
+        runs = [keys] if asked == 1 else hkeys.split_children(
+            parents, cursor.after, keys)
+        for member, run in zip(members, runs):
+            if run:
+                self._listed[member] = run
+        if got < size:
+            done = asked  # the group ran dry
+        else:
+            done = len(runs) - 1  # all before the last key's subrun
+            cursor.after = keys[-1]
+        if done:
+            self._open.difference_update(members[:done])
+            cursor.pos += done
 
 
 class PrefetchedEvent(_ProductHolder):

@@ -290,7 +290,7 @@ def _cmd_tenants(args) -> int:
         row = tenant.ljust(width) + "".join(
             str(counters.get(c, 0)).rjust(len(c) + 3) for c in columns)
         print(row)
-    slow = stats["slow_queries"]
+    slow = sorted(stats["slow_queries"], key=lambda e: e["elapsed_s"])
     print(f"\nslow queries ({len(slow)} logged, slowest last):")
     for entry in slow[-args.slow:]:
         print(f"  {entry['elapsed_s'] * 1e3:8.2f}ms "

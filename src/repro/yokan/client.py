@@ -448,9 +448,16 @@ class DatabaseHandle:
 
     def list_keys(self, prefix: bytes = b"", start_after: bytes = b"",
                   limit: int = 0) -> list[bytes]:
-        return self._call(
-            "yokan.list_keys", (self.name, bytes(prefix), bytes(start_after), limit)
-        )
+        return self.list_keys_multi([bytes(prefix)], start_after, limit)
+
+    def list_keys_multi(self, prefixes: Sequence[bytes],
+                        start_after: bytes = b"",
+                        limit: int = 0) -> list[bytes]:
+        """The next ``limit`` keys (0: all) under ``prefixes[0]`` after
+        ``start_after``, then under each following prefix from its first
+        key, in request order: one RPC, one flat key list."""
+        return self._call("yokan.list_keys", (
+            self.name, list(prefixes), bytes(start_after), limit))
 
     def iter_keys(self, prefix: bytes = b"", batch: int = 128):
         """Generator over keys with ``prefix``, paging ``batch`` at a time

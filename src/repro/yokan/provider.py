@@ -457,9 +457,25 @@ class YokanProvider:
     def _rpc_length(self, req: RPCRequest, name) -> int:
         return len(self._db(req, name))
 
-    def _rpc_list_keys(self, req: RPCRequest, name, prefix, start_after,
+    def _rpc_list_keys(self, req: RPCRequest, name, prefixes, start_after,
                        limit) -> list:
-        return self._db(req, name).list_keys(prefix, start_after, limit)
+        """The next ``limit`` keys (0: all) under ``prefixes[0]`` after
+        ``start_after``, then under each following prefix from its
+        first key, in request order, as one flat key list."""
+        if prefixes.__class__ is not list:
+            raise YokanError("list_keys takes a key list of prefixes")
+        db = self._db(req, name)
+        keys: list = []
+        room = limit
+        for prefix in prefixes:
+            listed = db.list_keys(prefix, start_after, room)
+            keys += listed
+            if limit:
+                room -= len(listed)
+                if not room:
+                    break
+            start_after = b""
+        return keys
 
     def _rpc_replicate(self, req: RPCRequest, name, keys, values,
                        erase_keys) -> tuple:

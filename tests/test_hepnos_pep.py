@@ -12,8 +12,10 @@ from repro.hepnos import (
     WriteBatch,
     vector_of,
 )
+from repro.hepnos import keys
 from repro.minimpi import SUM, mpirun
 from repro.serial import serializable
+from repro.yokan.client import DatabaseHandle
 
 
 @serializable("pep.Slice")
@@ -219,6 +221,48 @@ class TestParallel:
 
         results = mpirun(body, 4, timeout=60.0)
         assert len(sorted(results[0])) == len(expected)  # one slice per event
+
+    def test_dataset_is_walked_once_per_pass(self, datastore, populated,
+                                             monkeypatch):
+        """Rank 0 lists the runs and their subruns and broadcasts them:
+        a 2-rank pass over 3 runs sends 4 hierarchy listings, not 4 per
+        rank."""
+        ds, expected = populated
+        prefixes: list = []
+        list_keys = DatabaseHandle.list_keys_multi
+
+        def counted(self, prefixes_asked, *args, **kwargs):
+            prefixes.append(len(prefixes_asked[0]))
+            return list_keys(self, prefixes_asked, *args, **kwargs)
+
+        monkeypatch.setattr(DatabaseHandle, "list_keys_multi", counted)
+        seen, _ = self._run(datastore, ds, 2, options=PEPOptions(
+            input_batch_size=16, dispatch_batch_size=4))
+        assert sorted(seen) == expected
+        hierarchy = [n for n in prefixes if n < keys.SUBRUN_KEY_LEN]
+        assert hierarchy.count(keys.UUID_LEN) == 1  # the runs
+        assert hierarchy.count(keys.RUN_KEY_LEN) == 3  # each run's subruns
+
+    def test_a_failed_walk_fails_every_rank(self, datastore, populated,
+                                           monkeypatch):
+        ds, _ = populated
+
+        def broken(self, dataset):
+            raise HEPnOSError("walk broke")
+
+        monkeypatch.setattr(ParallelEventProcessor, "_all_subruns", broken)
+        raised: dict = {}
+
+        def body(comm):
+            pep = ParallelEventProcessor(datastore, comm=comm)
+            try:
+                pep.process(ds, lambda ev: None)
+            except HEPnOSError as exc:
+                raised[comm.rank] = str(exc)
+
+        mpirun(body, 3, timeout=60.0)
+        assert sorted(raised) == [0, 1, 2]
+        assert all("walk broke" in message for message in raised.values())
 
     def test_two_ranks_minimum(self, datastore, populated):
         ds, expected = populated

@@ -17,9 +17,9 @@ product in pages of 64, through the ParallelEventProcessor and through
 the Prefetcher it iterates -- so a second object or wrapper frame per
 event fails here too.  The page floor counts round trips instead, on
 the benchmark's shape (many 64-event subruns, pages of 1024): a page
-that closes at a subrun boundary again, a listing that asks once
-more than it needs, or a framework source that pages apart from the
-PEP's reader fails here.  The column-cache floor is a warm
+that closes at a subrun boundary again, a listing per subrun rather
+than per event database, or a framework source that pages apart from
+the PEP's reader fails here.  The column-cache floor is a warm
 columns-lane page pass served by the client column cache: a cache that
 goes back to an entry, a probe or a group per event -- rather than per
 cached scan answer -- fails here.  The consumer floor is the worker's side
@@ -86,22 +86,27 @@ CALLS = 1000
 #: That loop made 107.0 and 106.0 (budgets 117.3 and 115.5) until key
 #: listings and RPC fields left the product archive: 76.3 and 75.5
 #: (budgets 83.6 and 82.3).  Loading exactly the named product keys,
-#: not whole events, leaves 52.3 and 51.6, under budgets with the same
-#: margins.
-READER_BUDGET = {"pep": 57.9, "prefetcher": 56.8}
+#: not whole events, left 52.3 and 51.6 (budgets 57.9 and 56.8); one
+#: listing cursor per event database, whose pages are flattened without
+#: a generator step per key, leaves 51.8 and 51.0, under budgets with
+#: the same margins.
+READER_BUDGET = {"pep": 57.4, "prefetcher": 56.2}
 EVENTS = 512
 #: RPCs one ``Prefetcher.pages`` pass may send over ``SUBRUNS`` subruns
 #: of ``PER_SUBRUN`` events, one product each, in pages of 1024, per
 #: lane.  Pages that closed at every subrun boundary made it 96 in both
 #: object lanes (16 x (2 listings + 4 loads)); one page of 1024 events
-#: is 17 listings (the last finds the 16th subrun dry) + 4 loads.  The
-#: ``packed`` row is a ``packed_loads=True`` reader, which loads the
-#: exact product keys as the ``exact`` row does.  The ``source`` input
-#: is a sequential ``HEPnOSSource`` pass: the same pages after a walk
-#: of the dataset to its subruns, which a
-#: ``ParallelEventProcessor(comm=None)`` pass makes too.  Paging one
-#: subrun at a time, it sent 82.
-PAGE_BUDGET = {"exact": 21, "packed": 21, "columns": 21, "source": 21}
+#: listed one subrun at a time made it 21 (17 listings, the last finding
+#: the 16th subrun dry, + 4 loads).  One listing cursor per event
+#: database makes it 8: each of the 4 event databases answers one
+#: request for the rest of its group -- short, so the group is dry --
+#: and the page is 4 loads.  The ``packed`` row is a
+#: ``packed_loads=True`` reader, which loads the exact product keys as
+#: the ``exact`` row does.  The ``source`` input is a sequential
+#: ``HEPnOSSource`` pass: the same pages after a walk of the dataset to
+#: its subruns, which a ``ParallelEventProcessor(comm=None)`` pass makes
+#: too.  Paging one subrun at a time, it sent 82.
+PAGE_BUDGET = {"exact": 8, "packed": 8, "columns": 8, "source": 8}
 #: RPCs of that walk: one runs listing and one subruns listing
 WALK_RPCS = 2
 SUBRUNS, PER_SUBRUN = 16, 64
@@ -110,8 +115,10 @@ SUBRUNS, PER_SUBRUN = 16, 64
 #: ``vector_of(Flag)`` product, in pages of 1024.  A column cache of one
 #: entry per product made 38.23 (a dict per event cached, a group per
 #: event probed); one run per cached scan answer left 21.37 (budget 28),
-#: and key listings out of the product archive 10.43.
-WARM_COLUMNS_BUDGET = 13.7
+#: key listings out of the product archive 10.43 (budget 13.7), and one
+#: listing request per event database rather than per subrun 7.79,
+#: under a budget with the same margin.
+WARM_COLUMNS_BUDGET = 10.2
 #: groups a warm page of those may probe into: one per cached answer --
 #: one per product database -- not one per event
 WARM_GROUPS = 4
@@ -232,9 +239,22 @@ def page_budget(lane: str) -> int:
 def page_pass_rpcs(lane: str) -> int:
     """RPCs of one cold ``Prefetcher.pages`` pass through ``lane`` over
     ``SUBRUNS`` subruns of ``PER_SUBRUN`` events, one ``Flag`` each, in
-    pages of 1024 (2 servers x 2 providers, 4 product databases).
-    ``"source"`` and ``"pep"`` are whole-dataset passes of a
-    ``HEPnOSSource`` and of a sequential ``ParallelEventProcessor``."""
+    pages of 1024 (2 servers x 2 providers, 4 event and 4 product
+    databases).  ``"source"`` and ``"pep"`` are whole-dataset passes of
+    a ``HEPnOSSource`` and of a sequential ``ParallelEventProcessor``."""
+    return page_pass_counts(lane)[0]
+
+
+def page_pass_counts(lane: str) -> tuple:
+    """``(RPCs, listing RPCs)`` of :func:`page_pass_rpcs`'s pass; every
+    RPC that is not a listing is a load."""
+    listed = []
+    list_keys = DatabaseHandle.list_keys_multi
+
+    def counted(self, *args, **kwargs):
+        listed.append(1)
+        return list_keys(self, *args, **kwargs)
+
     servers = deploy()
     session = hepnos.connect(servers=servers)
     try:
@@ -251,6 +271,7 @@ def page_pass_rpcs(lane: str) -> int:
                              packed_loads=lane != "exact")
         fabric = datastore.fabric
         fabric.stats.reset()
+        DatabaseHandle.list_keys_multi = counted
         if lane == "source":
             source = HEPnOSSource(datastore, "floor", products=[(Flag, "f")],
                                   input_batch_size=1024)
@@ -265,8 +286,9 @@ def page_pass_rpcs(lane: str) -> int:
                                 columns=["n"] if lane == "columns" else None)
             events = sum(len(page) for page in reader.pages(subruns))
         assert events == SUBRUNS * PER_SUBRUN
-        return fabric.stats.rpc_count
+        return fabric.stats.rpc_count, len(listed)
     finally:
+        DatabaseHandle.list_keys_multi = list_keys
         session.close()
         for server in servers:
             server.shutdown()
@@ -515,9 +537,10 @@ if __name__ == "__main__":
               f"{reader_calls(reader):.1f} Python-level calls per event "
               f"(budget {budget})")
     for lane in sorted(PAGE_BUDGET):
+        rpcs, listings = page_pass_counts(lane)
         print(f"page pass, {SUBRUNS} subruns x {PER_SUBRUN} events, pages "
-              f"of 1024, {lane} lane: {page_pass_rpcs(lane)} RPCs "
-              f"(budget {page_budget(lane)})")
+              f"of 1024, {lane} lane: {rpcs} RPCs = {listings} listings "
+              f"+ {rpcs - listings} loads (budget {page_budget(lane)})")
     calls, groups = warm_columns_pass()
     print(f"warm columns pass, {SUBRUNS} subruns x {PER_SUBRUN} events, "
           f"pages of 1024: {calls:.2f} Python-level calls per event "

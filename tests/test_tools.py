@@ -126,6 +126,33 @@ class TestTenantsCommand:
             assert counters["bytes_in_flight"] == 0
         assert threading.active_count() == before
 
+    @staticmethod
+    def printed_latencies(text: str) -> list:
+        """The milliseconds of each printed slow-query line."""
+        lines = text.split("slowest last):\n", 1)[1].splitlines()
+        return [float(line.split("ms", 1)[0]) for line in lines if line]
+
+    def test_slow_queries_print_the_slowest_last(self, capsys):
+        assert main(["tenants", "--quick", "--slow", "12"]) == 0
+        printed = self.printed_latencies(capsys.readouterr().out)
+        assert len(printed) == 12
+        assert printed == sorted(printed), (
+            f"latencies printed out of order: {printed}")
+
+    def test_slow_queries_are_the_slowest_logged(self, capsys, monkeypatch):
+        """The log keeps arrival order; the table shows the ``--slow``
+        slowest entries of it, not the last ones served."""
+        from repro.broker.core import SlowQueryLog
+
+        arrivals = [7.0, 1.0, 9.0, 3.0, 8.0, 2.0, 5.0, 4.0]
+        entries = [{"tenant": "t", "op": "put", "elapsed_s": ms / 1e3,
+                    "queued_s": 0.0, "bytes": 1, "at": 0.0}
+                   for ms in arrivals]
+        monkeypatch.setattr(SlowQueryLog, "entries", lambda self: entries)
+        assert main(["tenants", "--quick", "--slow", "3"]) == 0
+        assert self.printed_latencies(capsys.readouterr().out) == [
+            7.0, 8.0, 9.0]
+
 
 class TestExportCommand:
     def test_export_cycle(self, tmp_path, capsys):

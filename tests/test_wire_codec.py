@@ -187,9 +187,9 @@ GOLDEN = [
      "010276616c7565"),
     (("products-0", b"ev/0007"),                           # yokan.exists
      "0273620a0000000700000070726f64756374732d3065762f30303037"),
-    (("events-1", b"ev/", b"", 128),                       # yokan.list_keys
-     "047362627108000000030000000000000080000000000000006576656e74732d31"
-     "65762f"),
+    (("events-1", [b"ev/"], b"", 128),                     # yokan.list_keys
+     "04736b62710800000001000000030000000000000080000000000000006576656e"
+     "74732d310300000065762f"),
     ((wire.OK, [b"ev/1", b"ev/22"]),                       # its answer
      "02716b00000000000000000200000009000000040000000500000065762f316576"
      "2f3232"),

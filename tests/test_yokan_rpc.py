@@ -18,7 +18,13 @@ from repro.errors import (
 from repro.faults import RETRYABLE_ERRORS, RetryPolicy
 from repro.mercury import Bulk, Engine, Fabric, FaultModel
 from repro.serial import dumps, register_type
-from repro.yokan import MemoryBackend, YokanClient, YokanProvider, wire
+from repro.yokan import (
+    LSMBackend,
+    MemoryBackend,
+    YokanClient,
+    YokanProvider,
+    wire,
+)
 from repro.yokan import client as client_module
 from repro.yokan.client import _unwrap, frame_put_multi
 from repro.yokan.provider import RPC_NAMES
@@ -143,6 +149,48 @@ class TestIteration:
         assert len(page) == 10
         page2 = db.list_keys(start_after=page[-1], limit=10)
         assert page2[0] == b"10"
+
+    @pytest.mark.parametrize("kind", ["map", "lsm"])
+    def test_list_keys_multi_concatenates_single_prefix_listings(
+            self, kind, tmp_path):
+        """A prefix-list request answers the keys of its prefixes in
+        request order -- the first after ``start_after`` -- cut at
+        ``limit`` wherever that falls, in one RPC."""
+        backend = (MemoryBackend() if kind == "map" else LSMBackend(
+            str(tmp_path / "lsm"), memtable_bytes=2048, compaction_trigger=3))
+        fabric = Fabric()
+        YokanProvider(Engine(fabric, "sm://server/0"), provider_id=1,
+                      databases={"events": backend})
+        db = YokanClient(Engine(fabric, "sm://client/0")).database_handle(
+            "sm://server/0", 1, "events")
+        # 64-byte values in batches of 8: the LSM flushes and compacts
+        # tables on the way
+        for p in (b"a", b"b", b"c", b"d"):
+            for i in range(0, 40, 8):
+                db.put_multi([(b"%s/%03d" % (p, j), b"v" * 64)
+                              for j in range(i, i + 8)])
+        prefixes = [b"c/", b"a/", b"x/", b"d/"]  # not in key order
+        after = b"c/031"
+        whole = (db.list_keys(b"c/", after) + db.list_keys(b"a/")
+                 + db.list_keys(b"x/") + db.list_keys(b"d/"))
+        assert len(whole) == 8 + 40 + 40
+        for limit in (0, 5, 8, 9, 47, 48, 49, 88, 89, 500):
+            fabric.stats.reset()
+            got = db.list_keys_multi(prefixes, after, limit)
+            assert fabric.stats.rpc_count == 1
+            assert got == (whole[:limit] if limit else whole), limit
+        assert db.list_keys_multi([b"a/", b"a/"], b"a/038") == (
+            [b"a/039"] + db.list_keys(b"a/"))
+        backend.close()
+
+    def test_list_keys_takes_a_prefix_list(self, world):
+        fabric, _, client, db = world
+        db.put(b"ev1", b"v")
+        handle = client.engine.create_handle("sm://server/0",
+                                             "yokan.list_keys")
+        old_form = wire.seal(wire.encode(("events", b"ev", b"", 5)))
+        with pytest.raises(YokanError, match="key list of prefixes"):
+            _unwrap(handle.forward(old_form, 1))
 
     def test_iter_keys_generator(self, world):
         _, _, _, db = world
@@ -423,7 +471,7 @@ def request_body(engine: Engine, rpc_name: str, db: str, pins: list):
         "yokan.erase": (db, STORED[1][0]),
         "yokan.erase_multi": (db, [STORED[2][0], b"absent"]),
         "yokan.length": (db,),
-        "yokan.list_keys": (db, b"ev", b"", 5),
+        "yokan.list_keys": (db, [b"ev"], b"", 5),
         "yokan.list_databases": (),
         "yokan.replicate": (db, [k for k, _ in FRESH[:2]],
                             [v for _, v in FRESH[:2]], [STORED[3][0]]),
