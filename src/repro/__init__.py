@@ -6,7 +6,7 @@ package reimplements the full stack in Python:
 
 - :mod:`repro.utils`      -- sorted maps, consistent hashing, key codecs.
 - :mod:`repro.serial`     -- Boost-style binary serialization archives.
-- :mod:`repro.argobots`   -- cooperative user-level-thread runtime.
+- :mod:`repro.argobots`   -- run-to-completion user-level-thread runtime.
 - :mod:`repro.mercury`    -- RPC engine with bulk (RDMA-like) transfers.
 - :mod:`repro.margo`     -- glue binding RPC handlers to ULT pools.
 - :mod:`repro.bedrock`    -- JSON-configured service bootstrapping.

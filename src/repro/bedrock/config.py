@@ -38,10 +38,10 @@ from typing import Optional, Union
 
 from repro.errors import ConfigError
 from repro.faults.retry import RetryPolicy
+from repro.margo.instance import check_pool_kind
 from repro.yokan.backend import BACKEND_KINDS
 
 _KNOWN_PROVIDER_TYPES = {"yokan"}
-_KNOWN_POOL_KINDS = {"fifo", "prio"}
 
 
 def _require(condition: bool, message: str) -> None:
@@ -79,11 +79,7 @@ def validate_config(config: Union[str, dict]) -> dict:
         name = spec.get("name")
         _require(bool(name), "every pool needs a name")
         _require(name not in pool_names, f"duplicate pool {name!r}")
-        kind = spec.get("kind", "fifo")
-        _require(
-            kind in _KNOWN_POOL_KINDS,
-            f"pool {name!r}: unknown kind {kind!r} (known: {sorted(_KNOWN_POOL_KINDS)})",
-        )
+        check_pool_kind(spec)
         pool_names.add(name)
     for spec in argobots.get("xstreams", []):
         _require(isinstance(spec, dict), "xstream specs must be objects")

@@ -10,6 +10,15 @@ from repro.mercury import Address, Engine, Fabric
 from repro.monitor import tracing as _tracing
 
 
+def check_pool_kind(spec: dict) -> None:
+    """Refuse a pool spec naming any kind but ``fifo``, the one pool
+    kind (Argobots' FIFO pool), by name."""
+    kind = spec.get("kind", "fifo")
+    if kind != "fifo":
+        raise ConfigError(f"pool {spec.get('name')!r}: unknown kind "
+                          f"{kind!r} (known: ['fifo'])")
+
+
 class MargoInstance:
     """An engine with named pools and execution streams.
 
@@ -52,11 +61,8 @@ class MargoInstance:
                 raise ConfigError("every pool needs a name")
             if name in self.pools:
                 raise ConfigError(f"duplicate pool name {name!r}")
-            kind = spec.get("kind", "fifo")
-            try:
-                self.pools[name] = runtime.create_pool(f"{self._prefix}:{name}", kind)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+            check_pool_kind(spec)
+            self.pools[name] = runtime.create_pool(f"{self._prefix}:{name}")
 
         xstream_specs = config.get(
             "xstreams",

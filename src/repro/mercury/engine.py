@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Optional, Union
 
-from repro.argobots import ULT, Eventual, Pool, unwrap_wait_result
+from repro.argobots import ULT, Eventual, Pool
 from repro.errors import NoSuchRPCError, ReproError, RPCError, RPCTimeout
 from repro.mercury.address import Address
 from repro.mercury.bulk import Bulk, BulkOp
@@ -22,12 +21,9 @@ class RPCRequest:
     ``bytes`` value (auto-respond).
     """
 
-    _ids = itertools.count()
-
     def __init__(self, fabric: Fabric, origin: Address, target: Address,
                  rpc_name: str, provider_id: int, payload: bytes,
                  trace_context=None):
-        self.request_id = next(RPCRequest._ids)
         self.fabric = fabric
         self.origin = origin
         self.target = target
@@ -68,26 +64,22 @@ class RPCRequest:
             self.responded = True
             self.response.set_exception(exc)
 
-    def _handler_done(self, ult: ULT) -> None:
+    def _handler_done(self, result, exc: Optional[BaseException]) -> None:
         """The handler's ULT finished: answer with what it returned,
         unless the handler already answered for itself."""
         if self.responded:
             return
-        result = ult._value
-        if ult.exception is not None:
+        if exc is not None:
             self.fail(RPCError(
-                f"handler for {self.rpc_name!r} raised: {ult.exception!r}"))
+                f"handler for {self.rpc_name!r} raised: {exc!r}"))
         elif isinstance(result, (bytes, bytearray)):
             try:
                 self.respond(result)
-            except ReproError as exc:  # fault model may drop the response
-                self.fail(exc)
+            except ReproError as err:  # fault model may drop the response
+                self.fail(err)
         else:
             self.fail(RPCError(
                 f"handler for {self.rpc_name!r} completed without responding"))
-
-    def _ult_name(self) -> str:
-        return f"{self.target}:{self.rpc_name}#{self.request_id}"
 
     # -- bulk transfers -----------------------------------------------------
 
@@ -165,9 +157,11 @@ class Handle:
     def iforward(self, payload: bytes = b"", provider_id: int = 0) -> Eventual:
         """Send the RPC; return an eventual resolving to the response.
 
-        From inside a ULT, suspend with::
-
-            resp = unwrap_wait_result((yield handle.iforward(data).wait()))
+        A handler that needs the answer waits for it like any caller,
+        with ``fabric.wait(handle.iforward(data))``: on the inline
+        runtime that wait drives the scheduler from inside the
+        handler's ULT, on the threaded one it blocks the handler's
+        xstream.
         """
         return self.engine._forward(self.target, self.rpc_name, provider_id,
                                     payload)
@@ -279,11 +273,7 @@ class Engine:
             ))
             return request.response
         handler, pool = entry
-        # The callback goes on before the push: once queued, the ULT may
-        # finish on another thread before this one runs again.
-        ult = ULT(handler, (request,), name=request._ult_name)
-        ult.add_done_callback(request._handler_done)
-        pool.push(ult)
+        pool.push(ULT(handler, (request,), request._handler_done))
         return request.response
 
     def finalize(self) -> None:
@@ -293,4 +283,4 @@ class Engine:
             self.fabric.deregister_engine(self)
 
 
-__all__ = ["Engine", "Handle", "RPCRequest", "unwrap_wait_result"]
+__all__ = ["Engine", "Handle", "RPCRequest"]

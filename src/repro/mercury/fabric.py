@@ -169,8 +169,10 @@ class Fabric:
         self._engines: dict[str, "Engine"] = {}
         self._lock = threading.Lock()
         # Serializes inline progress when several OS threads (MPI ranks)
-        # wait on responses concurrently.
-        self._progress_lock = threading.Lock()
+        # wait on responses concurrently.  Re-entrant: a handler that
+        # runs inside progress_once and waits on an RPC of its own
+        # drives the scheduler from the thread that already holds it.
+        self._progress_lock = threading.RLock()
 
     # -- membership --------------------------------------------------------
 
@@ -236,7 +238,8 @@ class Fabric:
 
         In threaded mode the xstream threads make progress, so this just
         blocks.  In inline mode the calling thread becomes the scheduler;
-        multiple concurrent callers take turns under a progress lock.
+        multiple concurrent callers take turns under a progress lock,
+        which a handler waiting from inside the scheduler re-enters.
 
         ``timeout`` bounds the total wait; the fabric's
         :attr:`idle_timeout` bounds how long the inline scheduler may
@@ -306,4 +309,6 @@ class Fabric:
     def flush(self) -> None:
         """Run the inline scheduler until every pool is drained."""
         if not self.runtime.threaded:
-            self.runtime.run_until_idle()
+            with self._progress_lock:
+                while self.runtime.progress_once():
+                    pass

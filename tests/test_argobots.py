@@ -6,17 +6,7 @@ import time
 
 import pytest
 
-from repro.argobots import (
-    Barrier,
-    Eventual,
-    Mutex,
-    Pool,
-    Runtime,
-    ULT,
-    current_ult,
-    ult_yield,
-    unwrap_wait_result,
-)
+from repro.argobots import Eventual, Runtime, ULT
 from repro.errors import ReproError
 
 
@@ -25,100 +15,112 @@ def rt():
     return Runtime()
 
 
+def push(pool, func, *args):
+    """Queue ``func(*args)`` as a ULT; the eventual returned holds what it
+    returned, or raises what it raised."""
+    ev = Eventual()
+
+    def done(value, exc):
+        if exc is not None:
+            ev.set_exception(exc)
+        else:
+            ev.set(value)
+
+    pool.push(ULT(func, args, done))
+    return ev
+
+
+def drain(rt):
+    """Run the inline scheduler until every pool is empty."""
+    while rt.progress_once():
+        pass
+
+
+def result(ev, timeout=5.0):
+    assert ev.wait_blocking(timeout)
+    return ev._unwrap()
+
+
+@pytest.fixture()
+def pool(rt):
+    pool = rt.create_pool("work")
+    rt.create_xstream("es", [pool])
+    return pool
+
+
 class TestBasicULTs:
-    def test_plain_callable(self, rt):
-        ult = rt.spawn(lambda: 42)
-        assert rt.join(ult) == 42
+    def test_plain_callable(self, rt, pool):
+        ev = push(pool, lambda: 42)
+        assert not ev.is_ready
+        drain(rt)
+        assert result(ev) == 42
 
-    def test_generator_body(self, rt):
-        def body():
-            yield ult_yield()
-            return "done"
+    def test_args(self, rt, pool):
+        ev = push(pool, lambda a, b: a + b, 1, 2)
+        drain(rt)
+        assert result(ev) == 3
 
-        assert rt.join(rt.spawn(body)) == "done"
-
-    def test_args_kwargs(self, rt):
-        ult = rt.spawn(lambda a, b=0: a + b, 1, b=2)
-        assert rt.join(ult) == 3
-
-    def test_exception_captured(self, rt):
+    def test_exception_captured(self, rt, pool):
         def bad():
             raise ValueError("boom")
 
-        ult = rt.spawn(bad)
-        rt.run_until_idle()
-        assert ult.done
-        assert isinstance(ult.exception, ValueError)
-        with pytest.raises(ValueError):
-            ult.result()
+        ev = push(pool, bad)
+        drain(rt)
+        with pytest.raises(ValueError, match="boom"):
+            result(ev)
 
-    def test_result_before_done(self, rt):
-        ult = ULT(lambda: 1)
-        with pytest.raises(ReproError):
-            ult.result()
+    def test_done_callback(self, rt, pool):
+        """``done`` runs once, after the function, with what it returned
+        and no exception."""
+        calls = []
+        pool.push(ULT(lambda: calls.append("ran") or 7, (),
+                      lambda value, exc: calls.append((value, exc))))
+        assert calls == []
+        drain(rt)
+        assert calls == ["ran", (7, None)]
 
-    def test_current_ult_visible(self, rt):
-        seen = []
+    def test_generator_body(self, rt, pool):
+        """A ULT is a task, not a coroutine: a generator function's
+        generator is its value, and nothing resumes it."""
+        def gen():
+            yield 1
 
-        def body():
-            seen.append(current_ult())
-            return None
-
-        ult = rt.spawn(body)
-        rt.run_until_idle()
-        assert seen == [ult]
-        assert current_ult() is None
-
-    def test_done_callback(self, rt):
-        fired = []
-        ult = rt.spawn(lambda: 7)
-        ult.add_done_callback(lambda u: fired.append(u.result()))
-        rt.run_until_idle()
-        assert fired == [7]
-        # Adding after completion fires immediately.
-        ult.add_done_callback(lambda u: fired.append("late"))
-        assert fired == [7, "late"]
+        ev = push(pool, gen)
+        assert rt.progress_once()
+        assert not rt.progress_once()
+        assert hasattr(result(ev), "send")
 
 
 class TestScheduling:
-    def test_yield_interleaves(self, rt):
-        log = []
-
-        def body(tag):
-            for i in range(3):
-                log.append((tag, i))
-                yield ult_yield()
-
-        rt.spawn(body, "a")
-        rt.spawn(body, "b")
-        rt.run_until_idle()
-        assert log == [
-            ("a", 0), ("b", 0), ("a", 1), ("b", 1), ("a", 2), ("b", 2),
-        ]
-
-    def test_priority_pool(self, rt):
-        pool = rt.create_pool("prio", kind="prio")
-        rt.create_xstream("prio-es", [pool])
+    def test_pool_is_fifo(self, rt, pool):
         order = []
-        rt.spawn(lambda: order.append("low"), pool=pool, priority=10)
-        rt.spawn(lambda: order.append("high"), pool=pool, priority=1)
-        rt.run_until_idle()
-        assert order == ["high", "low"]
+        for i in range(5):
+            push(pool, order.append, i)
+        drain(rt)
+        assert order == list(range(5))
 
-    def test_bad_pool_kind(self):
-        with pytest.raises(ValueError):
-            Pool("p", kind="wat")
+    def test_xstream_alternates_over_its_pools(self, rt):
+        p1, p2 = rt.create_pool("p1"), rt.create_pool("p2")
+        rt.create_xstream("es", [p1, p2])
+        order = []
+        for i in range(3):
+            push(p1, order.append, ("a", i))
+            push(p2, order.append, ("b", i))
+        drain(rt)
+        assert order == [("a", 0), ("b", 0), ("a", 1), ("b", 1),
+                         ("a", 2), ("b", 2)]
 
     def test_multiple_xstreams_round_robin(self, rt):
         p1 = rt.create_pool("p1")
         p2 = rt.create_pool("p2")
-        rt.create_xstream("e1", [p1])
-        rt.create_xstream("e2", [p2])
+        e1 = rt.create_xstream("e1", [p1])
+        e2 = rt.create_xstream("e2", [p2])
         results = []
-        rt.spawn(lambda: results.append(1), pool=p1)
-        rt.spawn(lambda: results.append(2), pool=p2)
-        rt.run_until_idle()
+        push(p1, results.append, 1)
+        push(p2, results.append, 2)
+        drain(rt)
         assert sorted(results) == [1, 2]
+        assert (e1.steps_executed, e2.steps_executed) == (1, 1)
 
     def test_duplicate_names_rejected(self, rt):
         rt.create_pool("x")
@@ -133,181 +135,73 @@ class TestScheduling:
         with pytest.raises(ValueError):
             rt.create_xstream("es", [])
 
-    def test_run_until_deadlock_detected(self, rt):
-        ev = Eventual()
-
-        def waiter():
-            yield ev.wait()
-
-        rt.spawn(waiter)
-        with pytest.raises(ReproError, match="idle"):
-            rt.run_until(lambda: False)
-
-    def test_yielding_garbage_raises(self, rt):
-        def body():
-            yield "not a directive"
-
-        ult = rt.spawn(body)
-        rt.run_until_idle()
-        with pytest.raises(ReproError):
-            ult.result()
+    def test_idle_runtime_makes_no_progress(self, rt, pool):
+        assert not rt.progress_once()
 
 
 class TestEventual:
-    def test_set_then_wait(self, rt):
-        ev = Eventual()
+    def test_set_then_wait(self):
+        ev, seen = Eventual(), []
         ev.set(10)
+        assert ev.wait_blocking(0.0)
+        ev.add_done_callback(lambda e: seen.append(e._unwrap()))
+        assert seen == [10]
 
-        def body():
-            value = yield ev.wait()
-            return value
+    def test_wait_then_set(self, rt, pool):
+        ev, seen = Eventual(), []
+        ev.add_done_callback(lambda e: seen.append(e._unwrap()))
+        push(pool, ev.set, "ready")
+        assert seen == []
+        drain(rt)
+        assert seen == ["ready"]
 
-        assert rt.join(rt.spawn(body)) == 10
-
-    def test_wait_then_set(self, rt):
-        ev = Eventual()
-        results = []
-
-        def waiter():
-            value = yield ev.wait()
-            results.append(value)
-
-        def setter():
-            ev.set("ready")
-
-        rt.spawn(waiter)
-        rt.spawn(setter)
-        rt.run_until_idle()
-        assert results == ["ready"]
-
-    def test_multiple_waiters(self, rt):
-        ev = Eventual()
-        results = []
-
-        def waiter(tag):
-            value = yield ev.wait()
-            results.append((tag, value))
-
+    def test_multiple_waiters(self, rt, pool):
+        ev, seen = Eventual(), []
         for i in range(3):
-            rt.spawn(waiter, i)
-        rt.spawn(lambda: ev.set(99))
-        rt.run_until_idle()
-        assert sorted(results) == [(0, 99), (1, 99), (2, 99)]
+            ev.add_done_callback(lambda e, i=i: seen.append((i, e._unwrap())))
+        push(pool, ev.set, 99)
+        drain(rt)
+        assert seen == [(0, 99), (1, 99), (2, 99)]
 
     def test_double_set_rejected(self):
         ev = Eventual()
         ev.set(1)
         with pytest.raises(ReproError):
             ev.set(2)
+        with pytest.raises(ReproError):
+            ev.set_exception(ValueError("late"))
 
-    def test_get_from_external_code(self, rt):
+    def test_get_from_external_code(self, rt, pool):
+        """What ``Fabric.wait`` does inline: drive the scheduler until
+        the eventual is ready, then unwrap it."""
         ev = Eventual()
-        rt.spawn(lambda: ev.set("external"))
-        assert ev.get(rt) == "external"
+        push(pool, ev.set, "external")
+        while not ev.is_ready:
+            assert rt.progress_once()
+        assert ev._unwrap() == "external"
 
-    def test_exception_propagates(self, rt):
-        ev = Eventual()
-
-        def waiter():
-            value = unwrap_wait_result((yield ev.wait()))
-            return value
-
-        ult = rt.spawn(waiter)
-        rt.spawn(lambda: ev.set_exception(RuntimeError("fail")))
-        rt.run_until_idle()
+    def test_exception_propagates(self, rt, pool):
+        ev, seen = Eventual(), []
+        ev.add_done_callback(seen.append)
+        push(pool, ev.set_exception, RuntimeError("fail"))
+        drain(rt)
+        assert seen == [ev]
         with pytest.raises(RuntimeError, match="fail"):
-            ult.result()
+            ev._unwrap()
 
-    def test_exception_via_get(self, rt):
+    def test_exception_via_get(self):
         ev = Eventual()
         ev.set_exception(ValueError("nope"))
-        with pytest.raises(ValueError):
-            ev.get(rt)
+        assert ev.is_ready and ev.wait_blocking(0.0)
+        with pytest.raises(ValueError, match="nope"):
+            ev._unwrap()
 
-
-class TestMutex:
-    def test_mutual_exclusion(self, rt):
-        mutex = Mutex()
-        active = []
-        max_active = []
-
-        def body():
-            yield mutex.lock()
-            active.append(1)
-            max_active.append(len(active))
-            yield ult_yield()  # try to let others in while holding the lock
-            active.pop()
-            mutex.unlock()
-
-        for _ in range(5):
-            rt.spawn(body)
-        rt.run_until_idle()
-        assert max(max_active) == 1
-
-    def test_try_lock(self):
-        mutex = Mutex()
-        assert mutex.try_lock()
-        assert not mutex.try_lock()
-        mutex.unlock()
-        assert mutex.try_lock()
-
-    def test_unlock_unlocked_raises(self):
-        with pytest.raises(ReproError):
-            Mutex().unlock()
-
-    def test_fifo_handoff(self, rt):
-        mutex = Mutex()
-        order = []
-
-        def body(tag):
-            yield mutex.lock()
-            order.append(tag)
-            yield ult_yield()
-            mutex.unlock()
-
-        for i in range(4):
-            rt.spawn(body, i)
-        rt.run_until_idle()
-        assert order == [0, 1, 2, 3]
-
-
-class TestBarrier:
-    def test_barrier_releases_together(self, rt):
-        barrier = Barrier(3)
-        phases = []
-
-        def body(tag):
-            phases.append(("before", tag))
-            yield barrier.wait()
-            phases.append(("after", tag))
-
-        for i in range(3):
-            rt.spawn(body, i)
-        rt.run_until_idle()
-        befores = [p for p in phases if p[0] == "before"]
-        afters = [p for p in phases if p[0] == "after"]
-        assert len(befores) == 3 and len(afters) == 3
-        assert phases.index(afters[0]) > phases.index(befores[-1])
-
-    def test_barrier_reusable(self, rt):
-        barrier = Barrier(2)
-        log = []
-
-        def body(tag):
-            for round_no in range(3):
-                gen = yield barrier.wait()
-                log.append((round_no, tag, gen))
-
-        rt.spawn(body, "a")
-        rt.spawn(body, "b")
-        rt.run_until_idle()
-        assert len(log) == 6
-        for round_no, _tag, gen in log:
-            assert gen == round_no
-
-    def test_invalid_parties(self):
-        with pytest.raises(ValueError):
-            Barrier(0)
+    def test_wait_blocking_times_out_unset(self):
+        ev = Eventual()
+        t0 = time.perf_counter()
+        assert not ev.wait_blocking(0.02)
+        assert time.perf_counter() - t0 >= 0.02
+        assert not ev.is_ready
 
 
 class TestThreadedMode:
@@ -318,9 +212,7 @@ class TestThreadedMode:
         rt.create_xstream("es1", [pool])
         rt.start()
         try:
-            ev = Eventual()
-            rt.spawn(lambda: ev.set(123), pool=pool)
-            assert ev.get(rt) == 123
+            assert result(push(pool, lambda: 123)) == 123
         finally:
             rt.shutdown()
 
@@ -331,10 +223,8 @@ class TestThreadedMode:
             rt.create_xstream(f"es{i}", [pool])
         rt.start()
         try:
-            eventuals = [Eventual() for _ in range(50)]
-            for i, ev in enumerate(eventuals):
-                rt.spawn(lambda ev=ev, i=i: ev.set(i * i), pool=pool)
-            values = [ev.get(rt) for ev in eventuals]
+            eventuals = [push(pool, lambda i=i: i * i) for i in range(50)]
+            values = [result(ev) for ev in eventuals]
             assert values == [i * i for i in range(50)]
         finally:
             rt.shutdown()
@@ -344,7 +234,7 @@ class TestThreadedMode:
         with a poll: a ULT pushed to the second pool used to wait out
         the 10 ms poll (median 7 ms)."""
         rt = Runtime(threaded=True)
-        first, second = rt.create_pool("first"), rt.create_pool("second", "prio")
+        first, second = rt.create_pool("first"), rt.create_pool("second")
         rt.create_xstream("es", [first, second])
         rt.start()
         try:
@@ -352,10 +242,8 @@ class TestThreadedMode:
                 took = []
                 for _ in range(20):
                     time.sleep(0.002)  # let the xstream park
-                    ev = Eventual()
                     t0 = time.perf_counter()
-                    rt.spawn(lambda ev=ev: ev.set(1), pool=pool)
-                    assert ev.get(rt) == 1
+                    assert result(push(pool, lambda: 1)) == 1
                     took.append(time.perf_counter() - t0)
                 assert statistics.median(took) < 0.002, (pool.name, took)
         finally:
@@ -370,13 +258,9 @@ class TestThreadedMode:
             rt.create_xstream(f"es{i}", [own[i], shared])
         rt.start()
         try:
-            eventuals = []
-            for i in range(90):
-                ev = Eventual()
-                eventuals.append(ev)
-                rt.spawn(lambda ev=ev, i=i: ev.set(i),
-                         pool=(shared, own[0], own[1])[i % 3])
-            assert [ev.get(rt) for ev in eventuals] == list(range(90))
+            eventuals = [push((shared, own[0], own[1])[i % 3], lambda i=i: i)
+                         for i in range(90)]
+            assert [result(ev) for ev in eventuals] == list(range(90))
         finally:
             rt.shutdown()
 
@@ -393,9 +277,7 @@ class TestThreadedMode:
         for _ in range(2):
             rt.start()
             assert threading.active_count() == before + 8
-            ev = Eventual()
-            rt.spawn(lambda ev=ev: ev.set("served"), pool=pools[3])
-            assert ev.get(rt) == "served"
+            assert result(push(pools[3], lambda: "served")) == "served"
             time.sleep(0.005)  # all parked again
             t0 = time.perf_counter()
             rt.shutdown()
@@ -424,66 +306,3 @@ class TestThreadedMode:
             for t in threads:
                 t.join(5.0)
             assert seen == ([boom, boom] if fail else [7, 7])
-
-
-class TestUltJoin:
-    def test_join_finished_ult(self, rt):
-        from repro.argobots import ult_join
-
-        child = rt.spawn(lambda: 99)
-        rt.run_until_idle()
-
-        def parent():
-            value = yield ult_join(child)
-            return value
-
-        assert rt.join(rt.spawn(parent)) == 99
-
-    def test_join_pending_ult(self, rt):
-        from repro.argobots import ult_join
-
-        def slow():
-            for _ in range(3):
-                yield ult_yield()
-            return "slow-done"
-
-        child = rt.spawn(slow)
-
-        def parent():
-            value = yield ult_join(child)
-            return f"got {value}"
-
-        assert rt.join(rt.spawn(parent)) == "got slow-done"
-
-    def test_join_propagates_exception(self, rt):
-        from repro.argobots import ult_join
-
-        def bad():
-            raise KeyError("child failed")
-
-        child = rt.spawn(bad)
-
-        def parent():
-            value = unwrap_wait_result((yield ult_join(child)))
-            return value
-
-        parent_ult = rt.spawn(parent)
-        rt.run_until_idle()
-        with pytest.raises(KeyError):
-            parent_ult.result()
-
-    def test_fan_out_fan_in(self, rt):
-        from repro.argobots import ult_join
-
-        def worker(n):
-            yield ult_yield()
-            return n * n
-
-        def coordinator():
-            children = [rt.spawn(worker, i) for i in range(5)]
-            total = 0
-            for child in children:
-                total += yield ult_join(child)
-            return total
-
-        assert rt.join(rt.spawn(coordinator)) == 30

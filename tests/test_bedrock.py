@@ -38,7 +38,7 @@ class TestMargoInstance:
     def test_custom_pools_and_xstreams(self):
         fabric = Fabric()
         margo = MargoInstance(fabric, "sm://n0/svc", argobots_config={
-            "pools": [{"name": "a"}, {"name": "b", "kind": "prio"}],
+            "pools": [{"name": "a"}, {"name": "b", "kind": "fifo"}],
             "xstreams": [{"name": "es", "pools": ["a", "b"]}],
         })
         assert set(margo.pools) == {"a", "b"}
@@ -57,6 +57,13 @@ class TestMargoInstance:
         with pytest.raises(ConfigError, match="duplicate"):
             MargoInstance(fabric, "sm://n0/svc", argobots_config={
                 "pools": [{"name": "a"}, {"name": "a"}],
+            })
+
+    def test_prio_pool_kind_refused_by_name(self):
+        fabric = Fabric()
+        with pytest.raises(ConfigError, match="pool 'b': unknown kind 'prio'"):
+            MargoInstance(fabric, "sm://n0/svc", argobots_config={
+                "pools": [{"name": "a"}, {"name": "b", "kind": "prio"}],
             })
 
     def test_pool_lookup_error(self):
@@ -89,6 +96,13 @@ class TestValidateConfig:
         config = make_config()
         config["margo"]["argobots"] = {"pools": [{"name": "p", "kind": "weird"}]}
         with pytest.raises(ConfigError, match="unknown kind"):
+            validate_config(config)
+
+    def test_prio_pool_kind_refused_by_name(self):
+        config = make_config()
+        config["margo"]["argobots"] = {"pools": [{"name": "p", "kind": "prio"}]}
+        with pytest.raises(ConfigError,
+                           match=r"pool 'p': unknown kind 'prio' \(known: \['fifo'\]\)"):
             validate_config(config)
 
     def test_unknown_provider_type(self):

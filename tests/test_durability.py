@@ -16,6 +16,7 @@ import os
 import shutil
 import struct
 import tempfile
+import threading
 import zlib
 
 import pytest
@@ -38,8 +39,8 @@ from repro.hepnos.failover import (
     resync_missing,
 )
 from repro.hepnos.placement import ShardMap
-from repro.mercury import Fabric
-from repro.yokan import LSMBackend
+from repro.mercury import Engine, Fabric
+from repro.yokan import LSMBackend, YokanClient
 from repro.yokan.backend import DurabilityStats, open_backend
 from repro.yokan.backends.wal import DurableBackend, checkpoint_path
 
@@ -544,6 +545,43 @@ class TestReplicaPlacement:
     def test_connection_json_rejects_bad_replication(self):
         with pytest.raises(ConfigError):
             ConnectionInfo.from_json('{"replication": 0}')
+
+
+@pytest.mark.parametrize("threaded", [False, True], ids=["inline", "threaded"])
+def test_sync_drains_replicas_on_both_runtimes(threaded):
+    """``yokan.sync`` waits on the replicate RPCs a put queued
+    (``ReplicaLink._reap``) from inside its handler.  On the inline
+    fabric that nested wait used to block on the progress lock its own
+    thread held, forever; the call runs on a daemon thread so a hang
+    fails here instead of hanging the suite."""
+    fabric = Fabric(threaded=threaded)
+    servers = [BedrockServer(fabric, default_hepnos_config(
+        f"sm://node{i}/hepnos", num_providers=2, event_databases=2,
+        product_databases=2, run_databases=1, subrun_databases=1,
+        replication=2)) for i in range(2)]
+    fabric.runtime.start()
+    try:
+        enable_replication(servers, replication=2)
+        primary = servers[0]
+        pid, provider = next((pid, p) for pid, p in primary.providers.items()
+                             if p.replica_links())
+        db = next(iter(provider.replica_links()))
+        client = YokanClient(Engine(fabric, "sm://client/0"))
+        answers = []
+
+        def put_then_sync():
+            client.database_handle(primary.address, pid, db).put(b"k", b"v")
+            answers.append(client.sync(primary.address, pid))
+
+        caller = threading.Thread(target=put_then_sync, daemon=True)
+        caller.start()
+        caller.join(10.0)
+        assert answers == [{"drained": 1, "checkpointed": 0}], \
+            "put + sync did not return within 10 s"
+        assert provider.replica_links()[db].handle.get(b"k") == b"v"
+        assert primary.durability_stats()["replica_failures"] == 0
+    finally:
+        fabric.runtime.shutdown()
 
 
 class TestReplicationAndFailover:

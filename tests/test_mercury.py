@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.argobots import unwrap_wait_result
 from repro.errors import AddressError, NetworkFailure, NoSuchRPCError, RPCError
 from repro.mercury import (
     Address,
@@ -27,6 +26,21 @@ def server(fabric):
 @pytest.fixture()
 def client(fabric):
     return Engine(fabric, "sm://node1/client")
+
+
+def assert_nested_rpc_answers(fabric, client):
+    a = Engine(fabric, "sm://node2/a")
+    b = Engine(fabric, "sm://node3/b")
+    b.register("inner", lambda req: b"deep " + req.payload)
+
+    def outer(req):
+        handle = a.create_handle(b.address, "inner")
+        resp = fabric.wait(handle.iforward(req.payload), timeout=5.0)
+        return b"outer(" + resp + b")"
+
+    a.register("outer", outer)
+    handle = client.create_handle(a.address, "outer")
+    assert handle.forward(b"x", timeout=5.0) == b"outer(deep x)"
 
 
 class TestAddress:
@@ -68,14 +82,15 @@ class TestRPC:
         assert handle.forward(b"abc") == b"ABC"
 
     def test_generator_handler(self, fabric, server, client):
-        from repro.argobots import ult_yield
-
+        """A ULT runs once to completion: a handler that is a generator
+        function returns a generator, which answers nothing."""
         def handler(req):
-            yield ult_yield()
-            return b"after-yield"
+            yield
+            return b"never-reached"
 
         server.register("gen", handler)
-        assert client.create_handle(server.address, "gen").forward() == b"after-yield"
+        with pytest.raises(RPCError, match="completed without responding"):
+            client.create_handle(server.address, "gen").forward()
 
     def test_missing_rpc(self, fabric, server, client):
         handle = client.create_handle(server.address, "nope")
@@ -133,19 +148,10 @@ class TestRPC:
         assert not server.registered("client-only")
 
     def test_nested_rpc_from_handler(self, fabric, client):
-        """Server A's handler forwards to server B (ULT suspends on eventual)."""
-        a = Engine(fabric, "sm://node2/a")
-        b = Engine(fabric, "sm://node3/b")
-        b.register("inner", lambda req: b"deep " + req.payload)
-
-        def outer(req):
-            handle = a.create_handle(b.address, "inner")
-            resp = unwrap_wait_result((yield handle.iforward(req.payload).wait()))
-            return b"outer(" + resp + b")"
-
-        a.register("outer", outer)
-        handle = client.create_handle(a.address, "outer")
-        assert handle.forward(b"x") == b"outer(deep x)"
+        """Server A's handler forwards to server B and waits for the
+        answer like any caller: on the inline runtime the wait drives
+        the scheduler from inside A's ULT."""
+        assert_nested_rpc_answers(fabric, client)
 
     def test_concurrent_iforwards(self, fabric, server, client):
         server.register("inc", lambda req: bytes([req.payload[0] + 1]))
@@ -322,6 +328,17 @@ class TestThreadedFabric:
         finally:
             fabric.runtime.shutdown()
 
+    def test_nested_rpc_from_handler_threaded(self):
+        """The waiting handler blocks its own xstream; the inner RPC
+        runs on the other engine's."""
+        fabric = Fabric(threaded=True)
+        client = Engine(fabric, "sm://node1/client")
+        fabric.runtime.start()
+        try:
+            assert_nested_rpc_answers(fabric, client)
+        finally:
+            fabric.runtime.shutdown()
+
     def test_forward_timeout_then_late_response_is_discarded(self):
         """One timed block on the eventual (no 50 ms polling): the call
         gives up when told to, the answer that arrives afterwards reaches
@@ -337,7 +354,7 @@ class TestThreadedFabric:
 
         def never(req):
             requests.append(req)
-            yield release.wait()
+            release.wait_blocking()
             req.respond(b"late")
             answered.set()
 
@@ -355,7 +372,7 @@ class TestThreadedFabric:
             (request,) = requests
             assert not request.responded
             release.set()
-            answered.get(fabric.runtime)
+            assert answered.wait_blocking(5.0)
             # The late answer was accepted and reached nobody; the
             # request stays write-once and the next call is unaffected.
             assert request.response.is_ready and fabric.stats.timeouts == 1
