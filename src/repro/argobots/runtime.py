@@ -160,11 +160,13 @@ class ExecutionStream:
 class Runtime:
     """Owns pools and xstreams; in inline mode it is also the scheduler.
 
-    The inline scheduler runs one ULT of the first xstream, in creation
-    order, that has work, giving a fully deterministic interleaving --
-    the property that makes the RPC stack and the HEPnOS tests
-    reproducible.  Every ULT runs to completion, so that interleaving
-    is pool order alone.
+    The inline scheduler is round-robin over the xstreams: each step
+    runs one ULT of the first xstream with work, in creation order,
+    after the one that ran last.  That gives a fully deterministic
+    interleaving -- the property that makes the RPC stack and the
+    HEPnOS tests reproducible -- in which no xstream waits for another
+    to run dry.  Every ULT runs to completion, so that interleaving is
+    pool and xstream order alone.
     """
 
     def __init__(self, threaded: bool = False):
@@ -172,9 +174,10 @@ class Runtime:
         self.pools: dict[str, Pool] = {}
         self.xstreams: dict[str, ExecutionStream] = {}
         self._started = False
-        # Snapshot used by progress_once: a ULT may create new xstreams
-        # (e.g. a fault-schedule action restarting a provider), which
-        # must not mutate the dict mid-iteration.
+        # Snapshot used by progress_once, rotated to start after the
+        # xstream that ran last: a ULT may create new xstreams (e.g. a
+        # fault-schedule action restarting a provider), which must not
+        # mutate the dict mid-iteration.
         self._xstream_cache: tuple[ExecutionStream, ...] = ()
 
     # -- construction --------------------------------------------------------
@@ -216,7 +219,12 @@ class Runtime:
 
     def progress_once(self) -> bool:
         """Inline mode: run one ULT somewhere. Returns False if idle."""
-        for xstream in self._xstream_cache:
-            if xstream.step():
-                return True
+        xstreams = self._xstream_cache
+        for k, xstream in enumerate(xstreams, 1):
+            # Most xstreams are idle: pass one by without a call.
+            for pool in xstream.pools:
+                if pool._fifo and xstream.step():
+                    if self._xstream_cache is xstreams:  # none was created
+                        self._xstream_cache = xstreams[k:] + xstreams[:k]
+                    return True
         return False

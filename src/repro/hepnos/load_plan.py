@@ -76,7 +76,9 @@ class _ExactLane:
     only when asked for: :meth:`event_product` decodes one product for
     the consumer that loads it (who then owns the object; a reader's
     consumer may load a few of a page's events, or none), and
-    ``result`` decodes them all.
+    ``result`` decodes them all.  A database answers in request order,
+    so a request's token is the list of ``(values, index)`` slots it
+    asked, and its answer fills them by position.
     """
 
     name = "exact"
@@ -92,12 +94,6 @@ class _ExactLane:
         #: per spec: (product key suffix, the spec's aligned value list)
         self.slots = [(hkeys.product_key(b"", label, tname), values)
                       for (tname, label), values in self.stored.items()]
-        #: product key -> the (value list, index) slots it fills; a
-        #: container key listed twice owns two slots of one product key
-        self.want: dict[bytes, list] = {}
-        for suffix, values in self.slots:
-            for i, ckey in enumerate(self.keys):
-                self.want.setdefault(ckey + suffix, []).append((values, i))
 
     @property
     def result(self) -> dict:
@@ -107,46 +103,42 @@ class _ExactLane:
                 for spec, values in self.stored.items()}
 
     def probe(self, cache) -> int:
-        hits = 0
-        for pkey, slots in self.want.items():
-            cached = cache.get(pkey)
-            if cached is not None:
-                self._fill(slots, cached)
-                hits += len(slots)
-        return hits
-
-    @staticmethod
-    def _fill(slots, value) -> None:
         # Scan resistance: batch loads stream each event once, so
         # inserting here would evict genuinely hot products.  Batch
         # loads read the product cache but never populate it.
-        for values, i in slots:
-            values[i] = value
+        keys, n = self.keys, len(self.keys)
+        found = cache.get_many([ckey + suffix for suffix, _ in self.slots
+                                for ckey in keys])
+        for k, (_, values) in enumerate(self.slots):
+            values[:] = found[k * n:(k + 1) * n]  # the probe comes first
+        return len(found) - found.count(None)
 
     def unanswered(self) -> list[int]:
+        if len(self.slots) == 1:
+            return [i for i, value in enumerate(self.slots[0][1])
+                    if value is None]
         lists = list(self.stored.values())
         return [i for i in range(len(self.keys))
                 if any(values[i] is None for values in lists)]
 
     def request(self, handle, indices, size_hint: int, dispatch: bool):
-        asked = [self.keys[i] + suffix for i in indices
+        keys = self.keys
+        asked = [(suffix, values, i) for i in indices
                  for suffix, values in self.slots if values[i] is None]
-        return asked, handle.get_multi_nb(asked, size_hint=size_hint,
-                                          dispatch=dispatch)
+        return ([(values, i) for _, values, i in asked],
+                handle.get_multi_nb([keys[i] + suffix
+                                     for suffix, _, i in asked],
+                                    size_hint=size_hint, dispatch=dispatch))
 
     def absorb(self, asked, answer) -> int:
         nbytes = 0
-        want = self.want
-        for pkey, value in zip(asked, answer):
-            if value is None:
-                continue
-            # Wire footprint of the value: the size hint presizes whole
-            # landing buffers.
-            nbytes += len(value) + 2
-            slots = want[pkey]
-            values, i = slots[0]
-            if values[i] is None:  # else a cache hit or a dual-read
-                self._fill(slots, value)  # partner answered first
+        for (values, i), value in zip(asked, answer):
+            if value is not None:
+                # Wire footprint of the value: the size hint presizes
+                # whole landing buffers.
+                nbytes += len(value) + 2
+                if values[i] is None:  # else a dual-read partner
+                    values[i] = value  # answered first
         return nbytes
 
     def finish(self, cache) -> None:

@@ -581,9 +581,16 @@ def _read_object(ar: InputArchive) -> Any:
 #: filled on first sight by :func:`repro.serial.compiled.table_layout`.
 _TABLE_LAYOUTS: dict = {}
 
+#: the last table header parsed: its bytes from the tag through the
+#: dtype codes, its layout and its class version.  One tuple, replaced
+#: whole, so a thread reads a consistent entry; the first matches no
+#: value (no tag is 0xff).
+_LAST_HEADER: tuple = (b"\xff", None, None)
+
 
 def _read_table_records(ar: InputArchive) -> tuple:
-    """``(layout, record bytes)`` of the typed table at ``ar``'s position.
+    """``(layout, record bytes)`` of the typed table at ``ar``'s position
+    (just past its tag).
 
     After the tag a table is::
 
@@ -595,14 +602,32 @@ def _read_table_records(ar: InputArchive) -> tuple:
 
     The header must describe the class as registered *now*: another
     version, field count or an unknown code is an error, never a guess.
+    A value whose header is byte for byte the last one parsed, while its
+    class is still registered at that version, skips the parse.
     """
+    global _LAST_HEADER
+    start = ar._pos - 1
+    header, layout, version = _LAST_HEADER
+    end = start + len(header)
+    if ar._data[start:end] == header and _VERSIONS.get(layout.cls) == version:
+        ar._pos = end
+    else:
+        layout = _read_table_header(ar)
+        _LAST_HEADER = (bytes(ar._data[start:ar._pos]), layout,
+                        _VERSIONS[layout.cls])
+    rows = ar._read_uvarint()
+    return layout, ar._read_exact(rows * layout.dtype.itemsize)
+
+
+def _read_table_header(ar: InputArchive):
+    """The layout of the table header at ``ar``'s position (name through
+    dtype codes), checked against the class as registered now."""
     try:
         name = str(ar._read_exact(ar._read_uvarint()), "utf-8")
     except UnicodeDecodeError as exc:
         raise SerializationError(f"table type name: {exc}") from None
     version = ar._read_uvarint()
     codes = bytes(ar._read_exact(ar._read_uvarint()))
-    rows = ar._read_uvarint()
     layout = _TABLE_LAYOUTS.get((name, codes))
     if layout is None:
         from repro.serial.compiled import table_layout
@@ -612,7 +637,7 @@ def _read_table_records(ar: InputArchive) -> tuple:
         raise SerializationError(
             f"table of {name!r} was written at class version {version}, "
             f"registered is {_VERSIONS.get(layout.cls)}")
-    return layout, ar._read_exact(rows * layout.dtype.itemsize)
+    return layout
 
 
 def _read_table(ar: InputArchive) -> list:

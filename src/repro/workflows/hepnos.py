@@ -118,14 +118,13 @@ class HEPnOSWorkflow:
             )
             accepted: list[int] = []
             counters = {"events": 0, "slices": 0}
+            passing = self.cut.passing
 
             def handle(event):
                 slices = event.load(product_type, label=self.label)
                 counters["events"] += 1
                 counters["slices"] += len(slices)
-                accepted.extend(
-                    s.slice_id for s in slices if self.cut(s)
-                )
+                accepted.extend([s.slice_id for s in passing(slices)])
 
             def handle_batch(batch):
                 missing = batch.missing_indices()
@@ -147,9 +146,7 @@ class HEPnOSWorkflow:
                 # non-numeric field) evaluate object-by-object.
                 for _event, slices in batch.fallback_items():
                     counters["slices"] += len(slices)
-                    accepted.extend(
-                        s.slice_id for s in slices if self.cut(s)
-                    )
+                    accepted.extend([s.slice_id for s in passing(slices)])
 
             t_start = Wtime()
             with _tracing.span("workflow.select", parent=_tracing.NO_PARENT,

@@ -122,6 +122,30 @@ class TestScheduling:
         assert sorted(results) == [1, 2]
         assert (e1.steps_executed, e2.steps_executed) == (1, 1)
 
+    def test_inline_scheduler_alternates_over_xstreams(self, rt):
+        # Each step resumes after the xstream that ran last: the first
+        # xstream created does not run dry before the second gets a turn.
+        p1, p2 = rt.create_pool("p1"), rt.create_pool("p2")
+        rt.create_xstream("e1", [p1])
+        rt.create_xstream("e2", [p2])
+        order = []
+        for _ in range(3):
+            push(p1, order.append, "a")
+            push(p2, order.append, "b")
+        drain(rt)
+        assert order == ["a", "b", "a", "b", "a", "b"]
+
+    def test_inline_scheduler_skips_idle_xstreams(self, rt):
+        p1, p2, p3 = (rt.create_pool(f"p{i}") for i in (1, 2, 3))
+        for i, pool in enumerate((p1, p2, p3)):
+            rt.create_xstream(f"e{i}", [pool])
+        order = []
+        for _ in range(2):
+            push(p1, order.append, "a")
+            push(p3, order.append, "c")
+        drain(rt)
+        assert order == ["a", "c", "a", "c"]
+
     def test_duplicate_names_rejected(self, rt):
         rt.create_pool("x")
         with pytest.raises(ReproError):

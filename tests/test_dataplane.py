@@ -281,6 +281,40 @@ class TestProductCache:
         assert len(writes) == 8
         assert len(cache) == 0 and cache.cached_bytes == 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from([b"k%d" % i for i in range(6)]),
+                    max_size=12),
+           st.lists(st.sampled_from([b"k%d" % i for i in range(10)]),
+                    max_size=12))
+    def test_get_many_is_a_get_loop(self, cached, page):
+        """Over a mixed hit/miss page (repeats included), ``get_many``
+        answers, counts and refreshes the LRU as a ``get`` per key does
+        on a twin cache -- with one update per counter."""
+        from repro.monitor.metrics import MetricRegistry
+
+        twins = []
+        for _ in range(2):
+            metrics = MetricRegistry("test")
+            cache = ProductCache(max_bytes=1 << 20, max_entries=8,
+                                 metrics=metrics)
+            for key in cached:
+                cache.put(key, key * (1 + len(key) % 3))
+            twins.append((cache, metrics))
+        (many, many_metrics), (loop, loop_metrics) = twins
+        incs = []
+        for name in ("hits", "misses", "hit_bytes"):
+            counter = many_metrics.counter(f"hepnos.product_cache.{name}")
+            inc = counter.inc
+            counter.inc = lambda amount=1, _inc=inc, _name=name: (
+                incs.append(_name), _inc(amount))
+        assert many.get_many(page) == [loop.get(key) for key in page]
+        assert sorted(incs) == sorted(set(incs)), "one inc per counter"
+        for name in ("hits", "misses", "hit_bytes"):
+            counter = f"hepnos.product_cache.{name}"
+            assert (many_metrics.counter(counter).value
+                    == loop_metrics.counter(counter).value), name
+        assert list(many._entries) == list(loop._entries), "LRU order"
+
     def test_bounds_validated(self):
         from repro.errors import HEPnOSError
 

@@ -600,3 +600,74 @@ class TestSpectrumExposure:
         b = Spectrum(Var("cal_e"), bins=[0, 5], cut=always)
         with pytest.raises(ValueError):
             a + b
+
+
+#: every constant the candidate cuts compare a slice field with
+THRESHOLDS = (30.0, 4.0, 0.5, 4.0, 50.0, 0.75, 0.45, 0.7)
+_FIELD_VALUES = (st.sampled_from(
+    [*THRESHOLDS, *(np.nextafter(t, np.inf) for t in THRESHOLDS),
+     *(np.nextafter(t, -np.inf) for t in THRESHOLDS),
+     float("nan"), float("inf"), float("-inf"), 0.0, -0.0])
+    | st.floats())
+_CUT_FIELDS = ("nhit", "ncontplanes", "cal_e", "cvn_e", "cvn_mu", "remid",
+               "cosrej", "dist_to_edge")
+
+
+def _deep_cut() -> Cut:
+    """A cut nested past ``_MAX_DEPTH``: its inner part is compiled on
+    its own and called from the outer expression."""
+    from repro.nova.cafana import _MAX_DEPTH, kCosRej, kNHit
+
+    cut = kCalE >= 0.5
+    for i in range(_MAX_DEPTH + 8):
+        cut = (cut | (kNHit >= 30.0 + i)) if i % 2 else (
+            cut & ~(kCosRej > 0.45 + i / 100))
+    return cut
+
+
+def _passing_cuts() -> dict:
+    from repro.nova import numu_candidate_cut
+
+    return {
+        "nue": nue_candidate_cut,
+        "numu": numu_candidate_cut,
+        "opaque": Cut("opaque", lambda s: s.cal_e > 0.5 and s.nhit != 30.0),
+        "deep": _deep_cut(),
+    }
+
+
+class TestPassing:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(_passing_cuts())),
+           st.lists(st.fixed_dictionaries(
+               {name: _FIELD_VALUES for name in _CUT_FIELDS}), max_size=30))
+    def test_passing_is_the_per_slice_cut(self, which, rows):
+        cut = _passing_cuts()[which]
+        slices = [SliceData(slice_id=i, **row) for i, row in enumerate(rows)]
+        assert ([id(s) for s in cut.passing(slices)]
+                == [id(s) for s in slices if cut(s)])
+
+    def test_compiled_once_per_cut(self):
+        cut = kCalE > 1.0
+        assert cut.passing is cut.passing
+        assert cut.passing(iter([SliceData(cal_e=2.0)])) == [
+            SliceData(cal_e=2.0)]
+        assert cut.passing([]) == []
+
+    def test_consumers_select_through_passing(self):
+        slices = table_to_slices(*_candidate_table())
+        calls = []
+        cut = Cut("counted", kCalE >= 1.0)
+        passing = cut.passing
+        cut.passing = lambda objects: (calls.append(1), passing(objects))[1]
+        ids = select_slices(slices, cut)
+        assert ids == [s.slice_id for s in slices if s.cal_e >= 1.0]
+        spectrum = Spectrum(kCalE, [0.0, 2.0, 10.0], cut)
+        assert spectrum.fill_slices(slices) == len(ids)
+        assert calls == [1, 1]
+
+
+def _candidate_table() -> tuple:
+    g = NovaGenerator(GeneratorConfig(signal_fraction=0.2))
+    table = g.subrun_table(1, 0, range(40))
+    return table, range(len(table["slice_id"]))

@@ -24,7 +24,8 @@ columns-lane page pass served by the client column cache: a cache that
 goes back to an entry, a probe or a group per event -- rather than per
 cached scan answer -- fails here.  The consumer floor is the worker's side
 of a row-wise selection: an object-mode cut that goes back to a call
-per node of its expression fails here.  The ingest floor is the write
+per node of its expression, or a ``Cut.passing`` list filter that goes
+back to a call per slice, fails here.  The ingest floor is the write
 path end to end (file read, product encode, write batch, ``put_multi``
 RPC, the ``map`` backend's index): a per-pair call back in the storage
 engine fails here.  The lookup floor is the landing protocol seen from
@@ -91,9 +92,12 @@ CALLS = 1000
 #: (budgets 83.6 and 82.3).  Loading exactly the named product keys,
 #: not whole events, left 52.3 and 51.6 (budgets 57.9 and 56.8); one
 #: listing cursor per event database, whose pages are flattened without
-#: a generator step per key, leaves 51.8 and 51.0, under budgets with
-#: the same margins.
-READER_BUDGET = {"pep": 57.4, "prefetcher": 56.2}
+#: a generator step per key, left 51.8 and 51.0 (budgets 57.4 and 56.2).
+#: Run-to-completion ULTs left 51.1 and 50.3.  Filling a page's slots by
+#: position (no product key -> slot dict), one cache probe per page, and
+#: an inline scheduler that passes idle xstreams by without a call leave
+#: 39.7 and 38.9, under budgets with the same margins.
+READER_BUDGET = {"pep": 44.0, "prefetcher": 42.9}
 EVENTS = 512
 #: RPCs one ``Prefetcher.pages`` pass may send over ``SUBRUNS`` subruns
 #: of ``PER_SUBRUN`` events, one product each, in pages of 1024, per
@@ -130,6 +134,12 @@ WARM_GROUPS = 4
 #: closure per node made 18.3 on these slices.
 CUT_BUDGET = 3
 SLICES = 4000
+#: calls per list ``nue_candidate_cut.passing`` may make over lists of
+#: ``PER_LIST`` of those slices: the one function it compiles to, none
+#: per slice.  A consumer that called the cut per slice inside a
+#: generator made 3 per slice, plus a resume per accepted slice.
+PASSING_BUDGET = 1
+PER_LIST = 24
 #: calls per event ``DataLoader.ingest_file`` may make on a file of
 #: ``EVENTS`` events (8 subruns of 64), after one warm file.  A skip
 #: list under the ``map`` backend and a put per pair made it 153.9; the
@@ -347,9 +357,8 @@ def warm_columns_pass() -> tuple:
             server.shutdown()
 
 
-def cut_calls() -> float:
-    """Mean calls per slice of ``nue_candidate_cut`` over ``SLICES``
-    generated slices (the generator's default seed)."""
+def floor_slices() -> list:
+    """``SLICES`` generated slices (the generator's default seed)."""
     generator = NovaGenerator(GeneratorConfig(signal_fraction=0.05))
     slices: list = []
     subrun = 0
@@ -357,7 +366,13 @@ def cut_calls() -> float:
         table = generator.subrun_table(1000, subrun, range(64))
         slices += table_to_slices(table, range(len(table["slice_id"])))
         subrun += 1
-    slices = slices[:SLICES]
+    return slices[:SLICES]
+
+
+def cut_calls() -> float:
+    """Mean calls per slice of ``nue_candidate_cut`` over ``SLICES``
+    generated slices."""
+    slices = floor_slices()
     nue_candidate_cut(slices[0])    # warm: the first call compiles
     profile = cProfile.Profile()
     profile.enable()
@@ -365,6 +380,24 @@ def cut_calls() -> float:
         nue_candidate_cut(s)
     profile.disable()
     return pstats.Stats(profile).total_calls / SLICES
+
+
+def passing_calls() -> float:
+    """Mean calls per list of ``nue_candidate_cut.passing`` over
+    ``SLICES`` generated slices in lists of ``PER_LIST``."""
+    slices = floor_slices()
+    lists = [slices[i:i + PER_LIST] for i in range(0, SLICES, PER_LIST)]
+    passing = nue_candidate_cut.passing     # warm: the first use compiles
+    profile = cProfile.Profile()
+    profile.enable()
+    for objects in lists:
+        passing(objects)
+    profile.disable()
+    # Leave out the profiler's own ``disable``: the budget is whole calls.
+    calls = sum(nc for (_, _, name), (_, nc, *_)
+                in pstats.Stats(profile).stats.items()
+                if "_lsprof.Profiler" not in name)
+    return calls / len(lists)
 
 
 def ingest_calls() -> float:
@@ -520,6 +553,14 @@ def test_cut_stays_within_its_call_budget():
         f"budget {CUT_BUDGET}")
 
 
+def test_passing_stays_within_its_call_budget():
+    first, second = passing_calls(), passing_calls()
+    assert first == second, "the count must repeat exactly"
+    assert first <= PASSING_BUDGET, (
+        f"nue_candidate_cut.passing makes {first:.2f} Python-level calls "
+        f"per list of {PER_LIST} slices, budget {PASSING_BUDGET}")
+
+
 @pytest.mark.parametrize("brokered", [False, True],
                          ids=["untagged", "tenant+broker"])
 def test_null_exists_stays_within_its_call_budget(brokered):
@@ -551,6 +592,8 @@ if __name__ == "__main__":
           f"per page (at most {WARM_GROUPS})")
     print(f"nue_candidate_cut, object mode: {cut_calls():.2f} Python-level "
           f"calls per slice (budget {CUT_BUDGET})")
+    print(f"nue_candidate_cut.passing: {passing_calls():.2f} Python-level "
+          f"calls per list of {PER_LIST} slices (budget {PASSING_BUDGET})")
     print(f"DataLoader.ingest_file, inline fabric, {EVENTS} events: "
           f"{ingest_calls():.2f} Python-level calls per event "
           f"(budget {INGEST_BUDGET})")

@@ -302,3 +302,110 @@ class TestVersioning:
 
         with pytest.raises(SerializationError):
             register_type(X, "test.v.X", version=-1)
+
+
+@dataclasses.dataclass
+class Cell:
+    plane: int = 0
+    adc: float = 0.0
+
+
+@dataclasses.dataclass
+class Vertex:
+    x: float = 0.0
+    y: float = 0.0
+    flag: int = 0
+
+
+register_type(Cell, "test.memo.Cell")
+register_type(Vertex, "test.memo.Vertex")
+
+
+def table_value(cls, columns: dict) -> bytes:
+    """The typed table value of ``cls`` rows held in ``columns``."""
+    from repro.serial.compiled import plan_table
+
+    layout = plan_table(cls, {k: v.dtype for k, v in columns.items()})
+    n = len(next(iter(columns.values())))
+    return layout.value(layout.records(columns, np.arange(n)), 0, n)
+
+
+def cells(n: int, base: int = 0) -> tuple:
+    plane = np.arange(base, base + n, dtype="<i4")
+    adc = plane.astype("<f8") / 2
+    return (table_value(Cell, {"plane": plane, "adc": adc}),
+            [Cell(int(p), float(a)) for p, a in zip(plane, adc)])
+
+
+def vertices(n: int, base: int = 0) -> tuple:
+    x = np.arange(base, base + n, dtype="<f4")
+    flag = np.arange(n, dtype="<u2") % 3
+    return (table_value(Vertex, {"x": x, "y": -x, "flag": flag}),
+            [Vertex(float(a), float(-a), int(f)) for a, f in zip(x, flag)])
+
+
+class TestTableHeaderMemo:
+    """A table value whose header repeats the last one parsed skips the
+    parse; every other value takes the full parse and its refusals."""
+
+    def test_alternating_classes_round_trip(self):
+        values = [cells(4, 10 * i) if i % 2 else vertices(3, 10 * i)
+                  for i in range(8)]
+        for value, rows in values + values[::-1]:
+            assert loads(value) == rows
+            assert loads(memoryview(bytearray(value))) == rows
+        (cv, crows), (vv, vrows) = cells(2), vertices(2)
+        # Both layouts inside one decode: a list of the two tables.
+        assert loads(bytes((7, 3)) + cv + vv + cv) == [crows, vrows, crows]
+
+    def test_reregistered_version_refuses_old_table_when_warm(self):
+        @dataclasses.dataclass
+        class Evolving:
+            n: int = 0
+
+        register_type(Evolving, "test.memo.Evolving", version=1)
+        value = table_value(Evolving, {"n": np.arange(3, dtype="<i8")})
+        assert loads(value) == [Evolving(0), Evolving(1), Evolving(2)]
+        assert loads(value) == [Evolving(0), Evolving(1), Evolving(2)]
+        register_type(Evolving, "test.memo.Evolving", version=2)
+        with pytest.raises(SerializationError, match="class version 1"):
+            loads(value)
+        with pytest.raises(SerializationError, match="class version 1"):
+            loads(value)
+
+    def test_truncated_table_raises_when_warm(self):
+        value, rows = cells(5)
+        assert loads(value) == rows
+        header = len(value) - 5 * 12 - 1  # records, then the row count
+        for cut in (len(value) - 1, len(value) - 12, header + 1, header,
+                    header - 1, 3, 1):
+            loads(value)  # warm the memo with the whole header
+            with pytest.raises(SerializationError):
+                loads(value[:cut])
+            with pytest.raises(SerializationError):
+                loads(memoryview(value)[:cut])
+        with pytest.raises(SerializationError, match="trailing"):
+            loads(value + b"\x00")
+
+    def test_threads_decoding_different_layouts(self):
+        import threading
+
+        start = threading.Barrier(2)
+        wrong: list = []
+
+        def decode(make):
+            value, rows = make(6)
+            start.wait()
+            for _ in range(3000):
+                got = loads(value)
+                if got != rows or type(got[0]) is not type(rows[0]):
+                    wrong.append(got)
+                    return
+
+        threads = [threading.Thread(target=decode, args=(make,))
+                   for make in (cells, vertices)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not wrong
