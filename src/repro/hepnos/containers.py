@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.errors import ContainerNotFound
+from repro.errors import ContainerNotFound, HEPnOSError
 from repro.hepnos import keys
 
 
@@ -191,9 +191,14 @@ class SubRun(_ProductHolder):
                      keys.event_key(self.key, number))
 
     def events(self, limit: int = 0) -> Iterator["Event"]:
-        for key in self.datastore.list_child_keys("events", self.key,
-                                                  limit=limit):
-            yield Event(self.datastore, self, keys.child_number(key), key)
+        """The subrun's events in order, each number read from its
+        key's last 8 bytes."""
+        datastore, number = self.datastore, int.from_bytes
+        for key in datastore.list_child_keys("events", self.key,
+                                             limit=limit):
+            if len(key) != keys.EVENT_KEY_LEN:
+                raise HEPnOSError(f"not an event key: {key!r}")
+            yield Event(datastore, self, number(key[-8:], "big"), key)
 
     def __iter__(self) -> Iterator["Event"]:
         return self.events()

@@ -705,8 +705,8 @@ class DataStore:
                     smap.shard_id("products", target) for target in
                     set(smap.product_database_for_many(container_keys))))
             batch.append_run(container_keys,
-                             [(key + suffix, value) for key, value
-                              in zip(container_keys, values)], containers)
+                             [key + suffix for key in container_keys],
+                             values, containers)
 
     def _store_value(self, sp, container_key: bytes, label: str, tname: str,
                      value: bytes, batch) -> bytes:

@@ -313,18 +313,16 @@ class DataLoader:
         the end).  Every value decodes to the event's row objects; those
         are only built when the table plan declines the class.
         """
-        bounds = starts.tolist()
         layout = plan_table(
             cls, {name: column.dtype for name, column in columns.items()})
-        if layout is None:
-            return [dumps([
-                cls(**{name: column[idx].item()
-                       for name, column in columns.items()})
-                for idx in order[lo:hi]
-            ]) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        records = layout.records(columns, order)
-        return [layout.value(records, lo, hi)
-                for lo, hi in zip(bounds[:-1], bounds[1:])]
+        if layout is not None:
+            return layout.values(layout.records(columns, order), starts)
+        bounds = starts.tolist()
+        return [dumps([
+            cls(**{name: column[idx].item()
+                   for name, column in columns.items()})
+            for idx in order[lo:hi]
+        ]) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     # -- parallel ingest ---------------------------------------------------------
 

@@ -12,7 +12,7 @@ context exit) runs.
 Both are issue + wait on :class:`PendingStore`, the write-side mirror
 of :class:`~repro.hepnos.load_plan.PendingLoad`: it resolves each
 ``(kind, parent)`` group under the current shard map, sends one
-``put_multi_nb`` per involved database (through the datastore's
+``put_columns_nb`` per involved database (through the datastore's
 :class:`~repro.hepnos.AsyncEngine` window when one is attached),
 retires them under the datastore's shard retry -- so a dead primary's
 backup absorbs the write -- and forwards the groups whose shard moved
@@ -72,13 +72,16 @@ class PendingStore:
         self.groups = groups
         #: (kind, parent) -> the database that acknowledged the group
         self.landed: dict = {}
+        #: the keys of each acknowledged transfer
+        self.acknowledged: list = []
         #: the shard map the groups were first resolved under
         self.smap = self.store.placement
         self.transfers = self._send(groups)
         batch.flushes += len(self.transfers)
 
     def _send(self, groups) -> list:
-        """One ``put_multi_nb`` per database ``groups`` resolve to now."""
+        """One ``put_columns_nb`` per database ``groups`` resolve to now:
+        each database's pairs leave as a key column and a value column."""
         store, placement = self.store, self.store.placement
         by_kind: dict = {}
         for group in groups:
@@ -92,18 +95,20 @@ class PendingStore:
         engine = store.async_engine
         transfers = []
         for target, members in by_target.items():
-            future = store.handle_for_target(target).put_multi_nb(
-                chain.from_iterable(map(self.groups.__getitem__, members)),
-                dispatch=engine is None)
+            pairs = [pair for group in members
+                     for pair in self.groups[group]]
+            keys = [key for key, _ in pairs]
+            future = store.handle_for_target(target).put_columns_nb(
+                keys, [value for _, value in pairs], dispatch=engine is None)
             if engine is not None:
                 engine.submit(future)
-            transfers.append((target, members, future))
+            transfers.append((target, members, keys, future))
         return transfers
 
     @property
     def ready(self) -> bool:
         """Whether every transfer has settled (``wait`` would not block)."""
-        return all(future.test() for _, _, future in self.transfers)
+        return all(future.test() for *_, future in self.transfers)
 
     def wait(self) -> None:
         """Retire the flush: every transfer settles, then the first
@@ -122,13 +127,14 @@ class PendingStore:
                     [g for g in self.groups if g not in self.landed])
             transfers, self.transfers = self.transfers, None
             failure = None
-            for target, members, future in transfers:
+            for target, members, keys, future in transfers:
                 try:
                     future.wait()
                 except ReproError as exc:
                     failure = failure or exc
                     continue
                 self.landed.update(dict.fromkeys(members, target))
+                self.acknowledged.append(keys)
                 if resend or future.retries:
                     batch.recovered_flushes += 1
             if failure is not None:
@@ -141,12 +147,11 @@ class PendingStore:
         finally:
             # A load between a pair's append and its acknowledgement may
             # have cached the value it overwrites: one locked pass drops
-            # every acknowledged product key.
+            # every acknowledged key (only product keys are ever cached,
+            # so a container key drops nothing).
             cache = self.store._product_cache
             if cache is not None:
-                cache.invalidate(*[key for group in self.landed
-                                   if group[0] == "products"
-                                   for key, _ in self.groups[group]])
+                cache.invalidate(*chain.from_iterable(self.acknowledged))
 
 
 class WriteBatch:
@@ -195,18 +200,19 @@ class WriteBatch:
         if self.flush_threshold and self.pending >= self.flush_threshold:
             self.flush()
 
-    def append_run(self, parents, pairs, containers=()) -> None:
-        """Queue one run of products, ``pairs[i]`` placed by
-        ``("products", parents[i])``, after the run's new ``containers``
-        (``((kind, parent_key), keys)`` entries stored with empty
-        values).  The flush threshold is checked once, after the run."""
+    def append_run(self, parents, keys, values, containers=()) -> None:
+        """Queue one run of products, ``keys[i]`` -> ``values[i]``
+        placed by ``("products", parents[i])``, after the run's new
+        ``containers`` (``((kind, parent_key), keys)`` entries stored
+        with empty values).  The flush threshold is checked once, after
+        the run."""
         if not self._active:
             raise HEPnOSError("write batch already closed")
         placed = self._placed
-        for group, keys in containers:
-            placed.setdefault(group, []).extend(zip(keys, repeat(b"")))
-            self.pending += len(keys)
-        for parent, pair in zip(parents, pairs):
+        for group, new in containers:
+            placed.setdefault(group, []).extend(zip(new, repeat(b"")))
+            self.pending += len(new)
+        for parent, pair in zip(parents, zip(keys, values)):
             placed.setdefault(("products", parent), []).append(pair)
         self.pending += len(parents)
         if self.flush_threshold and self.pending >= self.flush_threshold:

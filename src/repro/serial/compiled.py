@@ -171,9 +171,18 @@ class TableLayout:
     def value(self, records: memoryview, start: int, stop: int) -> bytes:
         """The table value of rows ``start..stop`` of :meth:`records`;
         ``loads`` of it gives those rows' objects."""
-        width = self.dtype.itemsize
-        return b"".join((self.header, _uvarint(stop - start),
-                         records[start * width:stop * width]))
+        return self.values(records, [start, stop])[0]
+
+    def values(self, records: memoryview, bounds: Sequence[int]) -> list:
+        """:meth:`value` of the rows between each two consecutive
+        ``bounds``, built in one pass: each distinct row count's header
+        is encoded once, and a value is that header and a slice."""
+        bounds = np.asarray(bounds, dtype=np.int64)
+        edges = (bounds * self.dtype.itemsize).tolist()
+        counts = np.diff(bounds).tolist()
+        heads = {count: self.header + _uvarint(count) for count in set(counts)}
+        return [heads[count] + records[start:stop] for count, start, stop
+                in zip(counts, edges, edges[1:])]
 
 
 def plan_table(cls: type, dtypes: Mapping[str, np.dtype]

@@ -3,14 +3,20 @@
 The values live in a ``dict``; the order lives in sorted key *chunks*,
 each with an upper bound in ``_maxes``.  A new key is one ``insort``
 into the chunk its bound routes it to, and a full chunk splits in two.
-Writers are serialized by the caller; :meth:`SortedMap.scan` runs
-against that one writer without a lock.  Chunks are split, never merged
-or removed, so a chunk a scan located can only move to a higher index.
+A batch (:meth:`SortedMap.update`) is one dict update, then its new
+keys merged in order, one chunk at a time: each touched chunk is
+replaced whole by its merge -- cut into full chunks when it outgrows
+one -- in one list assignment.  Writers are serialized by the caller;
+:meth:`SortedMap.scan` runs against that one writer without a lock.
+Chunks are split, never merged or removed, so a chunk a scan located
+can only move to a higher index, and a chunk a scan holds is either
+still in place or replaced by chunks holding its keys and more.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from itertools import filterfalse, repeat
 from typing import Iterator, Optional, Tuple
 
 #: keys per chunk before it splits in two
@@ -18,6 +24,13 @@ _CHUNK = 1000
 #: keys a scan copies at first (doubling per copy up to ``_CHUNK``)
 _SCAN_STEP = 8
 _ABSENT = object()
+
+
+def _pieces(keys: list) -> list:
+    """``keys`` cut into chunks of at most ``_CHUNK``."""
+    if len(keys) <= _CHUNK:
+        return [keys]
+    return [keys[i:i + _CHUNK] for i in range(0, len(keys), _CHUNK)]
 
 
 class SortedMap:
@@ -67,6 +80,58 @@ class SortedMap:
                 del chunk[half:]
                 maxes.insert(i, chunk[-1])
         values[key] = value
+
+    def update(self, pairs) -> dict:
+        """Set every ``(key, value)`` of ``pairs`` (a mapping, or pairs in
+        order: the last of a repeated key wins, as in a ``__setitem__``
+        loop) in one batch; returns the values it replaced, by key.
+
+        The values land in one dict update; the new keys are then merged
+        into their chunks in key order.  A batch that starts past the
+        last key (an append, what an ingest sends) merges into the last
+        chunk only.  A racing :meth:`scan` sees every key present before
+        the call exactly once, in order.
+        """
+        batch = dict(pairs)
+        values = self._values
+        # In batch order: an ascending batch sorts in one linear pass.
+        fresh = list(filterfalse(values.__contains__, batch))
+        replaced = {} if len(fresh) == len(batch) else {
+            key: values[key] for key in filter(values.__contains__, batch)}
+        if not all(map(isinstance, fresh, repeat(bytes))):
+            raise TypeError("keys must be bytes")
+        values.update(batch)
+        if fresh:
+            fresh.sort()
+            self._merge(fresh)
+        return replaced
+
+    def _merge(self, fresh: list) -> None:
+        """Put the new sorted keys ``fresh`` into their chunks."""
+        chunks, maxes = self._chunks, self._maxes
+        if not chunks:
+            pieces = _pieces(fresh)
+            chunks[:] = pieces
+            maxes[:] = [piece[-1] for piece in pieces]
+            return
+        start, end = 0, len(fresh)
+        while start < end:
+            i = bisect_left(maxes, fresh[start])
+            if i >= len(maxes) - 1:  # the last chunk takes the rest
+                i, stop = len(maxes) - 1, end
+            else:
+                stop = bisect_right(fresh, maxes[i], start)
+            chunk = chunks[i]
+            merged = chunk + fresh[start:stop]
+            if chunk and fresh[start] < chunk[-1]:  # else already in order
+                merged.sort()  # two sorted runs: one linear merge
+            pieces = _pieces(merged)
+            # The pieces replace the chunk before its bound is cut:
+            # until then a scan that bisects lands at or before them.
+            chunks[i:i + 1] = pieces
+            maxes[i:i + 1] = [*(piece[-1] for piece in pieces[:-1]),
+                              max(maxes[i], merged[-1])]
+            start = stop
 
     def pop(self, key: bytes, *default):
         try:

@@ -172,10 +172,22 @@ class Backend(abc.ABC):
         """Ordered iteration of (key, value) from ``start``."""
 
     @abc.abstractmethod
-    def put_multi(self, pairs: Iterable[Tuple[bytes, bytes]]) -> int:
-        """Insert many pairs; returns the count (batch RPC fast path)."""
+    def put_columns(self, keys: Sequence[bytes],
+                    values: Sequence[bytes]) -> int:
+        """Insert ``keys[i]`` -> ``values[i]`` as one batch (the batch
+        RPC fast path: a ``put_multi`` request arrives as two columns of
+        ``bytes``, stored as they are); the last of a repeated key
+        wins.  Returns the pair count."""
 
     # -- derived operations --------------------------------------------------
+
+    def put_multi(self, pairs: Iterable[Tuple[bytes, bytes]]) -> int:
+        """Insert many pairs of bytes-like keys and values; returns the
+        count (:meth:`put_columns` of their keys and values as
+        ``bytes``)."""
+        pairs = list(pairs)
+        return self.put_columns([bytes(key) for key, _ in pairs],
+                                [bytes(value) for _, value in pairs])
 
     def get_or_none(self, key: bytes) -> Optional[bytes]:
         try:

@@ -1117,24 +1117,32 @@ class LSMBackend(Backend):
             if self._mem_bytes >= self.memtable_bytes:
                 self._seal_memtable_locked()
 
-    def put_multi(self, pairs: Iterable[Tuple[bytes, bytes]]) -> int:
-        """Batched insert: one WAL record, one lock acquisition."""
+    def put_columns(self, keys: Sequence[bytes],
+                    values: Sequence[bytes]) -> int:
+        """Batched insert: one WAL record, one lock acquisition, one
+        memtable update."""
         self._check_open()
-        pairs = [(bytes(k), bytes(v)) for k, v in pairs]
-        if not pairs:
+        if not keys:
             return 0
         self._apply_write_pressure()
-        record = encode_put_multi(pairs)
+        record = encode_put_multi(keys, values)
         with self._lock:
             self._check_open()
             self._wal_append(record)
-            for key, value in pairs:
-                self._account_put_locked(key)
-                self._memtable_put(key, value)
-                self.stats.logical_bytes += len(key) + len(value)
+            batch = dict(zip(keys, values))
+            if self._live_keys is not None:  # each key's pre-batch image
+                for key in batch:
+                    self._account_put_locked(key)
+            replaced = self._memtable.update(batch)
+            self._mem_bytes += (
+                sum(map(len, batch)) + sum(map(len, batch.values()))
+                - sum(len(key) + (0 if old is _TOMBSTONE else len(old))
+                      for key, old in replaced.items()))
+            self.stats.logical_bytes += (sum(map(len, keys))
+                                         + sum(map(len, values)))
             if self._mem_bytes >= self.memtable_bytes:
                 self._seal_memtable_locked()
-        return len(pairs)
+        return len(keys)
 
     def _account_put_locked(self, key: bytes) -> None:
         """Keep ``_live_keys`` exact using the cheapest pre-image probe.

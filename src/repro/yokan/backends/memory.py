@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, KeyNotFound
 from repro.utils import SortedMap
@@ -28,12 +28,11 @@ class MemoryBackend(Backend):
         self._check_open()
         self._map[key] = bytes(value)
 
-    def put_multi(self, pairs: Iterable[Tuple[bytes, bytes]]) -> int:
+    def put_columns(self, keys: Sequence[bytes],
+                    values: Sequence[bytes]) -> int:
         self._check_open()
-        pairs = list(pairs)
-        for key, value in pairs:
-            self._map[key] = bytes(value)
-        return len(pairs)
+        self._map.update(zip(keys, values))
+        return len(keys)
 
     def get(self, key: bytes) -> bytes:
         self._check_open()

@@ -112,12 +112,14 @@ def encode_put(key: bytes, value: bytes) -> bytes:
     return b"P" + _U32.pack(len(key)) + key + value
 
 
-def encode_put_multi(pairs: Sequence[Tuple[bytes, bytes]]) -> bytes:
-    parts = [b"M", _U32.pack(len(pairs))]
-    for key, value in pairs:
-        parts.append(_ENTRY.pack(len(key), len(value)))
-        parts.append(key)
-        parts.append(value)
+def encode_put_multi(keys: Sequence[bytes], values: Sequence[bytes]) -> bytes:
+    """The ``M`` record of ``keys[i]`` -> ``values[i]``: its head, then
+    each entry's lengths, key and value, laid in by three slices."""
+    parts = [b""] * (3 * len(keys) + 1)
+    parts[0] = b"M" + _U32.pack(len(keys))
+    parts[1::3] = [_ENTRY.pack(len(k), len(v)) for k, v in zip(keys, values)]
+    parts[2::3] = keys
+    parts[3::3] = values
     return b"".join(parts)
 
 
@@ -342,13 +344,13 @@ class DurableBackend(Backend):
         self._append(b"D" + bytes(key))
         self._maybe_checkpoint()
 
-    def put_multi(self, pairs: Iterable[Tuple[bytes, bytes]]) -> int:
+    def put_columns(self, keys: Sequence[bytes],
+                    values: Sequence[bytes]) -> int:
         self._check_open()
-        pairs = [(bytes(k), bytes(v)) for k, v in pairs]
-        if not pairs:
+        if not keys:
             return 0
-        self._append(encode_put_multi(pairs))
-        stored = self.inner.put_multi(pairs)
+        self._append(encode_put_multi(keys, values))
+        stored = self.inner.put_columns(keys, values)
         self._maybe_checkpoint()
         return stored
 

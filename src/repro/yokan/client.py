@@ -62,9 +62,10 @@ def _unwrap(response: bytes):
     raise YokanError(f"{kind}: {message}")
 
 
-def frame_put_multi(engine: Engine, name: str,
-                    pairs: Sequence[Tuple[bytes, bytes]]) -> tuple:
-    """The ``yokan.put_multi`` request storing ``pairs`` in ``name``.
+def frame_put_multi(engine: Engine, name: str, keys: Sequence[bytes],
+                    values: Sequence[bytes]) -> tuple:
+    """The ``yokan.put_multi`` request storing ``keys[i]`` ->
+    ``values[i]`` in ``name``.
 
     The pairs travel as one :mod:`repro.yokan.packed` group in a bulk
     buffer the provider pulls; the request ``(name, bulk, nbytes, crc)``
@@ -72,7 +73,7 @@ def frame_put_multi(engine: Engine, name: str,
     the request alive until the response arrives: the fabric tracks the
     bulk registration (which owns the buffer) only weakly.
     """
-    buffer = packed.pack_groups((pairs,))
+    buffer = packed.pack_columns(keys, values)
     bulk = engine.expose(buffer, Bulk.READ_ONLY)
     return name, bulk, len(buffer), wire.checksum(buffer)
 
@@ -383,24 +384,28 @@ class DatabaseHandle:
         return self._wait("scan_columns", self.scan_columns_nb(
             prefixes, suffix, fields, size_hint, dispatch=False))
 
-    def put_multi_nb(self, pairs: Iterable[Tuple[bytes, bytes]],
-                     *, dispatch: bool = True) -> OperationFuture:
-        """Store many pairs with one RPC + one RDMA pull; resolves to
-        the pair count.
+    def put_columns_nb(self, keys: Sequence[bytes],
+                       values: Sequence[bytes], *, dispatch: bool = True
+                       ) -> OperationFuture:
+        """Store ``keys[i]`` -> ``values[i]`` with one RPC + one RDMA
+        pull; resolves to the pair count.
 
-        The RPC carries the CRC of the packed buffer; the provider
-        verifies it after the pull, so a corrupted bulk transfer fails
-        the call (retryably) instead of storing damaged values.  The
-        packed source buffer (and its bulk descriptor) stay alive in the
+        The two columns are packed as they are: one length table and
+        two joins (:func:`~repro.yokan.packed.pack_columns`).  The RPC
+        carries the CRC of the packed buffer; the provider verifies it
+        after the pull, so a corrupted bulk transfer fails the call
+        (retryably) instead of storing damaged values.  The packed
+        source buffer (and its bulk descriptor) stay alive in the
         future's closure until retirement, so the provider's pull always
         finds them -- including on policy-driven re-issues.
         """
-        pairs = list(pairs)
-        description = f"put_multi[{len(pairs)}]@{self.name}"
-        if not pairs:
+        if len(keys) != len(values):
+            raise ValueError(f"{len(keys)} keys for {len(values)} values")
+        description = f"put_multi[{len(keys)}]@{self.name}"
+        if not keys:
             return OperationFuture.completed(0, description)
         handle = self._handle("yokan.put_multi")
-        request = frame_put_multi(self._engine, self.name, pairs)
+        request = frame_put_multi(self._engine, self.name, keys, values)
         payload = self._seal(wire.encode(request))
 
         def issue(_pinned=request):
@@ -409,6 +414,15 @@ class DatabaseHandle:
             return handle.iforward(payload, self.provider_id)
 
         return self._future(issue, _unwrap, description, dispatch=dispatch)
+
+    def put_multi_nb(self, pairs: Iterable[Tuple[bytes, bytes]],
+                     *, dispatch: bool = True) -> OperationFuture:
+        """:meth:`put_columns_nb` of the keys and the values of
+        ``pairs``."""
+        pairs = list(pairs)
+        return self.put_columns_nb([key for key, _ in pairs],
+                                   [value for _, value in pairs],
+                                   dispatch=dispatch)
 
     def put_multi(self, pairs: Iterable[Tuple[bytes, bytes]]) -> int:
         return self._wait("put_multi",

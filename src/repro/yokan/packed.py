@@ -1,19 +1,29 @@
-"""Length-prefixed packing for prefix-scan batch loads.
+"""Length-table packing for batched writes and prefix-scan loads.
 
-The ``yokan.load_prefix_packed`` RPC moves every key/value pair under a
-list of key prefixes in a single bulk transfer.  The buffer layout is
-deliberately dumber than the general archive format so both ends can
-stream it without object overhead:
+Batched pairs travel as *groups* in Yokan's packed shape
+(``yk_put_packed``): one group is
 
-- one *group* per requested prefix, in request order;
-- each group is ``uvarint(npairs)`` followed by ``npairs`` entries of
-  ``uvarint(klen) + key + uvarint(vlen) + value``.
+- ``u32 count``, then one ``u32`` length table: the ``count`` key
+  lengths, then the ``count`` value lengths;
+- the key bytes, back to back, then the value bytes, back to back
+
+(every integer little-endian).  A ``put_multi`` bulk buffer is one
+group (:func:`pack_columns` / :func:`unpack_columns`); a
+``load_prefix_packed`` answer is one group per requested prefix, in
+request order (:func:`append_group`, :func:`unpack_groups`).  Both ends
+move a group as columns, with no call per pair: the table is one
+``array`` of ``map(len, ...)`` and the bytes one join; the table comes
+back out of one ``struct`` unpack (a one-code format, ``<nI``, which
+``struct`` keeps compiled), and the parts out of one more whose format
+is joined from per-length codes.  The wire's key-list field shares the table helpers
+(:func:`lengths`, :func:`read_lengths`, :func:`split`).
 
 A ``get_multi`` answer is one ``uvarint(len + 1) + value`` item per key
-(``0`` for an absent key).  Both are packed one item at a time by
-:func:`pack_leading`, which stops at the first item that does not fit
-the client's landing buffer.  A ``scan_columns`` answer is one column
-page (:func:`pack_column_page`), answered whole or not at all.
+(``0`` for an absent key).  It and a ``load_prefix_packed`` answer are
+packed one item at a time by :func:`pack_leading`, which stops at the
+first item that does not fit the client's landing buffer.  A
+``scan_columns`` answer is one column page (:func:`pack_column_page`),
+answered whole or not at all.
 
 :func:`unpack_groups` and :func:`unpack_values` return values as
 ``memoryview`` slices over the caller's buffer -- the landing buffer is
@@ -23,9 +33,19 @@ buffer must copy.
 
 from __future__ import annotations
 
+import struct
+import sys
+from array import array
+from itertools import accumulate, islice
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import CorruptionError
+
+#: the ``array`` code of an unsigned 32-bit int, byte-swapped to little
+#: endian on a big-endian machine
+_U32 = "I" if array("I").itemsize == 4 else "L"
+_SWAP = sys.byteorder == "big"
+_COUNT = struct.Struct("<I")
 
 
 def _append_uvarint(out: bytearray, value: int) -> None:
@@ -39,23 +59,76 @@ def _append_uvarint(out: bytearray, value: int) -> None:
             return
 
 
+# -- length tables -------------------------------------------------------------
+
+
+def _table(table: array) -> bytes:
+    if _SWAP:
+        table.byteswap()
+    return table.tobytes()
+
+
+def lengths(parts: Sequence) -> bytes:
+    """The ``u32`` length table of ``parts``, one entry per part."""
+    if len(parts) == 1:  # a one-key list: no array to build
+        return len(parts[0]).to_bytes(4, "little")
+    return _table(array(_U32, map(len, parts)))
+
+
+def read_lengths(view, at: int, count: int) -> tuple:
+    """The ``count`` lengths of the table at ``at`` (the caller has
+    checked that it fits ``view``)."""
+    return struct.unpack_from(f"<{count}I", view, at)
+
+
+class _Codes(dict):
+    """Length -> the ``struct`` code of a bytes field that long, made
+    on first use (a buffer's parts come in few distinct lengths)."""
+
+    def __missing__(self, length: int) -> str:
+        if len(self) >= 4096:
+            self.clear()
+        code = self[length] = f"{length}s"
+        return code
+
+
+_CODES = _Codes()
+
+
+def split(data, at: int, lengths) -> tuple:
+    """The parts of ``data`` from ``at`` on, ``lengths`` bytes each, as
+    ``bytes``, cut by one ``struct`` unpack (the caller has checked that
+    they fit).  The format is compiled afresh: it holds one code per
+    part, and ``struct``'s own cache would keep up to a hundred of
+    them."""
+    return struct.Struct(
+        "<" + "".join([_CODES[n] for n in lengths])).unpack_from(data, at)
+
+
+# -- pair groups ---------------------------------------------------------------
+
+
+def _head(keys: Sequence, values: Sequence) -> bytes:
+    """A group's count and length table."""
+    table = array(_U32, (len(keys),))
+    table.extend(map(len, keys))
+    table.extend(map(len, values))
+    return _table(table)
+
+
+def pack_columns(keys: Sequence, values: Sequence) -> bytearray:
+    """One group of ``keys[i]`` -> ``values[i]`` as a new buffer (a
+    ``bytearray``, ready to expose for bulk transfer)."""
+    return bytearray().join((_head(keys, values), *keys, *values))
+
+
 def append_group(out: bytearray, pairs: Iterable[Tuple[bytes, bytes]]
                  ) -> None:
-    """Append one packed pair group to ``out``."""
+    """Append one group of ``(key, value)`` pairs to ``out``."""
     pairs = list(pairs)
-    append = out.append
-    _append_uvarint(out, len(pairs))
-    for key, value in pairs:
-        for part in (key, value):  # lengths under 2**14 inline
-            n = len(part)
-            if n < 0x80:
-                append(n)
-            elif n < 0x4000:
-                append(n & 0x7F | 0x80)
-                append(n >> 7)
-            else:
-                _append_uvarint(out, n)
-            out += part
+    keys = [key for key, _ in pairs]
+    values = [value for _, value in pairs]
+    out += b"".join((_head(keys, values), *keys, *values))
 
 
 def pack_groups(groups: Iterable[Iterable[Tuple[bytes, bytes]]]
@@ -70,6 +143,36 @@ def pack_groups(groups: Iterable[Iterable[Tuple[bytes, bytes]]]
     for pairs in groups:
         append_group(out, pairs)
     return out
+
+
+def _group(view: memoryview, pos: int, end: int) -> tuple:
+    """The group at ``pos``: ``(count, its length table, where its keys
+    start, where it ends)``, every length checked against ``end`` before
+    anything is cut."""
+    if pos + 4 > end:
+        raise CorruptionError("truncated group count in packed buffer")
+    (count,) = _COUNT.unpack_from(view, pos)
+    at = pos + 4 + 8 * count
+    if at > end:
+        raise CorruptionError("truncated length table in packed buffer")
+    table = read_lengths(view, pos + 4, 2 * count)
+    stop = at + sum(table)
+    if stop > end:
+        raise CorruptionError("truncated group in packed buffer")
+    return count, table, at, stop
+
+
+def unpack_columns(buffer) -> Tuple[tuple, tuple]:
+    """The keys and the values of a buffer holding one group, both as
+    ``bytes`` copied out of ``buffer``."""
+    view = buffer if isinstance(buffer, memoryview) else memoryview(buffer)
+    count, table, at, pos = _group(view, 0, len(view))
+    if pos != len(view):
+        raise CorruptionError(
+            f"trailing bytes in packed buffer ({len(view) - pos} after "
+            f"1 group)")
+    parts = split(view, at, table)
+    return parts[:count], parts[count:]
 
 
 def append_value(out: bytearray, value: Optional[bytes]) -> None:
@@ -144,34 +247,12 @@ def unpack_groups(buffer, ngroups: int) -> List[List[Tuple[bytes, memoryview]]]:
     end = len(view)
     pos = 0
     groups: List[List[Tuple[bytes, memoryview]]] = []
-    try:
-        for _ in range(ngroups):
-            npairs, pos = _read_uvarint(view, pos, end)
-            pairs: List[Tuple[bytes, memoryview]] = []
-            for _ in range(npairs):
-                klen = view[pos]  # past the end: IndexError, see below
-                pos += 1
-                if klen >= 0x80:
-                    klen, pos = _read_uvarint(view, pos - 1, end)
-                if pos + klen > end:
-                    raise CorruptionError("truncated key in packed buffer")
-                key = bytes(view[pos:pos + klen])
-                pos += klen
-                vlen = view[pos]  # 1- and 2-byte lengths inline
-                pos += 1
-                if vlen >= 0x80:
-                    if view[pos] < 0x80:
-                        vlen = vlen & 0x7F | view[pos] << 7
-                        pos += 1
-                    else:
-                        vlen, pos = _read_uvarint(view, pos - 1, end)
-                if pos + vlen > end:
-                    raise CorruptionError("truncated value in packed buffer")
-                pairs.append((key, view[pos:pos + vlen]))
-                pos += vlen
-            groups.append(pairs)
-    except IndexError:
-        raise CorruptionError("truncated varint in packed buffer") from None
+    for _ in range(ngroups):
+        count, table, at, pos = _group(view, pos, end)
+        edges = list(accumulate(table, initial=at))
+        groups.append(list(zip(split(view, at, table[:count]), [
+            view[a:b] for a, b in zip(islice(edges, count, None),
+                                      islice(edges, count + 1, None))])))
     if pos != end:
         raise CorruptionError(
             f"trailing bytes in packed buffer ({end - pos} after "
@@ -292,7 +373,8 @@ def unpack_column_page(buffer, nprefixes: int, nfields: int
     return statuses, blocks
 
 
-__all__ = ["append_group", "pack_groups", "unpack_groups",
+__all__ = ["pack_columns", "unpack_columns", "append_group",
+           "pack_groups", "unpack_groups", "lengths", "read_lengths", "split",
            "append_value", "unpack_values", "pack_leading",
            "pack_column_page", "unpack_column_page",
            "COL_ABSENT", "COL_RAW", "COL_ROWS"]

@@ -308,14 +308,14 @@ class YokanProvider:
         req.bulk_transfer(BulkOp.PULL, bulk, local, size=nbytes)
         # The CRC rejects a corrupted bulk pull before anything is
         # stored; the pairs (one packed group, see the client's
-        # frame_put_multi) decode in place, values as views of the
-        # pulled buffer that the backend copies.
+        # frame_put_multi) are cut out of the pulled buffer as two
+        # columns, and the backend inserts them as one batch.
         wire.verify_bulk(buffer, crc, "put_multi bulk buffer")
-        (pairs,) = packed.unpack_groups(buffer, 1)
+        keys, values = packed.unpack_columns(buffer)
         if req.trace_span is not None:
-            req.trace_span.set_tag("keys", len(pairs))
-        count = self._db(req, name).put_multi(pairs)
-        self._forward(name, pairs=pairs)
+            req.trace_span.set_tag("keys", len(keys))
+        count = self._db(req, name).put_columns(keys, values)
+        self._forward(name, pairs=zip(keys, values))
         return count
 
     def _rpc_get(self, req: RPCRequest, name, key, max_inline):
@@ -487,11 +487,13 @@ class YokanProvider:
         value lists of different lengths are refused, not paired short.
         """
         db = self._db(req, name)
-        pairs = list(zip(keys, values, strict=True))
-        stored = db.put_multi(pairs) if pairs else 0
+        if len(keys) != len(values):
+            raise YokanError(
+                f"replicate of {len(keys)} keys and {len(values)} values")
+        stored = db.put_columns(keys, values) if keys else 0
         removed = db.erase_multi(erase_keys) if erase_keys else 0
         if req.trace_span is not None:
-            req.trace_span.set_tag("keys", len(pairs) + len(erase_keys))
+            req.trace_span.set_tag("keys", len(keys) + len(erase_keys))
         return stored, removed
 
     def _rpc_sync(self, req: RPCRequest, checkpoint) -> tuple:

@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import struct
 import zlib
-from itertools import accumulate
 from typing import NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigError, CorruptionError, SerializationError
 from repro.mercury.bulk import Bulk, lookup_region
+from repro.yokan import packed
 
 _CRC_SIZE = 4
 
@@ -335,7 +335,7 @@ def _compile(head: bytes) -> tuple:
             f"    return {body}"]
     ns = {"PACK": struct.Struct(f"<{len(head)}s{fixed}").pack,
           "UNPACK": struct.Struct("<" + fixed).unpack_from, "HEAD": head,
-          "u32s": _u32s, "keys": _keys, "bulk": _bulk,
+          "u32s": packed.lengths, "keys": _keys, "bulk": _bulk,
           "SerializationError": SerializationError}
     exec("\n".join(src), ns)
     if len(_CODECS) >= _CACHE_MAX:
@@ -344,18 +344,18 @@ def _compile(head: bytes) -> tuple:
     return codec
 
 
-def _u32s(keys: list) -> bytes:
-    return struct.pack(f"<{len(keys)}I", *map(len, keys))
-
-
 def _keys(view: memoryview, at: int, count: int, size: int) -> list:
     """The ``count`` keys of a key list: a length table, then one blob
     of ``size`` bytes (the caller has checked both fit the message)."""
-    offsets = [0, *accumulate(struct.unpack_from(f"<{count}I", view, at))]
-    if offsets[-1] != size:
+    if count == 1:  # one prefix, one key: no table to read
+        if int.from_bytes(view[at:at + 4], "little") != size:
+            raise SerializationError(
+                "key lengths do not add up to the key blob")
+        return [view[at + 4:at + 4 + size].tobytes()]
+    lengths = packed.read_lengths(view, at, count)
+    if sum(lengths) != size:
         raise SerializationError("key lengths do not add up to the key blob")
-    blob = view[at + 4 * count:at + 4 * count + size].tobytes()
-    return [blob[a:b] for a, b in zip(offsets, offsets[1:])]
+    return list(packed.split(view, at + 4 * count, lengths))
 
 
 def _bulk(bulk_id: int) -> Bulk:

@@ -2,6 +2,8 @@
 client-side product cache."""
 
 import gc
+import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -71,47 +73,69 @@ class TestPackedCodec:
             packed.unpack_groups(buf + b"\x00", 1)
 
     @staticmethod
-    def _uvarint(n):
-        out = bytearray()
-        while True:
-            byte, n = n & 0x7F, n >> 7
-            out.append(byte | 0x80 if n else byte)
-            if not n:
-                return bytes(out)
-
-    def _reference_pack(self, groups):
-        """The generic encoder: every length through the uvarint loop."""
-        out = bytearray()
+    def _reference_pack(groups):
+        """The group layout built with ``struct``: the pair count, the
+        key lengths, the value lengths (``u32`` little-endian), then the
+        keys and the values."""
+        out = b""
         for pairs in groups:
-            out += self._uvarint(len(pairs))
-            for key, value in pairs:
-                out += self._uvarint(len(key)) + key
-                out += self._uvarint(len(value)) + value
-        return bytes(out)
+            keys = [key for key, _ in pairs]
+            values = [value for _, value in pairs]
+            out += struct.pack(f"<{1 + 2 * len(pairs)}I", len(pairs),
+                               *map(len, keys), *map(len, values))
+            out += b"".join(keys) + b"".join(values)
+        return out
 
     @pytest.mark.parametrize("length",
                              [0, 1, 127, 128, 16383, 16384, 2 ** 21])
     def test_inline_lengths_match_the_generic_encoder(self, length):
+        """The lengths a group carries inline, in its table, and the
+        bytes after them are what the generic ``struct`` encoder writes,
+        for lengths on both sides of every 7-bit boundary."""
         groups = [[(b"k" * length, b"v"), (b"k", b"v" * length)],
-                  [(b"", b"")]]
+                  [(b"", b"")], []]
         buf = packed.pack_groups(groups)
         assert bytes(buf) == self._reference_pack(groups)
         back = packed.unpack_groups(buf, len(groups))
         assert [[(k, bytes(v)) for k, v in g] for g in back] == groups
+        keys, values = zip(*groups[0])
+        one = packed.pack_columns(keys, values)
+        assert type(one) is bytearray
+        assert bytes(one) == self._reference_pack(groups[:1])
+        assert packed.unpack_columns(one) == (keys, values)
 
     @pytest.mark.parametrize("field", ["key", "value"])
-    @pytest.mark.parametrize("length", [1, 128, 16384],
+    @pytest.mark.parametrize("length", [1, 256, 65536],
                              ids=["1-byte", "2-byte", "3-byte"])
     def test_cut_inside_a_length_is_corruption(self, field, length):
+        """A buffer cut inside the length table entry of a key or a
+        value (``length`` has 1, 2 or 3 significant bytes) is refused
+        as truncated, by both decoders."""
         key, value = (b"k" * length, b"v") if field == "key" \
             else (b"k", b"v" * length)
         buf = bytes(packed.pack_groups([[(key, value)]]))
-        at = 1 if field == "key" else 1 + len(self._uvarint(len(key))) + 1
-        for cut in range(at, at + len(self._uvarint(length))):
+        at = 4 if field == "key" else 8
+        assert buf[at:at + 4] == length.to_bytes(4, "little")
+        for cut in range(at, at + 4):
             with pytest.raises(CorruptionError, match="truncated"):
                 packed.unpack_groups(buf[:cut], 1)
+            with pytest.raises(CorruptionError, match="truncated"):
+                packed.unpack_columns(buf[:cut])
         with pytest.raises(CorruptionError, match="trailing"):
             packed.unpack_groups(buf + b"\x00", 1)
+        with pytest.raises(CorruptionError, match="trailing"):
+            packed.unpack_columns(buf + b"\x00")
+
+    def test_a_count_past_the_buffer_is_refused_before_allocating(self):
+        buf = struct.pack("<I", 0xFFFFFFFF) + bytes(64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptionError, match="length table"):
+                packed.unpack_columns(buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 # -- load_prefix_packed RPC --------------------------------------------------

@@ -913,7 +913,8 @@ class TestPutMultiFraming:
     def test_bulk_buffer_is_one_packed_group(self, world):
         _provider, db = world
         pairs = [(b"k1", b"v1"), (b"container", b""), (b"k3", bytes(300))]
-        name, bulk, nbytes, crc = frame_put_multi(db._engine, "events", pairs)
+        name, bulk, nbytes, crc = frame_put_multi(
+            db._engine, "events", *map(list, zip(*pairs)))
         assert name == "events" and nbytes == len(bulk)
         assert crc == wire.checksum(bulk.view())
         (group,) = packed.unpack_groups(bulk.view(), 1)
@@ -947,7 +948,8 @@ class TestPutMultiFraming:
                                                             damage):
         provider, db = world
         pairs = [(f"k{i}".encode(), bytes([i]) * 20) for i in range(10)]
-        name, bulk, nbytes, crc = frame_put_multi(db._engine, "events", pairs)
+        name, bulk, nbytes, crc = frame_put_multi(
+            db._engine, "events", *map(list, zip(*pairs)))
         if damage == "bit_flip":
             bulk._buffer[nbytes // 2] ^= 0x10
         elif damage == "truncated":

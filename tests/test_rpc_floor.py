@@ -1,9 +1,10 @@
 """The RPC floor, the reader floor, the column-cache floor, the
-consumer floor, the ingest floor and the lookup floor as counts:
-Python-level calls per null ``exists``, per event of a no-op pass, per
-event of a warm columns pass, per slice the candidate cut examines and
-per event a file ingest stores, RPCs per page pass over many subruns,
-and server-side key lookups per key a cold exact pass asks.
+consumer floor, the ingest floor, the put floor and the lookup floor as
+counts: Python-level calls per null ``exists``, per event of a no-op
+pass, per event of a warm columns pass, per slice the candidate cut
+examines, per event a file ingest stores and per pair a ``put_multi``
+handler stores, RPCs per page pass over many subruns, and server-side
+key lookups per key a cold exact pass asks.
 
 A timing gate depends on the machine; this one does not.  On the inline
 fabric one ``DatabaseHandle.exists`` of an absent key walks the whole
@@ -28,7 +29,10 @@ per node of its expression, or a ``Cut.passing`` list filter that goes
 back to a call per slice, fails here.  The ingest floor is the write
 path end to end (file read, product encode, write batch, ``put_multi``
 RPC, the ``map`` backend's index): a per-pair call back in the storage
-engine fails here.  The lookup floor is the landing protocol seen from
+engine fails here.  The put floor is the server's half of one
+``put_multi``: the handler's calls for 1,024 pairs may exceed those for
+16 by less than one per 64 pairs, so a per-pair step back in the packed
+decode or the index insert fails here.  The lookup floor is the landing protocol seen from
 the storage engine: a cold exact pass whose products outgrow the first
 landing buffer must look each key up once, plus one straddling key per
 extra round trip -- an undersized buffer answered by looking the whole
@@ -57,7 +61,7 @@ from repro.hepnos import (
     WriteBatch,
     vector_of,
 )
-from repro.mercury import Fabric
+from repro.mercury import Engine, Fabric
 from repro.nova import (
     BEAM,
     GeneratorConfig,
@@ -68,7 +72,7 @@ from repro.nova import (
 from repro.nova.generator import table_to_slices
 from repro.serial import register_type
 from repro.utils import SortedMap
-from repro.yokan import YokanProvider
+from repro.yokan import MemoryBackend, YokanClient, YokanProvider
 from repro.yokan.client import DatabaseHandle
 
 #: calls per null exists the path may make: (untagged, tenant + broker).
@@ -145,9 +149,19 @@ PER_LIST = 24
 #: list under the ``map`` backend and a put per pair made it 153.9; the
 #: dict-plus-bisect sorted map and one ``put_multi`` loop left 115.9,
 #: and Yokan fields out of the product archive 109.4 (budget 125).
-#: Queuing a subrun at a time, placed as one batch per flush, leaves
-#: 59.9; the budget keeps the same margin.
-INGEST_BUDGET = 68.4
+#: Queuing a subrun at a time, placed as one batch per flush, left
+#: 59.9 (budget 68.4).  Pairs moved as columns -- a length-table group
+#: packed and cut without a call per pair, one batch insert into the
+#: map's index, one pass building a table's values -- leave 18.2; the
+#: budget keeps the same margin.
+INGEST_BUDGET = 20.8
+#: pair counts of the two ``put_multi`` batches the put floor stores,
+#: and the calls per extra pair the server may add between them: less
+#: than one per ``PUT_SLOPE`` pairs.  A provider that decoded the packed
+#: group a pair at a time, and a ``map`` backend that inserted it with
+#: a ``__setitem__`` per pair, made several calls per pair.
+PUT_PAIRS = (16, 1024)
+PUT_SLOPE = 64
 #: flags per event of the lookup floor's product: about 300 stored
 #: bytes, past the 64 bytes per key a cold ``get_multi`` offers
 SCAN_FLAGS = 64
@@ -430,6 +444,46 @@ def ingest_calls() -> float:
             server.shutdown()
 
 
+def put_calls(pairs: int) -> int:
+    """Python-level calls of the server's ``put_multi`` handler storing
+    one batch of ``pairs`` new pairs past the last key of a ``map``
+    database, on the inline fabric (after a warm batch of that size)."""
+    serve = YokanProvider._rpc_put_multi
+    profile = cProfile.Profile()
+    counting = [False]
+
+    def profiled(self, *args):
+        if not counting[0]:
+            return serve(self, *args)
+        profile.enable()
+        try:
+            return serve(self, *args)
+        finally:
+            profile.disable()
+
+    def batch(first: int) -> list:
+        return [(b"ev/%08d" % i, b"v" * 64) for i in range(first,
+                                                          first + pairs)]
+
+    # Providers bind their handlers when they register them.
+    YokanProvider._rpc_put_multi = profiled
+    try:
+        fabric = Fabric()
+        YokanProvider(Engine(fabric, "sm://server/0"), provider_id=1,
+                      databases={"events": MemoryBackend()})
+        client = YokanClient(Engine(fabric, "sm://client/0"))
+        db = client.database_handle("sm://server/0", 1, "events")
+        db.put_multi(batch(0))  # warm: codecs, handles, struct codes
+        gc.collect()
+        gc.disable()
+        counting[0] = True
+        db.put_multi(batch(pairs))
+        gc.enable()
+    finally:
+        YokanProvider._rpc_put_multi = serve
+    return pstats.Stats(profile).total_calls
+
+
 def cold_exact_lookups() -> tuple:
     """``(looked_up, extra, asked)`` of one cold ``Prefetcher.pages`` pass
     over ``SUBRUNS`` x ``PER_SUBRUN`` events of a ``SCAN_FLAGS``-flag
@@ -511,6 +565,17 @@ def test_ingest_stays_within_its_call_budget():
     assert first <= INGEST_BUDGET, (
         f"ingesting a file makes {first:.2f} Python-level calls per event, "
         f"budget {INGEST_BUDGET}")
+
+
+def test_put_handler_calls_do_not_grow_with_its_pairs():
+    small, large = (put_calls(n) for n in PUT_PAIRS)
+    assert (small, large) == tuple(put_calls(n) for n in PUT_PAIRS), (
+        "the counts must repeat exactly")
+    extra = PUT_PAIRS[1] - PUT_PAIRS[0]
+    assert large - small < extra / PUT_SLOPE, (
+        f"the put_multi handler makes {small} Python-level calls for "
+        f"{PUT_PAIRS[0]} pairs and {large} for {PUT_PAIRS[1]}: "
+        f"{large - small} more, at most {extra / PUT_SLOPE:.2f}")
 
 
 @pytest.mark.parametrize("lane", sorted(PAGE_BUDGET))
@@ -597,6 +662,11 @@ if __name__ == "__main__":
     print(f"DataLoader.ingest_file, inline fabric, {EVENTS} events: "
           f"{ingest_calls():.2f} Python-level calls per event "
           f"(budget {INGEST_BUDGET})")
+    small, large = (put_calls(n) for n in PUT_PAIRS)
+    print(f"put_multi handler, inline fabric, map backend: {small} "
+          f"Python-level calls for {PUT_PAIRS[0]} pairs, {large} for "
+          f"{PUT_PAIRS[1]} (fewer than "
+          f"{(PUT_PAIRS[1] - PUT_PAIRS[0]) / PUT_SLOPE:.2f} more allowed)")
     looked_up, extra, asked = cold_exact_lookups()
     print(f"cold exact pass, {SUBRUNS} subruns x {PER_SUBRUN} events of "
           f"{SCAN_FLAGS} flags, pages of 1024: {looked_up / asked:.4f} "

@@ -331,3 +331,140 @@ def test_scan_survives_a_concurrent_writer():
         sys.setswitchinterval(switch)
     assert not r.is_alive() and not w.is_alive()
     assert not errors, errors[0]
+
+
+# -- batch updates ------------------------------------------------------------
+
+
+def _check_chunks(m):
+    """Every chunk sorted and at most ``_CHUNK`` keys, every key inside
+    its chunk's bounds, and the chunks holding exactly the map's keys."""
+    assert len(m._chunks) == len(m._maxes)
+    low = None
+    for chunk, bound in zip(m._chunks, m._maxes):
+        assert len(chunk) <= sortedmap._CHUNK
+        assert all(a < b for a, b in zip(chunk, chunk[1:]))
+        assert not chunk or (chunk[-1] <= bound
+                             and (low is None or chunk[0] > low))
+        low = bound
+    assert sum(map(len, m._chunks)) == len(m)
+
+
+def _batch(present, fresh, layout, rng):
+    """A batch of ``(key, value)`` pairs laid out as ``layout`` says,
+    drawing new keys from ``fresh`` and overwriting some of
+    ``present``."""
+    keys = list(fresh)
+    if layout == "ascending":
+        keys.sort()
+    elif layout == "interleaved":
+        keys = sorted(keys + [k + b"\x00" for k in present])
+    elif layout == "duplicates":
+        keys = keys + rng.sample(keys, len(keys) // 2) + present[:3]
+        rng.shuffle(keys)
+    else:  # random, with a few present keys overwritten
+        keys = keys + present[::3]
+        rng.shuffle(keys)
+    return [(key, rng.randrange(1000)) for key in keys]
+
+
+@settings(max_examples=80, deadline=None)
+@given(before=st.lists(st.binary(min_size=1, max_size=3), max_size=40,
+                       unique=True),
+       batches=st.lists(st.tuples(
+           st.lists(st.binary(min_size=1, max_size=3), max_size=40,
+                    unique=True),
+           st.sampled_from(["random", "ascending", "interleaved",
+                            "duplicates", "appended"])),
+           min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 16))
+def test_update_matches_a_setitem_loop(before, batches, seed):
+    """``update(pairs)`` leaves the map a ``__setitem__`` loop over the
+    same pairs leaves, and answers the values it replaced; the batches
+    cross chunk splits (chunks of 4), overwrite present keys and land in
+    chunks that erases emptied."""
+    rng = random.Random(seed)
+    with small_chunks():
+        m, model = SortedMap(), SortedMap()
+        for key in before:
+            m[key] = model[key] = -1
+        for fresh, layout in batches:
+            erased = [k for k, _ in model.scan()]
+            low = rng.randrange(len(erased) + 1)
+            for key in erased[low:low + rng.randrange(7)]:
+                del m[key], model[key]
+            present = [k for k, _ in model.scan()]
+            if layout == "appended":  # past the last key, as ingest sends
+                top = present[-1] if present else b""
+                fresh = [top + b"\xff" + k for k in sorted(fresh)]
+            pairs = _batch(present, fresh, layout, rng)
+            old = {k: model[k] for k, _ in pairs if k in model}
+            for key, value in pairs:
+                model[key] = value
+            assert m.update(pairs) == old
+            assert list(m.scan()) == list(model.scan())
+            _check_chunks(m)
+    assert len(m) == len(model)
+
+
+def test_update_refuses_a_key_that_is_not_bytes():
+    m = SortedMap()
+    m[b"a"] = 1
+    with pytest.raises(TypeError):
+        m.update([(b"b", 2), ("c", 3)])
+    assert list(m.scan()) == [(b"a", 1)]   # nothing of the batch landed
+
+
+@small_chunks()
+def test_scan_sees_every_key_once_across_batch_updates():
+    """Batch updates -- appends past the last key, keys between the
+    present ones, overwrites -- between two ``next()`` calls of a scan:
+    it yields every key present throughout exactly once, in order."""
+    rng = random.Random(5)
+    m = _stable_map()
+    for n in range(60):
+        start = STABLE[n % len(STABLE)] if n % 2 else b""
+        keys = []
+        for key, _ in m.scan(start, inclusive=False):
+            keys.append(key)
+            if rng.randrange(3) == 0:
+                top = b"s%03d" % rng.randrange(400)
+                m.update([(top + b"+%d" % rng.randrange(9), n)
+                          for _ in range(rng.randrange(1, 12))]
+                         + [(rng.choice(STABLE), n)]
+                         + [(b"t%04d" % (n * 20 + i), n)
+                            for i in range(rng.randrange(6))])
+        _check_scan(keys, start)
+        assert len(keys) == len(set(keys))
+
+
+@small_chunks()
+def test_scan_sees_every_key_mid_update():
+    """A scan taken while a batch update is half done -- before and
+    after each chunk is replaced by its merge, and each bound list
+    change -- holds every key present before the update once."""
+    rng = random.Random(13)
+    m = _stable_map()
+    seen: list = []
+    starts = [b"", STABLE[5], STABLE[40], STABLE[-2]]
+
+    def scans():
+        for start in starts:
+            seen.append((start, [k for k, _ in m.scan(start, False)]))
+
+    class ScannedOnAssign(list):
+        def __setitem__(self, index, value):
+            scans()
+            super().__setitem__(index, value)
+            scans()
+
+    m._chunks = ScannedOnAssign(m._chunks)
+    m._maxes = ScannedOnAssign(m._maxes)
+    for n in range(30):
+        m.update([(b"s%03d+%d" % (rng.randrange(400), rng.randrange(7)), n)
+                  for _ in range(rng.randrange(1, 10))]
+                 + [(b"u%03d" % (n * 3 + i), n) for i in range(3)])
+    assert len(seen) > 400
+    for start, keys in seen:
+        _check_scan(keys, start or None)
+        assert len(keys) == len(set(keys))

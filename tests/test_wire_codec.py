@@ -163,8 +163,8 @@ SCAN_COLUMNS = (
     "06736b626b7571060000000200000008000000050000000200000004000000{bulk}"
     "00100000000000006576656e7473040000000400000065762f3165762f3923686974"
     "7303000000010000006164636e")
-PUT_MULTI = (("events", BULK, 12, 0x8D29FD87),
-             "047375717106000000{bulk}0c0000000000000087fd298d00000000"
+PUT_MULTI = (("events", BULK, 21, 0xF7CE9DAB),
+             "047375717106000000{bulk}1500000000000000ab9dcef700000000"
              "6576656e7473")
 ERASE_MULTI = (("events", [b"ev/1", b"absent"]),
                "02736b06000000020000000a0000006576656e74730400000006000000"
@@ -209,9 +209,9 @@ GOLDEN = [
      "057171717171000000000000000002000000000000000000000000000000050000"
      "000000000040cf240a00000000"),
     LOAD_PREFIX_PACKED,
-    ((wire.OK, 2, 0, 70, 0x3E728883),
-     "057171717171000000000000000002000000000000000000000000000000460000"
-     "00000000008388723e00000000"),
+    ((wire.OK, 2, 0, 88, 0x96582D90),
+     "057171717171000000000000000002000000000000000000000000000000580000"
+     "0000000000902d589600000000"),
     SCAN_COLUMNS,
     ((wire.OK, 2, 0, 45, 0x53F56B45),
      "0571717171710000000000000000020000000000000000000000000000002d0000"

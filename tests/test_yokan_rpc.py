@@ -455,7 +455,8 @@ def request_body(engine: Engine, rpc_name: str, db: str, pins: list):
     database ``db``."""
     landing = engine.expose(bytearray(1 << 16), Bulk.READ_WRITE)
     pins.append(landing)
-    put_multi = frame_put_multi(engine, db, FRESH)
+    put_multi = frame_put_multi(engine, db, [k for k, _ in FRESH],
+                                [v for _, v in FRESH])
     pins.append(put_multi)
     return {
         "yokan.put": (db, b"k", b"v"),
